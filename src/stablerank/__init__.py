@@ -9,7 +9,6 @@ from .errors import InputError, ParseError
 from .exactlp import (
     LinearProgram,
     LpOutcome,
-    Rational,
     SlopeResult,
     lp_feasible,
     lp_minimize,
@@ -63,7 +62,6 @@ __all__ = [
     "ParseError",
     "LinearProgram",
     "LpOutcome",
-    "Rational",
     "SlopeResult",
     "lp_feasible",
     "lp_minimize",

@@ -27,8 +27,8 @@ from .fileformat import parse_input
 from .ideals import (
     MonomialIdeal,
     PolyIdeal,
+    _lct_rank,
     apply_linear_change,
-    lct_monomial,
     t_stable_rank,
 )
 from .tensors import (
@@ -144,12 +144,11 @@ def _cmd_rank_ideal(args) -> int:
 
 def _cmd_lct(args) -> int:
     ideal = _load(args.file, ("mideal",), "lct")
-    value = lct_monomial(ideal)
-    result = t_stable_rank(ideal)
+    result = _lct_rank(ideal)
     witness_json = list(result.witness) if result.witness is not None else []
     witness_text = " ".join(map(str, result.witness)) if result.witness is not None else None
     notes = ["log canonical threshold at the origin; equals the stable rank of the ideal"]
-    return _emit(args.json, _fmt(value), witness_json, witness_text, notes)
+    return _emit(args.json, _fmt(result.value), witness_json, witness_text, notes)
 
 
 def _cmd_semistable(args) -> int:
@@ -267,3 +266,7 @@ def run(argv=None) -> int:
 
 def main() -> None:
     sys.exit(run())
+
+
+if __name__ == "__main__":
+    main()

@@ -1,12 +1,26 @@
 """Exact linear programming over the rationals.
 
-Everything in this module computes with `fractions.Fraction`; no floating
-point value ever enters a tableau, so results are exact and bit-for-bit
-reproducible. Variables are implicitly constrained to x >= 0. Inequality
-rows have sense a_k . x >= b_k; equality rows hold exactly.
+Programs are given in `fractions.Fraction`, and answers come back as
+Fractions, but the simplex tableau holds Python integers only: every entry
+is stored as D * t over one positive integer D shared by the whole tableau.
+A pivot on p keeps the pivot row, replaces every other row (the objective
+row included) by (p * row - row[c] * pivot_row) // D, a division that is
+always exact, and makes |p| the new D (Edmonds' fraction-free pivoting, the
+simplex form of Bareiss elimination). No floating point value ever enters a
+tableau, so results are exact and bit-for-bit reproducible. Variables are
+implicitly constrained to x >= 0. Inequality rows have sense a_k . x >= b_k;
+equality rows hold exactly.
+
+Denominators are cleared once, when the tableau is built, by multiplying
+each row by a positive integer s_k; the row's slack or artificial column
+keeps its unit entry and so stands for s_k times that variable. The
+objective is scaled by a positive integer too. Positive scalings of rows and
+variables change no reduced-cost sign and no order among ratios, so the
+integer tableau takes exactly the pivots the rational one would.
 
 Pivoting uses the least-index (Bland) rule for both the entering and the
 leaving variable, which makes every solve deterministic and cycle-free.
+Ratios are compared by cross-multiplication.
 
 Programs with no equality rows and a componentwise-nonnegative objective are
 solved through the LP dual: the slack basis of the dual is immediately
@@ -43,9 +57,6 @@ __all__ = [
     "minimize_slope",
     "oracle_minimum_over_vertices",
 ]
-
-Rational = Fraction
-
 
 def _as_fraction(value, what: str) -> Fraction:
     if isinstance(value, float):
@@ -131,54 +142,66 @@ class SlopeResult:
         return self.value != math.inf
 
 
-def _pivot(tableau: list[list[Fraction]], obj: list[Fraction], basis: list[int], row: int, col: int) -> None:
-    prow = tableau[row]
-    piv = prow[col]
-    if piv != 1:
-        tableau[row] = prow = [v / piv for v in prow]
-    for other in tableau:
-        if other is prow:
+def _common_denominator(values) -> int:
+    return math.lcm(*(v.denominator for v in values))
+
+
+def _integers(values, scale: int) -> list[int]:
+    """The rationals `values` times `scale`, a multiple of every denominator."""
+    return [v.numerator * (scale // v.denominator) for v in values]
+
+
+def _pivot(rows: list[list[int]], d: int, r: int, c: int) -> int:
+    """Pivot on rows[r][c] in place and return the new common denominator.
+
+    Every row stands for row / d with one positive integer d (Edmonds 1967,
+    the simplex form of Bareiss 1968). The pivot row keeps its entries, every
+    other row becomes (p * row - row[c] * pivot_row) / d, a division that is
+    always exact, and |p| becomes the common denominator; a negative pivot
+    negates the pivot row first, which negates every row of the result.
+    """
+    prow = rows[r]
+    p = prow[c]
+    if p < 0:
+        p = -p
+        prow[:] = [-v for v in prow]
+    for i, line in enumerate(rows):
+        if i == r:
             continue
-        factor = other[col]
-        if factor:
-            for j, pv in enumerate(prow):
-                if pv:
-                    other[j] -= factor * pv
-    factor = obj[col]
-    if factor:
-        for j, pv in enumerate(prow):
-            if pv:
-                obj[j] -= factor * pv
-    basis[row] = col
+        f = line[c]
+        if f:
+            line[:] = [(p * a - f * b) // d for a, b in zip(line, prow)]
+        elif p != d:
+            line[:] = [p * a // d for a in line]
+    return p
 
 
-def _bland(tableau: list[list[Fraction]], obj: list[Fraction], basis: list[int], ncols: int) -> str:
-    """Minimize, entering at the least negative-reduced-cost index; ties in the
-    ratio test break toward the least basic index. Returns "optimal" or "unbounded"."""
+def _simplex(rows: list[list[int]], basis: list[int], d: int, ncols: int) -> tuple[bool, int]:
+    """Minimize over the tableau `rows`, whose last row is the objective, by
+    Bland's rule: enter at the least column with a negative reduced cost, leave
+    at the least ratio (compared by cross-multiplication), ties going to the
+    least basic index. Returns (bounded, common denominator)."""
+    obj = rows[-1]
+    m = len(rows) - 1
     while True:
-        enter = -1
-        for j in range(ncols):
-            if obj[j] < 0:
-                enter = j
-                break
+        enter = next((j for j in range(ncols) if obj[j] < 0), -1)
         if enter < 0:
-            return "optimal"
-        best_row = -1
-        best_ratio = None
-        for i, line in enumerate(tableau):
-            coeff = line[enter]
+            return True, d
+        best = -1
+        for i in range(m):
+            coeff = rows[i][enter]
             if coeff > 0:
-                ratio = line[-1] / coeff
-                if (
-                    best_ratio is None
-                    or ratio < best_ratio
-                    or (ratio == best_ratio and basis[i] < basis[best_row])
-                ):
-                    best_ratio = ratio
-                    best_row = i
-        if best_row < 0:
-            return "unbounded"
-        _pivot(tableau, obj, basis, best_row, enter)
+                level = rows[i][-1]
+                if best < 0:
+                    best, best_level, best_coeff = i, level, coeff
+                    continue
+                lhs, rhs = level * best_coeff, best_level * coeff
+                if lhs < rhs or (lhs == rhs and basis[i] < basis[best]):
+                    best, best_level, best_coeff = i, level, coeff
+        if best < 0:
+            return False, d
+        d = _pivot(rows, d, best, enter)
+        basis[best] = enter
 
 
 def _primal_two_phase(
@@ -191,37 +214,41 @@ def _primal_two_phase(
     n = len(objective)
     nsurplus = len(rows)
     width = n + nsurplus
-
-    tableau: list[list[Fraction]] = []
-    for k, row in enumerate(rows):
-        line = list(row) + [Fraction(0)] * nsurplus + [rhs[k]]
-        line[n + k] = Fraction(-1)
-        tableau.append(line)
-    for k, row in enumerate(eq_rows):
-        tableau.append(list(row) + [Fraction(0)] * nsurplus + [eq_rhs[k]])
-    for line in tableau:
-        if line[-1] < 0:
-            for j in range(len(line)):
-                line[j] = -line[j]
-
-    m = len(tableau)
-    for i, line in enumerate(tableau):
-        art = [Fraction(0)] * m
-        art[i] = Fraction(1)
-        line[-1:-1] = art
+    m = nsurplus + len(eq_rows)
     ncols = width + m
+
+    # Row k is multiplied by s_k > 0, which clears its denominators, and by -1
+    # when its right side is negative. Its surplus and artificial columns keep
+    # the entries -1 (sign-adjusted) and 1: they stand for s_k times the
+    # original surplus and artificial variables.
+    tableau: list[list[int]] = []
+    scales = []
+    for k, (row, b) in enumerate(itertools.chain(zip(rows, rhs), zip(eq_rows, eq_rhs))):
+        s = _common_denominator((*row, b))
+        sign = -1 if b < 0 else 1
+        line = _integers((*row, b), sign * s)
+        line[n:n] = [0] * (nsurplus + m)
+        if k < nsurplus:
+            line[n + k] = -sign
+        line[width + k] = 1
+        tableau.append(line)
+        scales.append(s)
     basis = list(range(width, ncols))
 
-    # phase one: minimize the sum of artificials (priced out against the
-    # artificial basis, so reduced costs start as the negated column sums)
-    obj = [Fraction(0)] * (ncols + 1)
-    for line in tableau:
+    # phase one: minimize the sum of the original artificials, that is
+    # sum_k (L / s_k) times the rescaled ones, priced out against the
+    # artificial basis
+    weight = math.lcm(*scales)
+    obj = [0] * (ncols + 1)
+    for s, line in zip(scales, tableau):
+        w = weight // s
         for j in range(width):
             if line[j]:
-                obj[j] -= line[j]
-        obj[-1] -= line[-1]
-    status = _bland(tableau, obj, basis, ncols)
-    if status != "optimal":
+                obj[j] -= w * line[j]
+        obj[-1] -= w * line[-1]
+    tableau.append(obj)
+    bounded, d = _simplex(tableau, basis, 1, ncols)
+    if not bounded:
         raise RuntimeError("phase one cannot be unbounded")
     if obj[-1] != 0:
         return LpOutcome(status="infeasible")
@@ -232,15 +259,17 @@ def _primal_two_phase(
         if basis[i] >= width:
             for j in range(width):
                 if tableau[i][j] != 0:
-                    _pivot(tableau, obj, basis, i, j)
+                    d = _pivot(tableau, d, i, j)
+                    basis[i] = j
                     break
     keep = [i for i in range(m) if basis[i] < width]
     tableau = [tableau[i][:width] + [tableau[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
 
-    # phase two with the real objective
-    cost = list(objective) + [Fraction(0)] * nsurplus
-    obj = cost + [Fraction(0)]
+    # phase two with the real objective, scaled to integers
+    scale = _common_denominator(objective)
+    cost = _integers(objective, scale) + [0] * nsurplus
+    obj = [d * c for c in cost] + [0]
     for i, line in enumerate(tableau):
         cb = cost[basis[i]]
         if cb:
@@ -248,15 +277,16 @@ def _primal_two_phase(
                 if line[j]:
                     obj[j] -= cb * line[j]
             obj[-1] -= cb * line[-1]
-    status = _bland(tableau, obj, basis, width)
-    if status != "optimal":
+    tableau.append(obj)
+    bounded, d = _simplex(tableau, basis, d, width)
+    if not bounded:
         return LpOutcome(status="unbounded")
 
     x = [Fraction(0)] * n
-    for i, line in enumerate(tableau):
-        if basis[i] < n:
-            x[basis[i]] = line[-1]
-    return LpOutcome(status="optimal", value=-obj[-1], vertex=tuple(x))
+    for b, line in zip(basis, tableau):
+        if b < n:
+            x[b] = Fraction(line[-1], d)
+    return LpOutcome(status="optimal", value=Fraction(-obj[-1], d * scale), vertex=tuple(x))
 
 
 def _via_dual(
@@ -267,22 +297,32 @@ def _via_dual(
     """Solve min{c.x : A x >= b, x >= 0} with c >= 0 through its dual
     max{b.y : A^T y <= c, y >= 0}. The dual slack basis is feasible at once,
     and the optimal tableau's reduced costs under the slack columns are the
-    complementary primal vertex."""
+    complementary primal vertex.
+
+    Dual row j is multiplied by s_j > 0 to clear its denominators (its slack
+    column, kept at 1, stands for s_j times the slack) and the objective by L,
+    so the reduced cost of slack j reads D * L * x_j / s_j."""
     m = len(rows)
     n = len(objective)
-    ncols = m + n
-    tableau: list[list[Fraction]] = []
+    tableau: list[list[int]] = []
+    scales = []
     for j in range(n):
-        line = [rows[k][j] for k in range(m)] + [Fraction(0)] * n + [objective[j]]
-        line[m + j] = Fraction(1)
+        column = [rows[k][j] for k in range(m)] + [objective[j]]
+        s = _common_denominator(column)
+        line = _integers(column, s)
+        line[m:m] = [0] * n
+        line[m + j] = 1
         tableau.append(line)
+        scales.append(s)
+    scale = _common_denominator(rhs)
+    obj = [-b for b in _integers(rhs, scale)] + [0] * (n + 1)
+    tableau.append(obj)
     basis = [m + j for j in range(n)]
-    obj = [-b for b in rhs] + [Fraction(0)] * (n + 1)
-    status = _bland(tableau, obj, basis, ncols)
-    if status != "optimal":
+    bounded, d = _simplex(tableau, basis, 1, m + n)
+    if not bounded:
         return LpOutcome(status="infeasible")
-    value = obj[-1]
-    vertex = tuple(obj[m + j] for j in range(n))
+    value = Fraction(obj[-1], d * scale)
+    vertex = tuple(Fraction(s * obj[m + j], d * scale) for j, s in enumerate(scales))
     return LpOutcome(status="optimal", value=value, vertex=vertex)
 
 
@@ -378,28 +418,24 @@ def minimize_slope(cost: Iterable, rows: Iterable[Iterable]) -> SlopeResult:
     return SlopeResult(value=out.value, witness=witness)
 
 
-def _solve_square(matrix: list[Sequence[Fraction]], rhs: list[Fraction]) -> list[Fraction] | None:
-    """Unique solution of a square rational system, or None when singular."""
+def _solve_square(matrix: Sequence[Sequence], rhs: Sequence[Sequence]) -> list[list[Fraction]] | None:
+    """Unique solution X of M X = R for a square rational M, or None when M is
+    singular. R holds one row per row of M. Fraction-free Gauss-Jordan
+    elimination: each row of [M | R] is cleared of denominators, then pivoted
+    with `_pivot` down the diagonal, so X = R' / d at the end."""
     n = len(matrix)
-    aug = [list(row) + [b] for row, b in zip(matrix, rhs)]
+    aug = []
+    for row, extra in zip(matrix, rhs):
+        values = (*row, *extra)
+        aug.append(_integers(values, _common_denominator(values)))
+    d = 1
     for col in range(n):
-        pivot_row = -1
-        for i in range(col, n):
-            if aug[i][col] != 0:
-                pivot_row = i
-                break
+        pivot_row = next((i for i in range(col, n) if aug[i][col]), -1)
         if pivot_row < 0:
             return None
         aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        prow = aug[col]
-        piv = prow[col]
-        if piv != 1:
-            aug[col] = prow = [v / piv for v in prow]
-        for i in range(n):
-            if i != col and aug[i][col]:
-                factor = aug[i][col]
-                aug[i] = [a - factor * b for a, b in zip(aug[i], prow)]
-    return [aug[i][n] for i in range(n)]
+        d = _pivot(aug, d, col, col)
+    return [[Fraction(v, d) for v in line[n:]] for line in aug]
 
 
 def oracle_minimum_over_vertices(
@@ -441,9 +477,10 @@ def oracle_minimum_over_vertices(
     for combo in itertools.combinations(range(p + m + n), n):
         mat = [all_rows[idx] for idx in combo]
         rhs = [all_rhs[idx] for idx in combo]
-        x = _solve_square(mat, rhs)
-        if x is None:
+        solution = _solve_square(mat, [[b] for b in rhs])
+        if solution is None:
             continue
+        x = [row[0] for row in solution]
         if any(xj < 0 for xj in x):
             continue
         if any(_dot(row, x) < b for row, b in zip(program.constraint_rows, program.rhs)):

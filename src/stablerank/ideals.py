@@ -27,7 +27,14 @@ from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .errors import InputError
-from .exactlp import SlopeResult, lp_feasible, lp_minimize, LinearProgram, minimize_slope
+from .exactlp import (
+    LinearProgram,
+    SlopeResult,
+    _solve_square,
+    lp_feasible,
+    lp_minimize,
+    minimize_slope,
+)
 
 __all__ = [
     "SparsePolynomial",
@@ -241,21 +248,11 @@ class LinearChange:
 
     def _invert(self) -> tuple[tuple[Fraction, ...], ...]:
         n = self.nvars
-        aug = [list(self.matrix[i]) + [Fraction(int(i == j)) for j in range(n)] for i in range(n)]
-        for col in range(n):
-            pivot = next((i for i in range(col, n) if aug[i][col] != 0), -1)
-            if pivot < 0:
-                raise InputError("linear change matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            prow = aug[col]
-            piv = prow[col]
-            if piv != 1:
-                aug[col] = prow = [v / piv for v in prow]
-            for i in range(n):
-                if i != col and aug[i][col]:
-                    f = aug[i][col]
-                    aug[i] = [a - f * b for a, b in zip(aug[i], prow)]
-        return tuple(tuple(row[n:]) for row in aug)
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        inverse = _solve_square(self.matrix, identity)
+        if inverse is None:
+            raise InputError("linear change matrix is singular")
+        return tuple(tuple(row) for row in inverse)
 
     def inverse(self) -> "LinearChange":
         return LinearChange(self._invert())
@@ -353,14 +350,19 @@ def lct_monomial(ideal: MonomialIdeal) -> Fraction:
     polyhedron route (`newton_threshold`) computes the same number by an
     independent feasibility argument.
     """
+    return _lct_rank(ideal).value
+
+
+def _lct_rank(ideal: MonomialIdeal) -> SlopeResult:
+    """The rank program behind `lct_monomial`, with its witness."""
     if not isinstance(ideal, MonomialIdeal):
         raise InputError("lct_monomial expects a monomial ideal")
     if ideal.is_unit:
         raise InputError("lct undefined: the origin is not in the zero locus (unit ideal)")
-    value = t_stable_rank(ideal).value
-    if value == math.inf:
+    result = t_stable_rank(ideal)
+    if not result.is_finite:
         raise InputError("lct undefined: the origin is not in the zero locus")
-    return value
+    return result
 
 
 def newton_membership(ideal: MonomialIdeal, nu) -> bool:

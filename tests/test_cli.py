@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import stablerank.exactlp
 from stablerank.cli import main, run
 from stablerank.tensors import TensorSupport, torus_valuation
 
@@ -131,6 +136,15 @@ class TestLct:
         assert run(["lct", files["unit.txt"]]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_one_solve_per_call(self, files, capsys, monkeypatch):
+        solves = []
+        solve = stablerank.exactlp.lp_minimize
+        monkeypatch.setattr(stablerank.exactlp, "lp_minimize",
+                            lambda program: solves.append(program) or solve(program))
+        assert run(["lct", files["cyclic.txt"], "--json"]) == 0
+        assert len(solves) == 1
+        assert json.loads(capsys.readouterr().out)["witness"] == [1, 1, 1]
+
 
 class TestSemistable:
     def test_w_not_semistable(self, files, capsys):
@@ -227,3 +241,13 @@ class TestErrorsAndPlumbing:
         first = capsys.readouterr().out
         run(["verify", "monomial-lct", "--seed", "11", "--cases", "6", "--json"])
         assert capsys.readouterr().out == first
+
+
+@pytest.mark.parametrize("module", ["stablerank", "stablerank.cli"])
+def test_python_m_entry_points(files, module, capsys):
+    assert run(["lct", files["cyclic.txt"]]) == 0
+    expected = capsys.readouterr().out
+    env = dict(os.environ, PYTHONPATH=str(Path(stablerank.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-m", module, "lct", files["cyclic.txt"]],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")

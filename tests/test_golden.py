@@ -156,19 +156,22 @@ def golden_family() -> list[dict]:
     return cases
 
 
+def _fractions(values) -> list[Fraction]:
+    return [Fraction(v) for v in values]
+
+
 def solve(case: dict) -> dict:
     """The answer recorded for one case, with every rational written as p/q."""
-    fr = lambda values: [Fraction(v) for v in values]  # noqa: E731
     if case["call"] == "torus_rank":
         support = TensorSupport(case["order"], case["dims"], [tuple(t) for t in case["tuples"]])
-        result = torus_rank(support, fr(case["alpha"]))
+        result = torus_rank(support, _fractions(case["alpha"]))
         return {"value": _q(result.value), "witness": list(result.witness)}
-    rows = [fr(row) for row in case["rows"]]
-    eq_rows = [fr(row) for row in case["eq_rows"]]
+    rows = [_fractions(row) for row in case["rows"]]
+    eq_rows = [_fractions(row) for row in case["eq_rows"]]
     if case["call"] == "lp_feasible":
-        ok, witness = lp_feasible(rows, fr(case["rhs"]), eq_rows, fr(case["eq_rhs"]))
+        ok, witness = lp_feasible(rows, _fractions(case["rhs"]), eq_rows, _fractions(case["eq_rhs"]))
         return {"feasible": ok, "witness": None if witness is None else [_q(v) for v in witness]}
-    out = lp_minimize(LinearProgram(fr(case["objective"]), rows, fr(case["rhs"]), eq_rows, fr(case["eq_rhs"])))
+    out = lp_minimize(LinearProgram(_fractions(case["objective"]), rows, _fractions(case["rhs"]), eq_rows, _fractions(case["eq_rhs"])))
     return {
         "status": out.status,
         "value": None if out.value is None else _q(out.value),
