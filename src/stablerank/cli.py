@@ -10,17 +10,16 @@
 Every subcommand accepts --json and then prints one object
 {"value": ..., "witness": [...], "notes": [...]} with the value written
 exactly as p/q, a bare integer, or "inf". Exit codes: 0 on success, 1 when
-a verify run reports failures, 2 for any input problem.
+a verify run reports failures, 2 for any input problem, 3 for an internal
+error (a fault in the program, reported as one "error: internal: ..." line
+on stderr, without a traceback).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import math
-import re
 import sys
-from fractions import Fraction
 
 from .errors import InputError
 from .fileformat import parse_input
@@ -31,6 +30,7 @@ from .ideals import (
     apply_linear_change,
     t_stable_rank,
 )
+from .rationals import fmt, parse_rational
 from .tensors import (
     TensorSupport,
     is_symm_torus_semistable,
@@ -42,29 +42,11 @@ from .verify import SUITES, RandomInstanceConfig, run_suite
 
 __all__ = ["run", "main"]
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
-
 _UPPER_BOUND_TENSOR = (
     "upper bound on rk^G; exact when the infimum is attained by a torus "
     "one-parameter subgroup"
 )
 _UPPER_BOUND_IDEAL = "upper bound on rk^G over all linear systems of parameters"
-
-
-def _fmt(value) -> str:
-    return "inf" if value == math.inf else str(Fraction(value))
-
-
-def _parse_rational_arg(token: str) -> Fraction:
-    token = token.strip()
-    if not _RATIONAL_RE.match(token):
-        raise InputError(f"not a rational (write p/q or an integer): {token!r}")
-    num, _, den = token.partition("/")
-    if den:
-        if int(den) == 0:
-            raise InputError(f"zero denominator: {token!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(num))
 
 
 def _load(path: str, kinds: tuple[str, ...], what: str):
@@ -97,7 +79,7 @@ def _cmd_rank_tensor(args) -> int:
             raise InputError(
                 f"--alpha needs {support.order} comma-separated rationals, got {len(parts)}"
             )
-        alpha = tuple(_parse_rational_arg(p) for p in parts)
+        alpha = tuple(parse_rational(p.strip()) for p in parts)
     result = torus_rank(support, alpha)
     witness_json: list = []
     witness_text = None
@@ -106,7 +88,7 @@ def _cmd_rank_tensor(args) -> int:
         groups = [list(result.witness[i * n:(i + 1) * n]) for i in range(support.order)]
         witness_json = groups
         witness_text = " / ".join(" ".join(map(str, g)) for g in groups)
-    return _emit(args.json, _fmt(result.value), witness_json, witness_text,
+    return _emit(args.json, fmt(result.value), witness_json, witness_text,
                  [_UPPER_BOUND_TENSOR])
 
 
@@ -115,7 +97,7 @@ def _cmd_rank_symm(args) -> int:
     result = symm_torus_rank(support)
     witness_json = list(result.witness) if result.witness is not None else []
     witness_text = " ".join(map(str, result.witness)) if result.witness is not None else None
-    return _emit(args.json, _fmt(result.value), witness_json, witness_text,
+    return _emit(args.json, fmt(result.value), witness_json, witness_text,
                  [_UPPER_BOUND_TENSOR])
 
 
@@ -139,7 +121,7 @@ def _cmd_rank_ideal(args) -> int:
         )
     witness_json = list(best.witness) if best.witness is not None else []
     witness_text = " ".join(map(str, best.witness)) if best.witness is not None else None
-    return _emit(args.json, _fmt(best.value), witness_json, witness_text, notes)
+    return _emit(args.json, fmt(best.value), witness_json, witness_text, notes)
 
 
 def _cmd_lct(args) -> int:
@@ -148,7 +130,7 @@ def _cmd_lct(args) -> int:
     witness_json = list(result.witness) if result.witness is not None else []
     witness_text = " ".join(map(str, result.witness)) if result.witness is not None else None
     notes = ["log canonical threshold at the origin; equals the stable rank of the ideal"]
-    return _emit(args.json, _fmt(result.value), witness_json, witness_text, notes)
+    return _emit(args.json, fmt(result.value), witness_json, witness_text, notes)
 
 
 def _cmd_semistable(args) -> int:
@@ -256,12 +238,13 @@ def run(argv=None) -> int:
         return code if isinstance(code, int) else 2
     try:
         return args.handler(args)
-    except InputError as exc:
+    except (InputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    except Exception as exc:  # a fault in the library, not in the input
+        message = " ".join(f"{type(exc).__name__}: {exc}".split())
+        print(f"error: internal: {message}", file=sys.stderr)
+        return 3
 
 
 def main() -> None:

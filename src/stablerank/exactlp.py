@@ -1,8 +1,8 @@
 """Exact linear programming over the rationals.
 
-Programs are given in `fractions.Fraction`, and answers come back as
-Fractions, but the simplex tableau holds Python integers only: every entry
-is stored as D * t over one positive integer D shared by the whole tableau.
+Programs are given in integers and `fractions.Fraction`s, and answers come
+back as Fractions, but the simplex tableau holds Python integers only: every
+entry is stored as D * t over one positive integer D shared by the tableau.
 A pivot on p keeps the pivot row, replaces every other row (the objective
 row included) by (p * row - row[c] * pivot_row) // D, a division that is
 always exact, and makes |p| the new D (Edmonds' fraction-free pivoting, the
@@ -47,6 +47,7 @@ from fractions import Fraction
 from typing import Iterable, Sequence
 
 from .errors import InputError
+from .rationals import integers, rational
 
 __all__ = [
     "LinearProgram",
@@ -58,17 +59,8 @@ __all__ = [
     "oracle_minimum_over_vertices",
 ]
 
-def _as_fraction(value, what: str) -> Fraction:
-    if isinstance(value, float):
-        raise InputError(f"{what}: floating point is not exact, pass int or Fraction")
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{what}: not a rational value: {value!r}") from exc
-
-
-def _fraction_vector(values, length: int | None, what: str) -> tuple[Fraction, ...]:
-    vec = tuple(_as_fraction(v, what) for v in values)
+def _rational_vector(values, length: int | None, what: str) -> tuple[int | Fraction, ...]:
+    vec = tuple(rational(v, what) for v in values)
     if length is not None and len(vec) != length:
         raise InputError(f"{what}: expected length {length}, got {len(vec)}")
     return vec
@@ -80,27 +72,31 @@ def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min objective . x  s.t.  constraint_rows . x >= rhs, equality_rows . x = equality_rhs, x >= 0."""
+    """min objective . x  s.t.  constraint_rows . x >= rhs, equality_rows . x = equality_rhs, x >= 0.
 
-    objective: tuple[Fraction, ...]
-    constraint_rows: tuple[tuple[Fraction, ...], ...]
-    rhs: tuple[Fraction, ...]
-    equality_rows: tuple[tuple[Fraction, ...], ...] = ()
-    equality_rhs: tuple[Fraction, ...] = ()
+    Entries are kept as given when they are ints or Fractions; other exact
+    values (bools, "p/q" strings) are stored as Fractions.
+    """
+
+    objective: tuple[int | Fraction, ...]
+    constraint_rows: tuple[tuple[int | Fraction, ...], ...]
+    rhs: tuple[int | Fraction, ...]
+    equality_rows: tuple[tuple[int | Fraction, ...], ...] = ()
+    equality_rhs: tuple[int | Fraction, ...] = ()
 
     def __post_init__(self):
-        obj = _fraction_vector(self.objective, None, "objective")
+        obj = _rational_vector(self.objective, None, "objective")
         if not obj:
             raise InputError("objective: at least one variable is required")
         n = len(obj)
         rows = tuple(
-            _fraction_vector(row, n, "constraint row") for row in self.constraint_rows
+            _rational_vector(row, n, "constraint row") for row in self.constraint_rows
         )
-        rhs = _fraction_vector(self.rhs, len(rows), "rhs")
+        rhs = _rational_vector(self.rhs, len(rows), "rhs")
         eq_rows = tuple(
-            _fraction_vector(row, n, "equality row") for row in self.equality_rows
+            _rational_vector(row, n, "equality row") for row in self.equality_rows
         )
-        eq_rhs = _fraction_vector(self.equality_rhs, len(eq_rows), "equality rhs")
+        eq_rhs = _rational_vector(self.equality_rhs, len(eq_rows), "equality rhs")
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "constraint_rows", rows)
         object.__setattr__(self, "rhs", rhs)
@@ -350,10 +346,10 @@ def lp_feasible(
     Returns (True, witness) with an exact rational witness, or (False, None)
     when the phase-one optimum is strictly positive (certified infeasibility).
     """
-    rows = [tuple(_as_fraction(v, "constraint row") for v in row) for row in constraint_rows]
-    rvec = [_as_fraction(v, "rhs") for v in rhs]
-    eq_rows = [tuple(_as_fraction(v, "equality row") for v in row) for row in equality_rows]
-    evec = [_as_fraction(v, "equality rhs") for v in equality_rhs]
+    rows = [tuple(rational(v, "constraint row") for v in row) for row in constraint_rows]
+    rvec = [rational(v, "rhs") for v in rhs]
+    eq_rows = [tuple(rational(v, "equality row") for v in row) for row in equality_rows]
+    evec = [rational(v, "equality rhs") for v in equality_rhs]
     if len(rows) != len(rvec) or len(eq_rows) != len(evec):
         raise InputError("feasibility system: row/rhs length mismatch")
     widths = {len(r) for r in rows} | {len(r) for r in eq_rows}
@@ -364,7 +360,7 @@ def lp_feasible(
     n = widths.pop()
     if n == 0:
         raise InputError("feasibility system: zero-width rows")
-    outcome = _primal_two_phase([Fraction(0)] * n, rows, rvec, eq_rows, evec)
+    outcome = _primal_two_phase([0] * n, rows, rvec, eq_rows, evec)
     if outcome.status == "optimal":
         return True, outcome.vertex
     return False, None
@@ -379,27 +375,22 @@ def minimize_slope(cost: Iterable, rows: Iterable[Iterable]) -> SlopeResult:
     vector; an empty row collection is rejected (the rank of the zero object
     is undefined).
     """
-    cvec = tuple(_as_fraction(c, "cost") for c in cost)
+    cvec = tuple(rational(c, "cost") for c in cost)
     if not cvec:
         raise InputError("cost vector is empty")
     if any(c <= 0 for c in cvec):
         raise InputError("cost entries must be positive")
     rmat = []
     for row in rows:
-        entries = []
-        for e in row:
-            if isinstance(e, Fraction) and e.denominator == 1:
-                e = e.numerator
-            if isinstance(e, bool) or not isinstance(e, int):
-                raise InputError(f"support rows must contain integers, got {e!r}")
+        entries = integers(row, "support row")
+        for e in entries:
             if e < 0:
                 raise InputError(f"support rows must be nonnegative, got {e}")
-            entries.append(e)
         if len(entries) != len(cvec):
             raise InputError(
                 f"support row arity {len(entries)} does not match cost arity {len(cvec)}"
             )
-        rmat.append(tuple(entries))
+        rmat.append(entries)
     if not rmat:
         raise InputError("rank of the zero object is undefined: no support rows")
     if any(not any(row) for row in rmat):
@@ -408,7 +399,7 @@ def minimize_slope(cost: Iterable, rows: Iterable[Iterable]) -> SlopeResult:
     program = LinearProgram(
         objective=cvec,
         constraint_rows=rmat,
-        rhs=[Fraction(1)] * len(rmat),
+        rhs=[1] * len(rmat),
     )
     out = lp_minimize(program)
     if out.status != "optimal":

@@ -26,6 +26,7 @@ from fractions import Fraction
 
 from .errors import InputError, ParseError
 from .ideals import LinearChange, MonomialIdeal, PolyIdeal, SparsePolynomial
+from .rationals import fmt, parse_rational
 from .tensors import SymmetricSupport, TensorSupport
 
 __all__ = ["InputDocument", "parse_input", "serialize"]
@@ -38,7 +39,6 @@ _KIND_TYPES = {
     "matrix": LinearChange,
 }
 
-_RATIONAL_RE = re.compile(r"^[+-]?\d+(/\d+)?$")
 _INT_RE = re.compile(r"^[+-]?\d+$")
 
 
@@ -67,15 +67,10 @@ def _parse_int(token: str, line: int, what: str) -> int:
 
 
 def _parse_rational(token: str, line: int) -> Fraction:
-    if not _RATIONAL_RE.match(token):
-        raise ParseError(f"not a rational (write p/q or an integer): {token!r}", line)
-    num, _, den = token.partition("/")
-    if den:
-        d = int(den)
-        if d == 0:
-            raise ParseError(f"zero denominator: {token!r}", line)
-        return Fraction(int(num), d)
-    return Fraction(int(num))
+    try:
+        return parse_rational(token)
+    except InputError as exc:
+        raise ParseError(str(exc), line) from exc
 
 
 def _significant_lines(text: str) -> list[tuple[int, str]]:
@@ -234,12 +229,6 @@ def parse_input(text: str) -> InputDocument:
     raise ParseError(f"unknown input kind {kind!r}", header_line)
 
 
-def _format_rational(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    return f"{value.numerator}/{value.denominator}"
-
-
 def serialize(doc: InputDocument) -> str:
     """Canonical text for a document; parse_input inverts it exactly."""
     p = doc.payload
@@ -260,12 +249,12 @@ def serialize(doc: InputDocument) -> str:
             if pos:
                 lines.append("--")
             lines += [
-                f"{_format_rational(c)} : " + " ".join(map(str, e))
+                f"{fmt(c)} : " + " ".join(map(str, e))
                 for e, c in gen.sorted_terms()
             ]
     elif doc.kind == "matrix":
         lines = [f"matrix {p.nvars}"]
-        lines += [" ".join(_format_rational(v) for v in row) for row in p.matrix]
+        lines += [" ".join(fmt(v) for v in row) for row in p.matrix]
     else:
         raise InputError(f"unknown input kind {doc.kind!r}")
     return "\n".join(lines) + "\n"

@@ -35,6 +35,7 @@ from .exactlp import (
     lp_minimize,
     minimize_slope,
 )
+from .rationals import integers, rational
 
 __all__ = [
     "SparsePolynomial",
@@ -54,26 +55,14 @@ __all__ = [
 ]
 
 
-def _coefficient(value, what: str) -> Fraction:
-    if isinstance(value, float):
-        raise InputError(f"{what}: floating point is not exact, pass int or Fraction")
-    try:
-        return Fraction(value)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{what}: not a rational value: {value!r}") from exc
-
-
 def _exponent_tuple(values, nvars: int) -> tuple[int, ...]:
-    out = []
-    for v in values:
-        if isinstance(v, Fraction) and v.denominator == 1:
-            v = v.numerator
-        if isinstance(v, bool) or not isinstance(v, int) or v < 0:
+    out = integers(values, "exponent")
+    for v in out:
+        if v < 0:
             raise InputError(f"exponents must be nonnegative integers, got {v!r}")
-        out.append(v)
     if len(out) != nvars:
-        raise InputError(f"exponent vector {tuple(out)} has arity {len(out)}, expected {nvars}")
-    return tuple(out)
+        raise InputError(f"exponent vector {out} has arity {len(out)}, expected {nvars}")
+    return out
 
 
 def _weight_vector(values, nvars: int) -> tuple:
@@ -82,7 +71,7 @@ def _weight_vector(values, nvars: int) -> tuple:
         raise InputError(f"weight vector has arity {len(vec)}, expected {nvars}")
     checked = []
     for v in vec:
-        w = _coefficient(v, "weight entry")
+        w = rational(v, "weight entry")
         if w < 0:
             raise InputError(f"weight entries must be nonnegative, got {v!r}")
         checked.append(w.numerator if w.denominator == 1 else w)
@@ -100,7 +89,7 @@ class SparsePolynomial:
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in terms.items():
             key = _exponent_tuple(exps, nvars)
-            value = _coefficient(coeff, "coefficient")
+            value = rational(coeff, "coefficient")
             if value:
                 clean[key] = clean.get(key, Fraction(0)) + value
                 if not clean[key]:
@@ -238,7 +227,7 @@ class LinearChange:
     __slots__ = ("nvars", "matrix")
 
     def __init__(self, matrix: Iterable[Iterable]):
-        rows = [tuple(_coefficient(v, "matrix entry") for v in row) for row in matrix]
+        rows = [tuple(rational(v, "matrix entry") for v in row) for row in matrix]
         n = len(rows)
         if n < 1 or any(len(r) != n for r in rows):
             raise InputError("a linear change needs a square matrix")
@@ -373,7 +362,7 @@ def newton_membership(ideal: MonomialIdeal, nu) -> bool:
     with sum(theta) = 1 and sum theta_i * l_i <= (1/nu, ..., 1/nu)
     componentwise; the slack makes it an exact feasibility program.
     """
-    scale = _coefficient(nu, "nu")
+    scale = rational(nu, "nu")
     if scale <= 0:
         raise InputError("nu must be positive")
     gens = ideal.generators

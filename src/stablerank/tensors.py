@@ -23,10 +23,15 @@ rank = n, which the verification suites exercise on random supports. The
 same shift argument with a single weight vector (and valuations scaled by
 the degree) gives the symmetric statement with ceiling n.
 
-Feasibility of the destabilizing system is checked as a rational linear
-program; this loses nothing, since clearing denominators of a rational
-solution yields an integer one (the >= 1 rows only improve under scaling by
-a positive integer and tracelessness is preserved).
+Semistability itself is decided on the moment polytope, by the Farkas dual
+of that destabilizing system: the tensor is semistable iff some convex
+weights theta on the support tuples have every factor marginal equal to
+(1/n, ..., 1/n). If theta exists, its average of the pairings of a traceless
+lam with the rows is sum_{i,j} lam_{i,j} / n = 0, so lam cannot pair >= 1
+with every row; if not, a hyperplane separates the uniform point from the
+convex hull of the rows, and its normal, made traceless factor by factor
+and scaled (rational suffices, denominators clear), is a destabilizer. For a
+form the point is (d/n, ..., d/n) and the hull is that of the exponents.
 """
 
 from __future__ import annotations
@@ -38,6 +43,7 @@ from typing import Sequence
 
 from .errors import InputError
 from .exactlp import SlopeResult, lp_feasible, minimize_slope
+from .rationals import integers, rational
 
 __all__ = [
     "TensorSupport",
@@ -50,17 +56,6 @@ __all__ = [
     "is_torus_semistable",
     "is_symm_torus_semistable",
 ]
-
-
-def _int_tuple(values, what: str) -> tuple[int, ...]:
-    out = []
-    for v in values:
-        if isinstance(v, Fraction) and v.denominator == 1:
-            v = v.numerator
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise InputError(f"{what}: expected an integer, got {v!r}")
-        out.append(v)
-    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -76,7 +71,7 @@ class TensorSupport:
             raise InputError("tensor support needs order >= 1 and dims >= 1")
         seen = set()
         for raw in self.tuples:
-            t = _int_tuple(raw, "tensor support tuple")
+            t = integers(raw, "tensor support tuple")
             if len(t) != self.order:
                 raise InputError(
                     f"support tuple {t} has arity {len(t)}, expected {self.order}"
@@ -106,7 +101,7 @@ class SymmetricSupport:
             raise InputError("symmetric support needs degree >= 1 and nvars >= 1")
         seen = set()
         for raw in self.exponents:
-            m = _int_tuple(raw, "exponent vector")
+            m = integers(raw, "exponent vector")
             if len(m) != self.nvars:
                 raise InputError(
                     f"exponent vector {m} has arity {len(m)}, expected {self.nvars}"
@@ -128,7 +123,7 @@ class SymmetricSupport:
 
 
 def _checked_weights(support: TensorSupport, weights) -> tuple[tuple[int, ...], ...]:
-    rows = tuple(_int_tuple(w, "weight vector") for w in weights)
+    rows = tuple(integers(w, "weight vector") for w in weights)
     if len(rows) != support.order:
         raise InputError(
             f"weight assignment has {len(rows)} vectors, expected {support.order}"
@@ -173,17 +168,9 @@ def torus_rank(support: TensorSupport, alpha: Sequence | None = None) -> SlopeRe
     """
     n, d = support.dims, support.order
     if alpha is None:
-        avec = (Fraction(1),) * d
+        avec = (1,) * d
     else:
-        entries = []
-        for a in alpha:
-            if isinstance(a, float):
-                raise InputError("alpha: floating point is not exact, pass Fraction")
-            try:
-                entries.append(Fraction(a))
-            except (TypeError, ValueError) as exc:
-                raise InputError(f"alpha: not a rational value: {a!r}") from exc
-        avec = tuple(entries)
+        avec = tuple(rational(a, "alpha") for a in alpha)
         if len(avec) != d:
             raise InputError(f"alpha has {len(avec)} entries, expected {d}")
         if any(a <= 0 for a in avec):
@@ -225,7 +212,7 @@ def combine_one_ps(weights) -> tuple[int, ...]:
     at least d times the valuation of lam on the expanded support (summing
     the arrangement over the d cyclic shifts covers each factor once).
     """
-    rows = tuple(_int_tuple(w, "weight vector") for w in weights)
+    rows = tuple(integers(w, "weight vector") for w in weights)
     if not rows:
         raise InputError("weight assignment must contain at least one vector")
     width = len(rows[0])
@@ -235,43 +222,40 @@ def combine_one_ps(weights) -> tuple[int, ...]:
 
 
 def is_torus_semistable(support: TensorSupport) -> bool:
-    """True when no traceless integer weight assignment has valuation >= 1
-    on every support row (torus semistability for the product of SL(n)'s).
+    """True when the uniform marginals lie in the moment polytope: some
+    convex weights theta on the support tuples put mass 1/n on every index j
+    of every factor i (torus semistability for the product of SL(n)'s).
 
-    The search allows entries of either sign, encoded as lam = p - q with
-    p, q >= 0; rational feasibility suffices because denominators clear.
+    One exact feasibility program with a variable per support tuple and the
+    rows sum(theta) = 1 and, for every factor, the marginals of j = 1..n-1;
+    the marginal of index n follows from those, and a row implied by the
+    others would only leave an artificial to drive out after phase one.
+    Neither n = 1 nor d = 1 is special: with n = 1 only sum(theta) = 1
+    remains, which every support meets (SL(1) is trivial), and with d = 1
+    the rows ask for theta = 1/n on every basis vector, so the vector is
+    semistable exactly when no coordinate is zero.
     """
     n, d = support.dims, support.order
-    nv = n * d
-    rows = []
-    for t in support.sorted_tuples:
-        row = [Fraction(0)] * (2 * nv)
-        for i, j in enumerate(t):
-            row[i * n + (j - 1)] += Fraction(1)
-            row[nv + i * n + (j - 1)] -= Fraction(1)
-        rows.append(row)
-    eq_rows = []
-    for i in range(d):
-        row = [Fraction(0)] * (2 * nv)
-        for j in range(n):
-            row[i * n + j] = Fraction(1)
-            row[nv + i * n + j] = Fraction(-1)
-        eq_rows.append(row)
-    feasible, _ = lp_feasible(
-        rows, [Fraction(1)] * len(rows), eq_rows, [Fraction(0)] * d
-    )
-    return not feasible
+    tuples = support.sorted_tuples
+    rows = [[1] * len(tuples)]
+    rows += [[int(t[i] == j) for t in tuples] for i in range(d) for j in range(1, n)]
+    feasible, _ = lp_feasible([], [], rows, [1] + [Fraction(1, n)] * (len(rows) - 1))
+    return feasible
 
 
 def is_symm_torus_semistable(support: SymmetricSupport) -> bool:
-    """True when no traceless integer weight vector pairs >= 1 with every
-    exponent vector of the support (degenerate n = 1 forms are semistable:
-    the only traceless vector is zero)."""
-    n = support.nvars
-    rows = []
-    for m in support.sorted_exponents:
-        row = [Fraction(e) for e in m] + [Fraction(-e) for e in m]
-        rows.append(row)
-    eq = [[Fraction(1)] * n + [Fraction(-1)] * n]
-    feasible, _ = lp_feasible(rows, [Fraction(1)] * len(rows), eq, [Fraction(0)])
-    return not feasible
+    """True when (d/n, ..., d/n) lies in the convex hull of the exponent
+    vectors (torus semistability of the form for SL(n)).
+
+    One exact feasibility program with a variable theta_m per exponent
+    vector and the n rows sum_m theta_m * m_j = d/n; every m sums to d, so
+    the rows already force sum(theta) = 1. Neither n = 1 nor d = 1 is
+    special: with n = 1 the one row reads d * sum(theta) = d, which every
+    form meets, and with d = 1 the exponents are unit vectors and the rows
+    ask for all n of them.
+    """
+    n, d = support.nvars, support.degree
+    exponents = support.sorted_exponents
+    rows = [[m[j] for m in exponents] for j in range(n)]
+    feasible, _ = lp_feasible([], [], rows, [Fraction(d, n)] * n)
+    return feasible

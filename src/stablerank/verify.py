@@ -27,6 +27,7 @@ from .ideals import (
     newton_threshold,
     t_stable_rank,
 )
+from .rationals import fmt
 from .tensors import (
     SymmetricSupport,
     TensorSupport,
@@ -84,10 +85,6 @@ class RandomInstanceConfig:
                 raise InputError(f"{name} must be an integer, got {value!r}")
             if name != "seed" and value < 1:
                 raise InputError(f"{name} must be >= 1, got {value}")
-
-
-def _fmt(value) -> str:
-    return "inf" if value == math.inf else str(Fraction(value))
 
 
 _KIND_OF = {
@@ -176,8 +173,8 @@ def check_symm_equals_multi(config: RandomInstanceConfig) -> list[CheckReport]:
                 "symm-multi/rank-agreement",
                 _doc_text(form, f"case {case}"),
                 symm.value == multi.value,
-                _fmt(symm.value),
-                _fmt(multi.value),
+                fmt(symm.value),
+                fmt(multi.value),
                 witness=symm.witness,
             )
         )
@@ -196,7 +193,7 @@ def check_semistable_iff_rank(config: RandomInstanceConfig) -> list[CheckReport]
         reports.append(
             CheckReport(
                 "semistable/tensor",
-                _doc_text(tensor, f"case {case}", f"rank = {_fmt(rank.value)}"),
+                _doc_text(tensor, f"case {case}", f"rank = {fmt(rank.value)}"),
                 stable == rank_full,
                 f"semistable:{int(stable)}",
                 f"rank-equals-dims:{int(rank_full)}",
@@ -210,7 +207,7 @@ def check_semistable_iff_rank(config: RandomInstanceConfig) -> list[CheckReport]
         reports.append(
             CheckReport(
                 "semistable/symm",
-                _doc_text(form, f"case {case}", f"rank = {_fmt(srank.value)}"),
+                _doc_text(form, f"case {case}", f"rank = {fmt(srank.value)}"),
                 sstable == srank_full,
                 f"semistable:{int(sstable)}",
                 f"rank-equals-dims:{int(srank_full)}",
@@ -237,7 +234,7 @@ def check_monomial_lct(config: RandomInstanceConfig) -> list[CheckReport]:
             "monomial-lct/anchor-cyclic",
             _doc_text(_CYCLIC_ANCHOR, "expected lct 1"),
             rank.value == Fraction(1),
-            _fmt(rank.value),
+            fmt(rank.value),
             "1",
             witness=rank.witness,
         )
@@ -254,8 +251,8 @@ def check_monomial_lct(config: RandomInstanceConfig) -> list[CheckReport]:
                 "monomial-lct/anchor-diagonal-" + "-".join(map(str, exps)),
                 _doc_text(diag, f"expected lct {expected}"),
                 rank.value == expected,
-                _fmt(rank.value),
-                _fmt(expected),
+                fmt(rank.value),
+                fmt(expected),
                 witness=rank.witness,
             )
         )
@@ -269,8 +266,8 @@ def check_monomial_lct(config: RandomInstanceConfig) -> list[CheckReport]:
                 "monomial-lct/newton-agreement",
                 _doc_text(ideal, f"case {case}"),
                 rank.value == threshold,
-                _fmt(rank.value),
-                _fmt(threshold),
+                fmt(rank.value),
+                fmt(threshold),
                 witness=rank.witness,
             )
         )
@@ -308,8 +305,8 @@ def check_ideal_props(config: RandomInstanceConfig) -> list[CheckReport]:
                 "ideal-props/power",
                 _doc_text(base, f"case {case}", f"power exponent r = {r}"),
                 rank_power.value == expected,
-                _fmt(rank_power.value),
-                _fmt(expected),
+                fmt(rank_power.value),
+                fmt(expected),
                 witness=rank_power.witness,
             )
         )
@@ -329,8 +326,8 @@ def check_ideal_props(config: RandomInstanceConfig) -> list[CheckReport]:
                 "ideal-props/product",
                 _join(_doc_text(fa, f"case {case}"), _doc_text(fb)),
                 product.value >= bound,
-                _fmt(product.value),
-                _fmt(bound),
+                fmt(product.value),
+                fmt(bound),
                 witness=product.witness,
             )
         )
@@ -352,8 +349,8 @@ def check_ideal_props(config: RandomInstanceConfig) -> list[CheckReport]:
                     _doc_text(factor),
                 ),
                 rank_small.value <= rank_big,
-                _fmt(rank_small.value),
-                _fmt(rank_big),
+                fmt(rank_small.value),
+                fmt(rank_big),
                 witness=rank_small.witness,
             )
         )
@@ -367,8 +364,8 @@ def check_ideal_props(config: RandomInstanceConfig) -> list[CheckReport]:
                 "ideal-props/sum",
                 _join(_doc_text(sa, f"case {case}"), _doc_text(sb)),
                 rank_sum.value <= total,
-                _fmt(rank_sum.value),
-                _fmt(total),
+                fmt(rank_sum.value),
+                fmt(total),
                 witness=rank_sum.witness,
             )
         )
@@ -392,8 +389,8 @@ def check_lct_leq_rank_anchor() -> CheckReport:
             "recorded log canonical threshold: 1 (tabulated reference value, not computed here)",
         ),
         recorded <= rank.value,
-        _fmt(recorded),
-        _fmt(rank.value),
+        fmt(recorded),
+        fmt(rank.value),
         witness=rank.witness,
     )
 

@@ -224,6 +224,24 @@ class TestErrorsAndPlumbing:
         assert run(["lct", "/nonexistent/path.txt"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("fault", [
+        RecursionError("maximum recursion depth exceeded"),
+        ZeroDivisionError("division by zero"),
+        RuntimeError("first line\nsecond line"),
+    ])
+    def test_internal_error_is_one_line_and_exit_3(self, files, capsys, monkeypatch, fault):
+        import stablerank.cli as cli_mod
+
+        def broken(*args):
+            raise fault
+
+        monkeypatch.setattr(cli_mod, "apply_linear_change", broken)
+        assert run(["rank", "ideal", files["square.txt"], "--change", files["half.txt"]]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: internal: {type(fault).__name__}: ")
+        assert captured.err.count("\n") == 1
+
     def test_usage_error_exit_code(self):
         assert run(["rank"]) == 2
 

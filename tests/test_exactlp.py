@@ -111,6 +111,16 @@ class TestLpMinimize:
         with pytest.raises(InputError):
             program([0.5], [[1]], [1])
 
+    def test_entries_kept_as_given_answers_in_fractions(self):
+        p = program([1, F(1, 2)], [[True, "2"]], [1])
+        assert [type(c) for c in p.objective] == [int, F]
+        assert [type(a) for a in p.constraint_rows[0]] == [F, F]
+        out = lp_minimize(p)
+        assert (out.value, out.vertex) == (F(1, 4), (F(0), F(1, 2)))
+        assert type(out.value) is F and all(type(x) is F for x in out.vertex)
+        ok, witness = lp_feasible([[1, 2]], [3])
+        assert ok and all(type(x) is F for x in witness)
+
 
 class TestLpFeasible:
     def test_simple_feasible_with_witness(self):

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from stablerank.errors import InputError
-from stablerank.exactlp import LinearProgram, oracle_minimum_over_vertices
+from stablerank.exactlp import LinearProgram, lp_feasible, oracle_minimum_over_vertices
 from stablerank.tensors import (
     SymmetricSupport,
     TensorSupport,
@@ -263,6 +263,92 @@ class TestSemistability:
         for _ in range(25):
             v = random_symmetric(rng, max_d=3)
             assert is_symm_torus_semistable(v) == is_torus_semistable(expand_symmetric(v))
+
+
+def destabilizer_exists(support):
+    """Reference for the semistability programs: their Farkas dual, the search
+    for a traceless weight assignment (one vector per factor for a tensor,
+    a single vector for a form) pairing >= 1 with every support row.
+    Entries of either sign are encoded as lam = p - q with p, q >= 0;
+    rational feasibility suffices because denominators clear."""
+    if isinstance(support, TensorSupport):
+        n, d = support.dims, support.order
+        rows = []
+        for t in support.sorted_tuples:
+            row = [0] * (n * d)
+            for i, j in enumerate(t):
+                row[i * n + (j - 1)] = 1
+            rows.append(row)
+        blocks = [[int(c // n == i) for c in range(n * d)] for i in range(d)]
+    else:
+        n = support.nvars
+        rows = [list(m) for m in support.sorted_exponents]
+        blocks = [[1] * n]
+    feasible, _ = lp_feasible(
+        [row + [-e for e in row] for row in rows],
+        [1] * len(rows),
+        [b + [-e for e in b] for b in blocks],
+        [0] * len(blocks),
+    )
+    return feasible
+
+
+def design_tuples(rng, n, d):
+    """n tuples whose every factor is a permutation of 1..n: theta = 1/n on
+    them has uniform marginals, so any support containing them is
+    semistable."""
+    perms = [rng.sample(range(1, n + 1), n) for _ in range(d)]
+    return [tuple(p[j] for p in perms) for j in range(n)]
+
+
+class TestSemistabilityAgainstDestabilizerSearch:
+    def test_tensors(self):
+        rng = random.Random(37)
+        verdicts = set()
+        for n, d in itertools.product(range(1, 5), repeat=2):
+            pool = sorted(itertools.product(range(1, n + 1), repeat=d))
+            for case in range(8):
+                tuples = rng.sample(pool, rng.randint(1, min(10, len(pool))))
+                if case % 2:
+                    tuples += design_tuples(rng, n, d)
+                v = TensorSupport(order=d, dims=n, tuples=tuples)
+                stable = is_torus_semistable(v)
+                assert stable is not destabilizer_exists(v), v
+                verdicts.add((n > 1, stable))
+        assert verdicts == {(False, True), (True, True), (True, False)}
+
+    def test_forms(self):
+        rng = random.Random(41)
+        verdicts = set()
+        for n, d in itertools.product(range(1, 6), range(1, 7)):
+            pool = sorted(compositions(d, n))
+            for case in range(5):
+                exps = rng.sample(pool, rng.randint(1, min(8, len(pool))))
+                if case % 2:
+                    exps += [tuple(d * (i == j) for i in range(n)) for j in range(n)]
+                v = SymmetricSupport(degree=d, nvars=n, exponents=exps)
+                stable = is_symm_torus_semistable(v)
+                assert stable is not destabilizer_exists(v), v
+                verdicts.add((n > 1, stable))
+        assert verdicts == {(False, True), (True, True), (True, False)}
+
+    def test_large_support_with_diagonal_is_semistable(self):
+        # n = 6, d = 4, k = 120: the diagonal alone carries uniform marginals
+        rng = random.Random(43)
+        pool = [t for t in itertools.product(range(1, 7), repeat=4) if len(set(t)) > 1]
+        tuples = [(j,) * 4 for j in range(1, 7)] + rng.sample(pool, 114)
+        v = TensorSupport(order=4, dims=6, tuples=tuples)
+        assert len(v.tuples) == 120
+        assert is_torus_semistable(v) is True
+
+    def test_large_support_missing_an_index_is_unstable(self):
+        # n = 6, d = 4, k = 120: index 6 never occurs in the third factor, so
+        # that marginal is 0, not 1/6, whatever theta is
+        rng = random.Random(47)
+        pool = [t for t in itertools.product(range(1, 7), repeat=4) if t[2] != 6]
+        v = TensorSupport(order=4, dims=6, tuples=rng.sample(pool, 120))
+        assert len(v.tuples) == 120
+        assert is_torus_semistable(v) is False
 
 
 class TestSupportTypes:
