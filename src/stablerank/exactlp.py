@@ -42,9 +42,9 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 from .errors import InputError
 from .rationals import integers, rational

@@ -17,14 +17,23 @@ computes it through the rank program while `newton_threshold` and
 `newton_membership` provide the independent Newton-polyhedron route (the
 largest nu with (1,...,1) in nu times the polyhedron), used by the
 verification suites as a cross-check.
+
+Polynomial arithmetic runs on Python integers. `SparsePolynomial.terms` maps
+exponent tuples to nonzero Fractions, but a product clears each factor over
+the lcm of its denominators (`_cleared`), multiplies integer terms in the
+one product routine `_int_product` and divides once by the product of the
+two lcms (`_over`), building one Fraction per output term. Only the public
+constructor validates exponents and coefficients; sums, products and
+linear changes build their results with `SparsePolynomial._trusted`.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from typing import Iterable, Mapping, Sequence
+from operator import add
 
 from .errors import InputError
 from .exactlp import (
@@ -78,6 +87,31 @@ def _weight_vector(values, nvars: int) -> tuple:
     return tuple(checked)
 
 
+def _cleared(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[dict, int]:
+    """Rational terms over one denominator: (integer terms, L) with L the lcm
+    of the coefficient denominators, each coefficient being its integer / L."""
+    den = math.lcm(*(c.denominator for c in terms.values()))
+    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
+
+
+def _int_product(a: Mapping[tuple[int, ...], int], b: Mapping[tuple[int, ...], int]) -> dict:
+    """The product of two polynomials with integer coefficients, the one
+    polynomial product routine. Terms that cancel stay in as zeros; `_over`
+    drops them."""
+    acc: dict[tuple[int, ...], int] = {}
+    get = acc.get
+    for u, cu in a.items():
+        for v, cv in b.items():
+            key = tuple(map(add, u, v))
+            acc[key] = get(key, 0) + cu * cv
+    return acc
+
+
+def _over(ints: Mapping[tuple[int, ...], int], den: int) -> dict:
+    """Integer terms divided by `den`: one Fraction per nonzero term."""
+    return {e: Fraction(c, den) for e, c in ints.items() if c}
+
+
 class SparsePolynomial:
     """Polynomial stored as {exponent tuple: nonzero rational coefficient}."""
 
@@ -98,6 +132,15 @@ class SparsePolynomial:
         self.terms = clean
 
     @classmethod
+    def _trusted(cls, nvars: int, terms: dict[tuple[int, ...], Fraction]) -> "SparsePolynomial":
+        """The polynomial with `terms` kept as they are, unchecked: the caller
+        guarantees exponent tuples of arity `nvars` and nonzero Fractions."""
+        poly = object.__new__(cls)
+        poly.nvars = nvars
+        poly.terms = terms
+        return poly
+
+    @classmethod
     def constant(cls, nvars: int, value) -> "SparsePolynomial":
         return cls(nvars, {(0,) * nvars: value})
 
@@ -113,26 +156,19 @@ class SparsePolynomial:
             raise InputError("cannot add polynomials in different variable counts")
         acc = dict(self.terms)
         for exps, coeff in other.terms.items():
-            total = acc.get(exps, Fraction(0)) + coeff
+            total = acc.get(exps, 0) + coeff
             if total:
                 acc[exps] = total
             else:
-                acc.pop(exps, None)
-        return SparsePolynomial(self.nvars, acc)
+                del acc[exps]
+        return SparsePolynomial._trusted(self.nvars, acc)
 
     def __mul__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         if self.nvars != other.nvars:
             raise InputError("cannot multiply polynomials in different variable counts")
-        acc: dict[tuple[int, ...], Fraction] = {}
-        for u, cu in self.terms.items():
-            for v, cv in other.terms.items():
-                key = tuple(a + b for a, b in zip(u, v))
-                total = acc.get(key, Fraction(0)) + cu * cv
-                if total:
-                    acc[key] = total
-                else:
-                    acc.pop(key, None)
-        return SparsePolynomial(self.nvars, acc)
+        a, da = _cleared(self.terms)
+        b, db = _cleared(other.terms)
+        return SparsePolynomial._trusted(self.nvars, _over(_int_product(a, b), da * db))
 
     def __eq__(self, other) -> bool:
         return (
@@ -298,38 +334,51 @@ def apply_linear_change(f: SparsePolynomial, change: LinearChange) -> SparsePoly
 
     Satisfies the composition law apply(f, M @ N) = apply(apply(f, N), M)
     and round-trips with `change.inverse()`.
+
+    The expansion is done in integers over one denominator: with q the lcm
+    of the denominators of M, each q * x_i is an integer linear form in y,
+    whose powers are memoised. A term c * x^e is scaled to the common
+    denominator L = lcm(den(c) * q^|e|) over the terms of f, everything is
+    summed in one integer dictionary, and a Fraction is built once per
+    output term. The result is not validated again.
     """
     n = f.nvars
     if change.nvars != n:
         raise InputError(
             f"linear change acts on {change.nvars} variables, polynomial has {n}"
         )
-    forms = []
-    for i in range(n):
-        coeffs = {}
-        for j in range(n):
-            if change.matrix[j][i]:
-                unit = tuple(1 if k == j else 0 for k in range(n))
-                coeffs[unit] = change.matrix[j][i]
-        forms.append(SparsePolynomial(n, coeffs))
-    powers: dict[tuple[int, int], SparsePolynomial] = {}
+    q = math.lcm(*(v.denominator for row in change.matrix for v in row))
+    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
+    # forms[i] is q * x_i = sum_j q * M[j][i] * y_j, an integer linear form
+    forms = [
+        {y: v.numerator * (q // v.denominator) for y, v in zip(units, column) if v}
+        for column in zip(*change.matrix)
+    ]
+    one = {(0,) * n: 1}
+    powers: dict[tuple[int, int], dict] = {}
 
-    def form_power(i: int, e: int) -> SparsePolynomial:
+    def form_power(i: int, e: int) -> dict:
+        """(q * x_i)^e, memoised."""
         if e == 0:
-            return SparsePolynomial.constant(n, 1)
+            return one
         key = (i, e)
         if key not in powers:
-            powers[key] = form_power(i, e - 1) * forms[i]
+            powers[key] = _int_product(form_power(i, e - 1), forms[i])
         return powers[key]
 
-    result = SparsePolynomial(n, {})
-    for exps, coeff in f.sorted_terms():
-        part = SparsePolynomial.constant(n, coeff)
+    # c * x^e is c * q^-|e| * prod_i form_power(i, e_i); every term is
+    # scaled to the common denominator L and summed in integers
+    den = math.lcm(*(c.denominator * q ** sum(e) for e, c in f.terms.items()))
+    acc: dict[tuple[int, ...], int] = {}
+    get = acc.get
+    for exps, coeff in f.terms.items():
+        part = {(0,) * n: coeff.numerator * (den // (coeff.denominator * q ** sum(exps)))}
         for i, e in enumerate(exps):
             if e:
-                part = part * form_power(i, e)
-        result = result + part
-    return result
+                part = _int_product(part, form_power(i, e))
+        for key, c in part.items():
+            acc[key] = get(key, 0) + c
+    return SparsePolynomial._trusted(n, _over(acc, den))
 
 
 def lct_monomial(ideal: MonomialIdeal) -> Fraction:

@@ -37,9 +37,9 @@ form the point is (d/n, ..., d/n) and the hull is that of the exponents.
 from __future__ import annotations
 
 import itertools
+from collections.abc import Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import InputError
 from .exactlp import SlopeResult, lp_feasible, minimize_slope

@@ -203,6 +203,24 @@ class TestLinearChange:
             m = _random_invertible(rng, n)
             assert apply_linear_change(apply_linear_change(f, m), m.inverse()) == f
 
+    def test_agrees_with_evaluation(self):
+        # independent of the expansion: f(x) with x_i = sum_j M[j][i] * y_j
+        # must equal g(y) at random rational points y
+        rng = random.Random(37)
+        for _ in range(40):
+            n = rng.randint(1, 4)
+            terms = {
+                tuple(rng.randint(0, 4) for _ in range(n)): F(rng.randint(-9, 9), rng.choice((1, 2, 3, 7)))
+                for _ in range(rng.randint(0, 4))
+            }
+            f = poly(n, terms)
+            m = _random_invertible(rng, n, dens=(1, 2, 3, 5))
+            g = apply_linear_change(f, m)
+            for _ in range(3):
+                y = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+                x = [sum(m.matrix[j][i] * y[j] for j in range(n)) for i in range(n)]
+                assert _evaluate(g, y) == _evaluate(f, x)
+
     def test_singular_rejected(self):
         with pytest.raises(InputError):
             LinearChange([[1, 1], [2, 2]])
@@ -221,13 +239,17 @@ def _matmul(a, b):
     return [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
 
 
-def _random_invertible(rng, n):
+def _random_invertible(rng, n, dens=None):
     while True:
-        rows = [[F(rng.randint(-2, 2)) for _ in range(n)] for _ in range(n)]
+        rows = [[F(rng.randint(-2, 2), rng.choice(dens) if dens else 1) for _ in range(n)] for _ in range(n)]
         try:
             return LinearChange(rows)
         except InputError:
             continue
+
+
+def _evaluate(f, point):
+    return sum(c * math.prod(v**e for v, e in zip(point, exps)) for exps, c in f.terms.items())
 
 
 class TestLct:
