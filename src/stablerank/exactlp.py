@@ -6,7 +6,11 @@ entry is stored as D * t over one positive integer D shared by the tableau.
 A pivot on p keeps the pivot row, replaces every other row (the objective
 row included) by (p * row - row[c] * pivot_row) // D, a division that is
 always exact, and makes |p| the new D (Edmonds' fraction-free pivoting, the
-simplex form of Bareiss elimination). No floating point value ever enters a
+simplex form of Bareiss elimination). When |p| = D the new row is
+row - (row[c] * pivot_row) // D: D divides D * row - row[c] * pivot_row, so
+it divides row[c] * pivot_row as well. Such a pivot touches only the pivot
+row's nonzero columns, in the rows with row[c] != 0; on the 0/1 rank
+programs it is common. No floating point value ever enters a
 tableau, so results are exact and bit-for-bit reproducible. Variables are
 implicitly constrained to x >= 0. Inequality rows have sense a_k . x >= b_k;
 equality rows hold exactly.
@@ -103,6 +107,19 @@ class LinearProgram:
         object.__setattr__(self, "equality_rows", eq_rows)
         object.__setattr__(self, "equality_rhs", eq_rhs)
 
+    @classmethod
+    def _trusted(cls, objective, constraint_rows, rhs, equality_rows=(), equality_rhs=()) -> "LinearProgram":
+        """The program with its fields kept as they are, unchecked: the caller
+        guarantees nonempty tuples of ints and Fractions of matching lengths,
+        as `__post_init__` would leave them."""
+        program = object.__new__(cls)
+        object.__setattr__(program, "objective", objective)
+        object.__setattr__(program, "constraint_rows", constraint_rows)
+        object.__setattr__(program, "rhs", rhs)
+        object.__setattr__(program, "equality_rows", equality_rows)
+        object.__setattr__(program, "equality_rhs", equality_rhs)
+        return program
+
     @property
     def num_variables(self) -> int:
         return len(self.objective)
@@ -155,19 +172,31 @@ def _pivot(rows: list[list[int]], d: int, r: int, c: int) -> int:
     other row becomes (p * row - row[c] * pivot_row) / d, a division that is
     always exact, and |p| becomes the common denominator; a negative pivot
     negates the pivot row first, which negates every row of the result.
+
+    When |p| = d the update is (d * a - f * b) / d = a - f * b / d, and f * b
+    is a multiple of d because d * a - f * b is; so only the columns where
+    the pivot row is nonzero change, and only in rows with f = row[c] != 0.
     """
     prow = rows[r]
     p = prow[c]
     if p < 0:
         p = -p
         prow[:] = [-v for v in prow]
+    if p == d:
+        nonzero = [(j, b) for j, b in enumerate(prow) if b]
+        for i, line in enumerate(rows):
+            f = line[c]
+            if f and i != r:
+                for j, b in nonzero:
+                    line[j] -= f * b // d
+        return p
     for i, line in enumerate(rows):
         if i == r:
             continue
         f = line[c]
         if f:
             line[:] = [(p * a - f * b) // d for a, b in zip(line, prow)]
-        elif p != d:
+        else:
             line[:] = [p * a // d for a in line]
     return p
 
@@ -396,11 +425,7 @@ def minimize_slope(cost: Iterable, rows: Iterable[Iterable]) -> SlopeResult:
     if any(not any(row) for row in rmat):
         return SlopeResult(value=math.inf, witness=None)
 
-    program = LinearProgram(
-        objective=cvec,
-        constraint_rows=rmat,
-        rhs=[1] * len(rmat),
-    )
+    program = LinearProgram._trusted(cvec, tuple(rmat), (1,) * len(rmat))
     out = lp_minimize(program)
     if out.status != "optimal":
         raise RuntimeError(f"slope program should be solvable, got {out.status}")

@@ -441,15 +441,13 @@ def newton_threshold(ideal: MonomialIdeal) -> Fraction:
         raise InputError("threshold undefined for the unit ideal")
     gens = ideal.generators
     r, n = len(gens), ideal.nvars
-    rows = []
-    for j in range(n):
-        rows.append([-Fraction(gens[i][j]) for i in range(r)] + [Fraction(1)])
-    program = LinearProgram(
-        objective=[Fraction(0)] * r + [Fraction(1)],
+    rows = tuple(tuple(-g[j] for g in gens) + (1,) for j in range(n))
+    program = LinearProgram._trusted(
+        objective=(0,) * r + (1,),
         constraint_rows=rows,
-        rhs=[Fraction(0)] * n,
-        equality_rows=[[Fraction(1)] * r + [Fraction(0)]],
-        equality_rhs=[Fraction(1)],
+        rhs=(0,) * n,
+        equality_rows=((1,) * r + (0,),),
+        equality_rhs=(1,),
     )
     out = lp_minimize(program)
     if out.status != "optimal" or out.value <= 0:

@@ -38,10 +38,11 @@ def integers(values, what: str) -> tuple[int, ...]:
     are not."""
     out = []
     for v in values:
-        if isinstance(v, Fraction) and v.denominator == 1:
-            v = v.numerator
-        if isinstance(v, bool) or not isinstance(v, int):
-            raise InputError(f"{what}: expected an integer, got {v!r}")
+        if type(v) is not int:
+            if isinstance(v, Fraction) and v.denominator == 1:
+                v = v.numerator
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise InputError(f"{what}: expected an integer, got {v!r}")
         out.append(v)
     return tuple(out)
 

@@ -12,14 +12,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stablerank import exactlp
 from stablerank.errors import InputError
 from stablerank.exactlp import (
     LinearProgram,
+    _pivot,
     lp_feasible,
     lp_minimize,
     minimize_slope,
     oracle_minimum_over_vertices,
 )
+from stablerank.rationals import integers
 
 
 def dot(u, v):
@@ -178,15 +181,15 @@ class TestMinimizeSlope:
         assert res.value != math.inf
 
     def test_empty_rows_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^rank of the zero object is undefined: no support rows$"):
             minimize_slope([1, 1], [])
 
     def test_negative_row_entry_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^support rows must be nonnegative, got -1$"):
             minimize_slope([1, 1], [[1, -1]])
 
     def test_nonpositive_cost_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^cost entries must be positive$"):
             minimize_slope([1, 0], [[1, 1]])
 
     def test_fractional_cost(self):
@@ -227,6 +230,86 @@ class TestMinimizeSlope:
                 assert F(dot([1] * n, lam), val) >= res.value
         wval = min(dot(row, res.witness) for row in rows)
         assert F(dot([1] * n, res.witness), wval) == res.value
+
+
+class TestTrustedPath:
+    """`minimize_slope` builds its program unchecked from rows it has checked
+    itself, so every rejection has to happen before that."""
+
+    @pytest.mark.parametrize(
+        "cost, rows, message",
+        [
+            ([1, 0.5], [[1, 1]], "cost: floating point is not exact, pass int or Fraction"),
+            ([], [[1]], "cost vector is empty"),
+            ([1, 1], [[1, True]], "support row: expected an integer, got True"),
+            ([1, 1], [[1, F(1, 2)]], r"support row: expected an integer, got Fraction\(1, 2\)"),
+            ([1, 1], [[1, 1.0]], r"support row: expected an integer, got 1\.0"),
+            ([1, 1], [[1, 1], [1]], "support row arity 1 does not match cost arity 2"),
+        ],
+    )
+    def test_rejections(self, cost, rows, message):
+        with pytest.raises(InputError, match=f"^{message}$"):
+            minimize_slope(cost, rows)
+
+    def test_program_equals_validated_program(self, monkeypatch):
+        seen = []
+        solve = exactlp.lp_minimize
+        monkeypatch.setattr(exactlp, "lp_minimize", lambda program: seen.append(program) or solve(program))
+        cost = [1, F(3, 2), 2]
+        rows = [[1, 0, 2], [0, F(4), 1], (3, 1, 0)]
+        assert minimize_slope(cost, rows).value == F(31, 25)
+        assert seen == [LinearProgram(cost, rows, [1, 1, 1])]
+
+    def test_integers_rejects_bools(self):
+        assert integers([3, F(4), -1], "x") == (3, 4, -1)
+        for value in (True, False):
+            with pytest.raises(InputError, match="^x: expected an integer, got"):
+                integers([1, value], "x")
+
+
+def dense_pivot(rows, d, r, c):
+    """Reference pivot: every other row becomes (p * a - f * b) // d, with the
+    division asserted exact, after negating the pivot row when p < 0."""
+    prow = rows[r]
+    p = prow[c]
+    if p < 0:
+        p, prow = -p, [-v for v in prow]
+    out = []
+    for i, line in enumerate(rows):
+        if i == r:
+            out.append(list(prow))
+            continue
+        f = line[c]
+        assert all((p * a - f * b) % d == 0 for a, b in zip(line, prow))
+        out.append([(p * a - f * b) // d for a, b in zip(line, prow)])
+    return out, p
+
+
+def test_pivot_matches_dense_formula():
+    # Tableaux over a common D come from random integer matrices after a few
+    # reference pivots; then every nonzero entry is tried as the pivot.
+    rng = random.Random(20261018)
+    cases = {"p == d": 0, "p == -d": 0, "|p| != d": 0, "f == 0": 0}
+    for _ in range(300):
+        m, n = rng.randint(2, 5), rng.randint(2, 6)
+        rows = [[rng.choice((-2, -1, 0, 0, 1, 1, 2, 3)) for _ in range(n)] for _ in range(m)]
+        d = 1
+        for _ in range(rng.randint(0, 3)):
+            spots = [(i, j) for i in range(m) for j in range(n) if rows[i][j]]
+            if spots:
+                rows, d = dense_pivot(rows, d, *rng.choice(spots))
+        for r in range(m):
+            for c in range(n):
+                p = rows[r][c]
+                if not p:
+                    continue
+                expected, new_d = dense_pivot(rows, d, r, c)
+                got = [list(line) for line in rows]
+                assert _pivot(got, d, r, c) == new_d
+                assert got == expected
+                cases["p == d" if p == d else "p == -d" if p == -d else "|p| != d"] += 1
+                cases["f == 0"] += sum(1 for i in range(m) if i != r and rows[i][c] == 0)
+    assert all(cases.values()), cases
 
 
 class TestOracle:

@@ -14,7 +14,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from stablerank import ideals
 from stablerank.errors import InputError
+from stablerank.exactlp import LinearProgram
 from stablerank.ideals import (
     LinearChange,
     MonomialIdeal,
@@ -289,6 +291,15 @@ class TestNewton:
         assert newton_threshold(mono(2, (2, 0), (0, 2))) == F(1)
         assert newton_threshold(CYCLIC) == F(1)
         assert newton_threshold(mono(4, (2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 7, 0), (0, 0, 0, 9))) == F(1, 2) + F(1, 3) + F(1, 7) + F(1, 9)
+
+    def test_threshold_program_equals_validated_program(self, monkeypatch):
+        seen = []
+        solve = ideals.lp_minimize
+        monkeypatch.setattr(ideals, "lp_minimize", lambda program: seen.append(program) or solve(program))
+        assert newton_threshold(CYCLIC) == F(1)
+        gens = CYCLIC.generators
+        rows = [[-F(g[j]) for g in gens] + [F(1)] for j in range(3)]
+        assert seen == [LinearProgram([0, 0, 0, 1], rows, [0, 0, 0], [[1, 1, 1, 0]], [1])]
 
     def test_membership_monotone_in_nu(self):
         rng = random.Random(13)

@@ -195,6 +195,30 @@ class TestExpandSymmetric:
         v = SymmetricSupport(degree=3, nvars=3, exponents=[(1, 1, 1)])
         assert len(expand_symmetric(v).tuples) == 6
 
+    def test_matches_deduplicated_permutations(self):
+        rng = random.Random(29)
+        repeated = 0
+        for _ in range(40):
+            v = random_symmetric(rng, max_n=4, max_d=6, max_support=6)
+            reference = set()
+            for m in v.exponents:
+                base = [j for j, e in enumerate(m, start=1) for _ in range(e)]
+                reference.update(itertools.permutations(base))
+                repeated += max(m) > 1
+            assert expand_symmetric(v).tuples == reference
+        assert repeated > 20
+
+    def test_count_is_sum_of_multinomials(self):
+        # every composition of d = 7 into 3 parts: sum_m 7!/prod(m_j!) = 3^7
+        v = SymmetricSupport(degree=7, nvars=3, exponents=compositions(7, 3))
+        total = sum(
+            math.factorial(7) // math.prod(math.factorial(e) for e in m) for m in v.exponents
+        )
+        assert total == 3 ** 7
+        assert len(expand_symmetric(v).tuples) == total
+        single = SymmetricSupport(degree=1200, nvars=1, exponents=[(1200,)])
+        assert expand_symmetric(single).tuples == {(1,) * 1200}
+
 
 class TestCombineOnePs:
     def test_columnwise_sum(self):
