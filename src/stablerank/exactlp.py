@@ -3,24 +3,42 @@
 Programs are given in integers and `fractions.Fraction`s, and answers come
 back as Fractions, but the simplex tableau holds Python integers only: every
 entry is stored as D * t over one positive integer D shared by the tableau.
-A pivot on p keeps the pivot row, replaces every other row (the objective
-row included) by (p * row - row[c] * pivot_row) // D, a division that is
-always exact, and makes |p| the new D (Edmonds' fraction-free pivoting, the
-simplex form of Bareiss elimination). When |p| = D the new row is
-row - (row[c] * pivot_row) // D: D divides D * row - row[c] * pivot_row, so
-it divides row[c] * pivot_row as well. Such a pivot touches only the pivot
-row's nonzero columns, in the rows with row[c] != 0; on the 0/1 rank
-programs it is common. No floating point value ever enters a
-tableau, so results are exact and bit-for-bit reproducible. Variables are
-implicitly constrained to x >= 0. Inequality rows have sense a_k . x >= b_k;
-equality rows hold exactly.
+A pivot on p keeps the pivot row P, replaces every other row R (the
+objective row included) by (p * R - f * P) // D, where f is R's entry in the
+pivot column, and makes |p| the new D (Edmonds' fraction-free pivoting, the
+simplex form of Bareiss elimination). The division is always exact, and
+every entry and D of every tableau is a minor of the initial integer
+tableau. No floating point value ever enters a tableau, so results are
+exact and bit-for-bit reproducible. Variables are implicitly constrained to
+x >= 0. Inequality rows have sense a_k . x >= b_k; equality rows hold
+exactly.
+
+Each tableau row is a single Python integer, R = sum_j v_j * 2^(k*j): its
+entries are signed values in k-bit fields. The width k is fixed before the
+first pivot by the Hadamard bound of the initial tableau (the sum of
+ceil(log2 ||row||) over its rows, both objective rows of the two-phase route
+included, plus 2, rounded up to whole bytes), which bounds every minor, so
+|v_j| <= 2^(k-2) for every entry a solve can reach and every field decodes
+uniquely. The phase-one objective row is built from the packed constraint
+rows, so the triangle inequality bounds its norm in that sum. A pivot then
+updates a whole row with one multiply, one subtract and one division, all
+inside the big-integer arithmetic: field j of p * R - f * P is p*a_j -
+f*b_j, a multiple of D, so p * R - f * P is D times the packed row of the
+quotients, and dividing the whole integer by D gives that row exactly.
+Adding O = the sum of 2^(k-1) * 2^(k*j) over the fields makes every field
+nonnegative: field j reads ((R + O) >> k*j & (2^k - 1)) - 2^(k-1), and the
+top bit of field j of R + O is set exactly when v_j >= 0, so Bland's
+entering column is the lowest set bit of ~(obj + O) & T, with T the top bits
+of the column fields. Rows are packed and unpacked through bytes, k/8 to a
+field, in linear time.
 
 Denominators are cleared once, when the tableau is built, by multiplying
-each row by a positive integer s_k; the row's slack or artificial column
-keeps its unit entry and so stands for s_k times that variable. The
-objective is scaled by a positive integer too. Positive scalings of rows and
-variables change no reduced-cost sign and no order among ratios, so the
-integer tableau takes exactly the pivots the rational one would.
+each row by a positive integer s_k (1 for a row of ints, which is packed as
+it is); the row's slack or artificial column keeps its unit entry and so
+stands for s_k times that variable. The objective is scaled by a positive
+integer too. Positive scalings of rows and variables change no reduced-cost
+sign and no order among ratios, so the integer tableau takes exactly the
+pivots the rational one would.
 
 Pivoting uses the least-index (Bland) rule for both the entering and the
 leaving variable, which makes every solve deterministic and cycle-free.
@@ -44,11 +62,12 @@ lam), encoded as `math.inf`.
 
 from __future__ import annotations
 
-import itertools
 import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain, combinations, repeat
+from operator import attrgetter, mul, neg
 
 from .errors import InputError
 from .rationals import integers, rational
@@ -155,68 +174,144 @@ class SlopeResult:
         return self.value != math.inf
 
 
-def _common_denominator(values) -> int:
-    return math.lcm(*(v.denominator for v in values))
+_INT = frozenset((int,))
+_numerator = attrgetter("numerator")
+_denominator = attrgetter("denominator")
 
 
-def _integers(values, scale: int) -> list[int]:
-    """The rationals `values` times `scale`, a multiple of every denominator."""
-    return [v.numerator * (scale // v.denominator) for v in values]
+def _cleared(values: Sequence, last: int | Fraction = 0) -> tuple[int, Sequence[int], int, int]:
+    """(s, s * values, s * last, the squared norm of both) for the least
+    positive integer s that clears every denominator among the ints and
+    Fractions `values` and `last`. A row of ints alone is returned as it is,
+    scaled only if `last` needs it."""
+    if set(map(type, values)) <= _INT:
+        s, line = 1, values
+    else:
+        dens = list(map(_denominator, values))
+        s = math.lcm(*dens)
+        line = list(map(mul, map(_numerator, values), map(s.__floordiv__, dens)))
+    square = sum(map(mul, line, line))
+    t = last.denominator
+    if s % t:
+        u = t // math.gcd(s, t)
+        s *= u
+        line = list(map(u.__mul__, line))
+        square *= u * u
+    level = last.numerator * (s // t)
+    return s, line, level, square + level * level
 
 
-def _pivot(rows: list[list[int]], d: int, r: int, c: int) -> int:
-    """Pivot on rows[r][c] in place and return the new common denominator.
+class _Fields(dict):
+    """The packed-row format of one tableau.
+
+    A row v_0, v_1, ... is the one integer R = sum_j v_j * 2^(k*j), whose k-bit
+    fields hold signed values. Adding O, the sum of 2^(k-1) * 2^(k*j) over the
+    fields, turns field j into v_j + 2^(k-1), in [0, 2^k): it reads
+    ((R + O) >> k*j & (2^k - 1)) - 2^(k-1), and its top bit is set exactly
+    when v_j >= 0. Rows are packed and unpacked through bytes in linear time,
+    each field being k/8 little-endian bytes holding v_j + 2^(k-1); as a
+    dict, the format maps each value met so far to those bytes, so packing a
+    row costs one lookup per field.
+    """
+
+    def __init__(self, squares: Iterable[int]):
+        """Fields for a tableau whose initial integer rows, its objective rows
+        included, have squared norms at most `squares`. k is the Hadamard
+        bound H of that matrix, the sum of ceil(log2 ||row||) over its nonzero
+        rows, plus 2, rounded up to whole bytes. Every entry and D of every
+        later tableau is a minor of the matrix (Edmonds), at most 2^H <=
+        2^(k-2) in magnitude, so every field decodes uniquely. k comes from
+        this bound alone, never from the entries a solve happens to reach."""
+        super().__init__()
+        bits = sum((sq - 1).bit_length() + 1 >> 1 for sq in squares if sq)
+        self.k = k = (bits + 9) // 8 * 8
+        self.half = 1 << k - 1
+        self.mask = (1 << k) - 1
+
+    def __missing__(self, value: int) -> bytes:
+        raw = self[value] = (self.half + value).to_bytes(self.k >> 3, "little")
+        return raw
+
+    def offset(self, count: int) -> int:
+        """O for `count` fields; its bits are the top bits of the fields."""
+        return int.from_bytes(self[0] * count, "little")
+
+    def pack(self, values: Iterable[int], offset: int, tail: bytes = b"") -> int:
+        """The packed row of `values` followed by the encoded fields `tail`
+        (self[v] encodes v, and self[0] * n a run of n zeros), with `offset`
+        the O of all those fields."""
+        return int.from_bytes(b"".join(map(self.__getitem__, values)) + tail, "little") - offset
+
+    def unpack(self, row: int, count: int, start: int = 0) -> list[int]:
+        """Fields `start` to `count` - 1 of a packed row of `count` fields."""
+        size, half = self.k >> 3, self.half
+        raw = (row + self.offset(count)).to_bytes(size * count, "little")
+        return [
+            int.from_bytes(raw[i:i + size], "little") - half
+            for i in range(size * start, len(raw), size)
+        ]
+
+    def column(self, rows: Iterable[int], c: int, offset: int) -> list[int]:
+        """Field c of every packed row, with `offset` the O of the rows."""
+        shift, mask, half = self.k * c, self.mask, self.half
+        return [((row + offset) >> shift & mask) - half for row in rows]
+
+
+def _pivot(rows: list[int], d: int, r: int, factors: Sequence[int]) -> int:
+    """Pivot on packed row r in place and return the new common denominator.
+    factors[i] is row i's entry in the pivot column, read once by the caller,
+    so factors[r] is the pivot p.
 
     Every row stands for row / d with one positive integer d (Edmonds 1967,
-    the simplex form of Bareiss 1968). The pivot row keeps its entries, every
-    other row becomes (p * row - row[c] * pivot_row) / d, a division that is
-    always exact, and |p| becomes the common denominator; a negative pivot
-    negates the pivot row first, which negates every row of the result.
-
-    When |p| = d the update is (d * a - f * b) / d = a - f * b / d, and f * b
-    is a multiple of d because d * a - f * b is; so only the columns where
-    the pivot row is nonzero change, and only in rows with f = row[c] != 0.
-    """
+    the simplex form of Bareiss 1968). A negative pivot negates the pivot row
+    P first. The pivot row keeps its entries, and every other row R becomes
+    (p * R - f * P) // d, with f its factor: one multiply, one subtract and
+    one exact division on the whole row. Field j of p * R - f * P is
+    p * a_j - f * b_j = d * y_j, so the row is d * sum_j y_j * 2^(k*j) and
+    dividing it by d leaves the packed row of the y_j, which are minors of
+    the initial tableau and fit their fields. |p| becomes the common
+    denominator; a row with f = 0 is left as it is when |p| = d."""
+    p = factors[r]
     prow = rows[r]
-    p = prow[c]
     if p < 0:
         p = -p
-        prow[:] = [-v for v in prow]
-    if p == d:
-        nonzero = [(j, b) for j, b in enumerate(prow) if b]
-        for i, line in enumerate(rows):
-            f = line[c]
-            if f and i != r:
-                for j, b in nonzero:
-                    line[j] -= f * b // d
-        return p
-    for i, line in enumerate(rows):
-        if i == r:
-            continue
-        f = line[c]
-        if f:
-            line[:] = [(p * a - f * b) // d for a, b in zip(line, prow)]
-        else:
-            line[:] = [p * a // d for a in line]
+        prow = rows[r] = -prow
+    for i, f in enumerate(factors):
+        if i != r and (f or p != d):
+            rows[i] = (p * rows[i] - f * prow) // d
     return p
 
 
-def _simplex(rows: list[list[int]], basis: list[int], d: int, ncols: int) -> tuple[bool, int]:
-    """Minimize over the tableau `rows`, whose last row is the objective, by
-    Bland's rule: enter at the least column with a negative reduced cost, leave
-    at the least ratio (compared by cross-multiplication), ties going to the
-    least basic index. Returns (bounded, common denominator)."""
-    obj = rows[-1]
+def _simplex(rows: list[int], basis: list[int], d: int, fields: _Fields, ncols: int) -> tuple[bool, int]:
+    """Minimize over the packed tableau `rows`, whose last row is the
+    objective and whose rows hold `ncols` columns and then the right side, by
+    Bland's rule: enter at the least column with a negative reduced cost,
+    leave at the least ratio (compared by cross-multiplication), ties going
+    to the least basic index. Returns (bounded, common denominator).
+
+    The entering column is the lowest set bit of ~(obj + O) & T, with T the
+    top bits of the first `ncols` fields: the top bit of field j of obj + O
+    is clear exactly when v_j < 0. The ratio test reads column `enter` of
+    every row once and hands those factors to `_pivot`."""
     m = len(rows) - 1
+    k, half, mask = fields.k, fields.half, fields.mask
+    last = k * ncols
+    top = fields.offset(ncols)
+    offset = top + (half << last)
     while True:
-        enter = next((j for j in range(ncols) if obj[j] < 0), -1)
-        if enter < 0:
+        u = rows[m] + offset
+        negative = ~u & top
+        if not negative:
             return True, d
+        shift = (negative & -negative).bit_length() - k
+        factors = []
         best = -1
         for i in range(m):
-            coeff = rows[i][enter]
+            w = rows[i] + offset
+            coeff = (w >> shift & mask) - half
+            factors.append(coeff)
             if coeff > 0:
-                level = rows[i][-1]
+                level = (w >> last) - half
                 if best < 0:
                     best, best_level, best_coeff = i, level, coeff
                     continue
@@ -225,8 +320,9 @@ def _simplex(rows: list[list[int]], basis: list[int], d: int, ncols: int) -> tup
                     best, best_level, best_coeff = i, level, coeff
         if best < 0:
             return False, d
-        d = _pivot(rows, d, best, enter)
-        basis[best] = enter
+        factors.append((u >> shift & mask) - half)
+        d = _pivot(rows, d, best, factors)
+        basis[best] = shift // k
 
 
 def _primal_two_phase(
@@ -242,76 +338,97 @@ def _primal_two_phase(
     m = nsurplus + len(eq_rows)
     ncols = width + m
 
-    # Row k is multiplied by s_k > 0, which clears its denominators, and by -1
+    # Row i is multiplied by s_i > 0, which clears its denominators, and by -1
     # when its right side is negative. Its surplus and artificial columns keep
-    # the entries -1 (sign-adjusted) and 1: they stand for s_k times the
+    # the entries -1 (sign-adjusted) and 1: they stand for s_i times the
     # original surplus and artificial variables.
-    tableau: list[list[int]] = []
-    scales = []
-    for k, (row, b) in enumerate(itertools.chain(zip(rows, rhs), zip(eq_rows, eq_rhs))):
-        s = _common_denominator((*row, b))
-        sign = -1 if b < 0 else 1
-        line = _integers((*row, b), sign * s)
-        line[n:n] = [0] * (nsurplus + m)
-        if k < nsurplus:
-            line[n + k] = -sign
-        line[width + k] = 1
-        tableau.append(line)
+    lines, levels, signs, scales, squares = [], [], [], [], []
+    for i, (row, b) in enumerate(zip(chain(rows, eq_rows), chain(rhs, eq_rhs))):
+        s, line, level, square = _cleared(row, b)
+        if level < 0:
+            line, level = list(map(neg, line)), -level
+            signs.append(-1)
+        else:
+            signs.append(1)
+        lines.append(line)
+        levels.append(level)
         scales.append(s)
-    basis = list(range(width, ncols))
+        squares.append(square + (i < nsurplus) + 1)
 
     # phase one: minimize the sum of the original artificials, that is
-    # sum_k (L / s_k) times the rescaled ones, priced out against the
-    # artificial basis
+    # sum_i (L / s_i) times the rescaled ones, priced out against the
+    # artificial basis: the row -sum_i (L / s_i) * row_i, artificials left
+    # out, built from the packed rows. Its norm is at most
+    # sum_i (L / s_i) * ||row_i|| (the triangle inequality), which stands in
+    # for it in the field width.
     weight = math.lcm(*scales)
-    obj = [0] * (ncols + 1)
-    for s, line in zip(scales, tableau):
-        w = weight // s
-        for j in range(width):
-            if line[j]:
-                obj[j] -= w * line[j]
-        obj[-1] -= w * line[-1]
-    tableau.append(obj)
-    bounded, d = _simplex(tableau, basis, 1, ncols)
+    weights = [weight // s for s in scales]
+    squares.append(sum(w * (math.isqrt(sq - 1) + 1) for w, sq in zip(weights, squares)) ** 2)
+    # The phase-two row, d times the cost row less multiples of basic rows,
+    # is the cost row carried through every pivot, so it belongs to the
+    # initial tableau as well.
+    scale, cost, _, square = _cleared(objective)
+    squares.append(square)
+
+    fields = _Fields(squares)
+    k = fields.k
+    offset = fields.offset(ncols + 1)
+    zeros = fields[0] * (ncols - n)
+    unit = 1 << k * width
+    tableau = []
+    phase_one = 0
+    for i, (line, level, w) in enumerate(zip(lines, levels, weights)):
+        packed = fields.pack(line, offset, zeros + fields[level])
+        if i < nsurplus:
+            packed -= signs[i] << k * (n + i)
+        phase_one -= w * packed
+        tableau.append(packed + unit)
+        unit <<= k
+    tableau.append(phase_one)
+    basis = list(range(width, ncols))
+    bounded, d = _simplex(tableau, basis, 1, fields, ncols)
     if not bounded:
         raise RuntimeError("phase one cannot be unbounded")
-    if obj[-1] != 0:
+    if (tableau[m] + offset) >> k * ncols != fields.half:
         return LpOutcome(status="infeasible")
 
-    # pivot leftover artificials out of the basis; rows that resist are
-    # redundant (identically zero) and get dropped
+    # pivot leftover artificials out of the basis, at the least column below
+    # `width` whose field is nonzero, that is, nonzero in (row + O) ^ O; rows
+    # that resist are redundant (identically zero) and get dropped
+    low = (1 << k * width) - 1
     for i in range(m):
         if basis[i] >= width:
-            for j in range(width):
-                if tableau[i][j] != 0:
-                    d = _pivot(tableau, d, i, j)
-                    basis[i] = j
-                    break
+            nonzero = (tableau[i] + offset ^ offset) & low
+            if nonzero:
+                j = ((nonzero & -nonzero).bit_length() - 1) // k
+                d = _pivot(tableau, d, i, fields.column(tableau, j, offset))
+                basis[i] = j
     keep = [i for i in range(m) if basis[i] < width]
-    tableau = [tableau[i][:width] + [tableau[i][-1]] for i in keep]
     basis = [basis[i] for i in keep]
+    # keep the first `width` fields and move the right side next to them
+    narrow = fields.offset(width + 1)
+    tableau = [
+        ((u & low) | (u >> k * ncols << k * width)) - narrow
+        for u in (tableau[i] + offset for i in keep)
+    ]
 
     # phase two with the real objective, scaled to integers
-    scale = _common_denominator(objective)
-    cost = _integers(objective, scale) + [0] * nsurplus
-    obj = [d * c for c in cost] + [0]
-    for i, line in enumerate(tableau):
-        cb = cost[basis[i]]
-        if cb:
-            for j in range(width):
-                if line[j]:
-                    obj[j] -= cb * line[j]
-            obj[-1] -= cb * line[-1]
+    obj = d * fields.pack(cost, narrow, fields[0] * (nsurplus + 1))
+    for b, line in zip(basis, tableau):
+        if b < n and cost[b]:
+            obj -= cost[b] * line
     tableau.append(obj)
-    bounded, d = _simplex(tableau, basis, d, width)
+    bounded, d = _simplex(tableau, basis, d, fields, width)
     if not bounded:
         return LpOutcome(status="unbounded")
 
+    half = fields.half
     x = [Fraction(0)] * n
     for b, line in zip(basis, tableau):
         if b < n:
-            x[b] = Fraction(line[-1], d)
-    return LpOutcome(status="optimal", value=Fraction(-obj[-1], d * scale), vertex=tuple(x))
+            x[b] = Fraction(((line + narrow) >> k * width) - half, d)
+    value = Fraction(half - ((tableau[-1] + narrow) >> k * width), d * scale)
+    return LpOutcome(status="optimal", value=value, vertex=tuple(x))
 
 
 def _via_dual(
@@ -329,25 +446,31 @@ def _via_dual(
     so the reduced cost of slack j reads D * L * x_j / s_j."""
     m = len(rows)
     n = len(objective)
-    tableau: list[list[int]] = []
-    scales = []
-    for j in range(n):
-        column = [rows[k][j] for k in range(m)] + [objective[j]]
-        s = _common_denominator(column)
-        line = _integers(column, s)
-        line[m:m] = [0] * n
-        line[m + j] = 1
-        tableau.append(line)
+    lines, costs, scales, squares = [], [], [], []
+    for column, c in zip(zip(*rows) if rows else repeat(()), objective):
+        s, line, cost, square = _cleared(column, c)
+        lines.append(line)
+        costs.append(cost)
         scales.append(s)
-    scale = _common_denominator(rhs)
-    obj = [-b for b in _integers(rhs, scale)] + [0] * (n + 1)
-    tableau.append(obj)
+        squares.append(square + 1)
+    scale, b, _, square = _cleared(rhs)
+    squares.append(square)
+    fields = _Fields(squares)
+    offset = fields.offset(m + n + 1)
+    zeros = fields[0] * n
+    unit = 1 << fields.k * m
+    tableau = []
+    for line, c in zip(lines, costs):
+        tableau.append(fields.pack(line, offset, zeros + fields[c]) + unit)
+        unit <<= fields.k
+    tableau.append(fields.pack(map(neg, b), offset, fields[0] * (n + 1)))
     basis = [m + j for j in range(n)]
-    bounded, d = _simplex(tableau, basis, 1, m + n)
+    bounded, d = _simplex(tableau, basis, 1, fields, m + n)
     if not bounded:
         return LpOutcome(status="infeasible")
-    value = Fraction(obj[-1], d * scale)
-    vertex = tuple(Fraction(s * obj[m + j], d * scale) for j, s in enumerate(scales))
+    reduced = fields.unpack(tableau[-1], m + n + 1, m)
+    value = Fraction(reduced[-1], d * scale)
+    vertex = tuple(Fraction(s * r, d * scale) for r, s in zip(reduced, scales))
     return LpOutcome(status="optimal", value=value, vertex=vertex)
 
 
@@ -437,21 +560,26 @@ def minimize_slope(cost: Iterable, rows: Iterable[Iterable]) -> SlopeResult:
 def _solve_square(matrix: Sequence[Sequence], rhs: Sequence[Sequence]) -> list[list[Fraction]] | None:
     """Unique solution X of M X = R for a square rational M, or None when M is
     singular. R holds one row per row of M. Fraction-free Gauss-Jordan
-    elimination: each row of [M | R] is cleared of denominators, then pivoted
-    with `_pivot` down the diagonal, so X = R' / d at the end."""
+    elimination: each row of [M | R] is cleared of denominators and packed,
+    then pivoted with `_pivot` down the diagonal, so X = R' / d at the end."""
     n = len(matrix)
-    aug = []
-    for row, extra in zip(matrix, rhs):
-        values = (*row, *extra)
-        aug.append(_integers(values, _common_denominator(values)))
+    cleared = [_cleared((*row, *extra)) for row, extra in zip(matrix, rhs)]
+    if not cleared:
+        return []
+    fields = _Fields([square for _, _, _, square in cleared])
+    count = len(cleared[0][1])
+    offset = fields.offset(count)
+    rows = [fields.pack(line, offset) for _, line, _, _ in cleared]
     d = 1
     for col in range(n):
-        pivot_row = next((i for i in range(col, n) if aug[i][col]), -1)
+        factors = fields.column(rows, col, offset)
+        pivot_row = next((i for i in range(col, n) if factors[i]), -1)
         if pivot_row < 0:
             return None
-        aug[col], aug[pivot_row] = aug[pivot_row], aug[col]
-        d = _pivot(aug, d, col, col)
-    return [[Fraction(v, d) for v in line[n:]] for line in aug]
+        rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
+        factors[col], factors[pivot_row] = factors[pivot_row], factors[col]
+        d = _pivot(rows, d, col, factors)
+    return [[Fraction(v, d) for v in fields.unpack(row, count, n)] for row in rows]
 
 
 def oracle_minimum_over_vertices(
@@ -490,7 +618,7 @@ def oracle_minimum_over_vertices(
 
     best_value: Fraction | None = None
     best_vertex: tuple[Fraction, ...] | None = None
-    for combo in itertools.combinations(range(p + m + n), n):
+    for combo in combinations(range(p + m + n), n):
         mat = [all_rows[idx] for idx in combo]
         rhs = [all_rhs[idx] for idx in combo]
         solution = _solve_square(mat, [[b] for b in rhs])

@@ -82,6 +82,17 @@ class TensorSupport:
             raise InputError("tensor support must be nonempty")
         object.__setattr__(self, "tuples", frozenset(seen))
 
+    @classmethod
+    def _trusted(cls, order: int, dims: int, tuples: frozenset[tuple[int, ...]]) -> "TensorSupport":
+        """The support with its fields kept as they are, unchecked: the caller
+        guarantees a nonempty frozenset of int tuples of arity `order` with
+        entries in 1..dims, as `__post_init__` would leave it."""
+        support = object.__new__(cls)
+        object.__setattr__(support, "order", order)
+        object.__setattr__(support, "dims", dims)
+        object.__setattr__(support, "tuples", tuples)
+        return support
+
     @property
     def sorted_tuples(self) -> tuple[tuple[int, ...], ...]:
         return tuple(sorted(self.tuples))
@@ -198,7 +209,7 @@ def expand_symmetric(support: SymmetricSupport) -> TensorSupport:
     tuples = []
     for m in support.sorted_exponents:
         tuples.extend(_arrangements(m))
-    return TensorSupport(order=support.degree, dims=support.nvars, tuples=tuples)
+    return TensorSupport._trusted(support.degree, support.nvars, frozenset(tuples))
 
 
 def _arrangements(m: tuple[int, ...]) -> list[tuple[int, ...]]:

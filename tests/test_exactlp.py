@@ -16,7 +16,9 @@ from stablerank import exactlp
 from stablerank.errors import InputError
 from stablerank.exactlp import (
     LinearProgram,
+    _Fields,
     _pivot,
+    _solve_square,
     lp_feasible,
     lp_minimize,
     minimize_slope,
@@ -287,12 +289,15 @@ def dense_pivot(rows, d, r, c):
 
 def test_pivot_matches_dense_formula():
     # Tableaux over a common D come from random integer matrices after a few
-    # reference pivots; then every nonzero entry is tried as the pivot.
+    # reference pivots; then every nonzero entry is tried as the pivot on the
+    # packed rows, whose fields are sized from the initial matrix.
     rng = random.Random(20261018)
     cases = {"p == d": 0, "p == -d": 0, "|p| != d": 0, "f == 0": 0}
     for _ in range(300):
         m, n = rng.randint(2, 5), rng.randint(2, 6)
         rows = [[rng.choice((-2, -1, 0, 0, 1, 1, 2, 3)) for _ in range(n)] for _ in range(m)]
+        fields = _Fields(sum(v * v for v in line) for line in rows)
+        offset = fields.offset(n)
         d = 1
         for _ in range(rng.randint(0, 3)):
             spots = [(i, j) for i in range(m) for j in range(n) if rows[i][j]]
@@ -304,12 +309,64 @@ def test_pivot_matches_dense_formula():
                 if not p:
                     continue
                 expected, new_d = dense_pivot(rows, d, r, c)
-                got = [list(line) for line in rows]
-                assert _pivot(got, d, r, c) == new_d
-                assert got == expected
+                packed = [fields.pack(line, offset) for line in rows]
+                assert [fields.unpack(line, n) for line in packed] == rows
+                factors = fields.column(packed, c, offset)
+                assert factors == [line[c] for line in rows]
+                assert _pivot(packed, d, r, factors) == new_d
+                assert [fields.unpack(line, n) for line in packed] == expected
                 cases["p == d" if p == d else "p == -d" if p == -d else "|p| != d"] += 1
                 cases["f == 0"] += sum(1 for i in range(m) if i != r and rows[i][c] == 0)
     assert all(cases.values()), cases
+
+
+def sylvester(order):
+    h = [[1]]
+    while len(h) < order:
+        h = [row + row for row in h] + [row + [-v for v in row] for row in h]
+    return h
+
+
+@pytest.mark.parametrize("order", [4, 8, 16])
+def test_field_width_reaches_hadamard_bound(order):
+    # |det H| = n^(n/2) is the Hadamard bound of the +-1 matrix H, so the
+    # elimination of [H | I] ends with D and the diagonal at 2^32 for n = 16:
+    # fields sized from the entries (1) rather than the bound overflow.
+    h = sylvester(order)
+    identity = [[int(i == j) for j in range(order)] for i in range(order)]
+    inverse = [[F(h[j][i], order) for j in range(order)] for i in range(order)]
+    assert _solve_square(h, identity) == inverse
+
+
+def test_large_denominators_against_oracle():
+    # cleared rows of entries with denominators near 2^40 are wide, and so are
+    # their minors; both routes must still agree with the vertex oracle
+    rng = random.Random(40)
+
+    def value(low, high):
+        den = rng.randint(2**39, 2**40)
+        return F(rng.randint(low * den, high * den), den)
+
+    routes = set()
+    for _ in range(60):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        rows = [[value(-3, 3) for _ in range(n)] for _ in range(m)]
+        rhs = [value(-2, 2) for _ in range(m)]
+        obj = [value(0, 3) for _ in range(n)]
+        eq_rows, eq_rhs = (), ()
+        if rng.random() < 0.5:
+            eq_rows, eq_rhs = ([value(-2, 2) for _ in range(n)],), (value(0, 2),)
+        p = program(obj, rows, rhs, eq_rows, eq_rhs)
+        fast = lp_minimize(p)
+        slow = oracle_minimum_over_vertices(p)
+        assert fast.status == slow.status
+        assert fast.value == slow.value
+        if fast.status == "optimal":
+            routes.add(bool(eq_rows))
+            assert dot(obj, fast.vertex) == fast.value
+            assert all(dot(row, fast.vertex) >= b for row, b in zip(rows, rhs))
+            assert all(dot(row, fast.vertex) == b for row, b in zip(eq_rows, eq_rhs))
+    assert routes == {False, True}
 
 
 class TestOracle:

@@ -219,6 +219,18 @@ class TestExpandSymmetric:
         single = SymmetricSupport(degree=1200, nvars=1, exponents=[(1200,)])
         assert expand_symmetric(single).tuples == {(1,) * 1200}
 
+    def test_trusted_result_equals_validated(self):
+        # expand_symmetric skips validation; its support must be the one the
+        # public constructor builds from the same tuples
+        rng = random.Random(31)
+        for _ in range(40):
+            v = random_symmetric(rng, max_n=4, max_d=6, max_support=6)
+            got = expand_symmetric(v)
+            validated = TensorSupport(order=v.degree, dims=v.nvars, tuples=list(got.tuples))
+            assert got == validated
+            assert type(got.tuples) is frozenset
+            assert all(type(j) is int for t in got.tuples for j in t)
+
 
 class TestCombineOnePs:
     def test_columnwise_sum(self):
@@ -377,14 +389,16 @@ class TestSemistabilityAgainstDestabilizerSearch:
 
 class TestSupportTypes:
     def test_tensor_support_validation(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^tensor support must be nonempty$"):
             TensorSupport(order=2, dims=2, tuples=[])
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^support tuple \(1, 3\) has an index outside 1\.\.2$"):
             TensorSupport(order=2, dims=2, tuples=[(1, 3)])
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^support tuple \(0, 1\) has an index outside 1\.\.2$"):
             TensorSupport(order=2, dims=2, tuples=[(0, 1)])
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match=r"^support tuple \(1, 1, 1\) has arity 3, expected 2$"):
             TensorSupport(order=2, dims=2, tuples=[(1, 1, 1)])
+        with pytest.raises(InputError, match="^tensor support tuple: expected an integer, got True$"):
+            TensorSupport(order=2, dims=2, tuples=[(1, True)])
 
     def test_symmetric_support_validation(self):
         with pytest.raises(InputError):
