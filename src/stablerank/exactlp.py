@@ -15,12 +15,19 @@ exactly.
 
 Each tableau row is a single Python integer, R = sum_j v_j * 2^(k*j): its
 entries are signed values in k-bit fields. The width k is fixed before the
-first pivot by the Hadamard bound of the initial tableau (the sum of
-ceil(log2 ||row||) over its rows, both objective rows of the two-phase route
-included, plus 2, rounded up to whole bytes), which bounds every minor, so
-|v_j| <= 2^(k-2) for every entry a solve can reach and every field decodes
-uniquely. The phase-one objective row is built from the packed constraint
-rows, so the triangle inequality bounds its norm in that sum. A pivot then
+first pivot by Hadamard's inequality on the initial tableau, which bounds
+every minor, and so every entry and D a solve can reach, by sqrt(P), with P
+the exact product of the squared norms of the tableau's rows (both objective
+rows of the two-phase route included). k is ceil(log2 sqrt(P)) plus 2,
+rounded up to whole bytes, so |v_j| <= 2^(k-2) and every field decodes
+uniquely; the logarithm of the exact product is up to one bit per row below
+a sum of per-row ceilings. The inequality holds for columns as well: a minor
+of the dual route's tableau, which has n + 1 rows, meets at most n + 1 of
+its columns, so the product of the n + 1 largest squared column norms bounds
+it too, and that route takes the smaller of the two bounds. The two-phase
+route uses its rows alone: its phase-one objective row is built from the
+packed constraint rows, never column by column, so only a bound on that
+row's norm (the triangle inequality) is known. A pivot then
 updates a whole row with one multiply, one subtract and one division, all
 inside the big-integer arithmetic: field j of p * R - f * P is p*a_j -
 f*b_j, a multiple of D, so p * R - f * P is D times the packed row of the
@@ -48,7 +55,10 @@ Programs with no equality rows and a componentwise-nonnegative objective are
 solved through the LP dual: the slack basis of the dual is immediately
 feasible, so no phase-one pass is needed, and the primal vertex is read off
 the optimal tableau's reduced costs (the complementary basic solution).
-Everything else goes through the textbook primal two-phase simplex.
+Everything else goes through the textbook primal two-phase simplex, which
+returns the phase-one vertex when every cost is 0 (`lp_feasible`): phase two
+would not pivot, and driving basic artificials out pivots on rows at level
+0, which moves no variable.
 
 `minimize_slope` is the bridge used by the rank computations: the infimum of
 (cost . lam) / min_k (a_k . lam) over nonzero integer vectors lam >= 0 with
@@ -201,12 +211,32 @@ def _cleared(values: Sequence, last: int | Fraction = 0) -> tuple[int, Sequence[
     return s, line, level, square + level * level
 
 
+def _hadamard_bits(squares: Iterable[int], count: int | None = None) -> int:
+    """ceil(log2 sqrt(P)), with P the product of the `count` largest nonzero
+    `squares` (of all of them when count is None).
+
+    For the squared norms of the rows of an integer matrix, or of its columns
+    with `count` at least its number of rows, every minor is at most sqrt(P)
+    in magnitude: by Hadamard's inequality a minor is at most the product of
+    the norms of the lines it meets, at most `count` of them, and a nonzero
+    integer line has norm at least 1. Taking the logarithm of the exact
+    product, not a sum of per-line ceilings, saves up to one bit per line."""
+    product = math.prod(sorted(filter(None, squares), reverse=True)[:count])
+    return (product - 1).bit_length() + 1 >> 1
+
+
 class _Fields(dict):
     """The packed-row format of one tableau.
 
     A row v_0, v_1, ... is the one integer R = sum_j v_j * 2^(k*j), whose k-bit
-    fields hold signed values. Adding O, the sum of 2^(k-1) * 2^(k*j) over the
-    fields, turns field j into v_j + 2^(k-1), in [0, 2^k): it reads
+    fields hold signed values. k is 2 bits above a bound on every value of
+    the tableau, in whole bytes: `_hadamard_bits` of the initial tableau's
+    squared row norms (all of them, exactly multiplied) or, on the dual
+    route, of its squared column norms, whichever is smaller. The two-phase
+    route has no column bound, because it builds its phase-one row from the
+    packed rows and so never sees that row's entries by column. Adding O,
+    the sum of 2^(k-1) * 2^(k*j) over the fields, turns field j into
+    v_j + 2^(k-1), in [0, 2^k): it reads
     ((R + O) >> k*j & (2^k - 1)) - 2^(k-1), and its top bit is set exactly
     when v_j >= 0. Rows are packed and unpacked through bytes in linear time,
     each field being k/8 little-endian bytes holding v_j + 2^(k-1); as a
@@ -214,16 +244,14 @@ class _Fields(dict):
     row costs one lookup per field.
     """
 
-    def __init__(self, squares: Iterable[int]):
-        """Fields for a tableau whose initial integer rows, its objective rows
-        included, have squared norms at most `squares`. k is the Hadamard
-        bound H of that matrix, the sum of ceil(log2 ||row||) over its nonzero
-        rows, plus 2, rounded up to whole bytes. Every entry and D of every
-        later tableau is a minor of the matrix (Edmonds), at most 2^H <=
-        2^(k-2) in magnitude, so every field decodes uniquely. k comes from
-        this bound alone, never from the entries a solve happens to reach."""
+    def __init__(self, bits: int):
+        """Fields for a tableau every entry and D of which is at most 2^bits
+        in magnitude: k is bits plus 2, rounded up to whole bytes, so every
+        value lies within 2^(k-2) and every field decodes uniquely. `bits`
+        comes from `_hadamard_bits` of the initial integer tableau, whose
+        minors are all the values a later tableau holds (Edmonds), and so
+        never from the entries a solve happens to reach."""
         super().__init__()
-        bits = sum((sq - 1).bit_length() + 1 >> 1 for sq in squares if sq)
         self.k = k = (bits + 9) // 8 * 8
         self.half = 1 << k - 1
         self.mask = (1 << k) - 1
@@ -370,7 +398,7 @@ def _primal_two_phase(
     scale, cost, _, square = _cleared(objective)
     squares.append(square)
 
-    fields = _Fields(squares)
+    fields = _Fields(_hadamard_bits(squares))
     k = fields.k
     offset = fields.offset(ncols + 1)
     zeros = fields[0] * (ncols - n)
@@ -391,6 +419,12 @@ def _primal_two_phase(
         raise RuntimeError("phase one cannot be unbounded")
     if (tableau[m] + offset) >> k * ncols != fields.half:
         return LpOutcome(status="infeasible")
+    if not any(objective):
+        # Every cost is 0, so phase two would not pivot, and the drive-out
+        # below pivots on rows at level 0, which moves no variable: the
+        # phase-one vertex is the answer.
+        return LpOutcome(status="optimal", value=Fraction(0),
+                         vertex=_basic_values(tableau, basis, n, d, fields, k * ncols, offset))
 
     # pivot leftover artificials out of the basis, at the least column below
     # `width` whose field is nonzero, that is, nonzero in (row + O) ^ O; rows
@@ -422,13 +456,22 @@ def _primal_two_phase(
     if not bounded:
         return LpOutcome(status="unbounded")
 
+    value = Fraction(fields.half - ((tableau[-1] + narrow) >> k * width), d * scale)
+    return LpOutcome(status="optimal", value=value,
+                     vertex=_basic_values(tableau, basis, n, d, fields, k * width, narrow))
+
+
+def _basic_values(rows: Sequence[int], basis: Sequence[int], n: int, d: int, fields: _Fields,
+                  shift: int, offset: int) -> tuple[Fraction, ...]:
+    """The vertex of the first n variables: basic variable basis[i] < n is the
+    right side of packed row i, the field at bit `shift`, over d; `offset` is
+    the O of the rows."""
     half = fields.half
     x = [Fraction(0)] * n
-    for b, line in zip(basis, tableau):
+    for b, line in zip(basis, rows):
         if b < n:
-            x[b] = Fraction(((line + narrow) >> k * width) - half, d)
-    value = Fraction(half - ((tableau[-1] + narrow) >> k * width), d * scale)
-    return LpOutcome(status="optimal", value=value, vertex=tuple(x))
+            x[b] = Fraction(((line + offset) >> shift) - half, d)
+    return tuple(x)
 
 
 def _via_dual(
@@ -455,7 +498,12 @@ def _via_dual(
         squares.append(square + 1)
     scale, b, _, square = _cleared(rhs)
     squares.append(square)
-    fields = _Fields(squares)
+    # Every minor meets at most n + 1 columns: one column per primal row (its
+    # cleared entries and right side), the cost column and the unit slack
+    # columns, which change no product.
+    columns = [sum(map(mul, column, column)) for column in zip(*lines, b)]
+    columns.append(sum(map(mul, costs, costs)))
+    fields = _Fields(min(_hadamard_bits(squares), _hadamard_bits(columns, n + 1)))
     offset = fields.offset(m + n + 1)
     zeros = fields[0] * n
     unit = 1 << fields.k * m
@@ -534,10 +582,12 @@ def minimize_slope(cost: Iterable, rows: Iterable[Iterable]) -> SlopeResult:
         raise InputError("cost entries must be positive")
     rmat = []
     for row in rows:
-        entries = integers(row, "support row")
-        for e in entries:
-            if e < 0:
-                raise InputError(f"support rows must be nonnegative, got {e}")
+        entries = tuple(row)
+        if not (_INT.issuperset(map(type, entries)) and (not entries or min(entries) >= 0)):
+            entries = integers(entries, "support row")
+            for e in entries:
+                if e < 0:
+                    raise InputError(f"support rows must be nonnegative, got {e}")
         if len(entries) != len(cvec):
             raise InputError(
                 f"support row arity {len(entries)} does not match cost arity {len(cvec)}"
@@ -552,8 +602,8 @@ def minimize_slope(cost: Iterable, rows: Iterable[Iterable]) -> SlopeResult:
     out = lp_minimize(program)
     if out.status != "optimal":
         raise RuntimeError(f"slope program should be solvable, got {out.status}")
-    scale = math.lcm(*(x.denominator for x in out.vertex))
-    witness = tuple(int(x * scale) for x in out.vertex)
+    scale = math.lcm(*map(_denominator, out.vertex))
+    witness = tuple(x.numerator * (scale // x.denominator) for x in out.vertex)
     return SlopeResult(value=out.value, witness=witness)
 
 
@@ -566,7 +616,7 @@ def _solve_square(matrix: Sequence[Sequence], rhs: Sequence[Sequence]) -> list[l
     cleared = [_cleared((*row, *extra)) for row, extra in zip(matrix, rhs)]
     if not cleared:
         return []
-    fields = _Fields([square for _, _, _, square in cleared])
+    fields = _Fields(_hadamard_bits(square for _, _, _, square in cleared))
     count = len(cleared[0][1])
     offset = fields.offset(count)
     rows = [fields.pack(line, offset) for _, line, _, _ in cleared]

@@ -17,6 +17,7 @@ from stablerank.errors import InputError
 from stablerank.exactlp import (
     LinearProgram,
     _Fields,
+    _hadamard_bits,
     _pivot,
     _solve_square,
     lp_feasible,
@@ -296,7 +297,7 @@ def test_pivot_matches_dense_formula():
     for _ in range(300):
         m, n = rng.randint(2, 5), rng.randint(2, 6)
         rows = [[rng.choice((-2, -1, 0, 0, 1, 1, 2, 3)) for _ in range(n)] for _ in range(m)]
-        fields = _Fields(sum(v * v for v in line) for line in rows)
+        fields = _Fields(_hadamard_bits(sum(v * v for v in line) for line in rows))
         offset = fields.offset(n)
         d = 1
         for _ in range(rng.randint(0, 3)):
@@ -336,6 +337,119 @@ def test_field_width_reaches_hadamard_bound(order):
     identity = [[int(i == j) for j in range(order)] for i in range(order)]
     inverse = [[F(h[j][i], order) for j in range(order)] for i in range(order)]
     assert _solve_square(h, identity) == inverse
+
+
+def row_ceiling_width(squares):
+    """k by the older rule: the sum of ceil(log2 ||row||) over the nonzero
+    rows, plus 2, in whole bytes; the exact product never gives more."""
+    bits = sum((sq - 1).bit_length() + 1 >> 1 for sq in squares if sq)
+    return (bits + 9) // 8 * 8
+
+
+class CheckedPivots:
+    """Watches every solve through exactlp's module globals: each `_Fields`
+    is compared with the row-ceiling width of the squared row norms handed
+    to `_hadamard_bits` just before it, and each `_pivot` is checked against
+    `dense_pivot` by decoding every row before and after it."""
+
+    def __init__(self, monkeypatch):
+        self.fields = None
+        self.row_squares = None
+        self.widths = []
+        self.pivots = 0
+        self.largest = 0
+        bits, pivot, checker = exactlp._hadamard_bits, exactlp._pivot, self
+
+        def hadamard_bits(squares, count=None):
+            squares = list(squares)
+            if count is None:
+                checker.row_squares = squares
+            return bits(squares, count)
+
+        class Fields(exactlp._Fields):
+            def __init__(self, width):
+                super().__init__(width)
+                checker.fields = self
+                checker.widths.append((self.k, row_ceiling_width(checker.row_squares)))
+
+        def checked_pivot(rows, d, r, factors):
+            fields = checker.fields
+            # enough fields for every row: a nonzero field j makes |row| >= 2^(k*j - 1)
+            count = max(row.bit_length() for row in rows) // fields.k + 2
+            before = [fields.unpack(row, count) for row in rows]
+            c = next(j for j in range(count) if [line[j] for line in before] == list(factors))
+            expected, new_d = dense_pivot(before, d, r, c)
+            assert pivot(rows, d, r, factors) == new_d
+            assert [fields.unpack(row, count) for row in rows] == expected
+            checker.pivots += 1
+            checker.largest = max(checker.largest, new_d, *(abs(v) for line in expected for v in line))
+            return new_d
+
+        monkeypatch.setattr(exactlp, "_hadamard_bits", hadamard_bits)
+        monkeypatch.setattr(exactlp, "_Fields", Fields)
+        monkeypatch.setattr(exactlp, "_pivot", checked_pivot)
+
+
+def test_fields_no_wider_and_every_pivot_decodes(monkeypatch):
+    # seeded programs of every route, with ints, small fractions and
+    # denominators near 2^40; the width never exceeds the row-ceiling rule's,
+    # and every pivot leaves exactly the rows of the dense reference
+    checker = CheckedPivots(monkeypatch)
+    rng = random.Random(20261019)
+
+    def value(kind, low, high):
+        if kind == 0:
+            return rng.randint(low, high)
+        den = rng.randint(1, 6) if kind == 1 else rng.randint(2**39, 2**40)
+        return F(rng.randint(low * den, high * den), den)
+
+    pivots = {}
+    for case in range(240):
+        kind, route = rng.choice((0, 0, 1, 2)), case % 4
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        start = checker.pivots
+        if route == 0:
+            obj = [value(kind, 0, 4) for _ in range(n)]
+            rows = [[value(kind, -3, 4) for _ in range(n)] for _ in range(m)]
+            lp_minimize(program(obj, rows, [value(kind, -2, 3) for _ in range(m)]))
+        elif route == 1:
+            obj = [value(kind, -3, 4) for _ in range(n)]
+            rows = [[value(kind, -3, 4) for _ in range(n)] for _ in range(m)]
+            eq_rows = [[value(kind, -2, 3) for _ in range(n)] for _ in range(rng.randint(0, 2))]
+            lp_minimize(program(obj, rows, [value(kind, -2, 3) for _ in range(m)],
+                                eq_rows, [value(kind, 0, 3) for _ in eq_rows]))
+        elif route == 2:
+            eq_rows = [[value(kind, -2, 3) for _ in range(n)] for _ in range(m)]
+            lp_feasible([], [], eq_rows, [value(kind, 0, 3) for _ in eq_rows])
+        else:
+            matrix = [[value(kind, -3, 3) for _ in range(n)] for _ in range(n)]
+            _solve_square(matrix, [[value(kind, -3, 3)] for _ in range(n)])
+        pivots[route] = pivots.get(route, 0) + checker.pivots - start
+    assert all(k <= old for k, old in checker.widths)
+    assert any(k < old for k, old in checker.widths)
+    assert len(pivots) == 4 and all(pivots.values()), pivots
+
+
+def test_dual_route_reaches_column_bound(monkeypatch):
+    # min c.x s.t. H x >= b, x >= 0 with H the Sylvester-Hadamard matrix of
+    # order 16, b = H x* and c = H^T x* for x* = (3, 2, ..., 2): the optimum
+    # x* is unique and nondegenerate, so the dual ends in the basis of all 16
+    # tuple columns, with D = |det H| = 2^32 and the objective's right side
+    # D * c.x* = 2^32 * 129. The column product bounds k here, and that entry
+    # does not fit a field one byte narrower.
+    checker = CheckedPivots(monkeypatch)
+    h = sylvester(16)
+    x = [3] + [2] * 15
+    b = [dot(row, x) for row in h]
+    c = [dot(column, x) for column in zip(*h)]
+    out = lp_minimize(program(c, h, b))
+    assert out.vertex == tuple(map(F, x)) and out.value == dot(c, x) == 129
+    columns = [dot(row, row) + v * v for row, v in zip(h, b)] + [dot(c, c)]
+    rows = [dot(column, column) + 1 + v * v for column, v in zip(zip(*h), c)] + [dot(b, b)]
+    assert _hadamard_bits(columns, 17) < _hadamard_bits(rows)
+    k = checker.fields.k
+    assert k == (_hadamard_bits(columns, 17) + 9) // 8 * 8
+    assert checker.largest == 2**32 * 129 >= 1 << k - 9
 
 
 def test_large_denominators_against_oracle():
