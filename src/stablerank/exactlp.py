@@ -582,12 +582,10 @@ def minimize_slope(cost: Iterable, rows: Iterable[Iterable]) -> SlopeResult:
         raise InputError("cost entries must be positive")
     rmat = []
     for row in rows:
-        entries = tuple(row)
-        if not (_INT.issuperset(map(type, entries)) and (not entries or min(entries) >= 0)):
-            entries = integers(entries, "support row")
-            for e in entries:
-                if e < 0:
-                    raise InputError(f"support rows must be nonnegative, got {e}")
+        entries = integers(row, "support row")
+        for e in entries:
+            if e < 0:
+                raise InputError(f"support rows must be nonnegative, got {e}")
         if len(entries) != len(cvec):
             raise InputError(
                 f"support row arity {len(entries)} does not match cost arity {len(cvec)}"

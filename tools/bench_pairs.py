@@ -16,11 +16,15 @@ one run at a time. For every workload it also makes `--traced-pairs` pairs
 of traced runs (`--trace 1`) at the first seed. The output file holds, per
 workload and seed and per end-to-end metric, every run's value, each side's
 median and quartiles, the change's wins (pairs in which it reads better,
-ties counting for neither), whether the median got worse by more than the
-metric's bound in BENCHMARK.json, and whether a gain can be claimed: at
-least nine tenths of the pairs won, the medians further apart than the
-parent's interquartile range, and no more failed operations than the
-parent's. Traced runs give the medians of every
+ties counting for neither), a verdict against the metric's bound in
+BENCHMARK.json, and whether a gain can be claimed: at least nine tenths of
+the pairs won, the medians further apart than the parent's interquartile
+range, and no more failed operations than the parent's. The verdict is
+"within bound" when every change run reads better than every parent run;
+otherwise "unresolved" when the parent's interquartile range, relative to
+its median, is wider than the bound (the runs spread too widely to tell);
+otherwise "regression" when the median got worse by more than the bound,
+and "within bound" when it did not. Traced runs give the medians of every
 per-layer metric per side, and whether every count repeated exactly on both
 sides. Every run's attempted, failed and correct figures are kept too.
 
@@ -80,11 +84,19 @@ def compare(parent: list[dict], change: list[dict], spec: dict) -> dict:
         more_failures = sum(r["failed"] for r in change) > sum(r["failed"] for r in parent)
         a, b = summary(old), summary(new)
         worse = (a["median"] - b["median"]) if higher else (b["median"] - a["median"])
+        if (min(new) > max(old)) if higher else (max(new) < min(old)):
+            verdict = "within bound"
+        elif a["q3"] - a["q1"] > metric["bound"] * a["median"]:
+            verdict = "unresolved"
+        elif worse > metric["bound"] * a["median"]:
+            verdict = "regression"
+        else:
+            verdict = "within bound"
         out[name] = {
             "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
             "parent": a, "change": b, "wins": wins, "pairs": len(old),
             "relative_change": b["median"] / a["median"] - 1,
-            "regression": worse > metric["bound"] * a["median"],
+            "verdict": verdict,
             "gain_claimable": (wins >= 0.9 * len(old) and -worse > a["q3"] - a["q1"]
                                and not more_failures),
         }
@@ -183,7 +195,7 @@ def main(argv=None) -> int:
                 print(f"{workload} {key} {name}: {m['parent']['median']:.4g} "
                       f"[{m['parent']['q1']:.4g}-{m['parent']['q3']:.4g}] -> "
                       f"{m['change']['median']:.4g} ({m['wins']}/{m['pairs']})"
-                      f"{' REGRESSION' if m['regression'] else ''}"
+                      f" {m['verdict']}"
                       f"{' gain' if m['gain_claimable'] else ''}")
     return 0
 
