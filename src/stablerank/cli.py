@@ -50,8 +50,13 @@ _UPPER_BOUND_IDEAL = "upper bound on rk^G over all linear systems of parameters"
 
 
 def _load(path: str, kinds: tuple[str, ...], what: str):
-    with open(path, encoding="utf-8") as handle:
-        doc = parse_input(handle.read())
+    with open(path, "rb") as handle:
+        raw = handle.read()
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from None
+    doc = parse_input(text)
     if doc.kind not in kinds:
         raise InputError(f"{what} expects a {' or '.join(kinds)} file, got {doc.kind!r}")
     return doc.payload

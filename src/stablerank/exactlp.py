@@ -32,6 +32,10 @@ updates a whole row with one multiply, one subtract and one division, all
 inside the big-integer arithmetic: field j of p * R - f * P is p*a_j -
 f*b_j, a multiple of D, so p * R - f * P is D times the packed row of the
 quotients, and dividing the whole integer by D gives that row exactly.
+When D divides p, with q = p / D, the row is q * R - (f * P) // D, and when
+D divides f as well it is q * R - (f / D) * P, with no big-integer division:
+D divides p * R - f * P and p * R, so it divides f * P, and every entry comes
+out the same integer.
 Adding O = the sum of 2^(k-1) * 2^(k*j) over the fields makes every field
 nonnegative: field j reads ((R + O) >> k*j & (2^k - 1)) - 2^(k-1), and the
 top bit of field j of R + O is set exactly when v_j >= 0, so Bland's
@@ -68,6 +72,15 @@ scaling lam and clearing denominators of an optimal rational vertex produces
 an integer witness with the same slope. The infimum is +infinity exactly
 when some row is the zero vector (that row's pairing vanishes for every
 lam), encoded as `math.inf`.
+
+Inputs are checked once, at the public entry points: `LinearProgram(...)`,
+`lp_feasible` and `minimize_slope` check and coerce every entry. `_slope`
+and `_feasible` are their solves without the checks, for callers that build
+their rows from objects whose constructors have checked them: `torus_rank`,
+`symm_torus_rank` and `t_stable_rank` (and through it `lct_monomial`) call
+`_slope`, and the semistability checks and `newton_membership` call
+`_feasible`. Both go through `lp_minimize` with a `LinearProgram._trusted`
+program, which is built unchecked, as `newton_threshold` builds its own.
 """
 
 from __future__ import annotations
@@ -298,15 +311,32 @@ def _pivot(rows: list[int], d: int, r: int, factors: Sequence[int]) -> int:
     p * a_j - f * b_j = d * y_j, so the row is d * sum_j y_j * 2^(k*j) and
     dividing it by d leaves the packed row of the y_j, which are minors of
     the initial tableau and fit their fields. |p| becomes the common
-    denominator; a row with f = 0 is left as it is when |p| = d."""
+    denominator.
+
+    When d divides p, with q = p / d, the same row is q * R - (f * P) // d:
+    d divides p * R - f * P and p * R, so it divides f * P, and the division
+    is exact. When d divides f as well, the row is q * R - (f / d) * P, with
+    no big-integer division at all, and when q = 1 the row is R less that
+    multiple of P, left as it is for f = 0. Only d not dividing p takes the
+    general formula."""
     p = factors[r]
     prow = rows[r]
     if p < 0:
         p = -p
         prow = rows[r] = -prow
-    for i, f in enumerate(factors):
-        if i != r and (f or p != d):
-            rows[i] = (p * rows[i] - f * prow) // d
+    q, rem = divmod(p, d)
+    if rem:
+        for i, f in enumerate(factors):
+            if i != r:
+                rows[i] = (p * rows[i] - f * prow) // d
+    elif q == 1:
+        for i, f in enumerate(factors):
+            if f and i != r:
+                rows[i] -= f * prow // d if f % d else f // d * prow
+    else:
+        for i, f in enumerate(factors):
+            if i != r:
+                rows[i] = q * rows[i] - (f * prow // d if f % d else f // d * prow)
     return p
 
 
@@ -566,6 +596,20 @@ def lp_feasible(
     return False, None
 
 
+def _feasible(equality_rows: tuple[tuple[int | Fraction, ...], ...],
+              equality_rhs: tuple[int | Fraction, ...]) -> bool:
+    """Is {E x = e, x >= 0} feasible? The verdict of `lp_feasible` on
+    equality rows the caller has built from checked objects and so passes
+    unchecked: a nonempty tuple of equally long, nonempty tuples of ints and
+    Fractions, with one int or Fraction right side each. The semistability
+    checks and `newton_membership` call it. The program has a zero objective
+    and equality rows, so `lp_minimize` takes the two-phase route and returns
+    the phase-one verdict."""
+    program = LinearProgram._trusted(
+        (0,) * len(equality_rows[0]), (), (), equality_rows, equality_rhs)
+    return lp_minimize(program).status == "optimal"
+
+
 def minimize_slope(cost: Iterable, rows: Iterable[Iterable]) -> SlopeResult:
     """Infimum of (cost . lam) / min_k (row_k . lam) over integer lam >= 0
     with positive denominator, as a single exact LP solve.
@@ -593,11 +637,18 @@ def minimize_slope(cost: Iterable, rows: Iterable[Iterable]) -> SlopeResult:
         rmat.append(entries)
     if not rmat:
         raise InputError("rank of the zero object is undefined: no support rows")
-    if any(not any(row) for row in rmat):
-        return SlopeResult(value=math.inf, witness=None)
+    return _slope(cvec, tuple(rmat))
 
-    program = LinearProgram._trusted(cvec, tuple(rmat), (1,) * len(rmat))
-    out = lp_minimize(program)
+
+def _slope(cost: tuple[int | Fraction, ...], rows: tuple[tuple[int, ...], ...]) -> SlopeResult:
+    """`minimize_slope` of a program the caller has built from checked
+    objects and so passes unchecked: `cost` a nonempty tuple of positive ints
+    and Fractions, `rows` a nonempty tuple of tuples of nonnegative ints, each
+    as long as `cost`. `torus_rank`, `symm_torus_rank` and `t_stable_rank`
+    call it."""
+    if not all(map(any, rows)):
+        return SlopeResult(value=math.inf, witness=None)
+    out = lp_minimize(LinearProgram._trusted(cost, rows, (1,) * len(rows)))
     if out.status != "optimal":
         raise RuntimeError(f"slope program should be solvable, got {out.status}")
     scale = math.lcm(*map(_denominator, out.vertex))

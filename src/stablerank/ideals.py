@@ -4,9 +4,10 @@ The T-stable rank of an ideal is the infimum over nonzero integer weight
 vectors lam >= 0 of sum(lam) / ord_lam(ideal), where ord_lam takes the
 minimum weighted degree over the support of the generators. That is exactly
 the fractional program `stablerank.exactlp.minimize_slope` solves, with one
-row per distinct exponent vector. A generator with a nonzero constant term
-puts the zero row in the program and the rank is +infinity (the origin is
-not in the zero locus).
+row per distinct exponent vector; the ideal's constructor has checked every
+exponent, so the rows go to its unchecked solve `_slope`. A generator with a
+nonzero constant term puts the zero row in the program and the rank is
++infinity (the origin is not in the zero locus).
 
 Ranks computed in a fixed coordinate system bound the coordinate-free rank
 from above; `apply_linear_change` re-expresses generators in another linear
@@ -39,10 +40,10 @@ from .errors import InputError
 from .exactlp import (
     LinearProgram,
     SlopeResult,
+    _feasible,
+    _slope,
     _solve_square,
-    lp_feasible,
     lp_minimize,
-    minimize_slope,
 )
 from .rationals import integers, rational
 
@@ -309,11 +310,11 @@ def ideal_order(ideal, lam) -> object:
     raise InputError(f"not an ideal: {ideal!r}")
 
 
-def _support_rows(ideal) -> list[tuple[int, ...]]:
+def _support_rows(ideal) -> tuple[tuple[int, ...], ...]:
     if isinstance(ideal, MonomialIdeal):
-        return list(ideal.generators)
+        return ideal.generators
     if isinstance(ideal, PolyIdeal):
-        return sorted({exps for g in ideal.generators for exps in g.terms})
+        return tuple(sorted({exps for g in ideal.generators for exps in g.terms}))
     raise InputError(f"not an ideal: {ideal!r}")
 
 
@@ -325,8 +326,7 @@ def t_stable_rank(ideal) -> SlopeResult:
     is +infinity exactly when some generator has a nonzero constant term.
     """
     rows = _support_rows(ideal)
-    n = rows and len(rows[0]) or 1
-    return minimize_slope([Fraction(1)] * n, rows)
+    return _slope((Fraction(1),) * len(rows[0]), rows)
 
 
 def apply_linear_change(f: SparsePolynomial, change: LinearChange) -> SparsePolynomial:
@@ -416,19 +416,10 @@ def newton_membership(ideal: MonomialIdeal, nu) -> bool:
         raise InputError("nu must be positive")
     gens = ideal.generators
     r, n = len(gens), ideal.nvars
-    bound = Fraction(1) / scale
-    eq_rows = []
-    eq_rhs = []
-    for j in range(n):
-        row = [Fraction(gens[i][j]) for i in range(r)] + [
-            Fraction(1) if k == j else Fraction(0) for k in range(n)
-        ]
-        eq_rows.append(row)
-        eq_rhs.append(bound)
-    eq_rows.append([Fraction(1)] * r + [Fraction(0)] * n)
-    eq_rhs.append(Fraction(1))
-    feasible, _ = lp_feasible([], [], eq_rows, eq_rhs)
-    return feasible
+    eq_rows = [tuple(g[j] for g in gens) + tuple(int(k == j) for k in range(n))
+               for j in range(n)]
+    eq_rows.append((1,) * r + (0,) * n)
+    return _feasible(tuple(eq_rows), (Fraction(1) / scale,) * n + (1,))
 
 
 def newton_threshold(ideal: MonomialIdeal) -> Fraction:

@@ -5,7 +5,9 @@ nonzero coefficient (coefficient values are irrelevant to every quantity
 computed here, which is why none are stored). Restricting the group to the
 diagonal torus of the chosen basis turns each rank into the minimization of
 an exact fractional linear program over the support, so every function below
-reduces to `stablerank.exactlp.minimize_slope` or `lp_feasible`. Because
+reduces to the program of `stablerank.exactlp.minimize_slope` or of
+`lp_feasible`. Their rows come from supports the constructors have checked,
+so they go to the unchecked solves `exactlp._slope` and `_feasible`. Because
 only diagonal one-parameter subgroups are searched, the returned ranks are
 upper bounds on the full group-stable rank; they are exact whenever some
 optimal subgroup is diagonal in the given basis (torus-optimal tensors).
@@ -41,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .exactlp import SlopeResult, lp_feasible, minimize_slope
+from .exactlp import SlopeResult, _feasible, _slope
 from .rationals import integers, rational
 
 __all__ = [
@@ -156,7 +158,7 @@ def torus_valuation(support: TensorSupport, weights) -> int:
     )
 
 
-def _support_rows(support: TensorSupport) -> list[tuple[int, ...]]:
+def _support_rows(support: TensorSupport) -> tuple[tuple[int, ...], ...]:
     n, d = support.dims, support.order
     rows = []
     for t in support.sorted_tuples:
@@ -164,7 +166,7 @@ def _support_rows(support: TensorSupport) -> list[tuple[int, ...]]:
         for i, j in enumerate(t):
             row[i * n + (j - 1)] = 1
         rows.append(tuple(row))
-    return rows
+    return tuple(rows)
 
 
 def torus_rank(support: TensorSupport, alpha: Sequence | None = None) -> SlopeResult:
@@ -185,8 +187,8 @@ def torus_rank(support: TensorSupport, alpha: Sequence | None = None) -> SlopeRe
             raise InputError(f"alpha has {len(avec)} entries, expected {d}")
         if any(a <= 0 for a in avec):
             raise InputError("alpha entries must be positive")
-    cost = [avec[i] for i in range(d) for _ in range(n)]
-    return minimize_slope(cost, _support_rows(support))
+    cost = tuple(avec[i] for i in range(d) for _ in range(n))
+    return _slope(cost, _support_rows(support))
 
 
 def symm_torus_rank(support: SymmetricSupport) -> SlopeResult:
@@ -199,8 +201,7 @@ def symm_torus_rank(support: SymmetricSupport) -> SlopeResult:
     going through `combine_one_ps`).
     """
     d = support.degree
-    cost = [Fraction(d)] * support.nvars
-    return minimize_slope(cost, support.sorted_exponents)
+    return _slope((Fraction(d),) * support.nvars, support.sorted_exponents)
 
 
 def expand_symmetric(support: SymmetricSupport) -> TensorSupport:
@@ -267,10 +268,9 @@ def is_torus_semistable(support: TensorSupport) -> bool:
     """
     n, d = support.dims, support.order
     tuples = support.sorted_tuples
-    rows = [[1] * len(tuples)]
-    rows += [[int(t[i] == j) for t in tuples] for i in range(d) for j in range(1, n)]
-    feasible, _ = lp_feasible([], [], rows, [1] + [Fraction(1, n)] * (len(rows) - 1))
-    return feasible
+    rows = [(1,) * len(tuples)]
+    rows += [tuple(int(t[i] == j) for t in tuples) for i in range(d) for j in range(1, n)]
+    return _feasible(tuple(rows), (1,) + (Fraction(1, n),) * (len(rows) - 1))
 
 
 def is_symm_torus_semistable(support: SymmetricSupport) -> bool:
@@ -286,6 +286,5 @@ def is_symm_torus_semistable(support: SymmetricSupport) -> bool:
     """
     n, d = support.nvars, support.degree
     exponents = support.sorted_exponents
-    rows = [[m[j] for m in exponents] for j in range(n)]
-    feasible, _ = lp_feasible([], [], rows, [Fraction(d, n)] * n)
-    return feasible
+    rows = tuple(tuple(m[j] for m in exponents) for j in range(n))
+    return _feasible(rows, (Fraction(d, n),) * n)

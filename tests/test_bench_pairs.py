@@ -1,0 +1,111 @@
+"""Verdicts of tools/bench_pairs.py, on made-up runs (no benchmark is run)."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+SPEC = {"end_to_end": [
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.2},
+    {"name": "op_p50_ms", "unit": "ms", "better": "lower", "bound": 0.2},
+]}
+
+
+def runs(values, failed=0, metric="ops_per_s"):
+    return [{"metrics": {metric: {"value": v}}, "failed": failed} for v in values]
+
+
+def judge(old, new, metric="ops_per_s", old_failed=0, new_failed=0):
+    spec = {"end_to_end": [m for m in SPEC["end_to_end"] if m["name"] == metric]}
+    return bench_pairs.compare(runs(old, old_failed, metric), runs(new, new_failed, metric),
+                               spec)[metric]
+
+
+PARENT = [100, 101, 99, 100, 102, 98, 100, 101, 99, 100]
+
+
+class TestCompare:
+    def test_small_change_within_bound(self):
+        m = judge(PARENT, [v - 5 for v in PARENT])
+        assert m["verdict"] == "within bound" and m["wins"] == 0 and m["pairs"] == 10
+        assert not m["gain_claimable"]
+
+    def test_worse_beyond_bound_is_a_regression(self):
+        m = judge(PARENT, [v * 0.7 for v in PARENT])
+        assert m["verdict"] == "regression"
+        assert m["relative_change"] == pytest.approx(-0.3)
+
+    def test_lower_is_better(self):
+        assert judge(PARENT, [v * 1.3 for v in PARENT], "op_p50_ms")["verdict"] == "regression"
+        m = judge(PARENT, [v * 0.7 for v in PARENT], "op_p50_ms")
+        assert m["verdict"] == "within bound" and m["gain_claimable"]
+
+    def test_wide_parent_spread_is_unresolved(self):
+        # parent quartiles about 60 and 140: wider than 0.2 of the median
+        wide = [60, 140, 60, 140, 100, 60, 140, 100, 60, 140]
+        assert judge(wide, [90] * 10)["verdict"] == "unresolved"
+        assert judge(wide, [50] * 10)["verdict"] == "unresolved"
+
+    def test_every_change_run_better_overrides_the_spread(self):
+        wide = [60, 140, 60, 140, 100, 60, 140, 100, 60, 140]
+        assert judge(wide, [150] * 10)["verdict"] == "within bound"
+
+
+class TestGainClaimable:
+    def test_nine_of_ten_wins_and_clear_of_the_spread(self):
+        new = [v * 1.2 for v in PARENT]
+        new[3] = 50
+        m = judge(PARENT, new)
+        assert m["wins"] == 9 and m["gain_claimable"]
+
+    def test_eight_wins_are_not_enough(self):
+        new = [v * 1.2 for v in PARENT]
+        new[3] = new[4] = 50
+        m = judge(PARENT, new)
+        assert m["wins"] == 8 and not m["gain_claimable"]
+
+    def test_medians_within_the_parents_interquartile_range(self):
+        # every pair won, but by less than the parent's interquartile range
+        parent = [90, 110, 90, 110, 100, 90, 110, 100, 90, 110]
+        m = judge(parent, [v + 1 for v in parent])
+        assert m["wins"] == 10 and not m["gain_claimable"]
+
+    def test_extra_failures_forbid_a_claim(self):
+        new = [v * 1.2 for v in PARENT]
+        assert judge(PARENT, new, new_failed=0)["gain_claimable"]
+        assert not judge(PARENT, new, new_failed=1)["gain_claimable"]
+        assert judge(PARENT, new, old_failed=1, new_failed=1)["gain_claimable"]
+
+
+def test_summary_of_a_single_run():
+    assert bench_pairs.summary([7.5]) == {"median": 7.5, "q1": 7.5, "q3": 7.5, "runs": [7.5]}
+
+
+def test_summary_quartiles_are_exclusive():
+    s = bench_pairs.summary([1, 2, 3, 4, 5, 6, 7, 8, 9, 10])
+    assert (s["q1"], s["median"], s["q3"]) == (2.75, 5.5, 8.25)
+
+
+class TestParsePlan:
+    def test_seeds_follow_their_workload(self):
+        args, plan = bench_pairs.parse_plan(
+            ["--parent", "HEAD~1", "--workload", "rank", "--seed", "1", "--seed", "5",
+             "--workload", "cli", "--seed", "1", "--out", "B.json"])
+        assert plan == [("rank", [1, 5]), ("cli", [1])]
+        assert (args.change, args.pairs, args.traced_pairs) == ("HEAD", 10, 3)
+
+    @pytest.mark.parametrize("argv", [
+        ["--seed", "1", "--workload", "rank", "--seed", "5"],
+        ["--workload", "rank"],
+        [],
+    ])
+    def test_rejected(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.parse_plan(["--parent", "HEAD~1", "--out", "B.json", *argv])
+        assert exc.value.code == 2
+        assert "--workload" in capsys.readouterr().err

@@ -224,6 +224,24 @@ class TestErrorsAndPlumbing:
         assert run(["lct", "/nonexistent/path.txt"]) == 2
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("argv", [["rank", "tensor"], ["semistable"], ["rank", "ideal"],
+                                      ["lct"], ["rank", "symm"]])
+    def test_file_not_utf8_is_an_input_error(self, tmp_path, capsys, argv):
+        # a Latin-1 byte after the header: the diagnostic names the file and
+        # the offset of the first byte that does not decode
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(b"tensor 3 2\n1 1 1\n# caf\xe9\n")
+        assert run([*argv, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: {path}: not valid UTF-8 at byte offset 22\n"
+
+    def test_change_file_not_utf8_is_an_input_error(self, files, tmp_path, capsys):
+        path = tmp_path / "matrix.txt"
+        path.write_bytes(b"\xffmatrix 2\n1 0\n0 1\n")
+        assert run(["rank", "ideal", files["square.txt"], "--change", str(path)]) == 2
+        assert capsys.readouterr().err == f"error: {path}: not valid UTF-8 at byte offset 0\n"
+
     @pytest.mark.parametrize("fault", [
         RecursionError("maximum recursion depth exceeded"),
         ZeroDivisionError("division by zero"),

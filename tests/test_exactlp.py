@@ -4,12 +4,13 @@ Expected optima below were derived by hand (manual vertex enumeration) before
 the solver existed; they are frozen and must never be relaxed.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction as F
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from stablerank import exactlp
@@ -26,6 +27,7 @@ from stablerank.exactlp import (
     oracle_minimum_over_vertices,
 )
 from stablerank.rationals import integers
+from stablerank.tensors import TensorSupport, is_torus_semistable, torus_rank
 
 
 def dot(u, v):
@@ -225,7 +227,6 @@ class TestMinimizeSlope:
         # brute force over a small integer grid: nothing beats the LP value,
         # and the returned witness attains it exactly
         grid = range(0, 5)
-        import itertools
 
         for lam in itertools.product(grid, repeat=n):
             val = min(dot(row, lam) for row in rows)
@@ -319,6 +320,101 @@ def test_pivot_matches_dense_formula():
                 cases["p == d" if p == d else "p == -d" if p == -d else "|p| != d"] += 1
                 cases["f == 0"] += sum(1 for i in range(m) if i != r and rows[i][c] == 0)
     assert all(cases.values()), cases
+
+
+def pivot_cases(d, factors, r):
+    """The branches of `_pivot` a pivot with these factors takes, by the
+    divisibility of p and of each other row's factor f by d."""
+    p = factors[r]
+    cases = {"d == 1"} if d == 1 else set()
+    if p < 0:
+        cases.add("p < 0")
+    if p % d:
+        return cases | {"d does not divide p"}
+    for i, f in enumerate(factors):
+        if i != r and f:
+            cases.add("d divides p, not f" if f % d else "d divides p and f")
+        elif i != r:
+            cases.add("f == 0, p == d" if abs(p) == d else "f == 0, p != d")
+    return cases
+
+
+def bareiss_steps(matrix, picks):
+    """Bareiss steps by `_pivot` on the packed rows of an integer matrix, each
+    at the nonzero entry a pick selects (modulo their count, row by row).
+    Yields (rows before, D, pivot row, factors, rows after, new D) per step."""
+    n = len(matrix[0])
+    fields = _Fields(_hadamard_bits(sum(v * v for v in line) for line in matrix))
+    offset = fields.offset(n)
+    rows = [fields.pack(line, offset) for line in matrix]
+    d = 1
+    for pick in picks:
+        columns = [fields.column(rows, j, offset) for j in range(n)]
+        spots = [(i, j) for i in range(len(rows)) for j in range(n) if columns[j][i]]
+        if not spots:
+            return
+        r, c = spots[pick % len(spots)]
+        before = list(rows)
+        new_d = _pivot(rows, d, r, columns[c])
+        yield before, d, r, columns[c], list(rows), new_d
+        d = new_d
+
+
+# every branch of `_pivot`: D = 1, D not dividing p, D dividing p and f, D
+# dividing p but not f, p = D with f = 0, and a negative p
+EVERY_BRANCH = ([[1, 2, -1, 2], [0, -2, -2, -2], [3, 1, 0, -1], [0, 0, -2, 0]], [14, 11, 5, 15])
+
+
+@settings(deadline=None, max_examples=200)
+@given(
+    matrix=st.integers(2, 5).flatmap(lambda n: st.lists(
+        st.lists(st.integers(-3, 3), min_size=n, max_size=n), min_size=2, max_size=5)),
+    picks=st.lists(st.integers(0, 63), min_size=1, max_size=5),
+)
+@example(*EVERY_BRANCH)
+def test_pivot_is_the_packed_formula(matrix, picks):
+    # after every Bareiss step, each packed row other than the pivot row is
+    # (p*R - f*P) // D of the packed rows before it, whichever branch took it
+    # there, and |p| is the new D
+    for rows, d, r, factors, after, new_d in bareiss_steps(matrix, picks):
+        event(", ".join(sorted(pivot_cases(d, factors, r))))
+        p, prow = factors[r], rows[r]
+        if p < 0:
+            p, prow = -p, -prow
+        assert all((p * row - f * prow) % d == 0 for row, f in zip(rows, factors))
+        assert new_d == p and after == [prow if i == r else (p * row - f * prow) // d
+                                      for i, (row, f) in enumerate(zip(rows, factors))]
+
+
+def test_pivot_example_takes_every_branch():
+    cases = set()
+    for _, d, r, factors, _, _ in bareiss_steps(*EVERY_BRANCH):
+        cases |= pivot_cases(d, factors, r)
+    assert cases >= {"d == 1", "p < 0", "d does not divide p", "d divides p and f",
+                     "d divides p, not f", "f == 0, p == d"}
+
+
+def test_division_free_branch_on_both_routes(monkeypatch):
+    # Pivots over D > 1 at which D divides p and a nonzero factor f, so that
+    # row's update has no big-integer division, occur on the dual route (the
+    # torus rank of a tensor support) and on the two-phase route (its
+    # semistability check).
+    seen = []
+    pivot = exactlp._pivot
+
+    def spy(rows, d, r, factors):
+        seen.append(pivot_cases(d, factors, r))
+        return pivot(rows, d, r, factors)
+
+    monkeypatch.setattr(exactlp, "_pivot", spy)
+    rng = random.Random(20261105)
+    tuples = sorted(itertools.product((1, 2, 3, 4), repeat=4))
+    supports = [TensorSupport(4, 4, rng.sample(tuples, 20)) for _ in range(2)]
+    for solve in (torus_rank, is_torus_semistable):
+        seen.clear()
+        for support in supports:
+            solve(support)
+        assert any("d divides p and f" in cases and "d == 1" not in cases for cases in seen)
 
 
 def sylvester(order):

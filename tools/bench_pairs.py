@@ -153,6 +153,8 @@ def parse_plan(argv: list[str]) -> tuple[argparse.Namespace, list[tuple[str, lis
             plan.append((value, []))
         elif plan:
             plan[-1][1].append(value)
+        else:
+            parser.error("--seed applies to the --workload before it; give the --workload first")
     if not plan or not all(seeds for _, seeds in plan):
         parser.error("give at least one --workload, each followed by at least one --seed")
     return args, plan
