@@ -137,24 +137,28 @@ def check_all(calls):
 
 def test_tensor_ranks_and_semistability(calls):
     rng = random.Random(20261101)
+    verdicts = set()
     for case in range(120):
         support = random_tensor(rng)
         alpha = None
         if case % 2:
             alpha = [rng.choice((1, 2, F(1, 2), F(3, 2), F(5, 3))) for _ in range(support.order)]
         torus_rank(support, alpha)
-        is_torus_semistable(support)
+        verdicts.add(is_torus_semistable(support))
         assert check_all(calls) == {"slope", "feasible"}
+    assert verdicts == {True, False}
 
 
 def test_form_ranks_and_semistability(calls):
     rng = random.Random(20261102)
+    verdicts = set()
     for _ in range(120):
         form = random_form(rng)
         symm_torus_rank(form)
-        is_symm_torus_semistable(form)
+        verdicts.add(is_symm_torus_semistable(form))
         torus_rank(expand_symmetric(form))
         assert check_all(calls) == {"slope", "feasible"}
+    assert verdicts == {True, False}
 
 
 def test_monomial_ideals(calls):
