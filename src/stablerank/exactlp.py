@@ -81,6 +81,16 @@ their rows from objects whose constructors have checked them: `torus_rank`,
 `_slope`, and the semistability checks and `newton_membership` call
 `_feasible`. Both go through `lp_minimize` with a `LinearProgram._trusted`
 program, which is built unchecked, as `newton_threshold` builds its own.
+Every such caller passes rows, right sides and costs of ints alone, so
+`_cleared` never rescales a row and the field width comes from the integer
+rows: a fractional right side or cost is cleared by the caller, as a
+positive scaling of rows and variables (the semistability checks solve for
+a multiple of theta, `newton_membership` for p * theta at nu = p/q, and
+`torus_rank` minimizes L * alpha . x and divides the value by L). Scaling
+every row by one positive factor and any variable by another changes no
+reduced-cost sign, no order among ratios and, the row factor being common,
+the phase-one objective only by a positive factor, so every pivot, vertex
+and verdict stays as it was.
 """
 
 from __future__ import annotations
@@ -596,13 +606,12 @@ def lp_feasible(
     return False, None
 
 
-def _feasible(equality_rows: tuple[tuple[int | Fraction, ...], ...],
-              equality_rhs: tuple[int | Fraction, ...]) -> bool:
+def _feasible(equality_rows: tuple[tuple[int, ...], ...], equality_rhs: tuple[int, ...]) -> bool:
     """Is {E x = e, x >= 0} feasible? The verdict of `lp_feasible` on
     equality rows the caller has built from checked objects and so passes
-    unchecked: a nonempty tuple of equally long, nonempty tuples of ints and
-    Fractions, with one int or Fraction right side each. The semistability
-    checks and `newton_membership` call it. The program has a zero objective
+    unchecked: a nonempty tuple of equally long, nonempty tuples of ints,
+    with one int right side each. The semistability checks and
+    `newton_membership` call it. The program has a zero objective
     and equality rows, so `lp_minimize` takes the two-phase route and returns
     the phase-one verdict."""
     program = LinearProgram._trusted(
@@ -645,7 +654,7 @@ def _slope(cost: tuple[int | Fraction, ...], rows: tuple[tuple[int, ...], ...]) 
     objects and so passes unchecked: `cost` a nonempty tuple of positive ints
     and Fractions, `rows` a nonempty tuple of tuples of nonnegative ints, each
     as long as `cost`. `torus_rank`, `symm_torus_rank` and `t_stable_rank`
-    call it."""
+    call it with int costs alone."""
     if not all(map(any, rows)):
         return SlopeResult(value=math.inf, witness=None)
     out = lp_minimize(LinearProgram._trusted(cost, rows, (1,) * len(rows)))

@@ -326,7 +326,7 @@ def t_stable_rank(ideal) -> SlopeResult:
     is +infinity exactly when some generator has a nonzero constant term.
     """
     rows = _support_rows(ideal)
-    return _slope((Fraction(1),) * len(rows[0]), rows)
+    return _slope((1,) * len(rows[0]), rows)
 
 
 def apply_linear_change(f: SparsePolynomial, change: LinearChange) -> SparsePolynomial:
@@ -409,8 +409,13 @@ def newton_membership(ideal: MonomialIdeal, nu) -> bool:
     The polyhedron is the convex hull of the generator exponents plus the
     nonnegative orthant, so membership asks for convex multipliers theta
     with sum(theta) = 1 and sum theta_i * l_i <= (1/nu, ..., 1/nu)
-    componentwise; the slack makes it an exact feasibility program.
+    componentwise; a slack s per coordinate makes it an exact feasibility
+    program. For nu = p/q it is solved over theta' = p * theta and
+    s' = p * s, whose rows and right sides are all integers:
+    sum theta'_i * l_i + s' = (q, ..., q) and sum(theta') = p.
     """
+    if not isinstance(ideal, MonomialIdeal):
+        raise InputError("newton_membership expects a monomial ideal")
     scale = rational(nu, "nu")
     if scale <= 0:
         raise InputError("nu must be positive")
@@ -419,7 +424,7 @@ def newton_membership(ideal: MonomialIdeal, nu) -> bool:
     eq_rows = [tuple(g[j] for g in gens) + tuple(int(k == j) for k in range(n))
                for j in range(n)]
     eq_rows.append((1,) * r + (0,) * n)
-    return _feasible(tuple(eq_rows), (Fraction(1) / scale,) * n + (1,))
+    return _feasible(tuple(eq_rows), (scale.denominator,) * n + (scale.numerator,))
 
 
 def newton_threshold(ideal: MonomialIdeal) -> Fraction:
@@ -428,6 +433,8 @@ def newton_threshold(ideal: MonomialIdeal) -> Fraction:
     Minimizes t = 1/nu subject to sum theta_i * l_i <= t * (1,...,1) over
     convex multipliers theta; a single exact LP solve.
     """
+    if not isinstance(ideal, MonomialIdeal):
+        raise InputError("newton_threshold expects a monomial ideal")
     if ideal.is_unit:
         raise InputError("threshold undefined for the unit ideal")
     gens = ideal.generators

@@ -7,7 +7,12 @@ diagonal torus of the chosen basis turns each rank into the minimization of
 an exact fractional linear program over the support, so every function below
 reduces to the program of `stablerank.exactlp.minimize_slope` or of
 `lp_feasible`. Their rows come from supports the constructors have checked,
-so they go to the unchecked solves `exactlp._slope` and `_feasible`. Because
+so they go to the unchecked solves `exactlp._slope` and `_feasible`, and
+every row entry, right side and cost is an int: a program with fractions is
+handed over as its all-integer twin, a positive scaling of its rows and
+variables (a multiple of theta below, L * alpha with L the lcm of alpha's
+denominators), so the solver never rescales a row, sizes the tableau from
+the integer rows, and takes the pivots the fractional program would. Because
 only diagonal one-parameter subgroups are searched, the returned ranks are
 upper bounds on the full group-stable rank; they are exact whenever some
 optimal subgroup is diagonal in the given basis (torus-optimal tensors).
@@ -34,13 +39,16 @@ with every row; if not, a hyperplane separates the uniform point from the
 convex hull of the rows, and its normal, made traceless factor by factor
 and scaled (rational suffices, denominators clear), is a destabilizer. For a
 form the point is (d/n, ..., d/n) and the hull is that of the exponents.
+Both programs are solved over a multiple of theta with integer marginals:
+n * theta for a tensor, whose marginals are then 1, and (n / g) * theta for
+a form, g = gcd(n, d), whose point is then (d / g, ..., d / g).
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import InputError
 from .exactlp import SlopeResult, _feasible, _slope
@@ -176,19 +184,22 @@ def torus_rank(support: TensorSupport, alpha: Sequence | None = None) -> SlopeRe
     alpha = (a_1, ..., a_d) the slope of a weight assignment lam is
     (sum_i a_i * sum_j lam_i[j]) / (min over tuples of sum_i lam_i[j_i]),
     and the infimum over integer assignments is attained by the exact LP
-    minimum. The default alpha is all ones; entries must be positive.
+    minimum. The default alpha is all ones; entries must be positive. The
+    program is solved with the integer costs L * alpha, L the lcm of their
+    denominators, and its value divided by L; the witness is the same.
     """
     n, d = support.dims, support.order
     if alpha is None:
-        avec = (1,) * d
-    else:
-        avec = tuple(rational(a, "alpha") for a in alpha)
-        if len(avec) != d:
-            raise InputError(f"alpha has {len(avec)} entries, expected {d}")
-        if any(a <= 0 for a in avec):
-            raise InputError("alpha entries must be positive")
-    cost = tuple(avec[i] for i in range(d) for _ in range(n))
-    return _slope(cost, _support_rows(support))
+        return _slope((1,) * (n * d), _support_rows(support))
+    avec = tuple(rational(a, "alpha") for a in alpha)
+    if len(avec) != d:
+        raise InputError(f"alpha has {len(avec)} entries, expected {d}")
+    if any(a <= 0 for a in avec):
+        raise InputError("alpha entries must be positive")
+    scale = math.lcm(*(a.denominator for a in avec))
+    cost = tuple(a.numerator * (scale // a.denominator) for a in avec for _ in range(n))
+    result = _slope(cost, _support_rows(support))
+    return SlopeResult(value=result.value / scale, witness=result.witness)
 
 
 def symm_torus_rank(support: SymmetricSupport) -> SlopeResult:
@@ -200,8 +211,7 @@ def symm_torus_rank(support: SymmetricSupport) -> SlopeResult:
     alpha (tested as an invariant, both directions of the slope comparison
     going through `combine_one_ps`).
     """
-    d = support.degree
-    return _slope((Fraction(d),) * support.nvars, support.sorted_exponents)
+    return _slope((support.degree,) * support.nvars, support.sorted_exponents)
 
 
 def expand_symmetric(support: SymmetricSupport) -> TensorSupport:
@@ -257,34 +267,43 @@ def is_torus_semistable(support: TensorSupport) -> bool:
     convex weights theta on the support tuples put mass 1/n on every index j
     of every factor i (torus semistability for the product of SL(n)'s).
 
-    One exact feasibility program with a variable per support tuple and the
-    rows sum(theta) = 1 and, for every factor, the marginals of j = 1..n-1;
-    the marginal of index n follows from those, and a row implied by the
-    others would only leave an artificial to drive out after phase one.
-    Neither n = 1 nor d = 1 is special: with n = 1 only sum(theta) = 1
-    remains, which every support meets (SL(1) is trivial), and with d = 1
-    the rows ask for theta = 1/n on every basis vector, so the vector is
-    semistable exactly when no coordinate is zero.
+    One exact feasibility program over theta' = n * theta, with a variable
+    per support tuple and the integer rows sum(theta') = n and, for every
+    factor, the marginals of j = 1..n-1 equal to 1; the marginal of index n
+    follows from those, and a row implied by the others would only leave an
+    artificial to drive out after phase one. The 0/1 marginal rows are built
+    one factor at a time, by setting the entry of each tuple's index. Neither
+    n = 1 nor d = 1 is special: with n = 1 only sum(theta') = 1 remains,
+    which every support meets (SL(1) is trivial), and with d = 1 the rows ask
+    for theta' = 1 on every basis vector, so the vector is semistable exactly
+    when no coordinate is zero.
     """
     n, d = support.dims, support.order
     tuples = support.sorted_tuples
     rows = [(1,) * len(tuples)]
-    rows += [tuple(int(t[i] == j) for t in tuples) for i in range(d) for j in range(1, n)]
-    return _feasible(tuple(rows), (1,) + (Fraction(1, n),) * (len(rows) - 1))
+    for i in range(d):
+        marginals = [[0] * len(tuples) for _ in range(n - 1)]
+        for c, t in enumerate(tuples):
+            if t[i] < n:
+                marginals[t[i] - 1][c] = 1
+        rows += map(tuple, marginals)
+    return _feasible(tuple(rows), (n,) + (1,) * (len(rows) - 1))
 
 
 def is_symm_torus_semistable(support: SymmetricSupport) -> bool:
     """True when (d/n, ..., d/n) lies in the convex hull of the exponent
     vectors (torus semistability of the form for SL(n)).
 
-    One exact feasibility program with a variable theta_m per exponent
-    vector and the n rows sum_m theta_m * m_j = d/n; every m sums to d, so
-    the rows already force sum(theta) = 1. Neither n = 1 nor d = 1 is
-    special: with n = 1 the one row reads d * sum(theta) = d, which every
-    form meets, and with d = 1 the exponents are unit vectors and the rows
-    ask for all n of them.
+    One exact feasibility program over theta' = (n / g) * theta, with
+    g = gcd(n, d), a variable theta'_m per exponent vector and the n integer
+    rows sum_m theta'_m * m_j = d / g; every m sums to d, so the rows already
+    force sum(theta') = n / g. The right side d / g is the least integer
+    multiple of d/n: a larger one would only widen the tableau. Neither
+    n = 1 nor d = 1 is special: with n = 1 the one row reads
+    d * sum(theta') = d, which every form meets, and with d = 1 the
+    exponents are unit vectors and the rows ask for all n of them.
     """
     n, d = support.nvars, support.degree
     exponents = support.sorted_exponents
     rows = tuple(tuple(m[j] for m in exponents) for j in range(n))
-    return _feasible(rows, (Fraction(d, n),) * n)
+    return _feasible(rows, (d // math.gcd(n, d),) * n)

@@ -314,6 +314,13 @@ class TestNewton:
         with pytest.raises(InputError):
             newton_membership(CYCLIC, 0)
 
+    def test_polynomial_ideal_rejected(self):
+        ideal = PolyIdeal(2, [SparsePolynomial(2, {(1, 0): 1})])
+        with pytest.raises(InputError, match="newton_membership expects a monomial ideal"):
+            newton_membership(ideal, 1)
+        with pytest.raises(InputError, match="newton_threshold expects a monomial ideal"):
+            newton_threshold(ideal)
+
 
 class TestIdealAlgebra:
     def test_square_of_maximal_ideal(self):

@@ -5,7 +5,15 @@
 checks and `newton_membership` hand theirs to `exactlp._feasible`, unchecked,
 because they build them from objects their own constructors have checked.
 Over seeded random inputs, every such program must pass the public checks
-unchanged, and each answer must equal the public route's exactly.
+unchanged, hold ints alone, and give the public route's answer exactly.
+
+Each caller hands over the all-integer twin of a program with fractional
+right sides or costs (n * theta for semistability, p * theta for
+`newton_membership` at nu = p/q, L * alpha for `torus_rank`). The twin is a
+positive scaling of rows and variables, so the simplex must take the same
+pivots as the fractional formulation through the public `lp_feasible` and
+`minimize_slope`, in fields never wider for the rank and semistability
+programs.
 """
 
 import itertools
@@ -14,7 +22,7 @@ from fractions import Fraction as F
 
 import pytest
 
-from stablerank import ideals, tensors
+from stablerank import exactlp, ideals, tensors
 from stablerank.exactlp import lp_feasible, minimize_slope
 from stablerank.ideals import (
     LinearChange,
@@ -101,7 +109,7 @@ def random_poly_ideal(rng):
 def assert_checked_slope(cost, rows, result):
     assert type(cost) is tuple and cost
     for c in cost:
-        assert type(c) in (int, F) and rational(c, "cost") is c and c > 0
+        assert type(c) is int and rational(c, "cost") is c and c > 0
     assert type(rows) is tuple and rows
     for row in rows:
         assert type(row) is tuple and integers(row, "support row") == row
@@ -118,8 +126,8 @@ def assert_checked_feasible(rows, rhs, verdict):
     assert width
     for row in rows:
         assert type(row) is tuple and len(row) == width
-        assert all(type(v) in (int, F) and rational(v, "equality row") is v for v in row)
-    assert all(type(v) in (int, F) and rational(v, "equality rhs") is v for v in rhs)
+        assert all(type(v) is int and rational(v, "equality row") is v for v in row)
+    assert all(type(v) is int and rational(v, "equality rhs") is v for v in rhs)
     assert lp_feasible([], [], rows, rhs)[0] is verdict
 
 
@@ -184,3 +192,125 @@ def test_polynomial_ideals(calls):
         infinite += not result.is_finite
         assert check_all(calls) == {"slope"}
     assert 0 < infinite < 120
+
+
+class PivotTrace:
+    """Watches every solve through exactlp's module globals: per tableau, its
+    field width k, the basis before each pivot with the leaving row, and the
+    final basis of its last simplex pass."""
+
+    def __init__(self, monkeypatch):
+        self.solves = []
+        self.basis = None
+        trace, simplex, pivot = self, exactlp._simplex, exactlp._pivot
+
+        class Fields(exactlp._Fields):
+            def __init__(self, bits):
+                super().__init__(bits)
+                trace.solves.append({"k": self.k, "pivots": [], "basis": None})
+
+        def traced_simplex(rows, basis, d, fields, ncols):
+            trace.basis = basis
+            out = simplex(rows, basis, d, fields, ncols)
+            trace.solves[-1]["basis"] = list(basis)
+            return out
+
+        def traced_pivot(rows, d, r, factors):
+            trace.solves[-1]["pivots"].append((tuple(trace.basis), r))
+            return pivot(rows, d, r, factors)
+
+        monkeypatch.setattr(exactlp, "_Fields", Fields)
+        monkeypatch.setattr(exactlp, "_simplex", traced_simplex)
+        monkeypatch.setattr(exactlp, "_pivot", traced_pivot)
+
+    def run(self, solve):
+        """(answer, the records of its tableaux) of `solve()`."""
+        self.solves = []
+        return solve(), self.solves
+
+
+def old_tensor_program(support):
+    """The fractional formulation over convex theta: sum(theta) = 1 and
+    every marginal of j < n equal to 1/n."""
+    n, d = support.dims, support.order
+    tuples = support.sorted_tuples
+    rows = [(1,) * len(tuples)]
+    rows += [tuple(int(t[i] == j) for t in tuples) for i in range(d) for j in range(1, n)]
+    return rows, (1,) + (F(1, n),) * (len(rows) - 1)
+
+
+def old_form_program(form):
+    n, d = form.nvars, form.degree
+    rows = [tuple(m[j] for m in form.sorted_exponents) for j in range(n)]
+    return rows, (F(d, n),) * n
+
+
+def old_newton_program(ideal, nu):
+    """sum theta_i * l_i + s = (1/nu, ..., 1/nu) and sum(theta) = 1."""
+    gens, n = ideal.generators, ideal.nvars
+    rows = [tuple(g[j] for g in gens) + tuple(int(k == j) for k in range(n)) for j in range(n)]
+    rows.append((1,) * len(gens) + (0,) * n)
+    return rows, (1 / F(nu),) * n + (1,)
+
+
+def test_integer_programs_take_the_fractional_pivots(monkeypatch):
+    trace = PivotTrace(monkeypatch)
+    rng = random.Random(20261106)
+    widths, verdicts, pivots = [], {"tensor": set(), "form": set(), "newton": set()}, 0
+
+    def same_path(new, old, answers_equal=lambda a, b: a == b and type(a) is type(b),
+                  caller="rank"):
+        nonlocal pivots
+        (new_answer, new_solves), (old_answer, old_solves) = trace.run(new), trace.run(old)
+        assert answers_equal(new_answer, old_answer)
+        assert len(new_solves) == len(old_solves)
+        for new_solve, old_solve in zip(new_solves, old_solves):
+            assert new_solve["pivots"] == old_solve["pivots"]
+            assert new_solve["basis"] == old_solve["basis"]
+            widths.append((caller, new_solve["k"], old_solve["k"]))
+            pivots += len(new_solve["pivots"])
+        return new_answer
+
+    def same_slope(a, b):
+        return (a.value, a.witness) == (b.value, b.witness) and type(a.value) is type(b.value)
+
+    for case in range(80):
+        support = random_tensor(rng)
+        rows, rhs = old_tensor_program(support)
+        verdicts["tensor"].add(same_path(lambda: is_torus_semistable(support),
+                                         lambda: lp_feasible([], [], rows, rhs)[0],
+                                         caller="tensor"))
+        alpha = [rng.choice((1, 2, F(1, 2), F(3, 2), F(5, 3))) for _ in range(support.order)]
+        cost = [a for a in alpha for _ in range(support.dims)]
+        same_path(lambda: torus_rank(support, alpha),
+                  lambda: minimize_slope(cost, tensors._support_rows(support)), same_slope)
+
+        form = random_form(rng)
+        rows, rhs = old_form_program(form)
+        verdicts["form"].add(same_path(lambda: is_symm_torus_semistable(form),
+                                       lambda: lp_feasible([], [], rows, rhs)[0],
+                                       caller="form"))
+        same_path(lambda: symm_torus_rank(form),
+                  lambda: minimize_slope([F(form.degree)] * form.nvars, form.sorted_exponents),
+                  same_slope)
+
+        ideal = random_monomial_ideal(rng)
+        same_path(lambda: t_stable_rank(ideal),
+                  lambda: minimize_slope([F(1)] * ideal.nvars, ideal.generators), same_slope)
+        if ideal.is_unit:
+            continue
+        lct = lct_monomial(ideal)
+        for nu in (lct, lct + F(1, 7), F(rng.randint(1, 9), rng.randint(1, 9))):
+            rows, rhs = old_newton_program(ideal, nu)
+            verdicts["newton"].add(same_path(lambda: newton_membership(ideal, nu),
+                                             lambda: lp_feasible([], [], rows, rhs)[0],
+                                             caller="newton"))
+    assert all(v == {True, False} for v in verdicts.values()), verdicts
+    assert pivots > 1000
+    # The Newton twin moves p into the sum row's right side, so a short row
+    # set at a large p can come out wider (3 of these 198 programs, such as
+    # x*y^3 at nu = 10/21); p * theta is still the least integer scaling that
+    # keeps the pivots, and only the tests call `newton_membership`.
+    assert all(new <= old for caller, new, old in widths if caller != "newton")
+    for caller in ("tensor", "form", "newton", "rank"):
+        assert any(new < old for c, new, old in widths if c == caller), caller
