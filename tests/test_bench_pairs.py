@@ -1,6 +1,7 @@
 """Verdicts of tools/bench_pairs.py, on made-up runs (no benchmark is run)."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
@@ -109,3 +110,46 @@ class TestParsePlan:
             bench_pairs.parse_plan(["--parent", "HEAD~1", "--out", "B.json", *argv])
         assert exc.value.code == 2
         assert "--workload" in capsys.readouterr().err
+
+
+class TestTable:
+    def report(self):
+        # the same values for both metrics: higher is better for one, lower for the other
+        def both(values):
+            return [{"metrics": {"ops_per_s": {"value": v}, "op_p50_ms": {"value": v}}, "failed": 0}
+                    for v in values]
+
+        wide = [60, 140, 60, 140, 100, 60, 140, 100, 60, 140]
+        return {"workloads": {
+            "rank": {
+                "seed 1": {"end_to_end": bench_pairs.compare(both(PARENT), both([v * 1.3 for v in PARENT]),
+                                                             SPEC)},
+                "traced seed 1": {"per_layer": {}},
+            },
+            "cli": {"seed 3": {"end_to_end": bench_pairs.compare(both(wide), both([90] * 10), SPEC)}},
+        }}
+
+    def test_one_row_per_workload_and_seed(self):
+        assert bench_pairs.table(self.report()).splitlines() == [
+            "| workload, seed (pairs) | ops_per_s | op_p50_ms |",
+            "|---|---|---|",
+            "| `rank` 1 (10) | 100 [99–101] → 130 (10/10) | 100 [99–101] → 130 (0/10), regression |",
+            "| `cli` 3 (10) | 100 [60–140] → 90 (4/10), unresolved"
+            " | 100 [60–140] → 90 (6/10), unresolved |",
+        ]
+
+    def test_from_a_file(self, tmp_path, capsys):
+        path = tmp_path / "BENCH.json"
+        path.write_text(json.dumps(self.report()), encoding="utf-8")
+        assert bench_pairs.main(["--table", str(path)]) == 0
+        assert capsys.readouterr().out == bench_pairs.table(self.report()) + "\n"
+
+    def test_table_runs_nothing(self):
+        args, plan = bench_pairs.parse_plan(["--table", "B.json"])
+        assert plan == [] and args.table.name == "B.json"
+
+    def test_a_comparison_needs_parent_and_out(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.parse_plan(["--parent", "HEAD~1", "--workload", "rank", "--seed", "1"])
+        assert exc.value.code == 2
+        assert "--table" in capsys.readouterr().err

@@ -3,6 +3,7 @@
     python3 tools/bench_pairs.py --parent REV [--change REV] \
         --workload rank --seed 1 --seed 5 --workload semistable --seed 1 \
         --pairs 10 --traced-pairs 3 --seconds 28 --out BENCH_N.json
+    python3 tools/bench_pairs.py --table BENCH_N.json
 
 Run from the root of a checkout. Each revision's committed files are
 exported with `git archive` into a temporary directory, so the benchmark
@@ -27,6 +28,11 @@ otherwise "regression" when the median got worse by more than the bound,
 and "within bound" when it did not. Traced runs give the medians of every
 per-layer metric per side, and whether every count repeated exactly on both
 sides. Every run's attempted, failed and correct figures are kept too.
+
+At the end of a comparison, and for `--table` on a file it wrote, the script
+prints the end-to-end figures as a markdown table: one row per workload and
+seed, and per metric the cell "parent median [q1–q3] → change median
+(wins/pairs)", followed by the verdict when it is not "within bound".
 
 Stdlib only. Quartiles are `statistics.quantiles(values, n=4)`, the
 exclusive method.
@@ -135,9 +141,33 @@ def pairs(trees: dict, workload: str, seed: int, count: int, seconds: float,
     return runs
 
 
+def table(report: dict) -> str:
+    """The end-to-end metrics of a report as a markdown table, one row per
+    workload and seed; traced runs have no row."""
+    rows = [(workload, key.removeprefix("seed "), part["end_to_end"])
+            for workload, entry in report["workloads"].items()
+            for key, part in entry.items() if "end_to_end" in part]
+    names = list(rows[0][2])
+    lines = ["| workload, seed (pairs) | " + " | ".join(names) + " |",
+             "|---" * (len(names) + 1) + "|"]
+    for workload, seed, metrics in rows:
+        cells = []
+        for name in names:
+            m = metrics[name]
+            a, b = m["parent"], m["change"]
+            cell = (f"{a['median']:.4g} [{a['q1']:.4g}–{a['q3']:.4g}] → {b['median']:.4g} "
+                    f"({m['wins']}/{m['pairs']})")
+            cells.append(cell if m["verdict"] == "within bound" else f"{cell}, {m['verdict']}")
+        pairs = metrics[names[0]]["pairs"]
+        lines.append(f"| `{workload}` {seed} ({pairs}) | " + " | ".join(cells) + " |")
+    return "\n".join(lines)
+
+
 def parse_plan(argv: list[str]) -> tuple[argparse.Namespace, list[tuple[str, list[int]]]]:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--parent", required=True, help="git revision of the parent")
+    parser.add_argument("--table", type=Path,
+                        help="print the markdown table of a file this script wrote, and run nothing")
+    parser.add_argument("--parent", help="git revision of the parent")
     parser.add_argument("--change", default="HEAD", help="git revision of the change")
     parser.add_argument("--workload", action="append", default=[], dest="plan",
                         type=lambda w: ("workload", w))
@@ -145,8 +175,12 @@ def parse_plan(argv: list[str]) -> tuple[argparse.Namespace, list[tuple[str, lis
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--traced-pairs", type=int, default=3)
     parser.add_argument("--seconds", type=float, default=28)
-    parser.add_argument("--out", required=True, type=Path)
+    parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
+    if args.table:
+        return args, []
+    if not (args.parent and args.out):
+        parser.error("give --parent and --out, or --table alone")
     plan = []
     for kind, value in args.plan:
         if kind == "workload":
@@ -163,6 +197,9 @@ def parse_plan(argv: list[str]) -> tuple[argparse.Namespace, list[tuple[str, lis
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args, plan = parse_plan(argv)
+    if args.table:
+        print(table(json.loads(args.table.read_text(encoding="utf-8"))))
+        return 0
     spec = json.loads(Path("BENCHMARK.json").read_text(encoding="utf-8"))
     revs = {side: git("rev-parse", rev) for side, rev in
             (("parent", args.parent), ("change", args.change))}
@@ -191,14 +228,12 @@ def main(argv=None) -> int:
                 }
             # written after every workload, so a long comparison cut short keeps its results
             args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
+    print(table(report))
     for workload, entry in report["workloads"].items():
         for key, part in entry.items():
-            for name, m in part.get("end_to_end", {}).items():
-                print(f"{workload} {key} {name}: {m['parent']['median']:.4g} "
-                      f"[{m['parent']['q1']:.4g}-{m['parent']['q3']:.4g}] -> "
-                      f"{m['change']['median']:.4g} ({m['wins']}/{m['pairs']})"
-                      f" {m['verdict']}"
-                      f"{' gain' if m['gain_claimable'] else ''}")
+            gains = [name for name, m in part.get("end_to_end", {}).items() if m["gain_claimable"]]
+            if gains:
+                print(f"gain claimable: {workload} {key}: {', '.join(gains)}")
     return 0
 
 
