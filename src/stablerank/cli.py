@@ -75,11 +75,18 @@ def _emit(as_json: bool, value: str, witness_json: list, witness_text: str | Non
     return 0
 
 
+def _flat_witness(witness) -> tuple[list, str | None]:
+    """A flat witness vector as `_emit` takes it: a JSON list and a text line."""
+    if witness is None:
+        return [], None
+    return list(witness), " ".join(map(str, witness))
+
+
 def _cmd_rank_tensor(args) -> int:
     support = _load(args.file, ("tensor",), "rank tensor")
     alpha = None
     if args.alpha is not None:
-        parts = [p for p in args.alpha.split(",")]
+        parts = args.alpha.split(",")
         if len(parts) != support.order:
             raise InputError(
                 f"--alpha needs {support.order} comma-separated rationals, got {len(parts)}"
@@ -100,9 +107,7 @@ def _cmd_rank_tensor(args) -> int:
 def _cmd_rank_symm(args) -> int:
     support = _load(args.file, ("symm",), "rank symm")
     result = symm_torus_rank(support)
-    witness_json = list(result.witness) if result.witness is not None else []
-    witness_text = " ".join(map(str, result.witness)) if result.witness is not None else None
-    return _emit(args.json, fmt(result.value), witness_json, witness_text,
+    return _emit(args.json, fmt(result.value), *_flat_witness(result.witness),
                  [_UPPER_BOUND_TENSOR])
 
 
@@ -124,18 +129,14 @@ def _cmd_rank_ideal(args) -> int:
         notes.append(
             f"minimum over {len(candidates)} coordinate systems; attained by {best_label}"
         )
-    witness_json = list(best.witness) if best.witness is not None else []
-    witness_text = " ".join(map(str, best.witness)) if best.witness is not None else None
-    return _emit(args.json, fmt(best.value), witness_json, witness_text, notes)
+    return _emit(args.json, fmt(best.value), *_flat_witness(best.witness), notes)
 
 
 def _cmd_lct(args) -> int:
     ideal = _load(args.file, ("mideal",), "lct")
     result = _lct_rank(ideal)
-    witness_json = list(result.witness) if result.witness is not None else []
-    witness_text = " ".join(map(str, result.witness)) if result.witness is not None else None
     notes = ["log canonical threshold at the origin; equals the stable rank of the ideal"]
-    return _emit(args.json, fmt(result.value), witness_json, witness_text, notes)
+    return _emit(args.json, fmt(result.value), *_flat_witness(result.witness), notes)
 
 
 def _cmd_semistable(args) -> int:
@@ -184,8 +185,16 @@ def _cmd_verify(args) -> int:
     return 1 if total_failed else 0
 
 
+def _formatter(prog: str) -> argparse.HelpFormatter:
+    # A fixed width, the one every caller whose stdout is not a terminal gets
+    # anyway: without one, argparse asks shutil for the terminal size, and
+    # importing shutil (with bz2, lzma, fnmatch and zlib) costs a short call
+    # more than all the rest of its parsing.
+    return argparse.HelpFormatter(prog, width=78)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, formatter_class=_formatter)
     common.add_argument("--json", action="store_true",
                         help="print one JSON object instead of plain lines")
 
@@ -193,39 +202,45 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="stablerank",
         description="Exact torus-restricted stable ranks, ideal ranks, and "
                     "monomial log canonical thresholds.",
+        formatter_class=_formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    rank = sub.add_parser("rank", help="stable rank of a tensor, form, or ideal")
+    rank = sub.add_parser("rank", formatter_class=_formatter,
+                          help="stable rank of a tensor, form, or ideal")
     ranksub = rank.add_subparsers(dest="target", required=True)
 
-    rt = ranksub.add_parser("tensor", parents=[common], help="tensor support file")
+    rt = ranksub.add_parser("tensor", parents=[common], formatter_class=_formatter,
+                            help="tensor support file")
     rt.add_argument("file")
     rt.add_argument("--alpha", metavar="LIST",
                     help="comma-separated positive rationals, one per tensor factor")
     rt.set_defaults(handler=_cmd_rank_tensor)
 
-    rs = ranksub.add_parser("symm", parents=[common], help="symmetric support file")
+    rs = ranksub.add_parser("symm", parents=[common], formatter_class=_formatter,
+                            help="symmetric support file")
     rs.add_argument("file")
     rs.set_defaults(handler=_cmd_rank_symm)
 
-    ri = ranksub.add_parser("ideal", parents=[common], help="mideal or pideal file")
+    ri = ranksub.add_parser("ideal", parents=[common], formatter_class=_formatter,
+                            help="mideal or pideal file")
     ri.add_argument("file")
     ri.add_argument("--change", action="append", metavar="MATRIXFILE",
                     help="matrix file with a linear change of coordinates; repeatable")
     ri.set_defaults(handler=_cmd_rank_ideal)
 
-    lct = sub.add_parser("lct", parents=[common],
+    lct = sub.add_parser("lct", parents=[common], formatter_class=_formatter,
                          help="log canonical threshold of a monomial ideal")
     lct.add_argument("file")
     lct.set_defaults(handler=_cmd_lct)
 
-    ss = sub.add_parser("semistable", parents=[common],
+    ss = sub.add_parser("semistable", parents=[common], formatter_class=_formatter,
                         help="torus semistability of a tensor or symmetric support")
     ss.add_argument("file")
     ss.set_defaults(handler=_cmd_semistable)
 
-    vf = sub.add_parser("verify", parents=[common], help="run a self-check suite")
+    vf = sub.add_parser("verify", parents=[common], formatter_class=_formatter,
+                        help="run a self-check suite")
     vf.add_argument("suite", help=f"one of: {', '.join([*SUITES, 'all'])}")
     vf.add_argument("--seed", type=int, default=0)
     vf.add_argument("--cases", type=int, default=200)

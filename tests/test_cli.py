@@ -1,5 +1,6 @@
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -287,3 +288,58 @@ def test_python_m_entry_points(files, module, capsys):
     done = subprocess.run([sys.executable, "-m", module, "lct", files["cyclic.txt"]],
                           capture_output=True, text=True, env=env, timeout=60)
     assert (done.returncode, done.stdout, done.stderr) == (0, expected, "")
+
+
+class TestFixedHelpWidth:
+    """Every parser formats at one fixed width, so parsing never asks shutil
+    for the terminal size (importing shutil costs a short call more than the
+    rest of its parsing)."""
+
+    HELP = [[], ["rank"], ["rank", "tensor"], ["rank", "symm"], ["rank", "ideal"], ["lct"],
+            ["semistable"], ["verify"]]
+
+    @pytest.fixture
+    def no_terminal_size(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the terminal size was asked for")
+
+        monkeypatch.setattr(shutil, "get_terminal_size", refuse)
+
+    def test_no_call_asks_for_the_terminal_size(self, files, capsys, no_terminal_size):
+        for argv in (["rank", "tensor", files["w.txt"]], ["rank", "symm", files["wform.txt"]],
+                     ["rank", "ideal", files["square.txt"]], ["lct", files["cyclic.txt"]],
+                     ["semistable", files["diag.txt"]],
+                     ["verify", "symm-multi", "--cases", "2"]):
+            assert run(argv) == 0, argv
+            assert capsys.readouterr().out
+        for argv in self.HELP:
+            assert run([*argv, "--help"]) == 0, argv
+            assert capsys.readouterr().out.startswith(f"usage: {' '.join(['stablerank', *argv])} ")
+        assert run(["rank", "tensor"]) == 2
+        assert "error: the following arguments are required: file" in capsys.readouterr().err
+
+    def test_help_ignores_columns(self, capsys, monkeypatch):
+        pages = {}
+        for columns in ("40", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            for argv in self.HELP:
+                assert run([*argv, "--help"]) == 0
+                pages.setdefault(columns, []).append(capsys.readouterr().out)
+        assert pages["40"] == pages["200"]
+        assert max(len(line) for page in pages["40"] for line in page.splitlines()) <= 78
+
+
+def test_import_loads_the_speed_gauge_modules():
+    # bench/workloads.py scales every `cli` time by a PROBE_CHILD gauge, which
+    # imports these modules, and the benchmark compiles bytecode only for what
+    # `import stablerank.cli` loads. Dropping one of them from the import
+    # would leave the gauge compiling it from source and inflate the scaled
+    # figures. ROADMAP item 5 compiles bytecode for the gauge's own imports;
+    # that change retires this test.
+    env = dict(os.environ, PYTHONPATH=str(Path(stablerank.__file__).parents[1]))
+    code = ("import sys, stablerank.cli; "
+            "print(' '.join(m for m in ('argparse', 'dataclasses', 'json', 'random', 'fractions')"
+            " if m not in sys.modules))")
+    done = subprocess.run([sys.executable, "-S", "-c", code], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "\n", "")
