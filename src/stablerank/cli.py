@@ -187,9 +187,9 @@ def _cmd_verify(args) -> int:
 
 def _formatter(prog: str) -> argparse.HelpFormatter:
     # A fixed width, the one every caller whose stdout is not a terminal gets
-    # anyway: without one, argparse asks shutil for the terminal size, and
-    # importing shutil (with bz2, lzma, fnmatch and zlib) costs a short call
-    # more than all the rest of its parsing.
+    # anyway. Without a width, argparse imports shutil (and with it bz2, lzma,
+    # fnmatch and zlib) to ask for the terminal size, which at least doubles
+    # the time a call spends building its parsers.
     return argparse.HelpFormatter(prog, width=78)
 
 

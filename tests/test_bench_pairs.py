@@ -144,6 +144,30 @@ class TestTable:
         assert bench_pairs.main(["--table", str(path)]) == 0
         assert capsys.readouterr().out == bench_pairs.table(self.report()) + "\n"
 
+    def test_traced_layers_follow_the_end_to_end_table(self, tmp_path, capsys):
+        report = self.report()
+        report["workloads"]["cli"]["traced seed 3"] = {"per_layer": {
+            "cli.run_ms": {"unit": "ms", "parent": 51.5586, "change": 20.25},
+            "exactlp.solves": {"unit": "count", "parent": 1893, "change": 1893, "repeats": True},
+            "exactlp.program_cells": {"unit": "count", "parent": 252320, "change": 252321,
+                                      "repeats": False},
+            "exactlp.two_phase_s": {"unit": "s", "parent": 0, "change": 0},
+            "tensors.expand_s": {"unit": "s", "parent": 0, "change": 0.0021},
+        }}
+        assert bench_pairs.layer_table(report).splitlines() == [
+            "| traced workload, seed | layer | unit | parent → change (medians) |",
+            "|---|---|---|---|",
+            "| `cli` 3 | cli.run_ms | ms | 51.56 → 20.25 |",
+            "| `cli` 3 | exactlp.solves | count | 1,893 → 1,893 |",
+            "| `cli` 3 | exactlp.program_cells | count | 252,320 → 252,321, not repeated |",
+            "| `cli` 3 | tensors.expand_s | s | 0 → 0.0021 |",
+        ]
+        path = tmp_path / "BENCH.json"
+        path.write_text(json.dumps(report), encoding="utf-8")
+        assert bench_pairs.main(["--table", str(path)]) == 0
+        assert capsys.readouterr().out == (bench_pairs.table(report) + "\n\n"
+                                           + bench_pairs.layer_table(report) + "\n")
+
     def test_table_runs_nothing(self):
         args, plan = bench_pairs.parse_plan(["--table", "B.json"])
         assert plan == [] and args.table.name == "B.json"

@@ -291,9 +291,8 @@ def test_python_m_entry_points(files, module, capsys):
 
 
 class TestFixedHelpWidth:
-    """Every parser formats at one fixed width, so parsing never asks shutil
-    for the terminal size (importing shutil costs a short call more than the
-    rest of its parsing)."""
+    """Every parser formats at one fixed width, so a call never asks shutil
+    for the terminal size, and never pays for importing it."""
 
     HELP = [[], ["rank"], ["rank", "tensor"], ["rank", "symm"], ["rank", "ideal"], ["lct"],
             ["semistable"], ["verify"]]

@@ -32,7 +32,10 @@ sides. Every run's attempted, failed and correct figures are kept too.
 At the end of a comparison, and for `--table` on a file it wrote, the script
 prints the end-to-end figures as a markdown table: one row per workload and
 seed, and per metric the cell "parent median [q1–q3] → change median
-(wins/pairs)", followed by the verdict when it is not "within bound".
+(wins/pairs)", followed by the verdict when it is not "within bound". A
+second table follows for the traced runs: one row per workload and layer,
+with the parent's median → the change's, and "not repeated" after a count
+that did not repeat; a layer that reads 0 on both sides has no row.
 
 Stdlib only. Quartiles are `statistics.quantiles(values, n=4)`, the
 exclusive method.
@@ -163,10 +166,37 @@ def table(report: dict) -> str:
     return "\n".join(lines)
 
 
+def layer_table(report: dict) -> str:
+    """The traced per-layer medians of a report as a markdown table, one row
+    per workload and layer, leaving out layers that read 0 on both sides;
+    empty when nothing was traced."""
+    lines = []
+    for workload, entry in report["workloads"].items():
+        for key, part in entry.items():
+            for name, m in part.get("per_layer", {}).items():
+                if m["parent"] == m["change"] == 0:
+                    continue
+                digits = ",.10g" if m["unit"] == "count" else ".4g"
+                cell = f"{m['parent']:{digits}} → {m['change']:{digits}}"
+                if m["unit"] == "count" and not m["repeats"]:
+                    cell += ", not repeated"
+                lines.append(f"| `{workload}` {key.removeprefix('traced seed ')} | {name} "
+                             f"| {m['unit']} | {cell} |")
+    if not lines:
+        return ""
+    return "\n".join(["| traced workload, seed | layer | unit | parent → change (medians) |",
+                      "|---|---|---|---|", *lines])
+
+
+def tables(report: dict) -> str:
+    """The end-to-end table, then the per-layer table when there is one."""
+    return "\n\n".join(filter(None, (table(report), layer_table(report))))
+
+
 def parse_plan(argv: list[str]) -> tuple[argparse.Namespace, list[tuple[str, list[int]]]]:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--table", type=Path,
-                        help="print the markdown table of a file this script wrote, and run nothing")
+                        help="print the markdown tables of a file this script wrote, and run nothing")
     parser.add_argument("--parent", help="git revision of the parent")
     parser.add_argument("--change", default="HEAD", help="git revision of the change")
     parser.add_argument("--workload", action="append", default=[], dest="plan",
@@ -198,7 +228,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args, plan = parse_plan(argv)
     if args.table:
-        print(table(json.loads(args.table.read_text(encoding="utf-8"))))
+        print(tables(json.loads(args.table.read_text(encoding="utf-8"))))
         return 0
     spec = json.loads(Path("BENCHMARK.json").read_text(encoding="utf-8"))
     revs = {side: git("rev-parse", rev) for side, rev in
@@ -228,7 +258,7 @@ def main(argv=None) -> int:
                 }
             # written after every workload, so a long comparison cut short keeps its results
             args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
-    print(table(report))
+    print(tables(report))
     for workload, entry in report["workloads"].items():
         for key, part in entry.items():
             gains = [name for name, m in part.get("end_to_end", {}).items() if m["gain_claimable"]]
