@@ -13,7 +13,6 @@ from .exactlp import (
     lp_feasible,
     lp_minimize,
     minimize_slope,
-    oracle_minimum_over_vertices,
 )
 from .fileformat import InputDocument, parse_input, serialize
 from .ideals import (
@@ -66,7 +65,6 @@ __all__ = [
     "lp_feasible",
     "lp_minimize",
     "minimize_slope",
-    "oracle_minimum_over_vertices",
     "InputDocument",
     "parse_input",
     "serialize",

@@ -73,8 +73,9 @@ an integer witness with the same slope. The infimum is +infinity exactly
 when some row is the zero vector (that row's pairing vanishes for every
 lam), encoded as `math.inf`.
 
-Inputs are checked once, at the public entry points: `LinearProgram(...)`,
-`lp_feasible` and `minimize_slope` check and coerce every entry. `_slope`
+Inputs are checked once, at the public entry points: `LinearProgram(...)`
+and `minimize_slope` check and coerce every entry, and `lp_feasible` checks
+its system by building the `LinearProgram` with a zero objective. `_slope`
 and `_feasible` are their solves without the checks, for callers that build
 their rows from objects whose constructors have checked them: `torus_rank`,
 `symm_torus_rank` and `t_stable_rank` (and through it `lct_monomial`) call
@@ -91,6 +92,9 @@ every row by one positive factor and any variable by another changes no
 reduced-cost sign, no order among ratios and, the row factor being common,
 the phase-one objective only by a positive factor, so every pivot, vertex
 and verdict stays as it was.
+
+`_solve_square` runs the same pivot kernel as fraction-free Gauss-Jordan
+elimination; `LinearChange` uses it to invert its matrix.
 """
 
 from __future__ import annotations
@@ -99,7 +103,7 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations, repeat
+from itertools import chain, repeat
 from operator import attrgetter, mul, neg
 
 from .errors import InputError
@@ -112,7 +116,6 @@ __all__ = [
     "lp_minimize",
     "lp_feasible",
     "minimize_slope",
-    "oracle_minimum_over_vertices",
 ]
 
 def _rational_vector(values, length: int | None, what: str) -> tuple[int | Fraction, ...]:
@@ -120,10 +123,6 @@ def _rational_vector(values, length: int | None, what: str) -> tuple[int | Fract
     if length is not None and len(vec) != length:
         raise InputError(f"{what}: expected length {length}, got {len(vec)}")
     return vec
-
-
-def _dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
-    return sum(a * b for a, b in zip(u, v))
 
 
 @dataclass(frozen=True)
@@ -585,22 +584,21 @@ def lp_feasible(
 
     Returns (True, witness) with an exact rational witness, or (False, None)
     when the phase-one optimum is strictly positive (certified infeasibility).
+    A system with no rows is feasible, with the empty witness. The system is
+    checked as the `LinearProgram` with a zero objective and solved on the
+    two-phase route even without equality rows, which `lp_minimize` would
+    send to the dual route and so to another vertex.
     """
-    rows = [tuple(rational(v, "constraint row") for v in row) for row in constraint_rows]
-    rvec = [rational(v, "rhs") for v in rhs]
-    eq_rows = [tuple(rational(v, "equality row") for v in row) for row in equality_rows]
-    evec = [rational(v, "equality rhs") for v in equality_rhs]
-    if len(rows) != len(rvec) or len(eq_rows) != len(evec):
-        raise InputError("feasibility system: row/rhs length mismatch")
-    widths = {len(r) for r in rows} | {len(r) for r in eq_rows}
-    if len(widths) > 1:
-        raise InputError("feasibility system: rows have inconsistent arity")
-    if not widths:
+    rows = [list(row) for row in constraint_rows]
+    eq_rows = [list(row) for row in equality_rows]
+    # one variable stands in when there are no rows, so the right sides are
+    # still checked against them
+    n = len((rows or eq_rows or [[0]])[0])
+    program = LinearProgram((0,) * n, rows, rhs, eq_rows, equality_rhs)
+    if not rows and not eq_rows:
         return True, ()
-    n = widths.pop()
-    if n == 0:
-        raise InputError("feasibility system: zero-width rows")
-    outcome = _primal_two_phase([0] * n, rows, rvec, eq_rows, evec)
+    outcome = _primal_two_phase(program.objective, program.constraint_rows, program.rhs,
+                                program.equality_rows, program.equality_rhs)
     if outcome.status == "optimal":
         return True, outcome.vertex
     return False, None
@@ -688,61 +686,3 @@ def _solve_square(matrix: Sequence[Sequence], rhs: Sequence[Sequence]) -> list[l
         factors[col], factors[pivot_row] = factors[pivot_row], factors[col]
         d = _pivot(rows, d, col, factors)
     return [[Fraction(v, d) for v in fields.unpack(row, count, n)] for row in rows]
-
-
-def oracle_minimum_over_vertices(
-    program: LinearProgram, max_candidates: int = 100_000
-) -> LpOutcome:
-    """Brute-force reference solver: enumerate every candidate basis.
-
-    Tries each size-n subset of the constraint rows (equalities,
-    inequalities, and the nonnegativity bounds all together), solves the
-    square system exactly, keeps the feasible solutions and returns the
-    least objective value. Equality rows are not forced into the subsets:
-    a redundant equality (say, a zero row with zero right side) would make
-    every forced system singular, while the feasibility filter below
-    enforces equalities correctly either way. Intended as an independent
-    check on `lp_minimize`; it assumes the objective is bounded below on
-    the feasible region (x >= 0 keeps the region pointed, so a feasible
-    bounded program attains its minimum at some enumerated vertex).
-    Refuses instances whose candidate count exceeds `max_candidates`.
-    """
-    n = program.num_variables
-    m = len(program.constraint_rows)
-    p = len(program.equality_rows)
-    total = math.comb(p + m + n, n)
-    if total > max_candidates:
-        raise InputError(
-            f"vertex oracle: {total} basis candidates exceed the bound {max_candidates}"
-        )
-
-    all_rows = list(program.equality_rows) + list(program.constraint_rows)
-    all_rhs = list(program.equality_rhs) + list(program.rhs)
-    for j in range(n):
-        row = [Fraction(0)] * n
-        row[j] = Fraction(1)
-        all_rows.append(tuple(row))
-        all_rhs.append(Fraction(0))
-
-    best_value: Fraction | None = None
-    best_vertex: tuple[Fraction, ...] | None = None
-    for combo in combinations(range(p + m + n), n):
-        mat = [all_rows[idx] for idx in combo]
-        rhs = [all_rhs[idx] for idx in combo]
-        solution = _solve_square(mat, [[b] for b in rhs])
-        if solution is None:
-            continue
-        x = [row[0] for row in solution]
-        if any(xj < 0 for xj in x):
-            continue
-        if any(_dot(row, x) < b for row, b in zip(program.constraint_rows, program.rhs)):
-            continue
-        if any(_dot(row, x) != b for row, b in zip(program.equality_rows, program.equality_rhs)):
-            continue
-        value = _dot(program.objective, x)
-        if best_value is None or value < best_value:
-            best_value = value
-            best_vertex = tuple(x)
-    if best_value is None:
-        return LpOutcome(status="infeasible")
-    return LpOutcome(status="optimal", value=best_value, vertex=best_vertex)

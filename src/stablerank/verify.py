@@ -67,24 +67,28 @@ class CheckReport:
     witness: tuple | None = None
 
 
+# Size bounds of the random instances: variables or dimensions, degree or
+# order, support size and monomial exponent.
+_MAX_N = 3
+_MAX_D = 4
+_MAX_SUPPORT = 5
+_MAX_EXPONENT = 6
+
+
 @dataclass(frozen=True)
 class RandomInstanceConfig:
-    """Size bounds and seed for the random instance generators."""
+    """Seed and case count for the random instance generators."""
 
     seed: int
     cases: int = 200
-    max_n: int = 3
-    max_d: int = 4
-    max_support: int = 5
-    max_exponent: int = 6
 
     def __post_init__(self):
-        for name in ("seed", "cases", "max_n", "max_d", "max_support", "max_exponent"):
+        for name in ("seed", "cases"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, int):
                 raise InputError(f"{name} must be an integer, got {value!r}")
-            if name != "seed" and value < 1:
-                raise InputError(f"{name} must be >= 1, got {value}")
+        if self.cases < 1:
+            raise InputError(f"cases must be >= 1, got {self.cases}")
 
 
 _KIND_OF = {
@@ -115,31 +119,31 @@ def _compositions(total: int, parts: int):
             yield (head,) + tail
 
 
-def _random_symmetric(rng, config) -> SymmetricSupport:
-    n = rng.randint(1, config.max_n)
-    d = rng.randint(1, config.max_d)
+def _random_symmetric(rng) -> SymmetricSupport:
+    n = rng.randint(1, _MAX_N)
+    d = rng.randint(1, _MAX_D)
     pool = sorted(_compositions(d, n))
-    k = rng.randint(1, min(config.max_support, len(pool)))
+    k = rng.randint(1, min(_MAX_SUPPORT, len(pool)))
     return SymmetricSupport(d, n, rng.sample(pool, k))
 
 
-def _random_tensor(rng, config) -> TensorSupport:
-    n = rng.randint(1, config.max_n)
-    d = rng.randint(1, config.max_d)
+def _random_tensor(rng) -> TensorSupport:
+    n = rng.randint(1, _MAX_N)
+    d = rng.randint(1, _MAX_D)
     pool = [
         tuple(1 + (idx // n**i) % n for i in range(d)) for idx in range(n**d)
     ]
     pool = sorted(set(pool))
-    k = rng.randint(1, min(config.max_support, len(pool)))
+    k = rng.randint(1, min(_MAX_SUPPORT, len(pool)))
     return TensorSupport(d, n, rng.sample(pool, k))
 
 
-def _random_monomial_ideal(rng, config, nvars: int | None = None) -> MonomialIdeal:
-    n = nvars if nvars is not None else rng.randint(1, config.max_n)
+def _random_monomial_ideal(rng, nvars: int | None = None) -> MonomialIdeal:
+    n = nvars if nvars is not None else rng.randint(1, _MAX_N)
     gens = []
-    for _ in range(rng.randint(1, config.max_support)):
+    for _ in range(rng.randint(1, _MAX_SUPPORT)):
         while True:
-            g = tuple(rng.randint(0, config.max_exponent) for _ in range(n))
+            g = tuple(rng.randint(0, _MAX_EXPONENT) for _ in range(n))
             if any(g):  # a constant generator makes the ideal trivial
                 gens.append(g)
                 break
@@ -165,7 +169,7 @@ def check_symm_equals_multi(config: RandomInstanceConfig) -> list[CheckReport]:
     rng = random.Random(config.seed)
     reports = []
     for case in range(config.cases):
-        form = _random_symmetric(rng, config)
+        form = _random_symmetric(rng)
         symm = symm_torus_rank(form)
         multi = torus_rank(expand_symmetric(form))
         reports.append(
@@ -186,7 +190,7 @@ def check_semistable_iff_rank(config: RandomInstanceConfig) -> list[CheckReport]
     rng = random.Random(config.seed)
     reports = []
     for case in range(config.cases):
-        tensor = _random_tensor(rng, config)
+        tensor = _random_tensor(rng)
         rank = torus_rank(tensor)
         stable = is_torus_semistable(tensor)
         rank_full = rank.value == tensor.dims
@@ -200,7 +204,7 @@ def check_semistable_iff_rank(config: RandomInstanceConfig) -> list[CheckReport]
                 witness=rank.witness,
             )
         )
-        form = _random_symmetric(rng, config)
+        form = _random_symmetric(rng)
         srank = symm_torus_rank(form)
         sstable = is_symm_torus_semistable(form)
         srank_full = srank.value == form.nvars
@@ -258,7 +262,7 @@ def check_monomial_lct(config: RandomInstanceConfig) -> list[CheckReport]:
         )
     rng = random.Random(config.seed)
     for case in range(config.cases):
-        ideal = _random_monomial_ideal(rng, config)
+        ideal = _random_monomial_ideal(rng)
         rank = t_stable_rank(ideal)
         threshold = newton_threshold(ideal)
         reports.append(
@@ -289,11 +293,11 @@ def check_ideal_props(config: RandomInstanceConfig) -> list[CheckReport]:
     rng = random.Random(config.seed)
     reports = []
     for case in range(config.cases):
-        n = rng.randint(1, config.max_n)
+        n = rng.randint(1, _MAX_N)
 
         r = rng.randint(2, 3)
         base = (
-            _random_monomial_ideal(rng, config, n)
+            _random_monomial_ideal(rng, n)
             if case % 2 == 0
             else _random_poly_ideal(rng, n)
         )
@@ -312,9 +316,9 @@ def check_ideal_props(config: RandomInstanceConfig) -> list[CheckReport]:
         )
 
         if case % 3 == 0:
-            fa, fb = _random_monomial_ideal(rng, config, n), _random_monomial_ideal(rng, config, n)
+            fa, fb = _random_monomial_ideal(rng, n), _random_monomial_ideal(rng, n)
         elif case % 3 == 1:
-            fa, fb = _random_poly_ideal(rng, n), _random_monomial_ideal(rng, config, n)
+            fa, fb = _random_poly_ideal(rng, n), _random_monomial_ideal(rng, n)
         else:
             fa, fb = _random_poly_ideal(rng, n), _random_poly_ideal(rng, n)
         ra = t_stable_rank(fa).value
@@ -333,11 +337,11 @@ def check_ideal_props(config: RandomInstanceConfig) -> list[CheckReport]:
         )
 
         big = (
-            _random_monomial_ideal(rng, config, n)
+            _random_monomial_ideal(rng, n)
             if case % 2 == 0
             else _random_poly_ideal(rng, n)
         )
-        factor = _random_monomial_ideal(rng, config, n)
+        factor = _random_monomial_ideal(rng, n)
         small = ideal_product(big, factor)
         rank_small = t_stable_rank(small)
         rank_big = t_stable_rank(big).value
@@ -355,8 +359,8 @@ def check_ideal_props(config: RandomInstanceConfig) -> list[CheckReport]:
             )
         )
 
-        sa = _random_monomial_ideal(rng, config, n)
-        sb = _random_monomial_ideal(rng, config, n)
+        sa = _random_monomial_ideal(rng, n)
+        sb = _random_monomial_ideal(rng, n)
         rank_sum = t_stable_rank(ideal_sum(sa, sb))
         total = t_stable_rank(sa).value + t_stable_rank(sb).value
         reports.append(

@@ -9,12 +9,9 @@ import json
 import random
 from fractions import Fraction as F
 
+from oracle import oracle_minimum_over_vertices
 from stablerank.cli import run
-from stablerank.exactlp import (
-    LinearProgram,
-    lp_minimize,
-    oracle_minimum_over_vertices,
-)
+from stablerank.exactlp import LinearProgram, lp_minimize
 from stablerank.ideals import (
     LinearChange,
     MonomialIdeal,

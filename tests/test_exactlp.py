@@ -13,6 +13,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+from oracle import oracle_minimum_over_vertices
 from stablerank import exactlp
 from stablerank.errors import InputError
 from stablerank.exactlp import (
@@ -24,7 +25,6 @@ from stablerank.exactlp import (
     lp_feasible,
     lp_minimize,
     minimize_slope,
-    oracle_minimum_over_vertices,
 )
 from stablerank.rationals import integers
 from stablerank.tensors import TensorSupport, is_torus_semistable, torus_rank
@@ -152,6 +152,28 @@ class TestLpFeasible:
         ok, witness = lp_feasible([], [], [[1, 1], [1, -1]], [2, 0])
         assert ok
         assert witness == (F(1), F(1))
+
+    def test_no_rows(self):
+        assert lp_feasible([], []) == (True, ())
+        assert lp_feasible(iter([]), iter([]), iter([]), iter([])) == (True, ())
+
+    def test_rows_from_iterators(self):
+        rows = (iter(row) for row in [[1, 1], [1, -1]])
+        assert lp_feasible([], [], rows, iter([2, 0])) == (True, (F(1), F(1)))
+
+    @pytest.mark.parametrize("rows, rhs, eq_rows, eq_rhs", [
+        ([[1, 2]], [1, 2], [], []),  # more right sides than rows
+        ([[1, 2]], [1], [[1, 1]], []),  # an equality row without its right side
+        ([[1, 2], [1]], [1, 1], [], []),  # rows of two widths
+        ([[1]], [1], [[1, 1]], [1]),  # an equality row of another width
+        ([[0.5]], [1], [], []),  # floating point
+        ([[1]], ["x"], [], []),  # not a rational
+        ([[]], [1], [], []),  # zero-width rows
+        ([], [1], [], []),  # a right side with no rows
+    ])
+    def test_rejects_malformed_systems(self, rows, rhs, eq_rows, eq_rhs):
+        with pytest.raises(InputError):
+            lp_feasible(rows, rhs, eq_rows, eq_rhs)
 
 
 W_ROWS = [[0, 1, 1, 0, 1, 0], [1, 0, 0, 1, 1, 0], [1, 0, 1, 0, 0, 1]]

@@ -1,0 +1,66 @@
+"""Golden reports of the randomized cross-checks: every field, bit for bit.
+
+`stablerank verify --json` prints per-suite counts only, so its output cannot
+show a changed value or witness. `golden_verify.json` pins the name, both
+sides, the witness, the verdict and the reproducer of every report of
+`run_suite("all", RandomInstanceConfig(seed=s, cases=CASES))` for each seed
+in `SEEDS`, one report per line in run order.
+
+The file was written before the generator's size bounds became module
+constants; regenerating it is only right when a report is meant to change:
+
+    PYTHONPATH=src python tests/test_golden_verify.py
+"""
+
+import json
+import sys
+from pathlib import Path
+
+from stablerank.verify import RandomInstanceConfig, run_suite
+
+GOLDEN = Path(__file__).with_name("golden_verify.json")
+SEEDS = (0, 1)
+CASES = 40
+
+
+def reports() -> list[dict]:
+    """Every report of both runs, in order, as JSON-ready records."""
+    return [
+        {
+            "seed": seed,
+            "check_name": r.check_name,
+            "lhs": r.lhs,
+            "rhs": r.rhs,
+            "witness": None if r.witness is None else list(r.witness),
+            "passed": r.passed,
+            "instance": r.instance,
+        }
+        for seed in SEEDS
+        for r in run_suite("all", RandomInstanceConfig(seed=seed, cases=CASES))
+    ]
+
+
+def _load():
+    return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def test_golden_covers_every_suite_and_seed():
+    golden = _load()
+    assert {g["seed"] for g in golden} == set(SEEDS)
+    suites = {g["check_name"].split("/")[0] for g in golden}
+    assert suites == {"symm-multi", "semistable", "monomial-lct", "ideal-props", "lct-bound"}
+    assert all(g["passed"] for g in golden)
+
+
+def test_golden_reports():
+    golden = _load()
+    current = reports()
+    assert len(current) == len(golden)
+    differing = [i for i, (a, b) in enumerate(zip(current, golden)) if a != b]
+    assert differing == []
+
+
+if __name__ == "__main__":
+    lines = ",\n".join(json.dumps(r, separators=(",", ":")) for r in reports())
+    GOLDEN.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
+    print(f"wrote {lines.count(chr(10)) + 1} reports to {GOLDEN}", file=sys.stderr)

@@ -12,8 +12,9 @@ from fractions import Fraction as F
 
 import pytest
 
+from oracle import oracle_minimum_over_vertices
 from stablerank.errors import InputError
-from stablerank.exactlp import LinearProgram, lp_feasible, oracle_minimum_over_vertices
+from stablerank.exactlp import LinearProgram, lp_feasible
 from stablerank.tensors import (
     SymmetricSupport,
     TensorSupport,
