@@ -107,7 +107,7 @@ from itertools import chain, repeat
 from operator import attrgetter, mul, neg
 
 from .errors import InputError
-from .rationals import integers, rational
+from .rationals import integers, rationals
 
 __all__ = [
     "LinearProgram",
@@ -117,12 +117,6 @@ __all__ = [
     "lp_feasible",
     "minimize_slope",
 ]
-
-def _rational_vector(values, length: int | None, what: str) -> tuple[int | Fraction, ...]:
-    vec = tuple(rational(v, what) for v in values)
-    if length is not None and len(vec) != length:
-        raise InputError(f"{what}: expected length {length}, got {len(vec)}")
-    return vec
 
 
 @dataclass(frozen=True)
@@ -140,18 +134,14 @@ class LinearProgram:
     equality_rhs: tuple[int | Fraction, ...] = ()
 
     def __post_init__(self):
-        obj = _rational_vector(self.objective, None, "objective")
+        obj = rationals(self.objective, "objective")
         if not obj:
             raise InputError("objective: at least one variable is required")
         n = len(obj)
-        rows = tuple(
-            _rational_vector(row, n, "constraint row") for row in self.constraint_rows
-        )
-        rhs = _rational_vector(self.rhs, len(rows), "rhs")
-        eq_rows = tuple(
-            _rational_vector(row, n, "equality row") for row in self.equality_rows
-        )
-        eq_rhs = _rational_vector(self.equality_rhs, len(eq_rows), "equality rhs")
+        rows = tuple(rationals(row, "constraint row", n) for row in self.constraint_rows)
+        rhs = rationals(self.rhs, "rhs", len(rows))
+        eq_rows = tuple(rationals(row, "equality row", n) for row in self.equality_rows)
+        eq_rhs = rationals(self.equality_rhs, "equality rhs", len(eq_rows))
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "constraint_rows", rows)
         object.__setattr__(self, "rhs", rhs)
@@ -626,22 +616,12 @@ def minimize_slope(cost: Iterable, rows: Iterable[Iterable]) -> SlopeResult:
     vector; an empty row collection is rejected (the rank of the zero object
     is undefined).
     """
-    cvec = tuple(rational(c, "cost") for c in cost)
+    cvec = rationals(cost, "cost")
     if not cvec:
         raise InputError("cost vector is empty")
     if any(c <= 0 for c in cvec):
         raise InputError("cost entries must be positive")
-    rmat = []
-    for row in rows:
-        entries = integers(row, "support row")
-        for e in entries:
-            if e < 0:
-                raise InputError(f"support rows must be nonnegative, got {e}")
-        if len(entries) != len(cvec):
-            raise InputError(
-                f"support row arity {len(entries)} does not match cost arity {len(cvec)}"
-            )
-        rmat.append(entries)
+    rmat = [integers(row, "support row", len(cvec), low=0) for row in rows]
     if not rmat:
         raise InputError("rank of the zero object is undefined: no support rows")
     return _slope(cvec, tuple(rmat))

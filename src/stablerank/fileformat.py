@@ -13,9 +13,17 @@ notation is rejected so every value stays exact.
     matrix <nvars>          then exactly <nvars> rows of <nvars> rationals
 
 `parse_input` reports every problem as a ParseError carrying the 1-based line
-number. `serialize` writes a canonical form (sorted entry lines, bare
-integers where possible) and `parse_input(serialize(doc)) == doc` holds for
-every representable document.
+number, the first faulty line when there are several. The parser checks
+only the format: the token shapes (integers, p/q rationals), the header
+(its kind, field count and fields >= 1), duplicate lines, an empty body,
+the '--' separators and ':' of a pideal, zero coefficients, and the row
+count and widths of a matrix. Every rule on an entry (its arity, its range,
+a form's degree sum) belongs to the constructor, which the parser runs on
+the whole body; when the constructor rejects it, the constructor's message
+is reported at the first line whose entry it rejects on its own.
+`serialize` writes a canonical form (sorted entry lines, bare integers
+where possible) and `parse_input(serialize(doc)) == doc` holds for every
+representable document.
 """
 
 from __future__ import annotations
@@ -23,6 +31,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 
 from .errors import InputError, ParseError
 from .ideals import LinearChange, MonomialIdeal, PolyIdeal, SparsePolynomial
@@ -94,35 +103,31 @@ def _header_count(tokens, header_line, usage, count):
     return values
 
 
-def _parse_index_rows(rest, width, what, check, header_line, kind):
+def _index_rows(rest, entries: list) -> list[tuple[int, ...]]:
+    """The rows of integer tokens on the entry lines, no row twice; each is
+    also appended to `entries` as (line, row)."""
     seen = set()
-    rows = []
     for ln, body in rest:
         parts = body.split()
-        if len(parts) != width:
-            raise ParseError(f"expected {width} {what}s, got {len(parts)}", ln)
-        row = tuple(_parse_int(p, ln, what) for p in parts)
-        check(row, ln)
+        row = tuple(_parse_int(p, ln, "entry") for p in parts)
         if row in seen:
             raise ParseError(f"duplicate line: {' '.join(parts)}", ln)
         seen.add(row)
-        rows.append(row)
-    if not rows:
-        raise ParseError(f"{kind} needs at least one entry line", header_line)
-    return rows
+        entries.append((ln, row))
+    return [row for _, row in entries]
 
 
-def _parse_pideal(rest, nvars, header_line) -> PolyIdeal:
-    groups: list[dict] = []
+def _pideal_generators(rest, entries: list) -> list[dict]:
+    """The generators of a pideal body as term dictionaries; each term is
+    also appended to `entries` as (line, {exponents: coefficient})."""
+    generators: list[dict] = []
     current: dict = {}
-    last_sep = header_line
     for ln, body in rest:
         if body == "--":
             if not current:
                 raise ParseError("generator has no terms", ln)
-            groups.append(current)
+            generators.append(current)
             current = {}
-            last_sep = ln
             continue
         coeff_part, sep, exps_part = body.partition(":")
         if not sep:
@@ -133,26 +138,15 @@ def _parse_pideal(rest, nvars, header_line) -> PolyIdeal:
         coeff = _parse_rational(ctoks[0], ln)
         if coeff == 0:
             raise ParseError("zero coefficient is not allowed", ln)
-        etoks = exps_part.split()
-        if len(etoks) != nvars:
-            raise ParseError(f"expected {nvars} exponents, got {len(etoks)}", ln)
-        exps = []
-        for tok in etoks:
-            e = _parse_int(tok, ln, "exponent")
-            if e < 0:
-                raise ParseError(f"exponents must be nonnegative, got {e}", ln)
-            exps.append(e)
-        key = tuple(exps)
+        key = tuple(_parse_int(tok, ln, "exponent") for tok in exps_part.split())
         if key in current:
             raise ParseError(f"duplicate exponent vector in generator: {exps_part.strip()}", ln)
         current[key] = coeff
-    if current:
-        groups.append(current)
-    elif groups:
-        raise ParseError("generator has no terms", last_sep)
-    if not groups:
-        raise ParseError("polynomial ideal needs at least one generator", header_line)
-    return PolyIdeal(nvars, [SparsePolynomial(nvars, g) for g in groups])
+        entries.append((ln, {key: coeff}))
+    if not current:
+        raise ParseError("generator has no terms", ln)  # the body ends with '--'
+    generators.append(current)
+    return generators
 
 
 def parse_input(text: str) -> InputDocument:
@@ -161,7 +155,8 @@ def parse_input(text: str) -> InputDocument:
     Raises ParseError, with the offending 1-based line number, for anything
     malformed: unknown kinds, wrong arities, out-of-range indices, duplicate
     lines, zero coefficients, non-rational tokens, or a singular matrix
-    (reported at the header line).
+    (reported at the header line). When a file has several faults, the
+    first faulty line is the one reported.
     """
     lines = _significant_lines(text)
     if not lines:
@@ -171,62 +166,59 @@ def parse_input(text: str) -> InputDocument:
     kind = tokens[0]
     rest = lines[1:]
 
-    if kind == "tensor":
-        order, dims = _header_count(tokens, header_line, "tensor <order> <dims>", 2)
-
-        def check(row, ln):
-            for v in row:
-                if not 1 <= v <= dims:
-                    raise ParseError(f"index {v} out of range 1..{dims}", ln)
-
-        rows = _parse_index_rows(rest, order, "index", check, header_line, "tensor")
-        return InputDocument(kind, TensorSupport(order, dims, rows))
-
-    if kind == "symm":
-        degree, nvars = _header_count(tokens, header_line, "symm <degree> <nvars>", 2)
-
-        def check(row, ln):
-            if any(v < 0 for v in row):
-                raise ParseError("exponents must be nonnegative", ln)
-            if sum(row) != degree:
-                raise ParseError(f"exponents must sum to {degree}, got {sum(row)}", ln)
-
-        rows = _parse_index_rows(rest, nvars, "exponent", check, header_line, "symm")
-        return InputDocument(kind, SymmetricSupport(degree, nvars, rows))
-
-    if kind == "mideal":
-        (nvars,) = _header_count(tokens, header_line, "mideal <nvars>", 1)
-
-        def check(row, ln):
-            if any(v < 0 for v in row):
-                raise ParseError("exponents must be nonnegative", ln)
-
-        rows = _parse_index_rows(rest, nvars, "exponent", check, header_line, "mideal")
-        return InputDocument(kind, MonomialIdeal(nvars, rows))
-
-    if kind == "pideal":
-        (nvars,) = _header_count(tokens, header_line, "pideal <nvars>", 1)
-        return InputDocument(kind, _parse_pideal(rest, nvars, header_line))
-
     if kind == "matrix":
         (nvars,) = _header_count(tokens, header_line, "matrix <nvars>", 1)
         if len(rest) > nvars:
             raise ParseError("unexpected line after matrix rows", rest[nvars][0])
         if len(rest) < nvars:
             raise ParseError(f"matrix needs {nvars} rows, found {len(rest)}", header_line)
-        entries = []
+        rows = []
         for ln, body in rest:
             toks = body.split()
             if len(toks) != nvars:
                 raise ParseError(f"expected {nvars} entries, got {len(toks)}", ln)
-            entries.append([_parse_rational(t, ln) for t in toks])
+            rows.append([_parse_rational(t, ln) for t in toks])
         try:
-            payload = LinearChange(entries)
+            payload = LinearChange(rows)
         except InputError as exc:
             raise ParseError(str(exc), header_line) from exc
         return InputDocument(kind, payload)
 
-    raise ParseError(f"unknown input kind {kind!r}", header_line)
+    # the entry kinds: `read` checks the format, the constructor `make` every
+    # entry; a fault is reported at the first line whose entry `make` rejects
+    # alone, when that line comes before the format fault or there is none
+    if kind == "tensor":
+        order, dims = _header_count(tokens, header_line, "tensor <order> <dims>", 2)
+        make, read = partial(TensorSupport, order, dims), _index_rows
+    elif kind == "symm":
+        degree, nvars = _header_count(tokens, header_line, "symm <degree> <nvars>", 2)
+        make, read = partial(SymmetricSupport, degree, nvars), _index_rows
+    elif kind == "mideal":
+        (nvars,) = _header_count(tokens, header_line, "mideal <nvars>", 1)
+        make, read = partial(MonomialIdeal, nvars), _index_rows
+    elif kind == "pideal":
+        (nvars,) = _header_count(tokens, header_line, "pideal <nvars>", 1)
+
+        def make(generators):
+            return PolyIdeal(nvars, [SparsePolynomial(nvars, g) for g in generators])
+
+        read = _pideal_generators
+    else:
+        raise ParseError(f"unknown input kind {kind!r}", header_line)
+    if not rest:
+        raise ParseError(f"{kind} needs at least one entry line", header_line)
+    entries: list = []
+    try:
+        return InputDocument(kind, make(read(rest, entries)))
+    except InputError as exc:
+        for ln, entry in entries:
+            try:
+                make([entry])
+            except InputError as alone:
+                raise ParseError(str(alone), ln) from alone
+        if isinstance(exc, ParseError):
+            raise
+        raise ParseError(str(exc), header_line) from exc
 
 
 def serialize(doc: InputDocument) -> str:

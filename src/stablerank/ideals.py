@@ -15,9 +15,11 @@ system of parameters so callers can minimize over several systems. For
 monomial ideals the standard coordinates are already optimal and the rank
 coincides with the log canonical threshold at the origin; `lct_monomial`
 computes it through the rank program while `newton_threshold` and
-`newton_membership` provide the independent Newton-polyhedron route (the
-largest nu with (1,...,1) in nu times the polyhedron), used by the
-verification suites as a cross-check.
+`newton_membership` give the Newton-polyhedron form of the same number (the
+largest nu with (1,...,1) in nu times the polyhedron). The threshold
+program is the LP dual of the rank program (y = theta / t, see
+`newton_threshold`), so the verification suites' agreement check is a
+strong-duality check of the solver, not an independent route.
 
 Polynomial arithmetic runs on Python integers. `SparsePolynomial.terms` maps
 exponent tuples to nonzero Fractions, but a product clears each factor over
@@ -45,7 +47,7 @@ from .exactlp import (
     _solve_square,
     lp_minimize,
 )
-from .rationals import integers, rational
+from .rationals import integers, rational, rationals
 
 __all__ = [
     "SparsePolynomial",
@@ -63,29 +65,6 @@ __all__ = [
     "ideal_product",
     "ideal_sum",
 ]
-
-
-def _exponent_tuple(values, nvars: int) -> tuple[int, ...]:
-    out = integers(values, "exponent")
-    for v in out:
-        if v < 0:
-            raise InputError(f"exponents must be nonnegative integers, got {v!r}")
-    if len(out) != nvars:
-        raise InputError(f"exponent vector {out} has arity {len(out)}, expected {nvars}")
-    return out
-
-
-def _weight_vector(values, nvars: int) -> tuple:
-    vec = tuple(values)
-    if len(vec) != nvars:
-        raise InputError(f"weight vector has arity {len(vec)}, expected {nvars}")
-    checked = []
-    for v in vec:
-        w = rational(v, "weight entry")
-        if w < 0:
-            raise InputError(f"weight entries must be nonnegative, got {v!r}")
-        checked.append(w.numerator if w.denominator == 1 else w)
-    return tuple(checked)
 
 
 def _cleared(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[dict, int]:
@@ -119,11 +98,10 @@ class SparsePolynomial:
     __slots__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Sequence[int], object]):
-        if nvars < 1:
-            raise InputError("a polynomial needs at least one variable")
+        (nvars,) = integers((nvars,), "polynomial nvars", low=1)
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in terms.items():
-            key = _exponent_tuple(exps, nvars)
+            key = integers(exps, "exponent vector", nvars, low=0)
             value = rational(coeff, "coefficient")
             if value:
                 clean[key] = clean.get(key, Fraction(0)) + value
@@ -194,6 +172,7 @@ class PolyIdeal:
     __slots__ = ("nvars", "generators")
 
     def __init__(self, nvars: int, generators: Iterable[SparsePolynomial]):
+        (nvars,) = integers((nvars,), "ideal nvars", low=1)
         gens = tuple(generators)
         if not gens:
             raise InputError("an ideal needs at least one generator")
@@ -224,9 +203,8 @@ class MonomialIdeal:
     __slots__ = ("nvars", "generators")
 
     def __init__(self, nvars: int, generators: Iterable[Sequence[int]]):
-        if nvars < 1:
-            raise InputError("a monomial ideal needs at least one variable")
-        raw = sorted({_exponent_tuple(g, nvars) for g in generators})
+        (nvars,) = integers((nvars,), "ideal nvars", low=1)
+        raw = sorted({integers(g, "exponent vector", nvars, low=0) for g in generators})
         if not raw:
             raise InputError("a monomial ideal needs at least one generator")
         minimal = [
@@ -264,7 +242,7 @@ class LinearChange:
     __slots__ = ("nvars", "matrix")
 
     def __init__(self, matrix: Iterable[Iterable]):
-        rows = [tuple(rational(v, "matrix entry") for v in row) for row in matrix]
+        rows = [rationals(row, "matrix entry") for row in matrix]
         n = len(rows)
         if n < 1 or any(len(r) != n for r in rows):
             raise InputError("a linear change needs a square matrix")
@@ -292,7 +270,7 @@ class LinearChange:
 
 def weighted_order(f: SparsePolynomial, lam) -> object:
     """min over the support of <exponent, lam>; +infinity for the zero polynomial."""
-    weights = _weight_vector(lam, f.nvars)
+    weights = rationals(lam, "weight vector", f.nvars, low=0)
     if f.is_zero:
         return math.inf
     return min(sum(e * w for e, w in zip(exps, weights)) for exps in f.terms)
@@ -301,7 +279,7 @@ def weighted_order(f: SparsePolynomial, lam) -> object:
 def ideal_order(ideal, lam) -> object:
     """Minimum weighted order over the generators."""
     if isinstance(ideal, MonomialIdeal):
-        weights = _weight_vector(lam, ideal.nvars)
+        weights = rationals(lam, "weight vector", ideal.nvars, low=0)
         return min(
             sum(e * w for e, w in zip(g, weights)) for g in ideal.generators
         )
@@ -384,9 +362,8 @@ def apply_linear_change(f: SparsePolynomial, change: LinearChange) -> SparsePoly
 def lct_monomial(ideal: MonomialIdeal) -> Fraction:
     """Log canonical threshold of a monomial ideal at the origin.
 
-    Equals the T-stable rank in the standard coordinates; the Newton
-    polyhedron route (`newton_threshold`) computes the same number by an
-    independent feasibility argument.
+    Equals the T-stable rank in the standard coordinates; `newton_threshold`
+    computes the same number from the LP dual of that program.
     """
     return _lct_rank(ideal).value
 
@@ -431,7 +408,10 @@ def newton_threshold(ideal: MonomialIdeal) -> Fraction:
     """Largest nu with (1,...,1) in nu times the Newton polyhedron.
 
     Minimizes t = 1/nu subject to sum theta_i * l_i <= t * (1,...,1) over
-    convex multipliers theta; a single exact LP solve.
+    convex multipliers theta; a single exact LP solve. With y = theta / t
+    this is the LP dual of the rank program of `lct_monomial` (maximize
+    sum(y) subject to sum_i y_i * l_i <= (1,...,1), y >= 0), so 1/t equals
+    that rank by strong duality.
     """
     if not isinstance(ideal, MonomialIdeal):
         raise InputError("newton_threshold expects a monomial ideal")
@@ -453,15 +433,9 @@ def newton_threshold(ideal: MonomialIdeal) -> Fraction:
     return Fraction(1) / out.value
 
 
-def _power_check(exponent) -> int:
-    if isinstance(exponent, bool) or not isinstance(exponent, int) or exponent < 1:
-        raise InputError(f"ideal power expects an integer exponent >= 1, got {exponent!r}")
-    return exponent
-
-
 def ideal_power(ideal, exponent: int):
     """All products of `exponent` generators (with repetition)."""
-    r = _power_check(exponent)
+    (r,) = integers((exponent,), "ideal power exponent", low=1)
     if isinstance(ideal, MonomialIdeal):
         gens = [
             tuple(sum(es) for es in zip(*combo))

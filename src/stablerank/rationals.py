@@ -1,10 +1,20 @@
-"""Exact values at the package's boundaries: coercion, integer checks and text.
+"""Exact values at the package's boundaries: coercion, entry checks and text.
 
 Library calls take integers and `fractions.Fraction` (or anything `Fraction`
 converts exactly, such as the string "2/3"); floats are refused so that no
 approximation can enter a program. Input files and command-line arguments
 write a rational as p/q or as a bare integer, and answers are printed the
 same way, with "inf" for +infinity.
+
+This module is the one home of the entry checks. Every constructor and
+public entry point checks a vector (a support tuple, an exponent vector, a
+weight vector, a program row) or a size field (an order, a degree, a
+variable count) with one call to `integers` or `rationals`, so each kind of
+fault has one wording wherever it is raised, a file parser included:
+
+    <what>: expected an integer, got <value>
+    <what>: expected <length> entries, got <count>
+    <what>: expected a value >= <low>, got <value>   (or: in <low>..<high>)
 """
 
 from __future__ import annotations
@@ -33,18 +43,45 @@ def rational(value, what: str) -> int | Fraction:
         raise InputError(f"{what}: not a rational value: {value!r}") from exc
 
 
-def integers(values, what: str) -> tuple[int, ...]:
+def integers(values, what: str, length: int | None = None, low: int | None = None,
+             high: int | None = None) -> tuple[int, ...]:
     """`values` as a tuple of ints: integral Fractions are accepted, bools
-    are not."""
-    out = []
-    for v in values:
+    are not. With `length`, the tuple must have that many entries; with
+    `low`, every entry must be >= low, and with `high` too, <= high (`high`
+    counts only together with `low`)."""
+    out = tuple(values)
+    for v in out:
         if type(v) is not int:
-            if isinstance(v, Fraction) and v.denominator == 1:
-                v = v.numerator
-            if isinstance(v, bool) or not isinstance(v, int):
-                raise InputError(f"{what}: expected an integer, got {v!r}")
-        out.append(v)
-    return tuple(out)
+            out = tuple([_integer(v, what) for v in out])
+            break
+    return _bounded(out, what, length, low, high)
+
+
+def _integer(value, what: str) -> int:
+    """`value` as an int, for `integers` once some entry is not an int."""
+    if isinstance(value, Fraction) and value.denominator == 1:
+        return value.numerator
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise InputError(f"{what}: expected an integer, got {value!r}")
+    return value
+
+
+def rationals(values, what: str, length: int | None = None,
+              low: int | None = None) -> tuple[int | Fraction, ...]:
+    """`values` as a tuple of exact rationals, each coerced by `rational`,
+    with the length and lower bound checked as `integers` checks them."""
+    return _bounded(tuple(rational(v, what) for v in values), what, length, low, None)
+
+
+def _bounded(vec: tuple, what: str, length: int | None, low, high) -> tuple:
+    """`vec` itself, once its length and range pass the checks above."""
+    if length is not None and len(vec) != length:
+        raise InputError(f"{what}: expected {length} entries, got {len(vec)}")
+    if low is not None and vec and (min(vec) < low or high is not None and max(vec) > high):
+        bad = next(v for v in vec if v < low or high is not None and v > high)
+        span = f">= {low}" if high is None else f"in {low}..{high}"
+        raise InputError(f"{what}: expected a value {span}, got {bad}")
+    return vec
 
 
 def parse_rational(token: str) -> Fraction:

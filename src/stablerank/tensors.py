@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .exactlp import SlopeResult, _feasible, _slope
-from .rationals import integers, rational
+from .rationals import integers, rationals
 
 __all__ = [
     "TensorSupport",
@@ -76,21 +76,15 @@ class TensorSupport:
     tuples: frozenset[tuple[int, ...]]
 
     def __post_init__(self):
-        if self.order < 1 or self.dims < 1:
-            raise InputError("tensor support needs order >= 1 and dims >= 1")
-        seen = set()
-        for raw in self.tuples:
-            t = integers(raw, "tensor support tuple")
-            if len(t) != self.order:
-                raise InputError(
-                    f"support tuple {t} has arity {len(t)}, expected {self.order}"
-                )
-            if any(j < 1 or j > self.dims for j in t):
-                raise InputError(f"support tuple {t} has an index outside 1..{self.dims}")
-            seen.add(t)
+        order, dims = integers((self.order, self.dims), "tensor order and dims", low=1)
+        seen = frozenset(
+            integers(t, "tensor support tuple", order, low=1, high=dims) for t in self.tuples
+        )
         if not seen:
             raise InputError("tensor support must be nonempty")
-        object.__setattr__(self, "tuples", frozenset(seen))
+        object.__setattr__(self, "order", order)
+        object.__setattr__(self, "dims", dims)
+        object.__setattr__(self, "tuples", seen)
 
     @classmethod
     def _trusted(cls, order: int, dims: int, tuples: frozenset[tuple[int, ...]]) -> "TensorSupport":
@@ -117,25 +111,18 @@ class SymmetricSupport:
     exponents: frozenset[tuple[int, ...]]
 
     def __post_init__(self):
-        if self.degree < 1 or self.nvars < 1:
-            raise InputError("symmetric support needs degree >= 1 and nvars >= 1")
-        seen = set()
-        for raw in self.exponents:
-            m = integers(raw, "exponent vector")
-            if len(m) != self.nvars:
+        degree, nvars = integers((self.degree, self.nvars), "form degree and nvars", low=1)
+        exponents = tuple(integers(m, "exponent vector", nvars, low=0) for m in self.exponents)
+        for m in exponents:
+            if sum(m) != degree:
                 raise InputError(
-                    f"exponent vector {m} has arity {len(m)}, expected {self.nvars}"
+                    f"exponent vector {m} sums to {sum(m)}, expected degree {degree}"
                 )
-            if any(e < 0 for e in m):
-                raise InputError(f"exponent vector {m} has a negative entry")
-            if sum(m) != self.degree:
-                raise InputError(
-                    f"exponent vector {m} sums to {sum(m)}, expected degree {self.degree}"
-                )
-            seen.add(m)
-        if not seen:
+        if not exponents:
             raise InputError("symmetric support must be nonempty")
-        object.__setattr__(self, "exponents", frozenset(seen))
+        object.__setattr__(self, "degree", degree)
+        object.__setattr__(self, "nvars", nvars)
+        object.__setattr__(self, "exponents", frozenset(exponents))
 
     @property
     def sorted_exponents(self) -> tuple[tuple[int, ...], ...]:
@@ -143,18 +130,11 @@ class SymmetricSupport:
 
 
 def _checked_weights(support: TensorSupport, weights) -> tuple[tuple[int, ...], ...]:
-    rows = tuple(integers(w, "weight vector") for w in weights)
+    rows = tuple(integers(w, "weight vector", support.dims, low=0) for w in weights)
     if len(rows) != support.order:
         raise InputError(
             f"weight assignment has {len(rows)} vectors, expected {support.order}"
         )
-    for row in rows:
-        if len(row) != support.dims:
-            raise InputError(
-                f"weight vector {row} has arity {len(row)}, expected {support.dims}"
-            )
-        if any(e < 0 for e in row):
-            raise InputError(f"weight vector {row} has a negative entry")
     return rows
 
 
@@ -191,9 +171,7 @@ def torus_rank(support: TensorSupport, alpha: Sequence | None = None) -> SlopeRe
     n, d = support.dims, support.order
     if alpha is None:
         return _slope((1,) * (n * d), _support_rows(support))
-    avec = tuple(rational(a, "alpha") for a in alpha)
-    if len(avec) != d:
-        raise InputError(f"alpha has {len(avec)} entries, expected {d}")
+    avec = rationals(alpha, "alpha", d)
     if any(a <= 0 for a in avec):
         raise InputError("alpha entries must be positive")
     scale = math.lcm(*(a.denominator for a in avec))

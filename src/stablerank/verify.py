@@ -1,4 +1,4 @@
-"""Randomized cross-checks between the independent computation routes.
+"""Randomized cross-checks between computation routes.
 
 Each check draws random instances from a seeded generator, computes one
 quantity two different ways (or tests a proved inequality), and returns a
@@ -229,7 +229,11 @@ def check_monomial_lct(config: RandomInstanceConfig) -> list[CheckReport]:
     """Rank-program lct must match the Newton polyhedron threshold.
 
     Fixed anchors pin absolute values (the cyclic ideal at 1 and diagonal
-    ideals at the reciprocal sum); random cases compare the two routes.
+    ideals at the reciprocal sum); random cases compare the two solves.
+    `newton_threshold` solves the LP dual of the monomial rank program
+    (y = theta / t), so the agreement is a strong-duality check of the
+    solver, on two programs and two routes (dual simplex for the rank,
+    two-phase for the threshold), not an independent derivation of the lct.
     """
     reports = []
     rank = t_stable_rank(_CYCLIC_ANCHOR)

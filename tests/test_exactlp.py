@@ -212,7 +212,7 @@ class TestMinimizeSlope:
             minimize_slope([1, 1], [])
 
     def test_negative_row_entry_rejected(self):
-        with pytest.raises(InputError, match="^support rows must be nonnegative, got -1$"):
+        with pytest.raises(InputError, match="^support row: expected a value >= 0, got -1$"):
             minimize_slope([1, 1], [[1, -1]])
 
     def test_nonpositive_cost_rejected(self):
@@ -270,7 +270,7 @@ class TestTrustedPath:
             ([1, 1], [[1, True]], "support row: expected an integer, got True"),
             ([1, 1], [[1, F(1, 2)]], r"support row: expected an integer, got Fraction\(1, 2\)"),
             ([1, 1], [[1, 1.0]], r"support row: expected an integer, got 1\.0"),
-            ([1, 1], [[1, 1], [1]], "support row arity 1 does not match cost arity 2"),
+            ([1, 1], [[1, 1], [1]], "support row: expected 2 entries, got 1"),
         ],
     )
     def test_rejections(self, cost, rows, message):

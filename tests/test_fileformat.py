@@ -6,7 +6,7 @@ import pytest
 from stablerank.errors import InputError, ParseError
 from stablerank.fileformat import InputDocument, parse_input, serialize
 from stablerank.ideals import LinearChange, MonomialIdeal, PolyIdeal, SparsePolynomial
-from stablerank.tensors import SymmetricSupport, TensorSupport
+from stablerank.tensors import SymmetricSupport, TensorSupport, symm_torus_rank, torus_rank
 
 W_TEXT = """\
 # tripartite W state support
@@ -113,6 +113,68 @@ class TestParseErrors:
         for text in ("tensor 2 2\n", "symm 2 2\n", "mideal 2\n", "pideal 2\n", "matrix 2\n"):
             with pytest.raises(ParseError):
                 parse_input(text)
+
+    @pytest.mark.parametrize(
+        "text, line, constructor, args",
+        [
+            ("tensor 2 2\n1 3\n", 2, TensorSupport, (2, 2, [(1, 3)])),
+            ("tensor 2 2\n1 0\n", 2, TensorSupport, (2, 2, [(1, 0)])),
+            ("tensor 3 2\n1 1\n", 2, TensorSupport, (3, 2, [(1, 1)])),
+            ("symm 3 2\n1 1\n", 2, SymmetricSupport, (3, 2, [(1, 1)])),
+            ("symm 2 2\n3 -1\n", 2, SymmetricSupport, (2, 2, [(3, -1)])),
+            ("mideal 2\n1 0 0\n", 2, MonomialIdeal, (2, [(1, 0, 0)])),
+            ("mideal 2\n1 -1\n", 2, MonomialIdeal, (2, [(1, -1)])),
+            ("pideal 2\n1 : 2\n", 2, SparsePolynomial, (2, {(2,): 1})),
+        ],
+    )
+    def test_entry_faults_carry_the_constructor_message(self, text, line, constructor, args):
+        # the parser leaves entry rules to the constructors: a rejected line
+        # reads exactly as the constructor's rejection of that entry alone
+        with pytest.raises(InputError) as alone:
+            constructor(*args)
+        with pytest.raises(ParseError) as exc:
+            parse_input(text)
+        assert exc.value.line == line
+        assert exc.value.message == str(alone.value)
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("tensor 2 2\n1 1\n1 3\n1 x\n", 3),
+            ("tensor 2 2\n1 3\n1 3\n", 2),
+            ("symm 2 2\n1 1\n3 -1\n2 0\n2 0\n", 3),
+            ("mideal 2\n1 0\n1 0 0\n1 0\n", 3),
+            ("pideal 2\n1 : -1 0\n0 : 1 0\n", 2),
+            ("pideal 2\n1 : 1 0\n1 : 2\n--\n", 3),
+        ],
+    )
+    def test_first_faulty_line_is_reported(self, text, line):
+        # an entry fault above a format fault is the one reported
+        with pytest.raises(ParseError) as exc:
+            parse_input(text)
+        assert exc.value.line == line
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: torus_rank(TensorSupport(2.0, 2, [(1, 1)])),
+        lambda: TensorSupport(2, "2", [(1, 1)]),
+        lambda: TensorSupport(True, 2, [(1,)]),
+        lambda: symm_torus_rank(SymmetricSupport(2.0, 2, [(1, 1)])),
+        lambda: SymmetricSupport(2, 2.0, [(1, 1)]),
+        lambda: MonomialIdeal(2.0, [(1, 0)]),
+        lambda: SparsePolynomial(True, {(1,): 1}),
+        lambda: PolyIdeal(2.0, [SparsePolynomial(2, {(1, 0): 1})]),
+    ],
+    ids=["torus_rank-order", "tensor-dims", "tensor-order-bool", "symm_torus_rank-degree",
+         "symm-nvars", "mideal-nvars", "polynomial-nvars-bool", "pideal-nvars"],
+)
+def test_size_fields_must_be_integers(make):
+    # a float size would serialize as e.g. "pideal 2.0", which parse_input
+    # rejects, so a reproducer built from the object would not replay
+    with pytest.raises(InputError, match=r"^[a-z ]+: expected an integer, got (2\.0|'2'|True)$"):
+        make()
 
 
 class TestSerialize:

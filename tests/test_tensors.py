@@ -392,11 +392,11 @@ class TestSupportTypes:
     def test_tensor_support_validation(self):
         with pytest.raises(InputError, match="^tensor support must be nonempty$"):
             TensorSupport(order=2, dims=2, tuples=[])
-        with pytest.raises(InputError, match=r"^support tuple \(1, 3\) has an index outside 1\.\.2$"):
+        with pytest.raises(InputError, match=r"^tensor support tuple: expected a value in 1\.\.2, got 3$"):
             TensorSupport(order=2, dims=2, tuples=[(1, 3)])
-        with pytest.raises(InputError, match=r"^support tuple \(0, 1\) has an index outside 1\.\.2$"):
+        with pytest.raises(InputError, match=r"^tensor support tuple: expected a value in 1\.\.2, got 0$"):
             TensorSupport(order=2, dims=2, tuples=[(0, 1)])
-        with pytest.raises(InputError, match=r"^support tuple \(1, 1, 1\) has arity 3, expected 2$"):
+        with pytest.raises(InputError, match="^tensor support tuple: expected 2 entries, got 3$"):
             TensorSupport(order=2, dims=2, tuples=[(1, 1, 1)])
         with pytest.raises(InputError, match="^tensor support tuple: expected an integer, got True$"):
             TensorSupport(order=2, dims=2, tuples=[(1, True)])
