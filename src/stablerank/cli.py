@@ -24,13 +24,13 @@ import sys
 from .errors import InputError
 from .fileformat import parse_input
 from .ideals import (
-    MonomialIdeal,
     PolyIdeal,
     _lct_rank,
+    _poly_ideal,
     apply_linear_change,
     t_stable_rank,
 )
-from .rationals import fmt, parse_rational
+from .rationals import fmt, parse_integer, parse_rational
 from .tensors import (
     TensorSupport,
     is_symm_torus_semistable,
@@ -116,7 +116,7 @@ def _cmd_rank_ideal(args) -> int:
     candidates = [("standard coordinates", t_stable_rank(payload))]
     changes = args.change or []
     if changes:
-        base = payload.to_poly_ideal() if isinstance(payload, MonomialIdeal) else payload
+        base = _poly_ideal(payload)
         for pos, path in enumerate(changes, start=1):
             change = _load(path, ("matrix",), "--change")
             moved = PolyIdeal(
@@ -242,8 +242,8 @@ def _build_parser() -> argparse.ArgumentParser:
     vf = sub.add_parser("verify", parents=[common], formatter_class=_formatter,
                         help="run a self-check suite")
     vf.add_argument("suite", help=f"one of: {', '.join([*SUITES, 'all'])}")
-    vf.add_argument("--seed", type=int, default=0)
-    vf.add_argument("--cases", type=int, default=200)
+    vf.add_argument("--seed", type=parse_integer, default=0)
+    vf.add_argument("--cases", type=parse_integer, default=200)
     vf.set_defaults(handler=_cmd_verify)
 
     return parser

@@ -1,5 +1,7 @@
 """Exception types shared across the package."""
 
+__all__ = ["InputError", "ParseError"]
+
 
 class InputError(ValueError):
     """Raised when caller-supplied data violates a documented precondition."""

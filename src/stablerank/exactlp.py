@@ -104,10 +104,10 @@ from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import attrgetter, mul, neg
+from operator import mul, neg
 
 from .errors import InputError
-from .rationals import integers, rationals
+from .rationals import cleared, collection, integers, rationals
 
 __all__ = [
     "LinearProgram",
@@ -138,9 +138,11 @@ class LinearProgram:
         if not obj:
             raise InputError("objective: at least one variable is required")
         n = len(obj)
-        rows = tuple(rationals(row, "constraint row", n) for row in self.constraint_rows)
+        rows = tuple(rationals(row, "constraint row", n)
+                     for row in collection(self.constraint_rows, "constraint rows"))
         rhs = rationals(self.rhs, "rhs", len(rows))
-        eq_rows = tuple(rationals(row, "equality row", n) for row in self.equality_rows)
+        eq_rows = tuple(rationals(row, "equality row", n)
+                        for row in collection(self.equality_rows, "equality rows"))
         eq_rhs = rationals(self.equality_rhs, "equality rhs", len(eq_rows))
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "constraint_rows", rows)
@@ -197,21 +199,17 @@ class SlopeResult:
 
 
 _INT = frozenset((int,))
-_numerator = attrgetter("numerator")
-_denominator = attrgetter("denominator")
 
 
 def _cleared(values: Sequence, last: int | Fraction = 0) -> tuple[int, Sequence[int], int, int]:
     """(s, s * values, s * last, the squared norm of both) for the least
     positive integer s that clears every denominator among the ints and
-    Fractions `values` and `last`. A row of ints alone is returned as it is,
-    scaled only if `last` needs it."""
+    Fractions `values` and `last`: `rationals.cleared`, except that a row of
+    ints alone is returned as it is, scaled only if `last` needs it."""
     if set(map(type, values)) <= _INT:
         s, line = 1, values
     else:
-        dens = list(map(_denominator, values))
-        s = math.lcm(*dens)
-        line = list(map(mul, map(_numerator, values), map(s.__floordiv__, dens)))
+        s, line = cleared(values)
     square = sum(map(mul, line, line))
     t = last.denominator
     if s % t:
@@ -579,8 +577,10 @@ def lp_feasible(
     two-phase route even without equality rows, which `lp_minimize` would
     send to the dual route and so to another vertex.
     """
-    rows = [list(row) for row in constraint_rows]
-    eq_rows = [list(row) for row in equality_rows]
+    rows = [collection(row, "constraint row")
+            for row in collection(constraint_rows, "constraint rows")]
+    eq_rows = [collection(row, "equality row")
+               for row in collection(equality_rows, "equality rows")]
     # one variable stands in when there are no rows, so the right sides are
     # still checked against them
     n = len((rows or eq_rows or [[0]])[0])
@@ -621,7 +621,8 @@ def minimize_slope(cost: Iterable, rows: Iterable[Iterable]) -> SlopeResult:
         raise InputError("cost vector is empty")
     if any(c <= 0 for c in cvec):
         raise InputError("cost entries must be positive")
-    rmat = [integers(row, "support row", len(cvec), low=0) for row in rows]
+    rmat = [integers(row, "support row", len(cvec), low=0)
+            for row in collection(rows, "support rows")]
     if not rmat:
         raise InputError("rank of the zero object is undefined: no support rows")
     return _slope(cvec, tuple(rmat))
@@ -638,9 +639,7 @@ def _slope(cost: tuple[int | Fraction, ...], rows: tuple[tuple[int, ...], ...]) 
     out = lp_minimize(LinearProgram._trusted(cost, rows, (1,) * len(rows)))
     if out.status != "optimal":
         raise RuntimeError(f"slope program should be solvable, got {out.status}")
-    scale = math.lcm(*map(_denominator, out.vertex))
-    witness = tuple(x.numerator * (scale // x.denominator) for x in out.vertex)
-    return SlopeResult(value=out.value, witness=witness)
+    return SlopeResult(value=out.value, witness=cleared(out.vertex)[1])
 
 
 def _solve_square(matrix: Sequence[Sequence], rhs: Sequence[Sequence]) -> list[list[Fraction]] | None:

@@ -2,8 +2,10 @@
 
 Grammar, shared by every kind: '#' starts a comment, blank lines are ignored,
 tokens are whitespace-separated, and the first significant line is a header
-naming the kind. Rationals are written p/q or as bare integers; decimal
-notation is rejected so every value stays exact.
+naming the kind. Integers are ASCII digits with an optional sign, and
+rationals are written p/q or as bare integers (`rationals.parse_integer`
+and `parse_rational`); decimal notation is rejected so every value stays
+exact.
 
     tensor <order> <dims>   then one line of <order> indices in 1..dims per entry
     symm <degree> <nvars>   then one line of <nvars> exponents summing to degree
@@ -28,14 +30,12 @@ representable document.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import partial
 
 from .errors import InputError, ParseError
 from .ideals import LinearChange, MonomialIdeal, PolyIdeal, SparsePolynomial
-from .rationals import fmt, parse_rational
+from .rationals import fmt, parse_integer, parse_rational
 from .tensors import SymmetricSupport, TensorSupport
 
 __all__ = ["InputDocument", "parse_input", "serialize"]
@@ -47,8 +47,6 @@ _KIND_TYPES = {
     "pideal": PolyIdeal,
     "matrix": LinearChange,
 }
-
-_INT_RE = re.compile(r"^[+-]?\d+$")
 
 
 @dataclass(frozen=True)
@@ -69,15 +67,11 @@ class InputDocument:
             )
 
 
-def _parse_int(token: str, line: int, what: str) -> int:
-    if not _INT_RE.match(token):
-        raise ParseError(f"{what} must be an integer, got {token!r}", line)
-    return int(token)
-
-
-def _parse_rational(token: str, line: int) -> Fraction:
+def _token(read, token: str, line: int, *what):
+    """`read(token, *what)`, a `rationals` token reader, with its InputError
+    reported at `line`."""
     try:
-        return parse_rational(token)
+        return read(token, *what)
     except InputError as exc:
         raise ParseError(str(exc), line) from exc
 
@@ -96,7 +90,7 @@ def _header_count(tokens, header_line, usage, count):
         raise ParseError(f"usage: {usage}", header_line)
     values = []
     for tok in tokens[1:]:
-        v = _parse_int(tok, header_line, "header field")
+        v = _token(parse_integer, tok, header_line, "header field")
         if v < 1:
             raise ParseError(f"header field must be >= 1, got {v}", header_line)
         values.append(v)
@@ -109,7 +103,7 @@ def _index_rows(rest, entries: list) -> list[tuple[int, ...]]:
     seen = set()
     for ln, body in rest:
         parts = body.split()
-        row = tuple(_parse_int(p, ln, "entry") for p in parts)
+        row = tuple(_token(parse_integer, p, ln, "entry") for p in parts)
         if row in seen:
             raise ParseError(f"duplicate line: {' '.join(parts)}", ln)
         seen.add(row)
@@ -135,10 +129,10 @@ def _pideal_generators(rest, entries: list) -> list[dict]:
         ctoks = coeff_part.split()
         if len(ctoks) != 1:
             raise ParseError("exactly one coefficient is allowed before ':'", ln)
-        coeff = _parse_rational(ctoks[0], ln)
+        coeff = _token(parse_rational, ctoks[0], ln)
         if coeff == 0:
             raise ParseError("zero coefficient is not allowed", ln)
-        key = tuple(_parse_int(tok, ln, "exponent") for tok in exps_part.split())
+        key = tuple(_token(parse_integer, tok, ln, "exponent") for tok in exps_part.split())
         if key in current:
             raise ParseError(f"duplicate exponent vector in generator: {exps_part.strip()}", ln)
         current[key] = coeff
@@ -177,7 +171,7 @@ def parse_input(text: str) -> InputDocument:
             toks = body.split()
             if len(toks) != nvars:
                 raise ParseError(f"expected {nvars} entries, got {len(toks)}", ln)
-            rows.append([_parse_rational(t, ln) for t in toks])
+            rows.append([_token(parse_rational, t, ln) for t in toks])
         try:
             payload = LinearChange(rows)
         except InputError as exc:

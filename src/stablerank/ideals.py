@@ -22,12 +22,19 @@ program is the LP dual of the rank program (y = theta / t, see
 strong-duality check of the solver, not an independent route.
 
 Polynomial arithmetic runs on Python integers. `SparsePolynomial.terms` maps
-exponent tuples to nonzero Fractions, but a product clears each factor over
-the lcm of its denominators (`_cleared`), multiplies integer terms in the
-one product routine `_int_product` and divides once by the product of the
-two lcms (`_over`), building one Fraction per output term. Only the public
-constructor validates exponents and coefficients; sums, products and
-linear changes build their results with `SparsePolynomial._trusted`.
+exponent tuples to nonzero Fractions, but a product clears each factor's
+coefficients over the lcm of their denominators (`rationals.cleared`),
+multiplies integer terms in the one product routine `_int_product` and
+divides once by the product of the two lcms (`_over`), building one Fraction
+per output term. Only the public constructor validates exponents and
+coefficients; sums, products and linear changes build their results with
+`SparsePolynomial._trusted`.
+
+The support of an ideal (the generators of a monomial ideal, the distinct
+exponent vectors of a polynomial ideal's generators) is read in one place,
+`_support_rows`, for the rank program and for `ideal_order` alike; the
+ideal operations take a mixed or polynomial pair through `_poly_ideal`.
+Anything that is not an ideal raises InputError "not an ideal: ...".
 """
 
 from __future__ import annotations
@@ -47,7 +54,7 @@ from .exactlp import (
     _solve_square,
     lp_minimize,
 )
-from .rationals import integers, rational, rationals
+from .rationals import cleared, collection, integers, rational, rationals
 
 __all__ = [
     "SparsePolynomial",
@@ -65,13 +72,6 @@ __all__ = [
     "ideal_product",
     "ideal_sum",
 ]
-
-
-def _cleared(terms: Mapping[tuple[int, ...], Fraction]) -> tuple[dict, int]:
-    """Rational terms over one denominator: (integer terms, L) with L the lcm
-    of the coefficient denominators, each coefficient being its integer / L."""
-    den = math.lcm(*(c.denominator for c in terms.values()))
-    return {e: c.numerator * (den // c.denominator) for e, c in terms.items()}, den
 
 
 def _int_product(a: Mapping[tuple[int, ...], int], b: Mapping[tuple[int, ...], int]) -> dict:
@@ -99,6 +99,8 @@ class SparsePolynomial:
 
     def __init__(self, nvars: int, terms: Mapping[Sequence[int], object]):
         (nvars,) = integers((nvars,), "polynomial nvars", low=1)
+        if not isinstance(terms, Mapping):
+            raise InputError(f"polynomial terms: expected a mapping, got {terms!r}")
         clean: dict[tuple[int, ...], Fraction] = {}
         for exps, coeff in terms.items():
             key = integers(exps, "exponent vector", nvars, low=0)
@@ -145,9 +147,10 @@ class SparsePolynomial:
     def __mul__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         if self.nvars != other.nvars:
             raise InputError("cannot multiply polynomials in different variable counts")
-        a, da = _cleared(self.terms)
-        b, db = _cleared(other.terms)
-        return SparsePolynomial._trusted(self.nvars, _over(_int_product(a, b), da * db))
+        da, a = cleared(self.terms.values())
+        db, b = cleared(other.terms.values())
+        product = _int_product(dict(zip(self.terms, a)), dict(zip(other.terms, b)))
+        return SparsePolynomial._trusted(self.nvars, _over(product, da * db))
 
     def __eq__(self, other) -> bool:
         return (
@@ -173,7 +176,7 @@ class PolyIdeal:
 
     def __init__(self, nvars: int, generators: Iterable[SparsePolynomial]):
         (nvars,) = integers((nvars,), "ideal nvars", low=1)
-        gens = tuple(generators)
+        gens = collection(generators, "ideal generators")
         if not gens:
             raise InputError("an ideal needs at least one generator")
         for g in gens:
@@ -204,7 +207,8 @@ class MonomialIdeal:
 
     def __init__(self, nvars: int, generators: Iterable[Sequence[int]]):
         (nvars,) = integers((nvars,), "ideal nvars", low=1)
-        raw = sorted({integers(g, "exponent vector", nvars, low=0) for g in generators})
+        raw = sorted({integers(g, "exponent vector", nvars, low=0)
+                      for g in collection(generators, "ideal generators")})
         if not raw:
             raise InputError("a monomial ideal needs at least one generator")
         minimal = [
@@ -242,7 +246,7 @@ class LinearChange:
     __slots__ = ("nvars", "matrix")
 
     def __init__(self, matrix: Iterable[Iterable]):
-        rows = [rationals(row, "matrix entry") for row in matrix]
+        rows = [rationals(row, "matrix entry") for row in collection(matrix, "matrix")]
         n = len(rows)
         if n < 1 or any(len(r) != n for r in rows):
             raise InputError("a linear change needs a square matrix")
@@ -277,18 +281,16 @@ def weighted_order(f: SparsePolynomial, lam) -> object:
 
 
 def ideal_order(ideal, lam) -> object:
-    """Minimum weighted order over the generators."""
-    if isinstance(ideal, MonomialIdeal):
-        weights = rationals(lam, "weight vector", ideal.nvars, low=0)
-        return min(
-            sum(e * w for e, w in zip(g, weights)) for g in ideal.generators
-        )
-    if isinstance(ideal, PolyIdeal):
-        return min(weighted_order(g, lam) for g in ideal.generators)
-    raise InputError(f"not an ideal: {ideal!r}")
+    """Minimum weighted order over the generators: over the rows of the
+    ideal's rank program, as every generator's order is the least over its
+    terms."""
+    rows = _support_rows(ideal)
+    weights = rationals(lam, "weight vector", ideal.nvars, low=0)
+    return min(sum(e * w for e, w in zip(row, weights)) for row in rows)
 
 
 def _support_rows(ideal) -> tuple[tuple[int, ...], ...]:
+    """The distinct exponent vectors of the generators' terms, sorted."""
     if isinstance(ideal, MonomialIdeal):
         return ideal.generators
     if isinstance(ideal, PolyIdeal):
@@ -453,33 +455,36 @@ def ideal_power(ideal, exponent: int):
     raise InputError(f"not an ideal: {ideal!r}")
 
 
+def _poly_ideal(ideal) -> PolyIdeal:
+    """`ideal` as a polynomial ideal; InputError when it is not an ideal."""
+    if isinstance(ideal, MonomialIdeal):
+        return ideal.to_poly_ideal()
+    if isinstance(ideal, PolyIdeal):
+        return ideal
+    raise InputError(f"not an ideal: {ideal!r}")
+
+
 def ideal_product(a, b):
     """Ideal generated by pairwise products of the generators."""
-    if a.nvars != b.nvars:
-        raise InputError("ideal product needs matching variable counts")
-    if isinstance(a, MonomialIdeal) and isinstance(b, MonomialIdeal):
+    if isinstance(a, MonomialIdeal) and isinstance(b, MonomialIdeal) and a.nvars == b.nvars:
         gens = [
             tuple(x + y for x, y in zip(g, h))
             for g in a.generators
             for h in b.generators
         ]
         return MonomialIdeal(a.nvars, gens)
-    pa = a.to_poly_ideal() if isinstance(a, MonomialIdeal) else a
-    pb = b.to_poly_ideal() if isinstance(b, MonomialIdeal) else b
-    if not isinstance(pa, PolyIdeal) or not isinstance(pb, PolyIdeal):
-        raise InputError("ideal product expects ideals")
+    pa, pb = _poly_ideal(a), _poly_ideal(b)
+    if pa.nvars != pb.nvars:
+        raise InputError("ideal product needs matching variable counts")
     gens = [g * h for g in pa.generators for h in pb.generators]
-    return PolyIdeal(a.nvars, gens)
+    return PolyIdeal(pa.nvars, gens)
 
 
 def ideal_sum(a, b):
     """Ideal generated by the union of the generators."""
-    if a.nvars != b.nvars:
-        raise InputError("ideal sum needs matching variable counts")
-    if isinstance(a, MonomialIdeal) and isinstance(b, MonomialIdeal):
+    if isinstance(a, MonomialIdeal) and isinstance(b, MonomialIdeal) and a.nvars == b.nvars:
         return MonomialIdeal(a.nvars, a.generators + b.generators)
-    pa = a.to_poly_ideal() if isinstance(a, MonomialIdeal) else a
-    pb = b.to_poly_ideal() if isinstance(b, MonomialIdeal) else b
-    if not isinstance(pa, PolyIdeal) or not isinstance(pb, PolyIdeal):
-        raise InputError("ideal sum expects ideals")
-    return PolyIdeal(a.nvars, pa.generators + pb.generators)
+    pa, pb = _poly_ideal(a), _poly_ideal(b)
+    if pa.nvars != pb.nvars:
+        raise InputError("ideal sum needs matching variable counts")
+    return PolyIdeal(pa.nvars, pa.generators + pb.generators)

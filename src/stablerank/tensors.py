@@ -52,7 +52,7 @@ from dataclasses import dataclass
 
 from .errors import InputError
 from .exactlp import SlopeResult, _feasible, _slope
-from .rationals import integers, rationals
+from .rationals import cleared, collection, integers, rationals
 
 __all__ = [
     "TensorSupport",
@@ -78,7 +78,8 @@ class TensorSupport:
     def __post_init__(self):
         order, dims = integers((self.order, self.dims), "tensor order and dims", low=1)
         seen = frozenset(
-            integers(t, "tensor support tuple", order, low=1, high=dims) for t in self.tuples
+            integers(t, "tensor support tuple", order, low=1, high=dims)
+            for t in collection(self.tuples, "tensor support")
         )
         if not seen:
             raise InputError("tensor support must be nonempty")
@@ -112,7 +113,8 @@ class SymmetricSupport:
 
     def __post_init__(self):
         degree, nvars = integers((self.degree, self.nvars), "form degree and nvars", low=1)
-        exponents = tuple(integers(m, "exponent vector", nvars, low=0) for m in self.exponents)
+        exponents = tuple(integers(m, "exponent vector", nvars, low=0)
+                          for m in collection(self.exponents, "symmetric support"))
         for m in exponents:
             if sum(m) != degree:
                 raise InputError(
@@ -130,7 +132,8 @@ class SymmetricSupport:
 
 
 def _checked_weights(support: TensorSupport, weights) -> tuple[tuple[int, ...], ...]:
-    rows = tuple(integers(w, "weight vector", support.dims, low=0) for w in weights)
+    rows = tuple(integers(w, "weight vector", support.dims, low=0)
+                 for w in collection(weights, "weight assignment"))
     if len(rows) != support.order:
         raise InputError(
             f"weight assignment has {len(rows)} vectors, expected {support.order}"
@@ -174,9 +177,8 @@ def torus_rank(support: TensorSupport, alpha: Sequence | None = None) -> SlopeRe
     avec = rationals(alpha, "alpha", d)
     if any(a <= 0 for a in avec):
         raise InputError("alpha entries must be positive")
-    scale = math.lcm(*(a.denominator for a in avec))
-    cost = tuple(a.numerator * (scale // a.denominator) for a in avec for _ in range(n))
-    result = _slope(cost, _support_rows(support))
+    scale, costs = cleared(avec)
+    result = _slope(tuple(c for c in costs for _ in range(n)), _support_rows(support))
     return SlopeResult(value=result.value / scale, witness=result.witness)
 
 
@@ -231,7 +233,7 @@ def combine_one_ps(weights) -> tuple[int, ...]:
     at least d times the valuation of lam on the expanded support (summing
     the arrangement over the d cyclic shifts covers each factor once).
     """
-    rows = tuple(integers(w, "weight vector") for w in weights)
+    rows = tuple(integers(w, "weight vector") for w in collection(weights, "weight assignment"))
     if not rows:
         raise InputError("weight assignment must contain at least one vector")
     width = len(rows[0])

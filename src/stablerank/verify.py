@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .fileformat import InputDocument, serialize
+from .fileformat import _KIND_TYPES, InputDocument, serialize
 from .ideals import (
     MonomialIdeal,
     PolyIdeal,
@@ -27,7 +27,7 @@ from .ideals import (
     newton_threshold,
     t_stable_rank,
 )
-from .rationals import fmt
+from .rationals import fmt, integers
 from .tensors import (
     SymmetricSupport,
     TensorSupport,
@@ -83,20 +83,13 @@ class RandomInstanceConfig:
     cases: int = 200
 
     def __post_init__(self):
-        for name in ("seed", "cases"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, int):
-                raise InputError(f"{name} must be an integer, got {value!r}")
-        if self.cases < 1:
-            raise InputError(f"cases must be >= 1, got {self.cases}")
+        (seed,) = integers((self.seed,), "seed")
+        (cases,) = integers((self.cases,), "cases", low=1)
+        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "cases", cases)
 
 
-_KIND_OF = {
-    TensorSupport: "tensor",
-    SymmetricSupport: "symm",
-    MonomialIdeal: "mideal",
-    PolyIdeal: "pideal",
-}
+_KIND_OF = {payload: kind for kind, payload in _KIND_TYPES.items()}
 
 
 def _doc_text(obj, *comments: str) -> str:

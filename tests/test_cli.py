@@ -264,6 +264,27 @@ class TestErrorsAndPlumbing:
     def test_usage_error_exit_code(self):
         assert run(["rank"]) == 2
 
+    @pytest.mark.parametrize("argv, message", [
+        (["verify", "monomial-lct", "--seed", "1_0"],
+         "argument --seed: invalid parse_integer value: '1_0'"),
+        (["verify", "monomial-lct", "--cases", "1_0"],
+         "argument --cases: invalid parse_integer value: '1_0'"),
+        (["verify", "monomial-lct", "--cases", " \u0667"],
+         "argument --cases: invalid parse_integer value: ' \u0667'"),
+        (["verify", "monomial-lct", "--seed", "\u0663"],
+         "argument --seed: invalid parse_integer value: '\u0663'"),
+        (["rank", "tensor", "W", "--alpha", "\u0663,1,1"],
+         "error: not a rational (write p/q or an integer): '\u0663'"),
+    ], ids=["seed-underscore", "cases-underscore", "cases-arabic-indic",
+            "seed-arabic-indic", "alpha-arabic-indic"])
+    def test_number_tokens_are_ascii_digits(self, files, capsys, argv, message):
+        # int() would read each of these (1_0 as ten)
+        argv = [files["w.txt"] if a == "W" else a for a in argv]
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.endswith(message + "\n")
+
     def test_help_exits_zero(self):
         assert run(["--help"]) == 0
 

@@ -177,6 +177,26 @@ def test_size_fields_must_be_integers(make):
         make()
 
 
+@pytest.mark.parametrize(
+    "text, line",
+    [
+        ("tensor \u0662 2\n1 1\n", 1),
+        ("tensor 2 2\n1 \u0661\n", 2),
+        ("mideal 2\n1 0\n0 \u0662\n", 3),
+        ("pideal 2\n\u0662 : 1 0\n", 2),
+        ("pideal 2\n1 : 1 \u0660\n", 2),
+        ("matrix 2\n1 0\n0 \u0663/1\n", 3),
+    ],
+    ids=["header", "tensor-entry", "mideal-entry", "coefficient", "exponent", "matrix-entry"],
+)
+def test_tokens_are_ascii_digits(text, line):
+    # Python's int() reads any Unicode decimal digit; files take ASCII only,
+    # as `serialize` writes them
+    with pytest.raises(ParseError, match="must be an integer|not a rational") as exc:
+        parse_input(text)
+    assert exc.value.line == line
+
+
 class TestSerialize:
     def test_tensor_sorted_lines(self):
         doc = parse_input(W_TEXT)

@@ -130,6 +130,24 @@ class TestIdealOrder:
         ideal = PolyIdeal(2, [SQUARE, CUSP_LIKE])
         assert ideal_order(ideal, (1, 1)) == 1
 
+    def test_poly_ideal_is_the_least_generator_order(self):
+        rng = random.Random(9)
+        for _ in range(40):
+            gens = [poly(3, {tuple(rng.randint(0, 3) for _ in range(3)): rng.randint(1, 3)
+                             for _ in range(rng.randint(1, 3))}) for _ in range(rng.randint(1, 3))]
+            lam = tuple(rng.choice([0, 1, F(1, 2), F(5, 3)]) for _ in range(3))
+            expected = min(weighted_order(g, lam) for g in gens)
+            order = ideal_order(PolyIdeal(3, gens), lam)
+            assert (order, type(order)) == (expected, type(expected))
+
+    def test_errors(self):
+        with pytest.raises(InputError, match="^not an ideal: "):
+            ideal_order(SQUARE, (1, 1))
+        with pytest.raises(InputError, match="^weight vector: expected 2 entries, got 3$"):
+            ideal_order(PolyIdeal(2, [SQUARE]), (1, 1, 1))
+        with pytest.raises(InputError, match="^weight vector: expected a value >= 0, got -1$"):
+            ideal_order(CYCLIC, (1, -1, 1))
+
     def test_product_additivity(self):
         rng = random.Random(5)
         for _ in range(30):
@@ -440,3 +458,20 @@ class TestIdealValidation:
     def test_product_dimension_mismatch(self):
         with pytest.raises(InputError):
             ideal_product(mono(2, (1, 0)), mono(3, (1, 0, 0)))
+
+    @pytest.mark.parametrize("combine", [ideal_product, ideal_sum])
+    @pytest.mark.parametrize("b", [mono(3, (1, 0, 0)), PolyIdeal(3, [poly(3, {(0, 0, 1): 1})])])
+    def test_mixed_dimension_mismatch(self, combine, b):
+        with pytest.raises(InputError, match="needs matching variable counts$"):
+            combine(mono(2, (1, 0)), b)
+        with pytest.raises(InputError, match="needs matching variable counts$"):
+            combine(b, PolyIdeal(2, [poly(2, {(1, 1): 1})]))
+
+    @pytest.mark.parametrize("call", [
+        lambda m: ideal_product(m, "x"),
+        lambda m: ideal_sum(m, 3),
+        lambda m: ideal_product(3, m),
+    ], ids=["product-str", "sum-int", "product-int-first"])
+    def test_operations_reject_a_non_ideal(self, call):
+        with pytest.raises(InputError, match="^not an ideal: "):
+            call(mono(2, (1, 0)))

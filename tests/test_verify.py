@@ -32,10 +32,20 @@ class TestConfig:
         assert [f.name for f in dataclasses.fields(cfg)] == ["seed", "cases"]
 
     def test_validation(self):
-        with pytest.raises(InputError):
+        # the wordings of `rationals.integers`
+        with pytest.raises(InputError, match="^cases: expected a value >= 1, got 0$"):
             RandomInstanceConfig(seed=1, cases=0)
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^seed: expected an integer, got 1.5$"):
             RandomInstanceConfig(seed=1.5)
+        with pytest.raises(InputError, match="^seed: expected an integer, got True$"):
+            RandomInstanceConfig(True)
+        with pytest.raises(InputError, match="^cases: expected a value >= 1, got 0$"):
+            RandomInstanceConfig(0, 0)
+
+    def test_integral_fractions_are_stored_as_ints(self):
+        cfg = RandomInstanceConfig(F(3), F(5))
+        assert (cfg.seed, cfg.cases) == (3, 5)
+        assert type(cfg.seed) is int and type(cfg.cases) is int
 
 
 class TestAnchor:
