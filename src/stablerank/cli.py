@@ -62,24 +62,20 @@ def _load(path: str, kinds: tuple[str, ...], what: str):
     return doc.payload
 
 
-def _emit(as_json: bool, value: str, witness_json: list, witness_text: str | None,
-          notes: list[str]) -> int:
+def _emit(as_json: bool, value: str, witness, notes: list[str]) -> int:
+    """Print one answer. `witness` is None, a flat vector, or one list per
+    tensor factor, which the text line separates by ' / '."""
+    witness = [] if witness is None else list(witness)
     if as_json:
-        print(json.dumps({"value": value, "witness": witness_json, "notes": notes}))
+        print(json.dumps({"value": value, "witness": witness, "notes": notes}))
     else:
         print(f"value: {value}")
-        if witness_text is not None:
-            print(f"witness: {witness_text}")
+        if witness:
+            groups = witness if isinstance(witness[0], list) else [witness]
+            print("witness: " + " / ".join(" ".join(map(str, g)) for g in groups))
         for note in notes:
             print(f"note: {note}")
     return 0
-
-
-def _flat_witness(witness) -> tuple[list, str | None]:
-    """A flat witness vector as `_emit` takes it: a JSON list and a text line."""
-    if witness is None:
-        return [], None
-    return list(witness), " ".join(map(str, witness))
 
 
 def _cmd_rank_tensor(args) -> int:
@@ -93,22 +89,15 @@ def _cmd_rank_tensor(args) -> int:
             )
         alpha = tuple(parse_rational(p.strip()) for p in parts)
     result = torus_rank(support, alpha)
-    witness_json: list = []
-    witness_text = None
-    if result.witness is not None:
-        n = support.dims
-        groups = [list(result.witness[i * n:(i + 1) * n]) for i in range(support.order)]
-        witness_json = groups
-        witness_text = " / ".join(" ".join(map(str, g)) for g in groups)
-    return _emit(args.json, fmt(result.value), witness_json, witness_text,
-                 [_UPPER_BOUND_TENSOR])
+    w, n = result.witness, support.dims
+    groups = None if w is None else [list(w[i * n:(i + 1) * n]) for i in range(support.order)]
+    return _emit(args.json, fmt(result.value), groups, [_UPPER_BOUND_TENSOR])
 
 
 def _cmd_rank_symm(args) -> int:
     support = _load(args.file, ("symm",), "rank symm")
     result = symm_torus_rank(support)
-    return _emit(args.json, fmt(result.value), *_flat_witness(result.witness),
-                 [_UPPER_BOUND_TENSOR])
+    return _emit(args.json, fmt(result.value), result.witness, [_UPPER_BOUND_TENSOR])
 
 
 def _cmd_rank_ideal(args) -> int:
@@ -129,14 +118,14 @@ def _cmd_rank_ideal(args) -> int:
         notes.append(
             f"minimum over {len(candidates)} coordinate systems; attained by {best_label}"
         )
-    return _emit(args.json, fmt(best.value), *_flat_witness(best.witness), notes)
+    return _emit(args.json, fmt(best.value), best.witness, notes)
 
 
 def _cmd_lct(args) -> int:
     ideal = _load(args.file, ("mideal",), "lct")
     result = _lct_rank(ideal)
     notes = ["log canonical threshold at the origin; equals the stable rank of the ideal"]
-    return _emit(args.json, fmt(result.value), *_flat_witness(result.witness), notes)
+    return _emit(args.json, fmt(result.value), result.witness, notes)
 
 
 def _cmd_semistable(args) -> int:
@@ -150,39 +139,31 @@ def _cmd_semistable(args) -> int:
         if flag
         else "not torus-semistable: some torus one-parameter subgroup is destabilizing"
     )
-    return _emit(args.json, "1" if flag else "0", [], None, [note])
+    return _emit(args.json, "1" if flag else "0", None, [note])
 
 
 def _cmd_verify(args) -> int:
     config = RandomInstanceConfig(seed=args.seed, cases=args.cases)
     names = list(SUITES) if args.suite == "all" else [args.suite]
-    total_failed = 0
-    notes: list[str] = []
-    fail_notes: list[str] = []
+    suites: list[str] = []
+    fails: list[str] = []
     for name in names:
         reports = run_suite(name, config)
         failed = [r for r in reports if not r.passed]
-        total_failed += len(failed)
-        line = f"suite {name}: {len(reports)} checks, {len(failed)} failed"
-        notes.append(line)
+        suites.append(f"suite {name}: {len(reports)} checks, {len(failed)} failed")
         if not args.json:
-            print(line)
+            print(suites[-1])
         for report in failed:
-            fail_notes.append(f"FAIL {report.check_name}: {report.lhs} vs {report.rhs}")
+            fails.append(f"FAIL {report.check_name}: {report.lhs} vs {report.rhs}")
             if not args.json:
-                print(f"FAIL {report.check_name}: {report.lhs} vs {report.rhs}")
-                print("instance:")
-                for text_line in report.instance.rstrip("\n").splitlines():
-                    print(f"  {text_line}")
+                print(fails[-1], "instance:", sep="\n")
+                for line in report.instance.rstrip("\n").splitlines():
+                    print(f"  {line}")
     if args.json:
-        print(json.dumps({
-            "value": str(total_failed),
-            "witness": [],
-            "notes": notes + fail_notes,
-        }))
+        _emit(True, str(len(fails)), None, suites + fails)
     else:
-        print(f"failures: {total_failed}")
-    return 1 if total_failed else 0
+        print(f"failures: {len(fails)}")
+    return 1 if fails else 0
 
 
 def _formatter(prog: str) -> argparse.HelpFormatter:
@@ -193,54 +174,57 @@ def _formatter(prog: str) -> argparse.HelpFormatter:
     return argparse.HelpFormatter(prog, width=78)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser with the fixed-width formatter. `add_subparsers`
+    builds its subparsers from the parser's own class, and `add_argument`
+    already formats, so every parser, the `common` parent included, is one."""
+
+    def __init__(self, **kwargs):
+        super().__init__(formatter_class=_formatter, **kwargs)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False, formatter_class=_formatter)
+    common = _Parser(add_help=False)
     common.add_argument("--json", action="store_true",
                         help="print one JSON object instead of plain lines")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="stablerank",
         description="Exact torus-restricted stable ranks, ideal ranks, and "
                     "monomial log canonical thresholds.",
-        formatter_class=_formatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    rank = sub.add_parser("rank", formatter_class=_formatter,
-                          help="stable rank of a tensor, form, or ideal")
+    rank = sub.add_parser("rank", help="stable rank of a tensor, form, or ideal")
     ranksub = rank.add_subparsers(dest="target", required=True)
 
-    rt = ranksub.add_parser("tensor", parents=[common], formatter_class=_formatter,
-                            help="tensor support file")
+    rt = ranksub.add_parser("tensor", parents=[common], help="tensor support file")
     rt.add_argument("file")
     rt.add_argument("--alpha", metavar="LIST",
                     help="comma-separated positive rationals, one per tensor factor")
     rt.set_defaults(handler=_cmd_rank_tensor)
 
-    rs = ranksub.add_parser("symm", parents=[common], formatter_class=_formatter,
-                            help="symmetric support file")
+    rs = ranksub.add_parser("symm", parents=[common], help="symmetric support file")
     rs.add_argument("file")
     rs.set_defaults(handler=_cmd_rank_symm)
 
-    ri = ranksub.add_parser("ideal", parents=[common], formatter_class=_formatter,
-                            help="mideal or pideal file")
+    ri = ranksub.add_parser("ideal", parents=[common], help="mideal or pideal file")
     ri.add_argument("file")
     ri.add_argument("--change", action="append", metavar="MATRIXFILE",
                     help="matrix file with a linear change of coordinates; repeatable")
     ri.set_defaults(handler=_cmd_rank_ideal)
 
-    lct = sub.add_parser("lct", parents=[common], formatter_class=_formatter,
+    lct = sub.add_parser("lct", parents=[common],
                          help="log canonical threshold of a monomial ideal")
     lct.add_argument("file")
     lct.set_defaults(handler=_cmd_lct)
 
-    ss = sub.add_parser("semistable", parents=[common], formatter_class=_formatter,
+    ss = sub.add_parser("semistable", parents=[common],
                         help="torus semistability of a tensor or symmetric support")
     ss.add_argument("file")
     ss.set_defaults(handler=_cmd_semistable)
 
-    vf = sub.add_parser("verify", parents=[common], formatter_class=_formatter,
-                        help="run a self-check suite")
+    vf = sub.add_parser("verify", parents=[common], help="run a self-check suite")
     vf.add_argument("suite", help=f"one of: {', '.join([*SUITES, 'all'])}")
     vf.add_argument("--seed", type=parse_integer, default=0)
     vf.add_argument("--cases", type=parse_integer, default=200)

@@ -40,13 +40,16 @@ from .tensors import SymmetricSupport, TensorSupport
 
 __all__ = ["InputDocument", "parse_input", "serialize"]
 
-_KIND_TYPES = {
-    "tensor": TensorSupport,
-    "symm": SymmetricSupport,
-    "mideal": MonomialIdeal,
-    "pideal": PolyIdeal,
-    "matrix": LinearChange,
+# each kind's payload type and header fields, which are attributes of the
+# payload of the same names
+_KINDS = {
+    "tensor": (TensorSupport, ("order", "dims")),
+    "symm": (SymmetricSupport, ("degree", "nvars")),
+    "mideal": (MonomialIdeal, ("nvars",)),
+    "pideal": (PolyIdeal, ("nvars",)),
+    "matrix": (LinearChange, ("nvars",)),
 }
+_KIND_TYPES = {kind: payload for kind, (payload, _) in _KINDS.items()}
 
 
 @dataclass(frozen=True)
@@ -85,11 +88,13 @@ def _significant_lines(text: str) -> list[tuple[int, str]]:
     return out
 
 
-def _header_count(tokens, header_line, usage, count):
-    if len(tokens) != count + 1:
-        raise ParseError(f"usage: {usage}", header_line)
+def _header_fields(kind: str, tokens, header_line) -> list[int]:
+    """The values of the header fields `_KINDS` names for `kind`."""
+    names = _KINDS[kind][1]
+    if len(tokens) != len(names):
+        raise ParseError(f"usage: {' '.join([kind, *(f'<{n}>' for n in names)])}", header_line)
     values = []
-    for tok in tokens[1:]:
+    for tok in tokens:
         v = _token(parse_integer, tok, header_line, "header field")
         if v < 1:
             raise ParseError(f"header field must be >= 1, got {v}", header_line)
@@ -156,12 +161,14 @@ def parse_input(text: str) -> InputDocument:
     if not lines:
         raise ParseError("empty input: expected a header line", 1)
     header_line, header = lines[0]
-    tokens = header.split()
-    kind = tokens[0]
+    kind, *tokens = header.split()
     rest = lines[1:]
+    if kind not in _KINDS:
+        raise ParseError(f"unknown input kind {kind!r}", header_line)
+    fields = _header_fields(kind, tokens, header_line)
 
     if kind == "matrix":
-        (nvars,) = _header_count(tokens, header_line, "matrix <nvars>", 1)
+        (nvars,) = fields
         if len(rest) > nvars:
             raise ParseError("unexpected line after matrix rows", rest[nvars][0])
         if len(rest) < nvars:
@@ -181,24 +188,15 @@ def parse_input(text: str) -> InputDocument:
     # the entry kinds: `read` checks the format, the constructor `make` every
     # entry; a fault is reported at the first line whose entry `make` rejects
     # alone, when that line comes before the format fault or there is none
-    if kind == "tensor":
-        order, dims = _header_count(tokens, header_line, "tensor <order> <dims>", 2)
-        make, read = partial(TensorSupport, order, dims), _index_rows
-    elif kind == "symm":
-        degree, nvars = _header_count(tokens, header_line, "symm <degree> <nvars>", 2)
-        make, read = partial(SymmetricSupport, degree, nvars), _index_rows
-    elif kind == "mideal":
-        (nvars,) = _header_count(tokens, header_line, "mideal <nvars>", 1)
-        make, read = partial(MonomialIdeal, nvars), _index_rows
-    elif kind == "pideal":
-        (nvars,) = _header_count(tokens, header_line, "pideal <nvars>", 1)
+    if kind == "pideal":
+        (nvars,) = fields
 
         def make(generators):
             return PolyIdeal(nvars, [SparsePolynomial(nvars, g) for g in generators])
 
         read = _pideal_generators
     else:
-        raise ParseError(f"unknown input kind {kind!r}", header_line)
+        make, read = partial(_KIND_TYPES[kind], *fields), _index_rows
     if not rest:
         raise ParseError(f"{kind} needs at least one entry line", header_line)
     entries: list = []
@@ -218,17 +216,14 @@ def parse_input(text: str) -> InputDocument:
 def serialize(doc: InputDocument) -> str:
     """Canonical text for a document; parse_input inverts it exactly."""
     p = doc.payload
+    lines = [" ".join([doc.kind, *(str(getattr(p, f)) for f in _KINDS[doc.kind][1])])]
     if doc.kind == "tensor":
-        lines = [f"tensor {p.order} {p.dims}"]
         lines += [" ".join(map(str, t)) for t in p.sorted_tuples]
     elif doc.kind == "symm":
-        lines = [f"symm {p.degree} {p.nvars}"]
         lines += [" ".join(map(str, e)) for e in p.sorted_exponents]
     elif doc.kind == "mideal":
-        lines = [f"mideal {p.nvars}"]
         lines += [" ".join(map(str, g)) for g in p.generators]
     elif doc.kind == "pideal":
-        lines = [f"pideal {p.nvars}"]
         for pos, gen in enumerate(p.generators):
             if gen.is_zero:
                 raise InputError("a zero generator has no file representation")
@@ -238,9 +233,6 @@ def serialize(doc: InputDocument) -> str:
                 f"{fmt(c)} : " + " ".join(map(str, e))
                 for e, c in gen.sorted_terms()
             ]
-    elif doc.kind == "matrix":
-        lines = [f"matrix {p.nvars}"]
-        lines += [" ".join(fmt(v) for v in row) for row in p.matrix]
     else:
-        raise InputError(f"unknown input kind {doc.kind!r}")
+        lines += [" ".join(fmt(v) for v in row) for row in p.matrix]
     return "\n".join(lines) + "\n"

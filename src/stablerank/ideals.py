@@ -39,11 +39,12 @@ Anything that is not an ideal raises InputError "not an ideal: ...".
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from operator import add
+from operator import add, mul
 
 from .errors import InputError
 from .exactlp import (
@@ -120,10 +121,6 @@ class SparsePolynomial:
         poly.nvars = nvars
         poly.terms = terms
         return poly
-
-    @classmethod
-    def constant(cls, nvars: int, value) -> "SparsePolynomial":
-        return cls(nvars, {(0,) * nvars: value})
 
     @property
     def is_zero(self) -> bool:
@@ -445,12 +442,10 @@ def ideal_power(ideal, exponent: int):
         ]
         return MonomialIdeal(ideal.nvars, gens)
     if isinstance(ideal, PolyIdeal):
-        gens = []
-        for combo in itertools.combinations_with_replacement(ideal.generators, r):
-            prod = SparsePolynomial.constant(ideal.nvars, 1)
-            for g in combo:
-                prod = prod * g
-            gens.append(prod)
+        gens = [
+            functools.reduce(mul, combo)
+            for combo in itertools.combinations_with_replacement(ideal.generators, r)
+        ]
         return PolyIdeal(ideal.nvars, gens)
     raise InputError(f"not an ideal: {ideal!r}")
 

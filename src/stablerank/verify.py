@@ -5,11 +5,13 @@ quantity two different ways (or tests a proved inequality), and returns a
 CheckReport per comparison. Failures are reported, never raised: every
 report carries a serialized reproducer in the input file format, so a
 failing case can be replayed through the command line. Runs with the same
-RandomInstanceConfig produce identical report lists.
+RandomInstanceConfig produce identical report lists. Suites are run by name
+through `run_suite`; `SUITES` maps each name to its suite.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from dataclasses import dataclass
@@ -41,11 +43,6 @@ from .tensors import (
 __all__ = [
     "CheckReport",
     "RandomInstanceConfig",
-    "check_symm_equals_multi",
-    "check_semistable_iff_rank",
-    "check_monomial_lct",
-    "check_ideal_props",
-    "check_lct_leq_rank_anchor",
     "SUITES",
     "run_suite",
 ]
@@ -103,19 +100,12 @@ def _join(*texts: str) -> str:
     return "# ---\n".join(texts)
 
 
-def _compositions(total: int, parts: int):
-    if parts == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for tail in _compositions(total - head, parts - 1):
-            yield (head,) + tail
-
-
+# `rng.sample` draws from each pool in lexicographic order, the order
+# `itertools.product` makes
 def _random_symmetric(rng) -> SymmetricSupport:
     n = rng.randint(1, _MAX_N)
     d = rng.randint(1, _MAX_D)
-    pool = sorted(_compositions(d, n))
+    pool = [e for e in itertools.product(range(d + 1), repeat=n) if sum(e) == d]
     k = rng.randint(1, min(_MAX_SUPPORT, len(pool)))
     return SymmetricSupport(d, n, rng.sample(pool, k))
 
@@ -123,10 +113,7 @@ def _random_symmetric(rng) -> SymmetricSupport:
 def _random_tensor(rng) -> TensorSupport:
     n = rng.randint(1, _MAX_N)
     d = rng.randint(1, _MAX_D)
-    pool = [
-        tuple(1 + (idx // n**i) % n for i in range(d)) for idx in range(n**d)
-    ]
-    pool = sorted(set(pool))
+    pool = list(itertools.product(range(1, n + 1), repeat=d))
     k = rng.randint(1, min(_MAX_SUPPORT, len(pool)))
     return TensorSupport(d, n, rng.sample(pool, k))
 
@@ -157,7 +144,7 @@ def _random_poly_ideal(rng, nvars: int) -> PolyIdeal:
     return PolyIdeal(nvars, [_random_poly(rng, nvars) for _ in range(rng.randint(1, 3))])
 
 
-def check_symm_equals_multi(config: RandomInstanceConfig) -> list[CheckReport]:
+def _symm_equals_multi(config: RandomInstanceConfig) -> list[CheckReport]:
     """Symmetric rank must agree with the rank of the expanded tensor support."""
     rng = random.Random(config.seed)
     reports = []
@@ -178,47 +165,47 @@ def check_symm_equals_multi(config: RandomInstanceConfig) -> list[CheckReport]:
     return reports
 
 
-def check_semistable_iff_rank(config: RandomInstanceConfig) -> list[CheckReport]:
+def _semistable_iff_rank(config: RandomInstanceConfig) -> list[CheckReport]:
     """Torus semistability must hold exactly when the rank equals the dimension."""
+    # one tensor, then one form, per case: (name, draw, rank, semistability,
+    # dimension); built per call, so it reads the module's current bindings
+    kinds = (
+        ("tensor", _random_tensor, torus_rank, is_torus_semistable, "dims"),
+        ("symm", _random_symmetric, symm_torus_rank, is_symm_torus_semistable, "nvars"),
+    )
     rng = random.Random(config.seed)
     reports = []
     for case in range(config.cases):
-        tensor = _random_tensor(rng)
-        rank = torus_rank(tensor)
-        stable = is_torus_semistable(tensor)
-        rank_full = rank.value == tensor.dims
-        reports.append(
-            CheckReport(
-                "semistable/tensor",
-                _doc_text(tensor, f"case {case}", f"rank = {fmt(rank.value)}"),
-                stable == rank_full,
-                f"semistable:{int(stable)}",
-                f"rank-equals-dims:{int(rank_full)}",
-                witness=rank.witness,
+        for name, draw, rank_of, semistable, dims in kinds:
+            support = draw(rng)
+            rank = rank_of(support)
+            stable = semistable(support)
+            rank_full = rank.value == getattr(support, dims)
+            reports.append(
+                CheckReport(
+                    f"semistable/{name}",
+                    _doc_text(support, f"case {case}", f"rank = {fmt(rank.value)}"),
+                    stable == rank_full,
+                    f"semistable:{int(stable)}",
+                    f"rank-equals-dims:{int(rank_full)}",
+                    witness=rank.witness,
+                )
             )
-        )
-        form = _random_symmetric(rng)
-        srank = symm_torus_rank(form)
-        sstable = is_symm_torus_semistable(form)
-        srank_full = srank.value == form.nvars
-        reports.append(
-            CheckReport(
-                "semistable/symm",
-                _doc_text(form, f"case {case}", f"rank = {fmt(srank.value)}"),
-                sstable == srank_full,
-                f"semistable:{int(sstable)}",
-                f"rank-equals-dims:{int(srank_full)}",
-                witness=srank.witness,
-            )
-        )
     return reports
 
 
-_CYCLIC_ANCHOR = MonomialIdeal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
-_DIAGONAL_ANCHORS = ((2, 2), (3, 4), (1, 1, 1), (2, 3, 7, 9))
+# (name, ideal, expected lct): the cyclic ideal, and the diagonal ideals
+# (x_i^e_i) at the reciprocal sum of their exponents
+_ANCHORS = [("cyclic", MonomialIdeal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)]), Fraction(1))] + [
+    ("diagonal-" + "-".join(map(str, exps)),
+     MonomialIdeal(len(exps), [tuple(e if i == j else 0 for j in range(len(exps)))
+                               for i, e in enumerate(exps)]),
+     sum(Fraction(1, e) for e in exps))
+    for exps in ((2, 2), (3, 4), (1, 1, 1), (2, 3, 7, 9))
+]
 
 
-def check_monomial_lct(config: RandomInstanceConfig) -> list[CheckReport]:
+def _monomial_lct(config: RandomInstanceConfig) -> list[CheckReport]:
     """Rank-program lct must match the Newton polyhedron threshold.
 
     Fixed anchors pin absolute values (the cyclic ideal at 1 and diagonal
@@ -229,28 +216,12 @@ def check_monomial_lct(config: RandomInstanceConfig) -> list[CheckReport]:
     two-phase for the threshold), not an independent derivation of the lct.
     """
     reports = []
-    rank = t_stable_rank(_CYCLIC_ANCHOR)
-    reports.append(
-        CheckReport(
-            "monomial-lct/anchor-cyclic",
-            _doc_text(_CYCLIC_ANCHOR, "expected lct 1"),
-            rank.value == Fraction(1),
-            fmt(rank.value),
-            "1",
-            witness=rank.witness,
-        )
-    )
-    for exps in _DIAGONAL_ANCHORS:
-        n = len(exps)
-        diag = MonomialIdeal(
-            n, [tuple(e if i == j else 0 for j in range(n)) for i, e in enumerate(exps)]
-        )
-        expected = sum(Fraction(1, e) for e in exps)
-        rank = t_stable_rank(diag)
+    for name, ideal, expected in _ANCHORS:
+        rank = t_stable_rank(ideal)
         reports.append(
             CheckReport(
-                "monomial-lct/anchor-diagonal-" + "-".join(map(str, exps)),
-                _doc_text(diag, f"expected lct {expected}"),
+                f"monomial-lct/anchor-{name}",
+                _doc_text(ideal, f"expected lct {expected}"),
                 rank.value == expected,
                 fmt(rank.value),
                 fmt(expected),
@@ -276,16 +247,12 @@ def check_monomial_lct(config: RandomInstanceConfig) -> list[CheckReport]:
 
 
 def _harmonic_bound(ra, rb):
-    if ra == math.inf and rb == math.inf:
-        return math.inf
-    if ra == math.inf:
-        return rb
-    if rb == math.inf:
-        return ra
+    if math.inf in (ra, rb):
+        return min(ra, rb)
     return (ra * rb) / (ra + rb)
 
 
-def check_ideal_props(config: RandomInstanceConfig) -> list[CheckReport]:
+def _ideal_props(config: RandomInstanceConfig) -> list[CheckReport]:
     """Exact rank laws: power scaling, product bound, monotonicity, sum bound."""
     rng = random.Random(config.seed)
     reports = []
@@ -373,17 +340,18 @@ def check_ideal_props(config: RandomInstanceConfig) -> list[CheckReport]:
     return reports
 
 
-def check_lct_leq_rank_anchor() -> CheckReport:
+def _lct_leq_rank_anchor(config: RandomInstanceConfig) -> list[CheckReport]:
     """Recorded lct of x1^2 + x2^2 + x3^2 stays below the computed rank.
 
     The threshold value 1 is a tabulated reference constant, not computed
     here; the rank of the principal ideal comes out of the usual program.
+    The one report is the same for every config.
     """
     f = SparsePolynomial(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
     ideal = PolyIdeal(3, [f])
     rank = t_stable_rank(ideal)
     recorded = Fraction(1)
-    return CheckReport(
+    return [CheckReport(
         "lct-bound/anchor",
         _doc_text(
             ideal,
@@ -393,19 +361,15 @@ def check_lct_leq_rank_anchor() -> CheckReport:
         fmt(recorded),
         fmt(rank.value),
         witness=rank.witness,
-    )
-
-
-def _lct_bound_suite(config: RandomInstanceConfig) -> list[CheckReport]:
-    return [check_lct_leq_rank_anchor()]
+    )]
 
 
 SUITES = {
-    "symm-multi": check_symm_equals_multi,
-    "semistable": check_semistable_iff_rank,
-    "monomial-lct": check_monomial_lct,
-    "ideal-props": check_ideal_props,
-    "lct-bound": _lct_bound_suite,
+    "symm-multi": _symm_equals_multi,
+    "semistable": _semistable_iff_rank,
+    "monomial-lct": _monomial_lct,
+    "ideal-props": _ideal_props,
+    "lct-bound": _lct_leq_rank_anchor,
 }
 
 

@@ -22,11 +22,7 @@ from stablerank.ideals import (
     t_stable_rank,
 )
 from stablerank.tensors import SymmetricSupport, symm_torus_rank
-from stablerank.verify import (
-    RandomInstanceConfig,
-    check_lct_leq_rank_anchor,
-    run_suite,
-)
+from stablerank.verify import RandomInstanceConfig, run_suite
 
 
 def _report(number: int, description: str, problems: list[str]) -> None:
@@ -194,7 +190,7 @@ def test_criterion_8_lct_bounded_by_rank():
     recorded_lct = F(1)
     if not recorded_lct < rank:
         problems.append(f"recorded lct {recorded_lct} is not below the rank {rank}")
-    report = check_lct_leq_rank_anchor()
+    (report,) = run_suite("lct-bound", RandomInstanceConfig(seed=0))
     if not report.passed:
         problems.append("anchor check reports failure")
     _report(8, "recorded lct 1 of the sum of three squares lies below its rank 3/2", problems)

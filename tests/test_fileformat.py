@@ -114,6 +114,18 @@ class TestParseErrors:
             with pytest.raises(ParseError):
                 parse_input(text)
 
+    @pytest.mark.parametrize("text, usage", [
+        ("tensor 2\n1 1\n", "tensor <order> <dims>"),
+        ("symm 2 2 2\n1 1\n", "symm <degree> <nvars>"),
+        ("mideal\n1 0\n", "mideal <nvars>"),
+        ("pideal 2 2\n1 : 1 0\n", "pideal <nvars>"),
+        ("matrix 2 2\n1 0\n0 1\n", "matrix <nvars>"),
+    ])
+    def test_header_field_count(self, text, usage):
+        with pytest.raises(ParseError) as exc:
+            parse_input(text)
+        assert (exc.value.line, exc.value.message) == (1, f"usage: {usage}")
+
     @pytest.mark.parametrize(
         "text, line, constructor, args",
         [

@@ -9,11 +9,6 @@ from stablerank.verify import (
     SUITES,
     CheckReport,
     RandomInstanceConfig,
-    check_ideal_props,
-    check_lct_leq_rank_anchor,
-    check_monomial_lct,
-    check_semistable_iff_rank,
-    check_symm_equals_multi,
     run_suite,
 )
 
@@ -50,7 +45,7 @@ class TestConfig:
 
 class TestAnchor:
     def test_lct_leq_rank_anchor(self):
-        report = check_lct_leq_rank_anchor()
+        (report,) = run_suite("lct-bound", SMALL)
         assert isinstance(report, CheckReport)
         assert report.passed is True
         assert report.lhs == "1"
@@ -61,7 +56,7 @@ class TestAnchor:
 
 class TestSuitesPass:
     def test_symm_equals_multi(self):
-        reports = check_symm_equals_multi(SMALL)
+        reports = run_suite("symm-multi", SMALL)
         assert len(reports) == SMALL.cases
         assert all(r.passed for r in reports)
         for r in reports:
@@ -70,7 +65,7 @@ class TestSuitesPass:
             _assert_instance_parses(r)
 
     def test_semistable_iff_rank(self):
-        reports = check_semistable_iff_rank(SMALL)
+        reports = run_suite("semistable", SMALL)
         assert len(reports) == 2 * SMALL.cases
         assert all(r.passed for r in reports)
         kinds = {r.check_name for r in reports}
@@ -79,7 +74,7 @@ class TestSuitesPass:
             _assert_instance_parses(r)
 
     def test_monomial_lct(self):
-        reports = check_monomial_lct(SMALL)
+        reports = run_suite("monomial-lct", SMALL)
         assert len(reports) > SMALL.cases  # fixed anchors plus the random cases
         assert all(r.passed for r in reports)
         cyclic = [r for r in reports if "anchor-cyclic" in r.check_name]
@@ -92,7 +87,7 @@ class TestSuitesPass:
             _assert_instance_parses(r)
 
     def test_ideal_props(self):
-        reports = check_ideal_props(SMALL)
+        reports = run_suite("ideal-props", SMALL)
         assert len(reports) == 4 * SMALL.cases
         assert all(r.passed for r in reports)
         names = {r.check_name for r in reports}
@@ -107,21 +102,17 @@ class TestSuitesPass:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize(
-        "check",
-        [check_symm_equals_multi, check_semistable_iff_rank, check_monomial_lct,
-         check_ideal_props],
-    )
-    def test_identical_runs(self, check):
+    @pytest.mark.parametrize("suite", ["symm-multi", "semistable", "monomial-lct", "ideal-props"])
+    def test_identical_runs(self, suite):
         cfg = RandomInstanceConfig(seed=42, cases=10)
-        first = check(cfg)
-        second = check(cfg)
+        first = run_suite(suite, cfg)
+        second = run_suite(suite, cfg)
         assert first == second
         assert [repr(r) for r in first] == [repr(r) for r in second]
 
     def test_seed_changes_instances(self):
-        a = check_symm_equals_multi(RandomInstanceConfig(seed=1, cases=10))
-        b = check_symm_equals_multi(RandomInstanceConfig(seed=2, cases=10))
+        a = run_suite("symm-multi", RandomInstanceConfig(seed=1, cases=10))
+        b = run_suite("symm-multi", RandomInstanceConfig(seed=2, cases=10))
         assert [r.instance for r in a] != [r.instance for r in b]
 
 
@@ -132,7 +123,7 @@ class TestFailureReporting:
         monkeypatch.setattr(
             verify_mod, "newton_threshold", lambda ideal: F(10_000_000)
         )
-        reports = check_monomial_lct(RandomInstanceConfig(seed=7, cases=5))
+        reports = run_suite("monomial-lct", RandomInstanceConfig(seed=7, cases=5))
         random_cases = [r for r in reports if r.check_name == "monomial-lct/newton-agreement"]
         assert random_cases and all(not r.passed for r in random_cases)
         for r in random_cases:
@@ -151,14 +142,14 @@ class TestRegistry:
 
     def test_run_suite_matches_direct_call(self):
         cfg = RandomInstanceConfig(seed=3, cases=5)
-        assert run_suite("symm-multi", cfg) == check_symm_equals_multi(cfg)
-        assert run_suite("lct-bound", cfg) == [check_lct_leq_rank_anchor()]
+        assert run_suite("symm-multi", cfg) == SUITES["symm-multi"](cfg)
+        # the anchor does not depend on the config
+        assert run_suite("lct-bound", cfg) == SUITES["lct-bound"](RandomInstanceConfig(seed=0))
 
     def test_run_all(self):
+        # `all` runs every suite in `SUITES` order, which `verify all` relies on
         cfg = RandomInstanceConfig(seed=3, cases=4)
-        combined = run_suite("all", cfg)
-        total = sum(len(run_suite(name, cfg)) for name in SUITES)
-        assert len(combined) == total
+        assert run_suite("all", cfg) == [r for name in SUITES for r in run_suite(name, cfg)]
 
     def test_unknown_suite(self):
         with pytest.raises(InputError):
