@@ -62,7 +62,13 @@ the optimal tableau's reduced costs (the complementary basic solution).
 Everything else goes through the textbook primal two-phase simplex, which
 returns the phase-one vertex when every cost is 0 (`lp_feasible`): phase two
 would not pivot, and driving basic artificials out pivots on rows at level
-0, which moves no variable.
+0, which moves no variable. Such a phase one also stops at the first
+tableau whose value, the sum of the artificials, is 0. That value cannot go
+below 0, so every pivot Bland's rule would still take has a zero ratio: it
+changes the basis but no variable's value, and the vertex returned is the
+one the full phase one reaches. With a nonzero cost, phase one runs to the
+end, since a different final basis could start phase two elsewhere and so
+move its vertex.
 
 `minimize_slope` is the bridge used by the rank computations: the infimum of
 (cost . lam) / min_k (a_k . lam) over nonzero integer vectors lam >= 0 with
@@ -337,12 +343,18 @@ def _pivot(rows: list[int], d: int, r: int, factors: Sequence[int]) -> int:
     return p
 
 
-def _simplex(rows: list[int], basis: list[int], d: int, fields: _Fields, ncols: int) -> tuple[bool, int]:
+def _simplex(rows: list[int], basis: list[int], d: int, fields: _Fields, ncols: int,
+             stop_at_zero: bool = False) -> tuple[bool, int]:
     """Minimize over the packed tableau `rows`, whose last row is the
     objective and whose rows hold `ncols` columns and then the right side, by
     Bland's rule: enter at the least column with a negative reduced cost,
     leave at the least ratio (compared by cross-multiplication), ties going
     to the least basic index. Returns (bounded, common denominator).
+
+    With `stop_at_zero`, the pass also ends at the first tableau whose
+    objective value is 0. The two-phase route asks for it in phase one when
+    every cost is 0: the phase-one value never goes below 0, so every later
+    pivot would have a zero ratio and move no variable.
 
     The entering column is the lowest set bit of ~(obj + O) & T, with T the
     top bits of the first `ncols` fields: the top bit of field j of obj + O
@@ -356,7 +368,7 @@ def _simplex(rows: list[int], basis: list[int], d: int, fields: _Fields, ncols: 
     while True:
         u = rows[m] + offset
         negative = ~u & top
-        if not negative:
+        if not negative or stop_at_zero and u >> last == half:
             return True, d
         shift = (negative & -negative).bit_length() - k
         factors = []
@@ -441,12 +453,16 @@ def _primal_two_phase(
         unit <<= k
     tableau.append(phase_one)
     basis = list(range(width, ncols))
-    bounded, d = _simplex(tableau, basis, 1, fields, ncols)
+    # With every cost 0, phase one ends as soon as its value is 0: the pivots
+    # Bland's rule would take after that are degenerate. With a cost, it runs
+    # to the end, because another final basis could move phase two's vertex.
+    zero_cost = not any(objective)
+    bounded, d = _simplex(tableau, basis, 1, fields, ncols, zero_cost)
     if not bounded:
         raise RuntimeError("phase one cannot be unbounded")
     if (tableau[m] + offset) >> k * ncols != fields.half:
         return LpOutcome(status="infeasible")
-    if not any(objective):
+    if zero_cost:
         # Every cost is 0, so phase two would not pivot, and the drive-out
         # below pivots on rows at level 0, which moves no variable: the
         # phase-one vertex is the answer.

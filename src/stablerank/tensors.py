@@ -42,6 +42,18 @@ form the point is (d/n, ..., d/n) and the hull is that of the exponents.
 Both programs are solved over a multiple of theta with integer marginals:
 n * theta for a tensor, whose marginals are then 1, and (n / g) * theta for
 a form, g = gcd(n, d), whose point is then (d / g, ..., d / g).
+
+No program is built when a coordinate is unused. If no support tuple has
+index j in factor i, that marginal is 0 whatever theta is, and the
+destabilizer can be written down: lam_i = 1 - n * e_j, every other factor
+zero, is traceless and pairs exactly 1 with every tuple. If no exponent
+vector uses variable j of a form, mu = 1 - n * e_j is traceless and pairs
+d >= 1 with every exponent. Either check reads the support alone, so a
+header with a huge n and a short support is decided at once.
+
+Every public function here takes its support first and raises InputError
+"not a tensor support: ..." or "not a symmetric support: ..." when handed
+anything else.
 """
 
 from __future__ import annotations
@@ -131,6 +143,13 @@ class SymmetricSupport:
         return tuple(sorted(self.exponents))
 
 
+def _expect(support, kind: type, what: str):
+    """`support` itself when it is a `kind`; InputError "not a <what>" otherwise."""
+    if not isinstance(support, kind):
+        raise InputError(f"not a {what}: {support!r}")
+    return support
+
+
 def _checked_weights(support: TensorSupport, weights) -> tuple[tuple[int, ...], ...]:
     rows = tuple(integers(w, "weight vector", support.dims, low=0)
                  for w in collection(weights, "weight assignment"))
@@ -143,6 +162,7 @@ def _checked_weights(support: TensorSupport, weights) -> tuple[tuple[int, ...], 
 
 def torus_valuation(support: TensorSupport, weights) -> int:
     """min over support tuples of sum_i weights[i][j_i] for a diagonal subgroup."""
+    _expect(support, TensorSupport, "tensor support")
     rows = _checked_weights(support, weights)
     return min(
         sum(rows[i][j - 1] for i, j in enumerate(t)) for t in support.sorted_tuples
@@ -171,6 +191,7 @@ def torus_rank(support: TensorSupport, alpha: Sequence | None = None) -> SlopeRe
     program is solved with the integer costs L * alpha, L the lcm of their
     denominators, and its value divided by L; the witness is the same.
     """
+    _expect(support, TensorSupport, "tensor support")
     n, d = support.dims, support.order
     if alpha is None:
         return _slope((1,) * (n * d), _support_rows(support))
@@ -191,12 +212,14 @@ def symm_torus_rank(support: SymmetricSupport) -> SlopeResult:
     alpha (tested as an invariant, both directions of the slope comparison
     going through `combine_one_ps`).
     """
+    _expect(support, SymmetricSupport, "symmetric support")
     return _slope((support.degree,) * support.nvars, support.sorted_exponents)
 
 
 def expand_symmetric(support: SymmetricSupport) -> TensorSupport:
     """Support of the form viewed as a symmetric tensor: every arrangement
     (each exponent vector's full permutation orbit of index tuples)."""
+    _expect(support, SymmetricSupport, "symmetric support")
     tuples = []
     for m in support.sorted_exponents:
         tuples.extend(_arrangements(m))
@@ -247,18 +270,25 @@ def is_torus_semistable(support: TensorSupport) -> bool:
     convex weights theta on the support tuples put mass 1/n on every index j
     of every factor i (torus semistability for the product of SL(n)'s).
 
-    One exact feasibility program over theta' = n * theta, with a variable
-    per support tuple and the integer rows sum(theta') = n and, for every
-    factor, the marginals of j = 1..n-1 equal to 1; the marginal of index n
-    follows from those, and a row implied by the others would only leave an
-    artificial to drive out after phase one. The 0/1 marginal rows are built
-    one factor at a time, by setting the entry of each tuple's index. Neither
-    n = 1 nor d = 1 is special: with n = 1 only sum(theta') = 1 remains,
-    which every support meets (SL(1) is trivial), and with d = 1 the rows ask
-    for theta' = 1 on every basis vector, so the vector is semistable exactly
-    when no coordinate is zero.
+    False, with no program built, when some factor i leaves an index j
+    unused: lam_i = 1 - n * e_j, with every other factor zero, is traceless
+    and pairs 1 with every tuple, so it destabilizes.
+
+    Otherwise one exact feasibility program over theta' = n * theta, with a
+    variable per support tuple and the integer rows sum(theta') = n and, for
+    every factor, the marginals of j = 1..n-1 equal to 1; the marginal of
+    index n follows from those, and a row implied by the others would only
+    leave an artificial to drive out after phase one. The 0/1 marginal rows
+    are built one factor at a time, by setting the entry of each tuple's
+    index. Neither n = 1 nor d = 1 is special: with n = 1 only
+    sum(theta') = 1 remains, which every support meets (SL(1) is trivial),
+    and with d = 1 a support that uses every index is all n basis vectors,
+    which theta' = 1 meets.
     """
+    _expect(support, TensorSupport, "tensor support")
     n, d = support.dims, support.order
+    if any(len(set(column)) < n for column in zip(*support.tuples)):
+        return False
     tuples = support.sorted_tuples
     rows = [(1,) * len(tuples)]
     for i in range(d):
@@ -274,15 +304,23 @@ def is_symm_torus_semistable(support: SymmetricSupport) -> bool:
     """True when (d/n, ..., d/n) lies in the convex hull of the exponent
     vectors (torus semistability of the form for SL(n)).
 
-    One exact feasibility program over theta' = (n / g) * theta, with
-    g = gcd(n, d), a variable theta'_m per exponent vector and the n integer
-    rows sum_m theta'_m * m_j = d / g; every m sums to d, so the rows already
-    force sum(theta') = n / g. The right side d / g is the least integer
-    multiple of d/n: a larger one would only widen the tableau. Neither
-    n = 1 nor d = 1 is special: with n = 1 the one row reads
-    d * sum(theta') = d, which every form meets, and with d = 1 the
-    exponents are unit vectors and the rows ask for all n of them.
+    False, with no program built, when some variable j occurs in no
+    exponent: mu = 1 - n * e_j is traceless and pairs d >= 1 with every
+    exponent, so it destabilizes.
+
+    Otherwise one exact feasibility program over theta' = (n / g) * theta,
+    with g = gcd(n, d), a variable theta'_m per exponent vector and the n
+    integer rows sum_m theta'_m * m_j = d / g; every m sums to d, so the
+    rows already force sum(theta') = n / g. The right side d / g is the
+    least integer multiple of d/n: a larger one would only widen the
+    tableau. Neither n = 1 nor d = 1 is special: with n = 1 the one row
+    reads d * sum(theta') = d, which every form meets, and with d = 1 a form
+    that uses every variable has all n unit vectors as exponents, which
+    theta' = 1 meets.
     """
+    _expect(support, SymmetricSupport, "symmetric support")
+    if not all(map(any, zip(*support.exponents))):
+        return False
     n, d = support.nvars, support.degree
     exponents = support.sorted_exponents
     rows = tuple(tuple(m[j] for m in exponents) for j in range(n))

@@ -5,9 +5,11 @@ the solver existed; they are frozen and must never be relaxed.
 """
 
 import itertools
+import json
 import math
 import random
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import event, example, given, settings
@@ -174,6 +176,90 @@ class TestLpFeasible:
     def test_rejects_malformed_systems(self, rows, rhs, eq_rows, eq_rhs):
         with pytest.raises(InputError):
             lp_feasible(rows, rhs, eq_rows, eq_rhs)
+
+
+def pass_pivots(monkeypatch, solve, full=False):
+    """(solve(), the pivot count of every `_simplex` pass it ran). With
+    `full`, no pass stops at a zero value: every phase one runs to the end."""
+    pivots, passes = [], []
+    simplex, pivot = exactlp._simplex, exactlp._pivot
+
+    def traced_simplex(rows, basis, d, fields, ncols, stop_at_zero=False):
+        before = len(pivots)
+        out = simplex(rows, basis, d, fields, ncols, stop_at_zero and not full)
+        passes.append(len(pivots) - before)
+        return out
+
+    def traced_pivot(*args):
+        pivots.append(args[2])
+        return pivot(*args)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(exactlp, "_simplex", traced_simplex)
+        patch.setattr(exactlp, "_pivot", traced_pivot)
+        return solve(), passes
+
+
+class TestPhaseOneStop:
+    """Phase one stops at value 0 when every cost is 0, and only then."""
+
+    # x = 2 and x + y = 2: phase one is at 0 once x enters, and Bland's rule
+    # would then enter y on a row at level 0, which moves nothing
+    EQ_ROWS, EQ_RHS = [[1, 0], [1, 1]], [2, 2]
+
+    def test_zero_cost_skips_the_degenerate_tail(self, monkeypatch):
+        def feasible():
+            return lp_feasible([], [], self.EQ_ROWS, self.EQ_RHS)
+
+        assert pass_pivots(monkeypatch, feasible) == ((True, (F(2), F(0))), [1])
+        assert pass_pivots(monkeypatch, feasible, full=True) == ((True, (F(2), F(0))), [2])
+        zero_cost = program([0, 0], [], [], self.EQ_ROWS, self.EQ_RHS)
+        outcome, passes = pass_pivots(monkeypatch, lambda: lp_minimize(zero_cost))
+        assert (outcome.status, outcome.value, outcome.vertex, passes) == (
+            "optimal", 0, (F(2), F(0)), [1])
+
+    def test_nonzero_cost_runs_phase_one_to_the_end(self, monkeypatch):
+        for cost in ([1, 1], [0, -1], [F(1, 2), 0]):
+            costly = program(cost, [], [], self.EQ_ROWS, self.EQ_RHS)
+            outcome, passes = pass_pivots(monkeypatch, lambda: lp_minimize(costly))
+            # the first pass is the zero-cost system's full phase one
+            assert passes[0] == 2
+            assert outcome.vertex == (F(2), F(0))
+
+    def test_random_systems_keep_every_witness(self, monkeypatch):
+        rng = random.Random(20261107)
+        fewer = 0
+        for _ in range(300):
+            n, m, p = rng.randint(1, 5), rng.randint(0, 3), rng.randint(1, 3)
+            rows = [[rng.randint(-1, 2) for _ in range(n)] for _ in range(m)]
+            rhs = [rng.randint(-1, 2) for _ in range(m)]
+            eq_rows = [[rng.randint(0, 2) for _ in range(n)] for _ in range(p)]
+            eq_rhs = [rng.randint(0, 3) for _ in range(p)]
+
+            def feasible():
+                return lp_feasible(rows, rhs, eq_rows, eq_rhs)
+
+            stopped, short = pass_pivots(monkeypatch, feasible)
+            answer, full = pass_pivots(monkeypatch, feasible, full=True)
+            assert stopped == answer
+            assert sum(short) <= sum(full)
+            fewer += sum(short) < sum(full)
+        assert fewer >= 20
+
+    def test_golden_feasibility_cases(self, monkeypatch):
+        golden = json.loads(Path(__file__).with_name("golden_lp.json").read_text(encoding="utf-8"))
+        cases = [case for case in golden if case["input"]["call"] == "lp_feasible"]
+        fewer = 0
+        for case in cases:
+            given = case["input"]
+            system = ([[F(v) for v in row] for row in given["rows"]], [F(v) for v in given["rhs"]],
+                      [[F(v) for v in row] for row in given["eq_rows"]], [F(v) for v in given["eq_rhs"]])
+            stopped, short = pass_pivots(monkeypatch, lambda: lp_feasible(*system))
+            answer, full = pass_pivots(monkeypatch, lambda: lp_feasible(*system), full=True)
+            assert stopped == answer
+            assert sum(short) <= sum(full)
+            fewer += sum(short) < sum(full)
+        assert (len(cases), fewer) == (60, 8)
 
 
 W_ROWS = [[0, 1, 1, 0, 1, 0], [1, 0, 0, 1, 1, 0], [1, 0, 1, 0, 0, 1]]

@@ -13,7 +13,10 @@ relative paths, so no absolute path reaches the bytes:
 - each suite at a few cases, and `verify all`, once as they are and once
   with `newton_threshold` faulted so that FAIL lines are printed;
 - a line-numbered parse error, a kind mismatch, a file that is not UTF-8,
-  a missing file, a wrong --alpha arity and an unknown suite.
+  a missing file, a wrong --alpha arity and an unknown suite;
+- semistable on two tensor files whose header names far more indices than
+  the one-line support uses (n = 3,000,000 and n = 10^20), which must answer
+  at once; these are the last cases, added after the others.
 
 Text written by argparse itself (help pages and usage errors) is left out:
 its bytes differ between Python versions, and `TestFixedHelpWidth` in
@@ -50,6 +53,8 @@ FILES = {
     "shear.txt": b"matrix 2\n1 1\n0 1\n",
     "bad.txt": b"mideal 2\n1 0\n1 0 0\n",
     "latin1.txt": b"tensor 3 2\n1 1 1\n# caf\xe9\n",
+    "wide.txt": b"tensor 1 3000000\n1\n",
+    "huge.txt": b"tensor 1 99999999999999999999\n1\n",
 }
 
 _CALLS = [
@@ -79,6 +84,10 @@ _ERRORS = [
     ["lct", "unit.txt"],
     ["verify", "nonsense"],
 ]
+_HEADERS = [
+    ["semistable", "wide.txt"],
+    ["semistable", "huge.txt"],
+]
 _FAULTED = [
     ["verify", "monomial-lct", "--seed", "7", "--cases", "3"],
     ["verify", "all", "--seed", "7", "--cases", "2"],
@@ -87,7 +96,7 @@ _FAULTED = [
 # (faulted, argv): every call in text and with --json
 CASES = [
     (faulted, [*argv, *json_flag])
-    for faulted, calls in ((False, _CALLS + _ERRORS), (True, _FAULTED))
+    for faulted, calls in ((False, _CALLS + _ERRORS), (True, _FAULTED), (False, _HEADERS))
     for argv in calls
     for json_flag in ([], ["--json"])
 ]

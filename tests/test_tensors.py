@@ -13,6 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from oracle import oracle_minimum_over_vertices
+from stablerank import tensors
 from stablerank.errors import InputError
 from stablerank.exactlp import LinearProgram, lp_feasible
 from stablerank.tensors import (
@@ -302,6 +303,60 @@ class TestSemistability:
             assert is_symm_torus_semistable(v) == is_torus_semistable(expand_symmetric(v))
 
 
+def no_program(*args):
+    raise AssertionError("a program was built")
+
+
+class TestUnusedCoordinate:
+    """An unused index or variable decides instability with no program."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_tensor_without_its_last_index(self, d, monkeypatch):
+        # The last factor never uses index n = 3. Its marginal row is the one
+        # the program leaves out as implied, so every row of the full program
+        # is nonzero and only the solve could tell.
+        n = 3
+        tuples = [(j,) * (d - 1) + (min(j, n - 1),) for j in range(1, n + 1)]
+        v = TensorSupport(order=d, dims=n, tuples=tuples)
+        rows = [(1,) * len(v.tuples)] + [tuple(int(t[i] == j) for t in v.sorted_tuples)
+                                         for i in range(d) for j in range(1, n)]
+        assert all(map(any, rows))
+        assert lp_feasible([], [], rows, (n,) + (1,) * (len(rows) - 1)) == (False, None)
+        # the destabilizer the rule names: lam = 1 - n * e_n in the last factor
+        lam = [[0] * n for _ in range(d - 1)] + [[1] * (n - 1) + [1 - n]]
+        assert all(sum(row) == 0 for row in lam)
+        assert all(sum(lam[i][j - 1] for i, j in enumerate(t)) == 1 for t in v.tuples)
+        assert destabilizer_exists(v)
+        monkeypatch.setattr(tensors, "_feasible", no_program)
+        assert is_torus_semistable(v) is False
+
+    @pytest.mark.parametrize("exponents", [
+        [(3, 0, 0), (0, 3, 0), (1, 2, 0)],
+        [(0, 3, 0), (0, 1, 2), (0, 2, 1), (0, 0, 3)],
+        [(1, 1, 1, 0)] + [(3, 0, 0, 0), (0, 3, 0, 0), (0, 0, 3, 0)],
+    ])
+    def test_form_without_a_variable(self, exponents, monkeypatch):
+        n = len(exponents[0])
+        v = SymmetricSupport(degree=3, nvars=n, exponents=exponents)
+        j = next(j for j in range(n) if all(m[j] == 0 for m in exponents))
+        rows = [tuple(m[k] for m in v.sorted_exponents) for k in range(n)]
+        assert lp_feasible([], [], rows, (F(3, n),) * n) == (False, None)
+        mu = [1 - n * (k == j) for k in range(n)]
+        assert sum(mu) == 0
+        assert all(sum(a * b for a, b in zip(m, mu)) == 3 for m in exponents)
+        assert destabilizer_exists(v)
+        monkeypatch.setattr(tensors, "_feasible", no_program)
+        assert is_symm_torus_semistable(v) is False
+
+    def test_every_coordinate_used_still_solves(self, monkeypatch):
+        calls = []
+        feasible = tensors._feasible
+        monkeypatch.setattr(tensors, "_feasible", lambda *a: calls.append(a) or feasible(*a))
+        assert is_torus_semistable(W) is False
+        assert is_symm_torus_semistable(W_FORM) is False
+        assert len(calls) == 2
+
+
 def destabilizer_exists(support):
     """Reference for the semistability programs: their Farkas dual, the search
     for a traceless weight assignment (one vector per factor for a tensor,
@@ -386,6 +441,21 @@ class TestSemistabilityAgainstDestabilizerSearch:
         v = TensorSupport(order=4, dims=6, tuples=rng.sample(pool, 120))
         assert len(v.tuples) == 120
         assert is_torus_semistable(v) is False
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: torus_rank(3), "not a tensor support: 3"),
+    (lambda: torus_rank(W_FORM, [1, 1, 1]), f"not a tensor support: {W_FORM!r}"),
+    (lambda: torus_valuation([(1, 1)], [[1, 1]]), "not a tensor support: [(1, 1)]"),
+    (lambda: is_torus_semistable([1]), "not a tensor support: [1]"),
+    (lambda: symm_torus_rank(W), f"not a symmetric support: {W!r}"),
+    (lambda: expand_symmetric(None), "not a symmetric support: None"),
+    (lambda: is_symm_torus_semistable("symm 3 2"), "not a symmetric support: 'symm 3 2'"),
+])
+def test_non_support_rejected(call, message):
+    with pytest.raises(InputError) as caught:
+        call()
+    assert str(caught.value) == message
 
 
 class TestSupportTypes:

@@ -14,6 +14,11 @@ positive scaling of rows and variables, so the simplex must take the same
 pivots as the fractional formulation through the public `lp_feasible` and
 `minimize_slope`, in fields never wider for the rank and semistability
 programs.
+
+A support with an unused coordinate (an index no tuple uses in some factor,
+a variable no exponent uses) is decided with no solve at all. For those the
+tests check that no program is handed over and that the verdict, False, is
+the one the full fractional program gives through `lp_feasible`.
 """
 
 import itertools
@@ -106,6 +111,17 @@ def random_poly_ideal(rng):
     return PolyIdeal(n, [apply_linear_change(g, LinearChange(matrix)) for g in gens])
 
 
+def has_unused_index(support):
+    """Does some factor of the tensor leave some index 1..n unused?"""
+    return any(j not in {t[i] for t in support.tuples}
+               for i in range(support.order) for j in range(1, support.dims + 1))
+
+
+def has_unused_variable(form):
+    """Does some variable of the form occur in no exponent?"""
+    return any(all(m[j] == 0 for m in form.exponents) for j in range(form.nvars))
+
+
 def assert_checked_slope(cost, rows, result):
     assert type(cost) is tuple and cost
     for c in cost:
@@ -145,28 +161,44 @@ def check_all(calls):
 
 def test_tensor_ranks_and_semistability(calls):
     rng = random.Random(20261101)
-    verdicts = set()
+    verdicts, unused = set(), 0
     for case in range(120):
         support = random_tensor(rng)
         alpha = None
         if case % 2:
             alpha = [rng.choice((1, 2, F(1, 2), F(3, 2), F(5, 3))) for _ in range(support.order)]
         torus_rank(support, alpha)
-        verdicts.add(is_torus_semistable(support))
+        verdict = is_torus_semistable(support)
+        if has_unused_index(support):
+            assert check_all(calls) == {"slope"}
+            assert verdict is False
+            assert lp_feasible([], [], *old_tensor_program(support))[0] is False
+            unused += 1
+            continue
+        verdicts.add(verdict)
         assert check_all(calls) == {"slope", "feasible"}
     assert verdicts == {True, False}
+    assert 0 < unused < 120
 
 
 def test_form_ranks_and_semistability(calls):
     rng = random.Random(20261102)
-    verdicts = set()
+    verdicts, unused = set(), 0
     for _ in range(120):
         form = random_form(rng)
         symm_torus_rank(form)
-        verdicts.add(is_symm_torus_semistable(form))
+        verdict = is_symm_torus_semistable(form)
         torus_rank(expand_symmetric(form))
+        if has_unused_variable(form):
+            assert check_all(calls) == {"slope"}
+            assert verdict is False
+            assert lp_feasible([], [], *old_form_program(form))[0] is False
+            unused += 1
+            continue
+        verdicts.add(verdict)
         assert check_all(calls) == {"slope", "feasible"}
     assert verdicts == {True, False}
+    assert 0 < unused < 120
 
 
 def test_monomial_ideals(calls):
@@ -209,9 +241,9 @@ class PivotTrace:
                 super().__init__(bits)
                 trace.solves.append({"k": self.k, "pivots": [], "basis": None})
 
-        def traced_simplex(rows, basis, d, fields, ncols):
+        def traced_simplex(rows, basis, d, fields, ncols, stop_at_zero=False):
             trace.basis = basis
-            out = simplex(rows, basis, d, fields, ncols)
+            out = simplex(rows, basis, d, fields, ncols, stop_at_zero)
             trace.solves[-1]["basis"] = list(basis)
             return out
 
@@ -257,6 +289,7 @@ def test_integer_programs_take_the_fractional_pivots(monkeypatch):
     trace = PivotTrace(monkeypatch)
     rng = random.Random(20261106)
     widths, verdicts, pivots = [], {"tensor": set(), "form": set(), "newton": set()}, 0
+    unused = {"tensor": 0, "form": 0}
 
     def same_path(new, old, answers_equal=lambda a, b: a == b and type(a) is type(b),
                   caller="rank"):
@@ -274,12 +307,21 @@ def test_integer_programs_take_the_fractional_pivots(monkeypatch):
     def same_slope(a, b):
         return (a.value, a.witness) == (b.value, b.witness) and type(a.value) is type(b.value)
 
+    def same_verdict(new, old, caller, unused_coordinate):
+        """A support with an unused coordinate is False with no tableau, as
+        the full program says; every other one takes the full program's path."""
+        if unused_coordinate:
+            assert trace.run(new) == (False, [])
+            assert trace.run(old)[0] is False
+            unused[caller] += 1
+        else:
+            verdicts[caller].add(same_path(new, old, caller=caller))
+
     for case in range(80):
         support = random_tensor(rng)
         rows, rhs = old_tensor_program(support)
-        verdicts["tensor"].add(same_path(lambda: is_torus_semistable(support),
-                                         lambda: lp_feasible([], [], rows, rhs)[0],
-                                         caller="tensor"))
+        same_verdict(lambda: is_torus_semistable(support),
+                     lambda: lp_feasible([], [], rows, rhs)[0], "tensor", has_unused_index(support))
         alpha = [rng.choice((1, 2, F(1, 2), F(3, 2), F(5, 3))) for _ in range(support.order)]
         cost = [a for a in alpha for _ in range(support.dims)]
         same_path(lambda: torus_rank(support, alpha),
@@ -287,9 +329,8 @@ def test_integer_programs_take_the_fractional_pivots(monkeypatch):
 
         form = random_form(rng)
         rows, rhs = old_form_program(form)
-        verdicts["form"].add(same_path(lambda: is_symm_torus_semistable(form),
-                                       lambda: lp_feasible([], [], rows, rhs)[0],
-                                       caller="form"))
+        same_verdict(lambda: is_symm_torus_semistable(form),
+                     lambda: lp_feasible([], [], rows, rhs)[0], "form", has_unused_variable(form))
         same_path(lambda: symm_torus_rank(form),
                   lambda: minimize_slope([F(form.degree)] * form.nvars, form.sorted_exponents),
                   same_slope)
@@ -306,6 +347,7 @@ def test_integer_programs_take_the_fractional_pivots(monkeypatch):
                                              lambda: lp_feasible([], [], rows, rhs)[0],
                                              caller="newton"))
     assert all(v == {True, False} for v in verdicts.values()), verdicts
+    assert all(0 < count < 80 for count in unused.values()), unused
     assert pivots > 1000
     # The Newton twin moves p into the sum row's right side, so a short row
     # set at a large p can come out wider (3 of these 198 programs, such as
