@@ -51,7 +51,7 @@ vector uses variable j of a form, mu = 1 - n * e_j is traceless and pairs
 d >= 1 with every exponent. Either check reads the support alone, so a
 header with a huge n and a short support is decided at once.
 
-Every public function here takes its support first and raises InputError
+Every public function that takes a support raises InputError
 "not a tensor support: ..." or "not a symmetric support: ..." when handed
 anything else.
 """
@@ -143,11 +143,10 @@ class SymmetricSupport:
         return tuple(sorted(self.exponents))
 
 
-def _expect(support, kind: type, what: str):
-    """`support` itself when it is a `kind`; InputError "not a <what>" otherwise."""
+def _expect(support, kind: type, what: str) -> None:
+    """InputError "not a <what>: <support>" unless `support` is a `kind`."""
     if not isinstance(support, kind):
         raise InputError(f"not a {what}: {support!r}")
-    return support
 
 
 def _checked_weights(support: TensorSupport, weights) -> tuple[tuple[int, ...], ...]:
