@@ -15,7 +15,13 @@ seeded family built by `golden_family` below:
 - `lp_feasible` witnesses.
 
 The file was written from the solver's answers before its pivot kernel was
-replaced; regenerating it is only right when an answer is meant to change:
+replaced. `golden_pivots.json` pins, for the same cases in the same order,
+the path each solve takes: for every simplex pass, its (leaving row,
+entering column) pairs and its final basis. Two solvers can reach the same
+vertex by different pivots, so an answer can survive a change in how the
+tableau is scaled that the pivots do not. The field width is not pinned: it
+may change without moving a pivot. Regenerating either file is only right
+when an answer or a pivot is meant to change; this writes both:
 
     PYTHONPATH=src python tests/test_golden.py
 """
@@ -26,10 +32,12 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+from stablerank import exactlp
 from stablerank.exactlp import LinearProgram, lp_feasible, lp_minimize
 from stablerank.tensors import TensorSupport, torus_rank
 
 GOLDEN = Path(__file__).with_name("golden_lp.json")
+PIVOTS = Path(__file__).with_name("golden_pivots.json")
 SEED = 20260318
 
 
@@ -179,8 +187,47 @@ def solve(case: dict) -> dict:
     }
 
 
+class _Entering(list):
+    """A basis that records every assignment basis[row] = column as the pair
+    (row, column): in a simplex pass, the leaving row and entering column."""
+
+    def __init__(self, basis):
+        super().__init__(basis)
+        self.pivots = []
+
+    def __setitem__(self, row, column):
+        self.pivots.append([row, column])
+        super().__setitem__(row, column)
+
+
+def pivots(case: dict) -> list[dict]:
+    """Every simplex pass of the solve of one case, in order: its (leaving
+    row, entering column) pairs and its final basis."""
+    passes = []
+    simplex = exactlp._simplex
+
+    def traced(rows, basis, *args):
+        entering = _Entering(basis)
+        out = simplex(rows, entering, *args)
+        basis[:] = entering
+        passes.append({"pivots": entering.pivots, "basis": list(entering)})
+        return out
+
+    exactlp._simplex = traced
+    try:
+        solve(case)
+    finally:
+        exactlp._simplex = simplex
+    return passes
+
+
 def _load():
     return json.loads(GOLDEN.read_text(encoding="utf-8"))
+
+
+def _write(path: Path, entries: list) -> None:
+    lines = ",\n".join(json.dumps(entry, separators=(",", ":")) for entry in entries)
+    path.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
 
 
 def test_golden_family_is_unchanged():
@@ -200,8 +247,19 @@ def test_golden_answers():
     assert differing == []
 
 
+def test_golden_pivots():
+    cases = _load()
+    pinned = json.loads(PIVOTS.read_text(encoding="utf-8"))
+    assert len(pinned) == len(cases)
+    differing = [i for i, (case, passes) in enumerate(zip(cases, pinned))
+                 if pivots(case["input"]) != passes]
+    assert differing == []
+    # every simplex pass of the kernel is exercised, pivots included
+    assert sum(len(p["pivots"]) for passes in pinned for p in passes) > 1000
+
+
 if __name__ == "__main__":
-    cases = [{"input": case, "answer": solve(case)} for case in golden_family()]
-    lines = ",\n".join(json.dumps(case, separators=(",", ":")) for case in cases)
-    GOLDEN.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
-    print(f"wrote {len(cases)} cases to {GOLDEN}", file=sys.stderr)
+    family = golden_family()
+    _write(GOLDEN, [{"input": case, "answer": solve(case)} for case in family])
+    _write(PIVOTS, [pivots(case) for case in family])
+    print(f"wrote {len(family)} cases to {GOLDEN} and {PIVOTS}", file=sys.stderr)
