@@ -43,13 +43,17 @@ entering column is the lowest set bit of ~(obj + O) & T, with T the top bits
 of the column fields. Rows are packed and unpacked through bytes, k/8 to a
 field, in linear time.
 
-Denominators are cleared once, when the tableau is built, by multiplying
-each row by a positive integer s_k (1 for a row of ints, which is packed as
-it is); the row's slack or artificial column keeps its unit entry and so
-stands for s_k times that variable. The objective is scaled by a positive
-integer too. Positive scalings of rows and variables change no reduced-cost
-sign and no order among ratios, so the integer tableau takes exactly the
-pivots the rational one would.
+Denominators are cleared once, where a program enters the solver:
+`lp_minimize` and `lp_feasible` pass it through `_integral`, which
+multiplies the objective by the lcm L of its denominators and every row and
+right side, inequality and equality rows alike, by one common R, both
+through `rationals.cleared`; a program of ints alone passes unchanged. Both
+routes take that all-integer program and divide only the value by L. Each
+row's slack or artificial column keeps its unit entry and so stands for R
+times that variable. Positive scalings of rows and variables change no
+reduced-cost sign and no order among ratios, and the common R changes the
+phase-one objective, the sum of the artificials, only by that factor, so
+the integer tableau takes exactly the pivots the rational one would.
 
 Pivoting uses the least-index (Bland) rule for both the entering and the
 leaving variable, which makes every solve deterministic and cycle-free.
@@ -88,16 +92,12 @@ their rows from objects whose constructors have checked them: `torus_rank`,
 `_slope`, and the semistability checks and `newton_membership` call
 `_feasible`. Both go through `lp_minimize` with a `LinearProgram._trusted`
 program, which is built unchecked, as `newton_threshold` builds its own.
-Every such caller passes rows, right sides and costs of ints alone, so
-`_cleared` never rescales a row and the field width comes from the integer
-rows: a fractional right side or cost is cleared by the caller, as a
-positive scaling of rows and variables (the semistability checks solve for
-a multiple of theta, `newton_membership` for p * theta at nu = p/q, and
-`torus_rank` minimizes L * alpha . x and divides the value by L). Scaling
-every row by one positive factor and any variable by another changes no
-reduced-cost sign, no order among ratios and, the row factor being common,
-the phase-one objective only by a positive factor, so every pivot, vertex
-and verdict stays as it was.
+Every such caller passes rows and right sides of ints alone, so `_integral`
+scales no row: a fractional right side is cleared by the caller, as a
+positive scaling of the variables (the semistability checks solve for a
+multiple of theta, `newton_membership` for p * theta at nu = p/q), which
+keeps every pivot, vertex and verdict. Only `torus_rank` passes Fraction
+costs, its alpha, which `_integral` clears by L.
 
 `_solve_square` runs the same pivot kernel as fraction-free Gauss-Jordan
 elimination; `LinearChange` uses it to invert its matrix.
@@ -109,11 +109,11 @@ import math
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain
 from operator import mul, neg
 
 from .errors import InputError
-from .rationals import cleared, collection, integers, rationals
+from .rationals import cleared, collection, expect, integers, rationals
 
 __all__ = [
     "LinearProgram",
@@ -204,27 +204,22 @@ class SlopeResult:
         return self.value != math.inf
 
 
-_INT = frozenset((int,))
-
-
-def _cleared(values: Sequence, last: int | Fraction = 0) -> tuple[int, Sequence[int], int, int]:
-    """(s, s * values, s * last, the squared norm of both) for the least
-    positive integer s that clears every denominator among the ints and
-    Fractions `values` and `last`: `rationals.cleared`, except that a row of
-    ints alone is returned as it is, scaled only if `last` needs it."""
-    if set(map(type, values)) <= _INT:
-        s, line = 1, values
-    else:
-        s, line = cleared(values)
-    square = sum(map(mul, line, line))
-    t = last.denominator
-    if s % t:
-        u = t // math.gcd(s, t)
-        s *= u
-        line = list(map(u.__mul__, line))
-        square *= u * u
-    level = last.numerator * (s // t)
-    return s, line, level, square + level * level
+def _integral(program: LinearProgram) -> tuple:
+    """(L * objective, R * rows, R * rhs, R * equality rows, R * equality rhs,
+    L): the program's all-integer twin, for the least positive integers L
+    and R that clear the denominators of its objective and of all its rows
+    and right sides together (the module docstring says why one R). A
+    program of ints alone comes back as it is, with L = 1, after one scan of
+    its entries' types."""
+    objective, rows, rhs = program.objective, program.constraint_rows, program.rhs
+    eq_rows, eq_rhs = program.equality_rows, program.equality_rhs
+    if set(map(type, chain(objective, rhs, eq_rhs, *rows, *eq_rows))) <= {int}:
+        return objective, rows, rhs, eq_rows, eq_rhs, 1
+    scale, objective = cleared(objective)
+    n, m, sides = len(objective), len(rows), len(rhs) + len(eq_rhs)
+    _, flat = cleared((*rhs, *eq_rhs, *chain(*rows, *eq_rows)))
+    lines = [flat[i:i + n] for i in range(sides, len(flat), n)]
+    return objective, tuple(lines[:m]), flat[:m], tuple(lines[m:]), flat[m:sides], scale
 
 
 def _hadamard_bits(squares: Iterable[int], count: int | None = None) -> int:
@@ -393,25 +388,25 @@ def _simplex(rows: list[int], basis: list[int], d: int, fields: _Fields, ncols: 
 
 
 def _primal_two_phase(
-    objective: Sequence[Fraction],
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
-    eq_rows: Sequence[Sequence[Fraction]],
-    eq_rhs: Sequence[Fraction],
+    objective: Sequence[int],
+    rows: Sequence[Sequence[int]],
+    rhs: Sequence[int],
+    eq_rows: Sequence[Sequence[int]],
+    eq_rhs: Sequence[int],
+    scale: int,
 ) -> LpOutcome:
+    """The two-phase primal simplex on an all-integer program, whose value
+    comes back divided by `scale`."""
     n = len(objective)
     nsurplus = len(rows)
     width = n + nsurplus
     m = nsurplus + len(eq_rows)
     ncols = width + m
 
-    # Row i is multiplied by s_i > 0, which clears its denominators, and by -1
-    # when its right side is negative. Its surplus and artificial columns keep
-    # the entries -1 (sign-adjusted) and 1: they stand for s_i times the
-    # original surplus and artificial variables.
-    lines, levels, signs, scales, squares = [], [], [], [], []
-    for i, (row, b) in enumerate(zip(chain(rows, eq_rows), chain(rhs, eq_rhs))):
-        s, line, level, square = _cleared(row, b)
+    # Row i is multiplied by -1 when its right side is negative. Its surplus
+    # and artificial columns keep the entries -1 (sign-adjusted) and 1.
+    lines, levels, signs, squares = [], [], [], []
+    for i, (line, level) in enumerate(zip(chain(rows, eq_rows), chain(rhs, eq_rhs))):
         if level < 0:
             line, level = list(map(neg, line)), -level
             signs.append(-1)
@@ -419,23 +414,17 @@ def _primal_two_phase(
             signs.append(1)
         lines.append(line)
         levels.append(level)
-        scales.append(s)
-        squares.append(square + (i < nsurplus) + 1)
+        squares.append(sum(map(mul, line, line)) + level * level + (i < nsurplus) + 1)
 
-    # phase one: minimize the sum of the original artificials, that is
-    # sum_i (L / s_i) times the rescaled ones, priced out against the
-    # artificial basis: the row -sum_i (L / s_i) * row_i, artificials left
-    # out, built from the packed rows. Its norm is at most
-    # sum_i (L / s_i) * ||row_i|| (the triangle inequality), which stands in
-    # for it in the field width.
-    weight = math.lcm(*scales)
-    weights = [weight // s for s in scales]
-    squares.append(sum(w * (math.isqrt(sq - 1) + 1) for w, sq in zip(weights, squares)) ** 2)
+    # phase one: minimize the sum of the artificials, priced out against the
+    # artificial basis: the row minus the sum of the rows, artificials left
+    # out, built from the packed rows. Its norm is at most the sum of theirs
+    # (the triangle inequality), which stands in for it in the field width.
+    squares.append(sum(math.isqrt(sq - 1) + 1 for sq in squares) ** 2)
     # The phase-two row, d times the cost row less multiples of basic rows,
     # is the cost row carried through every pivot, so it belongs to the
     # initial tableau as well.
-    scale, cost, _, square = _cleared(objective)
-    squares.append(square)
+    squares.append(sum(map(mul, objective, objective)))
 
     fields = _Fields(_hadamard_bits(squares))
     k = fields.k
@@ -444,11 +433,11 @@ def _primal_two_phase(
     unit = 1 << k * width
     tableau = []
     phase_one = 0
-    for i, (line, level, w) in enumerate(zip(lines, levels, weights)):
+    for i, (line, level) in enumerate(zip(lines, levels)):
         packed = fields.pack(line, offset, zeros + fields[level])
         if i < nsurplus:
             packed -= signs[i] << k * (n + i)
-        phase_one -= w * packed
+        phase_one -= packed
         tableau.append(packed + unit)
         unit <<= k
     tableau.append(phase_one)
@@ -489,11 +478,11 @@ def _primal_two_phase(
         for u in (tableau[i] + offset for i in keep)
     ]
 
-    # phase two with the real objective, scaled to integers
-    obj = d * fields.pack(cost, narrow, fields[0] * (nsurplus + 1))
+    # phase two with the real objective
+    obj = d * fields.pack(objective, narrow, fields[0] * (nsurplus + 1))
     for b, line in zip(basis, tableau):
-        if b < n and cost[b]:
-            obj -= cost[b] * line
+        if b < n and objective[b]:
+            obj -= objective[b] * line
     tableau.append(obj)
     bounded, d = _simplex(tableau, basis, d, fields, width)
     if not bounded:
@@ -518,64 +507,52 @@ def _basic_values(rows: Sequence[int], basis: Sequence[int], n: int, d: int, fie
 
 
 def _via_dual(
-    objective: Sequence[Fraction],
-    rows: Sequence[Sequence[Fraction]],
-    rhs: Sequence[Fraction],
+    objective: Sequence[int],
+    rows: Sequence[Sequence[int]],
+    rhs: Sequence[int],
+    scale: int,
 ) -> LpOutcome:
-    """Solve min{c.x : A x >= b, x >= 0} with c >= 0 through its dual
-    max{b.y : A^T y <= c, y >= 0}. The dual slack basis is feasible at once,
-    and the optimal tableau's reduced costs under the slack columns are the
-    complementary primal vertex.
-
-    Dual row j is multiplied by s_j > 0 to clear its denominators (its slack
-    column, kept at 1, stands for s_j times the slack) and the objective by L,
-    so the reduced cost of slack j reads D * L * x_j / s_j."""
+    """Solve min{c.x : A x >= b, x >= 0}, an all-integer program with c >= 0,
+    through its dual max{b.y : A^T y <= c, y >= 0}, and divide the value by
+    `scale`. The dual slack basis is feasible at once, and the optimal
+    tableau's reduced costs under the slack columns are the complementary
+    primal vertex: the reduced cost of slack j reads D * x_j."""
     m = len(rows)
     n = len(objective)
-    lines, costs, scales, squares = [], [], [], []
-    for column, c in zip(zip(*rows) if rows else repeat(()), objective):
-        s, line, cost, square = _cleared(column, c)
-        lines.append(line)
-        costs.append(cost)
-        scales.append(s)
-        squares.append(square + 1)
-    scale, b, _, square = _cleared(rhs)
-    squares.append(square)
+    lines = list(zip(*rows)) if rows else [()] * n
+    squares = [sum(map(mul, line, line)) + c * c + 1 for line, c in zip(lines, objective)]
+    squares.append(sum(map(mul, rhs, rhs)))
     # Every minor meets at most n + 1 columns: one column per primal row (its
-    # cleared entries and right side), the cost column and the unit slack
-    # columns, which change no product.
-    columns = [sum(map(mul, column, column)) for column in zip(*lines, b)]
-    columns.append(sum(map(mul, costs, costs)))
+    # entries and right side), the cost column and the unit slack columns,
+    # which change no product.
+    columns = [sum(map(mul, row, row)) + b * b for row, b in zip(rows, rhs)]
+    columns.append(sum(map(mul, objective, objective)))
     fields = _Fields(min(_hadamard_bits(squares), _hadamard_bits(columns, n + 1)))
     offset = fields.offset(m + n + 1)
     zeros = fields[0] * n
     unit = 1 << fields.k * m
     tableau = []
-    for line, c in zip(lines, costs):
+    for line, c in zip(lines, objective):
         tableau.append(fields.pack(line, offset, zeros + fields[c]) + unit)
         unit <<= fields.k
-    tableau.append(fields.pack(map(neg, b), offset, fields[0] * (n + 1)))
+    tableau.append(fields.pack(map(neg, rhs), offset, fields[0] * (n + 1)))
     basis = [m + j for j in range(n)]
     bounded, d = _simplex(tableau, basis, 1, fields, m + n)
     if not bounded:
         return LpOutcome(status="infeasible")
     reduced = fields.unpack(tableau[-1], m + n + 1, m)
     value = Fraction(reduced[-1], d * scale)
-    vertex = tuple(Fraction(s * r, d * scale) for r, s in zip(reduced, scales))
+    vertex = tuple(Fraction(r, d) for r in reduced[:-1])
     return LpOutcome(status="optimal", value=value, vertex=vertex)
 
 
 def lp_minimize(program: LinearProgram) -> LpOutcome:
     """Exact minimum of a linear program; deterministic for identical input."""
-    if not program.equality_rows and all(c >= 0 for c in program.objective):
-        return _via_dual(program.objective, program.constraint_rows, program.rhs)
-    return _primal_two_phase(
-        program.objective,
-        program.constraint_rows,
-        program.rhs,
-        program.equality_rows,
-        program.equality_rhs,
-    )
+    expect(program, LinearProgram, "linear program")
+    objective, rows, rhs, eq_rows, eq_rhs, scale = _integral(program)
+    if not eq_rows and all(c >= 0 for c in objective):
+        return _via_dual(objective, rows, rhs, scale)
+    return _primal_two_phase(objective, rows, rhs, eq_rows, eq_rhs, scale)
 
 
 def lp_feasible(
@@ -603,8 +580,7 @@ def lp_feasible(
     program = LinearProgram((0,) * n, rows, rhs, eq_rows, equality_rhs)
     if not rows and not eq_rows:
         return True, ()
-    outcome = _primal_two_phase(program.objective, program.constraint_rows, program.rhs,
-                                program.equality_rows, program.equality_rhs)
+    outcome = _primal_two_phase(*_integral(program))
     if outcome.status == "optimal":
         return True, outcome.vertex
     return False, None
@@ -649,7 +625,7 @@ def _slope(cost: tuple[int | Fraction, ...], rows: tuple[tuple[int, ...], ...]) 
     objects and so passes unchecked: `cost` a nonempty tuple of positive ints
     and Fractions, `rows` a nonempty tuple of tuples of nonnegative ints, each
     as long as `cost`. `torus_rank`, `symm_torus_rank` and `t_stable_rank`
-    call it with int costs alone."""
+    call it, with int costs alone but for `torus_rank`'s alpha."""
     if not all(map(any, rows)):
         return SlopeResult(value=math.inf, witness=None)
     out = lp_minimize(LinearProgram._trusted(cost, rows, (1,) * len(rows)))
@@ -664,13 +640,13 @@ def _solve_square(matrix: Sequence[Sequence], rhs: Sequence[Sequence]) -> list[l
     elimination: each row of [M | R] is cleared of denominators and packed,
     then pivoted with `_pivot` down the diagonal, so X = R' / d at the end."""
     n = len(matrix)
-    cleared = [_cleared((*row, *extra)) for row, extra in zip(matrix, rhs)]
-    if not cleared:
+    lines = [cleared((*row, *extra))[1] for row, extra in zip(matrix, rhs)]
+    if not lines:
         return []
-    fields = _Fields(_hadamard_bits(square for _, _, _, square in cleared))
-    count = len(cleared[0][1])
+    fields = _Fields(_hadamard_bits(sum(map(mul, line, line)) for line in lines))
+    count = len(lines[0])
     offset = fields.offset(count)
-    rows = [fields.pack(line, offset) for _, line, _, _ in cleared]
+    rows = [fields.pack(line, offset) for line in lines]
     d = 1
     for col in range(n):
         factors = fields.column(rows, col, offset)

@@ -35,7 +35,7 @@ from functools import partial
 
 from .errors import InputError, ParseError
 from .ideals import LinearChange, MonomialIdeal, PolyIdeal, SparsePolynomial
-from .rationals import fmt, parse_integer, parse_rational
+from .rationals import expect, fmt, parse_integer, parse_rational
 from .tensors import SymmetricSupport, TensorSupport
 
 __all__ = ["InputDocument", "parse_input", "serialize"]
@@ -157,6 +157,7 @@ def parse_input(text: str) -> InputDocument:
     (reported at the header line). When a file has several faults, the
     first faulty line is the one reported.
     """
+    expect(text, str, "string")
     lines = _significant_lines(text)
     if not lines:
         raise ParseError("empty input: expected a header line", 1)
@@ -215,6 +216,7 @@ def parse_input(text: str) -> InputDocument:
 
 def serialize(doc: InputDocument) -> str:
     """Canonical text for a document; parse_input inverts it exactly."""
+    expect(doc, InputDocument, "document")
     p = doc.payload
     lines = [" ".join([doc.kind, *(str(getattr(p, f)) for f in _KINDS[doc.kind][1])])]
     if doc.kind == "tensor":

@@ -55,7 +55,7 @@ from .exactlp import (
     _solve_square,
     lp_minimize,
 )
-from .rationals import cleared, collection, integers, rational, rationals
+from .rationals import cleared, collection, expect, integers, rational, rationals
 
 __all__ = [
     "SparsePolynomial",
@@ -130,6 +130,7 @@ class SparsePolynomial:
         return sorted(self.terms.items())
 
     def __add__(self, other: "SparsePolynomial") -> "SparsePolynomial":
+        expect(other, SparsePolynomial, "polynomial")
         if self.nvars != other.nvars:
             raise InputError("cannot add polynomials in different variable counts")
         acc = dict(self.terms)
@@ -142,6 +143,7 @@ class SparsePolynomial:
         return SparsePolynomial._trusted(self.nvars, acc)
 
     def __mul__(self, other: "SparsePolynomial") -> "SparsePolynomial":
+        expect(other, SparsePolynomial, "polynomial")
         if self.nvars != other.nvars:
             raise InputError("cannot multiply polynomials in different variable counts")
         da, a = cleared(self.terms.values())
@@ -271,6 +273,7 @@ class LinearChange:
 
 def weighted_order(f: SparsePolynomial, lam) -> object:
     """min over the support of <exponent, lam>; +infinity for the zero polynomial."""
+    expect(f, SparsePolynomial, "polynomial")
     weights = rationals(lam, "weight vector", f.nvars, low=0)
     if f.is_zero:
         return math.inf
@@ -319,6 +322,8 @@ def apply_linear_change(f: SparsePolynomial, change: LinearChange) -> SparsePoly
     summed in one integer dictionary, and a Fraction is built once per
     output term. The result is not validated again.
     """
+    expect(f, SparsePolynomial, "polynomial")
+    expect(change, LinearChange, "linear change")
     n = f.nvars
     if change.nvars != n:
         raise InputError(

@@ -13,17 +13,20 @@ public entry point takes a caller's collection (a support, a list of
 generators, a matrix) through `collection` and checks a vector (a support
 tuple, an exponent vector, a weight vector, a program row) or a size field
 (an order, a degree, a variable count) with one call to `integers` or
-`rationals`, so each kind of fault has one wording wherever it is raised, a
-file parser included:
+`rationals`, and a library object (a support, a polynomial, a program, a
+document) with one call to `expect`, so each kind of fault has one wording
+wherever it is raised, a file parser included:
 
+    not a <what>: <value>
     <what>: expected a collection, got <value>
     <what>: expected an integer, got <value>
     <what>: expected <length> entries, got <count>
     <what>: expected a value >= <low>, got <value>   (or: in <low>..<high>)
 
 It is also the one home of denominator clearing: `cleared` scales exact
-rationals by the lcm of their denominators, for the LP tableau, the witness
-of a slope program, a rank's alpha and a polynomial product alike.
+rationals by the lcm of their denominators, for a program entering the LP
+solver, the rows of a linear system, the witness of a slope program and a
+polynomial product alike.
 """
 
 from __future__ import annotations
@@ -51,6 +54,12 @@ def rational(value, what: str) -> int | Fraction:
         return Fraction(value)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{what}: not a rational value: {value!r}") from exc
+
+
+def expect(value, kind: type, what: str) -> None:
+    """InputError "not a <what>: <value>" unless `value` is a `kind`."""
+    if not isinstance(value, kind):
+        raise InputError(f"not a {what}: {value!r}")
 
 
 def collection(values, what: str) -> tuple:

@@ -8,11 +8,11 @@ an exact fractional linear program over the support, so every function below
 reduces to the program of `stablerank.exactlp.minimize_slope` or of
 `lp_feasible`. Their rows come from supports the constructors have checked,
 so they go to the unchecked solves `exactlp._slope` and `_feasible`, and
-every row entry, right side and cost is an int: a program with fractions is
-handed over as its all-integer twin, a positive scaling of its rows and
-variables (a multiple of theta below, L * alpha with L the lcm of alpha's
-denominators), so the solver never rescales a row, sizes the tableau from
-the integer rows, and takes the pivots the fractional program would. Because
+every row entry and right side is an int: a feasibility program with
+fractional right sides is handed over as its all-integer twin over a
+multiple of theta (below), a positive scaling of its variables that takes
+the pivots the fractional program would. `torus_rank` passes its costs alpha
+as they are, and the solver clears their denominators. Because
 only diagonal one-parameter subgroups are searched, the returned ranks are
 upper bounds on the full group-stable rank; they are exact whenever some
 optimal subgroup is diagonal in the given basis (torus-optimal tensors).
@@ -61,10 +61,11 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
+from itertools import chain
 
 from .errors import InputError
 from .exactlp import SlopeResult, _feasible, _slope
-from .rationals import cleared, collection, integers, rationals
+from .rationals import collection, expect, integers, rationals
 
 __all__ = [
     "TensorSupport",
@@ -143,12 +144,6 @@ class SymmetricSupport:
         return tuple(sorted(self.exponents))
 
 
-def _expect(support, kind: type, what: str) -> None:
-    """InputError "not a <what>: <support>" unless `support` is a `kind`."""
-    if not isinstance(support, kind):
-        raise InputError(f"not a {what}: {support!r}")
-
-
 def _checked_weights(support: TensorSupport, weights) -> tuple[tuple[int, ...], ...]:
     rows = tuple(integers(w, "weight vector", support.dims, low=0)
                  for w in collection(weights, "weight assignment"))
@@ -161,7 +156,7 @@ def _checked_weights(support: TensorSupport, weights) -> tuple[tuple[int, ...], 
 
 def torus_valuation(support: TensorSupport, weights) -> int:
     """min over support tuples of sum_i weights[i][j_i] for a diagonal subgroup."""
-    _expect(support, TensorSupport, "tensor support")
+    expect(support, TensorSupport, "tensor support")
     rows = _checked_weights(support, weights)
     return min(
         sum(rows[i][j - 1] for i, j in enumerate(t)) for t in support.sorted_tuples
@@ -187,19 +182,14 @@ def torus_rank(support: TensorSupport, alpha: Sequence | None = None) -> SlopeRe
     (sum_i a_i * sum_j lam_i[j]) / (min over tuples of sum_i lam_i[j_i]),
     and the infimum over integer assignments is attained by the exact LP
     minimum. The default alpha is all ones; entries must be positive. The
-    program is solved with the integer costs L * alpha, L the lcm of their
-    denominators, and its value divided by L; the witness is the same.
+    cost of variable lam_i[j] is a_i.
     """
-    _expect(support, TensorSupport, "tensor support")
+    expect(support, TensorSupport, "tensor support")
     n, d = support.dims, support.order
-    if alpha is None:
-        return _slope((1,) * (n * d), _support_rows(support))
-    avec = rationals(alpha, "alpha", d)
+    avec = (1,) * d if alpha is None else rationals(alpha, "alpha", d)
     if any(a <= 0 for a in avec):
         raise InputError("alpha entries must be positive")
-    scale, costs = cleared(avec)
-    result = _slope(tuple(c for c in costs for _ in range(n)), _support_rows(support))
-    return SlopeResult(value=result.value / scale, witness=result.witness)
+    return _slope(tuple(chain.from_iterable((a,) * n for a in avec)), _support_rows(support))
 
 
 def symm_torus_rank(support: SymmetricSupport) -> SlopeResult:
@@ -211,14 +201,14 @@ def symm_torus_rank(support: SymmetricSupport) -> SlopeResult:
     alpha (tested as an invariant, both directions of the slope comparison
     going through `combine_one_ps`).
     """
-    _expect(support, SymmetricSupport, "symmetric support")
+    expect(support, SymmetricSupport, "symmetric support")
     return _slope((support.degree,) * support.nvars, support.sorted_exponents)
 
 
 def expand_symmetric(support: SymmetricSupport) -> TensorSupport:
     """Support of the form viewed as a symmetric tensor: every arrangement
     (each exponent vector's full permutation orbit of index tuples)."""
-    _expect(support, SymmetricSupport, "symmetric support")
+    expect(support, SymmetricSupport, "symmetric support")
     tuples = []
     for m in support.sorted_exponents:
         tuples.extend(_arrangements(m))
@@ -284,7 +274,7 @@ def is_torus_semistable(support: TensorSupport) -> bool:
     and with d = 1 a support that uses every index is all n basis vectors,
     which theta' = 1 meets.
     """
-    _expect(support, TensorSupport, "tensor support")
+    expect(support, TensorSupport, "tensor support")
     n, d = support.dims, support.order
     if any(len(set(column)) < n for column in zip(*support.tuples)):
         return False
@@ -317,7 +307,7 @@ def is_symm_torus_semistable(support: SymmetricSupport) -> bool:
     that uses every variable has all n unit vectors as exponents, which
     theta' = 1 meets.
     """
-    _expect(support, SymmetricSupport, "symmetric support")
+    expect(support, SymmetricSupport, "symmetric support")
     if not all(map(any, zip(*support.exponents))):
         return False
     n, d = support.nvars, support.degree

@@ -29,7 +29,7 @@ from .ideals import (
     newton_threshold,
     t_stable_rank,
 )
-from .rationals import fmt, integers
+from .rationals import expect, fmt, integers
 from .tensors import (
     SymmetricSupport,
     TensorSupport,
@@ -375,6 +375,7 @@ SUITES = {
 
 def run_suite(name: str, config: RandomInstanceConfig) -> list[CheckReport]:
     """Run one registered suite, or every suite in order for name 'all'."""
+    expect(config, RandomInstanceConfig, "random instance config")
     if name == "all":
         return [report for suite in SUITES.values() for report in suite(config)]
     if name not in SUITES:

@@ -83,6 +83,25 @@ class TestGainClaimable:
         assert judge(PARENT, new, old_failed=1, new_failed=1)["gain_claimable"]
 
 
+def traced_runs(*values):
+    return [{"metrics": {"exactlp.solves": {"unit": "count", "value": v},
+                         "cli.run_ms": {"unit": "ms", "value": v}}} for v in values]
+
+
+class TestTraced:
+    def test_a_count_moved_on_purpose_repeats(self):
+        m = bench_pairs.traced(traced_runs(432, 432, 432), traced_runs(355, 355, 355))
+        assert m["exactlp.solves"] == {"unit": "count", "parent": 432, "change": 355,
+                                       "repeats": True}
+        assert "repeats" not in m["cli.run_ms"]
+
+    @pytest.mark.parametrize("old, new", [((432, 431, 432), (355, 355, 355)),
+                                          ((432, 432, 432), (355, 356, 355))])
+    def test_a_count_that_varies_on_one_side_does_not_repeat(self, old, new):
+        m = bench_pairs.traced(traced_runs(*old), traced_runs(*new))
+        assert m["exactlp.solves"]["repeats"] is False
+
+
 def test_summary_of_a_single_run():
     assert bench_pairs.summary([7.5]) == {"median": 7.5, "q1": 7.5, "q3": 7.5, "runs": [7.5]}
 

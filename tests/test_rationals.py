@@ -7,12 +7,14 @@ from fractions import Fraction as F
 import pytest
 
 from stablerank.errors import InputError
-from stablerank.exactlp import LinearProgram, lp_feasible, minimize_slope
+from stablerank.exactlp import LinearProgram, lp_feasible, lp_minimize, minimize_slope
+from stablerank.fileformat import parse_input, serialize
 from stablerank.ideals import (
     LinearChange,
     MonomialIdeal,
     PolyIdeal,
     SparsePolynomial,
+    apply_linear_change,
     ideal_order,
     weighted_order,
 )
@@ -24,6 +26,7 @@ from stablerank.tensors import (
     torus_rank,
     torus_valuation,
 )
+from stablerank.verify import run_suite
 
 W = TensorSupport(2, 2, [(1, 1)])
 X = SparsePolynomial(2, {(1, 0): 1})
@@ -68,6 +71,25 @@ X = SparsePolynomial(2, {(1, 0): 1})
     ],
 )
 def test_a_non_collection_is_an_input_error(make, message):
+    with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+        make()
+
+
+@pytest.mark.parametrize(
+    "make, message",
+    [
+        (lambda: lp_minimize(5), "not a linear program: 5"),
+        (lambda: apply_linear_change(3, LinearChange([[1, 0], [0, 1]])), "not a polynomial: 3"),
+        (lambda: apply_linear_change(X, 3), "not a linear change: 3"),
+        (lambda: parse_input(5), "not a string: 5"),
+        (lambda: weighted_order(3, [1]), "not a polynomial: 3"),
+        (lambda: X + 3, "not a polynomial: 3"),
+        (lambda: X * 3, "not a polynomial: 3"),
+        (lambda: serialize(3), "not a document: 3"),
+        (lambda: run_suite("monomial-lct", 3), "not a random instance config: 3"),
+    ],
+)
+def test_a_non_library_object_is_an_input_error(make, message):
     with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
         make()
 

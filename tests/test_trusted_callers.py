@@ -5,14 +5,16 @@
 checks and `newton_membership` hand theirs to `exactlp._feasible`, unchecked,
 because they build them from objects their own constructors have checked.
 Over seeded random inputs, every such program must pass the public checks
-unchanged, hold ints alone, and give the public route's answer exactly.
+unchanged, hold int rows and right sides (and positive int or Fraction
+costs, `_slope`'s contract), and give the public route's answer exactly.
 
-Each caller hands over the all-integer twin of a program with fractional
-right sides or costs (n * theta for semistability, p * theta for
-`newton_membership` at nu = p/q, L * alpha for `torus_rank`). The twin is a
-positive scaling of rows and variables, so the simplex must take the same
-pivots as the fractional formulation through the public `lp_feasible` and
-`minimize_slope`, in fields never wider for the rank and semistability
+The feasibility callers hand over the all-integer twin of a program with
+fractional right sides (n * theta for semistability, p * theta for
+`newton_membership` at nu = p/q); `torus_rank` hands over its costs alpha as
+they are, which `lp_minimize` clears by the lcm of their denominators. Each
+is a positive scaling of rows and variables, so the simplex must take the
+same pivots as the fractional formulation through the public `lp_feasible`
+and `minimize_slope`, in fields never wider for the rank and semistability
 programs.
 
 A support with an unused coordinate (an index no tuple uses in some factor,
@@ -125,7 +127,7 @@ def has_unused_variable(form):
 def assert_checked_slope(cost, rows, result):
     assert type(cost) is tuple and cost
     for c in cost:
-        assert type(c) is int and rational(c, "cost") is c and c > 0
+        assert type(c) in (int, F) and rational(c, "cost") is c and c > 0
     assert type(rows) is tuple and rows
     for row in rows:
         assert type(row) is tuple and integers(row, "support row") == row
@@ -354,5 +356,9 @@ def test_integer_programs_take_the_fractional_pivots(monkeypatch):
     # x*y^3 at nu = 10/21); p * theta is still the least integer scaling that
     # keeps the pivots, and only the tests call `newton_membership`.
     assert all(new <= old for caller, new, old in widths if caller != "newton")
-    for caller in ("tensor", "form", "newton", "rank"):
+    # `lp_minimize` clears a fractional cost vector by the lcm L of its
+    # denominators, as `torus_rank` did for its twin, so the rank programs'
+    # widths are equal by construction; only the feasibility twins, whose
+    # right sides `lp_feasible` clears with the rows, can come out narrower.
+    for caller in ("tensor", "form", "newton"):
         assert any(new < old for c, new, old in widths if c == caller), caller

@@ -26,8 +26,10 @@ otherwise "unresolved" when the parent's interquartile range, relative to
 its median, is wider than the bound (the runs spread too widely to tell);
 otherwise "regression" when the median got worse by more than the bound,
 and "within bound" when it did not. Traced runs give the medians of every
-per-layer metric per side, and whether every count repeated exactly on both
-sides. Every run's attempted, failed and correct figures are kept too.
+per-layer metric per side and, for every count, whether it repeated: each
+side's own traced runs read one value, so a count that a change moves on
+purpose still repeats. Every run's attempted, failed and correct figures
+are kept too.
 
 At the end of a comparison, and for `--table` on a file it wrote, the script
 prints the end-to-end figures as a markdown table: one row per workload and
@@ -35,7 +37,8 @@ seed, and per metric the cell "parent median [q1–q3] → change median
 (wins/pairs)", followed by the verdict when it is not "within bound". A
 second table follows for the traced runs: one row per workload and layer,
 with the parent's median → the change's, and "not repeated" after a count
-that did not repeat; a layer that reads 0 on both sides has no row.
+that varied between the runs of one side; a layer that reads 0 on both
+sides has no row.
 
 Stdlib only. Quartiles are `statistics.quantiles(values, n=4)`, the
 exclusive method.
@@ -113,7 +116,8 @@ def compare(parent: list[dict], change: list[dict], spec: dict) -> dict:
 
 
 def traced(parent: list[dict], change: list[dict]) -> dict:
-    """Medians of the per-layer metrics; counts must repeat exactly."""
+    """Medians of the per-layer metrics per side; a count repeats when each
+    side's runs read one value, which may differ between the sides."""
     out = {}
     for name in parent[0]["metrics"]:
         old = [run["metrics"][name]["value"] for run in parent]
@@ -121,7 +125,7 @@ def traced(parent: list[dict], change: list[dict]) -> dict:
         entry = {"unit": parent[0]["metrics"][name]["unit"],
                  "parent": statistics.median(old), "change": statistics.median(new)}
         if entry["unit"] == "count":
-            entry["repeats"] = len(set(old)) == 1 and set(old) == set(new)
+            entry["repeats"] = len(set(old)) == len(set(new)) == 1
         out[name] = entry
     return out
 
