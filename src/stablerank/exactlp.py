@@ -89,15 +89,14 @@ its system by building the `LinearProgram` with a zero objective. `_slope`
 and `_feasible` are their solves without the checks, for callers that build
 their rows from objects whose constructors have checked them: `torus_rank`,
 `symm_torus_rank` and `t_stable_rank` (and through it `lct_monomial`) call
-`_slope`, and the semistability checks and `newton_membership` call
-`_feasible`. Both go through `lp_minimize` with a `LinearProgram._trusted`
-program, which is built unchecked, as `newton_threshold` builds its own.
-Every such caller passes rows and right sides of ints alone, so `_integral`
-scales no row: a fractional right side is cleared by the caller, as a
-positive scaling of the variables (the semistability checks solve for a
-multiple of theta, `newton_membership` for p * theta at nu = p/q), which
-keeps every pivot, vertex and verdict. Only `torus_rank` passes Fraction
-costs, its alpha, which `_integral` clears by L.
+`_slope`, and the two semistability checks call `_feasible`. Both go
+through `lp_minimize` with a `LinearProgram._trusted` program, which is
+built unchecked, as `newton_threshold` builds its own. Every such caller
+passes rows and right sides of ints alone, so `_integral` scales no row: a
+fractional right side is cleared by the caller, as a positive scaling of
+the variables (the semistability checks solve for a multiple of theta),
+which keeps every pivot, vertex and verdict. Only `torus_rank` passes
+Fraction costs, its alpha, which `_integral` clears by L.
 
 `_solve_square` runs the same pivot kernel as fraction-free Gauss-Jordan
 elimination; `LinearChange` uses it to invert its matrix.
@@ -590,10 +589,9 @@ def _feasible(equality_rows: tuple[tuple[int, ...], ...], equality_rhs: tuple[in
     """Is {E x = e, x >= 0} feasible? The verdict of `lp_feasible` on
     equality rows the caller has built from checked objects and so passes
     unchecked: a nonempty tuple of equally long, nonempty tuples of ints,
-    with one int right side each. The semistability checks and
-    `newton_membership` call it. The program has a zero objective
-    and equality rows, so `lp_minimize` takes the two-phase route and returns
-    the phase-one verdict."""
+    with one int right side each. The two semistability checks call it.
+    The program has a zero objective and equality rows, so `lp_minimize`
+    takes the two-phase route and returns the phase-one verdict."""
     program = LinearProgram._trusted(
         (0,) * len(equality_rows[0]), (), (), equality_rows, equality_rhs)
     return lp_minimize(program).status == "optimal"

@@ -14,9 +14,9 @@ from above; `apply_linear_change` re-expresses generators in another linear
 system of parameters so callers can minimize over several systems. For
 monomial ideals the standard coordinates are already optimal and the rank
 coincides with the log canonical threshold at the origin; `lct_monomial`
-computes it through the rank program while `newton_threshold` and
-`newton_membership` give the Newton-polyhedron form of the same number (the
-largest nu with (1,...,1) in nu times the polyhedron). The threshold
+computes it through the rank program while `newton_threshold` gives the
+Newton-polyhedron form of the same number (the largest nu with (1,...,1) in
+nu times the polyhedron). The threshold
 program is the LP dual of the rank program (y = theta / t, see
 `newton_threshold`), so the verification suites' agreement check is a
 strong-duality check of the solver, not an independent route.
@@ -34,7 +34,9 @@ The support of an ideal (the generators of a monomial ideal, the distinct
 exponent vectors of a polynomial ideal's generators) is read in one place,
 `_support_rows`, for the rank program and for `ideal_order` alike; the
 ideal operations take a mixed or polynomial pair through `_poly_ideal`.
-Anything that is not an ideal raises InputError "not an ideal: ...".
+Every library object is checked through `rationals.expect`: anything that
+is not an ideal raises InputError "not an ideal: ...", and likewise
+"not a monomial ideal: ..." and "not a polynomial: ...".
 """
 
 from __future__ import annotations
@@ -50,7 +52,6 @@ from .errors import InputError
 from .exactlp import (
     LinearProgram,
     SlopeResult,
-    _feasible,
     _slope,
     _solve_square,
     lp_minimize,
@@ -62,12 +63,10 @@ __all__ = [
     "PolyIdeal",
     "MonomialIdeal",
     "LinearChange",
-    "weighted_order",
     "ideal_order",
     "t_stable_rank",
     "apply_linear_change",
     "lct_monomial",
-    "newton_membership",
     "newton_threshold",
     "ideal_power",
     "ideal_product",
@@ -179,8 +178,7 @@ class PolyIdeal:
         if not gens:
             raise InputError("an ideal needs at least one generator")
         for g in gens:
-            if not isinstance(g, SparsePolynomial):
-                raise InputError("polynomial ideal generators must be SparsePolynomial")
+            expect(g, SparsePolynomial, "polynomial")
             if g.nvars != nvars:
                 raise InputError("generators live in different variable counts")
         if all(g.is_zero for g in gens):
@@ -239,6 +237,9 @@ class MonomialIdeal:
         return f"MonomialIdeal({self.nvars}, {list(self.generators)!r})"
 
 
+_IDEALS = (MonomialIdeal, PolyIdeal)
+
+
 class LinearChange:
     """Invertible rational matrix M encoding x_i -> sum_j M[j][i] * y_j."""
 
@@ -271,15 +272,6 @@ class LinearChange:
         return f"LinearChange({[list(r) for r in self.matrix]!r})"
 
 
-def weighted_order(f: SparsePolynomial, lam) -> object:
-    """min over the support of <exponent, lam>; +infinity for the zero polynomial."""
-    expect(f, SparsePolynomial, "polynomial")
-    weights = rationals(lam, "weight vector", f.nvars, low=0)
-    if f.is_zero:
-        return math.inf
-    return min(sum(e * w for e, w in zip(exps, weights)) for exps in f.terms)
-
-
 def ideal_order(ideal, lam) -> object:
     """Minimum weighted order over the generators: over the rows of the
     ideal's rank program, as every generator's order is the least over its
@@ -291,11 +283,10 @@ def ideal_order(ideal, lam) -> object:
 
 def _support_rows(ideal) -> tuple[tuple[int, ...], ...]:
     """The distinct exponent vectors of the generators' terms, sorted."""
+    expect(ideal, _IDEALS, "ideal")
     if isinstance(ideal, MonomialIdeal):
         return ideal.generators
-    if isinstance(ideal, PolyIdeal):
-        return tuple(sorted({exps for g in ideal.generators for exps in g.terms}))
-    raise InputError(f"not an ideal: {ideal!r}")
+    return tuple(sorted({exps for g in ideal.generators for exps in g.terms}))
 
 
 def t_stable_rank(ideal) -> SlopeResult:
@@ -374,38 +365,13 @@ def lct_monomial(ideal: MonomialIdeal) -> Fraction:
 
 def _lct_rank(ideal: MonomialIdeal) -> SlopeResult:
     """The rank program behind `lct_monomial`, with its witness."""
-    if not isinstance(ideal, MonomialIdeal):
-        raise InputError("lct_monomial expects a monomial ideal")
+    expect(ideal, MonomialIdeal, "monomial ideal")
     if ideal.is_unit:
         raise InputError("lct undefined: the origin is not in the zero locus (unit ideal)")
     result = t_stable_rank(ideal)
     if not result.is_finite:
         raise InputError("lct undefined: the origin is not in the zero locus")
     return result
-
-
-def newton_membership(ideal: MonomialIdeal, nu) -> bool:
-    """Is (1,...,1) in nu times the Newton polyhedron of the ideal?
-
-    The polyhedron is the convex hull of the generator exponents plus the
-    nonnegative orthant, so membership asks for convex multipliers theta
-    with sum(theta) = 1 and sum theta_i * l_i <= (1/nu, ..., 1/nu)
-    componentwise; a slack s per coordinate makes it an exact feasibility
-    program. For nu = p/q it is solved over theta' = p * theta and
-    s' = p * s, whose rows and right sides are all integers:
-    sum theta'_i * l_i + s' = (q, ..., q) and sum(theta') = p.
-    """
-    if not isinstance(ideal, MonomialIdeal):
-        raise InputError("newton_membership expects a monomial ideal")
-    scale = rational(nu, "nu")
-    if scale <= 0:
-        raise InputError("nu must be positive")
-    gens = ideal.generators
-    r, n = len(gens), ideal.nvars
-    eq_rows = [tuple(g[j] for g in gens) + tuple(int(k == j) for k in range(n))
-               for j in range(n)]
-    eq_rows.append((1,) * r + (0,) * n)
-    return _feasible(tuple(eq_rows), (scale.denominator,) * n + (scale.numerator,))
 
 
 def newton_threshold(ideal: MonomialIdeal) -> Fraction:
@@ -417,8 +383,7 @@ def newton_threshold(ideal: MonomialIdeal) -> Fraction:
     sum(y) subject to sum_i y_i * l_i <= (1,...,1), y >= 0), so 1/t equals
     that rank by strong duality.
     """
-    if not isinstance(ideal, MonomialIdeal):
-        raise InputError("newton_threshold expects a monomial ideal")
+    expect(ideal, MonomialIdeal, "monomial ideal")
     if ideal.is_unit:
         raise InputError("threshold undefined for the unit ideal")
     gens = ideal.generators
@@ -440,28 +405,24 @@ def newton_threshold(ideal: MonomialIdeal) -> Fraction:
 def ideal_power(ideal, exponent: int):
     """All products of `exponent` generators (with repetition)."""
     (r,) = integers((exponent,), "ideal power exponent", low=1)
+    expect(ideal, _IDEALS, "ideal")
     if isinstance(ideal, MonomialIdeal):
         gens = [
             tuple(sum(es) for es in zip(*combo))
             for combo in itertools.combinations_with_replacement(ideal.generators, r)
         ]
         return MonomialIdeal(ideal.nvars, gens)
-    if isinstance(ideal, PolyIdeal):
-        gens = [
-            functools.reduce(mul, combo)
-            for combo in itertools.combinations_with_replacement(ideal.generators, r)
-        ]
-        return PolyIdeal(ideal.nvars, gens)
-    raise InputError(f"not an ideal: {ideal!r}")
+    gens = [
+        functools.reduce(mul, combo)
+        for combo in itertools.combinations_with_replacement(ideal.generators, r)
+    ]
+    return PolyIdeal(ideal.nvars, gens)
 
 
 def _poly_ideal(ideal) -> PolyIdeal:
     """`ideal` as a polynomial ideal; InputError when it is not an ideal."""
-    if isinstance(ideal, MonomialIdeal):
-        return ideal.to_poly_ideal()
-    if isinstance(ideal, PolyIdeal):
-        return ideal
-    raise InputError(f"not an ideal: {ideal!r}")
+    expect(ideal, _IDEALS, "ideal")
+    return ideal.to_poly_ideal() if isinstance(ideal, MonomialIdeal) else ideal
 
 
 def ideal_product(a, b):

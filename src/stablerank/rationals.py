@@ -56,10 +56,13 @@ def rational(value, what: str) -> int | Fraction:
         raise InputError(f"{what}: not a rational value: {value!r}") from exc
 
 
-def expect(value, kind: type, what: str) -> None:
-    """InputError "not a <what>: <value>" unless `value` is a `kind`."""
+def expect(value, kind: type | tuple[type, ...], what: str) -> None:
+    """InputError "not a <what>: <value>" ("not an" before a vowel) unless
+    `value` is a `kind` (or one of a tuple of kinds, as `isinstance` takes
+    them)."""
     if not isinstance(value, kind):
-        raise InputError(f"not a {what}: {value!r}")
+        article = "an" if what[0] in "aeiou" else "a"
+        raise InputError(f"not {article} {what}: {value!r}")
 
 
 def collection(values, what: str) -> tuple:

@@ -74,7 +74,6 @@ __all__ = [
     "torus_rank",
     "symm_torus_rank",
     "expand_symmetric",
-    "combine_one_ps",
     "is_torus_semistable",
     "is_symm_torus_semistable",
 ]
@@ -198,8 +197,10 @@ def symm_torus_rank(support: SymmetricSupport) -> SlopeResult:
 
     Upper bound on the symmetric rk^G; exact for torus-optimal forms. Equals
     the multilinear torus rank of `expand_symmetric(support)` with unit
-    alpha (tested as an invariant, both directions of the slope comparison
-    going through `combine_one_ps`).
+    alpha (tested as an invariant): one weight vector copied into every
+    factor keeps its slope, and the column sum gamma_j = sum_i lam_i[j] of
+    an assignment pairs with every exponent vector at least d times the
+    assignment's valuation on the expanded support.
     """
     expect(support, SymmetricSupport, "symmetric support")
     return _slope((support.degree,) * support.nvars, support.sorted_exponents)
@@ -236,22 +237,6 @@ def _arrangements(m: tuple[int, ...]) -> list[tuple[int, ...]]:
         a[i], a[k] = a[k], a[i]
         a[i + 1:] = a[:i:-1]
         out.append(tuple(a))
-
-
-def combine_one_ps(weights) -> tuple[int, ...]:
-    """Collapse a weight assignment to the single vector gamma_j = sum_i lam_i[j].
-
-    For a degree-d symmetric support, gamma pairs with every exponent vector
-    at least d times the valuation of lam on the expanded support (summing
-    the arrangement over the d cyclic shifts covers each factor once).
-    """
-    rows = tuple(integers(w, "weight vector") for w in collection(weights, "weight assignment"))
-    if not rows:
-        raise InputError("weight assignment must contain at least one vector")
-    width = len(rows[0])
-    if any(len(r) != width for r in rows):
-        raise InputError("weight vectors have inconsistent arity")
-    return tuple(sum(r[j] for r in rows) for j in range(width))
 
 
 def is_torus_semistable(support: TensorSupport) -> bool:

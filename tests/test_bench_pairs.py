@@ -123,12 +123,17 @@ class TestParsePlan:
         ["--seed", "1", "--workload", "rank", "--seed", "5"],
         ["--workload", "rank"],
         [],
+        ["--workload", "rank", "--seed", "1", "--pairs", "0"],
+        ["--workload", "rank", "--seed", "1", "--pairs", "-2"],
+        ["--workload", "rank", "--seed", "1", "--traced-pairs", "-1"],
     ])
     def test_rejected(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             bench_pairs.parse_plan(["--parent", "HEAD~1", "--out", "B.json", *argv])
         assert exc.value.code == 2
-        assert "--workload" in capsys.readouterr().err
+        # the message names the count at fault, or else the missing workload
+        named = [flag for flag in ("--pairs", "--traced-pairs") if flag in argv] or ["--workload"]
+        assert all(flag in capsys.readouterr().err for flag in named)
 
 
 class TestTable:
@@ -186,6 +191,13 @@ class TestTable:
         assert bench_pairs.main(["--table", str(path)]) == 0
         assert capsys.readouterr().out == (bench_pairs.table(report) + "\n\n"
                                            + bench_pairs.layer_table(report) + "\n")
+
+    def test_every_committed_record_renders(self):
+        records = sorted(_PATH.parents[1].glob("BENCH_*.json"))
+        assert records
+        for path in records:
+            text = bench_pairs.tables(json.loads(path.read_text(encoding="utf-8")))
+            assert text.startswith("| workload, seed (pairs) |"), path.name
 
     def test_table_runs_nothing(self):
         args, plan = bench_pairs.parse_plan(["--table", "B.json"])

@@ -16,13 +16,16 @@ from stablerank.ideals import (
     SparsePolynomial,
     apply_linear_change,
     ideal_order,
-    weighted_order,
+    ideal_power,
+    ideal_sum,
+    lct_monomial,
+    newton_threshold,
+    t_stable_rank,
 )
 from stablerank.rationals import cleared, parse_integer, parse_rational
 from stablerank.tensors import (
     SymmetricSupport,
     TensorSupport,
-    combine_one_ps,
     torus_rank,
     torus_valuation,
 )
@@ -63,9 +66,6 @@ X = SparsePolynomial(2, {(1, 0): 1})
         (lambda: torus_rank(W, 3), "alpha: expected a collection, got 3"),
         (lambda: torus_valuation(W, 3), "weight assignment: expected a collection, got 3"),
         (lambda: torus_valuation(W, [3, 3]), "weight vector: expected a collection, got 3"),
-        (lambda: combine_one_ps(3), "weight assignment: expected a collection, got 3"),
-        (lambda: combine_one_ps([3]), "weight vector: expected a collection, got 3"),
-        (lambda: weighted_order(X, 3), "weight vector: expected a collection, got 3"),
         (lambda: ideal_order(MonomialIdeal(2, [(1, 0)]), 3),
          "weight vector: expected a collection, got 3"),
     ],
@@ -82,9 +82,17 @@ def test_a_non_collection_is_an_input_error(make, message):
         (lambda: apply_linear_change(3, LinearChange([[1, 0], [0, 1]])), "not a polynomial: 3"),
         (lambda: apply_linear_change(X, 3), "not a linear change: 3"),
         (lambda: parse_input(5), "not a string: 5"),
-        (lambda: weighted_order(3, [1]), "not a polynomial: 3"),
         (lambda: X + 3, "not a polynomial: 3"),
         (lambda: X * 3, "not a polynomial: 3"),
+        (lambda: PolyIdeal(2, [3]), "not a polynomial: 3"),
+        (lambda: PolyIdeal(2, [X, "x"]), "not a polynomial: 'x'"),
+        (lambda: lct_monomial(3), "not a monomial ideal: 3"),
+        (lambda: newton_threshold(PolyIdeal(2, [X])),
+         "not a monomial ideal: PolyIdeal(2, [SparsePolynomial(2, 1*x^(1, 0))])"),
+        (lambda: t_stable_rank(3), "not an ideal: 3"),
+        (lambda: ideal_order(X, [1, 1]), f"not an ideal: {X!r}"),
+        (lambda: ideal_power("x", 2), "not an ideal: 'x'"),
+        (lambda: ideal_sum(MonomialIdeal(2, [(1, 0)]), 3), "not an ideal: 3"),
         (lambda: serialize(3), "not a document: 3"),
         (lambda: run_suite("monomial-lct", 3), "not a random instance config: 3"),
     ],

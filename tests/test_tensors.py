@@ -19,7 +19,6 @@ from stablerank.exactlp import LinearProgram, lp_feasible
 from stablerank.tensors import (
     SymmetricSupport,
     TensorSupport,
-    combine_one_ps,
     expand_symmetric,
     is_symm_torus_semistable,
     is_torus_semistable,
@@ -235,15 +234,8 @@ class TestExpandSymmetric:
 
 
 class TestCombineOnePs:
-    def test_columnwise_sum(self):
-        assert combine_one_ps(((1, 0), (1, 0), (1, 0))) == (3, 0)
-        assert combine_one_ps(((1, 2), (0, 3))) == (1, 5)
-
-    def test_shape_validation(self):
-        with pytest.raises(InputError):
-            combine_one_ps(((1, 0), (1,)))
-        with pytest.raises(InputError):
-            combine_one_ps(())
+    """The averaging step of the symmetric comparison: d one-parameter
+    subgroups lam_1..lam_d, combined into their column sum gamma."""
 
     def test_valuation_inequality(self):
         # min_m <m, gamma> >= d * valuation of the expanded support under lam
@@ -253,7 +245,7 @@ class TestCombineOnePs:
             lam = tuple(
                 tuple(rng.randint(0, 3) for _ in range(v.nvars)) for _ in range(v.degree)
             )
-            gamma = combine_one_ps(lam)
+            gamma = [sum(column) for column in zip(*lam)]
             lhs = min(sum(m[j] * gamma[j] for j in range(v.nvars)) for m in v.exponents)
             rhs = v.degree * torus_valuation(expand_symmetric(v), lam)
             assert lhs >= rhs

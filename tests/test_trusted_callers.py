@@ -1,21 +1,19 @@
 """The trusted callers of the exact LP layer against its public checkers.
 
 `torus_rank`, `symm_torus_rank` and `t_stable_rank` (and through it
-`lct_monomial`) hand their rows to `exactlp._slope`, and the semistability
-checks and `newton_membership` hand theirs to `exactlp._feasible`, unchecked,
-because they build them from objects their own constructors have checked.
+`lct_monomial`) hand their rows to `exactlp._slope`, and the two
+semistability checks hand theirs to `exactlp._feasible`, unchecked, because
+they build them from objects their own constructors have checked.
 Over seeded random inputs, every such program must pass the public checks
 unchanged, hold int rows and right sides (and positive int or Fraction
 costs, `_slope`'s contract), and give the public route's answer exactly.
 
 The feasibility callers hand over the all-integer twin of a program with
-fractional right sides (n * theta for semistability, p * theta for
-`newton_membership` at nu = p/q); `torus_rank` hands over its costs alpha as
-they are, which `lp_minimize` clears by the lcm of their denominators. Each
-is a positive scaling of rows and variables, so the simplex must take the
-same pivots as the fractional formulation through the public `lp_feasible`
-and `minimize_slope`, in fields never wider for the rank and semistability
-programs.
+fractional right sides (a multiple of theta); `torus_rank` hands over its
+costs alpha as they are, which `lp_minimize` clears by the lcm of their
+denominators. Each is a positive scaling of rows and variables, so the
+simplex must take the same pivots as the fractional formulation through the
+public `lp_feasible` and `minimize_slope`, in fields never wider.
 
 A support with an unused coordinate (an index no tuple uses in some factor,
 a variable no exponent uses) is decided with no solve at all. For those the
@@ -38,7 +36,6 @@ from stablerank.ideals import (
     SparsePolynomial,
     apply_linear_change,
     lct_monomial,
-    newton_membership,
     newton_threshold,
     t_stable_rank,
 )
@@ -57,18 +54,18 @@ from stablerank.tensors import (
 @pytest.fixture
 def calls(monkeypatch):
     """Every call of the two trusted entry points, with its arguments and
-    result, as ("slope" | "feasible", arguments, result)."""
+    result, as ("slope" | "feasible", arguments, result). `ideals` calls
+    `_slope` alone."""
     seen = []
-    for module in (tensors, ideals):
-        for name in ("_slope", "_feasible"):
-            solve = getattr(module, name)
+    for module, name in ((tensors, "_slope"), (tensors, "_feasible"), (ideals, "_slope")):
+        solve = getattr(module, name)
 
-            def spy(*args, solve=solve, kind=name[1:]):
-                result = solve(*args)
-                seen.append((kind, args, result))
-                return result
+        def spy(*args, solve=solve, kind=name[1:]):
+            result = solve(*args)
+            seen.append((kind, args, result))
+            return result
 
-            monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(module, name, spy)
     return seen
 
 
@@ -208,14 +205,9 @@ def test_monomial_ideals(calls):
     for _ in range(120):
         ideal = random_monomial_ideal(rng)
         t_stable_rank(ideal)
-        if ideal.is_unit:
-            assert check_all(calls) == {"slope"}
-            continue
-        nu = lct_monomial(ideal)
-        assert nu == newton_threshold(ideal)
-        assert newton_membership(ideal, nu)
-        assert not newton_membership(ideal, nu + F(1, 7))
-        assert check_all(calls) == {"slope", "feasible"}
+        if not ideal.is_unit:
+            assert lct_monomial(ideal) == newton_threshold(ideal)
+        assert check_all(calls) == {"slope"}
 
 
 def test_polynomial_ideals(calls):
@@ -279,18 +271,10 @@ def old_form_program(form):
     return rows, (F(d, n),) * n
 
 
-def old_newton_program(ideal, nu):
-    """sum theta_i * l_i + s = (1/nu, ..., 1/nu) and sum(theta) = 1."""
-    gens, n = ideal.generators, ideal.nvars
-    rows = [tuple(g[j] for g in gens) + tuple(int(k == j) for k in range(n)) for j in range(n)]
-    rows.append((1,) * len(gens) + (0,) * n)
-    return rows, (1 / F(nu),) * n + (1,)
-
-
 def test_integer_programs_take_the_fractional_pivots(monkeypatch):
     trace = PivotTrace(monkeypatch)
     rng = random.Random(20261106)
-    widths, verdicts, pivots = [], {"tensor": set(), "form": set(), "newton": set()}, 0
+    widths, verdicts, pivots = [], {"tensor": set(), "form": set()}, 0
     unused = {"tensor": 0, "form": 0}
 
     def same_path(new, old, answers_equal=lambda a, b: a == b and type(a) is type(b),
@@ -319,7 +303,7 @@ def test_integer_programs_take_the_fractional_pivots(monkeypatch):
         else:
             verdicts[caller].add(same_path(new, old, caller=caller))
 
-    for case in range(80):
+    for case in range(120):
         support = random_tensor(rng)
         rows, rhs = old_tensor_program(support)
         same_verdict(lambda: is_torus_semistable(support),
@@ -340,25 +324,13 @@ def test_integer_programs_take_the_fractional_pivots(monkeypatch):
         ideal = random_monomial_ideal(rng)
         same_path(lambda: t_stable_rank(ideal),
                   lambda: minimize_slope([F(1)] * ideal.nvars, ideal.generators), same_slope)
-        if ideal.is_unit:
-            continue
-        lct = lct_monomial(ideal)
-        for nu in (lct, lct + F(1, 7), F(rng.randint(1, 9), rng.randint(1, 9))):
-            rows, rhs = old_newton_program(ideal, nu)
-            verdicts["newton"].add(same_path(lambda: newton_membership(ideal, nu),
-                                             lambda: lp_feasible([], [], rows, rhs)[0],
-                                             caller="newton"))
     assert all(v == {True, False} for v in verdicts.values()), verdicts
-    assert all(0 < count < 80 for count in unused.values()), unused
+    assert all(0 < count < 120 for count in unused.values()), unused
     assert pivots > 1000
-    # The Newton twin moves p into the sum row's right side, so a short row
-    # set at a large p can come out wider (3 of these 198 programs, such as
-    # x*y^3 at nu = 10/21); p * theta is still the least integer scaling that
-    # keeps the pivots, and only the tests call `newton_membership`.
-    assert all(new <= old for caller, new, old in widths if caller != "newton")
+    assert all(new <= old for caller, new, old in widths)
     # `lp_minimize` clears a fractional cost vector by the lcm L of its
     # denominators, as `torus_rank` did for its twin, so the rank programs'
     # widths are equal by construction; only the feasibility twins, whose
     # right sides `lp_feasible` clears with the rows, can come out narrower.
-    for caller in ("tensor", "form", "newton"):
+    for caller in ("tensor", "form"):
         assert any(new < old for c, new, old in widths if c == caller), caller

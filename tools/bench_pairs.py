@@ -215,6 +215,10 @@ def parse_plan(argv: list[str]) -> tuple[argparse.Namespace, list[tuple[str, lis
         return args, []
     if not (args.parent and args.out):
         parser.error("give --parent and --out, or --table alone")
+    if args.pairs < 1:
+        parser.error(f"--pairs must be at least 1, got {args.pairs}")
+    if args.traced_pairs < 0:
+        parser.error(f"--traced-pairs must be at least 0, got {args.traced_pairs}")
     plan = []
     for kind, value in args.plan:
         if kind == "workload":
