@@ -16,10 +16,10 @@ monomial ideals the standard coordinates are already optimal and the rank
 coincides with the log canonical threshold at the origin; `lct_monomial`
 computes it through the rank program while `newton_threshold` gives the
 Newton-polyhedron form of the same number (the largest nu with (1,...,1) in
-nu times the polyhedron). The threshold
-program is the LP dual of the rank program (y = theta / t, see
-`newton_threshold`), so the verification suites' agreement check is a
-strong-duality check of the solver, not an independent route.
+nu times the polyhedron). The threshold program is the LP dual of the rank
+program (y = theta / t, see `newton_threshold`), so the verification
+suites' agreement check is a strong-duality check of the solver, not an
+independent route.
 
 Polynomial arithmetic runs on Python integers. `SparsePolynomial.terms` maps
 exponent tuples to nonzero Fractions, but a product clears each factor's
