@@ -56,7 +56,8 @@ def _load(path: str, kinds: tuple[str, ...], what: str):
         text = raw.decode("utf-8")
     except UnicodeDecodeError as exc:
         raise InputError(f"{path}: not valid UTF-8 at byte offset {exc.start}") from None
-    doc = parse_input(text)
+    # a leading byte-order mark, as Windows editors write it, is not content
+    doc = parse_input(text.removeprefix("\ufeff"))
     if doc.kind not in kinds:
         raise InputError(f"{what} expects a {' or '.join(kinds)} file, got {doc.kind!r}")
     return doc.payload

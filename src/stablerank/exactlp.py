@@ -47,7 +47,14 @@ Denominators are cleared once, where a program enters the solver:
 `lp_minimize` and `lp_feasible` pass it through `_integral`, which
 multiplies the objective by the lcm L of its denominators and every row and
 right side, inequality and equality rows alike, by one common R, both
-through `rationals.cleared`; a program of ints alone passes unchanged. Both
+through `rationals.cleared`. Each part is cleared only when it holds a
+Fraction: a program of ints alone passes unchanged, and fractional costs
+alone (`torus_rank`'s alpha) clear the objective and leave every row and
+right side as it is. `_integral` reads each program once. It takes every
+row's squared norm, which both routes need for their field width and so
+receive from it, and a norm is an int exactly when its row holds ints
+alone, so the norms stand for a scan of the rows' types; when a row or
+right side is cleared, the norms are taken again on the cleared rows. Both
 routes take that all-integer program and divide only the value by L. Each
 row's slack or artificial column keeps its unit entry and so stands for R
 times that variable. Positive scalings of rows and variables change no
@@ -205,20 +212,27 @@ class SlopeResult:
 
 def _integral(program: LinearProgram) -> tuple:
     """(L * objective, R * rows, R * rhs, R * equality rows, R * equality rhs,
-    L): the program's all-integer twin, for the least positive integers L
-    and R that clear the denominators of its objective and of all its rows
-    and right sides together (the module docstring says why one R). A
-    program of ints alone comes back as it is, with L = 1, after one scan of
-    its entries' types."""
+    L, norms): the program's all-integer twin, for the least positive
+    integers L and R that clear the denominators of its objective and of all
+    its rows and right sides together (the module docstring says why one
+    R), with `norms` the squared norms of the twin's rows, inequality rows
+    first, for both routes' field widths. The norms of the given rows also
+    stand for a scan of their types: a single Fraction entry makes a norm a
+    Fraction. Only the parts that hold a Fraction are cleared, so
+    fractional costs alone leave every row as it is (R = 1)."""
     objective, rows, rhs = program.objective, program.constraint_rows, program.rhs
     eq_rows, eq_rhs = program.equality_rows, program.equality_rhs
-    if set(map(type, chain(objective, rhs, eq_rhs, *rows, *eq_rows))) <= {int}:
-        return objective, rows, rhs, eq_rows, eq_rhs, 1
-    scale, objective = cleared(objective)
+    norms = [sum(map(mul, row, row)) for row in chain(rows, eq_rows)]
+    scale = 1
+    if not set(map(type, objective)) <= {int}:
+        scale, objective = cleared(objective)
+    if set(map(type, chain(rhs, eq_rhs, norms))) <= {int}:
+        return objective, rows, rhs, eq_rows, eq_rhs, scale, norms
     n, m, sides = len(objective), len(rows), len(rhs) + len(eq_rhs)
     _, flat = cleared((*rhs, *eq_rhs, *chain(*rows, *eq_rows)))
     lines = [flat[i:i + n] for i in range(sides, len(flat), n)]
-    return objective, tuple(lines[:m]), flat[:m], tuple(lines[m:]), flat[m:sides], scale
+    norms = [sum(map(mul, line, line)) for line in lines]
+    return objective, tuple(lines[:m]), flat[:m], tuple(lines[m:]), flat[m:sides], scale, norms
 
 
 def _hadamard_bits(squares: Iterable[int], count: int | None = None) -> int:
@@ -393,9 +407,11 @@ def _primal_two_phase(
     eq_rows: Sequence[Sequence[int]],
     eq_rhs: Sequence[int],
     scale: int,
+    norms: Sequence[int],
 ) -> LpOutcome:
     """The two-phase primal simplex on an all-integer program, whose value
-    comes back divided by `scale`."""
+    comes back divided by `scale`; `norms` holds the squared norms of `rows`
+    and then of `eq_rows`."""
     n = len(objective)
     nsurplus = len(rows)
     width = n + nsurplus
@@ -405,7 +421,7 @@ def _primal_two_phase(
     # Row i is multiplied by -1 when its right side is negative. Its surplus
     # and artificial columns keep the entries -1 (sign-adjusted) and 1.
     lines, levels, signs, squares = [], [], [], []
-    for i, (line, level) in enumerate(zip(chain(rows, eq_rows), chain(rhs, eq_rhs))):
+    for i, (line, level, norm) in enumerate(zip(chain(rows, eq_rows), chain(rhs, eq_rhs), norms)):
         if level < 0:
             line, level = list(map(neg, line)), -level
             signs.append(-1)
@@ -413,7 +429,7 @@ def _primal_two_phase(
             signs.append(1)
         lines.append(line)
         levels.append(level)
-        squares.append(sum(map(mul, line, line)) + level * level + (i < nsurplus) + 1)
+        squares.append(norm + level * level + (i < nsurplus) + 1)
 
     # phase one: minimize the sum of the artificials, priced out against the
     # artificial basis: the row minus the sum of the rows, artificials left
@@ -510,10 +526,11 @@ def _via_dual(
     rows: Sequence[Sequence[int]],
     rhs: Sequence[int],
     scale: int,
+    norms: Sequence[int],
 ) -> LpOutcome:
     """Solve min{c.x : A x >= b, x >= 0}, an all-integer program with c >= 0,
     through its dual max{b.y : A^T y <= c, y >= 0}, and divide the value by
-    `scale`. The dual slack basis is feasible at once, and the optimal
+    `scale`; `norms` holds the squared norms of the rows. The dual slack basis is feasible at once, and the optimal
     tableau's reduced costs under the slack columns are the complementary
     primal vertex: the reduced cost of slack j reads D * x_j."""
     m = len(rows)
@@ -524,7 +541,7 @@ def _via_dual(
     # Every minor meets at most n + 1 columns: one column per primal row (its
     # entries and right side), the cost column and the unit slack columns,
     # which change no product.
-    columns = [sum(map(mul, row, row)) + b * b for row, b in zip(rows, rhs)]
+    columns = [norm + b * b for norm, b in zip(norms, rhs)]
     columns.append(sum(map(mul, objective, objective)))
     fields = _Fields(min(_hadamard_bits(squares), _hadamard_bits(columns, n + 1)))
     offset = fields.offset(m + n + 1)
@@ -548,10 +565,10 @@ def _via_dual(
 def lp_minimize(program: LinearProgram) -> LpOutcome:
     """Exact minimum of a linear program; deterministic for identical input."""
     expect(program, LinearProgram, "linear program")
-    objective, rows, rhs, eq_rows, eq_rhs, scale = _integral(program)
+    objective, rows, rhs, eq_rows, eq_rhs, scale, norms = _integral(program)
     if not eq_rows and all(c >= 0 for c in objective):
-        return _via_dual(objective, rows, rhs, scale)
-    return _primal_two_phase(objective, rows, rhs, eq_rows, eq_rhs, scale)
+        return _via_dual(objective, rows, rhs, scale, norms)
+    return _primal_two_phase(objective, rows, rhs, eq_rows, eq_rhs, scale, norms)
 
 
 def lp_feasible(

@@ -26,7 +26,14 @@ exponent tuples to nonzero Fractions, but a product clears each factor's
 coefficients over the lcm of their denominators (`rationals.cleared`),
 multiplies integer terms in the one product routine `_int_product` and
 divides once by the product of the two lcms (`_over`), building one Fraction
-per output term. Only the public constructor validates exponents and
+per output term. Inside a product each exponent vector e is one int key,
+sum_j e_j * B^j, for a base B above every exponent the result can reach:
+the sum of the two degrees plus 1 for `SparsePolynomial.__mul__`, the
+degree of f plus 1 for `apply_linear_change`. No digit then carries into
+the next, the key of a product term is the sum of its factors' keys, and a
+pair of terms costs one int addition. Keys are encoded once per input term
+(`_key`) and decoded once per output term, where `_over` builds its
+Fraction. Only the public constructor validates exponents and
 coefficients; sums, products and linear changes build their results with
 `SparsePolynomial._trusted`.
 
@@ -46,7 +53,7 @@ import itertools
 import math
 from collections.abc import Iterable, Mapping, Sequence
 from fractions import Fraction
-from operator import add, mul
+from operator import mul
 
 from .errors import InputError
 from .exactlp import (
@@ -74,22 +81,33 @@ __all__ = [
 ]
 
 
-def _int_product(a: Mapping[tuple[int, ...], int], b: Mapping[tuple[int, ...], int]) -> dict:
+def _int_product(a: Mapping[int, int], b: Mapping[int, int]) -> dict:
     """The product of two polynomials with integer coefficients, the one
-    polynomial product routine. Terms that cancel stay in as zeros; `_over`
-    drops them."""
-    acc: dict[tuple[int, ...], int] = {}
+    polynomial product routine. Each exponent vector e is keyed by the one
+    int sum_j e_j * B^j (`_key`), for a base B above every exponent the
+    caller's result can reach, so no digit carries into the next and the
+    key of a product term is the sum of its factors' keys. Terms that cancel
+    stay in as zeros; `_over` drops them."""
+    acc: dict[int, int] = {}
     get = acc.get
     for u, cu in a.items():
         for v, cv in b.items():
-            key = tuple(map(add, u, v))
+            key = u + v
             acc[key] = get(key, 0) + cu * cv
     return acc
 
 
-def _over(ints: Mapping[tuple[int, ...], int], den: int) -> dict:
-    """Integer terms divided by `den`: one Fraction per nonzero term."""
-    return {e: Fraction(c, den) for e, c in ints.items() if c}
+def _key(exps: Sequence[int], places: Sequence[int]) -> int:
+    """The key sum_j e_j * B^j of an exponent vector, with places[j] = B^j."""
+    return sum(map(mul, exps, places))
+
+
+def _over(ints: Mapping[int, int], den: int, base: int, nvars: int) -> dict:
+    """Keyed integer terms divided by `den`: one Fraction per nonzero term,
+    under the exponent tuple its key decodes to in `base`."""
+    places = [base ** j for j in range(nvars)]
+    return {tuple([key // p % base for p in places]): Fraction(c, den)
+            for key, c in ints.items() if c}
 
 
 class SparsePolynomial:
@@ -145,10 +163,15 @@ class SparsePolynomial:
         expect(other, SparsePolynomial, "polynomial")
         if self.nvars != other.nvars:
             raise InputError("cannot multiply polynomials in different variable counts")
+        n = self.nvars
+        # every exponent of the product is at most the sum of the two degrees
+        base = max(map(sum, self.terms), default=0) + max(map(sum, other.terms), default=0) + 1
+        places = [base ** j for j in range(n)]
         da, a = cleared(self.terms.values())
         db, b = cleared(other.terms.values())
-        product = _int_product(dict(zip(self.terms, a)), dict(zip(other.terms, b)))
-        return SparsePolynomial._trusted(self.nvars, _over(product, da * db))
+        product = _int_product({_key(e, places): c for e, c in zip(self.terms, a)},
+                               {_key(e, places): c for e, c in zip(other.terms, b)})
+        return SparsePolynomial._trusted(n, _over(product, da * db, base, n))
 
     def __eq__(self, other) -> bool:
         return (
@@ -311,7 +334,10 @@ def apply_linear_change(f: SparsePolynomial, change: LinearChange) -> SparsePoly
     whose powers are memoised. A term c * x^e is scaled to the common
     denominator L = lcm(den(c) * q^|e|) over the terms of f, everything is
     summed in one integer dictionary, and a Fraction is built once per
-    output term. The result is not validated again.
+    output term. Every dictionary is keyed by `_key` in the base B = deg f +
+    1: every product below is homogeneous of degree at most deg f, so no
+    exponent reaches B, y_j is keyed by B^j and the key of y^a is decoded
+    once, by `_over`. The result is not validated again.
     """
     expect(f, SparsePolynomial, "polynomial")
     expect(change, LinearChange, "linear change")
@@ -321,13 +347,16 @@ def apply_linear_change(f: SparsePolynomial, change: LinearChange) -> SparsePoly
             f"linear change acts on {change.nvars} variables, polynomial has {n}"
         )
     q = math.lcm(*(v.denominator for row in change.matrix for v in row))
-    units = [tuple(int(k == j) for k in range(n)) for j in range(n)]
-    # forms[i] is q * x_i = sum_j q * M[j][i] * y_j, an integer linear form
+    # every exponent of every product below is at most the degree of f
+    base = max(map(sum, f.terms), default=0) + 1
+    places = [base ** j for j in range(n)]
+    # forms[i] is q * x_i = sum_j q * M[j][i] * y_j, an integer linear form,
+    # y_j keyed by B^j
     forms = [
-        {y: v.numerator * (q // v.denominator) for y, v in zip(units, column) if v}
+        {y: v.numerator * (q // v.denominator) for y, v in zip(places, column) if v}
         for column in zip(*change.matrix)
     ]
-    one = {(0,) * n: 1}
+    one = {0: 1}
     powers: dict[tuple[int, int], dict] = {}
 
     def form_power(i: int, e: int) -> dict:
@@ -342,16 +371,16 @@ def apply_linear_change(f: SparsePolynomial, change: LinearChange) -> SparsePoly
     # c * x^e is c * q^-|e| * prod_i form_power(i, e_i); every term is
     # scaled to the common denominator L and summed in integers
     den = math.lcm(*(c.denominator * q ** sum(e) for e, c in f.terms.items()))
-    acc: dict[tuple[int, ...], int] = {}
+    acc: dict[int, int] = {}
     get = acc.get
     for exps, coeff in f.terms.items():
-        part = {(0,) * n: coeff.numerator * (den // (coeff.denominator * q ** sum(exps)))}
+        part = {0: coeff.numerator * (den // (coeff.denominator * q ** sum(exps)))}
         for i, e in enumerate(exps):
             if e:
                 part = _int_product(part, form_power(i, e))
         for key, c in part.items():
             acc[key] = get(key, 0) + c
-    return SparsePolynomial._trusted(n, _over(acc, den))
+    return SparsePolynomial._trusted(n, _over(acc, den, base, n))
 
 
 def lct_monomial(ideal: MonomialIdeal) -> Fraction:

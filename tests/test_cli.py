@@ -243,6 +243,34 @@ class TestErrorsAndPlumbing:
         assert run(["rank", "ideal", files["square.txt"], "--change", str(path)]) == 2
         assert capsys.readouterr().err == f"error: {path}: not valid UTF-8 at byte offset 0\n"
 
+    def test_leading_byte_order_mark_is_dropped(self, files, tmp_path, capsys):
+        # a UTF-8 byte-order mark before the header, on an input and on a
+        # --change file, gives the bytes the unmarked files give
+        bom = b"\xef\xbb\xbf"
+        marked = tmp_path / "w_bom.txt"
+        marked.write_bytes(bom + W_TEXT.encode())
+        matrix = tmp_path / "half_bom.txt"
+        matrix.write_bytes(bom + HALF_TEXT.encode())
+        for plain, argv in (
+            (["rank", "tensor", files["w.txt"], "--json"], ["rank", "tensor", str(marked), "--json"]),
+            (["semistable", files["w.txt"]], ["semistable", str(marked)]),
+            (["rank", "ideal", files["square.txt"], "--change", files["half.txt"]],
+             ["rank", "ideal", files["square.txt"], "--change", str(matrix)]),
+        ):
+            assert run(plain) == 0
+            expected = capsys.readouterr()
+            assert run(argv) == 0
+            assert capsys.readouterr() == expected
+        # only one mark is dropped, and a bad byte after it keeps its offset
+        twice = tmp_path / "twice.txt"
+        twice.write_bytes(bom + bom + W_TEXT.encode())
+        assert run(["rank", "tensor", str(twice)]) == 2
+        assert "unknown input kind '\\ufefftensor'" in capsys.readouterr().err
+        bad = tmp_path / "bad_bom.txt"
+        bad.write_bytes(bom + b"tensor 3 2\n1 1 1\n# caf\xe9\n")
+        assert run(["rank", "tensor", str(bad)]) == 2
+        assert capsys.readouterr().err == f"error: {bad}: not valid UTF-8 at byte offset 25\n"
+
     @pytest.mark.parametrize("fault", [
         RecursionError("maximum recursion depth exceeded"),
         ZeroDivisionError("division by zero"),

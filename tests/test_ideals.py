@@ -65,6 +65,23 @@ class TestSparsePolynomial:
         x_plus_y = poly(2, {(1, 0): 1, (0, 1): 1})
         assert x_plus_y * x_plus_y == SQUARE
 
+    def test_product_agrees_with_evaluation(self):
+        # (f * g)(y) = f(y) * g(y) at random rational points, in up to six
+        # variables with exponents up to 20, zero and constant factors included
+        rng = random.Random(41)
+        for case in range(60):
+            n = rng.randint(1, 6)
+            f, g = (_random_sparse_poly(rng, n, max_exp=20) for _ in range(2))
+            if case % 10 == 0:
+                f = poly(n, {})
+            elif case % 10 == 1:
+                g = poly(n, {(0,) * n: F(rng.randint(-9, 9), rng.randint(1, 5))})
+            product = f * g
+            assert product.is_zero is (f.is_zero or g.is_zero)
+            for _ in range(2):
+                y = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+                assert _evaluate(product, y) == _evaluate(f, y) * _evaluate(g, y)
+
     def test_validation(self):
         with pytest.raises(InputError):
             poly(2, {(1,): 1})
@@ -241,6 +258,32 @@ class TestLinearChange:
                 x = [sum(m.matrix[j][i] * y[j] for j in range(n)) for i in range(n)]
                 assert _evaluate(g, y) == _evaluate(f, x)
 
+    def test_agrees_with_evaluation_in_more_variables(self):
+        # five or six variables, exponents up to 20 and a sparse change that
+        # sends several x_i into the same y_j, so an output exponent reaches
+        # the degree of f: a key base at or below it would carry a digit into
+        # the next variable
+        rng = random.Random(43)
+        for _ in range(12):
+            n = rng.randint(5, 6)
+            f = _random_sparse_poly(rng, n, max_exp=20)
+            m = _sparse_invertible(rng, n)
+            g = apply_linear_change(f, m)
+            for _ in range(2):
+                y = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
+                x = [sum(m.matrix[j][i] * y[j] for j in range(n)) for i in range(n)]
+                assert _evaluate(g, y) == _evaluate(f, x)
+
+    def test_exponent_above_255_agrees_with_evaluation(self):
+        # x1^260 * x2: a key digit above a byte
+        f = poly(2, {(260, 1): F(3, 2), (0, 2): -1})
+        m = LinearChange([[F(1, 2), 1], [F(-2, 3), 3]])
+        g = apply_linear_change(f, m)
+        assert max(max(e) for e in g.terms) == 261
+        for y in ([F(1, 3), F(-2, 5)], [F(7, 4), F(1, 9)]):
+            x = [sum(m.matrix[j][i] * y[j] for j in range(2)) for i in range(2)]
+            assert _evaluate(g, y) == _evaluate(f, x)
+
     def test_singular_rejected(self):
         with pytest.raises(InputError):
             LinearChange([[1, 1], [2, 2]])
@@ -266,6 +309,31 @@ def _random_invertible(rng, n, dens=None):
             return LinearChange(rows)
         except InputError:
             continue
+
+
+def _random_sparse_poly(rng, n, max_exp, max_terms=3):
+    """Up to `max_terms` terms, each with up to two exponents up to `max_exp`
+    and the others 0 or 1, so that the expansions stay small."""
+    terms = {}
+    for _ in range(rng.randint(1, max_terms)):
+        exps = [rng.randint(0, 1) for _ in range(n)]
+        for i in rng.sample(range(n), min(2, n)):
+            exps[i] = rng.randint(0, max_exp)
+        terms[tuple(exps)] = F(rng.randint(-9, 9) or 1, rng.choice((1, 2, 3, 7)))
+    return poly(n, terms)
+
+
+def _sparse_invertible(rng, n):
+    """A triangular matrix with rational diagonal and a few entries above it,
+    its rows shuffled: invertible, with each x_i a sum of few y_j."""
+    rows = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        rows[i][i] = F(rng.choice((-3, -1, 1, 2)), rng.choice((1, 2, 5)))
+    for _ in range(n):
+        i, j = sorted(rng.sample(range(n), 2))
+        rows[i][j] = F(rng.randint(-2, 2), rng.choice((1, 3)))
+    rng.shuffle(rows)
+    return LinearChange(rows)
 
 
 def _evaluate(f, point):

@@ -180,6 +180,31 @@ def test_tensor_ranks_and_semistability(calls):
     assert 0 < unused < 120
 
 
+def test_alpha_programs_clear_only_their_costs(monkeypatch):
+    """A fractional alpha makes the costs alone fractional: `lp_minimize`
+    clears the objective by L and hands the int rows and right sides on as
+    they are. So no call of `cleared` sees more than the n * d costs (the
+    witness `_slope` clears has as many values), where clearing the rows
+    would pass all m + m * n * d right sides and entries."""
+    sizes = []
+
+    def spy(values, cleared=exactlp.cleared):
+        sizes.append(len(values))
+        return cleared(values)
+
+    monkeypatch.setattr(exactlp, "cleared", spy)
+    rng = random.Random(20261107)
+    for _ in range(60):
+        support = random_tensor(rng)
+        alpha = [rng.choice((1, F(1, 2), F(3, 2), F(5, 3))) for _ in range(support.order)]
+        alpha[rng.randrange(support.order)] = F(2, 3)
+        sizes.clear()
+        result = torus_rank(support, alpha)
+        cost = [a for a in alpha for _ in range(support.dims)]
+        assert result == minimize_slope(cost, tensors._support_rows(support))
+        assert sizes and max(sizes) <= support.dims * support.order
+
+
 def test_form_ranks_and_semistability(calls):
     rng = random.Random(20261102)
     verdicts, unused = set(), 0
