@@ -27,13 +27,13 @@ coefficients over the lcm of their denominators (`rationals.cleared`),
 multiplies integer terms in the one product routine `_int_product` and
 divides once by the product of the two lcms (`_over`), building one Fraction
 per output term. Inside a product each exponent vector e is one int key,
-sum_j e_j * B^j, for a base B above every exponent the result can reach:
-the sum of the two degrees plus 1 for `SparsePolynomial.__mul__`, the
-degree of f plus 1 for `apply_linear_change`. No digit then carries into
+sum_j e_j * B^j, for a base B above every exponent the result can reach,
+which is at most the sum of the two degrees for `SparsePolynomial.__mul__`
+and the degree of f for `apply_linear_change`. No digit then carries into
 the next, the key of a product term is the sum of its factors' keys, and a
-pair of terms costs one int addition. Keys are encoded once per input term
-(`_key`) and decoded once per output term, where `_over` builds its
-Fraction. Only the public constructor validates exponents and
+pair of terms costs one int addition. B is a power of 256 (`_keying`), so a
+key's bytes are its digits: keys are encoded once per input term (`_key`)
+and decoded once per output term, where `_over` builds its Fraction. Only the public constructor validates exponents and
 coefficients; sums, products and linear changes build their results with
 `SparsePolynomial._trusted`.
 
@@ -51,7 +51,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
 from operator import mul
 
@@ -84,7 +84,7 @@ __all__ = [
 def _int_product(a: Mapping[int, int], b: Mapping[int, int]) -> dict:
     """The product of two polynomials with integer coefficients, the one
     polynomial product routine. Each exponent vector e is keyed by the one
-    int sum_j e_j * B^j (`_key`), for a base B above every exponent the
+    int sum_j e_j * B^j (`_keying`), for a base B above every exponent the
     caller's result can reach, so no digit carries into the next and the
     key of a product term is the sum of its factors' keys. Terms that cancel
     stay in as zeros; `_over` drops them."""
@@ -97,17 +97,31 @@ def _int_product(a: Mapping[int, int], b: Mapping[int, int]) -> dict:
     return acc
 
 
+def _keying(bound: int, nvars: int) -> tuple[list[int], Callable[[int], tuple[int, ...]]]:
+    """(places, decode) for the keys of exponent vectors of `nvars` entries,
+    each at most `bound`: the key of e is sum_j e_j * B^j = `_key(e,
+    places)`, with places[j] = B^j, and decode(key) is e. B is 2^(8w), for
+    the fewest bytes w that hold `bound`, so no digit carries into the next
+    and the key's little-endian bytes are its digits, w to a digit. With
+    w = 1, every exponent below 256, one `int.to_bytes` decodes a key."""
+    width = max(1, (bound.bit_length() + 7) // 8)
+    places = [1 << 8 * width * j for j in range(nvars)]
+    if width == 1:
+        return places, lambda key: tuple(key.to_bytes(nvars, "little"))
+    mask = (1 << 8 * width) - 1
+    shifts = [8 * width * j for j in range(nvars)]
+    return places, lambda key: tuple([key >> s & mask for s in shifts])
+
+
 def _key(exps: Sequence[int], places: Sequence[int]) -> int:
     """The key sum_j e_j * B^j of an exponent vector, with places[j] = B^j."""
     return sum(map(mul, exps, places))
 
 
-def _over(ints: Mapping[int, int], den: int, base: int, nvars: int) -> dict:
+def _over(ints: Mapping[int, int], den: int, decode: Callable[[int], tuple[int, ...]]) -> dict:
     """Keyed integer terms divided by `den`: one Fraction per nonzero term,
-    under the exponent tuple its key decodes to in `base`."""
-    places = [base ** j for j in range(nvars)]
-    return {tuple([key // p % base for p in places]): Fraction(c, den)
-            for key, c in ints.items() if c}
+    under the exponent tuple `decode` reads from its key."""
+    return {decode(key): Fraction(c, den) for key, c in ints.items() if c}
 
 
 class SparsePolynomial:
@@ -163,15 +177,15 @@ class SparsePolynomial:
         expect(other, SparsePolynomial, "polynomial")
         if self.nvars != other.nvars:
             raise InputError("cannot multiply polynomials in different variable counts")
-        n = self.nvars
         # every exponent of the product is at most the sum of the two degrees
-        base = max(map(sum, self.terms), default=0) + max(map(sum, other.terms), default=0) + 1
-        places = [base ** j for j in range(n)]
+        places, decode = _keying(
+            max(map(sum, self.terms), default=0) + max(map(sum, other.terms), default=0),
+            self.nvars)
         da, a = cleared(self.terms.values())
         db, b = cleared(other.terms.values())
         product = _int_product({_key(e, places): c for e, c in zip(self.terms, a)},
                                {_key(e, places): c for e, c in zip(other.terms, b)})
-        return SparsePolynomial._trusted(n, _over(product, da * db, base, n))
+        return SparsePolynomial._trusted(self.nvars, _over(product, da * db, decode))
 
     def __eq__(self, other) -> bool:
         return (
@@ -334,10 +348,10 @@ def apply_linear_change(f: SparsePolynomial, change: LinearChange) -> SparsePoly
     whose powers are memoised. A term c * x^e is scaled to the common
     denominator L = lcm(den(c) * q^|e|) over the terms of f, everything is
     summed in one integer dictionary, and a Fraction is built once per
-    output term. Every dictionary is keyed by `_key` in the base B = deg f +
-    1: every product below is homogeneous of degree at most deg f, so no
-    exponent reaches B, y_j is keyed by B^j and the key of y^a is decoded
-    once, by `_over`. The result is not validated again.
+    output term. Every dictionary is keyed by `_keying` for exponents up to
+    deg f: every product below is homogeneous of degree at most deg f, so y_j
+    is keyed by B^j and the key of each output term is decoded once, by
+    `_over`. The result is not validated again.
     """
     expect(f, SparsePolynomial, "polynomial")
     expect(change, LinearChange, "linear change")
@@ -348,8 +362,7 @@ def apply_linear_change(f: SparsePolynomial, change: LinearChange) -> SparsePoly
         )
     q = math.lcm(*(v.denominator for row in change.matrix for v in row))
     # every exponent of every product below is at most the degree of f
-    base = max(map(sum, f.terms), default=0) + 1
-    places = [base ** j for j in range(n)]
+    places, decode = _keying(max(map(sum, f.terms), default=0), n)
     # forms[i] is q * x_i = sum_j q * M[j][i] * y_j, an integer linear form,
     # y_j keyed by B^j
     forms = [
@@ -380,7 +393,7 @@ def apply_linear_change(f: SparsePolynomial, change: LinearChange) -> SparsePoly
                 part = _int_product(part, form_power(i, e))
         for key, c in part.items():
             acc[key] = get(key, 0) + c
-    return SparsePolynomial._trusted(n, _over(acc, den, base, n))
+    return SparsePolynomial._trusted(n, _over(acc, den, decode))
 
 
 def lct_monomial(ideal: MonomialIdeal) -> Fraction:

@@ -67,7 +67,8 @@ class TestSparsePolynomial:
 
     def test_product_agrees_with_evaluation(self):
         # (f * g)(y) = f(y) * g(y) at random rational points, in up to six
-        # variables with exponents up to 20, zero and constant factors included
+        # variables with exponents up to 20 (and some above 255), zero and
+        # constant factors included
         rng = random.Random(41)
         for case in range(60):
             n = rng.randint(1, 6)
@@ -76,11 +77,17 @@ class TestSparsePolynomial:
                 f = poly(n, {})
             elif case % 10 == 1:
                 g = poly(n, {(0,) * n: F(rng.randint(-9, 9), rng.randint(1, 5))})
+            elif case % 10 == 2:
+                # exponents past a byte: keys two bytes to a digit
+                g = g * poly(n, {(rng.randint(200, 300),) * n: F(1, 3)})
             product = f * g
             assert product.is_zero is (f.is_zero or g.is_zero)
             for _ in range(2):
                 y = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(n)]
                 assert _evaluate(product, y) == _evaluate(f, y) * _evaluate(g, y)
+        # an exponent in the top bit of its two-byte digit
+        assert poly(2, {(40000, 3): 2}) * poly(2, {(1, 0): F(1, 2), (0, 1): 1}) == poly(
+            2, {(40001, 3): 1, (40000, 4): 2})
 
     def test_validation(self):
         with pytest.raises(InputError):
