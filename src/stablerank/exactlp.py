@@ -530,9 +530,10 @@ def _via_dual(
 ) -> LpOutcome:
     """Solve min{c.x : A x >= b, x >= 0}, an all-integer program with c >= 0,
     through its dual max{b.y : A^T y <= c, y >= 0}, and divide the value by
-    `scale`; `norms` holds the squared norms of the rows. The dual slack basis is feasible at once, and the optimal
-    tableau's reduced costs under the slack columns are the complementary
-    primal vertex: the reduced cost of slack j reads D * x_j."""
+    `scale`; `norms` holds the squared norms of the rows. The dual slack
+    basis is feasible at once, and the optimal tableau's reduced costs under
+    the slack columns are the complementary primal vertex: the reduced cost
+    of slack j reads D * x_j."""
     m = len(rows)
     n = len(objective)
     lines = list(zip(*rows)) if rows else [()] * n

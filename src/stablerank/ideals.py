@@ -33,9 +33,9 @@ and the degree of f for `apply_linear_change`. No digit then carries into
 the next, the key of a product term is the sum of its factors' keys, and a
 pair of terms costs one int addition. B is a power of 256 (`_keying`), so a
 key's bytes are its digits: keys are encoded once per input term (`_key`)
-and decoded once per output term, where `_over` builds its Fraction. Only the public constructor validates exponents and
-coefficients; sums, products and linear changes build their results with
-`SparsePolynomial._trusted`.
+and decoded once per output term, where `_over` builds its Fraction. Only
+the public constructor validates exponents and coefficients; sums, products
+and linear changes build their results with `SparsePolynomial._trusted`.
 
 The support of an ideal (the generators of a monomial ideal, the distinct
 exponent vectors of a polynomial ideal's generators) is read in one place,
