@@ -30,7 +30,7 @@ from .ideals import (
     apply_linear_change,
     t_stable_rank,
 )
-from .rationals import fmt, parse_integer, parse_rational
+from .rationals import parse_integer, parse_rational
 from .tensors import (
     TensorSupport,
     is_symm_torus_semistable,
@@ -63,9 +63,11 @@ def _load(path: str, kinds: tuple[str, ...], what: str):
     return doc.payload
 
 
-def _emit(as_json: bool, value: str, witness, notes: list[str]) -> int:
-    """Print one answer. `witness` is None, a flat vector, or one list per
-    tensor factor, which the text line separates by ' / '."""
+def _emit(as_json: bool, value, witness, notes: list[str]) -> int:
+    """Print one answer, its exact value as p/q, an integer or "inf".
+    `witness` is None, a flat vector, or one list per tensor factor, which
+    the text line separates by ' / '."""
+    value = str(value)
     witness = [] if witness is None else list(witness)
     if as_json:
         print(json.dumps({"value": value, "witness": witness, "notes": notes}))
@@ -92,13 +94,13 @@ def _cmd_rank_tensor(args) -> int:
     result = torus_rank(support, alpha)
     w, n = result.witness, support.dims
     groups = None if w is None else [list(w[i * n:(i + 1) * n]) for i in range(support.order)]
-    return _emit(args.json, fmt(result.value), groups, [_UPPER_BOUND_TENSOR])
+    return _emit(args.json, result.value, groups, [_UPPER_BOUND_TENSOR])
 
 
 def _cmd_rank_symm(args) -> int:
     support = _load(args.file, ("symm",), "rank symm")
     result = symm_torus_rank(support)
-    return _emit(args.json, fmt(result.value), result.witness, [_UPPER_BOUND_TENSOR])
+    return _emit(args.json, result.value, result.witness, [_UPPER_BOUND_TENSOR])
 
 
 def _cmd_rank_ideal(args) -> int:
@@ -119,14 +121,14 @@ def _cmd_rank_ideal(args) -> int:
         notes.append(
             f"minimum over {len(candidates)} coordinate systems; attained by {best_label}"
         )
-    return _emit(args.json, fmt(best.value), best.witness, notes)
+    return _emit(args.json, best.value, best.witness, notes)
 
 
 def _cmd_lct(args) -> int:
     ideal = _load(args.file, ("mideal",), "lct")
     result = _lct_rank(ideal)
     notes = ["log canonical threshold at the origin; equals the stable rank of the ideal"]
-    return _emit(args.json, fmt(result.value), result.witness, notes)
+    return _emit(args.json, result.value, result.witness, notes)
 
 
 def _cmd_semistable(args) -> int:

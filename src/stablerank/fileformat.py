@@ -35,7 +35,7 @@ from functools import partial
 
 from .errors import InputError, ParseError
 from .ideals import LinearChange, MonomialIdeal, PolyIdeal, SparsePolynomial
-from .rationals import expect, fmt, parse_integer, parse_rational
+from .rationals import expect, parse_integer, parse_rational
 from .tensors import SymmetricSupport, TensorSupport
 
 __all__ = ["InputDocument", "parse_input", "serialize"]
@@ -232,9 +232,9 @@ def serialize(doc: InputDocument) -> str:
             if pos:
                 lines.append("--")
             lines += [
-                f"{fmt(c)} : " + " ".join(map(str, e))
+                f"{c} : " + " ".join(map(str, e))
                 for e, c in gen.sorted_terms()
             ]
     else:
-        lines += [" ".join(fmt(v) for v in row) for row in p.matrix]
+        lines += [" ".join(map(str, row)) for row in p.matrix]
     return "\n".join(lines) + "\n"

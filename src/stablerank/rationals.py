@@ -5,8 +5,9 @@ Library calls take integers and `fractions.Fraction` (or anything `Fraction`
 converts exactly, such as the string "2/3"); floats are refused so that no
 approximation can enter a program. Input files and command-line arguments
 write an integer as ASCII digits with an optional sign and a rational as p/q
-or as a bare integer, and answers are printed the same way, with "inf" for
-+infinity; `parse_integer` and `parse_rational` read every such token.
+or as a bare integer; `parse_integer` and `parse_rational` read every such
+token. Answers are printed the same way, by `str`: an int or a Fraction as
+such a token, and +infinity (`math.inf`) as "inf".
 
 This module is the one home of the entry checks. Every constructor and
 public entry point takes a caller's collection (a support, a list of
@@ -142,10 +143,3 @@ def parse_rational(token: str) -> Fraction:
         raise InputError(f"zero denominator: {token!r}")
     return Fraction(int(num), int(den or 1))
 
-
-def fmt(value) -> str:
-    """Exact text of a value: p/q, a bare integer, or "inf"."""
-    kind = type(value)
-    if kind is int or kind is Fraction:
-        return str(value)
-    return "inf" if value == math.inf else str(Fraction(value))

@@ -143,20 +143,15 @@ class SymmetricSupport:
         return tuple(sorted(self.exponents))
 
 
-def _checked_weights(support: TensorSupport, weights) -> tuple[tuple[int, ...], ...]:
+def torus_valuation(support: TensorSupport, weights) -> int:
+    """min over support tuples of sum_i weights[i][j_i] for a diagonal subgroup."""
+    expect(support, TensorSupport, "tensor support")
     rows = tuple(integers(w, "weight vector", support.dims, low=0)
                  for w in collection(weights, "weight assignment"))
     if len(rows) != support.order:
         raise InputError(
             f"weight assignment has {len(rows)} vectors, expected {support.order}"
         )
-    return rows
-
-
-def torus_valuation(support: TensorSupport, weights) -> int:
-    """min over support tuples of sum_i weights[i][j_i] for a diagonal subgroup."""
-    expect(support, TensorSupport, "tensor support")
-    rows = _checked_weights(support, weights)
     return min(
         sum(rows[i][j - 1] for i, j in enumerate(t)) for t in support.sorted_tuples
     )
@@ -293,9 +288,8 @@ def is_symm_torus_semistable(support: SymmetricSupport) -> bool:
     theta' = 1 meets.
     """
     expect(support, SymmetricSupport, "symmetric support")
-    if not all(map(any, zip(*support.exponents))):
+    rows = tuple(zip(*support.sorted_exponents))
+    if not all(map(any, rows)):
         return False
     n, d = support.nvars, support.degree
-    exponents = support.sorted_exponents
-    rows = tuple(tuple(m[j] for m in exponents) for j in range(n))
     return _feasible(rows, (d // math.gcd(n, d),) * n)

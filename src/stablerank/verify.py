@@ -7,12 +7,18 @@ report carries a serialized reproducer in the input file format, so a
 failing case can be replayed through the command line. Runs with the same
 RandomInstanceConfig produce identical report lists. Suites are run by name
 through `run_suite`; `SUITES` maps each name to its suite.
+
+A check that compares a computed rank with a reference value reports through
+`_check`: the rank on the left and the reference on the right, both printed
+by `str` (p/q, an integer or "inf", as the command line prints answers), the
+relation as the verdict and the rank's witness.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -29,7 +35,7 @@ from .ideals import (
     newton_threshold,
     t_stable_rank,
 )
-from .rationals import expect, fmt, integers
+from .rationals import expect, integers
 from .tensors import (
     SymmetricSupport,
     TensorSupport,
@@ -100,6 +106,13 @@ def _join(*texts: str) -> str:
     return "# ---\n".join(texts)
 
 
+def _check(name: str, instance: str, rank, holds, reference) -> CheckReport:
+    """The report comparing a computed rank (a SlopeResult) with a reference
+    value by `holds` (`operator.eq`, `ge` or `le`), rank on the left."""
+    return CheckReport(name, instance, holds(rank.value, reference), str(rank.value),
+                       str(reference), witness=rank.witness)
+
+
 # `rng.sample` draws from each pool in lexicographic order, the order
 # `itertools.product` makes
 def _random_symmetric(rng) -> SymmetricSupport:
@@ -150,18 +163,10 @@ def _symm_equals_multi(config: RandomInstanceConfig) -> list[CheckReport]:
     reports = []
     for case in range(config.cases):
         form = _random_symmetric(rng)
-        symm = symm_torus_rank(form)
-        multi = torus_rank(expand_symmetric(form))
-        reports.append(
-            CheckReport(
-                "symm-multi/rank-agreement",
-                _doc_text(form, f"case {case}"),
-                symm.value == multi.value,
-                fmt(symm.value),
-                fmt(multi.value),
-                witness=symm.witness,
-            )
-        )
+        reports.append(_check(
+            "symm-multi/rank-agreement", _doc_text(form, f"case {case}"),
+            symm_torus_rank(form), operator.eq, torus_rank(expand_symmetric(form)).value,
+        ))
     return reports
 
 
@@ -184,7 +189,7 @@ def _semistable_iff_rank(config: RandomInstanceConfig) -> list[CheckReport]:
             reports.append(
                 CheckReport(
                     f"semistable/{name}",
-                    _doc_text(support, f"case {case}", f"rank = {fmt(rank.value)}"),
+                    _doc_text(support, f"case {case}", f"rank = {rank.value}"),
                     stable == rank_full,
                     f"semistable:{int(stable)}",
                     f"rank-equals-dims:{int(rank_full)}",
@@ -215,34 +220,18 @@ def _monomial_lct(config: RandomInstanceConfig) -> list[CheckReport]:
     solver, on two programs and two routes (dual simplex for the rank,
     two-phase for the threshold), not an independent derivation of the lct.
     """
-    reports = []
-    for name, ideal, expected in _ANCHORS:
-        rank = t_stable_rank(ideal)
-        reports.append(
-            CheckReport(
-                f"monomial-lct/anchor-{name}",
-                _doc_text(ideal, f"expected lct {expected}"),
-                rank.value == expected,
-                fmt(rank.value),
-                fmt(expected),
-                witness=rank.witness,
-            )
-        )
+    reports = [
+        _check(f"monomial-lct/anchor-{name}", _doc_text(ideal, f"expected lct {expected}"),
+               t_stable_rank(ideal), operator.eq, expected)
+        for name, ideal, expected in _ANCHORS
+    ]
     rng = random.Random(config.seed)
     for case in range(config.cases):
         ideal = _random_monomial_ideal(rng)
-        rank = t_stable_rank(ideal)
-        threshold = newton_threshold(ideal)
-        reports.append(
-            CheckReport(
-                "monomial-lct/newton-agreement",
-                _doc_text(ideal, f"case {case}"),
-                rank.value == threshold,
-                fmt(rank.value),
-                fmt(threshold),
-                witness=rank.witness,
-            )
-        )
+        reports.append(_check(
+            "monomial-lct/newton-agreement", _doc_text(ideal, f"case {case}"),
+            t_stable_rank(ideal), operator.eq, newton_threshold(ideal),
+        ))
     return reports
 
 
@@ -265,19 +254,10 @@ def _ideal_props(config: RandomInstanceConfig) -> list[CheckReport]:
             if case % 2 == 0
             else _random_poly_ideal(rng, n)
         )
-        rank_base = t_stable_rank(base).value
-        rank_power = t_stable_rank(ideal_power(base, r))
-        expected = math.inf if rank_base == math.inf else rank_base / r
-        reports.append(
-            CheckReport(
-                "ideal-props/power",
-                _doc_text(base, f"case {case}", f"power exponent r = {r}"),
-                rank_power.value == expected,
-                fmt(rank_power.value),
-                fmt(expected),
-                witness=rank_power.witness,
-            )
-        )
+        reports.append(_check(
+            "ideal-props/power", _doc_text(base, f"case {case}", f"power exponent r = {r}"),
+            t_stable_rank(ideal_power(base, r)), operator.eq, t_stable_rank(base).value / r,
+        ))
 
         if case % 3 == 0:
             fa, fb = _random_monomial_ideal(rng, n), _random_monomial_ideal(rng, n)
@@ -285,20 +265,11 @@ def _ideal_props(config: RandomInstanceConfig) -> list[CheckReport]:
             fa, fb = _random_poly_ideal(rng, n), _random_monomial_ideal(rng, n)
         else:
             fa, fb = _random_poly_ideal(rng, n), _random_poly_ideal(rng, n)
-        ra = t_stable_rank(fa).value
-        rb = t_stable_rank(fb).value
-        product = t_stable_rank(ideal_product(fa, fb))
-        bound = _harmonic_bound(ra, rb)
-        reports.append(
-            CheckReport(
-                "ideal-props/product",
-                _join(_doc_text(fa, f"case {case}"), _doc_text(fb)),
-                product.value >= bound,
-                fmt(product.value),
-                fmt(bound),
-                witness=product.witness,
-            )
-        )
+        reports.append(_check(
+            "ideal-props/product", _join(_doc_text(fa, f"case {case}"), _doc_text(fb)),
+            t_stable_rank(ideal_product(fa, fb)), operator.ge,
+            _harmonic_bound(t_stable_rank(fa).value, t_stable_rank(fb).value),
+        ))
 
         big = (
             _random_monomial_ideal(rng, n)
@@ -306,37 +277,20 @@ def _ideal_props(config: RandomInstanceConfig) -> list[CheckReport]:
             else _random_poly_ideal(rng, n)
         )
         factor = _random_monomial_ideal(rng, n)
-        small = ideal_product(big, factor)
-        rank_small = t_stable_rank(small)
-        rank_big = t_stable_rank(big).value
-        reports.append(
-            CheckReport(
-                "ideal-props/monotone",
-                _join(
-                    _doc_text(big, f"case {case}", "contained ideal: product with the next document"),
-                    _doc_text(factor),
-                ),
-                rank_small.value <= rank_big,
-                fmt(rank_small.value),
-                fmt(rank_big),
-                witness=rank_small.witness,
-            )
-        )
+        reports.append(_check(
+            "ideal-props/monotone",
+            _join(_doc_text(big, f"case {case}", "contained ideal: product with the next document"),
+                  _doc_text(factor)),
+            t_stable_rank(ideal_product(big, factor)), operator.le, t_stable_rank(big).value,
+        ))
 
         sa = _random_monomial_ideal(rng, n)
         sb = _random_monomial_ideal(rng, n)
-        rank_sum = t_stable_rank(ideal_sum(sa, sb))
-        total = t_stable_rank(sa).value + t_stable_rank(sb).value
-        reports.append(
-            CheckReport(
-                "ideal-props/sum",
-                _join(_doc_text(sa, f"case {case}"), _doc_text(sb)),
-                rank_sum.value <= total,
-                fmt(rank_sum.value),
-                fmt(total),
-                witness=rank_sum.witness,
-            )
-        )
+        reports.append(_check(
+            "ideal-props/sum", _join(_doc_text(sa, f"case {case}"), _doc_text(sb)),
+            t_stable_rank(ideal_sum(sa, sb)), operator.le,
+            t_stable_rank(sa).value + t_stable_rank(sb).value,
+        ))
     return reports
 
 
@@ -358,8 +312,8 @@ def _lct_leq_rank_anchor(config: RandomInstanceConfig) -> list[CheckReport]:
             "recorded log canonical threshold: 1 (tabulated reference value, not computed here)",
         ),
         recorded <= rank.value,
-        fmt(recorded),
-        fmt(rank.value),
+        str(recorded),
+        str(rank.value),
         witness=rank.witness,
     )]
 

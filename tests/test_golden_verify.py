@@ -4,7 +4,9 @@
 show a changed value or witness. `golden_verify.json` pins the name, both
 sides, the witness, the verdict and the reproducer of every report of
 `run_suite("all", RandomInstanceConfig(seed=s, cases=CASES))` for each seed
-in `SEEDS`, one report per line in run order.
+in `SEEDS`, one report per line in run order. At the full size that
+`verify all` runs by default, `cases=200`, each seed's reports are pinned by
+the sha256 of one compact JSON list instead (`FULL_SIZE_DIGESTS`).
 
 The file was written before the generator's size bounds became module
 constants; regenerating it is only right when a report is meant to change:
@@ -12,6 +14,7 @@ constants; regenerating it is only right when a report is meant to change:
     PYTHONPATH=src python tests/test_golden_verify.py
 """
 
+import hashlib
 import json
 import sys
 from pathlib import Path
@@ -21,6 +24,11 @@ from stablerank.verify import RandomInstanceConfig, run_suite
 GOLDEN = Path(__file__).with_name("golden_verify.json")
 SEEDS = (0, 1)
 CASES = 40
+# seed -> sha256 of `digest`'s text of run_suite("all", cases=200), 1,606 reports
+FULL_SIZE_DIGESTS = {
+    0: "8e25ecfb3a2eb6f3eec0dccb53d2944de8e7c3a30f1578b8586a9121b60c176b",
+    1: "1f504ff7df8ed93c86088edff427c540cf87c4108d8dfb382e4fa385d9d595cb",
+}
 
 
 def reports() -> list[dict]:
@@ -58,6 +66,22 @@ def test_golden_reports():
     assert len(current) == len(golden)
     differing = [i for i, (a, b) in enumerate(zip(current, golden)) if a != b]
     assert differing == []
+
+
+def digest(seed: int, cases: int) -> tuple[int, str]:
+    """(report count, sha256 of every report's fields as one compact JSON list)."""
+    runs = run_suite("all", RandomInstanceConfig(seed=seed, cases=cases))
+    text = json.dumps(
+        [[r.check_name, r.instance, r.passed, r.lhs, r.rhs,
+          None if r.witness is None else list(r.witness)] for r in runs],
+        separators=(",", ":"),
+    )
+    return len(runs), hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+def test_full_size_reports_digest():
+    for seed, expected in FULL_SIZE_DIGESTS.items():
+        assert digest(seed, 200) == (1606, expected)
 
 
 if __name__ == "__main__":
