@@ -43,11 +43,11 @@ entering column is the lowest set bit of ~(obj + O) & T, with T the top bits
 of the column fields. Rows are packed and unpacked through bytes, k/8 to a
 field, in linear time.
 
-Denominators are cleared once, where a program enters the solver:
-`lp_minimize` and `lp_feasible` pass it through `_integral`, which
-multiplies the objective by the lcm L of its denominators and every row and
-right side, inequality and equality rows alike, by one common R, both
-through `rationals.cleared`. Each part is cleared only when it holds a
+Every solve enters through `lp_minimize`, the one door to both routes
+below, and denominators are cleared once, there: it passes the program
+through `_integral`, which multiplies the objective by the lcm L of its
+denominators and every row and right side, inequality and equality rows
+alike, by one common R, both through `rationals.cleared`. Each part is cleared only when it holds a
 Fraction: a program of ints alone passes unchanged, and fractional costs
 alone (`torus_rank`'s alpha) clear the objective and leave every row and
 right side as it is. `_integral` reads each program once. It takes every
@@ -70,9 +70,11 @@ Programs with no equality rows and a componentwise-nonnegative objective are
 solved through the LP dual: the slack basis of the dual is immediately
 feasible, so no phase-one pass is needed, and the primal vertex is read off
 the optimal tableau's reduced costs (the complementary basic solution).
-Everything else goes through the textbook primal two-phase simplex, which
-returns the phase-one vertex when every cost is 0 (`lp_feasible`): phase two
-would not pivot, and driving basic artificials out pivots on rows at level
+Everything else goes through the textbook primal two-phase simplex. A
+feasibility question, {A x >= b, E x = e, x >= 0}, is the program with a
+zero objective: without equality rows it takes the dual route, and with
+them the two-phase route returns the phase-one vertex, because phase two
+would not pivot and driving basic artificials out pivots on rows at level
 0, which moves no variable. Such a phase one also stops at the first
 tableau whose value, the sum of the artificials, is 0. That value cannot go
 below 0, so every pivot Bland's rule would still take has a zero ratio: it
@@ -91,12 +93,13 @@ when some row is the zero vector (that row's pairing vanishes for every
 lam), encoded as `math.inf`.
 
 Inputs are checked once, at the public entry points: `LinearProgram(...)`
-and `minimize_slope` check and coerce every entry, and `lp_feasible` checks
-its system by building the `LinearProgram` with a zero objective. `_slope`
-and `_feasible` are their solves without the checks, for callers that build
-their rows from objects whose constructors have checked them: `torus_rank`,
-`symm_torus_rank` and `t_stable_rank` (and through it `lct_monomial`) call
-`_slope`, and the two semistability checks call `_feasible`. Both go
+and `minimize_slope` check and coerce every entry. `_slope` is the solve of
+`minimize_slope` without its checks, and `_feasible` the verdict of a
+zero-objective equality system built without the `LinearProgram` checks.
+They serve callers that build their rows from objects whose constructors
+have checked them: `torus_rank`, `symm_torus_rank` and `t_stable_rank`
+(and through it `lct_monomial`) call `_slope`, and the two semistability
+checks call `_feasible`. Both go
 through `lp_minimize` with a `LinearProgram._trusted` program, which is
 built unchecked, as `newton_threshold` builds its own. Every such caller
 passes rows and right sides of ints alone, so `_integral` scales no row: a
@@ -126,7 +129,6 @@ __all__ = [
     "LpOutcome",
     "SlopeResult",
     "lp_minimize",
-    "lp_feasible",
     "minimize_slope",
 ]
 
@@ -572,44 +574,14 @@ def lp_minimize(program: LinearProgram) -> LpOutcome:
     return _primal_two_phase(objective, rows, rhs, eq_rows, eq_rhs, scale, norms)
 
 
-def lp_feasible(
-    constraint_rows: Iterable[Iterable],
-    rhs: Iterable,
-    equality_rows: Iterable[Iterable] = (),
-    equality_rhs: Iterable = (),
-) -> tuple[bool, tuple[Fraction, ...] | None]:
-    """Phase-one feasibility of {A x >= b, E x = e, x >= 0}.
-
-    Returns (True, witness) with an exact rational witness, or (False, None)
-    when the phase-one optimum is strictly positive (certified infeasibility).
-    A system with no rows is feasible, with the empty witness. The system is
-    checked as the `LinearProgram` with a zero objective and solved on the
-    two-phase route even without equality rows, which `lp_minimize` would
-    send to the dual route and so to another vertex.
-    """
-    rows = [collection(row, "constraint row")
-            for row in collection(constraint_rows, "constraint rows")]
-    eq_rows = [collection(row, "equality row")
-               for row in collection(equality_rows, "equality rows")]
-    # one variable stands in when there are no rows, so the right sides are
-    # still checked against them
-    n = len((rows or eq_rows or [[0]])[0])
-    program = LinearProgram((0,) * n, rows, rhs, eq_rows, equality_rhs)
-    if not rows and not eq_rows:
-        return True, ()
-    outcome = _primal_two_phase(*_integral(program))
-    if outcome.status == "optimal":
-        return True, outcome.vertex
-    return False, None
-
-
 def _feasible(equality_rows: tuple[tuple[int, ...], ...], equality_rhs: tuple[int, ...]) -> bool:
-    """Is {E x = e, x >= 0} feasible? The verdict of `lp_feasible` on
-    equality rows the caller has built from checked objects and so passes
-    unchecked: a nonempty tuple of equally long, nonempty tuples of ints,
-    with one int right side each. The two semistability checks call it.
-    The program has a zero objective and equality rows, so `lp_minimize`
-    takes the two-phase route and returns the phase-one verdict."""
+    """Is {E x = e, x >= 0} feasible? The verdict of `lp_minimize` on the
+    program with a zero objective and these equality rows, which the
+    caller has built from checked objects and so passes unchecked: a
+    nonempty tuple of equally long, nonempty tuples of ints, with one int
+    right side each. The two semistability checks call it. The program has
+    equality rows, so `lp_minimize` takes the two-phase route and returns
+    the phase-one verdict."""
     program = LinearProgram._trusted(
         (0,) * len(equality_rows[0]), (), (), equality_rows, equality_rhs)
     return lp_minimize(program).status == "optimal"

@@ -40,16 +40,17 @@ from .tensors import SymmetricSupport, TensorSupport
 
 __all__ = ["InputDocument", "parse_input", "serialize"]
 
-# each kind's payload type and header fields, which are attributes of the
-# payload of the same names
+# each kind's payload type, its header fields and the field holding its
+# entry lines in canonical order, the fields being attributes of the payload
+# of the same names (None for a pideal, whose lines are its generators' terms)
 _KINDS = {
-    "tensor": (TensorSupport, ("order", "dims")),
-    "symm": (SymmetricSupport, ("degree", "nvars")),
-    "mideal": (MonomialIdeal, ("nvars",)),
-    "pideal": (PolyIdeal, ("nvars",)),
-    "matrix": (LinearChange, ("nvars",)),
+    "tensor": (TensorSupport, ("order", "dims"), "sorted_tuples"),
+    "symm": (SymmetricSupport, ("degree", "nvars"), "sorted_exponents"),
+    "mideal": (MonomialIdeal, ("nvars",), "generators"),
+    "pideal": (PolyIdeal, ("nvars",), None),
+    "matrix": (LinearChange, ("nvars",), "matrix"),
 }
-_KIND_TYPES = {kind: payload for kind, (payload, _) in _KINDS.items()}
+_KIND_TYPES = {kind: payload for kind, (payload, *_) in _KINDS.items()}
 
 
 @dataclass(frozen=True)
@@ -218,14 +219,11 @@ def serialize(doc: InputDocument) -> str:
     """Canonical text for a document; parse_input inverts it exactly."""
     expect(doc, InputDocument, "document")
     p = doc.payload
-    lines = [" ".join([doc.kind, *(str(getattr(p, f)) for f in _KINDS[doc.kind][1])])]
-    if doc.kind == "tensor":
-        lines += [" ".join(map(str, t)) for t in p.sorted_tuples]
-    elif doc.kind == "symm":
-        lines += [" ".join(map(str, e)) for e in p.sorted_exponents]
-    elif doc.kind == "mideal":
-        lines += [" ".join(map(str, g)) for g in p.generators]
-    elif doc.kind == "pideal":
+    _, fields, entries = _KINDS[doc.kind]
+    lines = [" ".join([doc.kind, *(str(getattr(p, f)) for f in fields)])]
+    if entries:
+        lines += [" ".join(map(str, e)) for e in getattr(p, entries)]
+    else:
         for pos, gen in enumerate(p.generators):
             if gen.is_zero:
                 raise InputError("a zero generator has no file representation")
@@ -235,6 +233,4 @@ def serialize(doc: InputDocument) -> str:
                 f"{c} : " + " ".join(map(str, e))
                 for e, c in gen.sorted_terms()
             ]
-    else:
-        lines += [" ".join(map(str, row)) for row in p.matrix]
     return "\n".join(lines) + "\n"

@@ -410,10 +410,7 @@ def _lct_rank(ideal: MonomialIdeal) -> SlopeResult:
     expect(ideal, MonomialIdeal, "monomial ideal")
     if ideal.is_unit:
         raise InputError("lct undefined: the origin is not in the zero locus (unit ideal)")
-    result = t_stable_rank(ideal)
-    if not result.is_finite:
-        raise InputError("lct undefined: the origin is not in the zero locus")
-    return result
+    return t_stable_rank(ideal)
 
 
 def newton_threshold(ideal: MonomialIdeal) -> Fraction:

@@ -5,8 +5,9 @@ nonzero coefficient (coefficient values are irrelevant to every quantity
 computed here, which is why none are stored). Restricting the group to the
 diagonal torus of the chosen basis turns each rank into the minimization of
 an exact fractional linear program over the support, so every function below
-reduces to the program of `stablerank.exactlp.minimize_slope` or of
-`lp_feasible`. Their rows come from supports the constructors have checked,
+reduces to the program of `stablerank.exactlp.minimize_slope` or to a
+feasibility program, a zero objective under `lp_minimize`. Their rows come
+from supports the constructors have checked,
 so they go to the unchecked solves `exactlp._slope` and `_feasible`, and
 every row entry and right side is an int: a feasibility program with
 fractional right sides is handed over as its all-integer twin over a

@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import random
+import sys
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -16,7 +17,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 from oracle import oracle_minimum_over_vertices
-from stablerank import exactlp
+from stablerank import exactlp, ideals
 from stablerank.errors import InputError
 from stablerank.exactlp import (
     LinearProgram,
@@ -24,12 +25,27 @@ from stablerank.exactlp import (
     _hadamard_bits,
     _pivot,
     _solve_square,
-    lp_feasible,
     lp_minimize,
     minimize_slope,
 )
+from stablerank.ideals import (
+    MonomialIdeal,
+    PolyIdeal,
+    SparsePolynomial,
+    lct_monomial,
+    newton_threshold,
+    t_stable_rank,
+)
 from stablerank.rationals import integers
-from stablerank.tensors import TensorSupport, is_torus_semistable, torus_rank
+from stablerank.tensors import (
+    SymmetricSupport,
+    TensorSupport,
+    is_symm_torus_semistable,
+    is_torus_semistable,
+    symm_torus_rank,
+    torus_rank,
+)
+from stablerank.verify import RandomInstanceConfig, run_suite
 
 
 def dot(u, v):
@@ -44,6 +60,15 @@ def program(objective, rows, rhs, eq_rows=(), eq_rhs=()):
         equality_rows=eq_rows,
         equality_rhs=eq_rhs,
     )
+
+
+def feasibility(rows, rhs, eq_rows=(), eq_rhs=()):
+    """The program that asks whether {rows . x >= rhs, eq_rows . x = eq_rhs,
+    x >= 0} is feasible: a zero objective, one variable per column of the
+    first row (one when there is no row, so the right sides still meet the
+    rows they are checked against)."""
+    width = len(next(iter([*rows, *eq_rows]), [0]))
+    return program((0,) * width, rows, rhs, eq_rows, eq_rhs)
 
 
 class TestLpMinimize:
@@ -128,40 +153,34 @@ class TestLpMinimize:
         out = lp_minimize(p)
         assert (out.value, out.vertex) == (F(1, 4), (F(0), F(1, 2)))
         assert type(out.value) is F and all(type(x) is F for x in out.vertex)
-        ok, witness = lp_feasible([[1, 2]], [3])
-        assert ok and all(type(x) is F for x in witness)
+        out = lp_minimize(feasibility([[1, 2]], [3]))
+        assert out.status == "optimal" and all(type(x) is F for x in out.vertex)
 
 
 class TestLpFeasible:
+    """Feasibility of {A x >= b, E x = e, x >= 0} is `lp_minimize` of the
+    program with a zero objective: "optimal" with a vertex, or "infeasible"."""
+
     def test_simple_feasible_with_witness(self):
-        ok, witness = lp_feasible([[1, 1]], [1])
-        assert ok
-        assert dot([1, 1], witness) >= 1
-        assert all(w >= 0 for w in witness)
+        out = lp_minimize(feasibility([[1, 1]], [1]))
+        assert (out.status, out.value) == ("optimal", 0)
+        assert dot([1, 1], out.vertex) >= 1
+        assert all(w >= 0 for w in out.vertex)
 
     def test_infeasible_equality_clash(self):
-        ok, witness = lp_feasible([[1]], [1], [[1]], [0])
-        assert not ok
-        assert witness is None
+        out = lp_minimize(feasibility([[1]], [1], [[1]], [0]))
+        assert out.status == "infeasible"
+        assert out.vertex is None
 
     def test_opposing_rows_infeasible(self):
         # lam1 + lam2 >= 1 and -(lam1 + lam2) >= 1 after a sign split
         rows = [[1, 1, -1, -1], [-1, -1, 1, 1]]
-        ok, witness = lp_feasible(rows, [1, 1])
-        assert not ok
+        assert lp_minimize(feasibility(rows, [1, 1])).status == "infeasible"
 
     def test_equalities_only(self):
-        ok, witness = lp_feasible([], [], [[1, 1], [1, -1]], [2, 0])
-        assert ok
-        assert witness == (F(1), F(1))
-
-    def test_no_rows(self):
-        assert lp_feasible([], []) == (True, ())
-        assert lp_feasible(iter([]), iter([]), iter([]), iter([])) == (True, ())
-
-    def test_rows_from_iterators(self):
-        rows = (iter(row) for row in [[1, 1], [1, -1]])
-        assert lp_feasible([], [], rows, iter([2, 0])) == (True, (F(1), F(1)))
+        out = lp_minimize(feasibility([], [], [[1, 1], [1, -1]], [2, 0]))
+        assert out.status == "optimal"
+        assert out.vertex == (F(1), F(1))
 
     @pytest.mark.parametrize("rows, rhs, eq_rows, eq_rhs", [
         ([[1, 2]], [1, 2], [], []),  # more right sides than rows
@@ -175,7 +194,7 @@ class TestLpFeasible:
     ])
     def test_rejects_malformed_systems(self, rows, rhs, eq_rows, eq_rhs):
         with pytest.raises(InputError):
-            lp_feasible(rows, rhs, eq_rows, eq_rhs)
+            feasibility(rows, rhs, eq_rows, eq_rhs)
 
 
 def pass_pivots(monkeypatch, solve, full=False):
@@ -208,15 +227,11 @@ class TestPhaseOneStop:
     EQ_ROWS, EQ_RHS = [[1, 0], [1, 1]], [2, 2]
 
     def test_zero_cost_skips_the_degenerate_tail(self, monkeypatch):
-        def feasible():
-            return lp_feasible([], [], self.EQ_ROWS, self.EQ_RHS)
-
-        assert pass_pivots(monkeypatch, feasible) == ((True, (F(2), F(0))), [1])
-        assert pass_pivots(monkeypatch, feasible, full=True) == ((True, (F(2), F(0))), [2])
-        zero_cost = program([0, 0], [], [], self.EQ_ROWS, self.EQ_RHS)
-        outcome, passes = pass_pivots(monkeypatch, lambda: lp_minimize(zero_cost))
-        assert (outcome.status, outcome.value, outcome.vertex, passes) == (
-            "optimal", 0, (F(2), F(0)), [1])
+        zero_cost = feasibility([], [], self.EQ_ROWS, self.EQ_RHS)
+        for full, passes in ((False, [1]), (True, [2])):
+            outcome, ran = pass_pivots(monkeypatch, lambda: lp_minimize(zero_cost), full)
+            assert (outcome.status, outcome.value, outcome.vertex, ran) == (
+                "optimal", 0, (F(2), F(0)), passes)
 
     def test_nonzero_cost_runs_phase_one_to_the_end(self, monkeypatch):
         for cost in ([1, 1], [0, -1], [F(1, 2), 0]):
@@ -237,7 +252,7 @@ class TestPhaseOneStop:
             eq_rhs = [rng.randint(0, 3) for _ in range(p)]
 
             def feasible():
-                return lp_feasible(rows, rhs, eq_rows, eq_rhs)
+                return lp_minimize(feasibility(rows, rhs, eq_rows, eq_rhs))
 
             stopped, short = pass_pivots(monkeypatch, feasible)
             answer, full = pass_pivots(monkeypatch, feasible, full=True)
@@ -247,19 +262,22 @@ class TestPhaseOneStop:
         assert fewer >= 20
 
     def test_golden_feasibility_cases(self, monkeypatch):
+        # the feasible family's systems with equality rows, which take the
+        # two-phase route; the others take the dual route, with no phase one
         golden = json.loads(Path(__file__).with_name("golden_lp.json").read_text(encoding="utf-8"))
-        cases = [case for case in golden if case["input"]["call"] == "lp_feasible"]
+        cases = [case["input"] for case in golden
+                 if case["input"]["family"] == "feasible" and case["input"]["eq_rows"]]
         fewer = 0
-        for case in cases:
-            given = case["input"]
-            system = ([[F(v) for v in row] for row in given["rows"]], [F(v) for v in given["rhs"]],
-                      [[F(v) for v in row] for row in given["eq_rows"]], [F(v) for v in given["eq_rhs"]])
-            stopped, short = pass_pivots(monkeypatch, lambda: lp_feasible(*system))
-            answer, full = pass_pivots(monkeypatch, lambda: lp_feasible(*system), full=True)
+        for given in cases:
+            system = feasibility(
+                [[F(v) for v in row] for row in given["rows"]], [F(v) for v in given["rhs"]],
+                [[F(v) for v in row] for row in given["eq_rows"]], [F(v) for v in given["eq_rhs"]])
+            stopped, short = pass_pivots(monkeypatch, lambda: lp_minimize(system))
+            answer, full = pass_pivots(monkeypatch, lambda: lp_minimize(system), full=True)
             assert stopped == answer
             assert sum(short) <= sum(full)
             fewer += sum(short) < sum(full)
-        assert (len(cases), fewer) == (60, 8)
+        assert (len(cases), fewer) == (49, 5)
 
 
 W_ROWS = [[0, 1, 1, 0, 1, 0], [1, 0, 0, 1, 1, 0], [1, 0, 1, 0, 0, 1]]
@@ -624,7 +642,7 @@ def test_fields_no_wider_and_every_pivot_decodes(monkeypatch):
                                 eq_rows, [value(kind, 0, 3) for _ in eq_rows]))
         elif route == 2:
             eq_rows = [[value(kind, -2, 3) for _ in range(n)] for _ in range(m)]
-            lp_feasible([], [], eq_rows, [value(kind, 0, 3) for _ in eq_rows])
+            lp_minimize(feasibility([], [], eq_rows, [value(kind, 0, 3) for _ in eq_rows]))
         else:
             matrix = [[value(kind, -3, 3) for _ in range(n)] for _ in range(n)]
             _solve_square(matrix, [[value(kind, -3, 3)] for _ in range(n)])
@@ -765,3 +783,54 @@ def test_seeded_random_agreement_bulk():
         slow = oracle_minimum_over_vertices(p)
         assert fast.status == slow.status
         assert fast.value == slow.value
+
+
+def test_every_solve_enters_through_lp_minimize(monkeypatch):
+    # Both routes are reached only from inside `lp_minimize`, through every
+    # public caller of the library; counts of solves taken at `lp_minimize`
+    # rest on this.
+    depth, routes, outside = [0], [], []
+
+    def route(name, fn):
+        def counted(*args):
+            routes.append(name)
+            if not depth[0]:
+                outside.append(name)
+            return fn(*args)
+        return counted
+
+    def entry(*args):
+        depth[0] += 1
+        try:
+            return solve(*args)
+        finally:
+            depth[0] -= 1
+
+    solve = exactlp.lp_minimize
+    bindings = [(name, module) for name, module in sorted(sys.modules.items())
+                if name.startswith("stablerank") and getattr(module, "lp_minimize", None) is solve]
+    assert {"stablerank.exactlp", "stablerank.ideals"} <= {name for name, _ in bindings}
+    for _, module in bindings:
+        monkeypatch.setattr(module, "lp_minimize", entry)
+    for name in ("_via_dual", "_primal_two_phase"):
+        monkeypatch.setattr(exactlp, name, route(name, getattr(exactlp, name)))
+
+    w = TensorSupport(3, 2, [(2, 1, 1), (1, 2, 1), (1, 1, 2)])
+    form = SymmetricSupport(3, 2, [(2, 1), (1, 2)])
+    cyclic = MonomialIdeal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
+    poly = PolyIdeal(2, [SparsePolynomial(2, {(2, 0): 1, (1, 1): F(1, 2)}),
+                         SparsePolynomial(2, {(0, 3): 1})])
+    torus_rank(w)
+    torus_rank(w, [1, F(1, 2), 3])
+    symm_torus_rank(form)
+    t_stable_rank(cyclic)
+    t_stable_rank(poly)
+    lct_monomial(cyclic)
+    newton_threshold(cyclic)
+    is_torus_semistable(w)
+    is_symm_torus_semistable(form)
+    minimize_slope([1, 2], [[1, 0], [1, 1]])
+    assert exactlp.lp_minimize(program([1, -1], [], [], [[1, 1]], [1])).status == "optimal"
+    run_suite("all", RandomInstanceConfig(seed=0, cases=5))
+    assert routes.count("_via_dual") > 0 and routes.count("_primal_two_phase") > 0
+    assert outside == []

@@ -12,7 +12,9 @@ seeded family built by `golden_family` below:
 - redundant equality rows, which leave artificials basic at level zero after
   phase one and force the drive-out pivots (some on negative entries);
 - infeasible and unbounded programs;
-- `lp_feasible` witnesses.
+- feasibility systems, asked as programs with a zero objective, whose
+  vertex is the witness (the two-phase route's phase-one vertex when there
+  are equality rows, the dual route's vertex otherwise).
 
 The file was written from the solver's answers before its pivot kernel was
 replaced. `golden_pivots.json` pins, for the same cases in the same order,
@@ -33,7 +35,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from stablerank import exactlp
-from stablerank.exactlp import LinearProgram, lp_feasible, lp_minimize
+from stablerank.exactlp import LinearProgram, lp_minimize
 from stablerank.tensors import TensorSupport, torus_rank
 
 GOLDEN = Path(__file__).with_name("golden_lp.json")
@@ -148,19 +150,16 @@ def golden_family() -> list[dict]:
             cases.append(_program_case("infeasible", objective, rows, rhs))
         else:
             cases.append(_program_case("infeasible", objective, rows, rhs, [unit], [bound]))
-    for _ in range(60):  # feasibility witnesses
+    for _ in range(60):  # feasibility witnesses: a zero objective
         n, m, p = rng.randint(1, 6), rng.randint(0, 5), rng.randint(0, 3)
-        case = _program_case(
+        cases.append(_program_case(
             "feasible",
             [0] * n,
             _matrix(rng, m, n, -2, 3),
             [_rational(rng, -2, 2) for _ in range(m)],
             _matrix(rng, p, n, -1, 3),
             [_rational(rng, 0, 3) for _ in range(p)],
-        )
-        case["call"] = "lp_feasible"
-        del case["objective"]
-        cases.append(case)
+        ))
     return cases
 
 
@@ -176,9 +175,6 @@ def solve(case: dict) -> dict:
         return {"value": _q(result.value), "witness": list(result.witness)}
     rows = [_fractions(row) for row in case["rows"]]
     eq_rows = [_fractions(row) for row in case["eq_rows"]]
-    if case["call"] == "lp_feasible":
-        ok, witness = lp_feasible(rows, _fractions(case["rhs"]), eq_rows, _fractions(case["eq_rhs"]))
-        return {"feasible": ok, "witness": None if witness is None else [_q(v) for v in witness]}
     out = lp_minimize(LinearProgram(_fractions(case["objective"]), rows, _fractions(case["rhs"]), eq_rows, _fractions(case["eq_rhs"])))
     return {
         "status": out.status,
@@ -236,10 +232,11 @@ def test_golden_family_is_unchanged():
 
 
 def test_golden_covers_every_outcome():
-    answers = [case["answer"] for case in _load()]
-    statuses = {a.get("status") for a in answers}
+    cases = _load()
+    statuses = {case["answer"].get("status") for case in cases}
     assert {"optimal", "infeasible", "unbounded"} <= statuses
-    assert {a["feasible"] for a in answers if "feasible" in a} == {True, False}
+    feasible = {case["answer"]["status"] for case in cases if case["input"]["family"] == "feasible"}
+    assert feasible == {"optimal", "infeasible"}
 
 
 def test_golden_answers():

@@ -29,7 +29,6 @@ PUBLIC = [
     "is_symm_torus_semistable",
     "is_torus_semistable",
     "lct_monomial",
-    "lp_feasible",
     "lp_minimize",
     "minimize_slope",
     "newton_threshold",
@@ -45,7 +44,7 @@ PUBLIC = [
 
 def test_all_is_the_pinned_list():
     assert sorted(stablerank.__all__) == PUBLIC
-    assert len(PUBLIC) == 36
+    assert len(PUBLIC) == 35
 
 
 def test_every_public_name_is_bound():

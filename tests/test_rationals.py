@@ -7,7 +7,7 @@ from fractions import Fraction as F
 import pytest
 
 from stablerank.errors import InputError
-from stablerank.exactlp import LinearProgram, lp_feasible, lp_minimize, minimize_slope
+from stablerank.exactlp import LinearProgram, lp_minimize, minimize_slope
 from stablerank.fileformat import parse_input, serialize
 from stablerank.ideals import (
     LinearChange,
@@ -55,11 +55,8 @@ X = SparsePolynomial(2, {(1, 0): 1})
         (lambda: LinearProgram((1,), [5], [1]), "constraint row: expected a collection, got 5"),
         (lambda: LinearProgram((1,), [], 5), "rhs: expected a collection, got 5"),
         (lambda: LinearProgram((1,), [], [], 5, []), "equality rows: expected a collection, got 5"),
+        (lambda: LinearProgram((1,), [], [], [5], [1]), "equality row: expected a collection, got 5"),
         (lambda: LinearProgram((1,), [], [], [], 5), "equality rhs: expected a collection, got 5"),
-        (lambda: lp_feasible(5, []), "constraint rows: expected a collection, got 5"),
-        (lambda: lp_feasible([5], [1]), "constraint row: expected a collection, got 5"),
-        (lambda: lp_feasible([], [], 5), "equality rows: expected a collection, got 5"),
-        (lambda: lp_feasible([], [], [5], [1]), "equality row: expected a collection, got 5"),
         (lambda: minimize_slope(3, [[1]]), "cost: expected a collection, got 3"),
         (lambda: minimize_slope([1], 3), "support rows: expected a collection, got 3"),
         (lambda: minimize_slope([1], [3]), "support row: expected a collection, got 3"),

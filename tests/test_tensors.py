@@ -15,7 +15,7 @@ import pytest
 from oracle import oracle_minimum_over_vertices
 from stablerank import tensors
 from stablerank.errors import InputError
-from stablerank.exactlp import LinearProgram, lp_feasible
+from stablerank.exactlp import LinearProgram, lp_minimize
 from stablerank.tensors import (
     SymmetricSupport,
     TensorSupport,
@@ -295,6 +295,13 @@ class TestSemistability:
             assert is_symm_torus_semistable(v) == is_torus_semistable(expand_symmetric(v))
 
 
+def feasible(rows, rhs, eq_rows=(), eq_rhs=()):
+    """Is {rows . x >= rhs, eq_rows . x = eq_rhs, x >= 0} feasible? The
+    checked public route: `lp_minimize` of the program with a zero objective."""
+    program = LinearProgram((0,) * len([*rows, *eq_rows][0]), rows, rhs, eq_rows, eq_rhs)
+    return lp_minimize(program).status == "optimal"
+
+
 def no_program(*args):
     raise AssertionError("a program was built")
 
@@ -313,7 +320,7 @@ class TestUnusedCoordinate:
         rows = [(1,) * len(v.tuples)] + [tuple(int(t[i] == j) for t in v.sorted_tuples)
                                          for i in range(d) for j in range(1, n)]
         assert all(map(any, rows))
-        assert lp_feasible([], [], rows, (n,) + (1,) * (len(rows) - 1)) == (False, None)
+        assert not feasible((), (), rows, (n,) + (1,) * (len(rows) - 1))
         # the destabilizer the rule names: lam = 1 - n * e_n in the last factor
         lam = [[0] * n for _ in range(d - 1)] + [[1] * (n - 1) + [1 - n]]
         assert all(sum(row) == 0 for row in lam)
@@ -332,7 +339,7 @@ class TestUnusedCoordinate:
         v = SymmetricSupport(degree=3, nvars=n, exponents=exponents)
         j = next(j for j in range(n) if all(m[j] == 0 for m in exponents))
         rows = [tuple(m[k] for m in v.sorted_exponents) for k in range(n)]
-        assert lp_feasible([], [], rows, (F(3, n),) * n) == (False, None)
+        assert not feasible((), (), rows, (F(3, n),) * n)
         mu = [1 - n * (k == j) for k in range(n)]
         assert sum(mu) == 0
         assert all(sum(a * b for a, b in zip(m, mu)) == 3 for m in exponents)
@@ -368,13 +375,12 @@ def destabilizer_exists(support):
         n = support.nvars
         rows = [list(m) for m in support.sorted_exponents]
         blocks = [[1] * n]
-    feasible, _ = lp_feasible(
+    return feasible(
         [row + [-e for e in row] for row in rows],
         [1] * len(rows),
         [b + [-e for e in b] for b in blocks],
         [0] * len(blocks),
     )
-    return feasible
 
 
 def design_tuples(rng, n, d):

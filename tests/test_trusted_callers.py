@@ -13,12 +13,13 @@ fractional right sides (a multiple of theta); `torus_rank` hands over its
 costs alpha as they are, which `lp_minimize` clears by the lcm of their
 denominators. Each is a positive scaling of rows and variables, so the
 simplex must take the same pivots as the fractional formulation through the
-public `lp_feasible` and `minimize_slope`, in fields never wider.
+public `lp_minimize` (the equality system with a zero objective) and
+`minimize_slope`, in fields never wider.
 
 A support with an unused coordinate (an index no tuple uses in some factor,
 a variable no exponent uses) is decided with no solve at all. For those the
 tests check that no program is handed over and that the verdict, False, is
-the one the full fractional program gives through `lp_feasible`.
+the one the full fractional program gives through `lp_minimize`.
 """
 
 import itertools
@@ -28,7 +29,7 @@ from fractions import Fraction as F
 import pytest
 
 from stablerank import exactlp, ideals, tensors
-from stablerank.exactlp import lp_feasible, minimize_slope
+from stablerank.exactlp import LinearProgram, lp_minimize, minimize_slope
 from stablerank.ideals import (
     LinearChange,
     MonomialIdeal,
@@ -135,6 +136,13 @@ def assert_checked_slope(cost, rows, result):
     assert type(public.value) is type(result.value)
 
 
+def feasible(rows, rhs):
+    """The checked public verdict on {rows . x = rhs, x >= 0}: `lp_minimize`
+    of the program with a zero objective."""
+    program = LinearProgram((0,) * len(rows[0]), (), (), rows, rhs)
+    return lp_minimize(program).status == "optimal"
+
+
 def assert_checked_feasible(rows, rhs, verdict):
     assert type(rows) is tuple and rows and type(rhs) is tuple and len(rhs) == len(rows)
     width = len(rows[0])
@@ -143,7 +151,7 @@ def assert_checked_feasible(rows, rhs, verdict):
         assert type(row) is tuple and len(row) == width
         assert all(type(v) is int and rational(v, "equality row") is v for v in row)
     assert all(type(v) is int and rational(v, "equality rhs") is v for v in rhs)
-    assert lp_feasible([], [], rows, rhs)[0] is verdict
+    assert feasible(rows, rhs) is verdict
 
 
 def check_all(calls):
@@ -171,7 +179,7 @@ def test_tensor_ranks_and_semistability(calls):
         if has_unused_index(support):
             assert check_all(calls) == {"slope"}
             assert verdict is False
-            assert lp_feasible([], [], *old_tensor_program(support))[0] is False
+            assert feasible(*old_tensor_program(support)) is False
             unused += 1
             continue
         verdicts.add(verdict)
@@ -216,7 +224,7 @@ def test_form_ranks_and_semistability(calls):
         if has_unused_variable(form):
             assert check_all(calls) == {"slope"}
             assert verdict is False
-            assert lp_feasible([], [], *old_form_program(form))[0] is False
+            assert feasible(*old_form_program(form)) is False
             unused += 1
             continue
         verdicts.add(verdict)
@@ -332,7 +340,7 @@ def test_integer_programs_take_the_fractional_pivots(monkeypatch):
         support = random_tensor(rng)
         rows, rhs = old_tensor_program(support)
         same_verdict(lambda: is_torus_semistable(support),
-                     lambda: lp_feasible([], [], rows, rhs)[0], "tensor", has_unused_index(support))
+                     lambda: feasible(rows, rhs), "tensor", has_unused_index(support))
         alpha = [rng.choice((1, 2, F(1, 2), F(3, 2), F(5, 3))) for _ in range(support.order)]
         cost = [a for a in alpha for _ in range(support.dims)]
         same_path(lambda: torus_rank(support, alpha),
@@ -341,7 +349,7 @@ def test_integer_programs_take_the_fractional_pivots(monkeypatch):
         form = random_form(rng)
         rows, rhs = old_form_program(form)
         same_verdict(lambda: is_symm_torus_semistable(form),
-                     lambda: lp_feasible([], [], rows, rhs)[0], "form", has_unused_variable(form))
+                     lambda: feasible(rows, rhs), "form", has_unused_variable(form))
         same_path(lambda: symm_torus_rank(form),
                   lambda: minimize_slope([F(form.degree)] * form.nvars, form.sorted_exponents),
                   same_slope)
@@ -356,6 +364,6 @@ def test_integer_programs_take_the_fractional_pivots(monkeypatch):
     # `lp_minimize` clears a fractional cost vector by the lcm L of its
     # denominators, as `torus_rank` did for its twin, so the rank programs'
     # widths are equal by construction; only the feasibility twins, whose
-    # right sides `lp_feasible` clears with the rows, can come out narrower.
+    # right sides `lp_minimize` clears with the rows, can come out narrower.
     for caller in ("tensor", "form"):
         assert any(new < old for c, new, old in widths if c == caller), caller
