@@ -38,7 +38,7 @@ from .tensors import (
     symm_torus_rank,
     torus_rank,
 )
-from .verify import SUITES, RandomInstanceConfig, run_suite
+from .verify import SUITES, run_suite
 
 __all__ = ["run", "main"]
 
@@ -146,12 +146,11 @@ def _cmd_semistable(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    config = RandomInstanceConfig(seed=args.seed, cases=args.cases)
     names = list(SUITES) if args.suite == "all" else [args.suite]
     suites: list[str] = []
     fails: list[str] = []
     for name in names:
-        reports = run_suite(name, config)
+        reports = run_suite(name, args.seed, args.cases)
         failed = [r for r in reports if not r.passed]
         suites.append(f"suite {name}: {len(reports)} checks, {len(failed)} failed")
         if not args.json:

@@ -50,25 +50,23 @@ _KINDS = {
     "pideal": (PolyIdeal, ("nvars",), None),
     "matrix": (LinearChange, ("nvars",), "matrix"),
 }
-_KIND_TYPES = {kind: payload for kind, (payload, *_) in _KINDS.items()}
+_KIND_OF = {payload: kind for kind, (payload, *_) in _KINDS.items()}
 
 
 @dataclass(frozen=True)
 class InputDocument:
-    """A parsed input file: the header kind plus the domain object it encodes."""
+    """A parsed input file: the domain object it encodes, whose type names
+    the header kind."""
 
-    kind: str
     payload: object
 
     def __post_init__(self):
-        expected = _KIND_TYPES.get(self.kind)
-        if expected is None:
-            raise InputError(f"unknown input kind {self.kind!r}")
-        if not isinstance(self.payload, expected):
-            raise InputError(
-                f"kind {self.kind!r} expects a {expected.__name__} payload, "
-                f"got {type(self.payload).__name__}"
-            )
+        expect(self.payload, tuple(_KIND_OF), "document payload")
+
+    @property
+    def kind(self) -> str:
+        # a subclass of a payload type has its base's kind
+        return next(_KIND_OF[t] for t in type(self.payload).__mro__ if t in _KIND_OF)
 
 
 def _token(read, token: str, line: int, *what):
@@ -185,7 +183,7 @@ def parse_input(text: str) -> InputDocument:
             payload = LinearChange(rows)
         except InputError as exc:
             raise ParseError(str(exc), header_line) from exc
-        return InputDocument(kind, payload)
+        return InputDocument(payload)
 
     # the entry kinds: `read` checks the format, the constructor `make` every
     # entry; a fault is reported at the first line whose entry `make` rejects
@@ -198,12 +196,12 @@ def parse_input(text: str) -> InputDocument:
 
         read = _pideal_generators
     else:
-        make, read = partial(_KIND_TYPES[kind], *fields), _index_rows
+        make, read = partial(_KINDS[kind][0], *fields), _index_rows
     if not rest:
         raise ParseError(f"{kind} needs at least one entry line", header_line)
     entries: list = []
     try:
-        return InputDocument(kind, make(read(rest, entries)))
+        return InputDocument(make(read(rest, entries)))
     except InputError as exc:
         for ln, entry in entries:
             try:

@@ -310,12 +310,16 @@ class LinearChange:
 
 
 def ideal_order(ideal, lam) -> object:
-    """Minimum weighted order over the generators: over the rows of the
-    ideal's rank program, as every generator's order is the least over its
-    terms."""
-    rows = _support_rows(ideal)
+    """Minimum weighted order over the generators, every generator's order
+    being the least over its terms. It reads the generators themselves, not
+    the rows of the rank program, so that it can check a rank's witness."""
+    expect(ideal, _IDEALS, "ideal")
     weights = rationals(lam, "weight vector", ideal.nvars, low=0)
-    return min(sum(e * w for e, w in zip(row, weights)) for row in rows)
+    if isinstance(ideal, MonomialIdeal):
+        exponents = ideal.generators
+    else:
+        exponents = [e for g in ideal.generators for e in g.terms]
+    return min(sum(e * w for e, w in zip(row, weights)) for row in exponents)
 
 
 def _support_rows(ideal) -> tuple[tuple[int, ...], ...]:

@@ -5,8 +5,9 @@ quantity two different ways (or tests a proved inequality), and returns a
 CheckReport per comparison. Failures are reported, never raised: every
 report carries a serialized reproducer in the input file format, so a
 failing case can be replayed through the command line. Runs with the same
-RandomInstanceConfig produce identical report lists. Suites are run by name
-through `run_suite`; `SUITES` maps each name to its suite.
+seed and case count produce identical report lists. Suites are run by name
+through `run_suite`; `SUITES` maps each name to its suite, a function of the
+seed and the case count.
 
 A check that compares a computed rank with a reference value reports through
 `_check`: the rank on the left and the reference on the right, both printed
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import InputError
-from .fileformat import _KIND_TYPES, InputDocument, serialize
+from .fileformat import InputDocument, serialize
 from .ideals import (
     MonomialIdeal,
     PolyIdeal,
@@ -35,7 +36,7 @@ from .ideals import (
     newton_threshold,
     t_stable_rank,
 )
-from .rationals import expect, integers
+from .rationals import integers
 from .tensors import (
     SymmetricSupport,
     TensorSupport,
@@ -48,7 +49,6 @@ from .tensors import (
 
 __all__ = [
     "CheckReport",
-    "RandomInstanceConfig",
     "SUITES",
     "run_suite",
 ]
@@ -78,25 +78,8 @@ _MAX_SUPPORT = 5
 _MAX_EXPONENT = 6
 
 
-@dataclass(frozen=True)
-class RandomInstanceConfig:
-    """Seed and case count for the random instance generators."""
-
-    seed: int
-    cases: int = 200
-
-    def __post_init__(self):
-        (seed,) = integers((self.seed,), "seed")
-        (cases,) = integers((self.cases,), "cases", low=1)
-        object.__setattr__(self, "seed", seed)
-        object.__setattr__(self, "cases", cases)
-
-
-_KIND_OF = {payload: kind for kind, payload in _KIND_TYPES.items()}
-
-
 def _doc_text(obj, *comments: str) -> str:
-    text = serialize(InputDocument(_KIND_OF[type(obj)], obj))
+    text = serialize(InputDocument(obj))
     for c in comments:
         text += f"# {c}\n"
     return text
@@ -157,11 +140,11 @@ def _random_poly_ideal(rng, nvars: int) -> PolyIdeal:
     return PolyIdeal(nvars, [_random_poly(rng, nvars) for _ in range(rng.randint(1, 3))])
 
 
-def _symm_equals_multi(config: RandomInstanceConfig) -> list[CheckReport]:
+def _symm_equals_multi(seed: int, cases: int) -> list[CheckReport]:
     """Symmetric rank must agree with the rank of the expanded tensor support."""
-    rng = random.Random(config.seed)
+    rng = random.Random(seed)
     reports = []
-    for case in range(config.cases):
+    for case in range(cases):
         form = _random_symmetric(rng)
         reports.append(_check(
             "symm-multi/rank-agreement", _doc_text(form, f"case {case}"),
@@ -170,7 +153,7 @@ def _symm_equals_multi(config: RandomInstanceConfig) -> list[CheckReport]:
     return reports
 
 
-def _semistable_iff_rank(config: RandomInstanceConfig) -> list[CheckReport]:
+def _semistable_iff_rank(seed: int, cases: int) -> list[CheckReport]:
     """Torus semistability must hold exactly when the rank equals the dimension."""
     # one tensor, then one form, per case: (name, draw, rank, semistability,
     # dimension); built per call, so it reads the module's current bindings
@@ -178,9 +161,9 @@ def _semistable_iff_rank(config: RandomInstanceConfig) -> list[CheckReport]:
         ("tensor", _random_tensor, torus_rank, is_torus_semistable, "dims"),
         ("symm", _random_symmetric, symm_torus_rank, is_symm_torus_semistable, "nvars"),
     )
-    rng = random.Random(config.seed)
+    rng = random.Random(seed)
     reports = []
-    for case in range(config.cases):
+    for case in range(cases):
         for name, draw, rank_of, semistable, dims in kinds:
             support = draw(rng)
             rank = rank_of(support)
@@ -210,7 +193,7 @@ _ANCHORS = [("cyclic", MonomialIdeal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)]), Frac
 ]
 
 
-def _monomial_lct(config: RandomInstanceConfig) -> list[CheckReport]:
+def _monomial_lct(seed: int, cases: int) -> list[CheckReport]:
     """Rank-program lct must match the Newton polyhedron threshold.
 
     Fixed anchors pin absolute values (the cyclic ideal at 1 and diagonal
@@ -225,8 +208,8 @@ def _monomial_lct(config: RandomInstanceConfig) -> list[CheckReport]:
                t_stable_rank(ideal), operator.eq, expected)
         for name, ideal, expected in _ANCHORS
     ]
-    rng = random.Random(config.seed)
-    for case in range(config.cases):
+    rng = random.Random(seed)
+    for case in range(cases):
         ideal = _random_monomial_ideal(rng)
         reports.append(_check(
             "monomial-lct/newton-agreement", _doc_text(ideal, f"case {case}"),
@@ -241,11 +224,11 @@ def _harmonic_bound(ra, rb):
     return (ra * rb) / (ra + rb)
 
 
-def _ideal_props(config: RandomInstanceConfig) -> list[CheckReport]:
+def _ideal_props(seed: int, cases: int) -> list[CheckReport]:
     """Exact rank laws: power scaling, product bound, monotonicity, sum bound."""
-    rng = random.Random(config.seed)
+    rng = random.Random(seed)
     reports = []
-    for case in range(config.cases):
+    for case in range(cases):
         n = rng.randint(1, _MAX_N)
 
         r = rng.randint(2, 3)
@@ -294,12 +277,12 @@ def _ideal_props(config: RandomInstanceConfig) -> list[CheckReport]:
     return reports
 
 
-def _lct_leq_rank_anchor(config: RandomInstanceConfig) -> list[CheckReport]:
+def _lct_leq_rank_anchor(seed: int, cases: int) -> list[CheckReport]:
     """Recorded lct of x1^2 + x2^2 + x3^2 stays below the computed rank.
 
     The threshold value 1 is a tabulated reference constant, not computed
     here; the rank of the principal ideal comes out of the usual program.
-    The one report is the same for every config.
+    The one report is the same for every seed and case count.
     """
     f = SparsePolynomial(3, {(2, 0, 0): 1, (0, 2, 0): 1, (0, 0, 2): 1})
     ideal = PolyIdeal(3, [f])
@@ -327,12 +310,14 @@ SUITES = {
 }
 
 
-def run_suite(name: str, config: RandomInstanceConfig) -> list[CheckReport]:
-    """Run one registered suite, or every suite in order for name 'all'."""
-    expect(config, RandomInstanceConfig, "random instance config")
+def run_suite(name: str, seed: int, cases: int = 200) -> list[CheckReport]:
+    """Run one registered suite, or every suite in order for name 'all', on
+    `cases` random instances drawn from `seed`."""
+    (seed,) = integers((seed,), "seed")
+    (cases,) = integers((cases,), "cases", low=1)
     if name == "all":
-        return [report for suite in SUITES.values() for report in suite(config)]
+        return [report for suite in SUITES.values() for report in suite(seed, cases)]
     if name not in SUITES:
         known = ", ".join([*SUITES, "all"])
         raise InputError(f"unknown suite {name!r} (known: {known})")
-    return SUITES[name](config)
+    return SUITES[name](seed, cases)

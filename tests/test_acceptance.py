@@ -22,7 +22,7 @@ from stablerank.ideals import (
     t_stable_rank,
 )
 from stablerank.tensors import SymmetricSupport, symm_torus_rank
-from stablerank.verify import RandomInstanceConfig, run_suite
+from stablerank.verify import run_suite
 
 
 def _report(number: int, description: str, problems: list[str]) -> None:
@@ -143,9 +143,8 @@ def test_criterion_6_check_suites_two_seeds():
         "ideal-props": 800,
     }
     for seed in (7, 42):
-        config = RandomInstanceConfig(seed=seed)
         for name, expected in expected_counts.items():
-            reports = run_suite(name, config)
+            reports = run_suite(name, seed)
             if len(reports) != expected:
                 problems.append(f"{name} seed {seed}: {len(reports)} checks, expected {expected}")
             failed = [r for r in reports if not r.passed]
@@ -190,7 +189,7 @@ def test_criterion_8_lct_bounded_by_rank():
     recorded_lct = F(1)
     if not recorded_lct < rank:
         problems.append(f"recorded lct {recorded_lct} is not below the rank {rank}")
-    (report,) = run_suite("lct-bound", RandomInstanceConfig(seed=0))
+    (report,) = run_suite("lct-bound", 0)
     if not report.passed:
         problems.append("anchor check reports failure")
     _report(8, "recorded lct 1 of the sum of three squares lies below its rank 3/2", problems)

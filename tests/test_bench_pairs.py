@@ -208,3 +208,21 @@ class TestTable:
             bench_pairs.parse_plan(["--parent", "HEAD~1", "--workload", "rank", "--seed", "1"])
         assert exc.value.code == 2
         assert "--table" in capsys.readouterr().err
+
+
+class TestSourceSize:
+    def test_counts_the_package_modules_as_wc_does(self, tmp_path):
+        package = tmp_path / "src" / "stablerank"
+        (package / "sub").mkdir(parents=True)
+        (package / "a.py").write_text("one\ntwo\nthree\n", encoding="utf-8")
+        (package / "b.py").write_text("one\nno newline at the end", encoding="utf-8")
+        (package / "notes.txt").write_text("not\ncounted\n", encoding="utf-8")
+        (package / "sub" / "c.py").write_text("not\ncounted\n", encoding="utf-8")
+        assert bench_pairs.src_lines(tmp_path) == 4
+
+    def test_printed_after_the_tables(self):
+        report = TestTable().report()
+        assert "lines" not in bench_pairs.tables(report)
+        report["src_lines"] = {"parent": 2462, "change": 2446}
+        assert bench_pairs.tables(report) == (bench_pairs.table(report)
+                                              + "\n\nsrc/stablerank lines: 2,462 → 2,446")

@@ -186,6 +186,21 @@ class TestVerifyCommand:
         assert any("symm-multi" in n for n in data["notes"])
         assert any("ideal-props" in n for n in data["notes"])
 
+    @pytest.mark.parametrize(
+        "argv, got",
+        [
+            (["verify", "all", "--cases", "0"], "0"),
+            (["verify", "nonsense", "--cases", "0"], "0"),  # checked before the name
+            (["verify", "symm-multi", "--cases", "-3", "--json"], "-3"),
+            (["verify", "lct-bound", "--cases", "0"], "0"),
+        ],
+    )
+    def test_case_count_errors(self, argv, got, capsys):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: cases: expected a value >= 1, got {got}\n"
+
     def test_unknown_suite(self, capsys):
         assert run(["verify", "nonsense"]) == 2
         assert "error:" in capsys.readouterr().err
@@ -194,7 +209,7 @@ class TestVerifyCommand:
         import stablerank.cli as cli_mod
         from stablerank.verify import CheckReport
 
-        def fake(name, config):
+        def fake(name, seed, cases):
             return [CheckReport("fake/check", "mideal 1\n1\n", False, "1", "2")]
 
         monkeypatch.setattr(cli_mod, "run_suite", fake)
@@ -207,7 +222,7 @@ class TestVerifyCommand:
         import stablerank.cli as cli_mod
         from stablerank.verify import CheckReport
 
-        def fake(name, config):
+        def fake(name, seed, cases):
             return [CheckReport("fake/check", "mideal 1\n1\n", False, "1", "2")]
 
         monkeypatch.setattr(cli_mod, "run_suite", fake)

@@ -45,7 +45,7 @@ from stablerank.tensors import (
     symm_torus_rank,
     torus_rank,
 )
-from stablerank.verify import RandomInstanceConfig, run_suite
+from stablerank.verify import run_suite
 
 
 def dot(u, v):
@@ -831,6 +831,6 @@ def test_every_solve_enters_through_lp_minimize(monkeypatch):
     is_symm_torus_semistable(form)
     minimize_slope([1, 2], [[1, 0], [1, 1]])
     assert exactlp.lp_minimize(program([1, -1], [], [], [[1, 1]], [1])).status == "optimal"
-    run_suite("all", RandomInstanceConfig(seed=0, cases=5))
+    run_suite("all", 0, 5)
     assert routes.count("_via_dual") > 0 and routes.count("_primal_two_phase") > 0
     assert outside == []

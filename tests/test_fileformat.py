@@ -215,11 +215,11 @@ class TestSerialize:
         assert serialize(doc) == "tensor 3 2\n1 1 2\n1 2 1\n2 1 1\n"
 
     def test_symm(self):
-        doc = InputDocument("symm", SymmetricSupport(2, 2, [(0, 2), (2, 0)]))
+        doc = InputDocument(SymmetricSupport(2, 2, [(0, 2), (2, 0)]))
         assert serialize(doc) == "symm 2 2\n0 2\n2 0\n"
 
     def test_mideal(self):
-        doc = InputDocument("mideal", MonomialIdeal(2, [(0, 2), (2, 0)]))
+        doc = InputDocument(MonomialIdeal(2, [(0, 2), (2, 0)]))
         assert serialize(doc) == "mideal 2\n0 2\n2 0\n"
 
     def test_pideal_fraction_coefficients(self):
@@ -233,25 +233,40 @@ class TestSerialize:
         assert serialize(doc) == "matrix 2\n1/2 1/2\n1/2 -1/2\n"
 
     def test_integer_rationals_bare(self):
-        doc = InputDocument("matrix", LinearChange([[F(2, 1), F(0)], [F(0), F(1, 3)]]))
+        doc = InputDocument(LinearChange([[F(2, 1), F(0)], [F(0), F(1, 3)]]))
         assert serialize(doc) == "matrix 2\n2 0\n0 1/3\n"
 
     def test_zero_generator_unrepresentable(self):
         zero = SparsePolynomial(2, {})
         one = SparsePolynomial(2, {(1, 0): 1})
-        doc = InputDocument("pideal", PolyIdeal(2, [one, zero]))
+        doc = InputDocument(PolyIdeal(2, [one, zero]))
         with pytest.raises(InputError):
             serialize(doc)
 
 
 class TestDocumentValidation:
-    def test_kind_payload_mismatch(self):
-        with pytest.raises(InputError):
-            InputDocument("tensor", MonomialIdeal(2, [(1, 0)]))
+    def test_payload_gives_its_kind(self):
+        payloads = {
+            "tensor": TensorSupport(1, 1, [(1,)]),
+            "symm": SymmetricSupport(1, 1, [(1,)]),
+            "mideal": MonomialIdeal(2, [(1, 0)]),
+            "pideal": PolyIdeal(1, [SparsePolynomial(1, {(1,): 1})]),
+            "matrix": LinearChange([[F(1)]]),
+        }
+        for kind, payload in payloads.items():
+            assert InputDocument(payload).kind == kind
 
-    def test_unknown_kind(self):
-        with pytest.raises(InputError):
-            InputDocument("widget", MonomialIdeal(2, [(1, 0)]))
+        class Ideal(MonomialIdeal):
+            pass
+
+        # a subclass of a payload type has its base's kind
+        assert InputDocument(Ideal(2, [(1, 0)])).kind == "mideal"
+
+    def test_non_payload_rejected(self):
+        with pytest.raises(InputError, match="^not a document payload: 'mideal 1'$"):
+            InputDocument("mideal 1")
+        with pytest.raises(InputError, match="^not a document payload: "):
+            InputDocument(SparsePolynomial(2, {(1, 0): 1}))
 
 
 def _random_doc(rng):
@@ -261,17 +276,17 @@ def _random_doc(rng):
         d = rng.randint(1, 3)
         pool = list(__import__("itertools").product(range(1, n + 1), repeat=d))
         tuples = rng.sample(pool, k=rng.randint(1, min(4, len(pool))))
-        return InputDocument(kind, TensorSupport(d, n, tuples))
+        return InputDocument(TensorSupport(d, n, tuples))
     if kind == "symm":
         d = rng.randint(1, 4)
         pool = [t for t in __import__("itertools").product(range(d + 1), repeat=n) if sum(t) == d]
         exps = rng.sample(pool, k=rng.randint(1, min(3, len(pool))))
-        return InputDocument(kind, SymmetricSupport(d, n, exps))
+        return InputDocument(SymmetricSupport(d, n, exps))
     if kind == "mideal":
         gens = {tuple(rng.randint(0, 4) for _ in range(n)) for _ in range(rng.randint(1, 4))}
         if all(not any(g) for g in gens):
             gens = {tuple(1 for _ in range(n))}
-        return InputDocument(kind, MonomialIdeal(n, gens))
+        return InputDocument(MonomialIdeal(n, gens))
     if kind == "pideal":
         gens = []
         for _ in range(rng.randint(1, 3)):
@@ -280,11 +295,11 @@ def _random_doc(rng):
                 exps = tuple(rng.randint(0, 3) for _ in range(n))
                 terms[exps] = F(rng.choice([-3, -1, 1, 2, 5]), rng.randint(1, 4))
             gens.append(SparsePolynomial(n, terms))
-        return InputDocument(kind, PolyIdeal(n, gens))
+        return InputDocument(PolyIdeal(n, gens))
     while True:
         rows = [[F(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
         try:
-            return InputDocument(kind, LinearChange(rows))
+            return InputDocument(LinearChange(rows))
         except InputError:
             continue
 
@@ -298,9 +313,15 @@ class TestRoundTrip:
 
     def test_random_documents(self):
         rng = random.Random(20240817)
+        kinds = set()
         for _ in range(120):
             doc = _random_doc(rng)
             text = serialize(doc)
             again = parse_input(text)
             assert again == doc
             assert serialize(again) == text
+            # the kind a payload gives is the header's, and survives the round trip
+            assert doc.kind == text.split()[0]
+            assert again.kind == doc.kind
+            kinds.add(doc.kind)
+        assert kinds == {"tensor", "symm", "mideal", "pideal", "matrix"}

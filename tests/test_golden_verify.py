@@ -3,10 +3,10 @@
 `stablerank verify --json` prints per-suite counts only, so its output cannot
 show a changed value or witness. `golden_verify.json` pins the name, both
 sides, the witness, the verdict and the reproducer of every report of
-`run_suite("all", RandomInstanceConfig(seed=s, cases=CASES))` for each seed
-in `SEEDS`, one report per line in run order. At the full size that
-`verify all` runs by default, `cases=200`, each seed's reports are pinned by
-the sha256 of one compact JSON list instead (`FULL_SIZE_DIGESTS`).
+`run_suite("all", seed, CASES)` for each seed in `SEEDS`, one report per line
+in run order. At the full size that `verify all` runs by default, 200 cases,
+each seed's reports are pinned by the sha256 of one compact JSON list instead
+(`FULL_SIZE_DIGESTS`).
 
 The file was written before the generator's size bounds became module
 constants; regenerating it is only right when a report is meant to change:
@@ -19,12 +19,12 @@ import json
 import sys
 from pathlib import Path
 
-from stablerank.verify import RandomInstanceConfig, run_suite
+from stablerank.verify import run_suite
 
 GOLDEN = Path(__file__).with_name("golden_verify.json")
 SEEDS = (0, 1)
 CASES = 40
-# seed -> sha256 of `digest`'s text of run_suite("all", cases=200), 1,606 reports
+# seed -> sha256 of `digest`'s text of run_suite("all", seed, 200), 1,606 reports
 FULL_SIZE_DIGESTS = {
     0: "8e25ecfb3a2eb6f3eec0dccb53d2944de8e7c3a30f1578b8586a9121b60c176b",
     1: "1f504ff7df8ed93c86088edff427c540cf87c4108d8dfb382e4fa385d9d595cb",
@@ -44,7 +44,7 @@ def reports() -> list[dict]:
             "instance": r.instance,
         }
         for seed in SEEDS
-        for r in run_suite("all", RandomInstanceConfig(seed=seed, cases=CASES))
+        for r in run_suite("all", seed, CASES)
     ]
 
 
@@ -70,7 +70,7 @@ def test_golden_reports():
 
 def digest(seed: int, cases: int) -> tuple[int, str]:
     """(report count, sha256 of every report's fields as one compact JSON list)."""
-    runs = run_suite("all", RandomInstanceConfig(seed=seed, cases=cases))
+    runs = run_suite("all", seed, cases)
     text = json.dumps(
         [[r.check_name, r.instance, r.passed, r.lhs, r.rhs,
           None if r.witness is None else list(r.witness)] for r in runs],

@@ -154,6 +154,19 @@ class TestIdealOrder:
         ideal = PolyIdeal(2, [SQUARE, CUSP_LIKE])
         assert ideal_order(ideal, (1, 1)) == 1
 
+    def test_reads_the_generators_not_the_rank_program(self, monkeypatch):
+        # a fault in the rank program's rows must not also fool the order
+        # that checks the rank's witness
+        import stablerank.ideals as ideals_mod
+
+        def broken(ideal):
+            raise AssertionError("ideal_order read the rank program's rows")
+
+        monkeypatch.setattr(ideals_mod, "_support_rows", broken)
+        assert ideal_order(CYCLIC, (1, 1, 1)) == 3
+        assert ideal_order(CYCLIC, (1, 2, 3)) == 4
+        assert ideal_order(PolyIdeal(2, [SQUARE, CUSP_LIKE]), (1, 1)) == 1
+
     def test_poly_ideal_is_the_least_generator_order(self):
         rng = random.Random(9)
         for _ in range(40):

@@ -8,7 +8,7 @@ import pytest
 
 from stablerank.errors import InputError
 from stablerank.exactlp import LinearProgram, lp_minimize, minimize_slope
-from stablerank.fileformat import parse_input, serialize
+from stablerank.fileformat import InputDocument, parse_input, serialize
 from stablerank.ideals import (
     LinearChange,
     MonomialIdeal,
@@ -29,7 +29,6 @@ from stablerank.tensors import (
     torus_rank,
     torus_valuation,
 )
-from stablerank.verify import run_suite
 
 W = TensorSupport(2, 2, [(1, 1)])
 X = SparsePolynomial(2, {(1, 0): 1})
@@ -91,7 +90,7 @@ def test_a_non_collection_is_an_input_error(make, message):
         (lambda: ideal_power("x", 2), "not an ideal: 'x'"),
         (lambda: ideal_sum(MonomialIdeal(2, [(1, 0)]), 3), "not an ideal: 3"),
         (lambda: serialize(3), "not a document: 3"),
-        (lambda: run_suite("monomial-lct", 3), "not a random instance config: 3"),
+        (lambda: InputDocument(3), "not a document payload: 3"),
     ],
 )
 def test_a_non_library_object_is_an_input_error(make, message):

@@ -38,7 +38,9 @@ seed, and per metric the cell "parent median [q1–q3] → change median
 second table follows for the traced runs: one row per workload and layer,
 with the parent's median → the change's, and "not repeated" after a count
 that varied between the runs of one side; a layer that reads 0 on both
-sides has no row.
+sides has no row. A last line gives each side's newline count of
+`src/stablerank/*.py` (what `wc -l` totals), which the output file keeps as
+`src_lines`; files written before that key was added have no such line.
 
 Stdlib only. Quartiles are `statistics.quantiles(values, n=4)`, the
 exclusive method.
@@ -64,6 +66,13 @@ def export(rev: str, into: Path) -> Path:
     with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
         tar.extractall(into)
     return into
+
+
+def src_lines(tree: Path) -> int:
+    """The newline count of `src/stablerank/*.py` under `tree`, the total
+    `wc -l` prints."""
+    return sum(path.read_bytes().count(b"\n")
+               for path in (tree / "src" / "stablerank").glob("*.py"))
 
 
 def git(*args: str) -> str:
@@ -193,8 +202,13 @@ def layer_table(report: dict) -> str:
 
 
 def tables(report: dict) -> str:
-    """The end-to-end table, then the per-layer table when there is one."""
-    return "\n\n".join(filter(None, (table(report), layer_table(report))))
+    """The end-to-end table, then the per-layer table when there is one, then
+    the source size of both sides when the report records it."""
+    parts = [table(report), layer_table(report)]
+    if "src_lines" in report:
+        size = report["src_lines"]
+        parts.append(f"src/stablerank lines: {size['parent']:,} → {size['change']:,}")
+    return "\n\n".join(filter(None, parts))
 
 
 def parse_plan(argv: list[str]) -> tuple[argparse.Namespace, list[tuple[str, list[int]]]]:
@@ -241,15 +255,16 @@ def main(argv=None) -> int:
     spec = json.loads(Path("BENCHMARK.json").read_text(encoding="utf-8"))
     revs = {side: git("rev-parse", rev) for side, rev in
             (("parent", args.parent), ("change", args.change))}
-    report: dict = {
-        "command": " ".join(["python3", "tools/bench_pairs.py", *argv]),
-        "parent": revs["parent"], "change": revs["change"],
-        "src_trees": {side: git("rev-parse", f"{rev}:src") for side, rev in revs.items()},
-        "python": sys.version.split()[0], "pairs": args.pairs, "traced_pairs": args.traced_pairs,
-        "seconds": args.seconds, "workloads": {},
-    }
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
         trees = {side: export(rev, Path(tmp) / side) for side, rev in revs.items()}
+        report: dict = {
+            "command": " ".join(["python3", "tools/bench_pairs.py", *argv]),
+            "parent": revs["parent"], "change": revs["change"],
+            "src_trees": {side: git("rev-parse", f"{rev}:src") for side, rev in revs.items()},
+            "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
+            "python": sys.version.split()[0], "pairs": args.pairs,
+            "traced_pairs": args.traced_pairs, "seconds": args.seconds, "workloads": {},
+        }
         for workload, seeds in plan:
             entry = report["workloads"].setdefault(workload, {})
             for seed in seeds:
