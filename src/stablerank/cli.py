@@ -168,21 +168,19 @@ def _cmd_verify(args) -> int:
     return 1 if fails else 0
 
 
-def _formatter(prog: str) -> argparse.HelpFormatter:
-    # A fixed width, the one every caller whose stdout is not a terminal gets
-    # anyway. Without a width, argparse imports shutil (and with it bz2, lzma,
-    # fnmatch and zlib) to ask for the terminal size, which at least doubles
-    # the time a call spends building its parsers.
-    return argparse.HelpFormatter(prog, width=78)
-
-
 class _Parser(argparse.ArgumentParser):
-    """An ArgumentParser with the fixed-width formatter. `add_subparsers`
-    builds its subparsers from the parser's own class, and `add_argument`
-    already formats, so every parser, the `common` parent included, is one."""
+    """An ArgumentParser whose help is formatted at a fixed width.
+    `add_subparsers` builds its subparsers from the parser's own class, and
+    `add_argument` already formats, so every parser, the `common` parent
+    included, is one."""
 
     def __init__(self, **kwargs):
-        super().__init__(formatter_class=_formatter, **kwargs)
+        # A fixed width, the one every caller whose stdout is not a terminal
+        # gets anyway. Without a width, argparse imports shutil (and with it
+        # bz2, lzma, fnmatch and zlib) to ask for the terminal size, which at
+        # least doubles the time a call spends building its parsers.
+        super().__init__(formatter_class=lambda prog: argparse.HelpFormatter(prog, width=78),
+                         **kwargs)
 
 
 def _build_parser() -> argparse.ArgumentParser:

@@ -83,23 +83,25 @@ one the full phase one reaches. With a nonzero cost, phase one runs to the
 end, since a different final basis could start phase two elsewhere and so
 move its vertex.
 
-`minimize_slope` is the bridge used by the rank computations: the infimum of
+`_slope` is the bridge used by the rank computations: the infimum of
 (cost . lam) / min_k (a_k . lam) over nonzero integer vectors lam >= 0 with
 positive denominator equals the minimum of the linear program
 min{cost . x : a_k . x >= 1, x >= 0}, because the slope is invariant under
 scaling lam and clearing denominators of an optimal rational vertex produces
 an integer witness with the same slope. The infimum is +infinity exactly
 when some row is the zero vector (that row's pairing vanishes for every
-lam), encoded as `math.inf`.
+lam), encoded as `math.inf`. A caller with a slope program of its own
+solves `lp_minimize(LinearProgram(cost, rows, (1,) * len(rows)))` and
+clears the vertex with `rationals.cleared`.
 
 Inputs are checked once, at the public entry points: `LinearProgram(...)`
-and `minimize_slope` check and coerce every entry. `_slope` is the solve of
-`minimize_slope` without its checks, and `_feasible` the verdict of a
-zero-objective equality system built without the `LinearProgram` checks.
-They serve callers that build their rows from objects whose constructors
-have checked them: `torus_rank`, `symm_torus_rank` and `t_stable_rank`
-(and through it `lct_monomial`) call `_slope`, and the two semistability
-checks call `_feasible`. Both go
+checks and coerces every entry. `_slope` and `_feasible` build their
+programs without those checks: `_slope` solves the slope program, and
+`_feasible` gives the verdict of a zero-objective equality system. They
+serve callers that build their rows from objects whose constructors have
+checked them: `torus_rank`, `symm_torus_rank` and `t_stable_rank` (and
+through it `lct_monomial`) call `_slope`, and the two semistability checks
+call `_feasible`. Both go
 through `lp_minimize` with a `LinearProgram._trusted` program, which is
 built unchecked, as `newton_threshold` builds its own. Every such caller
 passes rows and right sides of ints alone, so `_integral` scales no row: a
@@ -122,14 +124,13 @@ from itertools import chain
 from operator import mul, neg
 
 from .errors import InputError
-from .rationals import cleared, collection, expect, integers, rationals
+from .rationals import cleared, collection, expect, rationals
 
 __all__ = [
     "LinearProgram",
     "LpOutcome",
     "SlopeResult",
     "lp_minimize",
-    "minimize_slope",
 ]
 
 
@@ -587,33 +588,16 @@ def _feasible(equality_rows: tuple[tuple[int, ...], ...], equality_rhs: tuple[in
     return lp_minimize(program).status == "optimal"
 
 
-def minimize_slope(cost: Iterable, rows: Iterable[Iterable]) -> SlopeResult:
-    """Infimum of (cost . lam) / min_k (row_k . lam) over integer lam >= 0
-    with positive denominator, as a single exact LP solve.
-
-    Rows must be nonnegative integer vectors; cost entries must be positive
-    rationals. The infimum is +infinity exactly when some row is the zero
-    vector; an empty row collection is rejected (the rank of the zero object
-    is undefined).
-    """
-    cvec = rationals(cost, "cost")
-    if not cvec:
-        raise InputError("cost vector is empty")
-    if any(c <= 0 for c in cvec):
-        raise InputError("cost entries must be positive")
-    rmat = [integers(row, "support row", len(cvec), low=0)
-            for row in collection(rows, "support rows")]
-    if not rmat:
-        raise InputError("rank of the zero object is undefined: no support rows")
-    return _slope(cvec, tuple(rmat))
-
-
 def _slope(cost: tuple[int | Fraction, ...], rows: tuple[tuple[int, ...], ...]) -> SlopeResult:
-    """`minimize_slope` of a program the caller has built from checked
-    objects and so passes unchecked: `cost` a nonempty tuple of positive ints
-    and Fractions, `rows` a nonempty tuple of tuples of nonnegative ints, each
-    as long as `cost`. `torus_rank`, `symm_torus_rank` and `t_stable_rank`
-    call it, with int costs alone but for `torus_rank`'s alpha."""
+    """Infimum of (cost . lam) / min_k (row_k . lam) over integer lam >= 0
+    with positive denominator, as one exact solve of
+    min{cost . x : row_k . x >= 1, x >= 0}; +infinity, with no witness, when
+    some row is the zero vector. The caller has built the program from
+    checked objects and so passes it unchecked: `cost` a nonempty tuple of
+    positive ints and Fractions, `rows` a nonempty tuple of tuples of
+    nonnegative ints, each as long as `cost`. `torus_rank`, `symm_torus_rank`
+    and `t_stable_rank` call it, with int costs alone but for `torus_rank`'s
+    alpha."""
     if not all(map(any, rows)):
         return SlopeResult(value=math.inf, witness=None)
     out = lp_minimize(LinearProgram._trusted(cost, rows, (1,) * len(rows)))

@@ -3,9 +3,9 @@
 The T-stable rank of an ideal is the infimum over nonzero integer weight
 vectors lam >= 0 of sum(lam) / ord_lam(ideal), where ord_lam takes the
 minimum weighted degree over the support of the generators. That is exactly
-the fractional program `stablerank.exactlp.minimize_slope` solves, with one
-row per distinct exponent vector; the ideal's constructor has checked every
-exponent, so the rows go to its unchecked solve `_slope`. A generator with a
+the slope program `stablerank.exactlp._slope` solves, with one row per
+distinct exponent vector; the ideal's constructor has checked every
+exponent, so the rows go to that solve unchecked. A generator with a
 nonzero constant term puts the zero row in the program and the rank is
 +infinity (the origin is not in the zero locus).
 

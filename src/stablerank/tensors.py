@@ -5,18 +5,18 @@ nonzero coefficient (coefficient values are irrelevant to every quantity
 computed here, which is why none are stored). Restricting the group to the
 diagonal torus of the chosen basis turns each rank into the minimization of
 an exact fractional linear program over the support, so every function below
-reduces to the program of `stablerank.exactlp.minimize_slope` or to a
-feasibility program, a zero objective under `lp_minimize`. Their rows come
-from supports the constructors have checked,
-so they go to the unchecked solves `exactlp._slope` and `_feasible`, and
-every row entry and right side is an int: a feasibility program with
-fractional right sides is handed over as its all-integer twin over a
-multiple of theta (below), a positive scaling of its variables that takes
-the pivots the fractional program would. `torus_rank` passes its costs alpha
-as they are, and the solver clears their denominators. Because
-only diagonal one-parameter subgroups are searched, the returned ranks are
-upper bounds on the full group-stable rank; they are exact whenever some
-optimal subgroup is diagonal in the given basis (torus-optimal tensors).
+reduces to the slope program `stablerank.exactlp._slope` solves or to a
+feasibility program, a zero objective under `lp_minimize` (`_feasible`).
+Their rows come from supports the constructors have checked, so they go to
+those two solves unchecked, and every row entry and right side is an int: a
+feasibility program with fractional right sides is handed over as its
+all-integer twin over a multiple of theta (below), a positive scaling of its
+variables that takes the pivots the fractional program would. `torus_rank`
+passes its costs alpha as they are, and the solver clears their
+denominators. Because only diagonal one-parameter subgroups are searched,
+the returned ranks are upper bounds on the full group-stable rank; they are
+exact whenever some optimal subgroup is diagonal in the given basis
+(torus-optimal tensors).
 
 Why semistability is equivalent to the rank hitting its ceiling: the rank
 with unit weights never exceeds n (the assignment lam_1 = (1,...,1), other

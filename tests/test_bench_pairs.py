@@ -135,6 +135,17 @@ class TestParsePlan:
         named = [flag for flag in ("--pairs", "--traced-pairs") if flag in argv] or ["--workload"]
         assert all(flag in capsys.readouterr().err for flag in named)
 
+    def test_seconds_is_not_an_option(self, capsys):
+        # every run takes BENCHMARK.json's run_seconds
+        with pytest.raises(SystemExit) as exc:
+            bench_pairs.parse_plan(["--parent", "HEAD~1", "--out", "B.json", "--workload", "rank",
+                                    "--seed", "1", "--seconds", "28"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seconds 28" in capsys.readouterr().err
+        args, _ = bench_pairs.parse_plan(["--parent", "HEAD~1", "--out", "B.json",
+                                          "--workload", "rank", "--seed", "1"])
+        assert not hasattr(args, "seconds")
+
 
 class TestTable:
     def report(self):

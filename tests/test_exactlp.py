@@ -8,6 +8,7 @@ import itertools
 import json
 import math
 import random
+import re
 import sys
 from fractions import Fraction as F
 from pathlib import Path
@@ -24,9 +25,9 @@ from stablerank.exactlp import (
     _Fields,
     _hadamard_bits,
     _pivot,
+    _slope,
     _solve_square,
     lp_minimize,
-    minimize_slope,
 )
 from stablerank.ideals import (
     MonomialIdeal,
@@ -280,12 +281,17 @@ class TestPhaseOneStop:
         assert (len(cases), fewer) == (49, 5)
 
 
-W_ROWS = [[0, 1, 1, 0, 1, 0], [1, 0, 0, 1, 1, 0], [1, 0, 1, 0, 0, 1]]
+W_ROWS = ((0, 1, 1, 0, 1, 0), (1, 0, 0, 1, 1, 0), (1, 0, 1, 0, 0, 1))
+W = TensorSupport(3, 2, [(2, 1, 1), (1, 2, 1), (1, 1, 2)])
 
 
 class TestMinimizeSlope:
+    """The slope program through its one solve, `_slope`, which takes a
+    nonempty tuple of positive costs and a nonempty tuple of nonnegative int
+    rows unchecked; the rank functions' checked objects see to that."""
+
     def test_w_tensor_rows(self):
-        res = minimize_slope([1] * 6, W_ROWS)
+        res = _slope((1,) * 6, W_ROWS)
         assert res.value == F(3, 2)
         lam = res.witness
         assert all(isinstance(e, int) and e >= 0 for e in lam)
@@ -294,42 +300,56 @@ class TestMinimizeSlope:
         assert F(sum(lam), val) == F(3, 2)
 
     def test_cyclic_rows(self):
-        res = minimize_slope([1, 1, 1], [[2, 1, 0], [0, 2, 1], [1, 0, 2]])
+        res = _slope((1, 1, 1), ((2, 1, 0), (0, 2, 1), (1, 0, 2)))
         assert res.value == F(1)
 
     def test_single_row(self):
-        res = minimize_slope([1], [[1]])
+        res = _slope((1,), ((1,),))
         assert res.value == F(1)
         assert res.witness == (1,)
 
     def test_zero_row_gives_infinity(self):
-        res = minimize_slope([1, 1], [[0, 0], [1, 1]])
+        res = _slope((1, 1), ((0, 0), (1, 1)))
         assert res.value == math.inf
         assert res.witness is None
 
     def test_no_zero_row_gives_finite(self):
-        res = minimize_slope([1, 1], [[0, 1], [1, 0]])
+        res = _slope((1, 1), ((0, 1), (1, 0)))
         assert res.value != math.inf
 
     def test_empty_rows_rejected(self):
-        with pytest.raises(InputError, match="^rank of the zero object is undefined: no support rows$"):
-            minimize_slope([1, 1], [])
+        # no rank function can hand `_slope` an empty row collection
+        for make, message in [
+            (lambda: TensorSupport(2, 2, []), "tensor support must be nonempty"),
+            (lambda: SymmetricSupport(2, 2, []), "symmetric support must be nonempty"),
+            (lambda: MonomialIdeal(2, []), "a monomial ideal needs at least one generator"),
+            (lambda: PolyIdeal(2, []), "an ideal needs at least one generator"),
+        ]:
+            with pytest.raises(InputError, match=f"^{message}$"):
+                make()
 
     def test_negative_row_entry_rejected(self):
-        with pytest.raises(InputError, match="^support row: expected a value >= 0, got -1$"):
-            minimize_slope([1, 1], [[1, -1]])
+        # nor a negative row entry
+        message = "^exponent vector: expected a value >= 0, got -1$"
+        for make in (lambda: SymmetricSupport(2, 2, [(-1, 3)]),
+                     lambda: MonomialIdeal(2, [(1, -1)]),
+                     lambda: SparsePolynomial(2, {(1, -1): 1})):
+            with pytest.raises(InputError, match=message):
+                make()
 
     def test_nonpositive_cost_rejected(self):
-        with pytest.raises(InputError, match="^cost entries must be positive$"):
-            minimize_slope([1, 0], [[1, 1]])
+        # `torus_rank`'s alpha is the only cost a caller chooses
+        for alpha in ([1, 0, 1], [1, 1, F(-1, 2)]):
+            with pytest.raises(InputError, match="^alpha entries must be positive$"):
+                torus_rank(W, alpha)
 
     def test_fractional_cost(self):
         # alpha = (1/2, 1/2): min (x1+x2)/2 s.t. both coordinates appear
-        res = minimize_slope([F(1, 2), F(1, 2)], [[1, 0], [0, 1]])
+        res = _slope((F(1, 2), F(1, 2)), ((1, 0), (0, 1)))
         assert res.value == F(1)
 
     def test_witness_scale_invariance(self):
-        res = minimize_slope([1] * 6, W_ROWS)
+        res = _slope((1,) * 6, W_ROWS)
         lam = res.witness
         for k in (2, 3, 7):
             scaled = tuple(k * e for e in lam)
@@ -348,7 +368,7 @@ class TestMinimizeSlope:
                 max_size=nrows,
             )
         )
-        res = minimize_slope([1] * n, rows)
+        res = _slope((1,) * n, tuple(map(tuple, rows)))
         assert res.value != math.inf
         # brute force over a small integer grid: nothing beats the LP value,
         # and the returned witness attains it exactly
@@ -363,32 +383,33 @@ class TestMinimizeSlope:
 
 
 class TestTrustedPath:
-    """`minimize_slope` builds its program unchecked from rows it has checked
-    itself, so every rejection has to happen before that."""
+    """`_slope` builds its program unchecked, so every rejection a caller
+    needs happens in the caller's own checks, with the wording of the one
+    helper that made it."""
 
     @pytest.mark.parametrize(
-        "cost, rows, message",
+        "make, message",
         [
-            ([1, 0.5], [[1, 1]], "cost: floating point is not exact, pass int or Fraction"),
-            ([], [[1]], "cost vector is empty"),
-            ([1, 1], [[1, True]], "support row: expected an integer, got True"),
-            ([1, 1], [[1, F(1, 2)]], r"support row: expected an integer, got Fraction\(1, 2\)"),
-            ([1, 1], [[1, 1.0]], r"support row: expected an integer, got 1\.0"),
-            ([1, 1], [[1, 1], [1]], "support row: expected 2 entries, got 1"),
+            (lambda: torus_rank(W, [1, 0.5, 1]), "alpha: floating point is not exact, pass int or Fraction"),
+            (lambda: LinearProgram((), [], []), "objective: at least one variable is required"),
+            (lambda: MonomialIdeal(2, [(1, True)]), "exponent vector: expected an integer, got True"),
+            (lambda: MonomialIdeal(2, [(1, F(1, 2))]), "exponent vector: expected an integer, got Fraction(1, 2)"),
+            (lambda: SymmetricSupport(2, 2, [(1, 1.0)]), "exponent vector: expected an integer, got 1.0"),
+            (lambda: MonomialIdeal(2, [(1, 1), (1,)]), "exponent vector: expected 2 entries, got 1"),
         ],
     )
-    def test_rejections(self, cost, rows, message):
-        with pytest.raises(InputError, match=f"^{message}$"):
-            minimize_slope(cost, rows)
+    def test_caller_rejections(self, make, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            make()
 
     def test_program_equals_validated_program(self, monkeypatch):
         seen = []
         solve = exactlp.lp_minimize
         monkeypatch.setattr(exactlp, "lp_minimize", lambda program: seen.append(program) or solve(program))
-        cost = [1, F(3, 2), 2]
-        rows = [[1, 0, 2], [0, F(4), 1], (3, 1, 0)]
-        assert minimize_slope(cost, rows).value == F(31, 25)
-        assert seen == [LinearProgram(cost, rows, [1, 1, 1])]
+        cost = (1, F(3, 2), 2)
+        rows = ((1, 0, 2), (0, 4, 1), (3, 1, 0))
+        assert _slope(cost, rows).value == F(31, 25)
+        assert seen == [LinearProgram(cost, rows, [1] * len(rows))]
 
     def test_integers_rejects_bools(self):
         assert integers([3, F(4), -1], "x") == (3, 4, -1)
@@ -829,7 +850,6 @@ def test_every_solve_enters_through_lp_minimize(monkeypatch):
     newton_threshold(cyclic)
     is_torus_semistable(w)
     is_symm_torus_semistable(form)
-    minimize_slope([1, 2], [[1, 0], [1, 1]])
     assert exactlp.lp_minimize(program([1, -1], [], [], [[1, 1]], [1])).status == "optimal"
     run_suite("all", 0, 5)
     assert routes.count("_via_dual") > 0 and routes.count("_primal_two_phase") > 0

@@ -98,6 +98,21 @@ class TestSparsePolynomial:
             poly(2, {(1, 0): 0.5})
 
 
+def test_polynomial_hash_and_reprs():
+    # equal polynomials, their terms given in another order and with int or
+    # Fraction coefficients, are one set element
+    f = poly(2, {(1, 0): 1, (0, 2): F(-1, 2)})
+    g = poly(2, {(0, 2): F(-1, 2), (1, 0): F(1)})
+    assert f == g and hash(f) == hash(g)
+    assert len({f, g, poly(2, {}), poly(2, {(1, 1): 0})}) == 2
+    assert repr(f) == "SparsePolynomial(2, -1/2*x^(0, 2) + 1*x^(1, 0))"
+    assert repr(poly(3, {})) == "SparsePolynomial(3, 0)"
+    assert repr(mono(3, (2, 1, 0), (0, 2, 1), (1, 0, 2), (2, 2, 2))) == (
+        "MonomialIdeal(3, [(0, 2, 1), (1, 0, 2), (2, 1, 0)])")
+    assert repr(LinearChange([[1, F(1, 2)], [0, 1]])) == (
+        "LinearChange([[1, Fraction(1, 2)], [0, 1]])")
+
+
 class TestWeightedOrder:
     """The weighted order of one polynomial, as the order of the ideal it
     generates."""

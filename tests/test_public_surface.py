@@ -29,7 +29,6 @@ PUBLIC = [
     "is_torus_semistable",
     "lct_monomial",
     "lp_minimize",
-    "minimize_slope",
     "newton_threshold",
     "parse_input",
     "run_suite",
@@ -43,7 +42,7 @@ PUBLIC = [
 
 def test_all_is_the_pinned_list():
     assert sorted(stablerank.__all__) == PUBLIC
-    assert len(PUBLIC) == 34
+    assert len(PUBLIC) == 33
 
 
 def test_every_public_name_is_bound():

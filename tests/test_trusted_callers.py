@@ -13,8 +13,8 @@ fractional right sides (a multiple of theta); `torus_rank` hands over its
 costs alpha as they are, which `lp_minimize` clears by the lcm of their
 denominators. Each is a positive scaling of rows and variables, so the
 simplex must take the same pivots as the fractional formulation through the
-public `lp_minimize` (the equality system with a zero objective) and
-`minimize_slope`, in fields never wider.
+public `lp_minimize`, in fields never wider: the equality system with a zero
+objective, and the slope program min{cost . x : row . x >= 1, x >= 0}.
 
 A support with an unused coordinate (an index no tuple uses in some factor,
 a variable no exponent uses) is decided with no solve at all. For those the
@@ -23,13 +23,14 @@ the one the full fractional program gives through `lp_minimize`.
 """
 
 import itertools
+import math
 import random
 from fractions import Fraction as F
 
 import pytest
 
 from stablerank import exactlp, ideals, tensors
-from stablerank.exactlp import LinearProgram, lp_minimize, minimize_slope
+from stablerank.exactlp import LinearProgram, SlopeResult, lp_minimize
 from stablerank.ideals import (
     LinearChange,
     MonomialIdeal,
@@ -40,7 +41,7 @@ from stablerank.ideals import (
     newton_threshold,
     t_stable_rank,
 )
-from stablerank.rationals import integers, rational
+from stablerank.rationals import cleared, integers, rational
 from stablerank.tensors import (
     SymmetricSupport,
     TensorSupport,
@@ -122,6 +123,17 @@ def has_unused_variable(form):
     return any(all(m[j] == 0 for m in form.exponents) for j in range(form.nvars))
 
 
+def slope(cost, rows):
+    """The checked public route to the slope program: `lp_minimize` of
+    min{cost . x : row . x >= 1, x >= 0}, its vertex cleared to an integer
+    witness. A zero row makes the program infeasible and the slope
+    +infinity."""
+    out = lp_minimize(LinearProgram(cost, rows, (1,) * len(rows)))
+    if out.status == "infeasible":
+        return SlopeResult(value=math.inf, witness=None)
+    return SlopeResult(value=out.value, witness=cleared(out.vertex)[1])
+
+
 def assert_checked_slope(cost, rows, result):
     assert type(cost) is tuple and cost
     for c in cost:
@@ -131,7 +143,7 @@ def assert_checked_slope(cost, rows, result):
         assert type(row) is tuple and integers(row, "support row") == row
         assert all(type(e) is int and e >= 0 for e in row)
         assert len(row) == len(cost)
-    public = minimize_slope(cost, rows)
+    public = slope(cost, rows)
     assert (public.value, public.witness) == (result.value, result.witness)
     assert type(public.value) is type(result.value)
 
@@ -209,7 +221,7 @@ def test_alpha_programs_clear_only_their_costs(monkeypatch):
         sizes.clear()
         result = torus_rank(support, alpha)
         cost = [a for a in alpha for _ in range(support.dims)]
-        assert result == minimize_slope(cost, tensors._support_rows(support))
+        assert result == slope(cost, tensors._support_rows(support))
         assert sizes and max(sizes) <= support.dims * support.order
 
 
@@ -308,7 +320,7 @@ def test_integer_programs_take_the_fractional_pivots(monkeypatch):
     trace = PivotTrace(monkeypatch)
     rng = random.Random(20261106)
     widths, verdicts, pivots = [], {"tensor": set(), "form": set()}, 0
-    unused = {"tensor": 0, "form": 0}
+    unused = {"tensor": 0, "form": 0, "unit ideal": 0}
 
     def same_path(new, old, answers_equal=lambda a, b: a == b and type(a) is type(b),
                   caller="rank"):
@@ -344,19 +356,26 @@ def test_integer_programs_take_the_fractional_pivots(monkeypatch):
         alpha = [rng.choice((1, 2, F(1, 2), F(3, 2), F(5, 3))) for _ in range(support.order)]
         cost = [a for a in alpha for _ in range(support.dims)]
         same_path(lambda: torus_rank(support, alpha),
-                  lambda: minimize_slope(cost, tensors._support_rows(support)), same_slope)
+                  lambda: slope(cost, tensors._support_rows(support)), same_slope)
 
         form = random_form(rng)
         rows, rhs = old_form_program(form)
         same_verdict(lambda: is_symm_torus_semistable(form),
                      lambda: feasible(rows, rhs), "form", has_unused_variable(form))
         same_path(lambda: symm_torus_rank(form),
-                  lambda: minimize_slope([F(form.degree)] * form.nvars, form.sorted_exponents),
+                  lambda: slope([F(form.degree)] * form.nvars, form.sorted_exponents),
                   same_slope)
 
         ideal = random_monomial_ideal(rng)
-        same_path(lambda: t_stable_rank(ideal),
-                  lambda: minimize_slope([F(1)] * ideal.nvars, ideal.generators), same_slope)
+        cost = [F(1)] * ideal.nvars
+        if ideal.is_unit:
+            # the zero row: +infinity with no tableau, as the full program says
+            assert trace.run(lambda: t_stable_rank(ideal)) == (SlopeResult(math.inf, None), [])
+            assert trace.run(lambda: slope(cost, ideal.generators))[0].value == math.inf
+            unused["unit ideal"] += 1
+        else:
+            same_path(lambda: t_stable_rank(ideal),
+                      lambda: slope(cost, ideal.generators), same_slope)
     assert all(v == {True, False} for v in verdicts.values()), verdicts
     assert all(0 < count < 120 for count in unused.values()), unused
     assert pivots > 1000

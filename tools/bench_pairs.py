@@ -2,7 +2,7 @@
 
     python3 tools/bench_pairs.py --parent REV [--change REV] \
         --workload rank --seed 1 --seed 5 --workload semistable --seed 1 \
-        --pairs 10 --traced-pairs 3 --seconds 28 --out BENCH_N.json
+        --pairs 10 --traced-pairs 3 --out BENCH_N.json
     python3 tools/bench_pairs.py --table BENCH_N.json
 
 Run from the root of a checkout. Each revision's committed files are
@@ -14,7 +14,10 @@ before it.
 For every workload and seed the script makes `--pairs` pairs of untraced
 `bench/run.py` runs, one on each tree, alternating which tree runs first,
 one run at a time. For every workload it also makes `--traced-pairs` pairs
-of traced runs (`--trace 1`) at the first seed. The output file holds, per
+of traced runs (`--trace 1`) at the first seed. Every run is given the
+`run_seconds` of BENCHMARK.json as its `--seconds`, which the output file
+keeps as `seconds`; `bench/run.py` requires the flag, but its figure does
+not change a run. The output file holds, per
 workload and seed and per end-to-end metric, every run's value, each side's
 median and quartiles, the change's wins (pairs in which it reads better,
 ties counting for neither), a verdict against the metric's bound in
@@ -222,7 +225,6 @@ def parse_plan(argv: list[str]) -> tuple[argparse.Namespace, list[tuple[str, lis
     parser.add_argument("--seed", action="append", dest="plan", type=lambda s: ("seed", int(s)))
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--traced-pairs", type=int, default=3)
-    parser.add_argument("--seconds", type=float, default=28)
     parser.add_argument("--out", type=Path)
     args = parser.parse_args(argv)
     if args.table:
@@ -253,6 +255,7 @@ def main(argv=None) -> int:
         print(tables(json.loads(args.table.read_text(encoding="utf-8"))))
         return 0
     spec = json.loads(Path("BENCHMARK.json").read_text(encoding="utf-8"))
+    seconds = spec["run_seconds"]
     revs = {side: git("rev-parse", rev) for side, rev in
             (("parent", args.parent), ("change", args.change))}
     with tempfile.TemporaryDirectory(prefix="bench-pairs-") as tmp:
@@ -263,18 +266,18 @@ def main(argv=None) -> int:
             "src_trees": {side: git("rev-parse", f"{rev}:src") for side, rev in revs.items()},
             "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
             "python": sys.version.split()[0], "pairs": args.pairs,
-            "traced_pairs": args.traced_pairs, "seconds": args.seconds, "workloads": {},
+            "traced_pairs": args.traced_pairs, "seconds": seconds, "workloads": {},
         }
         for workload, seeds in plan:
             entry = report["workloads"].setdefault(workload, {})
             for seed in seeds:
-                runs = pairs(trees, workload, seed, args.pairs, args.seconds, False)
+                runs = pairs(trees, workload, seed, args.pairs, seconds, False)
                 entry[f"seed {seed}"] = {
                     "end_to_end": compare(runs["parent"], runs["change"], spec),
                     "outcomes": {side: outcomes(r) for side, r in runs.items()},
                 }
             if args.traced_pairs:
-                runs = pairs(trees, workload, seeds[0], args.traced_pairs, args.seconds, True)
+                runs = pairs(trees, workload, seeds[0], args.traced_pairs, seconds, True)
                 entry[f"traced seed {seeds[0]}"] = {
                     "per_layer": traced(runs["parent"], runs["change"]),
                     "outcomes": {side: outcomes(r) for side, r in runs.items()},
