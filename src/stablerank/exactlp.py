@@ -2,69 +2,18 @@
 
 Programs are given in integers and `fractions.Fraction`s, and answers come
 back as Fractions, but the simplex tableau holds Python integers only: every
-entry is stored as D * t over one positive integer D shared by the tableau.
-A pivot on p keeps the pivot row P, replaces every other row R (the
-objective row included) by (p * R - f * P) // D, where f is R's entry in the
-pivot column, and makes |p| the new D (Edmonds' fraction-free pivoting, the
-simplex form of Bareiss elimination). The division is always exact, and
-every entry and D of every tableau is a minor of the initial integer
-tableau. No floating point value ever enters a tableau, so results are
-exact and bit-for-bit reproducible. Variables are implicitly constrained to
-x >= 0. Inequality rows have sense a_k . x >= b_k; equality rows hold
-exactly.
+entry is stored as D * t over one positive integer D shared by the tableau
+(Edmonds' fraction-free pivoting, `_pivot`). No floating point value ever
+enters a tableau, so results are exact and bit-for-bit reproducible.
+Variables are implicitly constrained to x >= 0. Inequality rows have sense
+a_k . x >= b_k; equality rows hold exactly.
 
-Each tableau row is a single Python integer, R = sum_j v_j * 2^(k*j): its
-entries are signed values in k-bit fields. The width k is fixed before the
-first pivot by Hadamard's inequality on the initial tableau, which bounds
-every minor, and so every entry and D a solve can reach, by sqrt(P), with P
-the exact product of the squared norms of the tableau's rows (both objective
-rows of the two-phase route included). k is ceil(log2 sqrt(P)) plus 2,
-rounded up to whole bytes, so |v_j| <= 2^(k-2) and every field decodes
-uniquely; the logarithm of the exact product is up to one bit per row below
-a sum of per-row ceilings. The inequality holds for columns as well: a minor
-of the dual route's tableau, which has n + 1 rows, meets at most n + 1 of
-its columns, so the product of the n + 1 largest squared column norms bounds
-it too, and that route takes the smaller of the two bounds. The two-phase
-route uses its rows alone: its phase-one objective row is built from the
-packed constraint rows, never column by column, so only a bound on that
-row's norm (the triangle inequality) is known. A pivot then
-updates a whole row with one multiply, one subtract and one division, all
-inside the big-integer arithmetic: field j of p * R - f * P is p*a_j -
-f*b_j, a multiple of D, so p * R - f * P is D times the packed row of the
-quotients, and dividing the whole integer by D gives that row exactly.
-When D divides p, with q = p / D, the row is q * R - (f * P) // D, and when
-D divides f as well it is q * R - (f / D) * P, with no big-integer division:
-D divides p * R - f * P and p * R, so it divides f * P, and every entry comes
-out the same integer.
-Adding O = the sum of 2^(k-1) * 2^(k*j) over the fields makes every field
-nonnegative: field j reads ((R + O) >> k*j & (2^k - 1)) - 2^(k-1), and the
-top bit of field j of R + O is set exactly when v_j >= 0, so Bland's
-entering column is the lowest set bit of ~(obj + O) & T, with T the top bits
-of the column fields. Rows are packed and unpacked through bytes, k/8 to a
-field, in linear time.
+Each tableau row is one Python integer of signed fields (`_Fields`), as wide
+as Hadamard's bound on the initial tableau (`_hadamard_bits`) needs, pivoted
+whole (`_pivot`) by Bland's rule (`_simplex`).
 
 Every solve enters through `lp_minimize`, the one door to both routes
-below, and denominators are cleared once, there: it passes the program
-through `_integral`, which multiplies the objective by the lcm L of its
-denominators and every row and right side, inequality and equality rows
-alike, by one common R, both through `rationals.cleared`. Each part is cleared only when it holds a
-Fraction: a program of ints alone passes unchanged, and fractional costs
-alone (`torus_rank`'s alpha) clear the objective and leave every row and
-right side as it is. `_integral` reads each program once. It takes every
-row's squared norm, which both routes need for their field width and so
-receive from it, and a norm is an int exactly when its row holds ints
-alone, so the norms stand for a scan of the rows' types; when a row or
-right side is cleared, the norms are taken again on the cleared rows. Both
-routes take that all-integer program and divide only the value by L. Each
-row's slack or artificial column keeps its unit entry and so stands for R
-times that variable. Positive scalings of rows and variables change no
-reduced-cost sign and no order among ratios, and the common R changes the
-phase-one objective, the sum of the artificials, only by that factor, so
-the integer tableau takes exactly the pivots the rational one would.
-
-Pivoting uses the least-index (Bland) rule for both the entering and the
-leaving variable, which makes every solve deterministic and cycle-free.
-Ratios are compared by cross-multiplication.
+below, and denominators are cleared once, there, by `_integral`.
 
 Programs with no equality rows and a componentwise-nonnegative objective are
 solved through the LP dual: the slack basis of the dual is immediately
@@ -83,35 +32,23 @@ one the full phase one reaches. With a nonzero cost, phase one runs to the
 end, since a different final basis could start phase two elsewhere and so
 move its vertex.
 
-`_slope` is the bridge used by the rank computations: the infimum of
-(cost . lam) / min_k (a_k . lam) over nonzero integer vectors lam >= 0 with
-positive denominator equals the minimum of the linear program
-min{cost . x : a_k . x >= 1, x >= 0}, because the slope is invariant under
-scaling lam and clearing denominators of an optimal rational vertex produces
-an integer witness with the same slope. The infimum is +infinity exactly
-when some row is the zero vector (that row's pairing vanishes for every
-lam), encoded as `math.inf`. A caller with a slope program of its own
-solves `lp_minimize(LinearProgram(cost, rows, (1,) * len(rows)))` and
-clears the vertex with `rationals.cleared`.
+`_slope` is the bridge used by the rank computations, the slope infimum as
+one solve. A caller with a slope program of its own solves
+`lp_minimize(LinearProgram(cost, rows, (1,) * len(rows)))` and clears the
+vertex with `rationals.cleared`.
 
 Inputs are checked once, at the public entry points: `LinearProgram(...)`
-checks and coerces every entry. `_slope` and `_feasible` build their
-programs without those checks: `_slope` solves the slope program, and
-`_feasible` gives the verdict of a zero-objective equality system. They
-serve callers that build their rows from objects whose constructors have
-checked them: `torus_rank`, `symm_torus_rank` and `t_stable_rank` (and
-through it `lct_monomial`) call `_slope`, and the two semistability checks
-call `_feasible`. Both go
-through `lp_minimize` with a `LinearProgram._trusted` program, which is
-built unchecked, as `newton_threshold` builds its own. Every such caller
-passes rows and right sides of ints alone, so `_integral` scales no row: a
-fractional right side is cleared by the caller, as a positive scaling of
-the variables (the semistability checks solve for a multiple of theta),
-which keeps every pivot, vertex and verdict. Only `torus_rank` passes
-Fraction costs, its alpha, which `_integral` clears by L.
+checks and coerces every entry. `_slope`, `_feasible` and
+`newton_threshold` build `LinearProgram._trusted` programs, unchecked, from
+objects whose constructors have checked them. Every such program has rows
+and right sides of ints alone, so `_integral` scales no row: a fractional
+right side is cleared by the caller, as a positive scaling of the variables
+(the semistability checks solve for a multiple of theta), which keeps every
+pivot, vertex and verdict.
 
 `_solve_square` runs the same pivot kernel as fraction-free Gauss-Jordan
-elimination; `LinearChange` uses it to invert its matrix.
+elimination; `LinearChange` uses it to check that its matrix is invertible,
+and to invert it on request.
 """
 
 from __future__ import annotations
@@ -208,21 +145,25 @@ class SlopeResult:
     value: Fraction | float
     witness: tuple[int, ...] | None
 
-    @property
-    def is_finite(self) -> bool:
-        return self.value != math.inf
-
 
 def _integral(program: LinearProgram) -> tuple:
     """(L * objective, R * rows, R * rhs, R * equality rows, R * equality rhs,
     L, norms): the program's all-integer twin, for the least positive
     integers L and R that clear the denominators of its objective and of all
-    its rows and right sides together (the module docstring says why one
-    R), with `norms` the squared norms of the twin's rows, inequality rows
-    first, for both routes' field widths. The norms of the given rows also
-    stand for a scan of their types: a single Fraction entry makes a norm a
-    Fraction. Only the parts that hold a Fraction are cleared, so
-    fractional costs alone leave every row as it is (R = 1)."""
+    its rows and right sides together, with `norms` the squared norms of the
+    twin's rows, inequality rows first, for both routes' field widths. The
+    norms of the given rows also stand for a scan of their types: a single
+    Fraction entry makes a norm a Fraction. Only the parts that hold a
+    Fraction are cleared, so fractional costs alone leave every row as it is
+    (R = 1), and a program of ints alone passes unchanged.
+
+    One R serves every row, inequality and equality rows alike: each row's
+    slack or artificial column keeps its unit entry and so stands for R
+    times that variable. Positive scalings of rows and variables change no
+    reduced-cost sign and no order among ratios, and the common R changes
+    the phase-one objective, the sum of the artificials, only by that
+    factor, so the integer tableau takes exactly the pivots the rational one
+    would. Both routes divide only the value by L."""
     objective, rows, rhs = program.objective, program.constraint_rows, program.rhs
     eq_rows, eq_rhs = program.equality_rows, program.equality_rhs
     norms = [sum(map(mul, row, row)) for row in chain(rows, eq_rows)]
@@ -360,7 +301,8 @@ def _simplex(rows: list[int], basis: list[int], d: int, fields: _Fields, ncols: 
     objective and whose rows hold `ncols` columns and then the right side, by
     Bland's rule: enter at the least column with a negative reduced cost,
     leave at the least ratio (compared by cross-multiplication), ties going
-    to the least basic index. Returns (bounded, common denominator).
+    to the least basic index, so every solve is deterministic and
+    cycle-free. Returns (bounded, common denominator).
 
     With `stop_at_zero`, the pass also ends at the first tableau whose
     objective value is 0. The two-phase route asks for it in phase one when
@@ -591,8 +533,11 @@ def _feasible(equality_rows: tuple[tuple[int, ...], ...], equality_rhs: tuple[in
 def _slope(cost: tuple[int | Fraction, ...], rows: tuple[tuple[int, ...], ...]) -> SlopeResult:
     """Infimum of (cost . lam) / min_k (row_k . lam) over integer lam >= 0
     with positive denominator, as one exact solve of
-    min{cost . x : row_k . x >= 1, x >= 0}; +infinity, with no witness, when
-    some row is the zero vector. The caller has built the program from
+    min{cost . x : row_k . x >= 1, x >= 0}: the slope is invariant under
+    scaling lam, and clearing the denominators of an optimal rational vertex
+    gives an integer witness with the same slope. The infimum is +infinity,
+    with no witness, exactly when some row is the zero vector, whose pairing
+    vanishes for every lam. The caller has built the program from
     checked objects and so passes it unchecked: `cost` a nonempty tuple of
     positive ints and Fractions, `rows` a nonempty tuple of tuples of
     nonnegative ints, each as long as `cost`. `torus_rank`, `symm_torus_rank`
@@ -607,14 +552,14 @@ def _slope(cost: tuple[int | Fraction, ...], rows: tuple[tuple[int, ...], ...]) 
 
 
 def _solve_square(matrix: Sequence[Sequence], rhs: Sequence[Sequence]) -> list[list[Fraction]] | None:
-    """Unique solution X of M X = R for a square rational M, or None when M is
-    singular. R holds one row per row of M. Fraction-free Gauss-Jordan
-    elimination: each row of [M | R] is cleared of denominators and packed,
-    then pivoted with `_pivot` down the diagonal, so X = R' / d at the end."""
+    """Unique solution X of M X = R for a square rational M of at least one
+    row, or None when M is singular. R holds one row per row of M; an empty
+    right side, [()] * n, asks only whether M is singular, eliminating M
+    alone and building no Fraction. Fraction-free Gauss-Jordan elimination:
+    each row of [M | R] is cleared of denominators and packed, then pivoted
+    with `_pivot` down the diagonal, so X = R' / d at the end."""
     n = len(matrix)
     lines = [cleared((*row, *extra))[1] for row, extra in zip(matrix, rhs)]
-    if not lines:
-        return []
     fields = _Fields(_hadamard_bits(sum(map(mul, line, line)) for line in lines))
     count = len(lines[0])
     offset = fields.offset(count)

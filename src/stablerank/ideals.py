@@ -278,7 +278,10 @@ _IDEALS = (MonomialIdeal, PolyIdeal)
 
 
 class LinearChange:
-    """Invertible rational matrix M encoding x_i -> sum_j M[j][i] * y_j."""
+    """Invertible rational matrix M encoding x_i -> sum_j M[j][i] * y_j.
+
+    The constructor asks `_solve_square` only whether M is singular, with an
+    empty right side, and builds no inverse; `inverse()` solves M X = I."""
 
     __slots__ = ("nvars", "matrix")
 
@@ -287,20 +290,16 @@ class LinearChange:
         n = len(rows)
         if n < 1 or any(len(r) != n for r in rows):
             raise InputError("a linear change needs a square matrix")
+        if _solve_square(rows, [()] * n) is None:
+            raise InputError("linear change matrix is singular")
         self.nvars = n
         self.matrix = tuple(rows)
-        self._invert()  # singular matrices are rejected up front
-
-    def _invert(self) -> tuple[tuple[Fraction, ...], ...]:
-        n = self.nvars
-        identity = [[int(i == j) for j in range(n)] for i in range(n)]
-        inverse = _solve_square(self.matrix, identity)
-        if inverse is None:
-            raise InputError("linear change matrix is singular")
-        return tuple(tuple(row) for row in inverse)
 
     def inverse(self) -> "LinearChange":
-        return LinearChange(self._invert())
+        """The change by M^-1, the one solve of M X = I."""
+        n = self.nvars
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        return LinearChange(_solve_square(self.matrix, identity))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinearChange) and self.matrix == other.matrix
@@ -347,15 +346,17 @@ def apply_linear_change(f: SparsePolynomial, change: LinearChange) -> SparsePoly
     Satisfies the composition law apply(f, M @ N) = apply(apply(f, N), M)
     and round-trips with `change.inverse()`.
 
-    The expansion is done in integers over one denominator: with q the lcm
-    of the denominators of M, each q * x_i is an integer linear form in y,
-    whose powers are memoised. A term c * x^e is scaled to the common
-    denominator L = lcm(den(c) * q^|e|) over the terms of f, everything is
-    summed in one integer dictionary, and a Fraction is built once per
-    output term. Every dictionary is keyed by `_keying` for exponents up to
-    deg f: every product below is homogeneous of degree at most deg f, so y_j
-    is keyed by B^j and the key of each output term is decoded once, by
-    `_over`. The result is not validated again.
+    The expansion is done in integers over one denominator: M is cleared by
+    `rationals.cleared`, so with q the lcm of its denominators each q * x_i
+    is an integer linear form in y, whose powers are memoised. A term
+    c * x^e is scaled to the common denominator L = lcm(den(c) * q^|e|) over
+    the terms of f, everything is summed in one integer dictionary, and a
+    Fraction is built once per output term. L is written out here, not taken
+    through `cleared`, which would build one Fraction c / q^|e| per term only
+    to read its denominator. Every dictionary is keyed by `_keying` for
+    exponents up to deg f: every product below is homogeneous of degree at
+    most deg f, so y_j is keyed by B^j and the key of each output term is
+    decoded once, by `_over`. The result is not validated again.
     """
     expect(f, SparsePolynomial, "polynomial")
     expect(change, LinearChange, "linear change")
@@ -364,15 +365,12 @@ def apply_linear_change(f: SparsePolynomial, change: LinearChange) -> SparsePoly
         raise InputError(
             f"linear change acts on {change.nvars} variables, polynomial has {n}"
         )
-    q = math.lcm(*(v.denominator for row in change.matrix for v in row))
     # every exponent of every product below is at most the degree of f
     places, decode = _keying(max(map(sum, f.terms), default=0), n)
     # forms[i] is q * x_i = sum_j q * M[j][i] * y_j, an integer linear form,
-    # y_j keyed by B^j
-    forms = [
-        {y: v.numerator * (q // v.denominator) for y, v in zip(places, column) if v}
-        for column in zip(*change.matrix)
-    ]
+    # y_j keyed by B^j: column i of q * M, its entries cleared in column order
+    q, flat = cleared([v for column in zip(*change.matrix) for v in column])
+    forms = [{y: v for y, v in zip(places, flat[i:i + n]) if v} for i in range(0, n * n, n)]
     one = {0: 1}
     powers: dict[tuple[int, int], dict] = {}
 

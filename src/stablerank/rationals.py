@@ -26,8 +26,8 @@ wherever it is raised, a file parser included:
 
 It is also the one home of denominator clearing: `cleared` scales exact
 rationals by the lcm of their denominators, for a program entering the LP
-solver, the rows of a linear system, the witness of a slope program and a
-polynomial product alike.
+solver, the rows of a linear system, the witness of a slope program, a
+polynomial product and a linear change's matrix alike.
 """
 
 from __future__ import annotations

@@ -2,6 +2,8 @@
 
 import importlib.util
 import json
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -209,6 +211,21 @@ class TestTable:
         for path in records:
             text = bench_pairs.tables(json.loads(path.read_text(encoding="utf-8")))
             assert text.startswith("| workload, seed (pairs) |"), path.name
+
+    def test_a_closed_pipe_ends_without_a_traceback(self, tmp_path):
+        # far more rows than a pipe holds, so the script is still writing
+        # when the reader (as `| head -n 1` would) closes its end
+        rank = self.report()["workloads"]["rank"]
+        path = tmp_path / "BENCH.json"
+        path.write_text(json.dumps({"workloads": {f"w{i}": rank for i in range(3000)}}),
+                        encoding="utf-8")
+        proc = subprocess.Popen([sys.executable, str(_PATH), "--table", str(path)],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+        assert proc.stdout.readline().startswith(b"| workload, seed (pairs) |")
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert "Traceback" not in err.decode()
+        assert proc.returncode == 1
 
     def test_table_runs_nothing(self):
         args, plan = bench_pairs.parse_plan(["--table", "B.json"])

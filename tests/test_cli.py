@@ -118,6 +118,14 @@ class TestRankIdeal:
     def test_change_on_matrix_file_kind_check(self, files):
         assert run(["rank", "ideal", files["square.txt"], "--change", files["w.txt"]]) == 2
 
+    def test_singular_change_fails_at_its_header(self, files, tmp_path, capsys):
+        path = tmp_path / "singular.txt"
+        path.write_text("matrix 2\n1 1\n2 2\n")
+        assert run(["rank", "ideal", files["square.txt"], "--change", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: line 1: linear change matrix is singular\n"
+
 
 class TestLct:
     def test_cyclic(self, files, capsys):

@@ -582,6 +582,27 @@ def test_field_width_reaches_hadamard_bound(order):
     assert _solve_square(h, identity) == inverse
 
 
+def test_empty_right_side_decides_singularity_as_the_inverse_does():
+    # `LinearChange` asks only whether M is singular, with no right side: the
+    # verdict must be the one the full solve of M X = I gives. Small entries,
+    # and every third matrix with a row forced to a combination of the others,
+    # make both kinds common.
+    rng = random.Random(20261019)
+    singular = 0
+    for case in range(400):
+        n = rng.randint(1, 4)
+        m = [[F(rng.randint(-2, 2), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+        if case % 3 == 0 and n > 1:
+            a, b = F(rng.randint(-3, 3), rng.randint(1, 4)), rng.randint(-2, 2)
+            m[-1] = [a * u + b * v for u, v in zip(m[0], m[1])]
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        verdict = _solve_square(m, [()] * n)
+        assert (verdict is None) == (_solve_square(m, identity) is None)
+        assert verdict is None or verdict == [[]] * n
+        singular += verdict is None
+    assert 50 < singular < 350
+
+
 def row_ceiling_width(squares):
     """k by the older rule: the sum of ceil(log2 ||row||) over the nonzero
     rows, plus 2, in whole bytes; the exact product never gives more."""

@@ -320,8 +320,21 @@ class TestLinearChange:
             assert _evaluate(g, y) == _evaluate(f, x)
 
     def test_singular_rejected(self):
-        with pytest.raises(InputError):
+        with pytest.raises(InputError, match="^linear change matrix is singular$"):
             LinearChange([[1, 1], [2, 2]])
+
+    def test_constructor_only_asks_whether_the_matrix_is_singular(self, monkeypatch):
+        # an empty right side: the elimination of M alone, no inverse built;
+        # inverse() solves M X = I once, and its result runs the same check
+        seen = []
+        solve = ideals._solve_square
+        monkeypatch.setattr(ideals, "_solve_square",
+                            lambda matrix, rhs: seen.append(list(rhs)) or solve(matrix, rhs))
+        m = LinearChange([[F(1, 2), 1], [F(-2, 3), 3]])
+        assert seen == [[(), ()]]
+        seen.clear()
+        assert m.inverse().matrix == ((F(18, 13), F(-6, 13)), (F(4, 13), F(3, 13)))
+        assert seen == [[[1, 0], [0, 1]], [(), ()]]
 
     def test_non_square_rejected(self):
         with pytest.raises(InputError):
@@ -411,6 +424,10 @@ class TestNewton:
         gens = CYCLIC.generators
         rows = [[-F(g[j]) for g in gens] + [F(1)] for j in range(3)]
         assert seen == [LinearProgram([0, 0, 0, 1], rows, [0, 0, 0], [[1, 1, 1, 0]], [1])]
+
+    def test_unit_ideal_rejected(self):
+        with pytest.raises(InputError, match="^threshold undefined for the unit ideal$"):
+            newton_threshold(MonomialIdeal(2, [(0, 0)]))
 
     def test_polynomial_ideal_rejected(self):
         ideal = PolyIdeal(2, [SparsePolynomial(2, {(1, 0): 1})])
@@ -534,6 +551,16 @@ class TestIdealValidation:
     def test_monomial_ideal_arity(self):
         with pytest.raises(InputError):
             MonomialIdeal(2, [(1, 0, 0)])
+
+    def test_polynomial_arithmetic_needs_one_variable_count(self):
+        p2, p3 = poly(2, {(1, 0): 1}), poly(3, {(0, 0, 1): 1})
+        with pytest.raises(InputError, match="^cannot add polynomials in different variable counts$"):
+            p2 + p3
+        with pytest.raises(InputError,
+                           match="^cannot multiply polynomials in different variable counts$"):
+            p2 * p3
+        with pytest.raises(InputError, match="^generators live in different variable counts$"):
+            PolyIdeal(2, [p2, p3])
 
     def test_product_dimension_mismatch(self):
         with pytest.raises(InputError):

@@ -44,6 +44,8 @@ that varied between the runs of one side; a layer that reads 0 on both
 sides has no row. A last line gives each side's newline count of
 `src/stablerank/*.py` (what `wc -l` totals), which the output file keeps as
 `src_lines`; files written before that key was added have no such line.
+A reader that stops early (`| head`) ends the output with exit status 1 and
+no traceback.
 
 Stdlib only. Quartiles are `statistics.quantiles(values, n=4)`, the
 exclusive method.
@@ -54,6 +56,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -214,6 +217,17 @@ def tables(report: dict) -> str:
     return "\n\n".join(filter(None, parts))
 
 
+def show(text: str) -> None:
+    """Print `text`. When the reader has closed the pipe, stdout is pointed
+    at os.devnull, so that the flush at exit cannot fail as well, and the
+    script exits 1 without a traceback."""
+    try:
+        print(text, flush=True)
+    except BrokenPipeError:
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        sys.exit(1)
+
+
 def parse_plan(argv: list[str]) -> tuple[argparse.Namespace, list[tuple[str, list[int]]]]:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--table", type=Path,
@@ -252,7 +266,7 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args, plan = parse_plan(argv)
     if args.table:
-        print(tables(json.loads(args.table.read_text(encoding="utf-8"))))
+        show(tables(json.loads(args.table.read_text(encoding="utf-8"))))
         return 0
     spec = json.loads(Path("BENCHMARK.json").read_text(encoding="utf-8"))
     seconds = spec["run_seconds"]
@@ -284,12 +298,13 @@ def main(argv=None) -> int:
                 }
             # written after every workload, so a long comparison cut short keeps its results
             args.out.write_text(json.dumps(report, indent=1) + "\n", encoding="utf-8")
-    print(tables(report))
+    lines = [tables(report)]
     for workload, entry in report["workloads"].items():
         for key, part in entry.items():
             gains = [name for name, m in part.get("end_to_end", {}).items() if m["gain_claimable"]]
             if gains:
-                print(f"gain claimable: {workload} {key}: {', '.join(gains)}")
+                lines.append(f"gain claimable: {workload} {key}: {', '.join(gains)}")
+    show("\n".join(lines))
     return 0
 
 
