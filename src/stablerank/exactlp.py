@@ -46,9 +46,8 @@ right side is cleared by the caller, as a positive scaling of the variables
 (the semistability checks solve for a multiple of theta), which keeps every
 pivot, vertex and verdict.
 
-`_solve_square` runs the same pivot kernel as fraction-free Gauss-Jordan
-elimination; `LinearChange` uses it to check that its matrix is invertible,
-and to invert it on request.
+`_singular` runs the same pivot kernel as fraction-free Gauss-Jordan
+elimination; `LinearChange` uses it to check that its matrix is invertible.
 """
 
 from __future__ import annotations
@@ -551,26 +550,23 @@ def _slope(cost: tuple[int | Fraction, ...], rows: tuple[tuple[int, ...], ...]) 
     return SlopeResult(value=out.value, witness=cleared(out.vertex)[1])
 
 
-def _solve_square(matrix: Sequence[Sequence], rhs: Sequence[Sequence]) -> list[list[Fraction]] | None:
-    """Unique solution X of M X = R for a square rational M of at least one
-    row, or None when M is singular. R holds one row per row of M; an empty
-    right side, [()] * n, asks only whether M is singular, eliminating M
-    alone and building no Fraction. Fraction-free Gauss-Jordan elimination:
-    each row of [M | R] is cleared of denominators and packed, then pivoted
-    with `_pivot` down the diagonal, so X = R' / d at the end."""
-    n = len(matrix)
-    lines = [cleared((*row, *extra))[1] for row, extra in zip(matrix, rhs)]
+def _singular(matrix: Sequence[Sequence]) -> bool:
+    """Is the square rational matrix M, of at least one row, singular?
+    Fraction-free elimination: each row of M is cleared of denominators and
+    packed, then pivoted with `_pivot` down the diagonal, until a column has
+    no nonzero entry on or below the diagonal. No Fraction is built."""
+    lines = [cleared(row)[1] for row in matrix]
     fields = _Fields(_hadamard_bits(sum(map(mul, line, line)) for line in lines))
-    count = len(lines[0])
-    offset = fields.offset(count)
+    n = len(lines)
+    offset = fields.offset(n)
     rows = [fields.pack(line, offset) for line in lines]
     d = 1
     for col in range(n):
         factors = fields.column(rows, col, offset)
         pivot_row = next((i for i in range(col, n) if factors[i]), -1)
         if pivot_row < 0:
-            return None
+            return True
         rows[col], rows[pivot_row] = rows[pivot_row], rows[col]
         factors[col], factors[pivot_row] = factors[pivot_row], factors[col]
         d = _pivot(rows, d, col, factors)
-    return [[Fraction(v, d) for v in fields.unpack(row, count, n)] for row in rows]
+    return False

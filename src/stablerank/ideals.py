@@ -59,8 +59,8 @@ from .errors import InputError
 from .exactlp import (
     LinearProgram,
     SlopeResult,
+    _singular,
     _slope,
-    _solve_square,
     lp_minimize,
 )
 from .rationals import cleared, collection, expect, integers, rational, rationals
@@ -278,10 +278,8 @@ _IDEALS = (MonomialIdeal, PolyIdeal)
 
 
 class LinearChange:
-    """Invertible rational matrix M encoding x_i -> sum_j M[j][i] * y_j.
-
-    The constructor asks `_solve_square` only whether M is singular, with an
-    empty right side, and builds no inverse; `inverse()` solves M X = I."""
+    """Invertible rational matrix M encoding x_i -> sum_j M[j][i] * y_j; the
+    constructor rejects a singular M, which `_singular` decides."""
 
     __slots__ = ("nvars", "matrix")
 
@@ -290,16 +288,10 @@ class LinearChange:
         n = len(rows)
         if n < 1 or any(len(r) != n for r in rows):
             raise InputError("a linear change needs a square matrix")
-        if _solve_square(rows, [()] * n) is None:
+        if _singular(rows):
             raise InputError("linear change matrix is singular")
         self.nvars = n
         self.matrix = tuple(rows)
-
-    def inverse(self) -> "LinearChange":
-        """The change by M^-1, the one solve of M X = I."""
-        n = self.nvars
-        identity = [[int(i == j) for j in range(n)] for i in range(n)]
-        return LinearChange(_solve_square(self.matrix, identity))
 
     def __eq__(self, other) -> bool:
         return isinstance(other, LinearChange) and self.matrix == other.matrix
@@ -343,8 +335,7 @@ def t_stable_rank(ideal) -> SlopeResult:
 def apply_linear_change(f: SparsePolynomial, change: LinearChange) -> SparsePolynomial:
     """Exact substitution x_i -> sum_j M[j][i] * y_j, fully expanded.
 
-    Satisfies the composition law apply(f, M @ N) = apply(apply(f, N), M)
-    and round-trips with `change.inverse()`.
+    Satisfies the composition law apply(f, M @ N) = apply(apply(f, N), M).
 
     The expansion is done in integers over one denominator: M is cleared by
     `rationals.cleared`, so with q the lcm of its denominators each q * x_i

@@ -1,9 +1,12 @@
 """Brute-force reference solver for the exact LP tests.
 
-It enumerates candidate bases and solves each square system with
-`exactlp._solve_square`. It shares that elimination with `lp_minimize`, but
-no simplex: no ratio test, no pivot rule and no route choice. The tests
-import it as `oracle`, from this directory.
+It enumerates candidate bases and solves each square system with `solve`,
+its own Gauss-Jordan elimination in plain Fractions. It shares no code with
+`lp_minimize`: no packed rows, no pivot kernel, no ratio test, no pivot rule
+and no route choice. `inverse` is the exact inverse of a matrix, which the
+tests of linear changes take from here, since the library only checks that
+a matrix is invertible. The tests import it as `oracle`, from this
+directory.
 """
 
 import math
@@ -11,11 +14,39 @@ from fractions import Fraction
 from itertools import combinations
 
 from stablerank.errors import InputError
-from stablerank.exactlp import LinearProgram, LpOutcome, _solve_square
+from stablerank.exactlp import LinearProgram, LpOutcome
 
 
 def _dot(u, v) -> Fraction:
     return sum(a * b for a, b in zip(u, v))
+
+
+def solve(matrix, rhs) -> list[list[Fraction]] | None:
+    """The unique X of M X = R for a square rational M of at least one row,
+    with R one row per row of M, or None when M is singular. Gauss-Jordan
+    elimination on the rows of [M | R], pivoting on the first nonzero entry
+    on or below the diagonal."""
+    n = len(matrix)
+    rows = [[Fraction(v) for v in (*row, *extra)] for row, extra in zip(matrix, rhs)]
+    for col in range(n):
+        pivot = next((i for i in range(col, n) if rows[i][col]), None)
+        if pivot is None:
+            return None
+        lead = rows[pivot]
+        lead = [v / lead[col] for v in lead]
+        rows[pivot] = rows[col]
+        rows[col] = lead
+        for i, row in enumerate(rows):
+            if i != col and row[col]:
+                rows[i] = [a - row[col] * b for a, b in zip(row, lead)]
+    return [row[n:] for row in rows]
+
+
+def inverse(matrix) -> list[list[Fraction]] | None:
+    """M^-1 for a square rational M, the solve of M X = I, or None when M is
+    singular."""
+    n = len(matrix)
+    return solve(matrix, [[int(i == j) for j in range(n)] for i in range(n)])
 
 
 def oracle_minimum_over_vertices(
@@ -57,7 +88,7 @@ def oracle_minimum_over_vertices(
     for combo in combinations(range(p + m + n), n):
         mat = [all_rows[idx] for idx in combo]
         rhs = [all_rhs[idx] for idx in combo]
-        solution = _solve_square(mat, [[b] for b in rhs])
+        solution = solve(mat, [[b] for b in rhs])
         if solution is None:
             continue
         x = [row[0] for row in solution]

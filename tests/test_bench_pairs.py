@@ -246,7 +246,7 @@ class TestSourceSize:
         (package / "b.py").write_text("one\nno newline at the end", encoding="utf-8")
         (package / "notes.txt").write_text("not\ncounted\n", encoding="utf-8")
         (package / "sub" / "c.py").write_text("not\ncounted\n", encoding="utf-8")
-        assert bench_pairs.src_lines(tmp_path) == 4
+        assert bench_pairs.py_lines(package) == 4
 
     def test_printed_after_the_tables(self):
         report = TestTable().report()
@@ -254,3 +254,10 @@ class TestSourceSize:
         report["src_lines"] = {"parent": 2462, "change": 2446}
         assert bench_pairs.tables(report) == (bench_pairs.table(report)
                                               + "\n\nsrc/stablerank lines: 2,462 → 2,446")
+
+    def test_tests_lines_follow_the_source_size(self):
+        report = TestTable().report()
+        report["src_lines"] = {"parent": 2373, "change": 2359}
+        report["tests_lines"] = {"parent": 9870, "change": 9931}
+        assert bench_pairs.tables(report).splitlines()[-1] == (
+            "src/stablerank lines: 2,373 → 2,359; tests lines: 9,870 → 9,931")

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
+import oracle
 from oracle import oracle_minimum_over_vertices
 from stablerank import exactlp, ideals
 from stablerank.errors import InputError
@@ -25,8 +26,8 @@ from stablerank.exactlp import (
     _Fields,
     _hadamard_bits,
     _pivot,
+    _singular,
     _slope,
-    _solve_square,
     lp_minimize,
 )
 from stablerank.ideals import (
@@ -572,21 +573,24 @@ def sylvester(order):
 
 
 @pytest.mark.parametrize("order", [4, 8, 16])
-def test_field_width_reaches_hadamard_bound(order):
+def test_field_width_reaches_hadamard_bound(order, monkeypatch):
     # |det H| = n^(n/2) is the Hadamard bound of the +-1 matrix H, so the
-    # elimination of [H | I] ends with D and the diagonal at 2^32 for n = 16:
+    # elimination of H alone ends with D and the diagonal at 2^32 for n = 16:
     # fields sized from the entries (1) rather than the bound overflow.
-    h = sylvester(order)
-    identity = [[int(i == j) for j in range(order)] for i in range(order)]
-    inverse = [[F(h[j][i], order) for j in range(order)] for i in range(order)]
-    assert _solve_square(h, identity) == inverse
+    denominators = []
+    pivot = exactlp._pivot
+    monkeypatch.setattr(exactlp, "_pivot",
+                        lambda *args: denominators.append(pivot(*args)) or denominators[-1])
+    assert not _singular(sylvester(order))
+    assert len(denominators) == order
+    assert denominators[-1] == order ** (order // 2)
 
 
-def test_empty_right_side_decides_singularity_as_the_inverse_does():
-    # `LinearChange` asks only whether M is singular, with no right side: the
-    # verdict must be the one the full solve of M X = I gives. Small entries,
-    # and every third matrix with a row forced to a combination of the others,
-    # make both kinds common.
+def test_singularity_verdict_is_the_inverses():
+    # `LinearChange` asks only whether M is singular: the verdict must be the
+    # one the oracle's own Fraction elimination gives when it inverts M.
+    # Small entries, and every third matrix with a row forced to a
+    # combination of the others, make both kinds common.
     rng = random.Random(20261019)
     singular = 0
     for case in range(400):
@@ -595,11 +599,9 @@ def test_empty_right_side_decides_singularity_as_the_inverse_does():
         if case % 3 == 0 and n > 1:
             a, b = F(rng.randint(-3, 3), rng.randint(1, 4)), rng.randint(-2, 2)
             m[-1] = [a * u + b * v for u, v in zip(m[0], m[1])]
-        identity = [[int(i == j) for j in range(n)] for i in range(n)]
-        verdict = _solve_square(m, [()] * n)
-        assert (verdict is None) == (_solve_square(m, identity) is None)
-        assert verdict is None or verdict == [[]] * n
-        singular += verdict is None
+        verdict = _singular(m)
+        assert verdict == (oracle.inverse(m) is None)
+        singular += verdict
     assert 50 < singular < 350
 
 
@@ -686,8 +688,7 @@ def test_fields_no_wider_and_every_pivot_decodes(monkeypatch):
             eq_rows = [[value(kind, -2, 3) for _ in range(n)] for _ in range(m)]
             lp_minimize(feasibility([], [], eq_rows, [value(kind, 0, 3) for _ in eq_rows]))
         else:
-            matrix = [[value(kind, -3, 3) for _ in range(n)] for _ in range(n)]
-            _solve_square(matrix, [[value(kind, -3, 3)] for _ in range(n)])
+            _singular([[value(kind, -3, 3) for _ in range(n)] for _ in range(n)])
         pivots[route] = pivots.get(route, 0) + checker.pivots - start
     assert all(k <= old for k, old in checker.widths)
     assert any(k < old for k, old in checker.widths)
@@ -745,6 +746,51 @@ def test_large_denominators_against_oracle():
             assert all(dot(row, fast.vertex) >= b for row, b in zip(rows, rhs))
             assert all(dot(row, fast.vertex) == b for row, b in zip(eq_rows, eq_rhs))
     assert routes == {False, True}
+
+
+def test_oracle_elimination_against_the_matrix_product():
+    # the reference's own elimination, checked by routes that are not itself:
+    # M X = R and M M^-1 = I by a plain Fraction product, and singularity by
+    # the Leibniz determinant, over small denominators, denominators near
+    # 2^40 and n = 1; a matrix with a row forced to a combination of the
+    # others (for n = 1, the zero row) has neither solution nor inverse
+    rng = random.Random(20261020)
+
+    def value(big):
+        den = rng.randint(2**39, 2**40) if big else rng.randint(1, 6)
+        return F(rng.randint(-3 * den, 3 * den), den)
+
+    def product(a, b):
+        return [[dot(row, column) for column in zip(*b)] for row in a]
+
+    def determinant(m):
+        total = F(0)
+        for perm in itertools.permutations(range(len(m))):
+            inversions = sum(p > q for p, q in itertools.combinations(perm, 2))
+            total += (-1) ** inversions * math.prod(m[i][j] for i, j in enumerate(perm))
+        return total
+
+    seen = set()
+    for case in range(320):
+        n, big = 1 + case % 4, case % 8 >= 4
+        m = [[value(big) for _ in range(n)] for _ in range(n)]
+        forced = case % 5 == 0
+        if forced:
+            a, b = value(big), value(big)
+            m[-1] = [a * u + b * v for u, v in zip(m[0], m[-2])] if n > 1 else [F(0)]
+        width = rng.randint(1, 3)
+        r = [[value(big) for _ in range(width)] for _ in range(n)]
+        x, inverse = oracle.solve(m, r), oracle.inverse(m)
+        if determinant(m) == 0:
+            assert x is None and inverse is None
+            seen.add((big, n == 1, "singular"))
+            continue
+        assert not forced
+        identity = [[int(i == j) for j in range(n)] for i in range(n)]
+        assert product(m, x) == r
+        assert product(m, inverse) == identity == product(inverse, m)
+        seen.add((big, n == 1, "regular"))
+    assert len(seen) == 8, seen
 
 
 class TestOracle:

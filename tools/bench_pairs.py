@@ -43,7 +43,9 @@ with the parent's median → the change's, and "not repeated" after a count
 that varied between the runs of one side; a layer that reads 0 on both
 sides has no row. A last line gives each side's newline count of
 `src/stablerank/*.py` (what `wc -l` totals), which the output file keeps as
-`src_lines`; files written before that key was added have no such line.
+`src_lines`, and then that of `tests/*.py`, kept as `tests_lines`, so that
+lines moved into the tests read apart from lines removed from the package.
+Files written before a key was added have no such figure.
 A reader that stops early (`| head`) ends the output with exit status 1 and
 no traceback.
 
@@ -74,11 +76,9 @@ def export(rev: str, into: Path) -> Path:
     return into
 
 
-def src_lines(tree: Path) -> int:
-    """The newline count of `src/stablerank/*.py` under `tree`, the total
-    `wc -l` prints."""
-    return sum(path.read_bytes().count(b"\n")
-               for path in (tree / "src" / "stablerank").glob("*.py"))
+def py_lines(folder: Path) -> int:
+    """The newline count of `folder/*.py`, the total `wc -l` prints."""
+    return sum(path.read_bytes().count(b"\n") for path in folder.glob("*.py"))
 
 
 def git(*args: str) -> str:
@@ -209,11 +209,16 @@ def layer_table(report: dict) -> str:
 
 def tables(report: dict) -> str:
     """The end-to-end table, then the per-layer table when there is one, then
-    the source size of both sides when the report records it."""
+    the source size of both sides, and that of the tests, when the report
+    records it."""
     parts = [table(report), layer_table(report)]
     if "src_lines" in report:
         size = report["src_lines"]
-        parts.append(f"src/stablerank lines: {size['parent']:,} → {size['change']:,}")
+        line = f"src/stablerank lines: {size['parent']:,} → {size['change']:,}"
+        if "tests_lines" in report:
+            size = report["tests_lines"]
+            line += f"; tests lines: {size['parent']:,} → {size['change']:,}"
+        parts.append(line)
     return "\n\n".join(filter(None, parts))
 
 
@@ -278,7 +283,9 @@ def main(argv=None) -> int:
             "command": " ".join(["python3", "tools/bench_pairs.py", *argv]),
             "parent": revs["parent"], "change": revs["change"],
             "src_trees": {side: git("rev-parse", f"{rev}:src") for side, rev in revs.items()},
-            "src_lines": {side: src_lines(tree) for side, tree in trees.items()},
+            "src_lines": {side: py_lines(tree / "src" / "stablerank")
+                          for side, tree in trees.items()},
+            "tests_lines": {side: py_lines(tree / "tests") for side, tree in trees.items()},
             "python": sys.version.split()[0], "pairs": args.pairs,
             "traced_pairs": args.traced_pairs, "seconds": seconds, "workloads": {},
         }
