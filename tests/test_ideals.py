@@ -326,7 +326,7 @@ class TestLinearChange:
             LinearChange([[1, 1], [2, 2]])
 
     def test_constructor_only_asks_whether_the_matrix_is_singular(self, monkeypatch):
-        # one elimination of M alone, and no inverse built
+        # one singularity check, on M's rows, and nothing else
         seen = []
         singular = ideals._singular
         monkeypatch.setattr(ideals, "_singular",
