@@ -13,7 +13,8 @@ as Hadamard's bound on the initial tableau (`_hadamard_bits`) needs, pivoted
 whole (`_pivot`) by Bland's rule (`_simplex`).
 
 Every solve enters through `lp_minimize`, the one door to both routes
-below, and denominators are cleared once, there, by `_integral`.
+below. It clears denominators once, by `_integral`, and turns the route's
+answer, a status or (value, x, D) in integers, into the one `LpOutcome`.
 
 Programs with no equality rows and a componentwise-nonnegative objective are
 solved through the LP dual: the slack basis of the dual is immediately
@@ -162,7 +163,7 @@ def _integral(program: LinearProgram) -> tuple:
     reduced-cost sign and no order among ratios, and the common R changes
     the phase-one objective, the sum of the artificials, only by that
     factor, so the integer tableau takes exactly the pivots the rational one
-    would. Both routes divide only the value by L."""
+    would. `lp_minimize` divides only the value by L."""
     objective, rows, rhs = program.objective, program.constraint_rows, program.rhs
     eq_rows, eq_rhs = program.equality_rows, program.equality_rhs
     norms = [sum(map(mul, row, row)) for row in chain(rows, eq_rows)]
@@ -350,12 +351,11 @@ def _primal_two_phase(
     rhs: Sequence[int],
     eq_rows: Sequence[Sequence[int]],
     eq_rhs: Sequence[int],
-    scale: int,
     norms: Sequence[int],
-) -> LpOutcome:
-    """The two-phase primal simplex on an all-integer program, whose value
-    comes back divided by `scale`; `norms` holds the squared norms of `rows`
-    and then of `eq_rows`."""
+) -> str | tuple[int, list[int], int]:
+    """The two-phase primal simplex on an all-integer program: "infeasible",
+    "unbounded" or (value, x, D), value and vertex x over the denominator D;
+    `norms` holds the squared norms of `rows` and then of `eq_rows`."""
     n = len(objective)
     nsurplus = len(rows)
     width = n + nsurplus
@@ -409,13 +409,12 @@ def _primal_two_phase(
     if not bounded:
         raise RuntimeError("phase one cannot be unbounded")
     if (tableau[m] + offset) >> k * ncols != fields.half:
-        return LpOutcome(status="infeasible")
+        return "infeasible"
     if zero_cost:
         # Every cost is 0, so phase two would not pivot, and the drive-out
         # below pivots on rows at level 0, which moves no variable: the
         # phase-one vertex is the answer.
-        return LpOutcome(status="optimal", value=Fraction(0),
-                         vertex=_basic_values(tableau, basis, n, d, fields, k * ncols, offset))
+        return 0, _basic_values(tableau, basis, n, fields, k * ncols, offset), d
 
     # pivot leftover artificials out of the basis, at the least column below
     # `width` whose field is nonzero, that is, nonzero in (row + O) ^ O; rows
@@ -445,39 +444,35 @@ def _primal_two_phase(
     tableau.append(obj)
     bounded, d = _simplex(tableau, basis, d, fields, width)
     if not bounded:
-        return LpOutcome(status="unbounded")
-
-    value = Fraction(fields.half - ((tableau[-1] + narrow) >> k * width), d * scale)
-    return LpOutcome(status="optimal", value=value,
-                     vertex=_basic_values(tableau, basis, n, d, fields, k * width, narrow))
+        return "unbounded"
+    value = fields.half - ((tableau[-1] + narrow) >> k * width)
+    return value, _basic_values(tableau, basis, n, fields, k * width, narrow), d
 
 
-def _basic_values(rows: Sequence[int], basis: Sequence[int], n: int, d: int, fields: _Fields,
-                  shift: int, offset: int) -> tuple[Fraction, ...]:
-    """The vertex of the first n variables: basic variable basis[i] < n is the
-    right side of packed row i, the field at bit `shift`, over d; `offset` is
-    the O of the rows."""
+def _basic_values(rows: Sequence[int], basis: Sequence[int], n: int, fields: _Fields,
+                  shift: int, offset: int) -> list[int]:
+    """D times the vertex of the first n variables: basic variable basis[i] < n
+    reads the right side of packed row i, its field at bit `shift` under O = `offset`."""
     half = fields.half
-    x = [Fraction(0)] * n
+    x = [0] * n
     for b, line in zip(basis, rows):
         if b < n:
-            x[b] = Fraction(((line + offset) >> shift) - half, d)
-    return tuple(x)
+            x[b] = ((line + offset) >> shift) - half
+    return x
 
 
 def _via_dual(
     objective: Sequence[int],
     rows: Sequence[Sequence[int]],
     rhs: Sequence[int],
-    scale: int,
     norms: Sequence[int],
-) -> LpOutcome:
+) -> str | tuple[int, list[int], int]:
     """Solve min{c.x : A x >= b, x >= 0}, an all-integer program with c >= 0,
-    through its dual max{b.y : A^T y <= c, y >= 0}, and divide the value by
-    `scale`; `norms` holds the squared norms of the rows. The dual slack
-    basis is feasible at once, and the optimal tableau's reduced costs under
-    the slack columns are the complementary primal vertex: the reduced cost
-    of slack j reads D * x_j."""
+    through its dual max{b.y : A^T y <= c, y >= 0}, to "infeasible" or
+    (value, x, D) as `_primal_two_phase` does; `norms` holds the squared
+    norms of the rows. The dual slack basis is feasible at once, and the
+    optimal tableau's reduced costs under the slack columns are the
+    complementary primal vertex: the reduced cost of slack j reads D * x_j."""
     m = len(rows)
     n = len(objective)
     lines = list(zip(*rows)) if rows else [()] * n
@@ -500,11 +495,9 @@ def _via_dual(
     basis = [m + j for j in range(n)]
     bounded, d = _simplex(tableau, basis, 1, fields, m + n)
     if not bounded:
-        return LpOutcome(status="infeasible")
+        return "infeasible"
     reduced = fields.unpack(tableau[-1], m + n + 1, m)
-    value = Fraction(reduced[-1], d * scale)
-    vertex = tuple(Fraction(r, d) for r in reduced[:-1])
-    return LpOutcome(status="optimal", value=value, vertex=vertex)
+    return reduced.pop(), reduced, d
 
 
 def lp_minimize(program: LinearProgram) -> LpOutcome:
@@ -512,8 +505,15 @@ def lp_minimize(program: LinearProgram) -> LpOutcome:
     expect(program, LinearProgram, "linear program")
     objective, rows, rhs, eq_rows, eq_rhs, scale, norms = _integral(program)
     if not eq_rows and all(c >= 0 for c in objective):
-        return _via_dual(objective, rows, rhs, scale, norms)
-    return _primal_two_phase(objective, rows, rhs, eq_rows, eq_rhs, scale, norms)
+        answer = _via_dual(objective, rows, rhs, norms)
+    else:
+        answer = _primal_two_phase(objective, rows, rhs, eq_rows, eq_rhs, norms)
+    if isinstance(answer, str):
+        return LpOutcome(status=answer)
+    value, x, d = answer
+    zero = Fraction(0)
+    return LpOutcome(status="optimal", value=Fraction(value, d * scale),
+                     vertex=tuple(Fraction(v, d) if v else zero for v in x))
 
 
 def _feasible(equality_rows: tuple[tuple[int, ...], ...], equality_rhs: tuple[int, ...]) -> bool:
