@@ -370,13 +370,20 @@ class TestFixedHelpWidth:
             ["semistable"], ["verify"]]
 
     @pytest.fixture
-    def no_terminal_size(self, monkeypatch):
-        def refuse(*args, **kwargs):
-            raise AssertionError("the terminal size was asked for")
+    def terminal_size_calls(self, monkeypatch):
+        # Record every call and answer it, rather than raise: the swap holds
+        # for the whole process until teardown, and pytest's own reporter may
+        # ask for the terminal size meanwhile. The test checks the record.
+        calls = []
 
-        monkeypatch.setattr(shutil, "get_terminal_size", refuse)
+        def record(*args, **kwargs):
+            calls.append(args)
+            return os.terminal_size((80, 24))
 
-    def test_no_call_asks_for_the_terminal_size(self, files, capsys, no_terminal_size):
+        monkeypatch.setattr(shutil, "get_terminal_size", record)
+        return calls
+
+    def test_no_call_asks_for_the_terminal_size(self, files, capsys, terminal_size_calls):
         for argv in (["rank", "tensor", files["w.txt"]], ["rank", "symm", files["wform.txt"]],
                      ["rank", "ideal", files["square.txt"]], ["lct", files["cyclic.txt"]],
                      ["semistable", files["diag.txt"]],
@@ -388,6 +395,7 @@ class TestFixedHelpWidth:
             assert capsys.readouterr().out.startswith(f"usage: {' '.join(['stablerank', *argv])} ")
         assert run(["rank", "tensor"]) == 2
         assert "error: the following arguments are required: file" in capsys.readouterr().err
+        assert terminal_size_calls == [], "the terminal size was asked for"
 
     def test_help_ignores_columns(self, capsys, monkeypatch):
         pages = {}

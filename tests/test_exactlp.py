@@ -921,3 +921,69 @@ def test_every_solve_enters_through_lp_minimize(monkeypatch):
     run_suite("all", 0, 5)
     assert routes.count("_via_dual") > 0 and routes.count("_primal_two_phase") > 0
     assert outside == []
+
+
+def test_routes_answer_in_integers_and_lp_minimize_divides(monkeypatch):
+    # Each route answers a status string or (value, x, D) in ints alone, and
+    # `lp_minimize` builds its outcome from that: the value over D * L, with
+    # L the cost scale `_integral` cleared, and each vertex entry over D.
+    seen = []
+
+    def spy(name):
+        fn = getattr(exactlp, name)
+
+        def recorded(*args):
+            answer = fn(*args)
+            seen.append((name, answer))
+            return answer
+        return recorded
+
+    for name in ("_integral", "_via_dual", "_primal_two_phase"):
+        monkeypatch.setattr(exactlp, name, spy(name))
+
+    golden = json.loads(Path(__file__).with_name("golden_lp.json").read_text(encoding="utf-8"))
+    programs = []
+    for case in golden:
+        given = case["input"]
+        if given["call"] == "lp_minimize":
+            programs.append(program(
+                [F(v) for v in given["objective"]], [[F(v) for v in row] for row in given["rows"]],
+                [F(v) for v in given["rhs"]], [[F(v) for v in row] for row in given["eq_rows"]],
+                [F(v) for v in given["eq_rhs"]]))
+    assert len(programs) == 320
+    rng = random.Random(2027)
+
+    def draw(count):
+        return [F(rng.randint(-3, 4), rng.choice((1, 1, 2, 3))) for _ in range(count)]
+
+    for _ in range(200):
+        n, m, e = rng.randint(1, 4), rng.randint(0, 4), rng.randint(0, 2)
+        programs.append(program(draw(n), [draw(n) for _ in range(m)], draw(m),
+                                [draw(n) for _ in range(e)], draw(e)))
+
+    kinds, scales = set(), set()
+    for p in programs:
+        seen.clear()
+        out = lp_minimize(p)
+        (_, integral), (route, answer) = seen
+        scale = integral[5]
+        if isinstance(answer, str):
+            kinds.add((route, answer))
+            assert out == exactlp.LpOutcome(status=answer)
+            continue
+        kinds.add((route, "optimal"))
+        scales.add(scale > 1)
+        assert type(answer) is tuple and len(answer) == 3
+        value, x, d = answer
+        assert type(value) is int and type(d) is int and d > 0
+        assert type(x) is list and len(x) == p.num_variables
+        assert all(type(v) is int for v in x)
+        assert out.status == "optimal"
+        assert type(out.value) is F and out.value == F(value, d * scale)
+        assert all(type(v) is F for v in out.vertex)
+        assert out.vertex == tuple(F(v, d) for v in x)
+        assert len({id(v) for v in out.vertex if not v}) <= 1
+    assert kinds == {("_via_dual", "optimal"), ("_via_dual", "infeasible"),
+                     ("_primal_two_phase", "optimal"), ("_primal_two_phase", "infeasible"),
+                     ("_primal_two_phase", "unbounded")}
+    assert scales == {False, True}
