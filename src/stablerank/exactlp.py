@@ -360,10 +360,14 @@ def _primal_two_phase(
     nsurplus = len(rows)
     width = n + nsurplus
     m = nsurplus + len(eq_rows)
-    ncols = width + m
+    # With every cost 0, no artificial column is packed (module docstring):
+    # the basis still names them, width to width + m - 1, but none can enter.
+    zero_cost = not any(objective)
+    ncols = width if zero_cost else width + m
 
     # Row i is multiplied by -1 when its right side is negative. Its surplus
-    # and artificial columns keep the entries -1 (sign-adjusted) and 1.
+    # and artificial columns keep the entries -1 (sign-adjusted) and 1; the
+    # field width counts the artificial column whether or not it is packed.
     lines, levels, signs, squares = [], [], [], []
     for i, (line, level, norm) in enumerate(zip(chain(rows, eq_rows), chain(rhs, eq_rhs), norms)):
         if level < 0:
@@ -377,8 +381,9 @@ def _primal_two_phase(
 
     # phase one: minimize the sum of the artificials, priced out against the
     # artificial basis: the row minus the sum of the rows, artificials left
-    # out, built from the packed rows. Its norm is at most the sum of theirs
-    # (the triangle inequality), which stands in for it in the field width.
+    # out, since their priced-out entries are 0, built from the packed rows.
+    # Its norm is at most the sum of theirs (the triangle inequality), which
+    # stands in for it in the field width.
     squares.append(sum(math.isqrt(sq - 1) + 1 for sq in squares) ** 2)
     # The phase-two row, d times the cost row less multiples of basic rows,
     # is the cost row carried through every pivot, so it belongs to the
@@ -389,7 +394,7 @@ def _primal_two_phase(
     k = fields.k
     offset = fields.offset(ncols + 1)
     zeros = fields[0] * (ncols - n)
-    unit = 1 << k * width
+    unit = 0 if zero_cost else 1 << k * width
     tableau = []
     phase_one = 0
     for i, (line, level) in enumerate(zip(lines, levels)):
@@ -400,11 +405,10 @@ def _primal_two_phase(
         tableau.append(packed + unit)
         unit <<= k
     tableau.append(phase_one)
-    basis = list(range(width, ncols))
+    basis = list(range(width, width + m))
     # With every cost 0, phase one ends as soon as its value is 0: the pivots
     # Bland's rule would take after that are degenerate. With a cost, it runs
     # to the end, because another final basis could move phase two's vertex.
-    zero_cost = not any(objective)
     bounded, d = _simplex(tableau, basis, 1, fields, ncols, zero_cost)
     if not bounded:
         raise RuntimeError("phase one cannot be unbounded")
@@ -500,14 +504,17 @@ def _via_dual(
     return reduced.pop(), reduced, d
 
 
-def lp_minimize(program: LinearProgram) -> LpOutcome:
-    """Exact minimum of a linear program; deterministic for identical input."""
+def lp_minimize(program: LinearProgram, *, _raw: bool = False) -> LpOutcome:
+    """Exact minimum of a linear program; deterministic for identical input.
+    With `_raw`, (answer, L) instead: the route's answer and `_integral`'s L."""
     expect(program, LinearProgram, "linear program")
     objective, rows, rhs, eq_rows, eq_rhs, scale, norms = _integral(program)
     if not eq_rows and all(c >= 0 for c in objective):
         answer = _via_dual(objective, rows, rhs, norms)
     else:
         answer = _primal_two_phase(objective, rows, rhs, eq_rows, eq_rhs, norms)
+    if _raw:
+        return answer, scale
     if isinstance(answer, str):
         return LpOutcome(status=answer)
     value, x, d = answer
@@ -526,7 +533,7 @@ def _feasible(equality_rows: tuple[tuple[int, ...], ...], equality_rhs: tuple[in
     the phase-one verdict."""
     program = LinearProgram._trusted(
         (0,) * len(equality_rows[0]), (), (), equality_rows, equality_rhs)
-    return lp_minimize(program).status == "optimal"
+    return not isinstance(lp_minimize(program, _raw=True)[0], str)
 
 
 def _slope(cost: tuple[int | Fraction, ...], rows: tuple[tuple[int, ...], ...]) -> SlopeResult:
@@ -544,10 +551,12 @@ def _slope(cost: tuple[int | Fraction, ...], rows: tuple[tuple[int, ...], ...]) 
     alpha."""
     if not all(map(any, rows)):
         return SlopeResult(value=math.inf, witness=None)
-    out = lp_minimize(LinearProgram._trusted(cost, rows, (1,) * len(rows)))
-    if out.status != "optimal":
-        raise RuntimeError(f"slope program should be solvable, got {out.status}")
-    return SlopeResult(value=out.value, witness=cleared(out.vertex)[1])
+    answer, scale = lp_minimize(LinearProgram._trusted(cost, rows, (1,) * len(rows)), _raw=True)
+    if isinstance(answer, str):
+        raise RuntimeError(f"slope program should be solvable, got {answer}")
+    value, x, d = answer
+    g = math.gcd(d, *x)
+    return SlopeResult(value=Fraction(value, d * scale), witness=tuple(v // g for v in x))
 
 
 def _singular(matrix: Sequence[Sequence]) -> bool:

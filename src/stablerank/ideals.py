@@ -428,10 +428,11 @@ def newton_threshold(ideal: MonomialIdeal) -> Fraction:
         equality_rows=((1,) * r + (0,),),
         equality_rhs=(1,),
     )
-    out = lp_minimize(program)
-    if out.status != "optimal" or out.value <= 0:
-        raise RuntimeError(f"threshold program should be solvable, got {out.status}")
-    return Fraction(1) / out.value
+    answer, scale = lp_minimize(program, _raw=True)
+    if isinstance(answer, str) or answer[0] <= 0:
+        raise RuntimeError(f"threshold program should be solvable, got {answer}")
+    value, _, d = answer
+    return Fraction(d * scale, value)
 
 
 def ideal_power(ideal, exponent: int):

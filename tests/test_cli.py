@@ -149,7 +149,7 @@ class TestLct:
         solves = []
         solve = stablerank.exactlp.lp_minimize
         monkeypatch.setattr(stablerank.exactlp, "lp_minimize",
-                            lambda program: solves.append(program) or solve(program))
+                            lambda program, **kw: solves.append(program) or solve(program, **kw))
         assert run(["lct", files["cyclic.txt"], "--json"]) == 0
         assert len(solves) == 1
         assert json.loads(capsys.readouterr().out)["witness"] == [1, 1, 1]

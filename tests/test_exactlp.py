@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import oracle
 from oracle import oracle_minimum_over_vertices
-from stablerank import exactlp, ideals
+from stablerank import exactlp, ideals, tensors, verify
 from stablerank.errors import InputError
 from stablerank.exactlp import (
     LinearProgram,
@@ -38,7 +38,7 @@ from stablerank.ideals import (
     newton_threshold,
     t_stable_rank,
 )
-from stablerank.rationals import integers
+from stablerank.rationals import cleared, integers
 from stablerank.tensors import (
     SymmetricSupport,
     TensorSupport,
@@ -406,7 +406,8 @@ class TestTrustedPath:
     def test_program_equals_validated_program(self, monkeypatch):
         seen = []
         solve = exactlp.lp_minimize
-        monkeypatch.setattr(exactlp, "lp_minimize", lambda program: seen.append(program) or solve(program))
+        monkeypatch.setattr(exactlp, "lp_minimize",
+                            lambda program, **kw: seen.append(program) or solve(program, **kw))
         cost = (1, F(3, 2), 2)
         rows = ((1, 0, 2), (0, 4, 1), (3, 1, 0))
         assert _slope(cost, rows).value == F(31, 25)
@@ -887,10 +888,10 @@ def test_every_solve_enters_through_lp_minimize(monkeypatch):
             return fn(*args)
         return counted
 
-    def entry(*args):
+    def entry(*args, **kwargs):
         depth[0] += 1
         try:
-            return solve(*args)
+            return solve(*args, **kwargs)
         finally:
             depth[0] -= 1
 
@@ -923,6 +924,22 @@ def test_every_solve_enters_through_lp_minimize(monkeypatch):
     assert outside == []
 
 
+def golden_programs():
+    """Every `lp_minimize` program of `golden_lp.json`: 320 of its 345 cases,
+    the other 25 calling `torus_rank`."""
+    golden = json.loads(Path(__file__).with_name("golden_lp.json").read_text(encoding="utf-8"))
+    programs = []
+    for case in golden:
+        given = case["input"]
+        if given["call"] == "lp_minimize":
+            programs.append(program(
+                [F(v) for v in given["objective"]], [[F(v) for v in row] for row in given["rows"]],
+                [F(v) for v in given["rhs"]], [[F(v) for v in row] for row in given["eq_rows"]],
+                [F(v) for v in given["eq_rhs"]]))
+    assert len(programs) == 320
+    return programs
+
+
 def test_routes_answer_in_integers_and_lp_minimize_divides(monkeypatch):
     # Each route answers a status string or (value, x, D) in ints alone, and
     # `lp_minimize` builds its outcome from that: the value over D * L, with
@@ -941,16 +958,7 @@ def test_routes_answer_in_integers_and_lp_minimize_divides(monkeypatch):
     for name in ("_integral", "_via_dual", "_primal_two_phase"):
         monkeypatch.setattr(exactlp, name, spy(name))
 
-    golden = json.loads(Path(__file__).with_name("golden_lp.json").read_text(encoding="utf-8"))
-    programs = []
-    for case in golden:
-        given = case["input"]
-        if given["call"] == "lp_minimize":
-            programs.append(program(
-                [F(v) for v in given["objective"]], [[F(v) for v in row] for row in given["rows"]],
-                [F(v) for v in given["rhs"]], [[F(v) for v in row] for row in given["eq_rows"]],
-                [F(v) for v in given["eq_rhs"]]))
-    assert len(programs) == 320
+    programs = golden_programs()
     rng = random.Random(2027)
 
     def draw(count):
@@ -987,3 +995,104 @@ def test_routes_answer_in_integers_and_lp_minimize_divides(monkeypatch):
                      ("_primal_two_phase", "optimal"), ("_primal_two_phase", "infeasible"),
                      ("_primal_two_phase", "unbounded")}
     assert scales == {False, True}
+
+
+def test_raw_read_equals_the_public_outcome(monkeypatch):
+    # `_slope`, `_feasible` and `newton_threshold` read the route's integer
+    # answer and L through `lp_minimize(..., _raw=True)`. What they make of it
+    # equals what the public outcome gives: the value by Fraction division,
+    # the witness by `cleared` of the vertex, the verdict by the status.
+    slopes, verdicts = [], []
+
+    def record(into, fn):
+        def recorded(*args):
+            into.append((args, fn(*args)))
+            return into[-1][1]
+        return recorded
+
+    for module in (tensors, ideals):
+        monkeypatch.setattr(module, "_slope", record(slopes, exactlp._slope))
+    monkeypatch.setattr(tensors, "_feasible", record(verdicts, exactlp._feasible))
+
+    statuses = set()
+    for p in golden_programs():
+        answer, scale = lp_minimize(p, _raw=True)
+        out = lp_minimize(p)
+        statuses.add(out.status)
+        if isinstance(answer, str):
+            assert answer == out.status != "optimal"
+        else:
+            value, x, d = answer
+            assert out.value == F(value, d * scale)
+            assert tuple(v // math.gcd(d, *x) for v in x) == cleared(out.vertex)[1]
+        if p.equality_rows:
+            lines = [cleared((*row, b))[1] for row, b in zip(p.equality_rows, p.equality_rhs)]
+            system = (tuple(line[:-1] for line in lines), tuple(line[-1] for line in lines))
+            verdicts.append((system, exactlp._feasible(*system)))
+    assert statuses == {"optimal", "infeasible", "unbounded"}
+
+    rng = random.Random(20261019)
+    for _ in range(60):
+        tensor, form = verify._random_tensor(rng), verify._random_symmetric(rng)
+        torus_rank(tensor)
+        torus_rank(tensor, [F(rng.randint(1, 6), rng.randint(1, 4)) for _ in range(tensor.order)])
+        symm_torus_rank(form)
+        is_torus_semistable(tensor)
+        is_symm_torus_semistable(form)
+        ideal = verify._random_monomial_ideal(rng)
+        assert newton_threshold(ideal) == t_stable_rank(ideal).value
+
+    finite = 0
+    for (cost, rows), result in slopes:
+        if not all(map(any, rows)):
+            assert (result.value, result.witness) == (math.inf, None)
+            continue
+        finite += 1
+        out = lp_minimize(LinearProgram(cost, rows, (1,) * len(rows)))
+        assert type(result.value) is F and result.value == out.value
+        assert result.witness == cleared(out.vertex)[1]
+        assert all(type(v) is int for v in result.witness)
+    kinds = set()
+    for (rows, rhs), verdict in verdicts:
+        kinds.add(verdict)
+        assert verdict is (lp_minimize(feasibility([], [], rows, rhs)).status == "optimal")
+    assert finite > 200 and kinds == {False, True}
+
+
+def test_zero_cost_phase_one_packs_no_artificial_column(monkeypatch):
+    # A zero-cost system with equality rows takes the two-phase route, whose
+    # phase one runs over the variables and the surplus columns alone. Its
+    # verdicts match the vertex oracle, each feasible vertex satisfies the
+    # system exactly, and `_feasible` gives the same verdict on the system
+    # with one explicit surplus variable per inequality row.
+    passes = []
+    simplex = exactlp._simplex
+
+    def traced(rows, basis, d, fields, ncols, stop_at_zero=False):
+        passes.append((ncols, len(basis), stop_at_zero))
+        return simplex(rows, basis, d, fields, ncols, stop_at_zero)
+
+    monkeypatch.setattr(exactlp, "_simplex", traced)
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(300):
+        n, m, p = rng.randint(1, 4), rng.randint(0, 3), rng.randint(1, 2)
+        rows = [[rng.randint(-2, 2) for _ in range(n)] for _ in range(m)]
+        rhs = [rng.randint(-2, 2) for _ in range(m)]
+        eq_rows = [[rng.randint(-1, 2) for _ in range(n)] for _ in range(p)]
+        eq_rhs = [rng.randint(-1, 3) for _ in range(p)]
+        system = feasibility(rows, rhs, eq_rows, eq_rhs)
+        passes.clear()
+        out = lp_minimize(system)
+        assert passes == [(n + m, m + p, True)]
+        assert out.status == oracle_minimum_over_vertices(system).status
+        if out.status == "optimal":
+            x = out.vertex
+            assert out.value == 0 and all(v >= 0 for v in x)
+            assert all(dot(row, x) >= b for row, b in zip(rows, rhs))
+            assert all(dot(row, x) == b for row, b in zip(eq_rows, eq_rhs))
+        surplus = [tuple(row) + tuple(-int(i == j) for j in range(m)) for i, row in enumerate(rows)]
+        padded = [tuple(row) + (0,) * m for row in eq_rows]
+        assert exactlp._feasible(tuple(surplus + padded), tuple(rhs + eq_rhs)) is (out.status == "optimal")
+        seen.add((out.status, min(rhs + eq_rhs) < 0))
+    assert seen == {("optimal", False), ("optimal", True), ("infeasible", False), ("infeasible", True)}

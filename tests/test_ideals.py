@@ -417,7 +417,8 @@ class TestNewton:
     def test_threshold_program_equals_validated_program(self, monkeypatch):
         seen = []
         solve = ideals.lp_minimize
-        monkeypatch.setattr(ideals, "lp_minimize", lambda program: seen.append(program) or solve(program))
+        monkeypatch.setattr(ideals, "lp_minimize",
+                            lambda program, **kw: seen.append(program) or solve(program, **kw))
         assert newton_threshold(CYCLIC) == F(1)
         gens = CYCLIC.generators
         rows = [[-F(g[j]) for g in gens] + [F(1)] for j in range(3)]
