@@ -14,7 +14,8 @@ whole (`_pivot`) by Bland's rule (`_simplex`).
 
 Every solve enters through `lp_minimize`, the one door to both routes
 below. It clears denominators once, by `_integral`, and turns the route's
-answer, a status or (value, x, D) in integers, into the one `LpOutcome`.
+answer, a status or (value, x, D) in integers, into the one `LpOutcome`,
+or, under its private `_raw`, hands back that answer and L as they are.
 
 Programs with no equality rows and a componentwise-nonnegative objective are
 solved through the LP dual: the slack basis of the dual is immediately
@@ -25,18 +26,24 @@ feasibility question, {A x >= b, E x = e, x >= 0}, is the program with a
 zero objective: without equality rows it takes the dual route, and with
 them the two-phase route returns the phase-one vertex, because phase two
 would not pivot and driving basic artificials out pivots on rows at level
-0, which moves no variable. Such a phase one also stops at the first
-tableau whose value, the sum of the artificials, is 0. That value cannot go
-below 0, so every pivot Bland's rule would still take has a zero ratio: it
-changes the basis but no variable's value, and the vertex returned is the
-one the full phase one reaches. With a nonzero cost, phase one runs to the
-end, since a different final basis could start phase two elsewhere and so
-move its vertex.
+0, which moves no variable. Such a phase one packs no artificial column.
+None could enter while the value, the sum of the artificials, is above 0:
+were every real column priced >= 0 there, the tableau would be optimal for
+the program of the real columns and the basic artificials, which a
+feasible x puts at 0. So Bland's rule, trying real columns first, takes
+the same pivots, and an infeasible system stops at that restricted
+optimum, above 0. The pass also stops at the first tableau of value 0,
+which cannot go below 0, so every pivot Bland's rule would still take has
+a zero ratio and moves no variable. With a nonzero cost, phase one packs
+the artificials and runs to the end, since a different final basis could
+start phase two elsewhere and so move its vertex.
 
 `_slope` is the bridge used by the rank computations, the slope infimum as
-one solve. A caller with a slope program of its own solves
-`lp_minimize(LinearProgram(cost, rows, (1,) * len(rows)))` and clears the
-vertex with `rationals.cleared`.
+one solve. It reads the `_raw` answer, as `_feasible` and
+`ideals.newton_threshold` do: the value is value / (D * L), and the
+witness x // gcd(D, *x), which is `rationals.cleared` of the vertex x / D.
+A caller with a slope program of its own gets the same from
+`lp_minimize(LinearProgram(cost, rows, (1,) * len(rows)))` and `cleared`.
 
 Inputs are checked once, at the public entry points: `LinearProgram(...)`
 checks and coerces every entry. `_slope`, `_feasible` and
