@@ -1006,8 +1006,9 @@ def test_raw_read_equals_the_public_outcome(monkeypatch):
 
     def record(into, fn):
         def recorded(*args):
-            into.append((args, fn(*args)))
-            return into[-1][1]
+            result = fn(*args)
+            into.append((args, result))
+            return result
         return recorded
 
     for module in (tensors, ideals):
