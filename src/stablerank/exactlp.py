@@ -26,7 +26,8 @@ feasibility question, {A x >= b, E x = e, x >= 0}, is the program with a
 zero objective: without equality rows it takes the dual route, and with
 them the two-phase route returns the phase-one vertex, because phase two
 would not pivot and driving basic artificials out pivots on rows at level
-0, which moves no variable. Such a phase one packs no artificial column.
+0, which moves no variable. Such a phase one packs no artificial column,
+and its field width counts none.
 None could enter while the value, the sum of the artificials, is above 0:
 were every real column priced >= 0 there, the tableau would be optimal for
 the program of the real columns and the basic artificials, which a
@@ -374,7 +375,7 @@ def _primal_two_phase(
 
     # Row i is multiplied by -1 when its right side is negative. Its surplus
     # and artificial columns keep the entries -1 (sign-adjusted) and 1; the
-    # field width counts the artificial column whether or not it is packed.
+    # field width counts the artificial column only when it is packed.
     lines, levels, signs, squares = [], [], [], []
     for i, (line, level, norm) in enumerate(zip(chain(rows, eq_rows), chain(rhs, eq_rhs), norms)):
         if level < 0:
@@ -384,14 +385,14 @@ def _primal_two_phase(
             signs.append(1)
         lines.append(line)
         levels.append(level)
-        squares.append(norm + level * level + (i < nsurplus) + 1)
+        squares.append(norm + level * level + (i < nsurplus) + (not zero_cost))
 
     # phase one: minimize the sum of the artificials, priced out against the
     # artificial basis: the row minus the sum of the rows, artificials left
     # out, since their priced-out entries are 0, built from the packed rows.
     # Its norm is at most the sum of theirs (the triangle inequality), which
     # stands in for it in the field width.
-    squares.append(sum(math.isqrt(sq - 1) + 1 for sq in squares) ** 2)
+    squares.append(sum(math.isqrt(sq - 1) + 1 for sq in squares if sq) ** 2)
     # The phase-two row, d times the cost row less multiples of basic rows,
     # is the cost row carried through every pivot, so it belongs to the
     # initial tableau as well.

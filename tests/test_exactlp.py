@@ -547,7 +547,8 @@ def test_division_free_branch_on_both_routes(monkeypatch):
     # Pivots over D > 1 at which D divides p and a nonzero factor f, so that
     # row's update has no big-integer division, occur on the dual route (the
     # torus rank of a tensor support) and on the two-phase route (its
-    # semistability check).
+    # semistability check). Of these four supports, three reach it on the
+    # dual route and one on the two-phase route.
     seen = []
     pivot = exactlp._pivot
 
@@ -558,7 +559,7 @@ def test_division_free_branch_on_both_routes(monkeypatch):
     monkeypatch.setattr(exactlp, "_pivot", spy)
     rng = random.Random(20261105)
     tuples = sorted(itertools.product((1, 2, 3, 4), repeat=4))
-    supports = [TensorSupport(4, 4, rng.sample(tuples, 20)) for _ in range(2)]
+    supports = [TensorSupport(4, 4, rng.sample(tuples, 20)) for _ in range(4)]
     for solve in (torus_rank, is_torus_semistable):
         seen.clear()
         for support in supports:

@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from oracle import oracle_minimum_over_vertices
-from stablerank import tensors
+from stablerank import exactlp, tensors
 from stablerank.errors import InputError
 from stablerank.exactlp import LinearProgram, lp_minimize
 from stablerank.tensors import (
@@ -439,6 +439,92 @@ class TestSemistabilityAgainstDestabilizerSearch:
         v = TensorSupport(order=4, dims=6, tuples=rng.sample(pool, 120))
         assert len(v.tuples) == 120
         assert is_torus_semistable(v) is False
+
+
+def sorted_order_program(support):
+    """(rows, rhs) of a semistability program with its columns in
+    lexicographic order, the tuples or exponent vectors as `sorted` leaves
+    them, for `exactlp._feasible`."""
+    if isinstance(support, TensorSupport):
+        n, d = support.dims, support.order
+        tuples = support.sorted_tuples
+        rows = [(1,) * len(tuples)]
+        rows += [tuple(int(t[i] == j) for t in tuples) for i in range(d) for j in range(1, n)]
+        return tuple(rows), (n,) + (1,) * (len(rows) - 1)
+    n, d = support.nvars, support.degree
+    return tuple(zip(*support.sorted_exponents)), (d // math.gcd(n, d),) * n
+
+
+class TestColumnOrder:
+    """Both semistability checks order their columns for Bland's rule; the
+    verdict must be the sorted order's, and the order must save pivots."""
+
+    def test_verdicts_equal_the_sorted_orders(self, monkeypatch):
+        programs = []
+        feasible = tensors._feasible
+        monkeypatch.setattr(tensors, "_feasible", lambda *a: programs.append(a) or feasible(*a))
+        rng = random.Random(29)
+        verdicts, largest = {"tensor": set(), "form": set()}, 0
+        cases = [("tensor", n, d) for n in range(1, 7) for d in range(1, 5) for _ in range(8)]
+        cases += [("form", n, d) for n in range(1, 7) for d in range(1, 11) for _ in range(2)]
+        for case, (kind, n, d) in enumerate(cases):
+            # by case % 4: a full draw, a draw with a semistable part, a draw,
+            # and a draw lopsided towards index 1 (unstable more often)
+            if kind == "tensor":
+                pool = sorted(itertools.product(range(1, n + 1), repeat=d))
+                tuples = []
+                if case % 4 == 3:
+                    pool = [t for t in pool if sum(t) - d < n]
+                    tuples = [tuple(j if i == f else 1 for i in range(d))
+                              for f in range(d) for j in range(1, n + 1)]
+                k = min(120, len(pool))
+                tuples += rng.sample(pool, k if case % 4 == 0 else rng.randint(1, k))
+                if case % 4 == 1:
+                    tuples += design_tuples(rng, n, d)
+                v = TensorSupport(order=d, dims=n, tuples=tuples)
+                verdict = is_torus_semistable(v)
+            else:
+                pool = sorted(compositions(d, n))
+                exps = []
+                if case % 4 == 3:
+                    pool = [m for m in pool if n * m[0] >= d]
+                    exps = [tuple(d - 1 if i == 0 else int(i == j) for i in range(n))
+                            for j in range(1, n)]
+                k = min(30, len(pool))
+                exps += rng.sample(pool, k if case % 4 == 0 else rng.randint(1, k))
+                if case % 4 == 1:
+                    exps += [tuple(d * (i == j) for i in range(n)) for j in range(n)]
+                v = SymmetricSupport(degree=d, nvars=n, exponents=exps)
+                verdict = is_symm_torus_semistable(v)
+            rows, rhs = sorted_order_program(v)
+            assert verdict is exactlp._feasible(rows, rhs), v
+            if programs:
+                # the same program, its columns permuted
+                (ordered, ordered_rhs), = programs
+                assert ordered_rhs == rhs and sorted(zip(*ordered)) == sorted(zip(*rows))
+                verdicts[kind].add(verdict)
+                largest = max(largest, len(rows[0]))
+            programs.clear()
+        assert len(cases) >= 300 and largest >= 120
+        assert verdicts == {"tensor": {True, False}, "form": {True, False}}
+
+    def test_half_the_pivots_of_the_sorted_order(self, monkeypatch):
+        # three 6x6x6x6 supports of 120 tuples: 159 phase-one pivots in the
+        # difference-class order against 700 in the sorted order
+        pivots = []
+        pivot = exactlp._pivot
+        monkeypatch.setattr(exactlp, "_pivot", lambda *a: pivots.append(1) or pivot(*a))
+        pool = list(itertools.product(range(1, 7), repeat=4))
+        ordered = sorted_order = 0
+        for seed in range(3):
+            v = TensorSupport(order=4, dims=6, tuples=random.Random(seed).sample(pool, 120))
+            pivots.clear()
+            verdict = is_torus_semistable(v)
+            ordered += len(pivots)
+            pivots.clear()
+            assert exactlp._feasible(*sorted_order_program(v)) is verdict
+            sorted_order += len(pivots)
+        assert 2 * ordered <= sorted_order
 
 
 @pytest.mark.parametrize("call, message", [

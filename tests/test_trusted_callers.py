@@ -302,17 +302,22 @@ class PivotTrace:
 
 def old_tensor_program(support):
     """The fractional formulation over convex theta: sum(theta) = 1 and
-    every marginal of j < n equal to 1/n."""
+    every marginal of j < n equal to 1/n, one column per tuple, the tuples
+    grouped by difference class ((t_i - t_1) mod n for every i), each class
+    in lexicographic order."""
     n, d = support.dims, support.order
-    tuples = support.sorted_tuples
+    tuples = sorted(support.tuples, key=lambda t: (tuple((x - t[0]) % n for x in t), t))
     rows = [(1,) * len(tuples)]
     rows += [tuple(int(t[i] == j) for t in tuples) for i in range(d) for j in range(1, n)]
     return rows, (1,) + (F(1, n),) * (len(rows) - 1)
 
 
 def old_form_program(form):
+    """Every marginal sum_m theta_m * m_j equal to d/n, one column per
+    exponent vector m, by sum(m_j^2) and then in lexicographic order."""
     n, d = form.nvars, form.degree
-    rows = [tuple(m[j] for m in form.sorted_exponents) for j in range(n)]
+    exponents = sorted(form.exponents, key=lambda m: (sum(v * v for v in m), m))
+    rows = [tuple(m[j] for m in exponents) for j in range(n)]
     return rows, (F(d, n),) * n
 
 
