@@ -391,7 +391,8 @@ def _primal_two_phase(
     # artificial basis: the row minus the sum of the rows, artificials left
     # out, since their priced-out entries are 0, built from the packed rows.
     # Its norm is at most the sum of theirs (the triangle inequality), which
-    # stands in for it in the field width.
+    # stands in for it in the field width; a zero row, which a zero-cost
+    # tableau may hold, adds 0.
     squares.append(sum(math.isqrt(sq - 1) + 1 for sq in squares if sq) ** 2)
     # The phase-two row, d times the cost row less multiples of basic rows,
     # is the cost row carried through every pivot, so it belongs to the

@@ -1098,3 +1098,23 @@ def test_zero_cost_phase_one_packs_no_artificial_column(monkeypatch):
         assert exactlp._feasible(tuple(surplus + padded), tuple(rhs + eq_rhs)) is (out.status == "optimal")
         seen.add((out.status, min(rhs + eq_rhs) < 0))
     assert seen == {("optimal", False), ("optimal", True), ("infeasible", False), ("infeasible", True)}
+
+
+def test_zero_cost_width_counts_no_artificial_column(monkeypatch):
+    # The semistability program of this 3x3x3 support, 7 rows over its 10
+    # tuples, has a Hadamard bound of 2^13 and so 16-bit fields. Counting the
+    # unit entry of an artificial column, which a zero-cost tableau does not
+    # pack, in every row's squared norm would raise the bound to 2^15 and the
+    # fields to 24 bits.
+    widths = []
+
+    class Fields(exactlp._Fields):
+        def __init__(self, bits):
+            super().__init__(bits)
+            widths.append(self.k)
+
+    monkeypatch.setattr(exactlp, "_Fields", Fields)
+    support = TensorSupport(3, 3, [(1, 1, 1), (1, 1, 3), (1, 2, 1), (1, 2, 2), (1, 3, 1),
+                                   (2, 1, 2), (2, 1, 3), (2, 3, 3), (3, 1, 3), (3, 2, 2)])
+    assert is_torus_semistable(support) is True
+    assert widths == [16]

@@ -1,7 +1,6 @@
 """tools/pivot_counts.py on one pass of the benchmark's semistable pool."""
 
 import json
-import os
 import subprocess
 import sys
 from pathlib import Path
@@ -10,11 +9,10 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_semistable_pool_at_seed_1():
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONPATH"}
     out = subprocess.run(
         [sys.executable, str(ROOT / "tools" / "pivot_counts.py"),
          "--workload", "semistable", "--seed", "1", "--json"],
-        capture_output=True, text=True, check=True, env=env, cwd=ROOT)
+        capture_output=True, text=True, check=True)
     table = json.loads(out.stdout)
     total = table.pop("total")
     assert list(table) == ["form", "uniform_n3_d3", "uniform_n4_d3", "skewed_n4_d3",
