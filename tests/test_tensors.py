@@ -13,7 +13,7 @@ from fractions import Fraction as F
 import pytest
 
 from oracle import oracle_minimum_over_vertices
-from stablerank import exactlp, tensors
+from stablerank import exactlp, tensors, verify
 from stablerank.errors import InputError
 from stablerank.exactlp import LinearProgram, lp_minimize
 from stablerank.tensors import (
@@ -351,7 +351,15 @@ class TestUnusedCoordinate:
         calls = []
         feasible = tensors._feasible
         monkeypatch.setattr(tensors, "_feasible", lambda *a: calls.append(a) or feasible(*a))
+        # W uses every index, but its one tuple with index 2 in the first
+        # factor kills the other two: forced zeros decide it
         assert is_torus_semistable(W) is False
+        assert calls == []
+        # every index of the full 2 x 2 support lies in two tuples that part
+        # in the other factor, so no class lies inside another
+        full = TensorSupport(order=2, dims=2, tuples=list(itertools.product((1, 2), repeat=2)))
+        assert tensors._forced_zeros(full) is None
+        assert is_torus_semistable(full) is True
         assert is_symm_torus_semistable(W_FORM) is False
         assert len(calls) == 2
 
@@ -455,6 +463,18 @@ def sorted_order_program(support):
     return tuple(zip(*support.sorted_exponents)), (d // math.gcd(n, d),) * n
 
 
+# Unstable supports that use every index and that forced zeros leave
+# undecided, found by a seeded search over random supports: only the program
+# tells them apart from semistable ones.
+UNDECIDED_UNSTABLE = [
+    [(1, 1, 1, 3), (1, 1, 2, 1), (1, 2, 2, 3), (1, 2, 3, 3), (2, 1, 1, 2), (2, 2, 2, 2),
+     (2, 2, 3, 1), (2, 3, 1, 1), (2, 3, 1, 2), (3, 2, 1, 3), (3, 3, 3, 2)],
+    [(1, 1, 3, 4), (1, 2, 4, 3), (1, 3, 4, 1), (2, 1, 1, 3), (2, 4, 4, 3), (2, 4, 4, 4),
+     (3, 2, 1, 2), (3, 3, 2, 1), (3, 3, 3, 4), (3, 3, 4, 1), (3, 4, 2, 1), (4, 1, 2, 2),
+     (4, 4, 3, 2), (4, 4, 3, 3), (4, 4, 4, 3)],
+]
+
+
 class TestColumnOrder:
     """Both semistability checks order their columns for Bland's rule; the
     verdict must be the sorted order's, and the order must save pivots."""
@@ -463,8 +483,23 @@ class TestColumnOrder:
         programs = []
         feasible = tensors._feasible
         monkeypatch.setattr(tensors, "_feasible", lambda *a: programs.append(a) or feasible(*a))
-        rng = random.Random(29)
         verdicts, largest = {"tensor": set(), "form": set()}, 0
+
+        def check(kind, v, verdict):
+            """Checks the verdict against the sorted order's program and
+            returns the width of the program built, 0 for none."""
+            rows, rhs = sorted_order_program(v)
+            assert verdict is exactlp._feasible(rows, rhs), v
+            if not programs:
+                return 0
+            # the same program, its columns permuted
+            (ordered, ordered_rhs), = programs
+            assert ordered_rhs == rhs and sorted(zip(*ordered)) == sorted(zip(*rows))
+            verdicts[kind].add(verdict)
+            programs.clear()
+            return len(rows[0])
+
+        rng = random.Random(29)
         cases = [("tensor", n, d) for n in range(1, 7) for d in range(1, 5) for _ in range(8)]
         cases += [("form", n, d) for n in range(1, 7) for d in range(1, 11) for _ in range(2)]
         for case, (kind, n, d) in enumerate(cases):
@@ -496,15 +531,13 @@ class TestColumnOrder:
                     exps += [tuple(d * (i == j) for i in range(n)) for j in range(n)]
                 v = SymmetricSupport(degree=d, nvars=n, exponents=exps)
                 verdict = is_symm_torus_semistable(v)
-            rows, rhs = sorted_order_program(v)
-            assert verdict is exactlp._feasible(rows, rhs), v
-            if programs:
-                # the same program, its columns permuted
-                (ordered, ordered_rhs), = programs
-                assert ordered_rhs == rhs and sorted(zip(*ordered)) == sorted(zip(*rows))
-                verdicts[kind].add(verdict)
-                largest = max(largest, len(rows[0]))
-            programs.clear()
+            largest = max(largest, check(kind, v, verdict))
+        # forced zeros decide every drawn tensor that is unstable, so two
+        # unstable supports they leave undecided take the program too
+        for tuples in UNDECIDED_UNSTABLE:
+            v = TensorSupport(order=len(tuples[0]), dims=max(map(max, tuples)), tuples=tuples)
+            verdict = is_torus_semistable(v)
+            assert verdict is False and check("tensor", v, verdict)
         assert largest >= 120
         assert verdicts == {"tensor": {True, False}, "form": {True, False}}
 
@@ -525,6 +558,80 @@ class TestColumnOrder:
             assert exactlp._feasible(*sorted_order_program(v)) is verdict
             sorted_order += len(pivots)
         assert 2 * ordered <= sorted_order
+
+
+def seeded_supports():
+    """5,000 seeded tensor supports: half drawn as the `semistable` suite
+    draws them, half full draws over n <= 5 and d <= 4 of up to 40 tuples."""
+    rng = random.Random(30)
+    for _ in range(2500):
+        yield verify._random_tensor(rng)
+    for _ in range(2500):
+        n, d = rng.randint(1, 5), rng.randint(1, 4)
+        pool = list(itertools.product(range(1, n + 1), repeat=d))
+        yield TensorSupport(d, n, rng.sample(pool, rng.randint(1, min(40, len(pool)))))
+
+
+def difference_class_program(support):
+    """(rows, rhs) of the tensor semistability program as it was before
+    forced zeros: every tuple a column, by difference class and then by
+    t_1, sum(theta') = n and the marginals of j < n equal to 1."""
+    n, d = support.dims, support.order
+    tuples = sorted(support.tuples, key=lambda t: (tuple((x - t[0]) % n for x in t), t))
+    rows = [(1,) * len(tuples)]
+    rows += [tuple(int(t[i] == j) for t in tuples) for i in range(d) for j in range(1, n)]
+    return tuple(rows), (n,) + (1,) * (len(rows) - 1)
+
+
+class TestForcedZeros:
+    """Forced zeros decide a tensor verdict only as the full program would,
+    and every program still built is the one built before them."""
+
+    def test_decisions_equal_the_full_program(self):
+        decisions, shapes = {True: 0, False: 0, None: 0}, set()
+        for v in seeded_supports():
+            decided = tensors._forced_zeros(v)
+            assert decided in (None, exactlp._feasible(*sorted_order_program(v))), v
+            decisions[decided] += 1
+            shapes.add((v.dims == 1, v.order == 1))
+        assert all(decisions.values()), decisions
+        assert shapes == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_undecided_supports_build_the_same_program(self, monkeypatch):
+        programs = []
+        feasible = tensors._feasible
+        monkeypatch.setattr(tensors, "_feasible", lambda *a: programs.append(a) or feasible(*a))
+        built = 0
+        for v in seeded_supports():
+            decided = tensors._forced_zeros(v)
+            verdict = is_torus_semistable(v)
+            if decided is None:
+                assert programs == [difference_class_program(v)], v
+                built += 1
+            else:
+                assert programs == [] and verdict is decided, v
+            programs.clear()
+        assert built
+
+    def test_a_huge_header_is_decided_at_once(self):
+        # the first step reads the support alone: no table is sized by n
+        assert tensors._forced_zeros(TensorSupport(1, 10 ** 20, [(1,)])) is False
+
+    def test_w_tensor(self):
+        # (2, 1, 1), the only tuple with index 2 in factor 1, has index 1 in
+        # factors 2 and 3, so it kills (1, 2, 1) and (1, 1, 2), and index 1
+        # of factor 1 is left with no live tuple
+        assert tensors._forced_zeros(W) is False
+
+    def test_large_supports_are_left_to_the_program(self):
+        pool = list(itertools.product(range(1, 7), repeat=4))
+        for seed in range(3):
+            v = TensorSupport(order=4, dims=6, tuples=random.Random(seed).sample(pool, 120))
+            assert tensors._forced_zeros(v) is None
+        rng, tuples = random.Random(1), set()
+        while len(tuples) < 999:
+            tuples.add(tuple(rng.randint(1, 25) for _ in range(4)))
+        assert tensors._forced_zeros(TensorSupport(order=4, dims=25, tuples=tuples)) is None
 
 
 @pytest.mark.parametrize("call, message", [

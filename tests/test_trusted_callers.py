@@ -16,10 +16,12 @@ simplex must take the same pivots as the fractional formulation through the
 public `lp_minimize`, in fields never wider: the equality system with a zero
 objective, and the slope program min{cost . x : row . x >= 1, x >= 0}.
 
-A support with an unused coordinate (an index no tuple uses in some factor,
-a variable no exponent uses) is decided with no solve at all. For those the
-tests check that no program is handed over and that the verdict, False, is
-the one the full fractional program gives through `lp_minimize`.
+A support decided before any program is built (a form with a variable no
+exponent uses; a tensor whose forced zeros, `tensors._forced_zeros`, settle
+its verdict, among them every tensor with an index no tuple uses in some
+factor) is decided with no solve at all. For those the tests check that no
+program is handed over and that the verdict is the one the full fractional
+program gives through `lp_minimize`.
 """
 
 import itertools
@@ -84,6 +86,13 @@ def random_tensor(rng):
     return TensorSupport(d, n, rng.sample(pool, rng.randint(1, min(12, len(pool)))))
 
 
+def dense_tensor(rng):
+    """20 tuples of a 4 x 4 x 4 x 4 support. Forced zeros decide almost
+    every unstable support of `random_tensor` before any program; about one
+    in eight of these is unstable and left to the program."""
+    return TensorSupport(4, 4, rng.sample(list(itertools.product(range(1, 5), repeat=4)), 20))
+
+
 def random_form(rng):
     n, d = rng.randint(1, 4), rng.randint(1, 5)
     pool = compositions(d, n)
@@ -110,12 +119,6 @@ def random_poly_ideal(rng):
     matrix = [[F(int(i == j)) if i <= j else F(rng.randint(-2, 2), rng.randint(1, 2))
                for j in range(n)] for i in range(n)]
     return PolyIdeal(n, [apply_linear_change(g, LinearChange(matrix)) for g in gens])
-
-
-def has_unused_index(support):
-    """Does some factor of the tensor leave some index 1..n unused?"""
-    return any(j not in {t[i] for t in support.tuples}
-               for i in range(support.order) for j in range(1, support.dims + 1))
 
 
 def has_unused_variable(form):
@@ -180,24 +183,24 @@ def check_all(calls):
 
 def test_tensor_ranks_and_semistability(calls):
     rng = random.Random(20261101)
-    verdicts, unused = set(), 0
-    for case in range(120):
-        support = random_tensor(rng)
+    dense = random.Random(20261102)
+    verdicts, decided = set(), 0
+    for case in range(150):
+        support = random_tensor(rng) if case < 120 else dense_tensor(dense)
         alpha = None
         if case % 2:
             alpha = [rng.choice((1, 2, F(1, 2), F(3, 2), F(5, 3))) for _ in range(support.order)]
         torus_rank(support, alpha)
         verdict = is_torus_semistable(support)
-        if has_unused_index(support):
+        if tensors._forced_zeros(support) is not None:
             assert check_all(calls) == {"slope"}
-            assert verdict is False
-            assert feasible(*old_tensor_program(support)) is False
-            unused += 1
+            assert verdict is feasible(*old_tensor_program(support))
+            decided += 1
             continue
         verdicts.add(verdict)
         assert check_all(calls) == {"slope", "feasible"}
     assert verdicts == {True, False}
-    assert 0 < unused < 120
+    assert 0 < decided < 150
 
 
 def test_alpha_programs_clear_only_their_costs(monkeypatch):
@@ -325,7 +328,7 @@ def test_integer_programs_take_the_fractional_pivots(monkeypatch):
     trace = PivotTrace(monkeypatch)
     rng = random.Random(20261106)
     widths, verdicts, pivots = [], {"tensor": set(), "form": set()}, 0
-    unused = {"tensor": 0, "form": 0, "unit ideal": 0}
+    decided = {"tensor": 0, "form": 0, "unit ideal": 0}
 
     def same_path(new, old, answers_equal=lambda a, b: a == b and type(a) is type(b),
                   caller="rank"):
@@ -343,13 +346,14 @@ def test_integer_programs_take_the_fractional_pivots(monkeypatch):
     def same_slope(a, b):
         return (a.value, a.witness) == (b.value, b.witness) and type(a.value) is type(b.value)
 
-    def same_verdict(new, old, caller, unused_coordinate):
-        """A support with an unused coordinate is False with no tableau, as
-        the full program says; every other one takes the full program's path."""
-        if unused_coordinate:
-            assert trace.run(new) == (False, [])
-            assert trace.run(old)[0] is False
-            unused[caller] += 1
+    def same_verdict(new, old, caller, decided_first):
+        """A support decided before any program gets the full program's
+        verdict with no tableau; every other one takes the full program's
+        path."""
+        if decided_first:
+            verdict, solves = trace.run(new)
+            assert solves == [] and verdict is trace.run(old)[0]
+            decided[caller] += 1
         else:
             verdicts[caller].add(same_path(new, old, caller=caller))
 
@@ -357,7 +361,8 @@ def test_integer_programs_take_the_fractional_pivots(monkeypatch):
         support = random_tensor(rng)
         rows, rhs = old_tensor_program(support)
         same_verdict(lambda: is_torus_semistable(support),
-                     lambda: feasible(rows, rhs), "tensor", has_unused_index(support))
+                     lambda: feasible(rows, rhs), "tensor",
+                     tensors._forced_zeros(support) is not None)
         alpha = [rng.choice((1, 2, F(1, 2), F(3, 2), F(5, 3))) for _ in range(support.order)]
         cost = [a for a in alpha for _ in range(support.dims)]
         same_path(lambda: torus_rank(support, alpha),
@@ -377,12 +382,19 @@ def test_integer_programs_take_the_fractional_pivots(monkeypatch):
             # the zero row: +infinity with no tableau, as the full program says
             assert trace.run(lambda: t_stable_rank(ideal)) == (SlopeResult(math.inf, None), [])
             assert trace.run(lambda: slope(cost, ideal.generators))[0].value == math.inf
-            unused["unit ideal"] += 1
+            decided["unit ideal"] += 1
         else:
             same_path(lambda: t_stable_rank(ideal),
                       lambda: slope(cost, ideal.generators), same_slope)
+    dense = random.Random(20261107)
+    for _ in range(30):
+        support = dense_tensor(dense)
+        rows, rhs = old_tensor_program(support)
+        same_verdict(lambda: is_torus_semistable(support),
+                     lambda: feasible(rows, rhs), "tensor",
+                     tensors._forced_zeros(support) is not None)
     assert all(v == {True, False} for v in verdicts.values()), verdicts
-    assert all(0 < count < 120 for count in unused.values()), unused
+    assert all(0 < count < 120 for count in decided.values()), decided
     assert pivots > 1000
     assert all(new <= old for caller, new, old in widths)
     # `lp_minimize` clears a fractional cost vector by the lcm L of its
