@@ -351,8 +351,9 @@ class TestUnusedCoordinate:
         calls = []
         feasible = tensors._feasible
         monkeypatch.setattr(tensors, "_feasible", lambda *a: calls.append(a) or feasible(*a))
-        # W uses every index, but its one tuple with index 2 in the first
-        # factor kills the other two: forced zeros decide it
+        # W uses every index, but (2, 1, 1), its only tuple with index 2 in
+        # factor 1, has index 1 in factors 2 and 3, so it kills the other
+        # two and leaves index 1 of factor 1 with no live tuple
         assert is_torus_semistable(W) is False
         assert calls == []
         # every index of the full 2 x 2 support lies in two tuples that part
@@ -612,16 +613,6 @@ class TestForcedZeros:
                 assert programs == [] and verdict is decided, v
             programs.clear()
         assert built
-
-    def test_a_huge_header_is_decided_at_once(self):
-        # the first step reads the support alone: no table is sized by n
-        assert tensors._forced_zeros(TensorSupport(1, 10 ** 20, [(1,)])) is False
-
-    def test_w_tensor(self):
-        # (2, 1, 1), the only tuple with index 2 in factor 1, has index 1 in
-        # factors 2 and 3, so it kills (1, 2, 1) and (1, 1, 2), and index 1
-        # of factor 1 is left with no live tuple
-        assert tensors._forced_zeros(W) is False
 
     def test_large_supports_are_left_to_the_program(self):
         pool = list(itertools.product(range(1, 7), repeat=4))
