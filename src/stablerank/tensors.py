@@ -55,8 +55,15 @@ of some factor left with no live tuple has marginal 0,
 not 1: unstable (with no tuple at all, lam_i = 1 - n * e_j, every other
 factor zero, is traceless and pairs exactly 1 with every tuple). Exactly
 n live tuples with no index left empty use each index of each factor once,
-so theta' = 1 on them is feasible: semistable. Otherwise the program
-decides. If no exponent vector uses variable j of a form, mu = 1 - n * e_j
+so theta' = 1 on them is feasible: semistable. When the kills stall, a
+bounded depth-first search looks for n live tuples that part in every
+factor, a perfect d-dimensional matching (for d = 2, a permutation matrix
+inside the support, as in Birkhoff-von Neumann). Such tuples again use
+each index of each factor once, so theta' = 1 on them meets every
+marginal: semistable. The search gives up after one choice per support
+tuple, and then, as when it finds none, the program decides: a support
+can be semistable with no perfect matching, its theta' fractional.
+If no exponent vector uses variable j of a form, mu = 1 - n * e_j
 is traceless and pairs d >= 1 with every exponent, so that form is
 unstable with no program. Both first steps read the support alone, so a
 header with a huge n and a short support is decided at once.
@@ -245,18 +252,18 @@ def _arrangements(m: tuple[int, ...]) -> list[tuple[int, ...]]:
         out.append(tuple(a))
 
 
-def _forced_zeros(support: TensorSupport) -> bool | None:
-    """The semistability verdict when forced zeros decide it, else None.
+def _forced_zeros(tuples: tuple[tuple[int, ...], ...], n: int) -> bool | None:
+    """The semistability verdict of the support `tuples` over dims n when
+    forced zeros or a perfect matching decide it, else None.
 
-    Bit c of every mask is tuple c of `support.sorted_tuples`. A class is
-    the mask of the tuples with index j in factor i, built only for the
-    indices that occur, and `alive` the tuples whose theta' may be
-    positive. A live class inside another class kills that class's other
-    tuples (module docstring), until no kill is left: an empty live class
-    is False, and n live tuples with none empty is True.
+    Bit c of every mask is tuple c. A class is the mask of the tuples with
+    index j in factor i, built only for the indices that occur, and `alive`
+    the tuples whose theta' may be positive. A live class inside another
+    class kills that class's other tuples (module docstring), until no kill
+    is left: an empty live class is False, and n live tuples with none
+    empty is True. When the kills stall, a matching among the live tuples
+    (`_matching`) is True, and none found leaves the verdict to the program.
     """
-    n = support.dims
-    tuples = support.sorted_tuples
     classes = []
     for column in zip(*tuples):
         masks = {}
@@ -278,7 +285,44 @@ def _forced_zeros(support: TensorSupport) -> bool | None:
                 if c & other == c:
                     alive &= ~(other & ~c)
         if alive == before:
+            return True if _matching(live, len(tuples)) else None
+
+
+def _matching(live: list[int], nodes: int) -> int | None:
+    """The mask of live tuples that meet every class once, or None.
+
+    `live` holds the live mask of every class. Depth first, the open class
+    with the fewest live tuples is covered by each of its live tuples in
+    turn, lowest first (`_choose`); the search ends when no class is open,
+    at a dead end when an open class has no live tuple left, and gives up
+    after `nodes` choices. Every tuple lies in one class of each factor,
+    so the tuples found are n, and they use each index of each factor once.
+    """
+    frames = [(live, 0, min(live, key=int.bit_count))]
+    while frames:
+        classes, chosen, rest = frames.pop()
+        if not rest:
+            continue
+        if not nodes:
             return None
+        nodes -= 1
+        bit = rest & -rest
+        frames.append((classes, chosen, rest ^ bit))
+        left = _choose(classes, bit)
+        if not left:
+            return chosen | bit
+        frames.append((left, chosen | bit, min(left, key=int.bit_count)))
+    return None
+
+
+def _choose(classes: list[int], bit: int) -> list[int]:
+    """The live masks of the classes left open once the tuple `bit` is
+    chosen: every class that contains it closes, and its tuples die."""
+    closed = 0
+    for c in classes:
+        if c & bit:
+            closed |= c
+    return [c & ~closed for c in classes if not c & bit]
 
 
 def is_torus_semistable(support: TensorSupport) -> bool:
@@ -286,11 +330,14 @@ def is_torus_semistable(support: TensorSupport) -> bool:
     convex weights theta on the support tuples put mass 1/n on every index j
     of every factor i (torus semistability for the product of SL(n)'s).
 
-    Decided with no program when forced zeros settle it (`_forced_zeros`):
-    False when some factor i leaves an index j unused, or when the kills
-    leave it no live tuple; True when exactly n tuples stay live. On the
-    benchmark's semistable pool at seed 1 that settles 192 of the 336
-    tensor supports, 122 of them ones that use every index.
+    Decided with no program when forced zeros or a perfect matching settle
+    it (`_forced_zeros`): False when some factor i leaves an index j
+    unused, or when the kills leave it no live tuple; True when exactly n
+    tuples stay live, or when the search (`_matching`) finds n live tuples
+    that part in every factor. On the benchmark's semistable pool at seed 1
+    that settles 322 of the 336 tensor supports: 192 by forced zeros, 122
+    of them ones that use every index, and 130 by a matching. The 14 left
+    are 11 semistable supports with no perfect matching and 3 unstable ones.
 
     Otherwise one exact feasibility program over theta' = n * theta, with a
     variable per support tuple, dead ones included, and the integer rows
@@ -316,11 +363,12 @@ def is_torus_semistable(support: TensorSupport) -> bool:
     on the order of the variables, so the order moves no answer.
     """
     expect(support, TensorSupport, "tensor support")
-    verdict = _forced_zeros(support)
+    n, d = support.dims, support.order
+    tuples = support.sorted_tuples
+    verdict = _forced_zeros(tuples, n)
     if verdict is not None:
         return verdict
-    n, d = support.dims, support.order
-    tuples = sorted(support.sorted_tuples, key=lambda t: [(x - t[0]) % n for x in t])
+    tuples = sorted(tuples, key=lambda t: [(x - t[0]) % n for x in t])
     rows = [(1,) * len(tuples)]
     for i in range(d):
         marginals = [[0] * len(tuples) for _ in range(n - 1)]

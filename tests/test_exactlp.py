@@ -547,8 +547,8 @@ def test_division_free_branch_on_both_routes(monkeypatch):
     # Pivots over D > 1 at which D divides p and a nonzero factor f, so that
     # row's update has no big-integer division, occur on the dual route (the
     # torus rank of a tensor support) and on the two-phase route (its
-    # semistability check). Of these four supports, three reach it on the
-    # dual route and one on the two-phase route.
+    # semistability check). The four supports are the first draws that
+    # forced zeros and the matching search leave to the program.
     seen = []
     pivot = exactlp._pivot
 
@@ -559,7 +559,11 @@ def test_division_free_branch_on_both_routes(monkeypatch):
     monkeypatch.setattr(exactlp, "_pivot", spy)
     rng = random.Random(20261105)
     tuples = sorted(itertools.product((1, 2, 3, 4), repeat=4))
-    supports = [TensorSupport(4, 4, rng.sample(tuples, 20)) for _ in range(4)]
+    supports = []
+    while len(supports) < 4:
+        support = TensorSupport(4, 4, rng.sample(tuples, 20))
+        if tensors._forced_zeros(support.sorted_tuples, 4) is None:
+            supports.append(support)
     for solve in (torus_rank, is_torus_semistable):
         seen.clear()
         for support in supports:
@@ -1102,10 +1106,11 @@ def test_zero_cost_phase_one_packs_no_artificial_column(monkeypatch):
 
 def test_zero_cost_width_counts_no_artificial_column(monkeypatch):
     # The semistability program of this 3x3x3 support, 7 rows over its 10
-    # tuples, has a Hadamard bound of 2^13 and so 16-bit fields. Counting the
+    # tuples, has a Hadamard bound of 2^14 and so 16-bit fields. Counting the
     # unit entry of an artificial column, which a zero-cost tableau does not
     # pack, in every row's squared norm would raise the bound to 2^15 and the
-    # fields to 24 bits.
+    # fields to 24 bits. The support is semistable with no perfect matching,
+    # so it reaches the program.
     widths = []
 
     class Fields(exactlp._Fields):
@@ -1114,7 +1119,7 @@ def test_zero_cost_width_counts_no_artificial_column(monkeypatch):
             widths.append(self.k)
 
     monkeypatch.setattr(exactlp, "_Fields", Fields)
-    support = TensorSupport(3, 3, [(1, 1, 1), (1, 1, 3), (1, 2, 1), (1, 2, 2), (1, 3, 1),
-                                   (2, 1, 2), (2, 1, 3), (2, 3, 3), (3, 1, 3), (3, 2, 2)])
+    support = TensorSupport(3, 3, [(1, 1, 1), (1, 2, 2), (1, 3, 1), (2, 1, 1), (2, 1, 2),
+                                   (2, 2, 1), (2, 2, 3), (2, 3, 2), (3, 1, 3), (3, 3, 1)])
     assert is_torus_semistable(support) is True
     assert widths == [16]

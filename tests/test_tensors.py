@@ -355,12 +355,16 @@ class TestUnusedCoordinate:
         # factor 1, has index 1 in factors 2 and 3, so it kills the other
         # two and leaves index 1 of factor 1 with no live tuple
         assert is_torus_semistable(W) is False
-        assert calls == []
         # every index of the full 2 x 2 support lies in two tuples that part
-        # in the other factor, so no class lies inside another
+        # in the other factor, so no class lies inside another; but (1, 1)
+        # and (2, 2) part in both factors, a perfect matching
         full = TensorSupport(order=2, dims=2, tuples=list(itertools.product((1, 2), repeat=2)))
-        assert tensors._forced_zeros(full) is None
         assert is_torus_semistable(full) is True
+        assert calls == []
+        # the same holds of every index of HALF, which has no perfect matching
+        half = TensorSupport(order=3, dims=2, tuples=HALF)
+        assert forced_zeros(half) is None
+        assert is_torus_semistable(half) is True
         assert is_symm_torus_semistable(W_FORM) is False
         assert len(calls) == 2
 
@@ -464,6 +468,24 @@ def sorted_order_program(support):
     return tuple(zip(*support.sorted_exponents)), (d // math.gcd(n, d),) * n
 
 
+def forced_zeros(support):
+    return tensors._forced_zeros(support.sorted_tuples, support.dims)
+
+
+def direct_sum(a, b):
+    """A + B with B's indices shifted past A's in every factor. Its marginal
+    rows split into A's and B's, so it is semistable exactly when both are,
+    and it has a perfect matching exactly when both have one."""
+    return TensorSupport(a.order, a.dims + b.dims,
+                         [*a.tuples, *(tuple(j + a.dims for j in t) for t in b.tuples)])
+
+
+# Semistable, with theta' = 1/2 on every tuple the only feasible point: every
+# index lies in two tuples that part in the other factors, so forced zeros
+# kill nothing, and no two tuples part in every factor, so there is no
+# perfect matching. Only the program finds it semistable.
+HALF = [(1, 1, 2), (1, 2, 1), (2, 1, 1), (2, 2, 2)]
+
 # Unstable supports that use every index and that forced zeros leave
 # undecided, found by a seeded search over random supports: only the program
 # tells them apart from semistable ones.
@@ -474,6 +496,16 @@ UNDECIDED_UNSTABLE = [
      (3, 2, 1, 2), (3, 3, 2, 1), (3, 3, 3, 4), (3, 3, 4, 1), (3, 4, 2, 1), (4, 1, 2, 2),
      (4, 4, 3, 2), (4, 4, 3, 3), (4, 4, 4, 3)],
 ]
+
+
+def large_undecided():
+    """Two supports of 120 tuples that forced zeros and the matching search
+    leave undecided: HALF plus 116 tuples over dims 5, semistable, and the
+    second unstable support plus 105 tuples over dims 4, unstable."""
+    for part, d, n, k in ((HALF, 3, 5, 116), (UNDECIDED_UNSTABLE[1], 4, 4, 105)):
+        pool = list(itertools.product(range(1, n + 1), repeat=d))
+        yield direct_sum(TensorSupport(d, max(map(max, part)), part),
+                         TensorSupport(d, n, random.Random(0).sample(pool, k)))
 
 
 class TestColumnOrder:
@@ -533,21 +565,25 @@ class TestColumnOrder:
                 v = SymmetricSupport(degree=d, nvars=n, exponents=exps)
                 verdict = is_symm_torus_semistable(v)
             largest = max(largest, check(kind, v, verdict))
-        # forced zeros decide every drawn tensor that is unstable, so two
-        # unstable supports they leave undecided take the program too
-        for tuples in UNDECIDED_UNSTABLE:
+        # forced zeros and the matching search decide every drawn tensor but
+        # small ones, so supports they leave undecided take the program too
+        for tuples in [HALF, *UNDECIDED_UNSTABLE]:
             v = TensorSupport(order=len(tuples[0]), dims=max(map(max, tuples)), tuples=tuples)
             verdict = is_torus_semistable(v)
-            assert verdict is False and check("tensor", v, verdict)
+            assert verdict is (tuples is HALF) and check("tensor", v, verdict)
+        for v in large_undecided():
+            largest = max(largest, check("tensor", v, is_torus_semistable(v)))
         assert largest >= 120
         assert verdicts == {"tensor": {True, False}, "form": {True, False}}
 
     def test_half_the_pivots_of_the_sorted_order(self, monkeypatch):
         # three 6x6x6x6 supports of 120 tuples: 159 phase-one pivots in the
-        # difference-class order against 700 in the sorted order
+        # difference-class order against 700 in the sorted order. Each has a
+        # perfect matching, so the search is switched off to reach the program.
         pivots = []
         pivot = exactlp._pivot
         monkeypatch.setattr(exactlp, "_pivot", lambda *a: pivots.append(1) or pivot(*a))
+        monkeypatch.setattr(tensors, "_matching", lambda *a: None)
         pool = list(itertools.product(range(1, 7), repeat=4))
         ordered = sorted_order = 0
         for seed in range(3):
@@ -558,7 +594,7 @@ class TestColumnOrder:
             pivots.clear()
             assert exactlp._feasible(*sorted_order_program(v)) is verdict
             sorted_order += len(pivots)
-        assert 2 * ordered <= sorted_order
+        assert 0 < 2 * ordered <= sorted_order
 
 
 def seeded_supports():
@@ -585,18 +621,45 @@ def difference_class_program(support):
 
 
 class TestForcedZeros:
-    """Forced zeros decide a tensor verdict only as the full program would,
-    and every program still built is the one built before them."""
+    """Forced zeros and the matching search decide a tensor verdict only as
+    the full program would, and every program still built is the one built
+    before them."""
 
-    def test_decisions_equal_the_full_program(self):
-        decisions, shapes = {True: 0, False: 0, None: 0}, set()
+    def test_decisions_equal_the_full_program(self, monkeypatch):
+        matchings = []
+        matching = tensors._matching
+        monkeypatch.setattr(tensors, "_matching",
+                            lambda *a: matchings.append(matching(*a)) or matchings[-1])
+        decisions, shapes = {True: 0, "matched": 0, False: 0, None: 0}, set()
         for v in seeded_supports():
-            decided = tensors._forced_zeros(v)
+            decided = forced_zeros(v)
             assert decided in (None, exactlp._feasible(*sorted_order_program(v))), v
-            decisions[decided] += 1
+            matched = bool(matchings) and matchings.pop() is not None
+            assert not matchings and (decided is True or not matched)
+            decisions["matched" if matched else decided] += 1
             shapes.add((v.dims == 1, v.order == 1))
         assert all(decisions.values()), decisions
         assert shapes == {(True, True), (True, False), (False, True), (False, False)}
+
+    def test_matchings_use_each_index_once(self, monkeypatch):
+        # the certificate of a matched verdict, checked by counting alone:
+        # the n tuples found use each index of each factor exactly once, so
+        # theta' = 1 on them meets every marginal
+        matchings = []
+        matching = tensors._matching
+        monkeypatch.setattr(tensors, "_matching",
+                            lambda *a: matchings.append(matching(*a)) or matchings[-1])
+        found = 0
+        for v in seeded_supports():
+            if forced_zeros(v) is True and matchings and matchings[-1] is not None:
+                n, chosen = v.dims, matchings[-1]
+                tuples = [t for c, t in enumerate(v.sorted_tuples) if chosen >> c & 1]
+                assert chosen.bit_length() <= len(v.tuples), v
+                for column in zip(*tuples):
+                    assert sorted(column) == list(range(1, n + 1)), v
+                found += 1
+            matchings.clear()
+        assert found >= 700
 
     def test_undecided_supports_build_the_same_program(self, monkeypatch):
         programs = []
@@ -604,7 +667,7 @@ class TestForcedZeros:
         monkeypatch.setattr(tensors, "_feasible", lambda *a: programs.append(a) or feasible(*a))
         built = 0
         for v in seeded_supports():
-            decided = tensors._forced_zeros(v)
+            decided = forced_zeros(v)
             verdict = is_torus_semistable(v)
             if decided is None:
                 assert programs == [difference_class_program(v)], v
@@ -614,15 +677,36 @@ class TestForcedZeros:
             programs.clear()
         assert built
 
-    def test_large_supports_are_left_to_the_program(self):
+    def test_large_supports_are_matched(self, monkeypatch):
+        # three 6x6x6x6 draws of 120 tuples: forced zeros kill nothing, and
+        # the search finds a perfect matching within 7, 30 and 7 choices
+        nodes = []
+        choose = tensors._choose
+        monkeypatch.setattr(tensors, "_choose", lambda *a: nodes.append(1) or choose(*a))
+        monkeypatch.setattr(tensors, "_feasible", no_program)
         pool = list(itertools.product(range(1, 7), repeat=4))
         for seed in range(3):
             v = TensorSupport(order=4, dims=6, tuples=random.Random(seed).sample(pool, 120))
-            assert tensors._forced_zeros(v) is None
+            assert is_torus_semistable(v) is True
+            assert 0 < len(nodes) <= 30
+            nodes.clear()
+
+    def test_large_supports_are_left_to_the_program(self, monkeypatch):
+        nodes, matchings = [], []
+        choose, matching = tensors._choose, tensors._matching
+        monkeypatch.setattr(tensors, "_choose", lambda *a: nodes.append(1) or choose(*a))
+        monkeypatch.setattr(tensors, "_matching",
+                            lambda *a: matchings.append(matching(*a)) or matchings[-1])
+        for v in large_undecided():
+            assert forced_zeros(v) is None and matchings == [None]
+            matchings.clear()
+        # the search gives up within its budget of one choice per tuple
         rng, tuples = random.Random(1), set()
         while len(tuples) < 999:
             tuples.add(tuple(rng.randint(1, 25) for _ in range(4)))
-        assert tensors._forced_zeros(TensorSupport(order=4, dims=25, tuples=tuples)) is None
+        nodes.clear()
+        assert forced_zeros(TensorSupport(order=4, dims=25, tuples=tuples)) is None
+        assert matchings == [None] and len(nodes) == 999
 
 
 @pytest.mark.parametrize("call, message", [
