@@ -625,11 +625,16 @@ class TestForcedZeros:
     the full program would, and every program still built is the one built
     before them."""
 
-    def test_decisions_equal_the_full_program(self, monkeypatch):
-        matchings = []
+    @pytest.fixture
+    def matchings(self, monkeypatch):
+        """Every answer of `tensors._matching`, in call order."""
+        answers = []
         matching = tensors._matching
         monkeypatch.setattr(tensors, "_matching",
-                            lambda *a: matchings.append(matching(*a)) or matchings[-1])
+                            lambda *a: answers.append(matching(*a)) or answers[-1])
+        return answers
+
+    def test_decisions_equal_the_full_program(self, matchings):
         decisions, shapes = {True: 0, "matched": 0, False: 0, None: 0}, set()
         for v in seeded_supports():
             decided = forced_zeros(v)
@@ -641,14 +646,10 @@ class TestForcedZeros:
         assert all(decisions.values()), decisions
         assert shapes == {(True, True), (True, False), (False, True), (False, False)}
 
-    def test_matchings_use_each_index_once(self, monkeypatch):
+    def test_matchings_use_each_index_once(self, matchings):
         # the certificate of a matched verdict, checked by counting alone:
         # the n tuples found use each index of each factor exactly once, so
         # theta' = 1 on them meets every marginal
-        matchings = []
-        matching = tensors._matching
-        monkeypatch.setattr(tensors, "_matching",
-                            lambda *a: matchings.append(matching(*a)) or matchings[-1])
         found = 0
         for v in seeded_supports():
             if forced_zeros(v) is True and matchings and matchings[-1] is not None:
@@ -678,7 +679,7 @@ class TestForcedZeros:
         assert built
 
     def test_large_supports_are_matched(self, monkeypatch):
-        # three 6x6x6x6 draws of 120 tuples: forced zeros kill nothing, and
+        # three 6x6x6x6 draws of 120 tuples: forced zeros stall on each, and
         # the search finds a perfect matching within 7, 30 and 7 choices
         nodes = []
         choose = tensors._choose
@@ -691,12 +692,10 @@ class TestForcedZeros:
             assert 0 < len(nodes) <= 30
             nodes.clear()
 
-    def test_large_supports_are_left_to_the_program(self, monkeypatch):
-        nodes, matchings = [], []
-        choose, matching = tensors._choose, tensors._matching
+    def test_large_supports_are_left_to_the_program(self, matchings, monkeypatch):
+        nodes = []
+        choose = tensors._choose
         monkeypatch.setattr(tensors, "_choose", lambda *a: nodes.append(1) or choose(*a))
-        monkeypatch.setattr(tensors, "_matching",
-                            lambda *a: matchings.append(matching(*a)) or matchings[-1])
         for v in large_undecided():
             assert forced_zeros(v) is None and matchings == [None]
             matchings.clear()
