@@ -44,29 +44,34 @@ Both programs are solved over a multiple of theta with integer marginals:
 n * theta for a tensor, whose marginals are then 1, and (n / g) * theta for
 a form, g = gcd(n, d), whose point is then (d / g, ..., d / g).
 
-Forced zeros decide most tensor verdicts with no program. Call a tuple
-live while theta' may still be positive on it. Every marginal row of a
-tensor is 0/1 with right side 1, so if every live tuple with index j in
-factor i also has index j2 in factor i2, the two marginals equal to 1
-force theta' = 0 on every other tuple with index j2 in factor i2. Each
-such kill follows from two equalities and theta' >= 0, so it holds for
-every feasible theta', and the rule runs until no kill is left. An index
-of some factor left with no live tuple has marginal 0,
-not 1: unstable (with no tuple at all, lam_i = 1 - n * e_j, every other
-factor zero, is traceless and pairs exactly 1 with every tuple). Exactly
-n live tuples with no index left empty use each index of each factor once,
-so theta' = 1 on them is feasible: semistable. When the kills stall, a
-bounded depth-first search looks for n live tuples that part in every
-factor, a perfect d-dimensional matching (for d = 2, a permutation matrix
-inside the support, as in Birkhoff-von Neumann). Such tuples again use
-each index of each factor once, so theta' = 1 on them meets every
-marginal: semistable. The search gives up after one choice per support
-tuple, and then, as when it finds none, the program decides: a support
-can be semistable with no perfect matching, its theta' fractional.
-If no exponent vector uses variable j of a form, mu = 1 - n * e_j
-is traceless and pairs d >= 1 with every exponent, so that form is
-unstable with no program. Both first steps read the support alone, so a
-header with a huge n and a short support is decided at once.
+Most tensor verdicts are decided with no program, in three steps. An
+index of some factor that no tuple uses has marginal 0, not 1: unstable
+(lam_i = 1 - n * e_j, every other factor zero, is traceless and pairs
+exactly 1 with every tuple); fewer tuples than n leave one unused. Then a
+bounded depth-first search looks for n tuples that part in every factor,
+a perfect d-dimensional matching (for d = 2, a permutation matrix inside
+the support, as in Birkhoff-von Neumann). Such tuples use each index of
+each factor once, so theta' = 1 on them meets every marginal: semistable.
+The search gives up after one choice per support tuple. Only when it finds
+none do forced zeros run. Call a tuple live while theta' may still be
+positive on it. Every marginal row of a tensor is 0/1 with right side 1,
+so if every live tuple with index j in factor i also has index j2 in
+factor i2, the two marginals equal to 1 force theta' = 0 on every other
+tuple with index j2 in factor i2. Each such kill follows from two
+equalities and theta' >= 0, so it holds for every feasible theta', and
+the rule runs until no kill is left. An index left with no live tuple is
+unstable, as above; exactly n live tuples with no index left empty use
+each index of each factor once, so theta' = 1 on them is feasible. A
+perfect matching is itself a feasible theta', so no kill removes its
+tuples: running the search first decides True wherever it would have
+after the kills, and on a support the rest leave open the program is
+built over the live tuples alone, since every feasible theta' is zero on
+the dead ones. A support can be semistable with no perfect matching, its
+theta' fractional; the program decides those. If no exponent vector uses
+variable j of a form, mu = 1 - n * e_j is traceless and pairs d >= 1 with
+every exponent, so that form is unstable with no program. Both first
+steps read the support alone, so a header with a huge n and a short
+support is decided at once.
 
 Every public function that takes a support raises InputError
 "not a tensor support: ..." or "not a symmetric support: ..." when handed
@@ -252,26 +257,33 @@ def _arrangements(m: tuple[int, ...]) -> list[tuple[int, ...]]:
         out.append(tuple(a))
 
 
-def _forced_zeros(tuples: tuple[tuple[int, ...], ...], n: int) -> bool | None:
-    """The semistability verdict of the support `tuples` over dims n when
-    forced zeros or a perfect matching decide it, else None.
+def _forced_zeros(tuples: tuple[tuple[int, ...], ...], n: int) -> bool | list[tuple[int, ...]]:
+    """The semistability verdict of the support `tuples` over dims n when an
+    unused index, a perfect matching or forced zeros decide it, else the
+    live tuples, those whose theta' may still be positive.
 
-    Bit c of every mask is tuple c. A class is the mask of the tuples with
-    index j in factor i, built only for the indices that occur, and `alive`
-    the tuples whose theta' may be positive. A live class inside another
-    class kills that class's other tuples (module docstring), until no kill
-    is left: an empty live class is False, and n live tuples with none
-    empty is True. When the kills stall, a matching among the live tuples
-    (`_matching`) is True, and none found leaves the verdict to the program.
+    Fewer tuples than n are False, and bound the masks built. Bit c of
+    every mask is tuple c, and class i * n + j - 1 is the mask of the tuples
+    with index j in factor i, built factor by factor from the tuples as
+    given, unsorted. An empty class is False, and a matching among all the
+    tuples (`_matching`) is True. Only when the search finds none do the
+    kills run: a live class inside another class kills that class's other
+    tuples (module docstring), until no kill is left. An empty live class
+    is then False, and n live tuples with none empty True.
     """
+    if n > len(tuples):
+        return False
     classes = []
     for column in zip(*tuples):
-        masks = {}
-        for c, j in enumerate(column):
-            masks[j] = masks.get(j, 0) | 1 << c
-        if len(masks) < n:
-            return False
-        classes += masks.values()
+        masks, bit = [0] * n, 1
+        for j in column:
+            masks[j - 1] |= bit
+            bit <<= 1
+        classes += masks
+    if not all(classes):
+        return False
+    if _matching(classes, len(tuples)) is not None:
+        return True
     alive = (1 << len(tuples)) - 1
     while True:
         live = [m & alive for m in classes]
@@ -285,7 +297,7 @@ def _forced_zeros(tuples: tuple[tuple[int, ...], ...], n: int) -> bool | None:
                 if c & other == c:
                     alive &= ~(other & ~c)
         if alive == before:
-            return True if _matching(live, len(tuples)) else None
+            return [t for c, t in enumerate(tuples) if alive >> c & 1]
 
 
 def _matching(live: list[int], nodes: int) -> int | None:
@@ -330,26 +342,26 @@ def is_torus_semistable(support: TensorSupport) -> bool:
     convex weights theta on the support tuples put mass 1/n on every index j
     of every factor i (torus semistability for the product of SL(n)'s).
 
-    Decided with no program when forced zeros or a perfect matching settle
-    it (`_forced_zeros`): False when some factor i leaves an index j
-    unused, or when the kills leave it no live tuple; True when exactly n
-    tuples stay live, or when the search (`_matching`) finds n live tuples
-    that part in every factor. On the benchmark's semistable pool at seed 1
-    that settles 322 of the 336 tensor supports: 192 by forced zeros, 122
-    of them ones that use every index, and 130 by a matching. The 14 left
-    are 11 semistable supports with no perfect matching and 3 unstable ones.
+    Decided with no program when an unused index, a perfect matching or
+    forced zeros settle it (`_forced_zeros`): False when some factor i
+    leaves an index j unused; True when the search (`_matching`) finds n
+    tuples that part in every factor; else, after the kills, False when an
+    index has no live tuple left and True when exactly n tuples stay live.
+    On the benchmark's semistable pool at seed 1 that settles 322 of the
+    336 tensor supports: 70 by an unused index, 174 by a matching and 78 by
+    the kills. The 14 left are 11 semistable supports with no perfect
+    matching and 3 unstable ones; the kills shrink 7 of them.
 
     Otherwise one exact feasibility program over theta' = n * theta, with a
-    variable per support tuple, dead ones included, and the integer rows
-    sum(theta') = n and, for every factor, the marginals of j = 1..n-1
-    equal to 1; the marginal of index n follows from those, and a row
-    implied by the others would only leave an artificial to drive out after
-    phase one. The 0/1 marginal rows are built one factor at a time, by
-    setting the entry of each tuple's index. Neither n = 1 nor d = 1 is
-    special: with n = 1 only sum(theta') = 1 remains, which every support
-    meets (SL(1) is trivial), and with d = 1 a support that uses every index
-    is all n basis vectors, which theta' = 1 meets (both are decided before
-    any program).
+    variable per live tuple, and the integer rows sum(theta') = n and, for
+    every factor, the marginals of j = 1..n-1 equal to 1; the marginal of
+    index n follows from those, and a row implied by the others would only
+    leave an artificial to drive out after phase one. The 0/1 marginal rows
+    are built one factor at a time, by setting the entry of each tuple's
+    index. Neither n = 1 nor d = 1 is special: with n = 1 only
+    sum(theta') = 1 remains, which every support meets (SL(1) is trivial),
+    and with d = 1 a support that uses every index is all n basis vectors,
+    which theta' = 1 meets (both are decided before any program).
 
     The columns are the tuples grouped by difference class, the tuple of
     (t_i - t_1) mod n, classes in order and each class by t_1. Two tuples
@@ -359,16 +371,16 @@ def is_torus_semistable(support: TensorSupport) -> bool:
     the lexicographic order, whose neighbours share indices (on the
     benchmark's semistable pool at seed 1 before forced zeros, 3,116
     phase-one pivots against 4,348; on a 999-tuple support of order 4 over
-    dims 25, 1,937 against 47,032). Only the verdict is returned, and feasibility does not depend
-    on the order of the variables, so the order moves no answer.
+    dims 25, 1,937 against 47,032). Only the verdict is returned, and
+    feasibility does not depend on the order of the variables, so the order
+    moves no answer. Only the live tuples are sorted, and only here.
     """
     expect(support, TensorSupport, "tensor support")
     n, d = support.dims, support.order
-    tuples = support.sorted_tuples
-    verdict = _forced_zeros(tuples, n)
-    if verdict is not None:
-        return verdict
-    tuples = sorted(tuples, key=lambda t: [(x - t[0]) % n for x in t])
+    live = _forced_zeros(tuple(support.tuples), n)
+    if isinstance(live, bool):
+        return live
+    tuples = sorted(live, key=lambda t: ([(x - t[0]) % n for x in t], t))
     rows = [(1,) * len(tuples)]
     for i in range(d):
         marginals = [[0] * len(tuples) for _ in range(n - 1)]
@@ -404,7 +416,7 @@ def is_symm_torus_semistable(support: SymmetricSupport) -> bool:
     order of the variables, so the order moves no answer.
     """
     expect(support, SymmetricSupport, "symmetric support")
-    rows = tuple(zip(*sorted(support.sorted_exponents, key=lambda m: sum(map(mul, m, m)))))
+    rows = tuple(zip(*sorted(support.exponents, key=lambda m: (sum(map(mul, m, m)), m))))
     if not all(map(any, rows)):
         return False
     n, d = support.nvars, support.degree

@@ -27,5 +27,6 @@ def test_semistable_pool_at_seed_1():
     assert table["missing_index"] == {"operations": 48, "solves": 0, "pivots": 0}
     # 4,348 in the lexicographic column order, 3,116 by difference class,
     # 1,524 once forced zeros decide 122 of those programs' supports, 573
-    # once the matching search decides 130 more
-    assert 0 < total["pivots"] <= 600
+    # once the matching search decides 130 more, 536 once the 14 programs
+    # left hold only the tuples the kills leave live
+    assert 0 < total["pivots"] <= 536

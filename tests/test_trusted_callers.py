@@ -193,7 +193,7 @@ def test_tensor_ranks_and_semistability(calls):
             alpha = [rng.choice((1, 2, F(1, 2), F(3, 2), F(5, 3))) for _ in range(support.order)]
         torus_rank(support, alpha)
         verdict = is_torus_semistable(support)
-        if tensors._forced_zeros(support.sorted_tuples, support.dims) is not None:
+        if live_tuples(support) is None:
             assert check_all(calls) == {"slope"}
             assert verdict is feasible(*old_tensor_program(support))
             decided += 1
@@ -316,6 +316,13 @@ def old_tensor_program(support):
     return rows, (1,) + (F(1, n),) * (len(rows) - 1)
 
 
+def live_tuples(support):
+    """The tuples `is_torus_semistable` builds its program over, the ones
+    forced zeros leave live, or None when it decides with no program."""
+    live = tensors._forced_zeros(tuple(support.tuples), support.dims)
+    return None if isinstance(live, bool) else live
+
+
 def old_form_program(form):
     """Every marginal sum_m theta_m * m_j equal to d/n, one column per
     exponent vector m, by sum(m_j^2) and then in lexicographic order."""
@@ -363,7 +370,7 @@ def test_integer_programs_take_the_fractional_pivots(monkeypatch):
         rows, rhs = old_tensor_program(support)
         same_verdict(lambda: is_torus_semistable(support),
                      lambda: feasible(rows, rhs), "tensor",
-                     tensors._forced_zeros(support.sorted_tuples, support.dims) is not None)
+                     live_tuples(support) is None)
         alpha = [rng.choice((1, 2, F(1, 2), F(3, 2), F(5, 3))) for _ in range(support.order)]
         cost = [a for a in alpha for _ in range(support.dims)]
         same_path(lambda: torus_rank(support, alpha),
@@ -390,8 +397,9 @@ def test_integer_programs_take_the_fractional_pivots(monkeypatch):
     dense, left = random.Random(20261107), 0
     while left < 30:
         support = dense_tensor(dense)
-        if tensors._forced_zeros(support.sorted_tuples, support.dims) is None:
-            rows, rhs = old_tensor_program(support)
+        live = live_tuples(support)
+        if live is not None:
+            rows, rhs = old_tensor_program(TensorSupport(support.order, support.dims, live))
             same_verdict(lambda: is_torus_semistable(support),
                          lambda: feasible(rows, rhs), "tensor", False)
             left += 1

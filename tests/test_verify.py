@@ -1,7 +1,9 @@
+import random
 from fractions import Fraction as F
 
 import pytest
 
+from stablerank import tensors, verify
 from stablerank.errors import InputError
 from stablerank.fileformat import parse_input
 from stablerank.verify import (
@@ -69,6 +71,18 @@ class TestSuitesPass:
         assert kinds == {"semistable/tensor", "semistable/symm"}
         for r in reports:
             _assert_instance_parses(r)
+
+    def test_semistable_draws_reach_the_matching_search(self, monkeypatch):
+        # The suite's tensors are small (n <= 3, at most 5 tuples), and the
+        # search runs before any kill, so most draws reach it: a fault in
+        # the search then shows in the comparison with rank = n.
+        calls = []
+        matching = tensors._matching
+        monkeypatch.setattr(tensors, "_matching", lambda *a: calls.append(1) or matching(*a))
+        rng = random.Random(1)
+        for _ in range(4000):
+            tensors.is_torus_semistable(verify._random_tensor(rng))
+        assert len(calls) >= 2000
 
     def test_monomial_lct(self):
         reports = run_suite("monomial-lct", SEED, CASES)
