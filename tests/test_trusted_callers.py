@@ -395,7 +395,7 @@ def test_integer_programs_take_the_fractional_pivots(monkeypatch):
             same_path(lambda: t_stable_rank(ideal),
                       lambda: slope(cost, ideal.generators), same_slope)
     dense, left = random.Random(20261107), 0
-    while left < 30:
+    for _ in range(1000):  # bounded, so a fault that decides every draw fails
         support = dense_tensor(dense)
         live = live_tuples(support)
         if live is not None:
@@ -403,6 +403,9 @@ def test_integer_programs_take_the_fractional_pivots(monkeypatch):
             same_verdict(lambda: is_torus_semistable(support),
                          lambda: feasible(rows, rhs), "tensor", False)
             left += 1
+            if left == 30:
+                break
+    assert left == 30
     assert all(v == {True, False} for v in verdicts.values()), verdicts
     # every `random_tensor` draw is decided first, so only the dense draws
     # reach the program
