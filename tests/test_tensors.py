@@ -475,7 +475,7 @@ def forced_zeros(support):
     return decided if isinstance(decided, bool) else None
 
 
-def live_tuples(support):
+def live_by_sets(support):
     """The tuples the kill rule leaves live, by sets: while every live tuple
     with index j in factor i has index j2 in factor i2, the other live
     tuples with index j2 in factor i2 die. Only for supports whose every
@@ -646,7 +646,7 @@ def difference_class_program(support):
 class TestForcedZeros:
     """Forced zeros and the matching search decide a tensor verdict only as
     the full program would, and every program still built is the one built
-    before them."""
+    before them, over the tuples the kills leave live."""
 
     @pytest.fixture
     def matchings(self, monkeypatch):
@@ -660,7 +660,8 @@ class TestForcedZeros:
     def test_decisions_equal_the_full_program(self, matchings):
         # the search runs before any kill, and a kill never removes a
         # matching's tuples, so every True is a matching: n live tuples left
-        # by the kills would be one the search found first
+        # by the kills would be a matching the search, within its budget on
+        # supports this small, found first
         decisions, shapes = {"matched": 0, False: 0, None: 0}, set()
         for v in seeded_supports():
             decided = forced_zeros(v)
@@ -699,7 +700,7 @@ class TestForcedZeros:
             decided = forced_zeros(v)
             verdict = is_torus_semistable(v)
             if decided is None:
-                live = TensorSupport(v.order, v.dims, live_tuples(v))
+                live = TensorSupport(v.order, v.dims, live_by_sets(v))
                 assert programs == [difference_class_program(live)], v
                 assert verdict is exactlp._feasible(*difference_class_program(v)), v
                 built += 1
