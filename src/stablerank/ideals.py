@@ -53,7 +53,7 @@ import itertools
 import math
 from collections.abc import Callable, Iterable, Mapping, Sequence
 from fractions import Fraction
-from operator import mul
+from operator import le, mul
 
 from .errors import InputError
 from .exactlp import (
@@ -63,7 +63,15 @@ from .exactlp import (
     _slope,
     lp_minimize,
 )
-from .rationals import cleared, collection, expect, integers, rational, rationals
+from .rationals import (
+    cleared,
+    collection,
+    expect,
+    integer_vectors,
+    integers,
+    rational,
+    rationals,
+)
 
 __all__ = [
     "SparsePolynomial",
@@ -241,15 +249,19 @@ class MonomialIdeal:
 
     def __init__(self, nvars: int, generators: Iterable[Sequence[int]]):
         (nvars,) = integers((nvars,), "ideal nvars", low=1)
-        raw = sorted({integers(g, "exponent vector", nvars, low=0)
-                      for g in collection(generators, "ideal generators")})
+        raw = sorted(set(integer_vectors(generators, "ideal generators",
+                                         "exponent vector", nvars, 0)))
         if not raw:
             raise InputError("a monomial ideal needs at least one generator")
-        minimal = [
-            g
-            for g in raw
-            if not any(h != g and all(a <= b for a, b in zip(h, g)) for h in raw)
-        ]
+        # a proper divisor sorts before its multiple, so testing each vector
+        # against the generators kept so far keeps exactly the minimal ones
+        minimal: list[tuple[int, ...]] = []
+        for g in raw:
+            for h in minimal:
+                if all(map(le, h, g)):
+                    break
+            else:
+                minimal.append(g)
         self.nvars = nvars
         self.generators = tuple(minimal)
 

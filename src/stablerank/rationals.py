@@ -16,7 +16,14 @@ tuple, an exponent vector, a weight vector, a program row) or a size field
 (an order, a degree, a variable count) with one call to `integers` or
 `rationals`, and a library object (a support, a polynomial, a program, a
 document) with one call to `expect`, so each kind of fault has one wording
-wherever it is raised, a file parser included:
+wherever it is raised, a file parser included. A whole collection of
+integer vectors (a tensor or symmetric support, a monomial ideal's
+generators) goes through `integer_vectors`, which applies the same rule:
+it returns what `integers` would return for each vector, and accepts the
+caller's tuples as they are, in a few passes over the whole collection,
+only when `integers` would return every one of them unchanged. Any other
+collection goes through `integers` vector by vector, the one place that
+coerces a value or words an error:
 
     not a <what>: <value>
     <what>: expected a collection, got <value>
@@ -35,6 +42,7 @@ from __future__ import annotations
 import math
 import re
 from fractions import Fraction
+from itertools import chain
 
 from .errors import InputError
 
@@ -89,6 +97,24 @@ def integers(values, what: str, length: int | None = None, low: int | None = Non
             out = tuple([_integer(v, what) for v in out])
             break
     return _bounded(out, what, length, low, high)
+
+
+def integer_vectors(values, what: str, vector: str, length: int, low: int,
+                    high: int | None = None) -> tuple[tuple[int, ...], ...]:
+    """`values`, a collection of vectors, as the tuple of `integers(v, vector,
+    length, low, high)` for each vector v in order. When every vector is a
+    tuple of `length` entries, every entry's type is exactly int, and every
+    entry lies in the bounds, each of those calls would return its vector
+    itself, so the caller's tuples are returned as they are; otherwise the
+    calls are made, and the first vector that fails raises their error."""
+    out = collection(values, what)
+    if set(map(type, out)) == {tuple} and set(map(len, out)) == {length}:
+        flat = list(chain.from_iterable(out))
+        if set(map(type, flat)) == {int}:
+            entries = set(flat)
+            if min(entries) >= low and (high is None or max(entries) <= high):
+                return out
+    return tuple([integers(v, vector, length, low, high) for v in out])
 
 
 def _integer(value, what: str) -> int:

@@ -88,7 +88,7 @@ from operator import mul
 
 from .errors import InputError
 from .exactlp import SlopeResult, _feasible, _slope
-from .rationals import collection, expect, integers, rationals
+from .rationals import collection, expect, integer_vectors, integers, rationals
 
 __all__ = [
     "TensorSupport",
@@ -112,10 +112,8 @@ class TensorSupport:
 
     def __post_init__(self):
         order, dims = integers((self.order, self.dims), "tensor order and dims", low=1)
-        seen = frozenset(
-            integers(t, "tensor support tuple", order, low=1, high=dims)
-            for t in collection(self.tuples, "tensor support")
-        )
+        seen = frozenset(integer_vectors(self.tuples, "tensor support",
+                                         "tensor support tuple", order, 1, dims))
         if not seen:
             raise InputError("tensor support must be nonempty")
         object.__setattr__(self, "order", order)
@@ -148,13 +146,11 @@ class SymmetricSupport:
 
     def __post_init__(self):
         degree, nvars = integers((self.degree, self.nvars), "form degree and nvars", low=1)
-        exponents = tuple(integers(m, "exponent vector", nvars, low=0)
-                          for m in collection(self.exponents, "symmetric support"))
-        for m in exponents:
-            if sum(m) != degree:
-                raise InputError(
-                    f"exponent vector {m} sums to {sum(m)}, expected degree {degree}"
-                )
+        exponents = integer_vectors(self.exponents, "symmetric support",
+                                    "exponent vector", nvars, 0)
+        if not set(map(sum, exponents)) <= {degree}:
+            m = next(m for m in exponents if sum(m) != degree)
+            raise InputError(f"exponent vector {m} sums to {sum(m)}, expected degree {degree}")
         if not exponents:
             raise InputError("symmetric support must be nonempty")
         object.__setattr__(self, "degree", degree)
@@ -175,9 +171,7 @@ def torus_valuation(support: TensorSupport, weights) -> int:
         raise InputError(
             f"weight assignment has {len(rows)} vectors, expected {support.order}"
         )
-    return min(
-        sum(rows[i][j - 1] for i, j in enumerate(t)) for t in support.sorted_tuples
-    )
+    return min(sum(rows[i][j - 1] for i, j in enumerate(t)) for t in support.tuples)
 
 
 def _support_rows(support: TensorSupport) -> tuple[tuple[int, ...], ...]:

@@ -5,8 +5,9 @@ its own Gauss-Jordan elimination in plain Fractions. It shares no code with
 `lp_minimize`: no packed rows, no pivot kernel, no ratio test, no pivot rule
 and no route choice. `inverse` is the exact inverse of a matrix, which the
 tests of linear changes take from here, since the library only checks that
-a matrix is invertible. The tests import it as `oracle`, from this
-directory.
+a matrix is invertible. `minimal_generators` is the quadratic divisibility
+filter that `MonomialIdeal`'s one-pass minimalisation is checked against.
+The tests import it as `oracle`, from this directory.
 """
 
 import math
@@ -47,6 +48,17 @@ def inverse(matrix) -> list[list[Fraction]] | None:
     singular."""
     n = len(matrix)
     return solve(matrix, [[int(i == j) for j in range(n)] for i in range(n)])
+
+
+def minimal_generators(vectors) -> list[tuple[int, ...]]:
+    """The sorted distinct exponent vectors that no other one divides: each
+    is compared with every other, entry by entry."""
+    raw = sorted(set(vectors))
+    return [
+        g
+        for g in raw
+        if not any(h != g and all(a <= b for a, b in zip(h, g)) for h in raw)
+    ]
 
 
 def oracle_minimum_over_vertices(

@@ -126,6 +126,21 @@ class TestRankIdeal:
         assert captured.out == ""
         assert captured.err == "error: line 1: linear change matrix is singular\n"
 
+    # a linear change of a deep power: both routes reach the recursive
+    # `form_power`, which ends in RecursionError (exit 3) until ROADMAP
+    # item 5a makes it iterative; these then pass, and the marks go
+    @pytest.mark.xfail(strict=True, reason="RecursionError in form_power (ROADMAP item 5a)")
+    @pytest.mark.parametrize("ideal, matrix", [
+        ("pideal 1\n1 : 1200\n", "matrix 1\n2\n"),
+        ("mideal 2\n1200 0\n0 1\n", "matrix 2\n1 0\n0 1\n"),
+    ], ids=["pideal", "mideal"])
+    def test_deep_power_under_a_change_ends_in_an_answer(self, tmp_path, capsys, ideal, matrix):
+        (tmp_path / "ideal.txt").write_text(ideal)
+        (tmp_path / "matrix.txt").write_text(matrix)
+        code = run(["rank", "ideal", str(tmp_path / "ideal.txt"),
+                    "--change", str(tmp_path / "matrix.txt")])
+        assert code in (0, 2), capsys.readouterr().err
+
 
 class TestLct:
     def test_cyclic(self, files, capsys):

@@ -455,6 +455,34 @@ class TestIdealAlgebra:
     def test_normalization_drops_divisible_generators(self):
         assert mono(2, (1, 0), (2, 0), (1, 1)) == mono(2, (1, 0))
 
+    def test_minimal_generators_equal_the_quadratic_filter(self):
+        # seeded draws of three kinds, each shuffled: random vectors with
+        # repeats, antichains (vectors of one total degree, none dividing
+        # another) and chains (each vector a multiple of the one before)
+        # with random vectors mixed in
+        rng = random.Random(33)
+        for _ in range(1500):
+            n = rng.randint(1, 4)
+            kind = rng.choice(["random", "antichain", "chain"])
+            if kind == "antichain":
+                degree = rng.randint(1, 5)
+                layer = [e for e in itertools.product(range(degree + 1), repeat=n)
+                         if sum(e) == degree]
+                gens = rng.sample(layer, rng.randint(1, len(layer)))
+            else:
+                gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 10))]
+                gens += rng.choices(gens, k=rng.randint(0, 4))
+                if kind == "chain":
+                    g = gens[0]
+                    for _ in range(rng.randint(1, 6)):
+                        g = tuple(a + rng.randint(0, 2) for a in g)
+                        gens.append(g)
+            rng.shuffle(gens)
+            generators = MonomialIdeal(n, gens).generators
+            assert generators == tuple(oracle.minimal_generators(gens))
+            if kind == "antichain":
+                assert len(generators) == len(gens)
+
     def test_power_scales_rank(self):
         rng = random.Random(17)
         for _ in range(25):

@@ -2,10 +2,15 @@
 denominators, and the integer and rational tokens of files and flags."""
 
 import re
+from collections import namedtuple
 from fractions import Fraction as F
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from stablerank import ideals, tensors
 from stablerank.errors import InputError
 from stablerank.exactlp import LinearProgram, lp_minimize
 from stablerank.fileformat import InputDocument, parse_input, serialize
@@ -22,7 +27,14 @@ from stablerank.ideals import (
     newton_threshold,
     t_stable_rank,
 )
-from stablerank.rationals import cleared, parse_integer, parse_rational
+from stablerank.rationals import (
+    cleared,
+    collection,
+    integer_vectors,
+    integers,
+    parse_integer,
+    parse_rational,
+)
 from stablerank.tensors import (
     SymmetricSupport,
     TensorSupport,
@@ -102,6 +114,141 @@ def test_an_error_inside_a_callers_generator_is_not_masked():
 
     with pytest.raises(TypeError, match="^raised by the caller$"):
         TensorSupport(2, 2, tuples())
+
+
+def per_vector(values, what, vector, length, low, high=None):
+    """The rule `integer_vectors` follows: one `integers` call per vector."""
+    return tuple([integers(v, vector, length, low, high) for v in collection(values, what)])
+
+
+class Int(int):
+    pass
+
+
+Pair = namedtuple("Pair", "a b")
+Triple = namedtuple("Triple", "a b c")
+
+
+class Tup(tuple):
+    pass
+
+
+def outcome(make):
+    """The first error's message, or the value with the type of every entry of
+    every vector in it."""
+    try:
+        value = make()
+    except InputError as exc:
+        return "error", str(exc)
+    field = {TensorSupport: "tuples", SymmetricSupport: "exponents", MonomialIdeal: "generators"}
+    vectors = getattr(value, field[type(value)]) if type(value) in field else value
+    return "value", value, sorted([(v, tuple(map(type, v))) for v in vectors], key=lambda p: p[0])
+
+
+def constructors(make_vectors, length, bound):
+    """The three constructors that check a collection of vectors, each
+    called on a fresh collection from `make_vectors`: a tensor support of
+    order `length` and dims `bound`, a symmetric support of degree `bound`
+    in `length` variables, and a monomial ideal in `length` variables."""
+    return [
+        lambda: TensorSupport(length, bound, make_vectors()),
+        lambda: SymmetricSupport(bound, length, make_vectors()),
+        lambda: MonomialIdeal(length, make_vectors()),
+    ]
+
+
+def assert_follows_the_per_vector_rule(make_vectors, length, bound):
+    for make in constructors(make_vectors, length, bound):
+        got = outcome(make)
+        with mock.patch.object(tensors, "integer_vectors", per_vector), \
+                mock.patch.object(ideals, "integer_vectors", per_vector):
+            assert got == outcome(make)
+
+
+SHAPES = {"list": list, "subclass": Tup, "named": lambda v: {2: Pair, 3: Triple}[len(v)](*v)}
+
+
+@st.composite
+def vector_collections(draw):
+    """(make, length, bound): a factory of fresh collections of vectors, each
+    a tensor support of order `length` and dims `bound` or a support of a
+    form of degree `bound` in `length` variables, with at most one fault:
+    an entry `integers` coerces or rejects, a vector of another type or
+    length, or a vector that is no collection."""
+    length, bound = draw(st.integers(1, 3)), draw(st.integers(1, 3))
+    if draw(st.booleans()):
+        vector = st.lists(st.integers(1, bound), min_size=length, max_size=length)
+    else:
+        vector = st.lists(st.integers(0, bound), min_size=length - 1, max_size=length - 1).map(
+            lambda head: head + [bound - sum(head)])
+    vectors = [tuple(v) for v in draw(st.lists(vector, max_size=6))]
+    fault = draw(st.sampled_from(["none", "entry", "shape", "length", "not a collection"]))
+    if vectors and fault != "none":
+        i = draw(st.integers(0, len(vectors) - 1))
+        v = list(vectors[i])
+        if fault == "entry":
+            v[draw(st.integers(0, length - 1))] = draw(st.sampled_from(
+                [True, False, F(1), F(bound), F(1, 2), Int(1), 1.0, "1", -1, 0, bound + 1]))
+            vectors[i] = tuple(v)
+        elif fault == "shape":
+            shape = draw(st.sampled_from(["list", "subclass", "named"] if length > 1
+                                         else ["list", "subclass"]))
+            vectors[i] = SHAPES[shape](v)
+        elif fault == "length":
+            vectors[i] = tuple(v[:-1] if draw(st.booleans()) else v + [1])
+        else:
+            vectors[i] = draw(st.sampled_from([5, None]))
+    container = draw(st.sampled_from([list, tuple, iter]))
+    return (lambda: container(vectors)), length, bound
+
+
+class TestIntegerVectors:
+    @settings(deadline=None, max_examples=300)
+    @given(vector_collections())
+    def test_returns_what_each_vector_check_returns(self, drawn):
+        make, length, bound = drawn
+        values = list(make())
+        for low, high in ((1, bound), (0, None)):
+            got = outcome(lambda: integer_vectors(make(), "vectors", "vector", length, low, high))
+            assert got == outcome(lambda: per_vector(make(), "vectors", "vector", length, low, high))
+            if got[0] == "value":
+                # the caller's own tuple comes back exactly where `integers`
+                # returns it unchanged
+                out = integer_vectors(values, "vectors", "vector", length, low, high)
+                ref = per_vector(values, "vectors", "vector", length, low, high)
+                assert [o is v for o, v in zip(out, values)] == [r is v for r, v in zip(ref, values)]
+
+    @settings(deadline=None, max_examples=300)
+    @given(vector_collections())
+    def test_constructors_follow_the_per_vector_rule(self, drawn):
+        assert_follows_the_per_vector_rule(*drawn)
+
+    @pytest.mark.parametrize("vectors, errors", [
+        ([(1, 1), (2, 0)], ()),
+        ([[1, 1], (2, 0)], ()),
+        ([Tup((1, 1)), (0, 2)], ()),
+        ([Pair(1, 1), Pair(2, 0)], ()),
+        ([(1, True)], ("expected an integer, got True",)),
+        ([(True, 1), (1, 1)], ("expected an integer, got True",)),
+        ([(F(2), 0)], ()),
+        ([(1, 1), (F(1, 2), 1)], ("expected an integer, got Fraction(1, 2)",)),
+        ([(1, 1), (1, 3)], ("expected a value in 1..2, got 3",)),
+        ([(1, 1), (0, 2)], ("expected a value in 1..2, got 0",)),
+        ([(1, 1), (-1, 3)], ("expected a value >= 0, got -1",)),
+        ([(1, 1), (1, 1, 0)], ("expected 2 entries, got 3",)),
+        ([(1, 1), (2,)], ("expected 2 entries, got 1",)),
+        ([(1, 1), 5], ("expected a collection, got 5",)),
+        ([], ("must be nonempty", "needs at least one generator")),
+    ], ids=["tuples", "list", "tuple-subclass", "namedtuple", "bool", "bool-first",
+            "integral-fraction", "half", "above-dims", "below-one", "negative-exponent",
+            "too-long", "too-short", "non-collection", "empty"])
+    def test_explicit_cases(self, vectors, errors):
+        assert_follows_the_per_vector_rule(lambda: list(vectors), 2, 2)
+        assert_follows_the_per_vector_rule(lambda: (v for v in vectors), 2, 2)
+        # every listed fault is raised by some constructor
+        messages = [got[1] for got in map(outcome, constructors(lambda: vectors, 2, 2))
+                    if got[0] == "error"]
+        assert all(any(e in m for m in messages) for e in errors)
 
 
 class TestCleared:
