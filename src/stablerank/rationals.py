@@ -111,6 +111,8 @@ def integer_vectors(values, what: str, vector: str, length: int, low: int,
     if set(map(type, out)) == {tuple} and set(map(len, out)) == {length}:
         flat = list(chain.from_iterable(out))
         if set(map(type, flat)) == {int}:
+            # a set only after the type check: it would merge True or
+            # Fraction(2) into an equal int
             entries = set(flat)
             if min(entries) >= low and (high is None or max(entries) <= high):
                 return out
