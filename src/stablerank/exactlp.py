@@ -63,13 +63,12 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from operator import mul, neg
 
 from .errors import InputError
-from .rationals import cleared, collection, expect, rationals
+from .rationals import Record, cleared, collection, expect, rationals
 
 __all__ = [
     "LinearProgram",
@@ -79,31 +78,27 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class LinearProgram:
+class LinearProgram(Record):
     """min objective . x  s.t.  constraint_rows . x >= rhs, equality_rows . x = equality_rhs, x >= 0.
 
     Entries are kept as given when they are ints or Fractions; other exact
     values (bools, "p/q" strings) are stored as Fractions.
     """
 
-    objective: tuple[int | Fraction, ...]
-    constraint_rows: tuple[tuple[int | Fraction, ...], ...]
-    rhs: tuple[int | Fraction, ...]
-    equality_rows: tuple[tuple[int | Fraction, ...], ...] = ()
-    equality_rhs: tuple[int | Fraction, ...] = ()
+    __slots__ = __match_args__ = ("objective", "constraint_rows", "rhs", "equality_rows",
+                                  "equality_rhs")
 
-    def __post_init__(self):
-        obj = rationals(self.objective, "objective")
+    def __init__(self, objective, constraint_rows, rhs, equality_rows=(), equality_rhs=()):
+        obj = rationals(objective, "objective")
         if not obj:
             raise InputError("objective: at least one variable is required")
         n = len(obj)
         rows = tuple(rationals(row, "constraint row", n)
-                     for row in collection(self.constraint_rows, "constraint rows"))
-        rhs = rationals(self.rhs, "rhs", len(rows))
+                     for row in collection(constraint_rows, "constraint rows"))
+        rhs = rationals(rhs, "rhs", len(rows))
         eq_rows = tuple(rationals(row, "equality row", n)
-                        for row in collection(self.equality_rows, "equality rows"))
-        eq_rhs = rationals(self.equality_rhs, "equality rhs", len(eq_rows))
+                        for row in collection(equality_rows, "equality rows"))
+        eq_rhs = rationals(equality_rhs, "equality rhs", len(eq_rows))
         object.__setattr__(self, "objective", obj)
         object.__setattr__(self, "constraint_rows", rows)
         object.__setattr__(self, "rhs", rhs)
@@ -114,7 +109,7 @@ class LinearProgram:
     def _trusted(cls, objective, constraint_rows, rhs, equality_rows=(), equality_rhs=()) -> "LinearProgram":
         """The program with its fields kept as they are, unchecked: the caller
         guarantees nonempty tuples of ints and Fractions of matching lengths,
-        as `__post_init__` would leave them."""
+        as `__init__` would leave them."""
         program = object.__new__(cls)
         object.__setattr__(program, "objective", objective)
         object.__setattr__(program, "constraint_rows", constraint_rows)
@@ -128,21 +123,23 @@ class LinearProgram:
         return len(self.objective)
 
 
-@dataclass(frozen=True)
-class LpOutcome:
+class LpOutcome(Record):
     """Solver verdict: status is "optimal", "infeasible" or "unbounded".
 
     For an optimal outcome, `vertex` is a basic feasible solution satisfying
     every constraint exactly and `value` equals objective . vertex.
     """
 
-    status: str
-    value: Fraction | None = None
-    vertex: tuple[Fraction, ...] | None = None
+    __slots__ = __match_args__ = ("status", "value", "vertex")
+
+    def __init__(self, status: str, value: Fraction | None = None,
+                 vertex: tuple[Fraction, ...] | None = None):
+        object.__setattr__(self, "status", status)
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "vertex", vertex)
 
 
-@dataclass(frozen=True)
-class SlopeResult:
+class SlopeResult(Record):
     """Result of a fractional slope minimization.
 
     `value` is the exact infimum (`math.inf` when no integer vector has a
@@ -150,8 +147,11 @@ class SlopeResult:
     attaining the value exactly.
     """
 
-    value: Fraction | float
-    witness: tuple[int, ...] | None
+    __slots__ = __match_args__ = ("value", "witness")
+
+    def __init__(self, value: Fraction | float, witness: tuple[int, ...] | None):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "witness", witness)
 
 
 def _integral(program: LinearProgram) -> tuple:

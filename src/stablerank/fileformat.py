@@ -30,12 +30,11 @@ representable document.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import partial
 
 from .errors import InputError, ParseError
 from .ideals import LinearChange, MonomialIdeal, PolyIdeal, SparsePolynomial
-from .rationals import expect, parse_integer, parse_rational
+from .rationals import Record, expect, parse_integer, parse_rational
 from .tensors import SymmetricSupport, TensorSupport
 
 __all__ = ["InputDocument", "parse_input", "serialize"]
@@ -53,15 +52,15 @@ _KINDS = {
 _KIND_OF = {payload: kind for kind, (payload, *_) in _KINDS.items()}
 
 
-@dataclass(frozen=True)
-class InputDocument:
+class InputDocument(Record):
     """A parsed input file: the domain object it encodes, whose type names
     the header kind."""
 
-    payload: object
+    __slots__ = __match_args__ = ("payload",)
 
-    def __post_init__(self):
-        expect(self.payload, tuple(_KIND_OF), "document payload")
+    def __init__(self, payload: object):
+        expect(payload, tuple(_KIND_OF), "document payload")
+        object.__setattr__(self, "payload", payload)
 
     @property
     def kind(self) -> str:

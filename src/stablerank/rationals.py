@@ -35,6 +35,10 @@ It is also the one home of denominator clearing: `cleared` scales exact
 rationals by the lcm of their denominators, for a program entering the LP
 solver, the rows of a linear system, the witness of a slope program, a
 polynomial product and a linear change's matrix alike.
+
+`Record` is the base of the package's immutable value types (a support, a
+program, an outcome, a slope result, a document): slotted fields that no
+assignment changes, compared, hashed and printed through their values.
 """
 
 from __future__ import annotations
@@ -48,6 +52,54 @@ from .errors import InputError
 
 _INTEGER_RE = re.compile(r"[+-]?[0-9]+")
 _RATIONAL_RE = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+class Record:
+    """An immutable value with named fields.
+
+    A subclass names its fields, in order, as both `__slots__` and
+    `__match_args__`, and its `__init__` checks its arguments and stores
+    them with `object.__setattr__`. Assigning or deleting a field raises
+    AttributeError. Two records are equal when they are of the same class
+    with equal fields, the hash is that of the tuple of the fields, and the
+    repr is "Name(field=value, ...)", as for a frozen dataclass. `copy` and
+    `pickle` rebuild a record from its fields without running `__init__`.
+    """
+
+    __slots__ = ()
+    __match_args__ = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self.__match_args__])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{type(self).__qualname__}({body})"
+
+    def __reduce__(self):
+        return _record, (type(self), self._values())
+
+
+def _record(cls: type, values: tuple) -> Record:
+    """The `cls` record with `values` as its fields, unchecked."""
+    record = object.__new__(cls)
+    for name, value in zip(cls.__match_args__, values):
+        object.__setattr__(record, name, value)
+    return record
 
 
 def rational(value, what: str) -> int | Fraction:

@@ -81,14 +81,12 @@ anything else.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
-from dataclasses import dataclass
-from itertools import chain
+from collections.abc import Iterable, Sequence
 from operator import mul
 
 from .errors import InputError
 from .exactlp import SlopeResult, _feasible, _slope
-from .rationals import collection, expect, integer_vectors, integers, rationals
+from .rationals import Record, collection, expect, integer_vectors, integers, rationals
 
 __all__ = [
     "TensorSupport",
@@ -102,17 +100,15 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class TensorSupport:
-    """Support of an order-d tensor on (k^n)^{tensor d}: 1-based index tuples."""
+class TensorSupport(Record):
+    """Support of an order-d tensor on (k^n)^{tensor d}: 1-based index tuples,
+    kept as the frozenset `tuples`."""
 
-    order: int
-    dims: int
-    tuples: frozenset[tuple[int, ...]]
+    __slots__ = __match_args__ = ("order", "dims", "tuples")
 
-    def __post_init__(self):
-        order, dims = integers((self.order, self.dims), "tensor order and dims", low=1)
-        seen = frozenset(integer_vectors(self.tuples, "tensor support",
+    def __init__(self, order: int, dims: int, tuples: Iterable[Sequence[int]]):
+        order, dims = integers((order, dims), "tensor order and dims", low=1)
+        seen = frozenset(integer_vectors(tuples, "tensor support",
                                          "tensor support tuple", order, 1, dims))
         if not seen:
             raise InputError("tensor support must be nonempty")
@@ -124,7 +120,7 @@ class TensorSupport:
     def _trusted(cls, order: int, dims: int, tuples: frozenset[tuple[int, ...]]) -> "TensorSupport":
         """The support with its fields kept as they are, unchecked: the caller
         guarantees a nonempty frozenset of int tuples of arity `order` with
-        entries in 1..dims, as `__post_init__` would leave it."""
+        entries in 1..dims, as `__init__` would leave it."""
         support = object.__new__(cls)
         object.__setattr__(support, "order", order)
         object.__setattr__(support, "dims", dims)
@@ -136,17 +132,15 @@ class TensorSupport:
         return tuple(sorted(self.tuples))
 
 
-@dataclass(frozen=True)
-class SymmetricSupport:
-    """Support of a degree-d form in n variables: exponent vectors summing to d."""
+class SymmetricSupport(Record):
+    """Support of a degree-d form in n variables: exponent vectors summing to
+    d, kept as the frozenset `exponents`."""
 
-    degree: int
-    nvars: int
-    exponents: frozenset[tuple[int, ...]]
+    __slots__ = __match_args__ = ("degree", "nvars", "exponents")
 
-    def __post_init__(self):
-        degree, nvars = integers((self.degree, self.nvars), "form degree and nvars", low=1)
-        exponents = integer_vectors(self.exponents, "symmetric support",
+    def __init__(self, degree: int, nvars: int, exponents: Iterable[Sequence[int]]):
+        degree, nvars = integers((degree, nvars), "form degree and nvars", low=1)
+        exponents = integer_vectors(exponents, "symmetric support",
                                     "exponent vector", nvars, 0)
         if not set(map(sum, exponents)) <= {degree}:
             m = next(m for m in exponents if sum(m) != degree)
@@ -174,15 +168,25 @@ def torus_valuation(support: TensorSupport, weights) -> int:
     return min(sum(rows[i][j - 1] for i, j in enumerate(t)) for t in support.tuples)
 
 
-def _support_rows(support: TensorSupport) -> tuple[tuple[int, ...], ...]:
-    n, d = support.dims, support.order
+def _support_rows(support: TensorSupport) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
+    """(columns, rows): the variables the support uses, variable lam_i[j]
+    being column i * n + j - 1, in ascending order, and one 0/1 row over
+    them alone per tuple, the tuples sorted."""
+    n = support.dims
+    tuples = support.sorted_tuples
+    # places[i] maps each index j that factor i uses to its column
+    places, columns = [], []
+    for i, column in enumerate(zip(*tuples)):
+        used = sorted(set(column))
+        places.append({j: k for k, j in enumerate(used, start=len(columns))})
+        columns += [i * n + j - 1 for j in used]
     rows = []
-    for t in support.sorted_tuples:
-        row = [0] * (n * d)
-        for i, j in enumerate(t):
-            row[i * n + (j - 1)] = 1
+    for t in tuples:
+        row = [0] * len(columns)
+        for place, j in zip(places, t):
+            row[place[j]] = 1
         rows.append(tuple(row))
-    return tuple(rows)
+    return columns, tuple(rows)
 
 
 def torus_rank(support: TensorSupport, alpha: Sequence | None = None) -> SlopeResult:
@@ -194,13 +198,27 @@ def torus_rank(support: TensorSupport, alpha: Sequence | None = None) -> SlopeRe
     and the infimum over integer assignments is attained by the exact LP
     minimum. The default alpha is all ones; entries must be positive. The
     cost of variable lam_i[j] is a_i.
+
+    The program has a variable only for each index some tuple uses, and
+    the witness is 0 at every other. An unused index is a zero row of the
+    dual tableau whose slack column never enters: dropping both renumbers
+    the other columns in their order, so Bland's rule takes the same
+    pivots to the same D, value and witness, and the program's size is set
+    by the support, not by n.
     """
     expect(support, TensorSupport, "tensor support")
     n, d = support.dims, support.order
     avec = (1,) * d if alpha is None else rationals(alpha, "alpha", d)
     if any(a <= 0 for a in avec):
         raise InputError("alpha entries must be positive")
-    return _slope(tuple(chain.from_iterable((a,) * n for a in avec)), _support_rows(support))
+    columns, rows = _support_rows(support)
+    result = _slope(tuple([avec[c // n] for c in columns]), rows)
+    if len(columns) == n * d:
+        return result
+    witness = [0] * (n * d)
+    for c, v in zip(columns, result.witness):
+        witness[c] = v
+    return SlopeResult(result.value, tuple(witness))
 
 
 def symm_torus_rank(support: SymmetricSupport) -> SlopeResult:

@@ -199,6 +199,11 @@ class _Entering(list):
 def pivots(case: dict) -> list[dict]:
     """Every simplex pass of the solve of one case, in order: its (leaving
     row, entering column) pairs and its final basis."""
+    return _passes(solve, case)
+
+
+def _passes(call, *args) -> list[dict]:
+    """Every simplex pass of `call(*args)`, as `pivots` records them."""
     passes = []
     simplex = exactlp._simplex
 
@@ -211,7 +216,7 @@ def pivots(case: dict) -> list[dict]:
 
     exactlp._simplex = traced
     try:
-        solve(case)
+        call(*args)
     finally:
         exactlp._simplex = simplex
     return passes
@@ -253,6 +258,62 @@ def test_golden_pivots():
     assert differing == []
     # every simplex pass of the kernel is exercised, pivots included
     assert sum(len(p["pivots"]) for passes in pinned for p in passes) > 1000
+
+
+def _full_program(support: TensorSupport, alpha) -> tuple:
+    """The slope program of `torus_rank` over every index, used or not: cost
+    alpha_i and one 0/1 row per sorted tuple, variable lam_i[j] at column
+    i * n + j - 1."""
+    n, d = support.dims, support.order
+    rows = []
+    for t in support.sorted_tuples:
+        row = [0] * (n * d)
+        for i, j in enumerate(t):
+            row[i * n + j - 1] = 1
+        rows.append(tuple(row))
+    return tuple(a for a in alpha for _ in range(n)), tuple(rows)
+
+
+def _random_support(rng) -> TensorSupport:
+    """A support over dims n and order d with at least one unused index."""
+    n, d = rng.randint(2, 5), rng.randint(1, 4)
+    k = rng.randint(1, 2 * n)
+    return TensorSupport(d, n, [tuple(rng.randint(1, n - 1) if i == 0 else rng.randint(1, n)
+                                      for i in range(d)) for _ in range(k)])
+
+
+def test_unused_indices_leave_the_full_programs_pivots():
+    # `torus_rank` builds its program over the indices the support uses. An
+    # unused index is a zero row of the dual tableau whose slack column never
+    # enters, so the full program over every index takes the same pivots
+    # once its unused rows and slack columns are dropped and the rest are
+    # renumbered in order, and it ends at the same value and witness, with 0
+    # at every unused index. Every golden `torus_rank` case, and seeded
+    # supports whose first factor leaves index n unused.
+    rng = random.Random(SEED)
+    supports = [(TensorSupport(c["order"], c["dims"], [tuple(t) for t in c["tuples"]]),
+                 _fractions(c["alpha"]))
+                for c in (case["input"] for case in _load()) if c["call"] == "torus_rank"]
+    supports += [(_random_support(rng), [_rational(rng, 1, 4) for _ in range(4)])
+                 for _ in range(200)]
+    unused = 0
+    for support, alpha in supports:
+        n, d, m = support.dims, support.order, len(support.tuples)
+        alpha = alpha[:d]
+        cost, rows = _full_program(support, alpha)
+        used = sorted({i * n + j - 1 for t in support.tuples for i, j in enumerate(t)})
+        unused += len(used) < n * d
+        # dual tableau row r and slack column m + r belong to variable r
+        column = {c: c for c in range(m)}
+        column.update({m + c: m + k for k, c in enumerate(used)})
+        renumbered = [{"pivots": [[used.index(r), column[c]] for r, c in p["pivots"]],
+                       "basis": [column[p["basis"][r]] for r in used]}
+                      for p in _passes(exactlp._slope, cost, rows)]
+        assert _passes(torus_rank, support, alpha) == renumbered
+        result, reference = torus_rank(support, alpha), exactlp._slope(cost, rows)
+        assert (result.value, result.witness) == (reference.value, reference.witness)
+        assert all(reference.witness[c] == 0 for c in set(range(n * d)) - set(used))
+    assert unused > 200
 
 
 if __name__ == "__main__":

@@ -1,6 +1,8 @@
 """The boundary helpers every layer shares: a caller's collection, cleared
 denominators, and the integer and rational tokens of files and flags."""
 
+import copy
+import pickle
 import re
 from collections import namedtuple
 from fractions import Fraction as F
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from stablerank import ideals, tensors
 from stablerank.errors import InputError
-from stablerank.exactlp import LinearProgram, lp_minimize
+from stablerank.exactlp import LinearProgram, LpOutcome, SlopeResult, lp_minimize
 from stablerank.fileformat import InputDocument, parse_input, serialize
 from stablerank.ideals import (
     LinearChange,
@@ -28,12 +30,15 @@ from stablerank.ideals import (
     t_stable_rank,
 )
 from stablerank.rationals import (
+    Record,
     cleared,
     collection,
     integer_vectors,
     integers,
     parse_integer,
     parse_rational,
+    rational,
+    rationals,
 )
 from stablerank.tensors import (
     SymmetricSupport,
@@ -249,6 +254,225 @@ class TestIntegerVectors:
         messages = [got[1] for got in map(outcome, constructors(lambda: vectors, 2, 2))
                     if got[0] == "error"]
         assert all(any(e in m for m in messages) for e in errors)
+
+
+def per_term(nvars, terms):
+    """The terms `SparsePolynomial(nvars, terms)` keeps, checked term by
+    term: its exponent vector, then its coefficient."""
+    clean = {}
+    for exps, coeff in terms.items():
+        key = integers(exps, "exponent vector", nvars, low=0)
+        value = rational(coeff, "coefficient")
+        if value:
+            clean[key] = clean.get(key, F(0)) + value
+            if not clean[key]:
+                del clean[key]
+    return clean
+
+
+def per_row(matrix):
+    """The matrix `LinearChange(matrix)` keeps, checked row by row."""
+    rows = [rationals(row, "matrix entry") for row in collection(matrix, "matrix")]
+    if not rows or any(len(r) != len(rows) for r in rows):
+        raise InputError("a linear change needs a square matrix")
+    return tuple(rows)
+
+
+def typed(make):
+    """The first error's message, or the value with the type of every entry."""
+    try:
+        value = make()
+    except InputError as exc:
+        return "error", str(exc)
+    if isinstance(value, dict):
+        return "value", sorted((k, tuple(map(type, k)), v, type(v)) for k, v in value.items())
+    return "value", [(row, tuple(map(type, row))) for row in value]
+
+
+BAD_ENTRIES = [True, F(2), F(1, 2), Int(1), 1.0, "1", "2/3", -1, 0, None]
+
+
+@st.composite
+def term_mappings(draw):
+    """(nvars, terms) with at most two faults, exponent vectors or
+    coefficients, anywhere among the terms, and exponent vectors that may
+    coincide once coerced."""
+    nvars = draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    coeffs = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=4).filter(
+        lambda q: abs(q) < 4))
+    terms = dict(draw(st.lists(st.tuples(exps, coeffs), max_size=6)))
+    items = list(terms.items())
+    for i in draw(st.sets(st.integers(0, len(items) - 1), max_size=2)) if items else ():
+        key, coeff = items[i]
+        if draw(st.booleans()):
+            coeff = draw(st.sampled_from(BAD_ENTRIES))
+        else:
+            key = list(key)
+            key[draw(st.integers(0, nvars - 1))] = draw(st.sampled_from(BAD_ENTRIES))
+            key = draw(st.sampled_from([tuple(key), Tup(key), tuple(key[:-1]), 5]))
+        items[i] = (key, coeff)
+    return nvars, dict(items)
+
+
+@st.composite
+def matrices(draw):
+    """Square or ragged matrices of lists, tuples or generators, with at most
+    two faulty entries or rows."""
+    n = draw(st.integers(0, 3))
+    entry = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=4).filter(
+        lambda q: abs(q) < 4))
+    rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
+    for i in draw(st.sets(st.integers(0, n - 1), max_size=2)) if rows else ():
+        fault = draw(st.sampled_from(["entry", "length", "not a collection"]))
+        if fault == "entry" and rows[i]:
+            rows[i][draw(st.integers(0, len(rows[i]) - 1))] = draw(st.sampled_from(BAD_ENTRIES))
+        elif fault == "length":
+            rows[i] = rows[i][:-1] if rows[i] and draw(st.booleans()) else rows[i] + [1]
+        else:
+            rows[i] = draw(st.sampled_from([5, None]))
+    shape = draw(st.sampled_from([list, tuple, iter]))
+    return lambda: [shape(row) if isinstance(row, list) else row for row in rows]
+
+
+class TestWholeCollectionChecks:
+    """`SparsePolynomial` and `LinearChange` check all their terms or entries
+    at once, and term by term or row by row only when that check fails: the
+    same values, entry types and first message as the per-entry rule."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(term_mappings())
+    def test_polynomial_terms_follow_the_per_term_rule(self, drawn):
+        nvars, terms = drawn
+        assert typed(lambda: SparsePolynomial(nvars, terms).terms) == \
+            typed(lambda: per_term(nvars, terms))
+
+    @settings(deadline=None, max_examples=300)
+    @given(matrices())
+    def test_matrix_entries_follow_the_per_row_rule(self, make):
+        assert typed(lambda: per_row(make())) == typed(_unless_singular(make))
+
+    @pytest.mark.parametrize("terms, message", [
+        ({(1, 0): 1.0, (2, 2, 2): 1}, "coefficient: floating point is not exact, pass int or Fraction"),
+        ({(2, 2, 2): 1, (1, 0): 1.0}, "exponent vector: expected 2 entries, got 3"),
+        ({(1, 0): 1, (1, -1): "x"}, "exponent vector: expected a value >= 0, got -1"),
+        ({(1, 0): "x", (1, -1): 1}, "coefficient: not a rational value: 'x'"),
+    ])
+    def test_the_first_faulty_term_raises(self, terms, message):
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
+            SparsePolynomial(2, terms)
+
+    def test_terms_equal_once_coerced_are_merged(self):
+        class Key:
+            """An exponent vector equal only to itself."""
+
+            def __init__(self, *entries):
+                self.entries = entries
+
+            def __iter__(self):
+                return iter(self.entries)
+
+        terms = {Key(1, 0): 2, Key(F(1), 0): F(1, 2), (0, 1): 0}
+        assert typed(lambda: SparsePolynomial(2, terms).terms) == \
+            typed(lambda: {(1, 0): F(5, 2)}) == typed(lambda: per_term(2, terms))
+        assert SparsePolynomial(1, {Key(1): 1, Key(1): -1}).terms == {}
+
+    def test_generator_rows_are_read_once(self):
+        change = LinearChange([(v for v in (1, 0)), [0, F(2)]])
+        assert change.matrix == ((1, 0), (0, 2))
+
+
+def _unless_singular(make):
+    """`LinearChange(make()).matrix`, or None when only the singularity check
+    rejects it (the reference does not test it)."""
+    def call():
+        try:
+            return LinearChange(make()).matrix
+        except InputError as exc:
+            if str(exc) == "linear change matrix is singular":
+                return per_row(make())
+            raise
+    return call
+
+
+RECORDS = [
+    (LinearProgram((1, F(1, 2)), [[1, 0]], [1], equality_rows=[[1, 1]], equality_rhs=[2]),
+     "LinearProgram(objective=(1, Fraction(1, 2)), constraint_rows=((1, 0),), rhs=(1,), "
+     "equality_rows=((1, 1),), equality_rhs=(2,))"),
+    (LpOutcome("infeasible"), "LpOutcome(status='infeasible', value=None, vertex=None)"),
+    (SlopeResult(F(3, 2), (1, 1, 0)), "SlopeResult(value=Fraction(3, 2), witness=(1, 1, 0))"),
+    (TensorSupport(2, 2, [(1, 2)]), "TensorSupport(order=2, dims=2, tuples=frozenset({(1, 2)}))"),
+    (SymmetricSupport(2, 2, [(1, 1)]),
+     "SymmetricSupport(degree=2, nvars=2, exponents=frozenset({(1, 1)}))"),
+    (InputDocument(TensorSupport(1, 1, [(1,)])),
+     "InputDocument(payload=TensorSupport(order=1, dims=1, tuples=frozenset({(1,)})))"),
+]
+RECORD_IDS = [type(record).__name__ for record, _ in RECORDS]
+
+
+class TestRecord:
+    """The six value types on `Record`: the value semantics a frozen
+    dataclass gave them."""
+
+    def test_keyword_construction_and_defaults(self):
+        program = LinearProgram(objective=[1, 2], constraint_rows=[[1, 1]], rhs=[1],
+                                equality_rows=[[1, 0]], equality_rhs=[F(1, 2)])
+        assert program == LinearProgram((1, 2), ((1, 1),), (1,), ((1, 0),), (F(1, 2),))
+        assert (program.equality_rows, program.equality_rhs) == (((1, 0),), (F(1, 2),))
+        bare = LinearProgram(objective=[1], constraint_rows=[], rhs=[])
+        assert (bare.equality_rows, bare.equality_rhs) == ((), ())
+        outcome = LpOutcome("infeasible")
+        assert (outcome.status, outcome.value, outcome.vertex) == ("infeasible", None, None)
+        assert LpOutcome(status="optimal", value=F(1), vertex=(F(1),)).vertex == (F(1),)
+        assert SlopeResult(value=F(2), witness=(1,)) == SlopeResult(F(2), (1,))
+        assert TensorSupport(order=1, dims=2, tuples=[(2,)]) == TensorSupport(1, 2, {(2,)})
+        assert SymmetricSupport(degree=2, nvars=1, exponents=[(2,)]).exponents == {(2,)}
+        assert InputDocument(payload=W).payload is W
+
+    @pytest.mark.parametrize("record, text", RECORDS, ids=RECORD_IDS)
+    def test_equality_hash_and_repr(self, record, text):
+        fields = tuple(getattr(record, name) for name in type(record).__match_args__)
+        twin = type(record)(*fields)
+        assert twin == record and not twin != record and twin is not record
+        assert hash(record) == hash(twin) == hash(fields)
+        assert repr(record) == text
+        assert record != fields and record != object()
+
+    def test_fields_decide_equality(self):
+        assert LpOutcome("optimal", F(1)) != LpOutcome("optimal", F(2))
+        assert SlopeResult(F(1), (1, 0)) != SlopeResult(F(1), (0, 1))
+        assert TensorSupport(1, 2, [(1,)]) != TensorSupport(1, 3, [(1,)])
+        # another class with equal fields is not equal
+        assert SlopeResult("optimal", None) != LpOutcome("optimal", None)
+
+    @pytest.mark.parametrize("record, text", RECORDS, ids=RECORD_IDS)
+    def test_assignment_and_deletion_raise(self, record, text):
+        for name in (*type(record).__match_args__, "other"):
+            with pytest.raises(AttributeError) as raised:
+                setattr(record, name, 1)
+            assert type(raised.value) is AttributeError
+            with pytest.raises(AttributeError):
+                delattr(record, name)
+        assert repr(record) == text
+
+    @pytest.mark.parametrize("record, text", RECORDS, ids=RECORD_IDS)
+    def test_copy_deepcopy_and_pickle(self, record, text):
+        for twin in (copy.copy(record), copy.deepcopy(record),
+                     *(pickle.loads(pickle.dumps(record, protocol))
+                       for protocol in range(pickle.HIGHEST_PROTOCOL + 1))):
+            assert type(twin) is type(record) and twin == record and repr(twin) == text
+
+    @pytest.mark.parametrize("record, text", RECORDS, ids=RECORD_IDS)
+    def test_no_instance_dict(self, record, text):
+        assert isinstance(record, Record) and not hasattr(record, "__dict__")
+        assert type(record).__slots__ == type(record).__match_args__
+
+    def test_trusted_constructors_build_equal_records(self):
+        program = LinearProgram._trusted((1,), ((1,),), (1,))
+        assert program == LinearProgram((1,), [[1]], [1]) and repr(program) == (
+            "LinearProgram(objective=(1,), constraint_rows=((1,),), rhs=(1,), "
+            "equality_rows=(), equality_rhs=())")
+        assert TensorSupport._trusted(1, 2, frozenset({(2,)})) == TensorSupport(1, 2, [(2,)])
 
 
 class TestCleared:

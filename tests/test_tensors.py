@@ -112,6 +112,24 @@ class TestTorusRank:
         )
         assert res.value == oracle.value
 
+    def test_unused_indices_are_no_variables(self, monkeypatch):
+        # one tuple over dims 10**6: the program has one variable per factor,
+        # and the witness is 0 at every other index
+        sizes = []
+        solve = exactlp.lp_minimize
+
+        def spy(program, **kwargs):
+            sizes.append((program.num_variables, len(program.constraint_rows)))
+            return solve(program, **kwargs)
+
+        monkeypatch.setattr(exactlp, "lp_minimize", spy)
+        n = 10 ** 6
+        res = torus_rank(TensorSupport(2, n, [(3, n)]), alpha=(2, F(1, 2)))
+        assert sizes == [(2, 1)]
+        assert res.value == F(1, 2)
+        assert len(res.witness) == 2 * n
+        assert {i: v for i, v in enumerate(res.witness) if v} == {2 * n - 1: 1}
+
     def test_alpha_validation(self):
         with pytest.raises(InputError):
             torus_rank(W, alpha=(1, 1))
