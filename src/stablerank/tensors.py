@@ -82,7 +82,8 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from operator import mul
+from itertools import accumulate
+from operator import getitem, mul
 
 from .errors import InputError
 from .exactlp import SlopeResult, _feasible, _slope
@@ -168,23 +169,28 @@ def torus_valuation(support: TensorSupport, weights) -> int:
     return min(sum(rows[i][j - 1] for i, j in enumerate(t)) for t in support.tuples)
 
 
-def _support_rows(support: TensorSupport) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
+def _support_rows(support: TensorSupport) -> tuple[Sequence[int], tuple[tuple[int, ...], ...]]:
     """(columns, rows): the variables the support uses, variable lam_i[j]
     being column i * n + j - 1, in ascending order, and one 0/1 row over
-    them alone per tuple, the tuples sorted."""
-    n = support.dims
+    them alone per tuple, the tuples sorted. Entry (i, j) of a tuple lies at
+    starts[i] + j: when some index is unused, each index is first renumbered
+    by its rank among those its factor uses."""
+    n, d = support.dims, support.order
     tuples = support.sorted_tuples
-    # places[i] maps each index j that factor i uses to its column
-    places, columns = [], []
-    for i, column in enumerate(zip(*tuples)):
-        used = sorted(set(column))
-        places.append({j: k for k, j in enumerate(used, start=len(columns))})
-        columns += [i * n + j - 1 for j in used]
+    used = list(map(set, zip(*tuples)))
+    if sum(map(len, used)) == n * d:
+        columns, starts = range(n * d), list(range(-1, n * d, n))
+    else:
+        used = list(map(sorted, used))
+        ranks = [{j: r for r, j in enumerate(js, start=1)} for js in used]
+        tuples = [tuple(map(getitem, ranks, t)) for t in tuples]
+        columns = [i * n + j - 1 for i, js in enumerate(used) for j in js]
+        starts = list(accumulate(map(len, used), initial=-1))
     rows = []
     for t in tuples:
         row = [0] * len(columns)
-        for place, j in zip(places, t):
-            row[place[j]] = 1
+        for i, j in enumerate(t):
+            row[starts[i] + j] = 1
         rows.append(tuple(row))
     return columns, tuple(rows)
 
