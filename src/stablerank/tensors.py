@@ -209,8 +209,8 @@ def torus_rank(support: TensorSupport, alpha: Sequence | None = None) -> SlopeRe
     the witness is 0 at every other. An unused index is a zero row of the
     dual tableau whose slack column never enters: dropping both renumbers
     the other columns in their order, so Bland's rule takes the same
-    pivots to the same D, value and witness, and the program's size is set
-    by the support, not by n.
+    pivots to the same D, value and witness. The program's size is set by
+    the support, not by n; the witness still has n * d entries.
     """
     expect(support, TensorSupport, "tensor support")
     n, d = support.dims, support.order

@@ -445,6 +445,14 @@ class TestRecord:
         # another class with equal fields is not equal
         assert SlopeResult("optimal", None) != LpOutcome("optimal", None)
 
+    def test_positional_patterns(self):
+        match SlopeResult(F(3, 2), (1, 0)):
+            case LpOutcome():
+                matched = None
+            case SlopeResult(value, witness):
+                matched = (value, witness)
+        assert matched == (F(3, 2), (1, 0))
+
     @pytest.mark.parametrize("record, text", RECORDS, ids=RECORD_IDS)
     def test_assignment_and_deletion_raise(self, record, text):
         for name in (*type(record).__match_args__, "other"):
