@@ -142,25 +142,14 @@ class SparsePolynomial:
         (nvars,) = integers((nvars,), "polynomial nvars", low=1)
         if not isinstance(terms, Mapping):
             raise InputError(f"polynomial terms: expected a mapping, got {terms!r}")
-        try:
-            keys = integer_vectors(terms.keys(), "polynomial terms", "exponent vector", nvars, 0)
-            values = rationals(terms.values(), "coefficient")
-        except InputError:
-            # term by term, so that the first faulty term raises its own error
-            for exps, coeff in terms.items():
-                integers(exps, "exponent vector", nvars, low=0)
-                rational(coeff, "coefficient")
-            raise
         clean: dict[tuple[int, ...], Fraction] = {}
-        for key, value in zip(keys, values):
-            if not value:
-                continue
-            if key in clean:
-                value += clean[key]
-                if not value:
+        for exps, coeff in terms.items():
+            key = integers(exps, "exponent vector", nvars, low=0)
+            value = rational(coeff, "coefficient")
+            if value:
+                clean[key] = clean.get(key, Fraction(0)) + value
+                if not clean[key]:
                     del clean[key]
-                    continue
-            clean[key] = value if type(value) is Fraction else Fraction(value)
         self.nvars = nvars
         self.terms = clean
 
@@ -308,20 +297,8 @@ class LinearChange:
     __slots__ = ("nvars", "matrix")
 
     def __init__(self, matrix: Iterable[Iterable]):
-        rows = collection(matrix, "matrix")
+        rows = [rationals(row, "matrix entry") for row in collection(matrix, "matrix")]
         n = len(rows)
-        try:
-            # the lengths first: a row that has none may be a generator,
-            # which only the row-by-row check below may consume
-            square = n > 0 and all(len(row) == n for row in rows)
-            entries = rationals(itertools.chain.from_iterable(rows), "matrix entry", n * n)
-        except (TypeError, InputError):
-            square = False
-        if square:
-            rows = [entries[i:i + n] for i in range(0, n * n, n)]
-        else:
-            # row by row, so that the first faulty row raises its own error
-            rows = [rationals(row, "matrix entry") for row in rows]
         if n < 1 or any(len(r) != n for r in rows):
             raise InputError("a linear change needs a square matrix")
         if _singular(rows):

@@ -335,10 +335,11 @@ def matrices(draw):
     return lambda: [shape(row) if isinstance(row, list) else row for row in rows]
 
 
-class TestWholeCollectionChecks:
-    """`SparsePolynomial` and `LinearChange` check all their terms or entries
-    at once, and term by term or row by row only when that check fails: the
-    same values, entry types and first message as the per-entry rule."""
+class TestPerEntryChecks:
+    """`SparsePolynomial` checks its terms one at a time, exponent vector
+    then coefficient, and `LinearChange` its matrix row by row: `per_term`
+    and `per_row` write that rule out, values, entry types and first message,
+    so that a faster check of a whole collection has to keep it."""
 
     @settings(deadline=None, max_examples=300)
     @given(term_mappings())

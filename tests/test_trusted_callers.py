@@ -138,15 +138,35 @@ def slope(cost, rows):
     return SlopeResult(value=out.value, witness=cleared(out.vertex)[1])
 
 
-def tensor_slope(support, alpha):
-    """`slope` of the program `torus_rank` builds: over the indices the
-    support uses, with the witness 0 at every other index."""
-    columns, rows = tensors._support_rows(support)
-    result = slope(tuple(alpha[c // support.dims] for c in columns), rows)
-    witness = [0] * (support.dims * support.order)
-    for c, v in zip(columns, result.witness):
-        witness[c] = v
-    return SlopeResult(value=result.value, witness=tuple(witness))
+def full_tensor_program(support, alpha):
+    """(cost, rows) of the slope program of `torus_rank` over every index,
+    used or not: cost alpha_i and one 0/1 row per sorted tuple, variable
+    lam_i[j] at column i * n + j - 1. Its witness is 0 at every unused
+    index."""
+    n, d = support.dims, support.order
+    rows = []
+    for t in support.sorted_tuples:
+        row = [0] * (n * d)
+        for i, j in enumerate(t):
+            row[i * n + j - 1] = 1
+        rows.append(tuple(row))
+    return [a for a in alpha for _ in range(n)], tuple(rows)
+
+
+def over_used_indices(support, solves):
+    """The full program's solves as `torus_rank` takes them over the indices
+    the support uses: dual tableau row r and slack column m + r belong to
+    variable r, so the rows and slack columns of unused indices drop out
+    and the rest are renumbered in order."""
+    n, m = support.dims, len(support.tuples)
+    used = sorted({i * n + j - 1 for t in support.tuples for i, j in enumerate(t)})
+    row = {r: k for k, r in enumerate(used)}
+    column = {c: c for c in range(m)}
+    column.update({m + c: m + k for k, c in enumerate(used)})
+    return [{"k": s["k"],
+             "pivots": [(tuple(column[basis[r]] for r in used), row[r]) for basis, r in s["pivots"]],
+             "basis": [column[s["basis"][r]] for r in used]}
+            for s in solves]
 
 
 def assert_checked_slope(cost, rows, result):
@@ -235,7 +255,7 @@ def test_alpha_programs_clear_only_their_costs(monkeypatch):
         alpha[rng.randrange(support.order)] = F(2, 3)
         sizes.clear()
         result = torus_rank(support, alpha)
-        assert result == tensor_slope(support, alpha)
+        assert result == slope(*full_tensor_program(support, alpha))
         assert sizes and max(sizes) <= support.dims * support.order
 
 
@@ -349,9 +369,10 @@ def test_integer_programs_take_the_fractional_pivots(monkeypatch):
     decided = {"tensor": 0, "form": 0, "unit ideal": 0}
 
     def same_path(new, old, answers_equal=lambda a, b: a == b and type(a) is type(b),
-                  caller="rank"):
+                  caller="rank", renumber=lambda solves: solves):
         nonlocal pivots
         (new_answer, new_solves), (old_answer, old_solves) = trace.run(new), trace.run(old)
+        old_solves = renumber(old_solves)
         assert answers_equal(new_answer, old_answer)
         assert len(new_solves) == len(old_solves)
         for new_solve, old_solve in zip(new_solves, old_solves):
@@ -383,7 +404,8 @@ def test_integer_programs_take_the_fractional_pivots(monkeypatch):
                      live_tuples(support) is None)
         alpha = [rng.choice((1, 2, F(1, 2), F(3, 2), F(5, 3))) for _ in range(support.order)]
         same_path(lambda: torus_rank(support, alpha),
-                  lambda: tensor_slope(support, alpha), same_slope)
+                  lambda: slope(*full_tensor_program(support, alpha)), same_slope,
+                  renumber=lambda solves: over_used_indices(support, solves))
 
         form = random_form(rng)
         rows, rhs = old_form_program(form)
