@@ -47,6 +47,7 @@ _UPPER_BOUND_TENSOR = (
     "one-parameter subgroup"
 )
 _UPPER_BOUND_IDEAL = "upper bound on rk^G over all linear systems of parameters"
+_CHUNK = 4096
 
 
 def _load(path: str, kinds: tuple[str, ...], what: str):
@@ -66,7 +67,9 @@ def _load(path: str, kinds: tuple[str, ...], what: str):
 def _emit(as_json: bool, value, witness, notes: list[str]) -> int:
     """Print one answer, its exact value as p/q, an integer or "inf".
     `witness` is None, a flat vector, or one list per tensor factor, which
-    the text line separates by ' / '."""
+    the text line separates by ' / '. The text line is written in chunks of
+    `_CHUNK` entries, so a long witness never has every entry's text in
+    memory at once; `json.dumps` writes the JSON object whole."""
     value = str(value)
     witness = [] if witness is None else list(witness)
     if as_json:
@@ -74,8 +77,16 @@ def _emit(as_json: bool, value, witness, notes: list[str]) -> int:
     else:
         print(f"value: {value}")
         if witness:
-            groups = witness if isinstance(witness[0], list) else [witness]
-            print("witness: " + " / ".join(" ".join(map(str, g)) for g in groups))
+            write = sys.stdout.write
+            write("witness: ")
+            for k, group in enumerate(witness if isinstance(witness[0], list) else [witness]):
+                if k:
+                    write(" / ")
+                for start in range(0, len(group), _CHUNK):
+                    if start:
+                        write(" ")
+                    write(" ".join(map(str, group[start:start + _CHUNK])))
+            write("\n")
         for note in notes:
             print(f"note: {note}")
     return 0

@@ -48,12 +48,12 @@ A caller with a slope program of its own gets the same from
 
 Inputs are checked once, at the public entry points: `LinearProgram(...)`
 checks and coerces every entry. `_slope`, `_feasible` and
-`newton_threshold` build `LinearProgram._trusted` programs, unchecked, from
-objects whose constructors have checked them. Every such program has rows
-and right sides of ints alone, so `_integral` scales no row: a fractional
-right side is cleared by the caller, as a positive scaling of the variables
-(the semistability checks solve for a multiple of theta), which keeps every
-pivot, vertex and verdict.
+`newton_threshold` build their programs with `rationals._record`, unchecked,
+from objects whose constructors have checked them. Every such program has
+rows and right sides of ints alone, so `_integral` scales no row: a
+fractional right side is cleared by the caller, as a positive scaling of the
+variables (the semistability checks solve for a multiple of theta), which
+keeps every pivot, vertex and verdict.
 
 `_singular` runs the same pivot kernel as fraction-free Gauss-Jordan
 elimination; `LinearChange` uses it to check that its matrix is invertible.
@@ -68,7 +68,7 @@ from itertools import chain
 from operator import mul, neg
 
 from .errors import InputError
-from .rationals import Record, cleared, collection, expect, rationals
+from .rationals import Record, _record, cleared, collection, expect, rationals
 
 __all__ = [
     "LinearProgram",
@@ -99,24 +99,7 @@ class LinearProgram(Record):
         eq_rows = tuple(rationals(row, "equality row", n)
                         for row in collection(equality_rows, "equality rows"))
         eq_rhs = rationals(equality_rhs, "equality rhs", len(eq_rows))
-        object.__setattr__(self, "objective", obj)
-        object.__setattr__(self, "constraint_rows", rows)
-        object.__setattr__(self, "rhs", rhs)
-        object.__setattr__(self, "equality_rows", eq_rows)
-        object.__setattr__(self, "equality_rhs", eq_rhs)
-
-    @classmethod
-    def _trusted(cls, objective, constraint_rows, rhs, equality_rows=(), equality_rhs=()) -> "LinearProgram":
-        """The program with its fields kept as they are, unchecked: the caller
-        guarantees nonempty tuples of ints and Fractions of matching lengths,
-        as `__init__` would leave them."""
-        program = object.__new__(cls)
-        object.__setattr__(program, "objective", objective)
-        object.__setattr__(program, "constraint_rows", constraint_rows)
-        object.__setattr__(program, "rhs", rhs)
-        object.__setattr__(program, "equality_rows", equality_rows)
-        object.__setattr__(program, "equality_rhs", equality_rhs)
-        return program
+        self._store(obj, rows, rhs, eq_rows, eq_rhs)
 
     @property
     def num_variables(self) -> int:
@@ -134,9 +117,7 @@ class LpOutcome(Record):
 
     def __init__(self, status: str, value: Fraction | None = None,
                  vertex: tuple[Fraction, ...] | None = None):
-        object.__setattr__(self, "status", status)
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "vertex", vertex)
+        self._store(status, value, vertex)
 
 
 class SlopeResult(Record):
@@ -150,8 +131,7 @@ class SlopeResult(Record):
     __slots__ = __match_args__ = ("value", "witness")
 
     def __init__(self, value: Fraction | float, witness: tuple[int, ...] | None):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "witness", witness)
+        self._store(value, witness)
 
 
 def _integral(program: LinearProgram) -> tuple:
@@ -540,8 +520,8 @@ def _feasible(equality_rows: tuple[tuple[int, ...], ...], equality_rhs: tuple[in
     right side each. The two semistability checks call it. The program has
     equality rows, so `lp_minimize` takes the two-phase route and returns
     the phase-one verdict."""
-    program = LinearProgram._trusted(
-        (0,) * len(equality_rows[0]), (), (), equality_rows, equality_rhs)
+    program = _record(LinearProgram,
+                      ((0,) * len(equality_rows[0]), (), (), equality_rows, equality_rhs))
     return not isinstance(lp_minimize(program, _raw=True)[0], str)
 
 
@@ -560,7 +540,8 @@ def _slope(cost: tuple[int | Fraction, ...], rows: tuple[tuple[int, ...], ...]) 
     alpha."""
     if not all(map(any, rows)):
         return SlopeResult(value=math.inf, witness=None)
-    answer, scale = lp_minimize(LinearProgram._trusted(cost, rows, (1,) * len(rows)), _raw=True)
+    program = _record(LinearProgram, (cost, rows, (1,) * len(rows), (), ()))
+    answer, scale = lp_minimize(program, _raw=True)
     if isinstance(answer, str):
         raise RuntimeError(f"slope program should be solvable, got {answer}")
     value, x, d = answer

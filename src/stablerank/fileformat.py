@@ -60,7 +60,7 @@ class InputDocument(Record):
 
     def __init__(self, payload: object):
         expect(payload, tuple(_KIND_OF), "document payload")
-        object.__setattr__(self, "payload", payload)
+        self._store(payload)
 
     @property
     def kind(self) -> str:

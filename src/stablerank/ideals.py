@@ -35,7 +35,7 @@ pair of terms costs one int addition. B is a power of 256 (`_keying`), so a
 key's bytes are its digits: keys are encoded once per input term (`_key`)
 and decoded once per output term, where `_over` builds its Fraction. Only
 the public constructor validates exponents and coefficients; sums, products
-and linear changes build their results with `SparsePolynomial._trusted`.
+and linear changes build their results unchecked, with `rationals._record`.
 
 The support of an ideal (the generators of a monomial ideal, the distinct
 exponent vectors of a polynomial ideal's generators) is read for the rank
@@ -65,6 +65,8 @@ from .exactlp import (
     lp_minimize,
 )
 from .rationals import (
+    Record,
+    _record,
     cleared,
     collection,
     expect,
@@ -133,10 +135,11 @@ def _over(ints: Mapping[int, int], den: int, decode: Callable[[int], tuple[int, 
     return {decode(key): Fraction(c, den) for key, c in ints.items() if c}
 
 
-class SparsePolynomial:
-    """Polynomial stored as {exponent tuple: nonzero rational coefficient}."""
+class SparsePolynomial(Record):
+    """Polynomial stored as {exponent tuple: nonzero rational coefficient}.
+    Hashed through its terms as a frozenset, since `terms` is a dict."""
 
-    __slots__ = ("nvars", "terms")
+    __slots__ = __match_args__ = ("nvars", "terms")
 
     def __init__(self, nvars: int, terms: Mapping[Sequence[int], object]):
         (nvars,) = integers((nvars,), "polynomial nvars", low=1)
@@ -150,17 +153,7 @@ class SparsePolynomial:
                 clean[key] = clean.get(key, Fraction(0)) + value
                 if not clean[key]:
                     del clean[key]
-        self.nvars = nvars
-        self.terms = clean
-
-    @classmethod
-    def _trusted(cls, nvars: int, terms: dict[tuple[int, ...], Fraction]) -> "SparsePolynomial":
-        """The polynomial with `terms` kept as they are, unchecked: the caller
-        guarantees exponent tuples of arity `nvars` and nonzero Fractions."""
-        poly = object.__new__(cls)
-        poly.nvars = nvars
-        poly.terms = terms
-        return poly
+        self._store(nvars, clean)
 
     @property
     def is_zero(self) -> bool:
@@ -180,7 +173,7 @@ class SparsePolynomial:
                 acc[exps] = total
             else:
                 del acc[exps]
-        return SparsePolynomial._trusted(self.nvars, acc)
+        return _record(SparsePolynomial, (self.nvars, acc))
 
     def __mul__(self, other: "SparsePolynomial") -> "SparsePolynomial":
         expect(other, SparsePolynomial, "polynomial")
@@ -194,14 +187,7 @@ class SparsePolynomial:
         db, b = cleared(other.terms.values())
         product = _int_product({_key(e, places): c for e, c in zip(self.terms, a)},
                                {_key(e, places): c for e, c in zip(other.terms, b)})
-        return SparsePolynomial._trusted(self.nvars, _over(product, da * db, decode))
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, SparsePolynomial)
-            and self.nvars == other.nvars
-            and self.terms == other.terms
-        )
+        return _record(SparsePolynomial, (self.nvars, _over(product, da * db, decode)))
 
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
@@ -213,10 +199,10 @@ class SparsePolynomial:
         return f"SparsePolynomial({self.nvars}, {body})"
 
 
-class PolyIdeal:
+class PolyIdeal(Record):
     """Ideal given by polynomial generators; at least one must be nonzero."""
 
-    __slots__ = ("nvars", "generators")
+    __slots__ = __match_args__ = ("nvars", "generators")
 
     def __init__(self, nvars: int, generators: Iterable[SparsePolynomial]):
         (nvars,) = integers((nvars,), "ideal nvars", low=1)
@@ -229,24 +215,16 @@ class PolyIdeal:
                 raise InputError("generators live in different variable counts")
         if all(g.is_zero for g in gens):
             raise InputError("the zero ideal has no stable rank")
-        self.nvars = nvars
-        self.generators = gens
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, PolyIdeal)
-            and self.nvars == other.nvars
-            and self.generators == other.generators
-        )
+        self._store(nvars, gens)
 
     def __repr__(self) -> str:
         return f"PolyIdeal({self.nvars}, {list(self.generators)!r})"
 
 
-class MonomialIdeal:
+class MonomialIdeal(Record):
     """Monomial ideal, generators kept minimal under divisibility."""
 
-    __slots__ = ("nvars", "generators")
+    __slots__ = __match_args__ = ("nvars", "generators")
 
     def __init__(self, nvars: int, generators: Iterable[Sequence[int]]):
         (nvars,) = integers((nvars,), "ideal nvars", low=1)
@@ -263,8 +241,7 @@ class MonomialIdeal:
                     break
             else:
                 minimal.append(g)
-        self.nvars = nvars
-        self.generators = tuple(minimal)
+        self._store(nvars, tuple(minimal))
 
     @property
     def is_unit(self) -> bool:
@@ -276,13 +253,6 @@ class MonomialIdeal:
             [SparsePolynomial(self.nvars, {g: Fraction(1)}) for g in self.generators],
         )
 
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, MonomialIdeal)
-            and self.nvars == other.nvars
-            and self.generators == other.generators
-        )
-
     def __repr__(self) -> str:
         return f"MonomialIdeal({self.nvars}, {list(self.generators)!r})"
 
@@ -290,11 +260,11 @@ class MonomialIdeal:
 _IDEALS = (MonomialIdeal, PolyIdeal)
 
 
-class LinearChange:
+class LinearChange(Record):
     """Invertible rational matrix M encoding x_i -> sum_j M[j][i] * y_j; the
     constructor rejects a singular M, which `_singular` decides."""
 
-    __slots__ = ("nvars", "matrix")
+    __slots__ = __match_args__ = ("matrix",)
 
     def __init__(self, matrix: Iterable[Iterable]):
         rows = [rationals(row, "matrix entry") for row in collection(matrix, "matrix")]
@@ -303,11 +273,11 @@ class LinearChange:
             raise InputError("a linear change needs a square matrix")
         if _singular(rows):
             raise InputError("linear change matrix is singular")
-        self.nvars = n
-        self.matrix = tuple(rows)
+        self._store(tuple(rows))
 
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LinearChange) and self.matrix == other.matrix
+    @property
+    def nvars(self) -> int:
+        return len(self.matrix)
 
     def __repr__(self) -> str:
         return f"LinearChange({[list(r) for r in self.matrix]!r})"
@@ -399,7 +369,7 @@ def apply_linear_change(f: SparsePolynomial, change: LinearChange) -> SparsePoly
                 part = _int_product(part, form_power(i, e))
         for key, c in part.items():
             acc[key] = get(key, 0) + c
-    return SparsePolynomial._trusted(n, _over(acc, den, decode))
+    return _record(SparsePolynomial, (n, _over(acc, den, decode)))
 
 
 def lct_monomial(ideal: MonomialIdeal) -> Fraction:
@@ -434,13 +404,7 @@ def newton_threshold(ideal: MonomialIdeal) -> Fraction:
     gens = ideal.generators
     r, n = len(gens), ideal.nvars
     rows = tuple(tuple(-g[j] for g in gens) + (1,) for j in range(n))
-    program = LinearProgram._trusted(
-        objective=(0,) * r + (1,),
-        constraint_rows=rows,
-        rhs=(0,) * n,
-        equality_rows=((1,) * r + (0,),),
-        equality_rhs=(1,),
-    )
+    program = _record(LinearProgram, ((0,) * r + (1,), rows, (0,) * n, ((1,) * r + (0,),), (1,)))
     answer, scale = lp_minimize(program, _raw=True)
     if isinstance(answer, str) or answer[0] <= 0:
         raise RuntimeError(f"threshold program should be solvable, got {answer}")

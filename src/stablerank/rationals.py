@@ -37,8 +37,10 @@ solver, the rows of a linear system, the witness of a slope program, a
 polynomial product and a linear change's matrix alike.
 
 `Record` is the base of the package's immutable value types (a support, a
-program, an outcome, a slope result, a document): slotted fields that no
-assignment changes, compared, hashed and printed through their values.
+polynomial, an ideal, a linear change, a program, an outcome, a slope
+result, a document): slotted fields that no assignment changes, compared,
+hashed and printed through their values. `_record` builds one from values
+its caller has checked, without running its constructor's checks.
 """
 
 from __future__ import annotations
@@ -59,15 +61,22 @@ class Record:
 
     A subclass names its fields, in order, as both `__slots__` and
     `__match_args__`, and its `__init__` checks its arguments and stores
-    them with `object.__setattr__`. Assigning or deleting a field raises
+    them with one call of `_store`. Assigning or deleting a field raises
     AttributeError. Two records are equal when they are of the same class
     with equal fields, the hash is that of the tuple of the fields, and the
     repr is "Name(field=value, ...)", as for a frozen dataclass. `copy` and
-    `pickle` rebuild a record from its fields without running `__init__`.
+    `pickle` rebuild a record from its fields without running `__init__`,
+    through `_record`, which also builds the records whose values a caller
+    has already checked.
     """
 
     __slots__ = ()
     __match_args__ = ()
+
+    def _store(self, *values) -> None:
+        """Store `values` as the fields, in `__match_args__` order."""
+        for name, value in zip(self.__match_args__, values):
+            object.__setattr__(self, name, value)
 
     def _values(self) -> tuple:
         return tuple([getattr(self, name) for name in self.__match_args__])
@@ -95,10 +104,10 @@ class Record:
 
 
 def _record(cls: type, values: tuple) -> Record:
-    """The `cls` record with `values` as its fields, unchecked."""
+    """The `cls` record with `values` as its fields, unchecked: the caller
+    guarantees the values `cls(...)` would store."""
     record = object.__new__(cls)
-    for name, value in zip(cls.__match_args__, values):
-        object.__setattr__(record, name, value)
+    record._store(*values)
     return record
 
 

@@ -82,12 +82,11 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
-from itertools import accumulate
-from operator import getitem, mul
+from operator import mul
 
 from .errors import InputError
 from .exactlp import SlopeResult, _feasible, _slope
-from .rationals import Record, collection, expect, integer_vectors, integers, rationals
+from .rationals import Record, _record, collection, expect, integer_vectors, integers, rationals
 
 __all__ = [
     "TensorSupport",
@@ -113,20 +112,7 @@ class TensorSupport(Record):
                                          "tensor support tuple", order, 1, dims))
         if not seen:
             raise InputError("tensor support must be nonempty")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "tuples", seen)
-
-    @classmethod
-    def _trusted(cls, order: int, dims: int, tuples: frozenset[tuple[int, ...]]) -> "TensorSupport":
-        """The support with its fields kept as they are, unchecked: the caller
-        guarantees a nonempty frozenset of int tuples of arity `order` with
-        entries in 1..dims, as `__init__` would leave it."""
-        support = object.__new__(cls)
-        object.__setattr__(support, "order", order)
-        object.__setattr__(support, "dims", dims)
-        object.__setattr__(support, "tuples", tuples)
-        return support
+        self._store(order, dims, seen)
 
     @property
     def sorted_tuples(self) -> tuple[tuple[int, ...], ...]:
@@ -148,9 +134,7 @@ class SymmetricSupport(Record):
             raise InputError(f"exponent vector {m} sums to {sum(m)}, expected degree {degree}")
         if not exponents:
             raise InputError("symmetric support must be nonempty")
-        object.__setattr__(self, "degree", degree)
-        object.__setattr__(self, "nvars", nvars)
-        object.__setattr__(self, "exponents", frozenset(exponents))
+        self._store(degree, nvars, frozenset(exponents))
 
     @property
     def sorted_exponents(self) -> tuple[tuple[int, ...], ...]:
@@ -169,29 +153,21 @@ def torus_valuation(support: TensorSupport, weights) -> int:
     return min(sum(rows[i][j - 1] for i, j in enumerate(t)) for t in support.tuples)
 
 
-def _support_rows(support: TensorSupport) -> tuple[Sequence[int], tuple[tuple[int, ...], ...]]:
+def _support_rows(support: TensorSupport) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
     """(columns, rows): the variables the support uses, variable lam_i[j]
     being column i * n + j - 1, in ascending order, and one 0/1 row over
-    them alone per tuple, the tuples sorted. Entry (i, j) of a tuple lies at
-    starts[i] + j: when some index is unused, each index is first renumbered
-    by its rank among those its factor uses."""
-    n, d = support.dims, support.order
+    them alone per tuple, the tuples sorted. A row joins one part per
+    factor, factor by factor: the one-hot tuple, over the indices that
+    factor uses, of the tuple's index."""
+    n = support.dims
     tuples = support.sorted_tuples
-    used = list(map(set, zip(*tuples)))
-    if sum(map(len, used)) == n * d:
-        columns, starts = range(n * d), list(range(-1, n * d, n))
-    else:
-        used = list(map(sorted, used))
-        ranks = [{j: r for r, j in enumerate(js, start=1)} for js in used]
-        tuples = [tuple(map(getitem, ranks, t)) for t in tuples]
-        columns = [i * n + j - 1 for i, js in enumerate(used) for j in js]
-        starts = list(accumulate(map(len, used), initial=-1))
-    rows = []
-    for t in tuples:
-        row = [0] * len(columns)
-        for i, j in enumerate(t):
-            row[starts[i] + j] = 1
-        rows.append(tuple(row))
+    factors = list(zip(*tuples))
+    used = [sorted(set(column)) for column in factors]
+    columns = [i * n + j - 1 for i, js in enumerate(used) for j in js]
+    rows = [()] * len(tuples)
+    for js, column in zip(used, factors):
+        part = {j: (0,) * r + (1,) + (0,) * (len(js) - r - 1) for r, j in enumerate(js)}
+        rows = [row + part[j] for row, j in zip(rows, column)]
     return columns, tuple(rows)
 
 
@@ -249,7 +225,9 @@ def expand_symmetric(support: SymmetricSupport) -> TensorSupport:
     tuples = []
     for m in support.sorted_exponents:
         tuples.extend(_arrangements(m))
-    return TensorSupport._trusted(support.degree, support.nvars, frozenset(tuples))
+    # nonempty int tuples of arity degree with entries in 1..nvars, as
+    # the checked constructor would store them
+    return _record(TensorSupport, (support.degree, support.nvars, frozenset(tuples)))
 
 
 def _arrangements(m: tuple[int, ...]) -> list[tuple[int, ...]]:

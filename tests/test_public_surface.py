@@ -2,6 +2,7 @@
 this list, made on purpose."""
 
 import stablerank
+from stablerank.rationals import Record
 
 PUBLIC = [
     "CheckReport",
@@ -48,3 +49,11 @@ def test_all_is_the_pinned_list():
 def test_every_public_name_is_bound():
     missing = [name for name in stablerank.__all__ if not hasattr(stablerank, name)]
     assert missing == []
+
+
+def test_every_public_class_but_the_errors_and_reports_is_a_record():
+    classes = {name for name in stablerank.__all__
+               if isinstance(getattr(stablerank, name), type)}
+    records = {name for name in classes if issubclass(getattr(stablerank, name), Record)}
+    assert classes - records == {"InputError", "ParseError", "CheckReport"}
+    assert len(records) == 10

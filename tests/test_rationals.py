@@ -31,6 +31,7 @@ from stablerank.ideals import (
 )
 from stablerank.rationals import (
     Record,
+    _record,
     cleared,
     collection,
     integer_vectors,
@@ -407,13 +408,19 @@ RECORDS = [
      "SymmetricSupport(degree=2, nvars=2, exponents=frozenset({(1, 1)}))"),
     (InputDocument(TensorSupport(1, 1, [(1,)])),
      "InputDocument(payload=TensorSupport(order=1, dims=1, tuples=frozenset({(1,)})))"),
+    (SparsePolynomial(2, {(1, 0): F(1, 2), (0, 2): -3}),
+     "SparsePolynomial(2, -3*x^(0, 2) + 1/2*x^(1, 0))"),
+    (PolyIdeal(2, [X, SparsePolynomial(2, {})]),
+     "PolyIdeal(2, [SparsePolynomial(2, 1*x^(1, 0)), SparsePolynomial(2, 0)])"),
+    (MonomialIdeal(2, [(2, 0), (1, 1), (2, 1)]), "MonomialIdeal(2, [(1, 1), (2, 0)])"),
+    (LinearChange([[1, F(1, 2)], [0, 1]]), "LinearChange([[1, Fraction(1, 2)], [0, 1]])"),
 ]
 RECORD_IDS = [type(record).__name__ for record, _ in RECORDS]
 
 
 class TestRecord:
-    """The six value types on `Record`: the value semantics a frozen
-    dataclass gave them."""
+    """The ten value types on `Record`: the value semantics of a frozen
+    dataclass, with the ideal types' own reprs."""
 
     def test_keyword_construction_and_defaults(self):
         program = LinearProgram(objective=[1, 2], constraint_rows=[[1, 1]], rhs=[1],
@@ -429,13 +436,22 @@ class TestRecord:
         assert TensorSupport(order=1, dims=2, tuples=[(2,)]) == TensorSupport(1, 2, {(2,)})
         assert SymmetricSupport(degree=2, nvars=1, exponents=[(2,)]).exponents == {(2,)}
         assert InputDocument(payload=W).payload is W
+        assert SparsePolynomial(nvars=2, terms={(1, 0): 1}) == X
+        assert PolyIdeal(nvars=2, generators=[X]).generators == (X,)
+        assert MonomialIdeal(nvars=1, generators=[(2,), (1,)]).generators == ((1,),)
+        assert LinearChange(matrix=[[2]]).nvars == 1
 
     @pytest.mark.parametrize("record, text", RECORDS, ids=RECORD_IDS)
     def test_equality_hash_and_repr(self, record, text):
         fields = tuple(getattr(record, name) for name in type(record).__match_args__)
         twin = type(record)(*fields)
         assert twin == record and not twin != record and twin is not record
-        assert hash(record) == hash(twin) == hash(fields)
+        assert hash(record) == hash(twin)
+        if isinstance(record, SparsePolynomial):
+            # `terms` is a dict, so the polynomial hashes its items instead
+            assert hash(record) == hash((record.nvars, frozenset(record.terms.items())))
+        else:
+            assert hash(record) == hash(fields)
         assert repr(record) == text
         assert record != fields and record != object()
 
@@ -443,8 +459,11 @@ class TestRecord:
         assert LpOutcome("optimal", F(1)) != LpOutcome("optimal", F(2))
         assert SlopeResult(F(1), (1, 0)) != SlopeResult(F(1), (0, 1))
         assert TensorSupport(1, 2, [(1,)]) != TensorSupport(1, 3, [(1,)])
+        assert SparsePolynomial(2, {(1, 0): 1}) != SparsePolynomial(3, {(1, 0, 0): 1})
+        assert MonomialIdeal(2, [(1, 0)]) != MonomialIdeal(2, [(0, 1)])
         # another class with equal fields is not equal
         assert SlopeResult("optimal", None) != LpOutcome("optimal", None)
+        assert MonomialIdeal(1, [(1,)]) != PolyIdeal(1, [SparsePolynomial(1, {(1,): 1})])
 
     def test_positional_patterns(self):
         match SlopeResult(F(3, 2), (1, 0)):
@@ -453,6 +472,15 @@ class TestRecord:
             case SlopeResult(value, witness):
                 matched = (value, witness)
         assert matched == (F(3, 2), (1, 0))
+        match MonomialIdeal(2, [(1, 0)]):
+            case PolyIdeal():
+                matched = None
+            case MonomialIdeal(nvars, generators):
+                matched = (nvars, generators)
+        assert matched == (2, ((1, 0),))
+        match LinearChange([[2]]):
+            case LinearChange(matrix):
+                assert matrix == ((2,),)
 
     @pytest.mark.parametrize("record, text", RECORDS, ids=RECORD_IDS)
     def test_assignment_and_deletion_raise(self, record, text):
@@ -476,12 +504,17 @@ class TestRecord:
         assert isinstance(record, Record) and not hasattr(record, "__dict__")
         assert type(record).__slots__ == type(record).__match_args__
 
-    def test_trusted_constructors_build_equal_records(self):
-        program = LinearProgram._trusted((1,), ((1,),), (1,))
+    def test_unchecked_results_equal_checked_ones(self):
+        # `_record` stores the fields as given, without running the checks
+        program = _record(LinearProgram, ((1,), ((1,),), (1,), (), ()))
         assert program == LinearProgram((1,), [[1]], [1]) and repr(program) == (
             "LinearProgram(objective=(1,), constraint_rows=((1,),), rhs=(1,), "
             "equality_rows=(), equality_rhs=())")
-        assert TensorSupport._trusted(1, 2, frozenset({(2,)})) == TensorSupport(1, 2, [(2,)])
+        assert _record(TensorSupport, (1, 2, frozenset({(2,)}))) == TensorSupport(1, 2, [(2,)])
+        y = SparsePolynomial(2, {(0, 1): F(1, 3)})
+        for unchecked in (X + y, X * y, apply_linear_change(X, LinearChange([[0, 1], [1, 0]]))):
+            checked = SparsePolynomial(unchecked.nvars, unchecked.terms)
+            assert unchecked == checked and hash(unchecked) == hash(checked)
 
 
 class TestCleared:

@@ -238,9 +238,9 @@ class TestExpandSymmetric:
         single = SymmetricSupport(degree=1200, nvars=1, exponents=[(1200,)])
         assert expand_symmetric(single).tuples == {(1,) * 1200}
 
-    def test_trusted_result_equals_validated(self):
-        # expand_symmetric skips validation; its support must be the one the
-        # public constructor builds from the same tuples
+    def test_unchecked_result_equals_validated(self):
+        # expand_symmetric builds its support with `_record`, unchecked; it
+        # must be the one the public constructor builds from the same tuples
         rng = random.Random(31)
         for _ in range(40):
             v = random_symmetric(rng, max_n=4, max_d=6, max_support=6)
