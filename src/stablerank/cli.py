@@ -66,12 +66,12 @@ def _load(path: str, kinds: tuple[str, ...], what: str):
 
 def _emit(as_json: bool, value, witness, notes: list[str]) -> int:
     """Print one answer, its exact value as p/q, an integer or "inf".
-    `witness` is None, a flat vector, or one list per tensor factor, which
+    `witness` is None, a flat tuple, or one tuple per tensor factor, which
     the text line separates by ' / '. The text line is written in chunks of
     `_CHUNK` entries, so a long witness never has every entry's text in
     memory at once; `json.dumps` writes the JSON object whole."""
     value = str(value)
-    witness = [] if witness is None else list(witness)
+    witness = () if witness is None else witness
     if as_json:
         print(json.dumps({"value": value, "witness": witness, "notes": notes}))
     else:
@@ -79,7 +79,7 @@ def _emit(as_json: bool, value, witness, notes: list[str]) -> int:
         if witness:
             write = sys.stdout.write
             write("witness: ")
-            for k, group in enumerate(witness if isinstance(witness[0], list) else [witness]):
+            for k, group in enumerate(witness if isinstance(witness[0], tuple) else [witness]):
                 if k:
                     write(" / ")
                 for start in range(0, len(group), _CHUNK):
@@ -104,7 +104,7 @@ def _cmd_rank_tensor(args) -> int:
         alpha = tuple(parse_rational(p.strip()) for p in parts)
     result = torus_rank(support, alpha)
     w, n = result.witness, support.dims
-    groups = None if w is None else [list(w[i * n:(i + 1) * n]) for i in range(support.order)]
+    groups = None if w is None else [w[i * n:(i + 1) * n] for i in range(support.order)]
     return _emit(args.json, result.value, groups, [_UPPER_BOUND_TENSOR])
 
 

@@ -60,18 +60,13 @@ factor i2, the two marginals equal to 1 force theta' = 0 on every other
 tuple with index j2 in factor i2. Each such kill follows from two
 equalities and theta' >= 0, so it holds for every feasible theta', and
 the rule runs until no kill is left. An index left with no live tuple is
-unstable, as above; exactly n live tuples with no index left empty use
-each index of each factor once, so theta' = 1 on them is feasible. A
-perfect matching is itself a feasible theta', so no kill removes its
-tuples: running the search first decides True wherever it would have
-after the kills, and on a support the rest leave open the program is
-built over the live tuples alone, since every feasible theta' is zero on
-the dead ones. A support can be semistable with no perfect matching, its
-theta' fractional; the program decides those. If no exponent vector uses
-variable j of a form, mu = 1 - n * e_j is traceless and pairs d >= 1 with
-every exponent, so that form is unstable with no program. Both first
-steps read the support alone, so a header with a huge n and a short
-support is decided at once.
+unstable, as above. Otherwise the program decides, built over the live
+tuples alone, since every feasible theta' is zero on the dead ones; a
+support can be semistable with no perfect matching, its theta'
+fractional. If no exponent vector uses variable j of a form,
+mu = 1 - n * e_j is traceless and pairs d >= 1 with every exponent, so
+that form is unstable with no program. Both first steps read the support
+alone, so a header with a huge n and a short support is decided at once.
 
 Every public function that takes a support raises InputError
 "not a tensor support: ..." or "not a symmetric support: ..." when handed
@@ -195,8 +190,6 @@ def torus_rank(support: TensorSupport, alpha: Sequence | None = None) -> SlopeRe
         raise InputError("alpha entries must be positive")
     columns, rows = _support_rows(support)
     result = _slope(tuple([avec[c // n] for c in columns]), rows)
-    if len(columns) == n * d:
-        return result
     witness = [0] * (n * d)
     for c, v in zip(columns, result.witness):
         witness[c] = v
@@ -265,7 +258,7 @@ def _forced_zeros(tuples: tuple[tuple[int, ...], ...], n: int) -> bool | list[tu
     tuples (`_matching`) is True. Only when the search finds none do the
     kills run: a live class inside another class kills that class's other
     tuples (module docstring), until no kill is left. An empty live class
-    is then False, and n live tuples with none empty True.
+    is then False; otherwise the live tuples are left to the program.
     """
     if n > len(tuples):
         return False
@@ -285,8 +278,6 @@ def _forced_zeros(tuples: tuple[tuple[int, ...], ...], n: int) -> bool | list[tu
         live = [m & alive for m in classes]
         if not all(live):
             return False
-        if alive.bit_count() == n:
-            return True
         before = alive
         for c in live:
             for other in classes:
@@ -342,11 +333,7 @@ def is_torus_semistable(support: TensorSupport) -> bool:
     forced zeros settle it (`_forced_zeros`): False when some factor i
     leaves an index j unused; True when the search (`_matching`) finds n
     tuples that part in every factor; else, after the kills, False when an
-    index has no live tuple left and True when exactly n tuples stay live.
-    On the benchmark's semistable pool at seed 1 that settles 322 of the
-    336 tensor supports: 70 by an unused index, 174 by a matching and 78 by
-    the kills. The 14 left are 11 semistable supports with no perfect
-    matching and 3 unstable ones; the kills shrink 7 of them.
+    index has no live tuple left.
 
     Otherwise one exact feasibility program over theta' = n * theta, with a
     variable per live tuple, and the integer rows sum(theta') = n and, for
@@ -364,10 +351,8 @@ def is_torus_semistable(support: TensorSupport) -> bool:
     of one class differ in every factor, so each run of columns is a
     partial matching of the marginal rows, and Bland's rule, which enters
     the least improving column, meets far fewer degenerate pivots than over
-    the lexicographic order, whose neighbours share indices (on the
-    benchmark's semistable pool at seed 1 before forced zeros, 3,116
-    phase-one pivots against 4,348; on a 999-tuple support of order 4 over
-    dims 25, 1,937 against 47,032). Only the verdict is returned, and
+    the lexicographic order, whose neighbours share indices. Only the
+    verdict is returned, and
     feasibility does not depend on the order of the variables, so the order
     moves no answer. Only the live tuples are sorted, and only here.
     """

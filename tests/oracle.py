@@ -1,21 +1,38 @@
-"""Brute-force reference solver for the exact LP tests.
+"""The references the tests share, each written once.
 
-It enumerates candidate bases and solves each square system with `solve`,
-its own Gauss-Jordan elimination in plain Fractions. It shares no code with
-`lp_minimize`: no packed rows, no pivot kernel, no ratio test, no pivot rule
-and no route choice. `inverse` is the exact inverse of a matrix, which the
-tests of linear changes take from here, since the library only checks that
-a matrix is invertible. `minimal_generators` is the quadratic divisibility
-filter that `MonomialIdeal`'s one-pass minimalisation is checked against.
-The tests import it as `oracle`, from this directory.
+`oracle_minimum_over_vertices` is the brute-force reference solver: it
+enumerates candidate bases and solves each square system with `solve`, its
+own Gauss-Jordan elimination in plain Fractions. It still shares no code
+with `lp_minimize`: no packed rows, no pivot kernel, no ratio test, no
+pivot rule and no route choice. `inverse` is the exact inverse of a matrix,
+which the tests of linear changes take from here, since the library only
+checks that a matrix is invertible. `minimal_generators` is the quadratic
+divisibility filter that `MonomialIdeal`'s one-pass minimalisation is
+checked against.
+
+The tensor programs are built from the supports alone, not from the
+library's builders: `full_tensor_program` is the slope program of
+`torus_rank` over every index, `marginal_rows` the rows of the tensor
+semistability program over tuples in a given order, and
+`difference_class_order` the order `is_torus_semistable` gives its
+columns. The right sides stay with the callers. `feasible` asks the
+public route, `lp_minimize`, whether a system is feasible.
+
+`simplex_passes` records the path of every simplex pass a call runs. It
+reads `exactlp._simplex` through the module global, so every route and
+every caller is seen, and `used_index_passes` renumbers the passes of the
+full tensor program onto the indices a support uses, as `torus_rank`
+takes them. The tests import this module as `oracle`, from this directory.
 """
 
 import math
 from fractions import Fraction
 from itertools import combinations
 
+from stablerank import exactlp
 from stablerank.errors import InputError
-from stablerank.exactlp import LinearProgram, LpOutcome
+from stablerank.exactlp import LinearProgram, LpOutcome, SlopeResult, lp_minimize
+from stablerank.rationals import cleared
 
 
 def _dot(u, v) -> Fraction:
@@ -117,3 +134,121 @@ def oracle_minimum_over_vertices(
     if best_value is None:
         return LpOutcome(status="infeasible")
     return LpOutcome(status="optimal", value=best_value, vertex=best_vertex)
+
+
+def feasible(rows, rhs, eq_rows=(), eq_rhs=()) -> bool:
+    """Is {rows . x >= rhs, eq_rows . x = eq_rhs, x >= 0} feasible? The
+    checked public route: `lp_minimize` of the program with a zero objective."""
+    program = LinearProgram((0,) * len([*rows, *eq_rows][0]), rows, rhs, eq_rows, eq_rhs)
+    return lp_minimize(program).status == "optimal"
+
+
+def slope(cost, rows):
+    """The checked public route to the slope program: `lp_minimize` of
+    min{cost . x : row . x >= 1, x >= 0}, its vertex cleared to an integer
+    witness. A zero row makes the program infeasible and the slope
+    +infinity."""
+    out = lp_minimize(LinearProgram(cost, rows, (1,) * len(rows)))
+    if out.status == "infeasible":
+        return SlopeResult(value=math.inf, witness=None)
+    return SlopeResult(value=out.value, witness=cleared(out.vertex)[1])
+
+
+def compositions(total, parts) -> list:
+    """Every tuple of `parts` nonnegative ints summing to `total`, in
+    lexicographic order: the exponent vectors of a form."""
+    if parts == 1:
+        return [(total,)]
+    return [(head, *tail) for head in range(total + 1)
+            for tail in compositions(total - head, parts - 1)]
+
+
+def full_tensor_program(support, alpha) -> tuple:
+    """(cost, rows) of the slope program of `torus_rank` over every index,
+    used or not: cost alpha_i and one 0/1 row per sorted tuple, variable
+    lam_i[j] at column i * n + j - 1. Its witness is 0 at every unused
+    index."""
+    n, d = support.dims, support.order
+    rows = tuple(tuple(int(t[c // n] == c % n + 1) for c in range(n * d))
+                 for t in support.sorted_tuples)
+    return tuple(a for a in alpha for _ in range(n)), rows
+
+
+def marginal_rows(tuples, n) -> tuple:
+    """The rows of the tensor semistability program over dims n, one column
+    per tuple in the order given: the all-ones row of sum(theta) and then,
+    factor by factor, the 0/1 marginal row of each index j < n."""
+    rows = [(1,) * len(tuples)]
+    rows += [tuple(int(t[i] == j) for t in tuples)
+             for i in range(len(tuples[0])) for j in range(1, n)]
+    return tuple(rows)
+
+
+def difference_class_order(tuples, n) -> list:
+    """The tuples grouped by difference class, the tuple of (t_i - t_1) mod
+    n, classes in order and each class by t_1."""
+    return sorted(tuples, key=lambda t: (tuple((x - t[0]) % n for x in t), t))
+
+
+class _Basis(list):
+    """A basis that records every assignment basis[row] = column as the pair
+    [row, column]: in a simplex pass, the leaving row and entering column."""
+
+    def __init__(self, basis):
+        super().__init__(basis)
+        self.pivots = []
+
+    def __setitem__(self, row, column):
+        self.pivots.append([row, column])
+        super().__setitem__(row, column)
+
+
+def simplex_passes(call, *args, full=False) -> tuple:
+    """(call(*args), every `exactlp._simplex` pass it ran, in order).
+
+    A pass is a dict of its field width "k" (`fields.k`), "ncols", the
+    zero-stop flag "stop" its route asked for, the "start" basis, the
+    (leaving row, entering column) "pivots" and the final "basis". The
+    pairs are read off the basis, since `_simplex` assigns basis[row] =
+    column once per pivot and nowhere else; the drive-out pivots after a
+    phase one are no part of a pass. With `full`, no pass stops at a zero
+    value: every phase one runs to the end."""
+    passes = []
+    simplex = exactlp._simplex
+
+    def traced(rows, basis, d, fields, ncols, stop_at_zero=False):
+        entering = _Basis(basis)
+        out = simplex(rows, entering, d, fields, ncols, stop_at_zero and not full)
+        passes.append({"k": fields.k, "ncols": ncols, "stop": stop_at_zero,
+                       "start": list(basis), "pivots": entering.pivots,
+                       "basis": list(entering)})
+        basis[:] = entering
+        return out
+
+    exactlp._simplex = traced
+    try:
+        return call(*args), passes
+    finally:
+        exactlp._simplex = simplex
+
+
+def path(passes) -> list:
+    """The path of every pass: its start basis, pivots and final basis."""
+    return [(p["start"], p["pivots"], p["basis"]) for p in passes]
+
+
+def used_index_passes(support, passes) -> list:
+    """The passes of `full_tensor_program` as `torus_rank` takes them over
+    the indices the support uses: dual tableau row r and slack column m + r
+    belong to variable r, so the rows and slack columns of unused indices
+    drop out and the rest are renumbered in order. "k" and "ncols" stay the
+    full program's."""
+    n, m = support.dims, len(support.tuples)
+    used = sorted({i * n + j - 1 for t in support.tuples for i, j in enumerate(t)})
+    row = {r: k for k, r in enumerate(used)}
+    column = {c: c for c in range(m)}
+    column.update({m + c: m + k for k, c in enumerate(used)})
+    return [dict(p, start=[column[p["start"][r]] for r in used],
+                 pivots=[[row[r], column[c]] for r, c in p["pivots"]],
+                 basis=[column[p["basis"][r]] for r in used])
+            for p in passes]

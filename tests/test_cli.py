@@ -8,8 +8,8 @@ from pathlib import Path
 import pytest
 
 import stablerank.exactlp
-from stablerank.cli import main, run
-from stablerank.tensors import TensorSupport, torus_valuation
+from stablerank.cli import _CHUNK, _UPPER_BOUND_TENSOR, main, run
+from stablerank.tensors import TensorSupport, torus_rank, torus_valuation
 
 W_TEXT = "tensor 3 2\n2 1 1\n1 2 1\n1 1 2\n"
 W_FORM_TEXT = "symm 3 2\n2 1\n"
@@ -54,6 +54,23 @@ class TestRankTensor:
         total = sum(sum(g) for g in weights)
         assert total == 3 * torus_valuation(support, weights) // 2
         assert isinstance(data["notes"], list)
+
+    def test_long_witness_is_written_in_chunks(self, tmp_path, capsys):
+        # two factors of 5,000 entries, each above one chunk, and the same
+        # bytes as one join over the witness
+        path = tmp_path / "long.txt"
+        path.write_text("tensor 2 5000\n1 1\n")
+        result = torus_rank(TensorSupport(2, 5000, [(1, 1)]))
+        groups = [list(result.witness[:5000]), list(result.witness[5000:])]
+        assert len(groups[0]) > _CHUNK
+        assert run(["rank", "tensor", str(path)]) == 0
+        assert capsys.readouterr().out == (
+            f"value: {result.value}\nwitness: "
+            + " / ".join(" ".join(map(str, group)) for group in groups)
+            + f"\nnote: {_UPPER_BOUND_TENSOR}\n")
+        assert run(["rank", "tensor", str(path), "--json"]) == 0
+        assert capsys.readouterr().out == json.dumps(
+            {"value": str(result.value), "witness": groups, "notes": [_UPPER_BOUND_TENSOR]}) + "\n"
 
     def test_alpha_scaling(self, files, capsys):
         assert run(["rank", "tensor", files["w.txt"], "--alpha", "2,2,2"]) == 0

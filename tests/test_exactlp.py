@@ -199,26 +199,11 @@ class TestLpFeasible:
             feasibility(rows, rhs, eq_rows, eq_rhs)
 
 
-def pass_pivots(monkeypatch, solve, full=False):
+def pass_pivots(solve, full=False):
     """(solve(), the pivot count of every `_simplex` pass it ran). With
     `full`, no pass stops at a zero value: every phase one runs to the end."""
-    pivots, passes = [], []
-    simplex, pivot = exactlp._simplex, exactlp._pivot
-
-    def traced_simplex(rows, basis, d, fields, ncols, stop_at_zero=False):
-        before = len(pivots)
-        out = simplex(rows, basis, d, fields, ncols, stop_at_zero and not full)
-        passes.append(len(pivots) - before)
-        return out
-
-    def traced_pivot(*args):
-        pivots.append(args[2])
-        return pivot(*args)
-
-    with monkeypatch.context() as patch:
-        patch.setattr(exactlp, "_simplex", traced_simplex)
-        patch.setattr(exactlp, "_pivot", traced_pivot)
-        return solve(), passes
+    answer, passes = oracle.simplex_passes(solve, full=full)
+    return answer, [len(p["pivots"]) for p in passes]
 
 
 class TestPhaseOneStop:
@@ -228,22 +213,22 @@ class TestPhaseOneStop:
     # would then enter y on a row at level 0, which moves nothing
     EQ_ROWS, EQ_RHS = [[1, 0], [1, 1]], [2, 2]
 
-    def test_zero_cost_skips_the_degenerate_tail(self, monkeypatch):
+    def test_zero_cost_skips_the_degenerate_tail(self):
         zero_cost = feasibility([], [], self.EQ_ROWS, self.EQ_RHS)
         for full, passes in ((False, [1]), (True, [2])):
-            outcome, ran = pass_pivots(monkeypatch, lambda: lp_minimize(zero_cost), full)
+            outcome, ran = pass_pivots(lambda: lp_minimize(zero_cost), full)
             assert (outcome.status, outcome.value, outcome.vertex, ran) == (
                 "optimal", 0, (F(2), F(0)), passes)
 
-    def test_nonzero_cost_runs_phase_one_to_the_end(self, monkeypatch):
+    def test_nonzero_cost_runs_phase_one_to_the_end(self):
         for cost in ([1, 1], [0, -1], [F(1, 2), 0]):
             costly = program(cost, [], [], self.EQ_ROWS, self.EQ_RHS)
-            outcome, passes = pass_pivots(monkeypatch, lambda: lp_minimize(costly))
+            outcome, passes = pass_pivots(lambda: lp_minimize(costly))
             # the first pass is the zero-cost system's full phase one
             assert passes[0] == 2
             assert outcome.vertex == (F(2), F(0))
 
-    def test_random_systems_keep_every_witness(self, monkeypatch):
+    def test_random_systems_keep_every_witness(self):
         rng = random.Random(20261107)
         fewer = 0
         for _ in range(300):
@@ -256,14 +241,14 @@ class TestPhaseOneStop:
             def feasible():
                 return lp_minimize(feasibility(rows, rhs, eq_rows, eq_rhs))
 
-            stopped, short = pass_pivots(monkeypatch, feasible)
-            answer, full = pass_pivots(monkeypatch, feasible, full=True)
+            stopped, short = pass_pivots(feasible)
+            answer, full = pass_pivots(feasible, full=True)
             assert stopped == answer
             assert sum(short) <= sum(full)
             fewer += sum(short) < sum(full)
         assert fewer >= 20
 
-    def test_golden_feasibility_cases(self, monkeypatch):
+    def test_golden_feasibility_cases(self):
         # the feasible family's systems with equality rows, which take the
         # two-phase route; the others take the dual route, with no phase one
         golden = json.loads(Path(__file__).with_name("golden_lp.json").read_text(encoding="utf-8"))
@@ -274,8 +259,8 @@ class TestPhaseOneStop:
             system = feasibility(
                 [[F(v) for v in row] for row in given["rows"]], [F(v) for v in given["rhs"]],
                 [[F(v) for v in row] for row in given["eq_rows"]], [F(v) for v in given["eq_rhs"]])
-            stopped, short = pass_pivots(monkeypatch, lambda: lp_minimize(system))
-            answer, full = pass_pivots(monkeypatch, lambda: lp_minimize(system), full=True)
+            stopped, short = pass_pivots(lambda: lp_minimize(system))
+            answer, full = pass_pivots(lambda: lp_minimize(system), full=True)
             assert stopped == answer
             assert sum(short) <= sum(full)
             fewer += sum(short) < sum(full)
@@ -1057,31 +1042,23 @@ def test_raw_read_equals_the_public_outcome(monkeypatch):
             assert (result.value, result.witness) == (math.inf, None)
             continue
         finite += 1
-        out = lp_minimize(LinearProgram(cost, rows, (1,) * len(rows)))
-        assert type(result.value) is F and result.value == out.value
-        assert result.witness == cleared(out.vertex)[1]
+        public = oracle.slope(cost, rows)
+        assert type(result.value) is F and result.value == public.value
+        assert result.witness == public.witness
         assert all(type(v) is int for v in result.witness)
     kinds = set()
     for (rows, rhs), verdict in verdicts:
         kinds.add(verdict)
-        assert verdict is (lp_minimize(feasibility([], [], rows, rhs)).status == "optimal")
+        assert verdict is oracle.feasible((), (), rows, rhs)
     assert finite > 200 and kinds == {False, True}
 
 
-def test_zero_cost_phase_one_packs_no_artificial_column(monkeypatch):
+def test_zero_cost_phase_one_packs_no_artificial_column():
     # A zero-cost system with equality rows takes the two-phase route, whose
     # phase one runs over the variables and the surplus columns alone. Its
     # verdicts match the vertex oracle, each feasible vertex satisfies the
     # system exactly, and `_feasible` gives the same verdict on the system
     # with one explicit surplus variable per inequality row.
-    passes = []
-    simplex = exactlp._simplex
-
-    def traced(rows, basis, d, fields, ncols, stop_at_zero=False):
-        passes.append((ncols, len(basis), stop_at_zero))
-        return simplex(rows, basis, d, fields, ncols, stop_at_zero)
-
-    monkeypatch.setattr(exactlp, "_simplex", traced)
     rng = random.Random(20261020)
     seen = set()
     for _ in range(300):
@@ -1091,9 +1068,8 @@ def test_zero_cost_phase_one_packs_no_artificial_column(monkeypatch):
         eq_rows = [[rng.randint(-1, 2) for _ in range(n)] for _ in range(p)]
         eq_rhs = [rng.randint(-1, 3) for _ in range(p)]
         system = feasibility(rows, rhs, eq_rows, eq_rhs)
-        passes.clear()
-        out = lp_minimize(system)
-        assert passes == [(n + m, m + p, True)]
+        out, passes = oracle.simplex_passes(lp_minimize, system)
+        assert [(s["ncols"], len(s["start"]), s["stop"]) for s in passes] == [(n + m, m + p, True)]
         assert out.status == oracle_minimum_over_vertices(system).status
         if out.status == "optimal":
             x = out.vertex
@@ -1107,22 +1083,15 @@ def test_zero_cost_phase_one_packs_no_artificial_column(monkeypatch):
     assert seen == {("optimal", False), ("optimal", True), ("infeasible", False), ("infeasible", True)}
 
 
-def test_zero_cost_width_counts_no_artificial_column(monkeypatch):
+def test_zero_cost_width_counts_no_artificial_column():
     # The semistability program of this 3x3x3 support, 7 rows over its 10
     # tuples, has a Hadamard bound of 2^14 and so 16-bit fields. Counting the
     # unit entry of an artificial column, which a zero-cost tableau does not
     # pack, in every row's squared norm would raise the bound to 2^15 and the
     # fields to 24 bits. The support is semistable with no perfect matching,
     # so it reaches the program.
-    widths = []
-
-    class Fields(exactlp._Fields):
-        def __init__(self, bits):
-            super().__init__(bits)
-            widths.append(self.k)
-
-    monkeypatch.setattr(exactlp, "_Fields", Fields)
     support = TensorSupport(3, 3, [(1, 1, 1), (1, 2, 2), (1, 3, 1), (2, 1, 1), (2, 1, 2),
                                    (2, 2, 1), (2, 2, 3), (2, 3, 2), (3, 1, 3), (3, 3, 1)])
-    assert is_torus_semistable(support) is True
-    assert widths == [16]
+    verdict, passes = oracle.simplex_passes(is_torus_semistable, support)
+    assert verdict is True
+    assert [p["k"] for p in passes] == [16]

@@ -34,6 +34,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
+import oracle
 from stablerank import exactlp
 from stablerank.exactlp import LinearProgram, lp_minimize
 from stablerank.tensors import TensorSupport, torus_rank
@@ -183,43 +184,11 @@ def solve(case: dict) -> dict:
     }
 
 
-class _Entering(list):
-    """A basis that records every assignment basis[row] = column as the pair
-    (row, column): in a simplex pass, the leaving row and entering column."""
-
-    def __init__(self, basis):
-        super().__init__(basis)
-        self.pivots = []
-
-    def __setitem__(self, row, column):
-        self.pivots.append([row, column])
-        super().__setitem__(row, column)
-
-
 def pivots(case: dict) -> list[dict]:
     """Every simplex pass of the solve of one case, in order: its (leaving
     row, entering column) pairs and its final basis."""
-    return _passes(solve, case)
-
-
-def _passes(call, *args) -> list[dict]:
-    """Every simplex pass of `call(*args)`, as `pivots` records them."""
-    passes = []
-    simplex = exactlp._simplex
-
-    def traced(rows, basis, *args):
-        entering = _Entering(basis)
-        out = simplex(rows, entering, *args)
-        basis[:] = entering
-        passes.append({"pivots": entering.pivots, "basis": list(entering)})
-        return out
-
-    exactlp._simplex = traced
-    try:
-        call(*args)
-    finally:
-        exactlp._simplex = simplex
-    return passes
+    return [{"pivots": p["pivots"], "basis": p["basis"]}
+            for p in oracle.simplex_passes(solve, case)[1]]
 
 
 def _load():
@@ -260,20 +229,6 @@ def test_golden_pivots():
     assert sum(len(p["pivots"]) for passes in pinned for p in passes) > 1000
 
 
-def _full_program(support: TensorSupport, alpha) -> tuple:
-    """The slope program of `torus_rank` over every index, used or not: cost
-    alpha_i and one 0/1 row per sorted tuple, variable lam_i[j] at column
-    i * n + j - 1."""
-    n, d = support.dims, support.order
-    rows = []
-    for t in support.sorted_tuples:
-        row = [0] * (n * d)
-        for i, j in enumerate(t):
-            row[i * n + j - 1] = 1
-        rows.append(tuple(row))
-    return tuple(a for a in alpha for _ in range(n)), tuple(rows)
-
-
 def _random_support(rng) -> TensorSupport:
     """A support over dims n and order d with at least one unused index."""
     n, d = rng.randint(2, 5), rng.randint(1, 4)
@@ -298,21 +253,16 @@ def test_unused_indices_leave_the_full_programs_pivots():
                  for _ in range(200)]
     unused = 0
     for support, alpha in supports:
-        n, d, m = support.dims, support.order, len(support.tuples)
+        n, d = support.dims, support.order
         alpha = alpha[:d]
-        cost, rows = _full_program(support, alpha)
-        used = sorted({i * n + j - 1 for t in support.tuples for i, j in enumerate(t)})
-        unused += len(used) < n * d
-        # dual tableau row r and slack column m + r belong to variable r
-        column = {c: c for c in range(m)}
-        column.update({m + c: m + k for k, c in enumerate(used)})
-        renumbered = [{"pivots": [[used.index(r), column[c]] for r, c in p["pivots"]],
-                       "basis": [column[p["basis"][r]] for r in used]}
-                      for p in _passes(exactlp._slope, cost, rows)]
-        assert _passes(torus_rank, support, alpha) == renumbered
-        result, reference = torus_rank(support, alpha), exactlp._slope(cost, rows)
+        reference, full = oracle.simplex_passes(
+            exactlp._slope, *oracle.full_tensor_program(support, alpha))
+        result, passes = oracle.simplex_passes(torus_rank, support, alpha)
+        assert oracle.path(passes) == oracle.path(oracle.used_index_passes(support, full))
         assert (result.value, result.witness) == (reference.value, reference.witness)
-        assert all(reference.witness[c] == 0 for c in set(range(n * d)) - set(used))
+        used = {i * n + j - 1 for t in support.tuples for i, j in enumerate(t)}
+        unused += len(used) < n * d
+        assert all(reference.witness[c] == 0 for c in set(range(n * d)) - used)
     assert unused > 200
 
 

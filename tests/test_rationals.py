@@ -292,6 +292,11 @@ def typed(make):
 
 BAD_ENTRIES = [True, F(2), F(1, 2), Int(1), 1.0, "1", "2/3", -1, 0, None]
 
+# The Fractions of denominator at most 4 below 4 in magnitude, drawn as p / q
+# with |p| <= 15: few draws are rejected, where `st.fractions` rejects most.
+SMALL_FRACTIONS = st.builds(F, st.integers(-15, 15), st.integers(1, 4)).filter(
+    lambda q: abs(q) < 4)
+
 
 @st.composite
 def term_mappings(draw):
@@ -300,8 +305,7 @@ def term_mappings(draw):
     coincide once coerced."""
     nvars = draw(st.integers(1, 3))
     exps = st.tuples(*[st.integers(0, 3)] * nvars)
-    coeffs = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=4).filter(
-        lambda q: abs(q) < 4))
+    coeffs = st.one_of(st.integers(-3, 3), SMALL_FRACTIONS)
     terms = dict(draw(st.lists(st.tuples(exps, coeffs), max_size=6)))
     items = list(terms.items())
     for i in draw(st.sets(st.integers(0, len(items) - 1), max_size=2)) if items else ():
@@ -321,8 +325,7 @@ def matrices(draw):
     """Square or ragged matrices of lists, tuples or generators, with at most
     two faulty entries or rows."""
     n = draw(st.integers(0, 3))
-    entry = st.one_of(st.integers(-3, 3), st.fractions(max_denominator=4).filter(
-        lambda q: abs(q) < 4))
+    entry = st.one_of(st.integers(-3, 3), SMALL_FRACTIONS)
     rows = [draw(st.lists(entry, min_size=n, max_size=n)) for _ in range(n)]
     for i in draw(st.sets(st.integers(0, n - 1), max_size=2)) if rows else ():
         fault = draw(st.sampled_from(["entry", "length", "not a collection"]))

@@ -12,10 +12,11 @@ from fractions import Fraction as F
 
 import pytest
 
-from oracle import oracle_minimum_over_vertices
+import oracle
+from oracle import compositions, feasible, oracle_minimum_over_vertices
 from stablerank import exactlp, tensors, verify
 from stablerank.errors import InputError
-from stablerank.exactlp import LinearProgram, lp_minimize
+from stablerank.exactlp import LinearProgram
 from stablerank.tensors import (
     SymmetricSupport,
     TensorSupport,
@@ -29,16 +30,6 @@ from stablerank.tensors import (
 
 W = TensorSupport(order=3, dims=2, tuples=[(2, 1, 1), (1, 2, 1), (1, 1, 2)])
 W_FORM = SymmetricSupport(degree=3, nvars=2, exponents=[(2, 1)])
-
-
-def compositions(total, parts):
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for head in range(total + 1):
-        for tail in compositions(total - head, parts - 1):
-            out.append((head,) + tail)
-    return out
 
 
 def random_tensor(rng, max_n=3, max_d=3, max_support=4):
@@ -313,15 +304,17 @@ class TestSemistability:
             assert is_symm_torus_semistable(v) == is_torus_semistable(expand_symmetric(v))
 
 
-def feasible(rows, rhs, eq_rows=(), eq_rhs=()):
-    """Is {rows . x >= rhs, eq_rows . x = eq_rhs, x >= 0} feasible? The
-    checked public route: `lp_minimize` of the program with a zero objective."""
-    program = LinearProgram((0,) * len([*rows, *eq_rows][0]), rows, rhs, eq_rows, eq_rhs)
-    return lp_minimize(program).status == "optimal"
-
-
 def no_program(*args):
     raise AssertionError("a program was built")
+
+
+@pytest.fixture
+def programs(monkeypatch):
+    """Every (rows, rhs) the semistability checks hand to `_feasible`."""
+    built = []
+    feasible = tensors._feasible
+    monkeypatch.setattr(tensors, "_feasible", lambda *a: built.append(a) or feasible(*a))
+    return built
 
 
 class TestUnusedCoordinate:
@@ -335,10 +328,9 @@ class TestUnusedCoordinate:
         n = 3
         tuples = [(j,) * (d - 1) + (min(j, n - 1),) for j in range(1, n + 1)]
         v = TensorSupport(order=d, dims=n, tuples=tuples)
-        rows = [(1,) * len(v.tuples)] + [tuple(int(t[i] == j) for t in v.sorted_tuples)
-                                         for i in range(d) for j in range(1, n)]
+        rows, rhs = sorted_order_program(v)
         assert all(map(any, rows))
-        assert not feasible((), (), rows, (n,) + (1,) * (len(rows) - 1))
+        assert not feasible((), (), rows, rhs)
         # the destabilizer the rule names: lam = 1 - n * e_n in the last factor
         lam = [[0] * n for _ in range(d - 1)] + [[1] * (n - 1) + [1 - n]]
         assert all(sum(row) == 0 for row in lam)
@@ -365,10 +357,7 @@ class TestUnusedCoordinate:
         monkeypatch.setattr(tensors, "_feasible", no_program)
         assert is_symm_torus_semistable(v) is False
 
-    def test_every_coordinate_used_still_solves(self, monkeypatch):
-        calls = []
-        feasible = tensors._feasible
-        monkeypatch.setattr(tensors, "_feasible", lambda *a: calls.append(a) or feasible(*a))
+    def test_every_coordinate_used_still_solves(self, programs):
         # W uses every index, but (2, 1, 1), its only tuple with index 2 in
         # factor 1, has index 1 in factors 2 and 3, so it kills the other
         # two and leaves index 1 of factor 1 with no live tuple
@@ -378,13 +367,13 @@ class TestUnusedCoordinate:
         # and (2, 2) part in both factors, a perfect matching
         full = TensorSupport(order=2, dims=2, tuples=list(itertools.product((1, 2), repeat=2)))
         assert is_torus_semistable(full) is True
-        assert calls == []
+        assert programs == []
         # the same holds of every index of HALF, which has no perfect matching
         half = TensorSupport(order=3, dims=2, tuples=HALF)
         assert forced_zeros(half) is None
         assert is_torus_semistable(half) is True
         assert is_symm_torus_semistable(W_FORM) is False
-        assert len(calls) == 2
+        assert len(programs) == 2
 
 
 def destabilizer_exists(support):
@@ -395,19 +384,14 @@ def destabilizer_exists(support):
     rational feasibility suffices because denominators clear."""
     if isinstance(support, TensorSupport):
         n, d = support.dims, support.order
-        rows = []
-        for t in support.sorted_tuples:
-            row = [0] * (n * d)
-            for i, j in enumerate(t):
-                row[i * n + (j - 1)] = 1
-            rows.append(row)
+        _, rows = oracle.full_tensor_program(support, (1,) * d)
         blocks = [[int(c // n == i) for c in range(n * d)] for i in range(d)]
     else:
         n = support.nvars
-        rows = [list(m) for m in support.sorted_exponents]
+        rows = support.sorted_exponents
         blocks = [[1] * n]
     return feasible(
-        [row + [-e for e in row] for row in rows],
+        [(*row, *(-e for e in row)) for row in rows],
         [1] * len(rows),
         [b + [-e for e in b] for b in blocks],
         [0] * len(blocks),
@@ -472,16 +456,19 @@ class TestSemistabilityAgainstDestabilizerSearch:
         assert is_torus_semistable(v) is False
 
 
+def tensor_program(tuples, n):
+    """(rows, rhs) of the tensor semistability program over `tuples` in the
+    order given: sum(theta') = n and the marginals of j < n equal to 1."""
+    rows = oracle.marginal_rows(tuples, n)
+    return rows, (n,) + (1,) * (len(rows) - 1)
+
+
 def sorted_order_program(support):
     """(rows, rhs) of a semistability program with its columns in
     lexicographic order, the tuples or exponent vectors as `sorted` leaves
     them, for `exactlp._feasible`."""
     if isinstance(support, TensorSupport):
-        n, d = support.dims, support.order
-        tuples = support.sorted_tuples
-        rows = [(1,) * len(tuples)]
-        rows += [tuple(int(t[i] == j) for t in tuples) for i in range(d) for j in range(1, n)]
-        return tuple(rows), (n,) + (1,) * (len(rows) - 1)
+        return tensor_program(support.sorted_tuples, support.dims)
     n, d = support.nvars, support.degree
     return tuple(zip(*support.sorted_exponents)), (d // math.gcd(n, d),) * n
 
@@ -553,10 +540,7 @@ class TestColumnOrder:
     """Both semistability checks order their columns for Bland's rule; the
     verdict must be the sorted order's, and the order must save pivots."""
 
-    def test_verdicts_equal_the_sorted_orders(self, monkeypatch):
-        programs = []
-        feasible = tensors._feasible
-        monkeypatch.setattr(tensors, "_feasible", lambda *a: programs.append(a) or feasible(*a))
+    def test_verdicts_equal_the_sorted_orders(self, programs):
         verdicts, largest = {"tensor": set(), "form": set()}, 0
 
         def check(kind, v, verdict):
@@ -621,20 +605,16 @@ class TestColumnOrder:
         # three 6x6x6x6 supports of 120 tuples: 159 phase-one pivots in the
         # difference-class order against 700 in the sorted order. Each has a
         # perfect matching, so the search is switched off to reach the program.
-        pivots = []
-        pivot = exactlp._pivot
-        monkeypatch.setattr(exactlp, "_pivot", lambda *a: pivots.append(1) or pivot(*a))
         monkeypatch.setattr(tensors, "_matching", lambda *a: None)
         pool = list(itertools.product(range(1, 7), repeat=4))
         ordered = sorted_order = 0
         for seed in range(3):
             v = TensorSupport(order=4, dims=6, tuples=random.Random(seed).sample(pool, 120))
-            pivots.clear()
-            verdict = is_torus_semistable(v)
-            ordered += len(pivots)
-            pivots.clear()
-            assert exactlp._feasible(*sorted_order_program(v)) is verdict
-            sorted_order += len(pivots)
+            verdict, passes = oracle.simplex_passes(is_torus_semistable, v)
+            ordered += sum(len(p["pivots"]) for p in passes)
+            answer, passes = oracle.simplex_passes(exactlp._feasible, *sorted_order_program(v))
+            assert answer is verdict
+            sorted_order += sum(len(p["pivots"]) for p in passes)
         assert 0 < 2 * ordered <= sorted_order
 
 
@@ -648,17 +628,6 @@ def seeded_supports():
         n, d = rng.randint(1, 5), rng.randint(1, 4)
         pool = list(itertools.product(range(1, n + 1), repeat=d))
         yield TensorSupport(d, n, rng.sample(pool, rng.randint(1, min(40, len(pool)))))
-
-
-def difference_class_program(support):
-    """(rows, rhs) of the tensor semistability program as it was before
-    forced zeros: every tuple a column, by difference class and then by
-    t_1, sum(theta') = n and the marginals of j < n equal to 1."""
-    n, d = support.dims, support.order
-    tuples = sorted(support.tuples, key=lambda t: (tuple((x - t[0]) % n for x in t), t))
-    rows = [(1,) * len(tuples)]
-    rows += [tuple(int(t[i] == j) for t in tuples) for i in range(d) for j in range(1, n)]
-    return tuple(rows), (n,) + (1,) * (len(rows) - 1)
 
 
 class TestForcedZeros:
@@ -707,26 +676,34 @@ class TestForcedZeros:
             matchings.clear()
         assert found >= 700
 
-    def test_undecided_supports_build_the_same_program(self, monkeypatch):
+    def test_undecided_supports_build_the_same_program(self, programs):
         # the program is the parent's, built over the tuples the kill rule
         # leaves live, and it gives the full program's verdict
-        programs = []
-        feasible = tensors._feasible
-        monkeypatch.setattr(tensors, "_feasible", lambda *a: programs.append(a) or feasible(*a))
         built = shrunk = 0
         for v in seeded_supports():
             decided = forced_zeros(v)
             verdict = is_torus_semistable(v)
             if decided is None:
-                live = TensorSupport(v.order, v.dims, live_by_sets(v))
-                assert programs == [difference_class_program(live)], v
-                assert verdict is exactlp._feasible(*difference_class_program(v)), v
+                n, live = v.dims, live_by_sets(v)
+                assert programs == [tensor_program(oracle.difference_class_order(live, n), n)], v
+                whole = tensor_program(oracle.difference_class_order(v.tuples, n), n)
+                assert verdict is exactlp._feasible(*whole), v
                 built += 1
-                shrunk += live.tuples < v.tuples
+                shrunk += live < v.tuples
             else:
                 assert programs == [] and verdict is decided, v
             programs.clear()
         assert built > shrunk > 0
+
+    def test_n_live_tuples_are_left_to_the_program(self, programs, monkeypatch):
+        # with the search giving up, the kills leave (1, 1) and (2, 2), which
+        # part in both factors; the kills decide nothing more, and one
+        # program over the two live tuples finds the support semistable
+        monkeypatch.setattr(tensors, "_matching", lambda *a: None)
+        v = TensorSupport(2, 2, [(1, 1), (1, 2), (2, 2)])
+        assert sorted(tensors._forced_zeros(tuple(v.tuples), 2)) == [(1, 1), (2, 2)]
+        assert is_torus_semistable(v) is True
+        assert programs == [tensor_program([(1, 1), (2, 2)], 2)]
 
     def test_large_supports_are_matched(self, monkeypatch):
         # three 6x6x6x6 draws of 120 tuples: forced zeros stall on each, and

@@ -31,8 +31,10 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracle
+from oracle import compositions, feasible, simplex_passes, slope
 from stablerank import exactlp, ideals, tensors
-from stablerank.exactlp import LinearProgram, SlopeResult, lp_minimize
+from stablerank.exactlp import SlopeResult
 from stablerank.ideals import (
     LinearChange,
     MonomialIdeal,
@@ -43,7 +45,7 @@ from stablerank.ideals import (
     newton_threshold,
     t_stable_rank,
 )
-from stablerank.rationals import cleared, integers, rational
+from stablerank.rationals import integers, rational
 from stablerank.tensors import (
     SymmetricSupport,
     TensorSupport,
@@ -71,13 +73,6 @@ def calls(monkeypatch):
 
         monkeypatch.setattr(module, name, spy)
     return seen
-
-
-def compositions(total, parts):
-    if parts == 1:
-        return [(total,)]
-    return [(head, *tail) for head in range(total + 1)
-            for tail in compositions(total - head, parts - 1)]
 
 
 def random_tensor(rng):
@@ -127,48 +122,6 @@ def has_unused_variable(form):
     return any(all(m[j] == 0 for m in form.exponents) for j in range(form.nvars))
 
 
-def slope(cost, rows):
-    """The checked public route to the slope program: `lp_minimize` of
-    min{cost . x : row . x >= 1, x >= 0}, its vertex cleared to an integer
-    witness. A zero row makes the program infeasible and the slope
-    +infinity."""
-    out = lp_minimize(LinearProgram(cost, rows, (1,) * len(rows)))
-    if out.status == "infeasible":
-        return SlopeResult(value=math.inf, witness=None)
-    return SlopeResult(value=out.value, witness=cleared(out.vertex)[1])
-
-
-def full_tensor_program(support, alpha):
-    """(cost, rows) of the slope program of `torus_rank` over every index,
-    used or not: cost alpha_i and one 0/1 row per sorted tuple, variable
-    lam_i[j] at column i * n + j - 1. Its witness is 0 at every unused
-    index."""
-    n, d = support.dims, support.order
-    rows = []
-    for t in support.sorted_tuples:
-        row = [0] * (n * d)
-        for i, j in enumerate(t):
-            row[i * n + j - 1] = 1
-        rows.append(tuple(row))
-    return [a for a in alpha for _ in range(n)], tuple(rows)
-
-
-def over_used_indices(support, solves):
-    """The full program's solves as `torus_rank` takes them over the indices
-    the support uses: dual tableau row r and slack column m + r belong to
-    variable r, so the rows and slack columns of unused indices drop out
-    and the rest are renumbered in order."""
-    n, m = support.dims, len(support.tuples)
-    used = sorted({i * n + j - 1 for t in support.tuples for i, j in enumerate(t)})
-    row = {r: k for k, r in enumerate(used)}
-    column = {c: c for c in range(m)}
-    column.update({m + c: m + k for k, c in enumerate(used)})
-    return [{"k": s["k"],
-             "pivots": [(tuple(column[basis[r]] for r in used), row[r]) for basis, r in s["pivots"]],
-             "basis": [column[s["basis"][r]] for r in used]}
-            for s in solves]
-
-
 def assert_checked_slope(cost, rows, result):
     assert type(cost) is tuple and cost
     for c in cost:
@@ -183,13 +136,6 @@ def assert_checked_slope(cost, rows, result):
     assert type(public.value) is type(result.value)
 
 
-def feasible(rows, rhs):
-    """The checked public verdict on {rows . x = rhs, x >= 0}: `lp_minimize`
-    of the program with a zero objective."""
-    program = LinearProgram((0,) * len(rows[0]), (), (), rows, rhs)
-    return lp_minimize(program).status == "optimal"
-
-
 def assert_checked_feasible(rows, rhs, verdict):
     assert type(rows) is tuple and rows and type(rhs) is tuple and len(rhs) == len(rows)
     width = len(rows[0])
@@ -198,7 +144,7 @@ def assert_checked_feasible(rows, rhs, verdict):
         assert type(row) is tuple and len(row) == width
         assert all(type(v) is int and rational(v, "equality row") is v for v in row)
     assert all(type(v) is int and rational(v, "equality rhs") is v for v in rhs)
-    assert feasible(rows, rhs) is verdict
+    assert feasible((), (), rows, rhs) is verdict
 
 
 def check_all(calls):
@@ -226,7 +172,7 @@ def test_tensor_ranks_and_semistability(calls):
         verdict = is_torus_semistable(support)
         if live_tuples(support) is None:
             assert check_all(calls) == {"slope"}
-            assert verdict is feasible(*old_tensor_program(support))
+            assert verdict is feasible((), (), *old_tensor_program(support))
             decided += 1
             continue
         verdicts.add(verdict)
@@ -255,7 +201,7 @@ def test_alpha_programs_clear_only_their_costs(monkeypatch):
         alpha[rng.randrange(support.order)] = F(2, 3)
         sizes.clear()
         result = torus_rank(support, alpha)
-        assert result == slope(*full_tensor_program(support, alpha))
+        assert result == slope(*oracle.full_tensor_program(support, alpha))
         assert sizes and max(sizes) <= support.dims * support.order
 
 
@@ -270,7 +216,7 @@ def test_form_ranks_and_semistability(calls):
         if has_unused_variable(form):
             assert check_all(calls) == {"slope"}
             assert verdict is False
-            assert feasible(*old_form_program(form)) is False
+            assert feasible((), (), *old_form_program(form)) is False
             unused += 1
             continue
         verdicts.add(verdict)
@@ -299,50 +245,12 @@ def test_polynomial_ideals(calls):
     assert 0 < infinite < 120
 
 
-class PivotTrace:
-    """Watches every solve through exactlp's module globals: per tableau, its
-    field width k, the basis before each pivot with the leaving row, and the
-    final basis of its last simplex pass."""
-
-    def __init__(self, monkeypatch):
-        self.solves = []
-        self.basis = None
-        trace, simplex, pivot = self, exactlp._simplex, exactlp._pivot
-
-        class Fields(exactlp._Fields):
-            def __init__(self, bits):
-                super().__init__(bits)
-                trace.solves.append({"k": self.k, "pivots": [], "basis": None})
-
-        def traced_simplex(rows, basis, d, fields, ncols, stop_at_zero=False):
-            trace.basis = basis
-            out = simplex(rows, basis, d, fields, ncols, stop_at_zero)
-            trace.solves[-1]["basis"] = list(basis)
-            return out
-
-        def traced_pivot(rows, d, r, factors):
-            trace.solves[-1]["pivots"].append((tuple(trace.basis), r))
-            return pivot(rows, d, r, factors)
-
-        monkeypatch.setattr(exactlp, "_Fields", Fields)
-        monkeypatch.setattr(exactlp, "_simplex", traced_simplex)
-        monkeypatch.setattr(exactlp, "_pivot", traced_pivot)
-
-    def run(self, solve):
-        """(answer, the records of its tableaux) of `solve()`."""
-        self.solves = []
-        return solve(), self.solves
-
-
 def old_tensor_program(support):
     """The fractional formulation over convex theta: sum(theta) = 1 and
     every marginal of j < n equal to 1/n, one column per tuple, the tuples
-    grouped by difference class ((t_i - t_1) mod n for every i), each class
-    in lexicographic order."""
-    n, d = support.dims, support.order
-    tuples = sorted(support.tuples, key=lambda t: (tuple((x - t[0]) % n for x in t), t))
-    rows = [(1,) * len(tuples)]
-    rows += [tuple(int(t[i] == j) for t in tuples) for i in range(d) for j in range(1, n)]
+    in difference-class order."""
+    n = support.dims
+    rows = oracle.marginal_rows(oracle.difference_class_order(support.tuples, n), n)
     return rows, (1,) + (F(1, n),) * (len(rows) - 1)
 
 
@@ -362,24 +270,21 @@ def old_form_program(form):
     return rows, (F(d, n),) * n
 
 
-def test_integer_programs_take_the_fractional_pivots(monkeypatch):
-    trace = PivotTrace(monkeypatch)
+def test_integer_programs_take_the_fractional_pivots():
     rng = random.Random(20261106)
     widths, verdicts, pivots = [], {"tensor": set(), "form": set()}, 0
     decided = {"tensor": 0, "form": 0, "unit ideal": 0}
 
     def same_path(new, old, answers_equal=lambda a, b: a == b and type(a) is type(b),
-                  caller="rank", renumber=lambda solves: solves):
+                  caller="rank", renumber=lambda passes: passes):
         nonlocal pivots
-        (new_answer, new_solves), (old_answer, old_solves) = trace.run(new), trace.run(old)
-        old_solves = renumber(old_solves)
+        new_answer, new_passes = simplex_passes(new)
+        old_answer, old_passes = simplex_passes(old)
         assert answers_equal(new_answer, old_answer)
-        assert len(new_solves) == len(old_solves)
-        for new_solve, old_solve in zip(new_solves, old_solves):
-            assert new_solve["pivots"] == old_solve["pivots"]
-            assert new_solve["basis"] == old_solve["basis"]
-            widths.append((caller, new_solve["k"], old_solve["k"]))
-            pivots += len(new_solve["pivots"])
+        assert oracle.path(new_passes) == oracle.path(renumber(old_passes))
+        for new_pass, old_pass in zip(new_passes, old_passes):
+            widths.append((caller, new_pass["k"], old_pass["k"]))
+            pivots += len(new_pass["pivots"])
         return new_answer
 
     def same_slope(a, b):
@@ -390,8 +295,8 @@ def test_integer_programs_take_the_fractional_pivots(monkeypatch):
         verdict with no tableau; every other one takes the full program's
         path."""
         if decided_first:
-            verdict, solves = trace.run(new)
-            assert solves == [] and verdict is trace.run(old)[0]
+            verdict, passes = simplex_passes(new)
+            assert passes == [] and verdict is old()
             decided[caller] += 1
         else:
             verdicts[caller].add(same_path(new, old, caller=caller))
@@ -400,17 +305,17 @@ def test_integer_programs_take_the_fractional_pivots(monkeypatch):
         support = random_tensor(rng)
         rows, rhs = old_tensor_program(support)
         same_verdict(lambda: is_torus_semistable(support),
-                     lambda: feasible(rows, rhs), "tensor",
+                     lambda: feasible((), (), rows, rhs), "tensor",
                      live_tuples(support) is None)
         alpha = [rng.choice((1, 2, F(1, 2), F(3, 2), F(5, 3))) for _ in range(support.order)]
         same_path(lambda: torus_rank(support, alpha),
-                  lambda: slope(*full_tensor_program(support, alpha)), same_slope,
-                  renumber=lambda solves: over_used_indices(support, solves))
+                  lambda: slope(*oracle.full_tensor_program(support, alpha)), same_slope,
+                  renumber=lambda passes: oracle.used_index_passes(support, passes))
 
         form = random_form(rng)
         rows, rhs = old_form_program(form)
         same_verdict(lambda: is_symm_torus_semistable(form),
-                     lambda: feasible(rows, rhs), "form", has_unused_variable(form))
+                     lambda: feasible((), (), rows, rhs), "form", has_unused_variable(form))
         same_path(lambda: symm_torus_rank(form),
                   lambda: slope([F(form.degree)] * form.nvars, form.sorted_exponents),
                   same_slope)
@@ -419,8 +324,8 @@ def test_integer_programs_take_the_fractional_pivots(monkeypatch):
         cost = [F(1)] * ideal.nvars
         if ideal.is_unit:
             # the zero row: +infinity with no tableau, as the full program says
-            assert trace.run(lambda: t_stable_rank(ideal)) == (SlopeResult(math.inf, None), [])
-            assert trace.run(lambda: slope(cost, ideal.generators))[0].value == math.inf
+            assert simplex_passes(t_stable_rank, ideal) == (SlopeResult(math.inf, None), [])
+            assert slope(cost, ideal.generators).value == math.inf
             decided["unit ideal"] += 1
         else:
             same_path(lambda: t_stable_rank(ideal),
@@ -432,7 +337,7 @@ def test_integer_programs_take_the_fractional_pivots(monkeypatch):
         if live is not None:
             rows, rhs = old_tensor_program(TensorSupport(support.order, support.dims, live))
             same_verdict(lambda: is_torus_semistable(support),
-                         lambda: feasible(rows, rhs), "tensor", False)
+                         lambda: feasible((), (), rows, rhs), "tensor", False)
             left += 1
             if left == 30:
                 break
