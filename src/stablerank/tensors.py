@@ -352,9 +352,9 @@ def is_torus_semistable(support: TensorSupport) -> bool:
     partial matching of the marginal rows, and Bland's rule, which enters
     the least improving column, meets far fewer degenerate pivots than over
     the lexicographic order, whose neighbours share indices. Only the
-    verdict is returned, and
-    feasibility does not depend on the order of the variables, so the order
-    moves no answer. Only the live tuples are sorted, and only here.
+    verdict is returned, and feasibility does not depend on the order of
+    the variables, so the order moves no answer. Only the live tuples are
+    sorted, and only here.
     """
     expect(support, TensorSupport, "tensor support")
     n, d = support.dims, support.order

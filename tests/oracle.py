@@ -2,9 +2,9 @@
 
 `oracle_minimum_over_vertices` is the brute-force reference solver: it
 enumerates candidate bases and solves each square system with `solve`, its
-own Gauss-Jordan elimination in plain Fractions. It still shares no code
-with `lp_minimize`: no packed rows, no pivot kernel, no ratio test, no
-pivot rule and no route choice. `inverse` is the exact inverse of a matrix,
+own Gauss-Jordan elimination in plain Fractions. It shares no code with
+`lp_minimize`, which other helpers here call: no packed rows, no pivot
+kernel, no ratio test, no pivot rule and no route choice. `inverse` is the exact inverse of a matrix,
 which the tests of linear changes take from here, since the library only
 checks that a matrix is invertible. `minimal_generators` is the quadratic
 divisibility filter that `MonomialIdeal`'s one-pass minimalisation is
@@ -15,8 +15,9 @@ library's builders: `full_tensor_program` is the slope program of
 `torus_rank` over every index, `marginal_rows` the rows of the tensor
 semistability program over tuples in a given order, and
 `difference_class_order` the order `is_torus_semistable` gives its
-columns. The right sides stay with the callers. `feasible` asks the
-public route, `lp_minimize`, whether a system is feasible.
+columns. The right sides stay with the callers. `feasible` and `slope`
+ask the public route, `lp_minimize`, for a feasibility verdict and a
+slope, and `compositions` lists the exponent vectors of a form.
 
 `simplex_passes` records the path of every simplex pass a call runs. It
 reads `exactlp._simplex` through the module global, so every route and
