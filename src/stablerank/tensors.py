@@ -77,6 +77,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Iterable, Sequence
+from itertools import repeat
 from operator import mul
 
 from .errors import InputError
@@ -190,10 +191,8 @@ def torus_rank(support: TensorSupport, alpha: Sequence | None = None) -> SlopeRe
         raise InputError("alpha entries must be positive")
     columns, rows = _support_rows(support)
     result = _slope(tuple([avec[c // n] for c in columns]), rows)
-    witness = [0] * (n * d)
-    for c, v in zip(columns, result.witness):
-        witness[c] = v
-    return SlopeResult(result.value, tuple(witness))
+    get = dict(zip(columns, result.witness)).get
+    return SlopeResult(result.value, tuple(map(get, range(n * d), repeat(0))))
 
 
 def symm_torus_rank(support: SymmetricSupport) -> SlopeResult:

@@ -1,4 +1,5 @@
-"""The references the tests share, each written once.
+"""The references, inputs and golden-file harness the tests share, each
+written once.
 
 `oracle_minimum_over_vertices` is the brute-force reference solver: it
 enumerates candidate bases and solves each square system with `solve`, its
@@ -23,20 +24,48 @@ slope, and `compositions` lists the exponent vectors of a form.
 reads `exactlp._simplex` through the module global, so every route and
 every caller is seen, and `used_index_passes` renumbers the passes of the
 full tensor program onto the indices a support uses, as `torus_rank`
-takes them. The tests import this module as `oracle`, from this directory.
+takes them. `calls` records every call of the bindings it replaces, with
+its arguments and result.
+
+The inputs: `W`, `W_FORM` and `CYCLIC` are the paper's examples, the W
+state, its cubic form and the cyclic monomial ideal. `random_tensor` and
+`random_form` draw a support or a form from a seeded `random.Random`; the
+tests pin counts over their draws, so a change to the calls they make on
+the generator changes those tests' inputs. `forced_zeros` reads which
+tensor supports `tensors._forced_zeros` decides with no program, and
+`dot` is the plain Fraction dot product.
+
+The golden-file harness: `golden` reads a golden file of this directory,
+`golden_text` renders entries as one compact JSON entry per line,
+`write_golden` writes that text, and `assert_golden` compares it with the
+committed file byte for byte. `q` writes a rational as the p/q text the
+files hold, and `golden_call` decodes an input of `golden_lp.json` into its
+call and arguments. The tests import this module as `oracle`, from this
+directory.
 """
 
+import json
 import math
+import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
+from pathlib import Path
 
-from stablerank import exactlp
+from stablerank import exactlp, tensors
 from stablerank.errors import InputError
 from stablerank.exactlp import LinearProgram, LpOutcome, SlopeResult, lp_minimize
+from stablerank.ideals import MonomialIdeal
 from stablerank.rationals import cleared
+from stablerank.tensors import SymmetricSupport, TensorSupport, torus_rank
+
+HERE = Path(__file__).parent
+
+W = TensorSupport(3, 2, [(2, 1, 1), (1, 2, 1), (1, 1, 2)])  # the W state, rank 3/2
+W_FORM = SymmetricSupport(3, 2, [(2, 1)])  # x^2 y, whose expansion is W
+CYCLIC = MonomialIdeal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])  # (x^2 y, y^2 z, z^2 x)
 
 
-def _dot(u, v) -> Fraction:
+def dot(u, v) -> Fraction:
     return sum(a * b for a, b in zip(u, v))
 
 
@@ -124,11 +153,11 @@ def oracle_minimum_over_vertices(
         x = [row[0] for row in solution]
         if any(xj < 0 for xj in x):
             continue
-        if any(_dot(row, x) < b for row, b in zip(program.constraint_rows, program.rhs)):
+        if any(dot(row, x) < b for row, b in zip(program.constraint_rows, program.rhs)):
             continue
-        if any(_dot(row, x) != b for row, b in zip(program.equality_rows, program.equality_rhs)):
+        if any(dot(row, x) != b for row, b in zip(program.equality_rows, program.equality_rhs)):
             continue
-        value = _dot(program.objective, x)
+        value = dot(program.objective, x)
         if best_value is None or value < best_value:
             best_value = value
             best_vertex = tuple(x)
@@ -162,6 +191,32 @@ def compositions(total, parts) -> list:
         return [(total,)]
     return [(head, *tail) for head in range(total + 1)
             for tail in compositions(total - head, parts - 1)]
+
+
+def random_tensor(rng, max_n, max_d, max_support) -> TensorSupport:
+    """A support over dims n <= max_n and order d <= max_d: 1 to
+    max_support of its n^d tuples, drawn by `rng.sample` from all of them
+    in lexicographic order."""
+    n, d = rng.randint(1, max_n), rng.randint(1, max_d)
+    pool = list(product(range(1, n + 1), repeat=d))
+    return TensorSupport(d, n, rng.sample(pool, rng.randint(1, min(max_support, len(pool)))))
+
+
+def random_form(rng, max_n, max_d, max_support) -> SymmetricSupport:
+    """A form support in n <= max_n variables of degree d <= max_d: 1 to
+    max_support of its exponent vectors, drawn as `random_tensor` draws."""
+    n, d = rng.randint(1, max_n), rng.randint(1, max_d)
+    pool = compositions(d, n)
+    return SymmetricSupport(d, n, rng.sample(pool, rng.randint(1, min(max_support, len(pool)))))
+
+
+def forced_zeros(support) -> tuple:
+    """(verdict, None) when `tensors._forced_zeros` decides the tensor
+    support with no program, or (None, the live tuples) when it leaves them
+    to the program; it reads the tuples in the order `is_torus_semistable`
+    hands them over."""
+    out = tensors._forced_zeros(tuple(support.tuples), support.dims)
+    return (out, None) if isinstance(out, bool) else (None, out)
 
 
 def full_tensor_program(support, alpha) -> tuple:
@@ -253,3 +308,73 @@ def used_index_passes(support, passes) -> list:
                  pivots=[[row[r], column[c]] for r, c in p["pivots"]],
                  basis=[column[p["basis"][r]] for r in used])
             for p in passes]
+
+
+def calls(monkeypatch, *bindings) -> list:
+    """Every call of each (module, name) binding for the rest of the test,
+    as (name, args, kwargs, result) in the order the calls return, which is
+    call order for calls that do not nest. `monkeypatch` replaces each
+    binding and puts it back."""
+    seen = []
+
+    def recorder(name, call):
+        def recorded(*args, **kwargs):
+            result = call(*args, **kwargs)
+            seen.append((name, args, kwargs, result))
+            return result
+        return recorded
+
+    for module, name in bindings:
+        monkeypatch.setattr(module, name, recorder(name, getattr(module, name)))
+    return seen
+
+
+def q(value) -> str:
+    """A rational as the p/q text the golden files hold."""
+    return str(Fraction(value))
+
+
+def golden(name) -> list:
+    """The entries of the golden file `name` of this directory."""
+    return json.loads((HERE / name).read_text(encoding="utf-8"))
+
+
+def golden_text(entries) -> str:
+    """The text of a golden file: a JSON list, one compact entry per line."""
+    lines = ",\n".join(json.dumps(entry, separators=(",", ":")) for entry in entries)
+    return f"[\n{lines}\n]\n"
+
+
+def write_golden(name, entries) -> None:
+    """Writes the golden file `name` of this directory as `golden_text`
+    renders `entries`."""
+    path = HERE / name
+    path.write_text(golden_text(entries), encoding="utf-8")
+    print(f"wrote {len(entries)} entries to {path}", file=sys.stderr)
+
+
+def assert_golden(name, entries) -> None:
+    """The golden file `name` holds the text `golden_text` renders of
+    `entries`, byte for byte; a failure names the entries that differ, by
+    index (line i + 1 holds entry i)."""
+    pinned = (HERE / name).read_bytes().decode("utf-8").split("\n")
+    rendered = golden_text(entries).split("\n")
+    differing = [i - 1 for i, (a, b) in enumerate(zip(rendered, pinned)) if a != b]
+    assert (len(rendered), differing) == (len(pinned), []), (
+        f"{name}: {len(rendered)} lines rendered, {len(pinned)} pinned; "
+        f"entries that differ: {differing[:20]}")
+
+
+def golden_call(given) -> tuple:
+    """(torus_rank or lp_minimize, its arguments) for one input of
+    `golden_lp.json`, every p/q text read as a Fraction."""
+    def fractions(values):
+        return [Fraction(v) for v in values]
+
+    if given["call"] == "torus_rank":
+        support = TensorSupport(given["order"], given["dims"], [tuple(t) for t in given["tuples"]])
+        return torus_rank, (support, fractions(given["alpha"]))
+    return lp_minimize, (LinearProgram(
+        fractions(given["objective"]), [fractions(row) for row in given["rows"]],
+        fractions(given["rhs"]), [fractions(row) for row in given["eq_rows"]],
+        fractions(given["eq_rhs"])),)

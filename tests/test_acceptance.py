@@ -9,7 +9,7 @@ import json
 import random
 from fractions import Fraction as F
 
-from oracle import oracle_minimum_over_vertices
+from oracle import CYCLIC, oracle_minimum_over_vertices
 from stablerank.cli import run
 from stablerank.exactlp import LinearProgram, lp_minimize
 from stablerank.ideals import (
@@ -63,8 +63,7 @@ def test_criterion_2_cyclic_monomial_ideal(tmp_path, capsys):
     got = _json_value(capsys, ["rank", "ideal", str(path), "--json"])
     if got != "1":
         problems.append(f"rank ideal gave {got}, expected 1")
-    cyclic = MonomialIdeal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
-    if lct_monomial(cyclic) != F(1):
+    if lct_monomial(CYCLIC) != F(1):
         problems.append("library lct disagrees")
     _report(2, "lct and rank of (x^2 y, y^2 z, z^2 x) equal 1", problems)
 

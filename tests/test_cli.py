@@ -7,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+import oracle
 import stablerank.exactlp
 from stablerank.cli import _CHUNK, _UPPER_BOUND_TENSOR, main, run
 from stablerank.tensors import TensorSupport, torus_rank, torus_valuation
@@ -178,10 +179,7 @@ class TestLct:
         assert "error:" in capsys.readouterr().err
 
     def test_one_solve_per_call(self, files, capsys, monkeypatch):
-        solves = []
-        solve = stablerank.exactlp.lp_minimize
-        monkeypatch.setattr(stablerank.exactlp, "lp_minimize",
-                            lambda program, **kw: solves.append(program) or solve(program, **kw))
+        solves = oracle.calls(monkeypatch, (stablerank.exactlp, "lp_minimize"))
         assert run(["lct", files["cyclic.txt"], "--json"]) == 0
         assert len(solves) == 1
         assert json.loads(capsys.readouterr().out)["witness"] == [1, 1, 1]

@@ -5,20 +5,18 @@ the solver existed; they are frozen and must never be relaxed.
 """
 
 import itertools
-import json
 import math
 import random
 import re
 import sys
 from fractions import Fraction as F
-from pathlib import Path
 
 import pytest
 from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from oracle import oracle_minimum_over_vertices
+from oracle import CYCLIC, W, dot, oracle_minimum_over_vertices
 from stablerank import exactlp, ideals, tensors, verify
 from stablerank.errors import InputError
 from stablerank.exactlp import (
@@ -48,10 +46,6 @@ from stablerank.tensors import (
     torus_rank,
 )
 from stablerank.verify import run_suite
-
-
-def dot(u, v):
-    return sum(a * b for a, b in zip(u, v))
 
 
 def program(objective, rows, rhs, eq_rows=(), eq_rhs=()):
@@ -251,14 +245,11 @@ class TestPhaseOneStop:
     def test_golden_feasibility_cases(self):
         # the feasible family's systems with equality rows, which take the
         # two-phase route; the others take the dual route, with no phase one
-        golden = json.loads(Path(__file__).with_name("golden_lp.json").read_text(encoding="utf-8"))
-        cases = [case["input"] for case in golden
+        cases = [case["input"] for case in oracle.golden("golden_lp.json")
                  if case["input"]["family"] == "feasible" and case["input"]["eq_rows"]]
         fewer = 0
         for given in cases:
-            system = feasibility(
-                [[F(v) for v in row] for row in given["rows"]], [F(v) for v in given["rhs"]],
-                [[F(v) for v in row] for row in given["eq_rows"]], [F(v) for v in given["eq_rhs"]])
+            _, (system,) = oracle.golden_call(given)
             stopped, short = pass_pivots(lambda: lp_minimize(system))
             answer, full = pass_pivots(lambda: lp_minimize(system), full=True)
             assert stopped == answer
@@ -268,7 +259,6 @@ class TestPhaseOneStop:
 
 
 W_ROWS = ((0, 1, 1, 0, 1, 0), (1, 0, 0, 1, 1, 0), (1, 0, 1, 0, 0, 1))
-W = TensorSupport(3, 2, [(2, 1, 1), (1, 2, 1), (1, 1, 2)])
 
 
 class TestMinimizeSlope:
@@ -389,14 +379,11 @@ class TestTrustedPath:
             make()
 
     def test_program_equals_validated_program(self, monkeypatch):
-        seen = []
-        solve = exactlp.lp_minimize
-        monkeypatch.setattr(exactlp, "lp_minimize",
-                            lambda program, **kw: seen.append(program) or solve(program, **kw))
+        seen = oracle.calls(monkeypatch, (exactlp, "lp_minimize"))
         cost = (1, F(3, 2), 2)
         rows = ((1, 0, 2), (0, 4, 1), (3, 1, 0))
         assert _slope(cost, rows).value == F(31, 25)
-        assert seen == [LinearProgram(cost, rows, [1] * len(rows))]
+        assert [args for _, args, _, _ in seen] == [(LinearProgram(cost, rows, [1] * len(rows)),)]
 
     def test_integers_rejects_bools(self):
         assert integers([3, F(4), -1], "x") == (3, 4, -1)
@@ -534,28 +521,22 @@ def test_division_free_branch_on_both_routes(monkeypatch):
     # torus rank of a tensor support) and on the two-phase route (its
     # semistability check). The four supports are the first draws that
     # forced zeros and the matching search leave to the program.
-    seen = []
-    pivot = exactlp._pivot
-
-    def spy(rows, d, r, factors):
-        seen.append(pivot_cases(d, factors, r))
-        return pivot(rows, d, r, factors)
-
-    monkeypatch.setattr(exactlp, "_pivot", spy)
+    pivots = oracle.calls(monkeypatch, (exactlp, "_pivot"))
     rng = random.Random(20261105)
     tuples = sorted(itertools.product((1, 2, 3, 4), repeat=4))
     supports = []
     for _ in range(200):  # bounded, so a fault that decides every draw fails
         support = TensorSupport(4, 4, rng.sample(tuples, 20))
-        if not isinstance(tensors._forced_zeros(tuple(support.tuples), 4), bool):
+        if oracle.forced_zeros(support)[1] is not None:
             supports.append(support)
             if len(supports) == 4:
                 break
     assert len(supports) == 4
     for solve in (torus_rank, is_torus_semistable):
-        seen.clear()
+        pivots.clear()
         for support in supports:
             solve(support)
+        seen = [pivot_cases(d, factors, r) for _, (_, d, r, factors), _, _ in pivots]
         assert any("d divides p and f" in cases and "d == 1" not in cases for cases in seen)
 
 
@@ -571,13 +552,10 @@ def test_field_width_reaches_hadamard_bound(order, monkeypatch):
     # |det H| = n^(n/2) is the Hadamard bound of the +-1 matrix H, so the
     # elimination of H alone ends with D and the diagonal at 2^32 for n = 16:
     # fields sized from the entries (1) rather than the bound overflow.
-    denominators = []
-    pivot = exactlp._pivot
-    monkeypatch.setattr(exactlp, "_pivot",
-                        lambda *args: denominators.append(pivot(*args)) or denominators[-1])
+    pivots = oracle.calls(monkeypatch, (exactlp, "_pivot"))
     assert not _singular(sylvester(order))
-    assert len(denominators) == order
-    assert denominators[-1] == order ** (order // 2)
+    assert len(pivots) == order
+    assert pivots[-1][-1] == order ** (order // 2)
 
 
 def test_singularity_verdict_is_the_inverses():
@@ -897,19 +875,17 @@ def test_every_solve_enters_through_lp_minimize(monkeypatch):
     for name in ("_via_dual", "_primal_two_phase"):
         monkeypatch.setattr(exactlp, name, route(name, getattr(exactlp, name)))
 
-    w = TensorSupport(3, 2, [(2, 1, 1), (1, 2, 1), (1, 1, 2)])
     form = SymmetricSupport(3, 2, [(2, 1), (1, 2)])
-    cyclic = MonomialIdeal(3, [(2, 1, 0), (0, 2, 1), (1, 0, 2)])
     poly = PolyIdeal(2, [SparsePolynomial(2, {(2, 0): 1, (1, 1): F(1, 2)}),
                          SparsePolynomial(2, {(0, 3): 1})])
-    torus_rank(w)
-    torus_rank(w, [1, F(1, 2), 3])
+    torus_rank(W)
+    torus_rank(W, [1, F(1, 2), 3])
     symm_torus_rank(form)
-    t_stable_rank(cyclic)
+    t_stable_rank(CYCLIC)
     t_stable_rank(poly)
-    lct_monomial(cyclic)
-    newton_threshold(cyclic)
-    is_torus_semistable(w)
+    lct_monomial(CYCLIC)
+    newton_threshold(CYCLIC)
+    is_torus_semistable(W)
     is_symm_torus_semistable(form)
     assert exactlp.lp_minimize(program([1, -1], [], [], [[1, 1]], [1])).status == "optimal"
     run_suite("all", 0, 5)
@@ -920,15 +896,8 @@ def test_every_solve_enters_through_lp_minimize(monkeypatch):
 def golden_programs():
     """Every `lp_minimize` program of `golden_lp.json`: 320 of its 345 cases,
     the other 25 calling `torus_rank`."""
-    golden = json.loads(Path(__file__).with_name("golden_lp.json").read_text(encoding="utf-8"))
-    programs = []
-    for case in golden:
-        given = case["input"]
-        if given["call"] == "lp_minimize":
-            programs.append(program(
-                [F(v) for v in given["objective"]], [[F(v) for v in row] for row in given["rows"]],
-                [F(v) for v in given["rhs"]], [[F(v) for v in row] for row in given["eq_rows"]],
-                [F(v) for v in given["eq_rhs"]]))
+    programs = [oracle.golden_call(case["input"])[1][0] for case in oracle.golden("golden_lp.json")
+                if case["input"]["call"] == "lp_minimize"]
     assert len(programs) == 320
     return programs
 
@@ -937,20 +906,8 @@ def test_routes_answer_in_integers_and_lp_minimize_divides(monkeypatch):
     # Each route answers a status string or (value, x, D) in ints alone, and
     # `lp_minimize` builds its outcome from that: the value over D * L, with
     # L the cost scale `_integral` cleared, and each vertex entry over D.
-    seen = []
-
-    def spy(name):
-        fn = getattr(exactlp, name)
-
-        def recorded(*args):
-            answer = fn(*args)
-            seen.append((name, answer))
-            return answer
-        return recorded
-
-    for name in ("_integral", "_via_dual", "_primal_two_phase"):
-        monkeypatch.setattr(exactlp, name, spy(name))
-
+    seen = oracle.calls(monkeypatch, *((exactlp, name)
+                                       for name in ("_integral", "_via_dual", "_primal_two_phase")))
     programs = golden_programs()
     rng = random.Random(2027)
 
@@ -966,7 +923,7 @@ def test_routes_answer_in_integers_and_lp_minimize_divides(monkeypatch):
     for p in programs:
         seen.clear()
         out = lp_minimize(p)
-        (_, integral), (route, answer) = seen
+        (_, _, _, integral), (route, _, _, answer) = seen
         scale = integral[5]
         if isinstance(answer, str):
             kinds.add((route, answer))
@@ -995,18 +952,8 @@ def test_raw_read_equals_the_public_outcome(monkeypatch):
     # answer and L through `lp_minimize(..., _raw=True)`. What they make of it
     # equals what the public outcome gives: the value by Fraction division,
     # the witness by `cleared` of the vertex, the verdict by the status.
-    slopes, verdicts = [], []
-
-    def record(into, fn):
-        def recorded(*args):
-            result = fn(*args)
-            into.append((args, result))
-            return result
-        return recorded
-
-    for module in (tensors, ideals):
-        monkeypatch.setattr(module, "_slope", record(slopes, exactlp._slope))
-    monkeypatch.setattr(tensors, "_feasible", record(verdicts, exactlp._feasible))
+    slopes = oracle.calls(monkeypatch, (tensors, "_slope"), (ideals, "_slope"))
+    verdicts = oracle.calls(monkeypatch, (tensors, "_feasible"))
 
     statuses = set()
     for p in golden_programs():
@@ -1022,7 +969,7 @@ def test_raw_read_equals_the_public_outcome(monkeypatch):
         if p.equality_rows:
             lines = [cleared((*row, b))[1] for row, b in zip(p.equality_rows, p.equality_rhs)]
             system = (tuple(line[:-1] for line in lines), tuple(line[-1] for line in lines))
-            verdicts.append((system, exactlp._feasible(*system)))
+            verdicts.append(("_feasible", system, {}, exactlp._feasible(*system)))
     assert statuses == {"optimal", "infeasible", "unbounded"}
 
     rng = random.Random(20261019)
@@ -1037,7 +984,7 @@ def test_raw_read_equals_the_public_outcome(monkeypatch):
         assert newton_threshold(ideal) == t_stable_rank(ideal).value
 
     finite = 0
-    for (cost, rows), result in slopes:
+    for _, (cost, rows), _, result in slopes:
         if not all(map(any, rows)):
             assert (result.value, result.witness) == (math.inf, None)
             continue
@@ -1047,7 +994,7 @@ def test_raw_read_equals_the_public_outcome(monkeypatch):
         assert result.witness == public.witness
         assert all(type(v) is int for v in result.witness)
     kinds = set()
-    for (rows, rhs), verdict in verdicts:
+    for _, (rows, rhs), _, verdict in verdicts:
         kinds.add(verdict)
         assert verdict is oracle.feasible((), (), rows, rhs)
     assert finite > 200 and kinds == {False, True}

@@ -28,24 +28,17 @@ when an answer or a pivot is meant to change; this writes both:
     PYTHONPATH=src python tests/test_golden.py
 """
 
-import json
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import oracle
+from oracle import q
 from stablerank import exactlp
-from stablerank.exactlp import LinearProgram, lp_minimize
 from stablerank.tensors import TensorSupport, torus_rank
 
-GOLDEN = Path(__file__).with_name("golden_lp.json")
-PIVOTS = Path(__file__).with_name("golden_pivots.json")
+GOLDEN = "golden_lp.json"
+PIVOTS = "golden_pivots.json"
 SEED = 20260318
-
-
-def _q(value) -> str:
-    return str(Fraction(value))
 
 
 def _rational(rng, lo, hi, dens=(1, 1, 2, 3, 4)):
@@ -63,11 +56,11 @@ def _program_case(family, objective, rows, rhs, eq_rows=(), eq_rhs=()):
     return {
         "family": family,
         "call": "lp_minimize",
-        "objective": [_q(v) for v in objective],
-        "rows": [[_q(v) for v in row] for row in rows],
-        "rhs": [_q(v) for v in rhs],
-        "eq_rows": [[_q(v) for v in row] for row in eq_rows],
-        "eq_rhs": [_q(v) for v in eq_rhs],
+        "objective": [q(v) for v in objective],
+        "rows": [[q(v) for v in row] for row in rows],
+        "rhs": [q(v) for v in rhs],
+        "eq_rows": [[q(v) for v in row] for row in eq_rows],
+        "eq_rhs": [q(v) for v in eq_rhs],
     }
 
 
@@ -90,7 +83,7 @@ def golden_family() -> list[dict]:
             "order": order,
             "dims": dims,
             "tuples": [list(t) for t in sorted(tuples)],
-            "alpha": [_q(_rational(rng, 1, 7, dens=(1, 2, 3, 5, 7))) for _ in range(order)],
+            "alpha": [q(_rational(rng, 1, 7, dens=(1, 2, 3, 5, 7))) for _ in range(order)],
         })
     for _ in range(60):  # two-phase: equality rows and mixed-sign costs
         n, m, p = rng.randint(2, 7), rng.randint(0, 6), rng.randint(1, 3)
@@ -164,23 +157,16 @@ def golden_family() -> list[dict]:
     return cases
 
 
-def _fractions(values) -> list[Fraction]:
-    return [Fraction(v) for v in values]
-
-
 def solve(case: dict) -> dict:
     """The answer recorded for one case, with every rational written as p/q."""
+    call, args = oracle.golden_call(case)
+    out = call(*args)
     if case["call"] == "torus_rank":
-        support = TensorSupport(case["order"], case["dims"], [tuple(t) for t in case["tuples"]])
-        result = torus_rank(support, _fractions(case["alpha"]))
-        return {"value": _q(result.value), "witness": list(result.witness)}
-    rows = [_fractions(row) for row in case["rows"]]
-    eq_rows = [_fractions(row) for row in case["eq_rows"]]
-    out = lp_minimize(LinearProgram(_fractions(case["objective"]), rows, _fractions(case["rhs"]), eq_rows, _fractions(case["eq_rhs"])))
+        return {"value": q(out.value), "witness": list(out.witness)}
     return {
         "status": out.status,
-        "value": None if out.value is None else _q(out.value),
-        "vertex": None if out.vertex is None else [_q(v) for v in out.vertex],
+        "value": None if out.value is None else q(out.value),
+        "vertex": None if out.vertex is None else [q(v) for v in out.vertex],
     }
 
 
@@ -191,22 +177,13 @@ def pivots(case: dict) -> list[dict]:
             for p in oracle.simplex_passes(solve, case)[1]]
 
 
-def _load():
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))
-
-
-def _write(path: Path, entries: list) -> None:
-    lines = ",\n".join(json.dumps(entry, separators=(",", ":")) for entry in entries)
-    path.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
-
-
 def test_golden_family_is_unchanged():
     # the file's inputs are the family the docstring describes
-    assert [case["input"] for case in _load()] == golden_family()
+    assert [case["input"] for case in oracle.golden(GOLDEN)] == golden_family()
 
 
 def test_golden_covers_every_outcome():
-    cases = _load()
+    cases = oracle.golden(GOLDEN)
     statuses = {case["answer"].get("status") for case in cases}
     assert {"optimal", "infeasible", "unbounded"} <= statuses
     feasible = {case["answer"]["status"] for case in cases if case["input"]["family"] == "feasible"}
@@ -214,17 +191,13 @@ def test_golden_covers_every_outcome():
 
 
 def test_golden_answers():
-    differing = [i for i, case in enumerate(_load()) if solve(case["input"]) != case["answer"]]
-    assert differing == []
+    oracle.assert_golden(GOLDEN, [{"input": case["input"], "answer": solve(case["input"])}
+                                  for case in oracle.golden(GOLDEN)])
 
 
 def test_golden_pivots():
-    cases = _load()
-    pinned = json.loads(PIVOTS.read_text(encoding="utf-8"))
-    assert len(pinned) == len(cases)
-    differing = [i for i, (case, passes) in enumerate(zip(cases, pinned))
-                 if pivots(case["input"]) != passes]
-    assert differing == []
+    oracle.assert_golden(PIVOTS, [pivots(case["input"]) for case in oracle.golden(GOLDEN)])
+    pinned = oracle.golden(PIVOTS)
     # every simplex pass of the kernel is exercised, pivots included
     assert sum(len(p["pivots"]) for passes in pinned for p in passes) > 1000
 
@@ -246,9 +219,8 @@ def test_unused_indices_leave_the_full_programs_pivots():
     # at every unused index. Every golden `torus_rank` case, and seeded
     # supports whose first factor leaves index n unused.
     rng = random.Random(SEED)
-    supports = [(TensorSupport(c["order"], c["dims"], [tuple(t) for t in c["tuples"]]),
-                 _fractions(c["alpha"]))
-                for c in (case["input"] for case in _load()) if c["call"] == "torus_rank"]
+    supports = [oracle.golden_call(case["input"])[1] for case in oracle.golden(GOLDEN)
+                if case["input"]["call"] == "torus_rank"]
     supports += [(_random_support(rng), [_rational(rng, 1, 4) for _ in range(4)])
                  for _ in range(200)]
     unused = 0
@@ -268,6 +240,5 @@ def test_unused_indices_leave_the_full_programs_pivots():
 
 if __name__ == "__main__":
     family = golden_family()
-    _write(GOLDEN, [{"input": case, "answer": solve(case)} for case in family])
-    _write(PIVOTS, [pivots(case) for case in family])
-    print(f"wrote {len(family)} cases to {GOLDEN} and {PIVOTS}", file=sys.stderr)
+    oracle.write_golden(GOLDEN, [{"input": case, "answer": solve(case)} for case in family])
+    oracle.write_golden(PIVOTS, [pivots(case) for case in family])

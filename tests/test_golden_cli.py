@@ -29,18 +29,17 @@ is meant to change:
 
 import contextlib
 import io
-import json
 import os
-import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
 from unittest import mock
 
+import oracle
 import stablerank.verify
 from stablerank.cli import run
 
-GOLDEN = Path(__file__).with_name("golden_cli.json")
+GOLDEN = "golden_cli.json"
 
 FILES = {
     "w.txt": b"tensor 3 2\n2 1 1\n1 2 1\n1 1 2\n",
@@ -121,23 +120,15 @@ def outputs() -> list[dict]:
     return records
 
 
-def _load():
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))
-
-
 def test_golden_covers_every_exit_code():
-    golden = _load()
+    golden = oracle.golden(GOLDEN)
     assert {g["code"] for g in golden} == {0, 1, 2}
     assert all(g["stdout"] or g["stderr"] for g in golden)
 
 
 def test_golden_cli(tmp_path, monkeypatch):
     monkeypatch.chdir(tmp_path)
-    golden = _load()
-    current = outputs()
-    assert [c["argv"] for c in current] == [g["argv"] for g in golden]
-    differing = [c["argv"] for c, g in zip(current, golden) if c != g]
-    assert differing == []
+    oracle.assert_golden(GOLDEN, outputs())
 
 
 if __name__ == "__main__":
@@ -148,6 +139,4 @@ if __name__ == "__main__":
             records = outputs()
         finally:
             os.chdir(here)
-    lines = ",\n".join(json.dumps(r, separators=(",", ":")) for r in records)
-    GOLDEN.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
-    print(f"wrote {len(records)} calls to {GOLDEN}", file=sys.stderr)
+    oracle.write_golden(GOLDEN, records)

@@ -25,13 +25,11 @@ replaced it; regenerating it is only right when an answer is meant to change:
     PYTHONPATH=src python tests/test_golden_poly.py
 """
 
-import json
 import random
-import sys
 from fractions import Fraction
-from pathlib import Path
 
 import oracle
+from oracle import q
 from stablerank.ideals import (
     LinearChange,
     MonomialIdeal,
@@ -43,14 +41,10 @@ from stablerank.ideals import (
     ideal_sum,
 )
 
-GOLDEN = Path(__file__).with_name("golden_poly.json")
+GOLDEN = "golden_poly.json"
 SEED = 20260512
 COEFF_DENS = (1, 1, 2, 3, 5, 7)
 MATRIX_DENS = (1, 2, 3, 4, 5)
-
-
-def _q(value) -> str:
-    return str(Fraction(value))
 
 
 def _rational(rng, lo, hi, dens):
@@ -73,7 +67,7 @@ def _terms(rng, n, count, degree):
 
 
 def _poly_json(n, terms) -> dict:
-    return {"nvars": n, "terms": [[list(e), _q(c)] for e, c in sorted(terms.items())]}
+    return {"nvars": n, "terms": [[list(e), q(c)] for e, c in sorted(terms.items())]}
 
 
 def _matrix(rng, n, zero_share=0.3):
@@ -122,13 +116,13 @@ def golden_family() -> list[dict]:
         cases.append({
             "family": "change",
             "f": _poly_json(n, _terms(rng, n, count, degree)),
-            "matrix": [[_q(v) for v in row] for row in _matrix(rng, n)],
+            "matrix": [[q(v) for v in row] for row in _matrix(rng, n)],
         })
     for n in (1, 2, 4):  # the zero polynomial
         cases.append({
             "family": "change-zero",
             "f": _poly_json(n, {}),
-            "matrix": [[_q(v) for v in row] for row in _matrix(rng, n)],
+            "matrix": [[q(v) for v in row] for row in _matrix(rng, n)],
         })
     for k in range(15):  # f = h(A x) changed back by A^-1: cancels to h's terms
         n = 2 + k % 3
@@ -138,7 +132,7 @@ def golden_family() -> list[dict]:
         cases.append({
             "family": "change-cancel",
             "f": _poly_json(n, _compose(h, a)),
-            "matrix": [[_q(v) for v in row] for row in inverse],
+            "matrix": [[q(v) for v in row] for row in inverse],
         })
     for k in range(30):  # sums: random, partial cancellation, full cancellation
         n = 1 + k % 4
@@ -207,7 +201,7 @@ def _results(case: dict) -> list[SparsePolynomial]:
 
 
 def _sorted_terms(p: SparsePolynomial) -> list:
-    return [[list(e), _q(c)] for e, c in p.sorted_terms()]
+    return [[list(e), q(c)] for e, c in p.sorted_terms()]
 
 
 def solve(case: dict) -> list:
@@ -215,17 +209,13 @@ def solve(case: dict) -> list:
     return [_sorted_terms(p) for p in _results(case)]
 
 
-def _load():
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))
-
-
 def test_golden_family_is_unchanged():
     # the file's inputs are the family the docstring describes
-    assert [case["input"] for case in _load()] == golden_family()
+    assert [case["input"] for case in oracle.golden(GOLDEN)] == golden_family()
 
 
 def test_golden_covers_the_edge_cases():
-    cases = _load()
+    cases = oracle.golden(GOLDEN)
     changes = [c for c in cases if c["input"]["family"].startswith("change")]
     assert {c["input"]["f"]["nvars"] for c in changes} == {1, 2, 3, 4}
     assert max(sum(e) for c in changes for e, _ in c["input"]["f"]["terms"]) == 12
@@ -237,18 +227,14 @@ def test_golden_covers_the_edge_cases():
 
 
 def test_golden_answers():
-    differing = []
-    for i, case in enumerate(_load()):
+    answered = []
+    for case in oracle.golden(GOLDEN):
         results = _results(case["input"])
         # what is stored, not only what prints: a nonzero Fraction per term
         assert all(type(c) is Fraction and c != 0 for p in results for c in p.terms.values())
-        if [_sorted_terms(p) for p in results] != case["answer"]:
-            differing.append(i)
-    assert differing == []
+        answered.append({"input": case["input"], "answer": [_sorted_terms(p) for p in results]})
+    oracle.assert_golden(GOLDEN, answered)
 
 
 if __name__ == "__main__":
-    cases = [{"input": case, "answer": solve(case)} for case in golden_family()]
-    lines = ",\n".join(json.dumps(case, separators=(",", ":")) for case in cases)
-    GOLDEN.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
-    print(f"wrote {len(cases)} cases to {GOLDEN}", file=sys.stderr)
+    oracle.write_golden(GOLDEN, [{"input": case, "answer": solve(case)} for case in golden_family()])

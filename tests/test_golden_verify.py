@@ -16,12 +16,11 @@ constants; regenerating it is only right when a report is meant to change:
 
 import hashlib
 import json
-import sys
-from pathlib import Path
 
+import oracle
 from stablerank.verify import run_suite
 
-GOLDEN = Path(__file__).with_name("golden_verify.json")
+GOLDEN = "golden_verify.json"
 SEEDS = (0, 1)
 CASES = 40
 # seed -> sha256 of `digest`'s text of run_suite("all", seed, 200), 1,606 reports
@@ -48,12 +47,8 @@ def reports() -> list[dict]:
     ]
 
 
-def _load():
-    return json.loads(GOLDEN.read_text(encoding="utf-8"))
-
-
 def test_golden_covers_every_suite_and_seed():
-    golden = _load()
+    golden = oracle.golden(GOLDEN)
     assert {g["seed"] for g in golden} == set(SEEDS)
     suites = {g["check_name"].split("/")[0] for g in golden}
     assert suites == {"symm-multi", "semistable", "monomial-lct", "ideal-props", "lct-bound"}
@@ -61,11 +56,7 @@ def test_golden_covers_every_suite_and_seed():
 
 
 def test_golden_reports():
-    golden = _load()
-    current = reports()
-    assert len(current) == len(golden)
-    differing = [i for i, (a, b) in enumerate(zip(current, golden)) if a != b]
-    assert differing == []
+    oracle.assert_golden(GOLDEN, reports())
 
 
 def digest(seed: int, cases: int) -> tuple[int, str]:
@@ -85,6 +76,4 @@ def test_full_size_reports_digest():
 
 
 if __name__ == "__main__":
-    lines = ",\n".join(json.dumps(r, separators=(",", ":")) for r in reports())
-    GOLDEN.write_text(f"[\n{lines}\n]\n", encoding="utf-8")
-    print(f"wrote {lines.count(chr(10)) + 1} reports to {GOLDEN}", file=sys.stderr)
+    oracle.write_golden(GOLDEN, reports())

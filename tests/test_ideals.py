@@ -15,6 +15,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracle
+from oracle import CYCLIC
 from stablerank import ideals
 from stablerank.errors import InputError
 from stablerank.exactlp import LinearProgram
@@ -44,7 +45,6 @@ def mono(nvars, *gens):
 
 SQUARE = poly(2, {(2, 0): 1, (1, 1): 2, (0, 2): 1})  # x^2 + 2xy + y^2
 CUSP_LIKE = poly(2, {(1, 0): 1, (0, 2): 1})  # x + y^2
-CYCLIC = mono(3, (2, 1, 0), (0, 2, 1), (1, 0, 2))  # (x^2 y, y^2 z, z^2 x)
 HALF_CHANGE = LinearChange([[F(1, 2), F(1, 2)], [F(1, 2), F(-1, 2)]])
 
 
@@ -327,12 +327,9 @@ class TestLinearChange:
 
     def test_constructor_only_asks_whether_the_matrix_is_singular(self, monkeypatch):
         # one singularity check, on M's rows, and nothing else
-        seen = []
-        singular = ideals._singular
-        monkeypatch.setattr(ideals, "_singular",
-                            lambda matrix: seen.append(matrix) or singular(matrix))
+        seen = oracle.calls(monkeypatch, (ideals, "_singular"))
         m = LinearChange([[F(1, 2), 1], [F(-2, 3), 3]])
-        assert seen == [list(m.matrix)]
+        assert [args for _, args, _, _ in seen] == [(list(m.matrix),)]
 
     def test_non_square_rejected(self):
         with pytest.raises(InputError):
@@ -415,14 +412,12 @@ class TestNewton:
         assert newton_threshold(mono(4, (2, 0, 0, 0), (0, 3, 0, 0), (0, 0, 7, 0), (0, 0, 0, 9))) == F(1, 2) + F(1, 3) + F(1, 7) + F(1, 9)
 
     def test_threshold_program_equals_validated_program(self, monkeypatch):
-        seen = []
-        solve = ideals.lp_minimize
-        monkeypatch.setattr(ideals, "lp_minimize",
-                            lambda program, **kw: seen.append(program) or solve(program, **kw))
+        seen = oracle.calls(monkeypatch, (ideals, "lp_minimize"))
         assert newton_threshold(CYCLIC) == F(1)
         gens = CYCLIC.generators
         rows = [[-F(g[j]) for g in gens] + [F(1)] for j in range(3)]
-        assert seen == [LinearProgram([0, 0, 0, 1], rows, [0, 0, 0], [[1, 1, 1, 0]], [1])]
+        program = LinearProgram([0, 0, 0, 1], rows, [0, 0, 0], [[1, 1, 1, 0]], [1])
+        assert [args for _, args, _, _ in seen] == [(program,)]
 
     def test_unit_ideal_rejected(self):
         with pytest.raises(InputError, match="^threshold undefined for the unit ideal$"):

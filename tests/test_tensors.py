@@ -8,12 +8,22 @@ pinned against the brute-force vertex oracle.
 import itertools
 import math
 import random
+import sys
+import tracemalloc
 from fractions import Fraction as F
 
 import pytest
 
 import oracle
-from oracle import compositions, feasible, oracle_minimum_over_vertices
+from oracle import (
+    W,
+    W_FORM,
+    compositions,
+    feasible,
+    oracle_minimum_over_vertices,
+    random_form,
+    random_tensor,
+)
 from stablerank import exactlp, tensors, verify
 from stablerank.errors import InputError
 from stablerank.exactlp import LinearProgram
@@ -27,26 +37,6 @@ from stablerank.tensors import (
     torus_rank,
     torus_valuation,
 )
-
-W = TensorSupport(order=3, dims=2, tuples=[(2, 1, 1), (1, 2, 1), (1, 1, 2)])
-W_FORM = SymmetricSupport(degree=3, nvars=2, exponents=[(2, 1)])
-
-
-def random_tensor(rng, max_n=3, max_d=3, max_support=4):
-    n = rng.randint(1, max_n)
-    d = rng.randint(1, max_d)
-    pool = sorted(itertools.product(range(1, n + 1), repeat=d))
-    k = rng.randint(1, min(max_support, len(pool)))
-    return TensorSupport(order=d, dims=n, tuples=rng.sample(pool, k))
-
-
-def random_symmetric(rng, max_n=3, max_d=4, max_support=4):
-    n = rng.randint(1, max_n)
-    d = rng.randint(1, max_d)
-    pool = sorted(compositions(d, n))
-    k = rng.randint(1, min(max_support, len(pool)))
-    return SymmetricSupport(degree=d, nvars=n, exponents=rng.sample(pool, k))
-
 
 class TestTorusValuation:
     def test_w_tensor(self):
@@ -106,20 +96,27 @@ class TestTorusRank:
     def test_unused_indices_are_no_variables(self, monkeypatch):
         # one tuple over dims 10**6: the program has one variable per factor,
         # and the witness is 0 at every other index
-        sizes = []
-        solve = exactlp.lp_minimize
-
-        def spy(program, **kwargs):
-            sizes.append((program.num_variables, len(program.constraint_rows)))
-            return solve(program, **kwargs)
-
-        monkeypatch.setattr(exactlp, "lp_minimize", spy)
+        solves = oracle.calls(monkeypatch, (exactlp, "lp_minimize"))
         n = 10 ** 6
         res = torus_rank(TensorSupport(2, n, [(3, n)]), alpha=(2, F(1, 2)))
-        assert sizes == [(2, 1)]
+        assert [(p.num_variables, len(p.constraint_rows)) for _, (p,), _, _ in solves] == [(2, 1)]
         assert res.value == F(1, 2)
         assert len(res.witness) == 2 * n
         assert {i: v for i, v in enumerate(res.witness) if v} == {2 * n - 1: 1}
+
+    def test_witness_is_held_once(self):
+        # the n * d witness is built once, as the result's tuple: the peak
+        # stays below 1.5 times what the result holds, where filling a list
+        # and copying it into the tuple took 2 times
+        support = TensorSupport(1, 300_000, [(1,)])
+        tracemalloc.start()
+        try:
+            res = torus_rank(support)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.witness == (1,) + (0,) * 299_999
+        assert peak < 1.5 * sys.getsizeof(res.witness)
 
     def test_alpha_validation(self):
         with pytest.raises(InputError):
@@ -130,7 +127,7 @@ class TestTorusRank:
     def test_upper_bound_is_dims(self):
         rng = random.Random(7)
         for _ in range(30):
-            v = random_tensor(rng)
+            v = random_tensor(rng, 3, 3, 4)
             res = torus_rank(v)
             assert res.value <= v.dims
             # the witness lam_1 = (1,...,1), rest 0 always achieves dims
@@ -140,7 +137,7 @@ class TestTorusRank:
     def test_factor_permutation_invariance(self):
         rng = random.Random(11)
         for _ in range(20):
-            v = random_tensor(rng)
+            v = random_tensor(rng, 3, 3, 4)
             perm = list(range(v.order))
             rng.shuffle(perm)
             permuted = TensorSupport(
@@ -155,7 +152,7 @@ class TestTorusRank:
     def test_basis_relabel_invariance(self):
         rng = random.Random(13)
         for _ in range(20):
-            v = random_tensor(rng)
+            v = random_tensor(rng, 3, 3, 4)
             relabel = list(range(1, v.dims + 1))
             rng.shuffle(relabel)
             moved = TensorSupport(
@@ -188,7 +185,7 @@ class TestSymmetricRank:
     def test_equals_multilinear_rank_of_expansion(self):
         rng = random.Random(17)
         for _ in range(25):
-            v = random_symmetric(rng, max_d=3)
+            v = random_form(rng, 3, 3, 4)
             assert symm_torus_rank(v).value == torus_rank(expand_symmetric(v)).value
 
 
@@ -209,7 +206,7 @@ class TestExpandSymmetric:
         rng = random.Random(29)
         repeated = 0
         for _ in range(40):
-            v = random_symmetric(rng, max_n=4, max_d=6, max_support=6)
+            v = random_form(rng, 4, 6, 6)
             reference = set()
             for m in v.exponents:
                 base = [j for j, e in enumerate(m, start=1) for _ in range(e)]
@@ -234,7 +231,7 @@ class TestExpandSymmetric:
         # must be the one the public constructor builds from the same tuples
         rng = random.Random(31)
         for _ in range(40):
-            v = random_symmetric(rng, max_n=4, max_d=6, max_support=6)
+            v = random_form(rng, 4, 6, 6)
             got = expand_symmetric(v)
             validated = TensorSupport(order=v.degree, dims=v.nvars, tuples=list(got.tuples))
             assert got == validated
@@ -250,7 +247,7 @@ class TestCombineOnePs:
         # min_m <m, gamma> >= d * valuation of the expanded support under lam
         rng = random.Random(19)
         for _ in range(40):
-            v = random_symmetric(rng, max_d=3)
+            v = random_form(rng, 3, 3, 4)
             lam = tuple(
                 tuple(rng.randint(0, 3) for _ in range(v.nvars)) for _ in range(v.degree)
             )
@@ -288,19 +285,19 @@ class TestSemistability:
     def test_iff_rank_equals_dims(self):
         rng = random.Random(23)
         for _ in range(40):
-            v = random_tensor(rng)
+            v = random_tensor(rng, 3, 3, 4)
             assert is_torus_semistable(v) == (torus_rank(v).value == v.dims)
 
     def test_symm_iff_rank_equals_nvars(self):
         rng = random.Random(29)
         for _ in range(40):
-            v = random_symmetric(rng, max_d=3)
+            v = random_form(rng, 3, 3, 4)
             assert is_symm_torus_semistable(v) == (symm_torus_rank(v).value == v.nvars)
 
     def test_symm_semistable_matches_expansion(self):
         rng = random.Random(31)
         for _ in range(25):
-            v = random_symmetric(rng, max_d=3)
+            v = random_form(rng, 3, 3, 4)
             assert is_symm_torus_semistable(v) == is_torus_semistable(expand_symmetric(v))
 
 
@@ -310,11 +307,9 @@ def no_program(*args):
 
 @pytest.fixture
 def programs(monkeypatch):
-    """Every (rows, rhs) the semistability checks hand to `_feasible`."""
-    built = []
-    feasible = tensors._feasible
-    monkeypatch.setattr(tensors, "_feasible", lambda *a: built.append(a) or feasible(*a))
-    return built
+    """Every call of `_feasible` by the semistability checks: its (rows,
+    rhs) and verdict."""
+    return oracle.calls(monkeypatch, (tensors, "_feasible"))
 
 
 class TestUnusedCoordinate:
@@ -370,7 +365,7 @@ class TestUnusedCoordinate:
         assert programs == []
         # the same holds of every index of HALF, which has no perfect matching
         half = TensorSupport(order=3, dims=2, tuples=HALF)
-        assert forced_zeros(half) is None
+        assert oracle.forced_zeros(half)[0] is None
         assert is_torus_semistable(half) is True
         assert is_symm_torus_semistable(W_FORM) is False
         assert len(programs) == 2
@@ -473,13 +468,6 @@ def sorted_order_program(support):
     return tuple(zip(*support.sorted_exponents)), (d // math.gcd(n, d),) * n
 
 
-def forced_zeros(support):
-    """The verdict `tensors._forced_zeros` decides, or None when it leaves the
-    live tuples to the program; the tuples in the order the check reads."""
-    decided = tensors._forced_zeros(tuple(support.tuples), support.dims)
-    return decided if isinstance(decided, bool) else None
-
-
 def live_by_sets(support):
     """The tuples the kill rule leaves live, by sets: while every live tuple
     with index j in factor i has index j2 in factor i2, the other live
@@ -551,7 +539,7 @@ class TestColumnOrder:
             if not programs:
                 return 0
             # the same program, its columns permuted
-            (ordered, ordered_rhs), = programs
+            (_, (ordered, ordered_rhs), _, _), = programs
             assert ordered_rhs == rhs and sorted(zip(*ordered)) == sorted(zip(*rows))
             verdicts[kind].add(verdict)
             programs.clear()
@@ -625,9 +613,7 @@ def seeded_supports():
     for _ in range(2500):
         yield verify._random_tensor(rng)
     for _ in range(2500):
-        n, d = rng.randint(1, 5), rng.randint(1, 4)
-        pool = list(itertools.product(range(1, n + 1), repeat=d))
-        yield TensorSupport(d, n, rng.sample(pool, rng.randint(1, min(40, len(pool)))))
+        yield random_tensor(rng, 5, 4, 40)
 
 
 class TestForcedZeros:
@@ -637,12 +623,8 @@ class TestForcedZeros:
 
     @pytest.fixture
     def matchings(self, monkeypatch):
-        """Every answer of `tensors._matching`, in call order."""
-        answers = []
-        matching = tensors._matching
-        monkeypatch.setattr(tensors, "_matching",
-                            lambda *a: answers.append(matching(*a)) or answers[-1])
-        return answers
+        """Every call of `tensors._matching`, its answer last."""
+        return oracle.calls(monkeypatch, (tensors, "_matching"))
 
     def test_decisions_equal_the_full_program(self, matchings):
         # the search runs before any kill, and a kill never removes a
@@ -651,9 +633,9 @@ class TestForcedZeros:
         # supports this small, found first
         decisions, shapes = {"matched": 0, False: 0, None: 0}, set()
         for v in seeded_supports():
-            decided = forced_zeros(v)
+            decided, _ = oracle.forced_zeros(v)
             assert decided in (None, exactlp._feasible(*sorted_order_program(v))), v
-            matched = bool(matchings) and matchings.pop() is not None
+            matched = bool(matchings) and matchings.pop()[-1] is not None
             assert not matchings and (decided is True) is matched, v
             decisions["matched" if matched else decided] += 1
             shapes.add((v.dims == 1, v.order == 1))
@@ -666,8 +648,8 @@ class TestForcedZeros:
         # theta' = 1 on them meets every marginal
         found = 0
         for v in seeded_supports():
-            if forced_zeros(v) is True and matchings and matchings[-1] is not None:
-                n, chosen = v.dims, matchings[-1]
+            if oracle.forced_zeros(v)[0] is True and matchings and matchings[-1][-1] is not None:
+                n, chosen = v.dims, matchings[-1][-1]
                 tuples = [t for c, t in enumerate(v.tuples) if chosen >> c & 1]
                 assert chosen.bit_length() <= len(v.tuples), v
                 for column in zip(*tuples):
@@ -681,11 +663,12 @@ class TestForcedZeros:
         # leaves live, and it gives the full program's verdict
         built = shrunk = 0
         for v in seeded_supports():
-            decided = forced_zeros(v)
+            decided, _ = oracle.forced_zeros(v)
             verdict = is_torus_semistable(v)
             if decided is None:
                 n, live = v.dims, live_by_sets(v)
-                assert programs == [tensor_program(oracle.difference_class_order(live, n), n)], v
+                program = tensor_program(oracle.difference_class_order(live, n), n)
+                assert programs == [("_feasible", program, {}, verdict)], v
                 whole = tensor_program(oracle.difference_class_order(v.tuples, n), n)
                 assert verdict is exactlp._feasible(*whole), v
                 built += 1
@@ -703,14 +686,12 @@ class TestForcedZeros:
         v = TensorSupport(2, 2, [(1, 1), (1, 2), (2, 2)])
         assert sorted(tensors._forced_zeros(tuple(v.tuples), 2)) == [(1, 1), (2, 2)]
         assert is_torus_semistable(v) is True
-        assert programs == [tensor_program([(1, 1), (2, 2)], 2)]
+        assert programs == [("_feasible", tensor_program([(1, 1), (2, 2)], 2), {}, True)]
 
     def test_large_supports_are_matched(self, monkeypatch):
         # three 6x6x6x6 draws of 120 tuples: forced zeros stall on each, and
         # the search finds a perfect matching within 7, 30 and 7 choices
-        nodes = []
-        choose = tensors._choose
-        monkeypatch.setattr(tensors, "_choose", lambda *a: nodes.append(1) or choose(*a))
+        nodes = oracle.calls(monkeypatch, (tensors, "_choose"))
         monkeypatch.setattr(tensors, "_feasible", no_program)
         pool = list(itertools.product(range(1, 7), repeat=4))
         for seed in range(3):
@@ -720,11 +701,9 @@ class TestForcedZeros:
             nodes.clear()
 
     def test_large_supports_are_left_to_the_program(self, matchings, monkeypatch):
-        nodes = []
-        choose = tensors._choose
-        monkeypatch.setattr(tensors, "_choose", lambda *a: nodes.append(1) or choose(*a))
+        nodes = oracle.calls(monkeypatch, (tensors, "_choose"))
         for v in large_undecided():
-            assert forced_zeros(v) is None and matchings == [None]
+            assert oracle.forced_zeros(v)[0] is None and [m[-1] for m in matchings] == [None]
             matchings.clear()
         # the search gives up within its budget of one choice per tuple: in
         # lexicographic order it finds no matching of this support in 999
@@ -735,7 +714,7 @@ class TestForcedZeros:
         nodes.clear()
         tuples = tuple(sorted(tuples))
         assert tensors._forced_zeros(tuples, 25) == list(tuples)
-        assert matchings == [None] and len(nodes) == 999
+        assert [m[-1] for m in matchings] == [None] and len(nodes) == 999
 
 
 @pytest.mark.parametrize("call, message", [

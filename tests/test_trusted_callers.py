@@ -32,7 +32,7 @@ from fractions import Fraction as F
 import pytest
 
 import oracle
-from oracle import compositions, feasible, simplex_passes, slope
+from oracle import feasible, random_form, random_tensor, simplex_passes, slope
 from stablerank import exactlp, ideals, tensors
 from stablerank.exactlp import SlopeResult
 from stablerank.ideals import (
@@ -47,7 +47,6 @@ from stablerank.ideals import (
 )
 from stablerank.rationals import integers, rational
 from stablerank.tensors import (
-    SymmetricSupport,
     TensorSupport,
     expand_symmetric,
     is_symm_torus_semistable,
@@ -60,39 +59,17 @@ from stablerank.tensors import (
 @pytest.fixture
 def calls(monkeypatch):
     """Every call of the two trusted entry points, with its arguments and
-    result, as ("slope" | "feasible", arguments, result). `ideals` calls
-    `_slope` alone."""
-    seen = []
-    for module, name in ((tensors, "_slope"), (tensors, "_feasible"), (ideals, "_slope")):
-        solve = getattr(module, name)
-
-        def spy(*args, solve=solve, kind=name[1:]):
-            result = solve(*args)
-            seen.append((kind, args, result))
-            return result
-
-        monkeypatch.setattr(module, name, spy)
-    return seen
-
-
-def random_tensor(rng):
-    n, d = rng.randint(1, 4), rng.randint(1, 4)
-    pool = list(itertools.product(range(1, n + 1), repeat=d))
-    return TensorSupport(d, n, rng.sample(pool, rng.randint(1, min(12, len(pool)))))
+    result. `ideals` calls `_slope` alone."""
+    return oracle.calls(monkeypatch, (tensors, "_slope"), (tensors, "_feasible"),
+                        (ideals, "_slope"))
 
 
 def dense_tensor(rng):
     """20 tuples of a 4 x 4 x 4 x 4 support. Forced zeros and the matching
-    search decide almost every support of `random_tensor` before any
-    program; about one in four of these is left to the program, semistable
-    or not."""
+    search decide almost every draw of `random_tensor(rng, 4, 4, 12)`, up
+    to 12 tuples over n, d <= 4, before any program; about one in four of
+    these is left to the program, semistable or not."""
     return TensorSupport(4, 4, rng.sample(list(itertools.product(range(1, 5), repeat=4)), 20))
-
-
-def random_form(rng):
-    n, d = rng.randint(1, 4), rng.randint(1, 5)
-    pool = compositions(d, n)
-    return SymmetricSupport(d, n, rng.sample(pool, rng.randint(1, min(6, len(pool)))))
 
 
 def random_monomial_ideal(rng):
@@ -149,9 +126,9 @@ def assert_checked_feasible(rows, rhs, verdict):
 
 def check_all(calls):
     kinds = set()
-    for kind, args, result in calls:
-        kinds.add(kind)
-        if kind == "slope":
+    for name, args, _, result in calls:
+        kinds.add(name)
+        if name == "_slope":
             assert_checked_slope(*args, result)
         else:
             assert_checked_feasible(*args, result)
@@ -164,19 +141,19 @@ def test_tensor_ranks_and_semistability(calls):
     dense = random.Random(20261102)
     verdicts, decided = set(), 0
     for case in range(150):
-        support = random_tensor(rng) if case < 120 else dense_tensor(dense)
+        support = random_tensor(rng, 4, 4, 12) if case < 120 else dense_tensor(dense)
         alpha = None
         if case % 2:
             alpha = [rng.choice((1, 2, F(1, 2), F(3, 2), F(5, 3))) for _ in range(support.order)]
         torus_rank(support, alpha)
         verdict = is_torus_semistable(support)
-        if live_tuples(support) is None:
-            assert check_all(calls) == {"slope"}
+        if oracle.forced_zeros(support)[1] is None:
+            assert check_all(calls) == {"_slope"}
             assert verdict is feasible((), (), *old_tensor_program(support))
             decided += 1
             continue
         verdicts.add(verdict)
-        assert check_all(calls) == {"slope", "feasible"}
+        assert check_all(calls) == {"_slope", "_feasible"}
     assert verdicts == {True, False}
     assert 0 < decided < 150
 
@@ -187,40 +164,35 @@ def test_alpha_programs_clear_only_their_costs(monkeypatch):
     they are. So no call of `cleared` sees more than the n * d costs (the
     witness `_slope` clears has as many values), where clearing the rows
     would pass all m + m * n * d right sides and entries."""
-    sizes = []
-
-    def spy(values, cleared=exactlp.cleared):
-        sizes.append(len(values))
-        return cleared(values)
-
-    monkeypatch.setattr(exactlp, "cleared", spy)
+    clearings = oracle.calls(monkeypatch, (exactlp, "cleared"))
     rng = random.Random(20261107)
     for _ in range(60):
-        support = random_tensor(rng)
+        support = random_tensor(rng, 4, 4, 12)
         alpha = [rng.choice((1, F(1, 2), F(3, 2), F(5, 3))) for _ in range(support.order)]
         alpha[rng.randrange(support.order)] = F(2, 3)
-        sizes.clear()
+        clearings.clear()
         result = torus_rank(support, alpha)
         assert result == slope(*oracle.full_tensor_program(support, alpha))
-        assert sizes and max(sizes) <= support.dims * support.order
+        assert clearings
+        assert max(len(values) for _, (values,), _, _ in clearings) <= support.dims * support.order
 
 
 def test_form_ranks_and_semistability(calls):
     rng = random.Random(20261102)
     verdicts, unused = set(), 0
     for _ in range(120):
-        form = random_form(rng)
+        form = random_form(rng, 4, 5, 6)
         symm_torus_rank(form)
         verdict = is_symm_torus_semistable(form)
         torus_rank(expand_symmetric(form))
         if has_unused_variable(form):
-            assert check_all(calls) == {"slope"}
+            assert check_all(calls) == {"_slope"}
             assert verdict is False
             assert feasible((), (), *old_form_program(form)) is False
             unused += 1
             continue
         verdicts.add(verdict)
-        assert check_all(calls) == {"slope", "feasible"}
+        assert check_all(calls) == {"_slope", "_feasible"}
     assert verdicts == {True, False}
     assert 0 < unused < 120
 
@@ -232,7 +204,7 @@ def test_monomial_ideals(calls):
         t_stable_rank(ideal)
         if not ideal.is_unit:
             assert lct_monomial(ideal) == newton_threshold(ideal)
-        assert check_all(calls) == {"slope"}
+        assert check_all(calls) == {"_slope"}
 
 
 def test_polynomial_ideals(calls):
@@ -241,7 +213,7 @@ def test_polynomial_ideals(calls):
     for _ in range(120):
         result = t_stable_rank(random_poly_ideal(rng))
         infinite += result.value == math.inf
-        assert check_all(calls) == {"slope"}
+        assert check_all(calls) == {"_slope"}
     assert 0 < infinite < 120
 
 
@@ -252,13 +224,6 @@ def old_tensor_program(support):
     n = support.dims
     rows = oracle.marginal_rows(oracle.difference_class_order(support.tuples, n), n)
     return rows, (1,) + (F(1, n),) * (len(rows) - 1)
-
-
-def live_tuples(support):
-    """The tuples `is_torus_semistable` builds its program over, the ones
-    forced zeros leave live, or None when it decides with no program."""
-    live = tensors._forced_zeros(tuple(support.tuples), support.dims)
-    return None if isinstance(live, bool) else live
 
 
 def old_form_program(form):
@@ -302,17 +267,17 @@ def test_integer_programs_take_the_fractional_pivots():
             verdicts[caller].add(same_path(new, old, caller=caller))
 
     for case in range(120):
-        support = random_tensor(rng)
+        support = random_tensor(rng, 4, 4, 12)
         rows, rhs = old_tensor_program(support)
         same_verdict(lambda: is_torus_semistable(support),
                      lambda: feasible((), (), rows, rhs), "tensor",
-                     live_tuples(support) is None)
+                     oracle.forced_zeros(support)[1] is None)
         alpha = [rng.choice((1, 2, F(1, 2), F(3, 2), F(5, 3))) for _ in range(support.order)]
         same_path(lambda: torus_rank(support, alpha),
                   lambda: slope(*oracle.full_tensor_program(support, alpha)), same_slope,
                   renumber=lambda passes: oracle.used_index_passes(support, passes))
 
-        form = random_form(rng)
+        form = random_form(rng, 4, 5, 6)
         rows, rhs = old_form_program(form)
         same_verdict(lambda: is_symm_torus_semistable(form),
                      lambda: feasible((), (), rows, rhs), "form", has_unused_variable(form))
@@ -333,7 +298,7 @@ def test_integer_programs_take_the_fractional_pivots():
     dense, left = random.Random(20261107), 0
     for _ in range(1000):  # bounded, so a fault that decides every draw fails
         support = dense_tensor(dense)
-        live = live_tuples(support)
+        _, live = oracle.forced_zeros(support)
         if live is not None:
             rows, rhs = old_tensor_program(TensorSupport(support.order, support.dims, live))
             same_verdict(lambda: is_torus_semistable(support),

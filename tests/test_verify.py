@@ -3,6 +3,7 @@ from fractions import Fraction as F
 
 import pytest
 
+import oracle
 from stablerank import tensors, verify
 from stablerank.errors import InputError
 from stablerank.fileformat import parse_input
@@ -76,9 +77,7 @@ class TestSuitesPass:
         # The suite's tensors are small (n <= 3, at most 5 tuples), and the
         # search runs before any kill, so most draws reach it: a fault in
         # the search then shows in the comparison with rank = n.
-        calls = []
-        matching = tensors._matching
-        monkeypatch.setattr(tensors, "_matching", lambda *a: calls.append(1) or matching(*a))
+        calls = oracle.calls(monkeypatch, (tensors, "_matching"))
         rng = random.Random(1)
         for _ in range(4000):
             tensors.is_torus_semistable(verify._random_tensor(rng))
