@@ -102,9 +102,8 @@ def _cmd_rank_tensor(args) -> int:
                 f"--alpha needs {support.order} comma-separated rationals, got {len(parts)}"
             )
         alpha = tuple(parse_rational(p.strip()) for p in parts)
-    result = torus_rank(support, alpha)
-    w, n = result.witness, support.dims
-    groups = None if w is None else [w[i * n:(i + 1) * n] for i in range(support.order)]
+    result, n = torus_rank(support, alpha), support.dims
+    groups = [result.witness[i * n:(i + 1) * n] for i in range(support.order)]
     return _emit(args.json, result.value, groups, [_UPPER_BOUND_TENSOR])
 
 

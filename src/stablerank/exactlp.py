@@ -1,21 +1,21 @@
 """Exact linear programming over the rationals.
 
-Programs are given in integers and `fractions.Fraction`s, and answers come
-back as Fractions, but the simplex tableau holds Python integers only: every
-entry is stored as D * t over one positive integer D shared by the tableau
-(Edmonds' fraction-free pivoting, `_pivot`). No floating point value ever
-enters a tableau, so results are exact and bit-for-bit reproducible.
-Variables are implicitly constrained to x >= 0. Inequality rows have sense
-a_k . x >= b_k; equality rows hold exactly.
+Programs are given in integers and `fractions.Fraction`s, and the simplex
+tableau holds Python integers only: every entry is stored as D * t over one
+positive integer D shared by the tableau (Edmonds' fraction-free pivoting,
+`_pivot`). No floating point value enters a tableau, so results are exact
+and bit-for-bit reproducible. Variables are implicitly constrained to
+x >= 0, inequality rows have sense a_k . x >= b_k, and equality rows hold.
 
 Each tableau row is one Python integer of signed fields (`_Fields`), as wide
 as Hadamard's bound on the initial tableau (`_hadamard_bits`) needs, pivoted
 whole (`_pivot`) by Bland's rule (`_simplex`).
 
 Every solve enters through `lp_minimize`, the one door to both routes
-below. It clears denominators once, by `_integral`, and turns the route's
-answer, a status or (value, x, D) in integers, into the one `LpOutcome`,
-or, under its private `_raw`, hands back that answer and L as they are.
+below, and leaves as its one `LpOutcome`. It clears denominators once, by
+`_integral`, and hands every caller the route's answer, a status or
+(value, x, D) in integers, as it is, with the value over D * L as one
+Fraction, L being `_integral`'s cost scale.
 
 Programs with no equality rows and a componentwise-nonnegative objective are
 solved through the LP dual: the slack basis of the dual is immediately
@@ -40,11 +40,10 @@ the artificials and runs to the end, since a different final basis could
 start phase two elsewhere and so move its vertex.
 
 `_slope` is the bridge used by the rank computations, the slope infimum as
-one solve. It reads the `_raw` answer, as `_feasible` and
-`ideals.newton_threshold` do: the value is value / (D * L), and the
-witness x // gcd(D, *x), which is `rationals.cleared` of the vertex x / D.
-A caller with a slope program of its own gets the same from
-`lp_minimize(LinearProgram(cost, rows, (1,) * len(rows)))` and `cleared`.
+one solve. Its witness is x // gcd(D, *x), `rationals.cleared` of the
+vertex x / D; `_feasible` reads the status and `ideals.newton_threshold`
+the value. A caller with a slope program of its own gets the same from
+`lp_minimize(LinearProgram(cost, rows, (1,) * len(rows)))`.
 
 Inputs are checked once, at the public entry points: `LinearProgram(...)`
 checks and coerces every entry. `_slope`, `_feasible` and
@@ -109,15 +108,16 @@ class LinearProgram(Record):
 class LpOutcome(Record):
     """Solver verdict: status is "optimal", "infeasible" or "unbounded".
 
-    For an optimal outcome, `vertex` is a basic feasible solution satisfying
-    every constraint exactly and `value` equals objective . vertex.
+    For an optimal outcome, `value` is the Fraction objective . x at the
+    basic feasible solution x = numerators / denominator, ints over one
+    positive int, that satisfies every constraint exactly; else all None.
     """
 
-    __slots__ = __match_args__ = ("status", "value", "vertex")
+    __slots__ = __match_args__ = ("status", "value", "numerators", "denominator")
 
     def __init__(self, status: str, value: Fraction | None = None,
-                 vertex: tuple[Fraction, ...] | None = None):
-        self._store(status, value, vertex)
+                 numerators: tuple[int, ...] | None = None, denominator: int | None = None):
+        self._store(status, value, numerators, denominator)
 
 
 class SlopeResult(Record):
@@ -493,23 +493,19 @@ def _via_dual(
     return reduced.pop(), reduced, d
 
 
-def lp_minimize(program: LinearProgram, *, _raw: bool = False) -> LpOutcome:
+def lp_minimize(program: LinearProgram) -> LpOutcome:
     """Exact minimum of a linear program; deterministic for identical input.
-    With `_raw`, (answer, L) instead: the route's answer and `_integral`'s L."""
+    The outcome holds the route's ints as they are, the value over D * L."""
     expect(program, LinearProgram, "linear program")
     objective, rows, rhs, eq_rows, eq_rhs, scale, norms = _integral(program)
     if not eq_rows and all(c >= 0 for c in objective):
         answer = _via_dual(objective, rows, rhs, norms)
     else:
         answer = _primal_two_phase(objective, rows, rhs, eq_rows, eq_rhs, norms)
-    if _raw:
-        return answer, scale
     if isinstance(answer, str):
-        return LpOutcome(status=answer)
+        return LpOutcome(answer)
     value, x, d = answer
-    zero = Fraction(0)
-    return LpOutcome(status="optimal", value=Fraction(value, d * scale),
-                     vertex=tuple(Fraction(v, d) if v else zero for v in x))
+    return LpOutcome("optimal", Fraction(value, d * scale), tuple(x), d)
 
 
 def _feasible(equality_rows: tuple[tuple[int, ...], ...], equality_rhs: tuple[int, ...]) -> bool:
@@ -522,7 +518,7 @@ def _feasible(equality_rows: tuple[tuple[int, ...], ...], equality_rhs: tuple[in
     the phase-one verdict."""
     program = _record(LinearProgram,
                       ((0,) * len(equality_rows[0]), (), (), equality_rows, equality_rhs))
-    return not isinstance(lp_minimize(program, _raw=True)[0], str)
+    return lp_minimize(program).status == "optimal"
 
 
 def _slope(cost: tuple[int | Fraction, ...], rows: tuple[tuple[int, ...], ...]) -> SlopeResult:
@@ -541,12 +537,11 @@ def _slope(cost: tuple[int | Fraction, ...], rows: tuple[tuple[int, ...], ...]) 
     if not all(map(any, rows)):
         return SlopeResult(value=math.inf, witness=None)
     program = _record(LinearProgram, (cost, rows, (1,) * len(rows), (), ()))
-    answer, scale = lp_minimize(program, _raw=True)
-    if isinstance(answer, str):
-        raise RuntimeError(f"slope program should be solvable, got {answer}")
-    value, x, d = answer
-    g = math.gcd(d, *x)
-    return SlopeResult(value=Fraction(value, d * scale), witness=tuple(v // g for v in x))
+    out = lp_minimize(program)
+    if out.status != "optimal":
+        raise RuntimeError(f"slope program should be solvable, got {out.status}")
+    g = math.gcd(out.denominator, *out.numerators)
+    return SlopeResult(value=out.value, witness=tuple(v // g for v in out.numerators))
 
 
 def _singular(matrix: Sequence[Sequence]) -> bool:

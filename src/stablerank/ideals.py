@@ -405,11 +405,10 @@ def newton_threshold(ideal: MonomialIdeal) -> Fraction:
     r, n = len(gens), ideal.nvars
     rows = tuple(tuple(-g[j] for g in gens) + (1,) for j in range(n))
     program = _record(LinearProgram, ((0,) * r + (1,), rows, (0,) * n, ((1,) * r + (0,),), (1,)))
-    answer, scale = lp_minimize(program, _raw=True)
-    if isinstance(answer, str) or answer[0] <= 0:
-        raise RuntimeError(f"threshold program should be solvable, got {answer}")
-    value, _, d = answer
-    return Fraction(d * scale, value)
+    out = lp_minimize(program)
+    if out.status != "optimal" or out.value <= 0:
+        raise RuntimeError(f"threshold program should be solvable, got {out}")
+    return 1 / out.value
 
 
 def ideal_power(ideal, exponent: int):

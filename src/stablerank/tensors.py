@@ -84,6 +84,10 @@ from .errors import InputError
 from .exactlp import SlopeResult, _feasible, _slope
 from .rationals import Record, _record, collection, expect, integer_vectors, integers, rationals
 
+# The most entries a `torus_rank` witness, n * d of them, may have (a tuple of
+# about 80 MB); a support above it raises InputError before any work.
+_WITNESS_ENTRIES = 10 ** 7
+
 __all__ = [
     "TensorSupport",
     "SymmetricSupport",
@@ -182,13 +186,15 @@ def torus_rank(support: TensorSupport, alpha: Sequence | None = None) -> SlopeRe
     dual tableau whose slack column never enters: dropping both renumbers
     the other columns in their order, so Bland's rule takes the same
     pivots to the same D, value and witness. The program's size is set by
-    the support, not by n; the witness still has n * d entries.
+    the support, not by n; the witness has n * d <= `_WITNESS_ENTRIES` entries.
     """
     expect(support, TensorSupport, "tensor support")
     n, d = support.dims, support.order
     avec = (1,) * d if alpha is None else rationals(alpha, "alpha", d)
     if any(a <= 0 for a in avec):
         raise InputError("alpha entries must be positive")
+    if n * d > _WITNESS_ENTRIES:
+        raise InputError(f"torus rank witness: dims * order = {n * d} exceeds {_WITNESS_ENTRIES}")
     columns, rows = _support_rows(support)
     result = _slope(tuple([avec[c // n] for c in columns]), rows)
     get = dict(zip(columns, result.witness)).get

@@ -3,9 +3,12 @@ written once.
 
 `oracle_minimum_over_vertices` is the brute-force reference solver: it
 enumerates candidate bases and solves each square system with `solve`, its
-own Gauss-Jordan elimination in plain Fractions. It shares no code with
-`lp_minimize`, which other helpers here call: no packed rows, no pivot
-kernel, no ratio test, no pivot rule and no route choice. `inverse` is the exact inverse of a matrix,
+own Gauss-Jordan elimination in plain Fractions, and writes its best vertex
+as the least common denominator and the numerators over it. It shares no
+code with `lp_minimize`, which other helpers here call: no packed rows, no
+pivot kernel, no ratio test, no pivot rule and no route choice. `vertex`
+rebuilds the Fraction vertex of either solver's outcome, for the tests that
+read one. `inverse` is the exact inverse of a matrix,
 which the tests of linear changes take from here, since the library only
 checks that a matrix is invertible. `minimal_generators` is the quadratic
 divisibility filter that `MonomialIdeal`'s one-pass minimalisation is
@@ -18,7 +21,9 @@ semistability program over tuples in a given order, and
 `difference_class_order` the order `is_torus_semistable` gives its
 columns. The right sides stay with the callers. `feasible` and `slope`
 ask the public route, `lp_minimize`, for a feasibility verdict and a
-slope, and `compositions` lists the exponent vectors of a form.
+slope; `slope` clears the Fraction vertex with `rationals.cleared`, not by
+the gcd `exactlp._slope` takes. `compositions` lists the exponent vectors
+of a form.
 
 `simplex_passes` records the path of every simplex pass a call runs. It
 reads `exactlp._simplex` through the module global, so every route and
@@ -163,7 +168,16 @@ def oracle_minimum_over_vertices(
             best_vertex = tuple(x)
     if best_value is None:
         return LpOutcome(status="infeasible")
-    return LpOutcome(status="optimal", value=best_value, vertex=best_vertex)
+    denominator, numerators = cleared(best_vertex)
+    return LpOutcome("optimal", best_value, numerators, denominator)
+
+
+def vertex(out: LpOutcome) -> tuple[Fraction, ...] | None:
+    """The vertex of an outcome as Fractions, numerators[j] / denominator,
+    or None when it has none."""
+    if out.numerators is None:
+        return None
+    return tuple(Fraction(v, out.denominator) for v in out.numerators)
 
 
 def feasible(rows, rhs, eq_rows=(), eq_rhs=()) -> bool:
@@ -181,7 +195,7 @@ def slope(cost, rows):
     out = lp_minimize(LinearProgram(cost, rows, (1,) * len(rows)))
     if out.status == "infeasible":
         return SlopeResult(value=math.inf, witness=None)
-    return SlopeResult(value=out.value, witness=cleared(out.vertex)[1])
+    return SlopeResult(value=out.value, witness=cleared(vertex(out))[1])
 
 
 def compositions(total, parts) -> list:

@@ -73,6 +73,33 @@ class TestRankTensor:
         assert capsys.readouterr().out == json.dumps(
             {"value": str(result.value), "witness": groups, "notes": [_UPPER_BOUND_TENSOR]}) + "\n"
 
+    @pytest.mark.parametrize("header, support, lengths", [
+        ("tensor 1 99999999999999999999", "1", None),
+        ("tensor 1 3000000", "1", [3_000_000]),
+        ("tensor 2 1500000", "1 1", [1_500_000] * 2),
+    ])
+    def test_witness_budget_in_a_capped_child(self, tmp_path, header, support, lengths):
+        # The witness has dims * order entries. A header above the budget
+        # exits 2 with one line before any work; one at 3,000,000 entries
+        # still answers. The child caps its own address space at 1 GiB and
+        # runs under a timeout, so a witness filled toward 10^20 entries
+        # fails this test instead of taking the machine's memory or hanging.
+        path = tmp_path / "support.txt"
+        path.write_text(f"{header}\n{support}\n")
+        env = dict(os.environ, PYTHONPATH=str(Path(stablerank.__file__).parents[1]))
+        cap = ("import resource, sys; resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+               "from stablerank.cli import run; sys.exit(run(sys.argv[1:]))")
+        done = subprocess.run([sys.executable, "-c", cap, "rank", "tensor", str(path)],
+                              capture_output=True, text=True, env=env, timeout=30)
+        if lengths is None:
+            assert (done.returncode, done.stdout, done.stderr) == (2, "", (
+                "error: torus rank witness: dims * order = 99999999999999999999 exceeds 10000000\n"))
+            return
+        assert (done.returncode, done.stderr) == (0, "")
+        value, witness, _ = done.stdout.splitlines()
+        groups = witness.removeprefix("witness: ").split(" / ")
+        assert value == "value: 1" and [len(g.split()) for g in groups] == lengths
+
     def test_alpha_scaling(self, files, capsys):
         assert run(["rank", "tensor", files["w.txt"], "--alpha", "2,2,2"]) == 0
         assert "value: 3" in capsys.readouterr().out

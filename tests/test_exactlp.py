@@ -16,7 +16,7 @@ from hypothesis import event, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from oracle import CYCLIC, W, dot, oracle_minimum_over_vertices
+from oracle import CYCLIC, W, dot, oracle_minimum_over_vertices, vertex
 from stablerank import exactlp, ideals, tensors, verify
 from stablerank.errors import InputError
 from stablerank.exactlp import (
@@ -73,14 +73,14 @@ class TestLpMinimize:
         out = lp_minimize(program([1, 1], [[2, 0], [1, 1], [0, 2]], [1, 1, 1]))
         assert out.status == "optimal"
         assert out.value == F(1)
-        assert out.vertex == (F(1, 2), F(1, 2))
+        assert vertex(out) == (F(1, 2), F(1, 2))
 
     def test_two_row_program(self):
         # min x1+x2  s.t.  x1 >= 1, 2x2 >= 1
         out = lp_minimize(program([1, 1], [[1, 0], [0, 2]], [1, 1]))
         assert out.status == "optimal"
         assert out.value == F(3, 2)
-        assert out.vertex == (F(1), F(1, 2))
+        assert vertex(out) == (F(1), F(1, 2))
 
     def test_trivial_zero(self):
         out = lp_minimize(program([1], [[1]], [0]))
@@ -90,7 +90,7 @@ class TestLpMinimize:
     def test_infeasible_with_equality(self):
         out = lp_minimize(program([1], [[1]], [1], eq_rows=[[1]], eq_rhs=[0]))
         assert out.status == "infeasible"
-        assert out.value is None and out.vertex is None
+        assert (out.value, out.numerators, out.denominator) == (None, None, None)
 
     def test_infeasible_zero_row(self):
         # 0*x >= 1 can never hold
@@ -110,21 +110,21 @@ class TestLpMinimize:
         out = lp_minimize(program([-1], [[-1]], [-2]))
         assert out.status == "optimal"
         assert out.value == F(-2)
-        assert out.vertex == (F(2),)
+        assert vertex(out) == (F(2),)
 
     def test_equality_program(self):
         # min x2  s.t.  x1 + x2 = 1
         out = lp_minimize(program([0, 1], [], [], eq_rows=[[1, 1]], eq_rhs=[1]))
         assert out.status == "optimal"
         assert out.value == 0
-        assert out.vertex == (F(1), F(0))
+        assert vertex(out) == (F(1), F(0))
 
     def test_vertex_satisfies_constraints_exactly(self):
         rows = [[2, 0], [1, 1], [0, 2]]
         out = lp_minimize(program([1, 1], rows, [1, 1, 1]))
         for row in rows:
-            assert dot(row, out.vertex) >= 1
-        assert dot([1, 1], out.vertex) == out.value
+            assert dot(row, vertex(out)) >= 1
+        assert dot([1, 1], vertex(out)) == out.value
 
     def test_deterministic(self):
         p = program([1, 2, 0], [[1, 1, 0], [0, 1, 3], [2, 0, 1]], [1, 2, 1])
@@ -147,10 +147,13 @@ class TestLpMinimize:
         assert [type(c) for c in p.objective] == [int, F]
         assert [type(a) for a in p.constraint_rows[0]] == [F, F]
         out = lp_minimize(p)
-        assert (out.value, out.vertex) == (F(1, 4), (F(0), F(1, 2)))
-        assert type(out.value) is F and all(type(x) is F for x in out.vertex)
+        assert (out.value, vertex(out)) == (F(1, 4), (F(0), F(1, 2)))
+        # one Fraction value, and the vertex as ints over one int denominator
+        assert type(out.value) is F
+        assert all(type(v) is int for v in (*out.numerators, out.denominator))
         out = lp_minimize(feasibility([[1, 2]], [3]))
-        assert out.status == "optimal" and all(type(x) is F for x in out.vertex)
+        assert out.status == "optimal" and type(out.value) is F
+        assert all(type(v) is int for v in (*out.numerators, out.denominator))
 
 
 class TestLpFeasible:
@@ -160,13 +163,13 @@ class TestLpFeasible:
     def test_simple_feasible_with_witness(self):
         out = lp_minimize(feasibility([[1, 1]], [1]))
         assert (out.status, out.value) == ("optimal", 0)
-        assert dot([1, 1], out.vertex) >= 1
-        assert all(w >= 0 for w in out.vertex)
+        assert dot([1, 1], vertex(out)) >= 1
+        assert all(w >= 0 for w in vertex(out))
 
     def test_infeasible_equality_clash(self):
         out = lp_minimize(feasibility([[1]], [1], [[1]], [0]))
         assert out.status == "infeasible"
-        assert out.vertex is None
+        assert out.numerators is None and out.denominator is None
 
     def test_opposing_rows_infeasible(self):
         # lam1 + lam2 >= 1 and -(lam1 + lam2) >= 1 after a sign split
@@ -176,7 +179,7 @@ class TestLpFeasible:
     def test_equalities_only(self):
         out = lp_minimize(feasibility([], [], [[1, 1], [1, -1]], [2, 0]))
         assert out.status == "optimal"
-        assert out.vertex == (F(1), F(1))
+        assert vertex(out) == (F(1), F(1))
 
     @pytest.mark.parametrize("rows, rhs, eq_rows, eq_rhs", [
         ([[1, 2]], [1, 2], [], []),  # more right sides than rows
@@ -191,6 +194,12 @@ class TestLpFeasible:
     def test_rejects_malformed_systems(self, rows, rhs, eq_rows, eq_rhs):
         with pytest.raises(InputError):
             feasibility(rows, rhs, eq_rows, eq_rhs)
+
+
+def solution(out):
+    """(status, value, Fraction vertex) of an outcome: what a solve answers,
+    apart from the denominator D its pivots reached the vertex over."""
+    return out.status, out.value, vertex(out)
 
 
 def pass_pivots(solve, full=False):
@@ -211,7 +220,7 @@ class TestPhaseOneStop:
         zero_cost = feasibility([], [], self.EQ_ROWS, self.EQ_RHS)
         for full, passes in ((False, [1]), (True, [2])):
             outcome, ran = pass_pivots(lambda: lp_minimize(zero_cost), full)
-            assert (outcome.status, outcome.value, outcome.vertex, ran) == (
+            assert (outcome.status, outcome.value, vertex(outcome), ran) == (
                 "optimal", 0, (F(2), F(0)), passes)
 
     def test_nonzero_cost_runs_phase_one_to_the_end(self):
@@ -220,7 +229,7 @@ class TestPhaseOneStop:
             outcome, passes = pass_pivots(lambda: lp_minimize(costly))
             # the first pass is the zero-cost system's full phase one
             assert passes[0] == 2
-            assert outcome.vertex == (F(2), F(0))
+            assert vertex(outcome) == (F(2), F(0))
 
     def test_random_systems_keep_every_witness(self):
         rng = random.Random(20261107)
@@ -237,7 +246,7 @@ class TestPhaseOneStop:
 
             stopped, short = pass_pivots(feasible)
             answer, full = pass_pivots(feasible, full=True)
-            assert stopped == answer
+            assert solution(stopped) == solution(answer)
             assert sum(short) <= sum(full)
             fewer += sum(short) < sum(full)
         assert fewer >= 20
@@ -252,7 +261,7 @@ class TestPhaseOneStop:
             _, (system,) = oracle.golden_call(given)
             stopped, short = pass_pivots(lambda: lp_minimize(system))
             answer, full = pass_pivots(lambda: lp_minimize(system), full=True)
-            assert stopped == answer
+            assert solution(stopped) == solution(answer)
             assert sum(short) <= sum(full)
             fewer += sum(short) < sum(full)
         assert (len(cases), fewer) == (49, 5)
@@ -680,7 +689,7 @@ def test_dual_route_reaches_column_bound(monkeypatch):
     b = [dot(row, x) for row in h]
     c = [dot(column, x) for column in zip(*h)]
     out = lp_minimize(program(c, h, b))
-    assert out.vertex == tuple(map(F, x)) and out.value == dot(c, x) == 129
+    assert vertex(out) == tuple(map(F, x)) and out.value == dot(c, x) == 129
     columns = [dot(row, row) + v * v for row, v in zip(h, b)] + [dot(c, c)]
     rows = [dot(column, column) + 1 + v * v for column, v in zip(zip(*h), c)] + [dot(b, b)]
     assert _hadamard_bits(columns, 17) < _hadamard_bits(rows)
@@ -714,9 +723,9 @@ def test_large_denominators_against_oracle():
         assert fast.value == slow.value
         if fast.status == "optimal":
             routes.add(bool(eq_rows))
-            assert dot(obj, fast.vertex) == fast.value
-            assert all(dot(row, fast.vertex) >= b for row, b in zip(rows, rhs))
-            assert all(dot(row, fast.vertex) == b for row, b in zip(eq_rows, eq_rhs))
+            assert dot(obj, vertex(fast)) == fast.value
+            assert all(dot(row, vertex(fast)) >= b for row, b in zip(rows, rhs))
+            assert all(dot(row, vertex(fast)) == b for row, b in zip(eq_rows, eq_rhs))
     assert routes == {False, True}
 
 
@@ -825,9 +834,9 @@ class TestOracle:
         if fast.status == "optimal":
             assert fast.value == slow.value
             for row, b in zip(rows, rhs):
-                assert dot(row, fast.vertex) >= b
+                assert dot(row, vertex(fast)) >= b
             for row, b in zip(eq_rows, eq_rhs):
-                assert dot(row, fast.vertex) == b
+                assert dot(row, vertex(fast)) == b
 
 
 def test_seeded_random_agreement_bulk():
@@ -902,10 +911,11 @@ def golden_programs():
     return programs
 
 
-def test_routes_answer_in_integers_and_lp_minimize_divides(monkeypatch):
+def test_lp_minimize_hands_on_the_routes_integers(monkeypatch):
     # Each route answers a status string or (value, x, D) in ints alone, and
-    # `lp_minimize` builds its outcome from that: the value over D * L, with
-    # L the cost scale `_integral` cleared, and each vertex entry over D.
+    # `lp_minimize`'s one outcome carries that answer as it is: the status,
+    # x as the numerators and D as the denominator, with the value over
+    # D * L, L the cost scale `_integral` cleared.
     seen = oracle.calls(monkeypatch, *((exactlp, name)
                                        for name in ("_integral", "_via_dual", "_primal_two_phase")))
     programs = golden_programs()
@@ -927,7 +937,7 @@ def test_routes_answer_in_integers_and_lp_minimize_divides(monkeypatch):
         scale = integral[5]
         if isinstance(answer, str):
             kinds.add((route, answer))
-            assert out == exactlp.LpOutcome(status=answer)
+            assert out == exactlp.LpOutcome(answer, None, None, None)
             continue
         kinds.add((route, "optimal"))
         scales.add(scale > 1)
@@ -937,40 +947,30 @@ def test_routes_answer_in_integers_and_lp_minimize_divides(monkeypatch):
         assert type(x) is list and len(x) == p.num_variables
         assert all(type(v) is int for v in x)
         assert out.status == "optimal"
+        assert type(out.numerators) is tuple and out.numerators == tuple(x)
+        assert out.denominator == d
         assert type(out.value) is F and out.value == F(value, d * scale)
-        assert all(type(v) is F for v in out.vertex)
-        assert out.vertex == tuple(F(v, d) for v in x)
-        assert len({id(v) for v in out.vertex if not v}) <= 1
     assert kinds == {("_via_dual", "optimal"), ("_via_dual", "infeasible"),
                      ("_primal_two_phase", "optimal"), ("_primal_two_phase", "infeasible"),
                      ("_primal_two_phase", "unbounded")}
     assert scales == {False, True}
 
 
-def test_raw_read_equals_the_public_outcome(monkeypatch):
-    # `_slope`, `_feasible` and `newton_threshold` read the route's integer
-    # answer and L through `lp_minimize(..., _raw=True)`. What they make of it
-    # equals what the public outcome gives: the value by Fraction division,
-    # the witness by `cleared` of the vertex, the verdict by the status.
+def test_trusted_callers_read_what_the_checked_route_gives(monkeypatch):
+    # `_slope`, `_feasible` and `newton_threshold` build their programs
+    # unchecked and read the outcome in integers: the witness as
+    # x // gcd(D, *x), the verdict by the status, the threshold as 1 / value.
+    # What they give equals what the checked route gives: `oracle.slope`
+    # clears the Fraction vertex with `cleared`, and `oracle.feasible` asks
+    # the status of a checked program.
     slopes = oracle.calls(monkeypatch, (tensors, "_slope"), (ideals, "_slope"))
     verdicts = oracle.calls(monkeypatch, (tensors, "_feasible"))
 
-    statuses = set()
     for p in golden_programs():
-        answer, scale = lp_minimize(p, _raw=True)
-        out = lp_minimize(p)
-        statuses.add(out.status)
-        if isinstance(answer, str):
-            assert answer == out.status != "optimal"
-        else:
-            value, x, d = answer
-            assert out.value == F(value, d * scale)
-            assert tuple(v // math.gcd(d, *x) for v in x) == cleared(out.vertex)[1]
         if p.equality_rows:
             lines = [cleared((*row, b))[1] for row, b in zip(p.equality_rows, p.equality_rhs)]
             system = (tuple(line[:-1] for line in lines), tuple(line[-1] for line in lines))
             verdicts.append(("_feasible", system, {}, exactlp._feasible(*system)))
-    assert statuses == {"optimal", "infeasible", "unbounded"}
 
     rng = random.Random(20261019)
     for _ in range(60):
@@ -1019,7 +1019,7 @@ def test_zero_cost_phase_one_packs_no_artificial_column():
         assert [(s["ncols"], len(s["start"]), s["stop"]) for s in passes] == [(n + m, m + p, True)]
         assert out.status == oracle_minimum_over_vertices(system).status
         if out.status == "optimal":
-            x = out.vertex
+            x = vertex(out)
             assert out.value == 0 and all(v >= 0 for v in x)
             assert all(dot(row, x) >= b for row, b in zip(rows, rhs))
             assert all(dot(row, x) == b for row, b in zip(eq_rows, eq_rhs))

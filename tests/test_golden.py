@@ -166,7 +166,7 @@ def solve(case: dict) -> dict:
     return {
         "status": out.status,
         "value": None if out.value is None else q(out.value),
-        "vertex": None if out.vertex is None else [q(v) for v in out.vertex],
+        "vertex": None if out.numerators is None else [q(v) for v in oracle.vertex(out)],
     }
 
 

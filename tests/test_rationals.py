@@ -404,7 +404,8 @@ RECORDS = [
     (LinearProgram((1, F(1, 2)), [[1, 0]], [1], equality_rows=[[1, 1]], equality_rhs=[2]),
      "LinearProgram(objective=(1, Fraction(1, 2)), constraint_rows=((1, 0),), rhs=(1,), "
      "equality_rows=((1, 1),), equality_rhs=(2,))"),
-    (LpOutcome("infeasible"), "LpOutcome(status='infeasible', value=None, vertex=None)"),
+    (LpOutcome("optimal", F(3, 2), (3, 0), 2),
+     "LpOutcome(status='optimal', value=Fraction(3, 2), numerators=(3, 0), denominator=2)"),
     (SlopeResult(F(3, 2), (1, 1, 0)), "SlopeResult(value=Fraction(3, 2), witness=(1, 1, 0))"),
     (TensorSupport(2, 2, [(1, 2)]), "TensorSupport(order=2, dims=2, tuples=frozenset({(1, 2)}))"),
     (SymmetricSupport(2, 2, [(1, 1)]),
@@ -433,8 +434,10 @@ class TestRecord:
         bare = LinearProgram(objective=[1], constraint_rows=[], rhs=[])
         assert (bare.equality_rows, bare.equality_rhs) == ((), ())
         outcome = LpOutcome("infeasible")
-        assert (outcome.status, outcome.value, outcome.vertex) == ("infeasible", None, None)
-        assert LpOutcome(status="optimal", value=F(1), vertex=(F(1),)).vertex == (F(1),)
+        assert (outcome.status, outcome.value, outcome.numerators, outcome.denominator) == (
+            "infeasible", None, None, None)
+        outcome = LpOutcome(status="optimal", value=F(1), numerators=(2,), denominator=2)
+        assert (outcome.numerators, outcome.denominator) == ((2,), 2)
         assert SlopeResult(value=F(2), witness=(1,)) == SlopeResult(F(2), (1,))
         assert TensorSupport(order=1, dims=2, tuples=[(2,)]) == TensorSupport(1, 2, {(2,)})
         assert SymmetricSupport(degree=2, nvars=1, exponents=[(2,)]).exponents == {(2,)}
