@@ -64,31 +64,37 @@ def _load(path: str, kinds: tuple[str, ...], what: str):
     return doc.payload
 
 
-def _emit(as_json: bool, value, witness, notes: list[str]) -> int:
+def _emit(as_json: bool, value, witness, notes: list[str], width: int = 0) -> int:
     """Print one answer, its exact value as p/q, an integer or "inf".
-    `witness` is None, a flat tuple, or one tuple per tensor factor, which
-    the text line separates by ' / '. The text line is written in chunks of
-    `_CHUNK` entries, so a long witness never has every entry's text in
-    memory at once; `json.dumps` writes the JSON object whole."""
+    `witness` is None or a flat tuple. A tensor's witness comes with `width`,
+    its entries per factor: the JSON object nests its factors, and the text
+    line separates them by ' / '. The text line is written straight from the
+    flat tuple, `_CHUNK` entries at a time, so a long witness never has every
+    entry's text, or a copy of a factor, in memory at once; `json.dumps`
+    writes the JSON object whole."""
     value = str(value)
     witness = () if witness is None else witness
     if as_json:
+        if width:
+            witness = [witness[i:i + width] for i in range(0, len(witness), width)]
         print(json.dumps({"value": value, "witness": witness, "notes": notes}))
-    else:
-        print(f"value: {value}")
-        if witness:
-            write = sys.stdout.write
-            write("witness: ")
-            for k, group in enumerate(witness if isinstance(witness[0], tuple) else [witness]):
-                if k:
-                    write(" / ")
-                for start in range(0, len(group), _CHUNK):
-                    if start:
-                        write(" ")
-                    write(" ".join(map(str, group[start:start + _CHUNK])))
-            write("\n")
-        for note in notes:
-            print(f"note: {note}")
+        return 0
+    print(f"value: {value}")
+    if witness:
+        write = sys.stdout.write
+        write("witness: ")
+        step = width or len(witness)
+        for start in range(0, len(witness), step):
+            if start:
+                write(" / ")
+            end = start + step
+            for at in range(start, end, _CHUNK):
+                if at > start:
+                    write(" ")
+                write(" ".join(map(str, witness[at:min(at + _CHUNK, end)])))
+        write("\n")
+    for note in notes:
+        print(f"note: {note}")
     return 0
 
 
@@ -102,9 +108,8 @@ def _cmd_rank_tensor(args) -> int:
                 f"--alpha needs {support.order} comma-separated rationals, got {len(parts)}"
             )
         alpha = tuple(parse_rational(p.strip()) for p in parts)
-    result, n = torus_rank(support, alpha), support.dims
-    groups = [result.witness[i * n:(i + 1) * n] for i in range(support.order)]
-    return _emit(args.json, result.value, groups, [_UPPER_BOUND_TENSOR])
+    result = torus_rank(support, alpha)
+    return _emit(args.json, result.value, result.witness, [_UPPER_BOUND_TENSOR], support.dims)
 
 
 def _cmd_rank_symm(args) -> int:

@@ -100,6 +100,32 @@ class TestRankTensor:
         groups = witness.removeprefix("witness: ").split(" / ")
         assert value == "value: 1" and [len(g.split()) for g in groups] == lengths
 
+    def test_factors_are_written_from_the_flat_witness(self, tmp_path):
+        # The text form writes each factor's entries straight from the flat
+        # witness, so a child answering on two factors of 1,500,000 entries
+        # peaks within 5% of one answering on one factor of 3,000,000.
+        # Copying each factor out first costs about 21 MB more, half again
+        # the one-factor peak of about 42 MB.
+        env = dict(os.environ, PYTHONPATH=str(Path(stablerank.__file__).parents[1]))
+        out = tmp_path / "out.txt"
+
+        def peak(header, support):
+            path = tmp_path / "support.txt"
+            path.write_text(f"{header}\n{support}\n")
+            argv = [sys.executable, "-m", "stablerank", "rank", "tensor", str(path)]
+            pid = os.posix_spawn(sys.executable, argv, env, file_actions=[
+                (os.POSIX_SPAWN_OPEN, 1, str(out), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)])
+            _, status, usage = os.wait4(pid, 0)
+            assert os.waitstatus_to_exitcode(status) == 0
+            return usage.ru_maxrss
+
+        one = peak("tensor 1 3000000", "1")
+        two = peak("tensor 2 1500000", "1 1")
+        value, witness, _ = out.read_text().splitlines()
+        groups = witness.removeprefix("witness: ").split(" / ")
+        assert value == "value: 1" and [len(g.split()) for g in groups] == [1_500_000] * 2
+        assert two <= 1.05 * one
+
     def test_alpha_scaling(self, files, capsys):
         assert run(["rank", "tensor", files["w.txt"], "--alpha", "2,2,2"]) == 0
         assert "value: 3" in capsys.readouterr().out
@@ -170,6 +196,15 @@ class TestRankIdeal:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == "error: line 1: linear change matrix is singular\n"
+
+    def test_change_over_the_expansion_budget(self, tmp_path, capsys):
+        # one line and exit 2, before any power of the expansion is built
+        (tmp_path / "ideal.txt").write_text("pideal 3\n1 : 384 384 384\n")
+        (tmp_path / "matrix.txt").write_text("matrix 3\n1 2 3\n0 1 5\n0 0 1\n")
+        assert run(["rank", "ideal", str(tmp_path / "ideal.txt"),
+                    "--change", str(tmp_path / "matrix.txt")]) == 2
+        assert capsys.readouterr() == ("", "error: linear change: expansion bound of "
+                                           "57289155 multiply-adds exceeds 10000000\n")
 
     # a linear change of a deep power: both routes reach the recursive
     # `form_power`, which ends in RecursionError (exit 3) until ROADMAP

@@ -12,6 +12,9 @@ The file was written before the generator's size bounds became module
 constants; regenerating it is only right when a report is meant to change:
 
     PYTHONPATH=src python tests/test_golden_verify.py
+
+The same command prints the `FULL_SIZE_DIGESTS` of the regenerated reports,
+ready to paste over the pinned ones, so one run renews every pin.
 """
 
 import hashlib
@@ -25,8 +28,8 @@ SEEDS = (0, 1)
 CASES = 40
 # seed -> sha256 of `digest`'s text of run_suite("all", seed, 200), 1,606 reports
 FULL_SIZE_DIGESTS = {
-    0: "8e25ecfb3a2eb6f3eec0dccb53d2944de8e7c3a30f1578b8586a9121b60c176b",
-    1: "1f504ff7df8ed93c86088edff427c540cf87c4108d8dfb382e4fa385d9d595cb",
+    0: "eba188f8388c2c609652a7aa6c6fed9fbfe80279b0f86b6cd60e7ac12d1f3fd5",
+    1: "4dddcad338958689758ad5b45e03fd1f14cd8a3a17b821495077954227f5e91c",
 }
 
 
@@ -77,3 +80,7 @@ def test_full_size_reports_digest():
 
 if __name__ == "__main__":
     oracle.write_golden(GOLDEN, reports())
+    print("FULL_SIZE_DIGESTS = {")
+    for seed in FULL_SIZE_DIGESTS:
+        print(f'    {seed}: "{digest(seed, 200)[1]}",')
+    print("}")

@@ -321,6 +321,38 @@ class TestLinearChange:
             x = [sum(m.matrix[j][i] * y[j] for j in range(2)) for i in range(2)]
             assert _evaluate(g, y) == _evaluate(f, x)
 
+    def test_work_bound_covers_every_product(self, monkeypatch):
+        # the multiply-adds of every `_int_product` an expansion runs, the
+        # memoised powers and each term's running product, stay within the
+        # bound `_change_work` reads from the exponents and the columns of M
+        seen = oracle.calls(monkeypatch, (ideals, "_int_product"))
+        rng = random.Random(53)
+        for case in range(40):
+            n = rng.randint(2, 4)
+            f = _random_sparse_poly(rng, n, max_exp=12)
+            m = _random_invertible(rng, n) if case % 2 else _sparse_invertible(rng, n)
+            seen.clear()
+            apply_linear_change(f, m)
+            done = sum(len(a) * len(b) for _, (a, b), _, _ in seen)
+            sizes = [sum(1 for row in m.matrix if row[i]) for i in range(n)]
+            assert done <= ideals._change_work(f.terms, sizes)
+
+    def test_expansion_budget(self, monkeypatch):
+        # x^128 y^128 z^128 under a unit-triangular change is admitted, and
+        # its bound is its count of multiply-adds; at y = (1, 1, 1),
+        # x = (1, 3, 9), so its coefficients sum to 27^128. At exponent 384
+        # the expansion would take about a minute, and the bound refuses it
+        # before any power is built.
+        seen = oracle.calls(monkeypatch, (ideals, "_int_product"))
+        m = LinearChange([[1, 2, 3], [0, 1, 5], [0, 0, 1]])
+        g = apply_linear_change(poly(3, {(128, 128, 128): 1}), m)
+        assert sum(len(a) * len(b) for _, (a, b), _, _ in seen) == 2_171_715
+        assert ideals._change_work([(128, 128, 128)], [1, 2, 3]) == 2_171_715
+        assert len(g.terms) == 24_897 and sum(g.terms.values()) == 27 ** 128
+        message = "^linear change: expansion bound of 57289155 multiply-adds exceeds 10000000$"
+        with pytest.raises(InputError, match=message):
+            apply_linear_change(poly(3, {(384, 384, 384): 1}), m)
+
     def test_singular_rejected(self):
         with pytest.raises(InputError, match="^linear change matrix is singular$"):
             LinearChange([[1, 1], [2, 2]])

@@ -48,8 +48,9 @@ class TestAnchor:
         (report,) = run_suite("lct-bound", SEED, CASES)
         assert isinstance(report, CheckReport)
         assert report.passed is True
-        assert report.lhs == "1"
-        assert report.rhs == "3/2"
+        # the rank on the left, as every `_check` report has it
+        assert report.lhs == "3/2"
+        assert report.rhs == "1"
         assert "recorded" in report.instance
         _assert_instance_parses(report)
 
