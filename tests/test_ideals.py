@@ -341,8 +341,8 @@ class TestLinearChange:
         # x^128 y^128 z^128 under a unit-triangular change is admitted, and
         # its bound is its count of multiply-adds; at y = (1, 1, 1),
         # x = (1, 3, 9), so its coefficients sum to 27^128. At exponent 384
-        # the expansion would take about a minute, and the bound refuses it
-        # before any power is built.
+        # the bound is 57,289,155, and it refuses the polynomial before any
+        # power is built.
         seen = oracle.calls(monkeypatch, (ideals, "_int_product"))
         m = LinearChange([[1, 2, 3], [0, 1, 5], [0, 0, 1]])
         g = apply_linear_change(poly(3, {(128, 128, 128): 1}), m)
