@@ -25,6 +25,7 @@ from .errors import InputError
 from .fileformat import parse_input
 from .ideals import (
     PolyIdeal,
+    _change_budget,
     _lct_rank,
     _poly_ideal,
     apply_linear_change,
@@ -66,33 +67,36 @@ def _load(path: str, kinds: tuple[str, ...], what: str):
 
 def _emit(as_json: bool, value, witness, notes: list[str], width: int = 0) -> int:
     """Print one answer, its exact value as p/q, an integer or "inf".
-    `witness` is None or a flat tuple. A tensor's witness comes with `width`,
-    its entries per factor: the JSON object nests its factors, and the text
-    line separates them by ' / '. The text line is written straight from the
-    flat tuple, `_CHUNK` entries at a time, so a long witness never has every
-    entry's text, or a copy of a factor, in memory at once; `json.dumps`
-    writes the JSON object whole."""
+    `witness` is None or a flat tuple of ints. A tensor's witness comes with
+    `width`, its entries per factor: the JSON object nests its factors as
+    lists, and the text line separates them by ' / '. Both forms write the
+    witness by one loop, straight from the flat tuple and `_CHUNK` entries
+    at a time, so a long witness never has every entry's text, or a copy of
+    a factor, in memory at once. An int's text is its JSON, so the JSON form
+    prints the bytes `json.dumps` prints of the whole object."""
     value = str(value)
     witness = () if witness is None else witness
+    write = sys.stdout.write
     if as_json:
-        if width:
-            witness = [witness[i:i + width] for i in range(0, len(witness), width)]
-        print(json.dumps({"value": value, "witness": witness, "notes": notes}))
+        write(f'{{"value": {json.dumps(value)}, "witness": [')
+        sep, between, opening, closing = ", ", ", ", "[" * bool(width), "]" * bool(width)
+    else:
+        print(f"value: {value}")
+        write("witness: " if witness else "")
+        sep, between, opening, closing = " ", " / ", "", ""
+    step = width or len(witness) or 1
+    for start in range(0, len(witness), step):
+        write(between + opening if start else opening)
+        end = start + step
+        for at in range(start, end, _CHUNK):
+            if at > start:
+                write(sep)
+            write(sep.join(map(str, witness[at:min(at + _CHUNK, end)])))
+        write(closing)
+    if as_json:
+        write(f'], "notes": {json.dumps(notes)}}}\n')
         return 0
-    print(f"value: {value}")
-    if witness:
-        write = sys.stdout.write
-        write("witness: ")
-        step = width or len(witness)
-        for start in range(0, len(witness), step):
-            if start:
-                write(" / ")
-            end = start + step
-            for at in range(start, end, _CHUNK):
-                if at > start:
-                    write(" ")
-                write(" ".join(map(str, witness[at:min(at + _CHUNK, end)])))
-        write("\n")
+    write("\n" if witness else "")
     for note in notes:
         print(f"note: {note}")
     return 0
@@ -120,16 +124,15 @@ def _cmd_rank_symm(args) -> int:
 
 def _cmd_rank_ideal(args) -> int:
     payload = _load(args.file, ("mideal", "pideal"), "rank ideal")
-    candidates = [("standard coordinates", t_stable_rank(payload))]
-    changes = args.change or []
+    changes = [_load(path, ("matrix",), "--change") for path in args.change or []]
     if changes:
         base = _poly_ideal(payload)
-        for pos, path in enumerate(changes, start=1):
-            change = _load(path, ("matrix",), "--change")
-            moved = PolyIdeal(
-                base.nvars, [apply_linear_change(g, change) for g in base.generators]
-            )
-            candidates.append((f"change #{pos}", t_stable_rank(moved)))
+        # one budget for every generator under every change, before any work
+        _change_budget(base.generators, changes)
+    candidates = [("standard coordinates", t_stable_rank(payload))]
+    for pos, change in enumerate(changes, start=1):
+        moved = PolyIdeal(base.nvars, [apply_linear_change(g, change) for g in base.generators])
+        candidates.append((f"change #{pos}", t_stable_rank(moved)))
     best_label, best = min(candidates, key=lambda item: item[1].value)
     notes = [_UPPER_BOUND_IDEAL]
     if len(candidates) > 1:

@@ -66,6 +66,7 @@ from .exactlp import (
 )
 from .rationals import (
     Record,
+    _multinomial,
     _record,
     cleared,
     collection,
@@ -76,12 +77,19 @@ from .rationals import (
     rationals,
 )
 
-# The most multiply-adds `apply_linear_change` may spend on one polynomial, as
-# bounded before any power is built (`_change_work`); a polynomial above it
-# raises InputError. Under [[1, 2, 3], [0, 1, 5], [0, 0, 1]], x^e y^e z^e
-# needs 2,171,715 at e = 128 (about 1.3 s) and 8,181,303 at e = 200 (about
-# 6 s), both exactly their bounds; e = 256 is bounded by 17,073,795.
+# The most multiply-adds linear changes may spend, as bounded before any power
+# is built (`_change_budget`): `apply_linear_change` on one polynomial, and
+# `stablerank rank ideal` on every generator under every --change together.
+# Work above it raises InputError. Under [[1, 2, 3], [0, 1, 5], [0, 0, 1]],
+# x^e y^e z^e needs 2,171,715 at e = 128 (about 1.3 s) and 8,181,303 at
+# e = 200 (about 6 s), both exactly their bounds; e = 256 is bounded by
+# 17,073,795.
 _CHANGE_WORK = 10 ** 7
+# The most products `ideal_power` may build, C(g + r - 1, r) for g generators
+# at exponent r; a power above it raises InputError before the first product.
+# 10 monomial generators at r = 10 need 92,378 (about 0.2 s); at r = 50
+# they would need 12,565,671,261.
+_POWER_PRODUCTS = 10 ** 5
 
 __all__ = [
     "SparsePolynomial",
@@ -344,6 +352,27 @@ def _change_work(exponents: Collection[Sequence[int]], sizes: Sequence[int]) -> 
     return work
 
 
+def _change_budget(polys: Collection[SparsePolynomial],
+                   changes: Iterable[LinearChange]) -> None:
+    """Raise InputError unless every polynomial can be expanded under every
+    change by `apply_linear_change` within `_CHANGE_WORK` multiply-adds in
+    all. The bounds of `_change_work` add, since each expansion builds its
+    own powers; q * x_i has as many terms as column i of M has nonzero
+    entries. A change on another number of variables raises first."""
+    work = 0
+    for change in changes:
+        sizes = [sum(map(bool, column)) for column in zip(*change.matrix)]
+        for f in polys:
+            if change.nvars != f.nvars:
+                raise InputError(
+                    f"linear change acts on {change.nvars} variables, polynomial has {f.nvars}"
+                )
+            work += _change_work(f.terms, sizes)
+    if work > _CHANGE_WORK:
+        raise InputError(f"linear change: expansion bound of {work} multiply-adds "
+                         f"exceeds {_CHANGE_WORK}")
+
+
 def apply_linear_change(f: SparsePolynomial, change: LinearChange) -> SparsePolynomial:
     """Exact substitution x_i -> sum_j M[j][i] * y_j, fully expanded.
 
@@ -360,26 +389,19 @@ def apply_linear_change(f: SparsePolynomial, change: LinearChange) -> SparsePoly
     exponents up to deg f: every product below is homogeneous of degree at
     most deg f, so y_j is keyed by B^j and the key of each output term is
     decoded once, by `_over`. The result is not validated again. Before any
-    power is built, `_change_work` bounds the multiply-adds, and a
+    power is built, `_change_budget` bounds the multiply-adds, and a
     polynomial whose bound exceeds `_CHANGE_WORK` raises InputError.
     """
     expect(f, SparsePolynomial, "polynomial")
     expect(change, LinearChange, "linear change")
+    _change_budget([f], [change])
     n = f.nvars
-    if change.nvars != n:
-        raise InputError(
-            f"linear change acts on {change.nvars} variables, polynomial has {n}"
-        )
     # every exponent of every product below is at most the degree of f
     places, decode = _keying(max(map(sum, f.terms), default=0), n)
     # forms[i] is q * x_i = sum_j q * M[j][i] * y_j, an integer linear form,
     # y_j keyed by B^j: column i of q * M, its entries cleared in column order
     q, flat = cleared([v for column in zip(*change.matrix) for v in column])
     forms = [{y: v for y, v in zip(places, flat[i:i + n]) if v} for i in range(0, n * n, n)]
-    work = _change_work(f.terms, [len(form) for form in forms])
-    if work > _CHANGE_WORK:
-        raise InputError(f"linear change: expansion bound of {work} multiply-adds "
-                         f"exceeds {_CHANGE_WORK}")
     one = {0: 1}
     powers: dict[tuple[int, int], dict] = {}
 
@@ -447,9 +469,13 @@ def newton_threshold(ideal: MonomialIdeal) -> Fraction:
 
 
 def ideal_power(ideal, exponent: int):
-    """All products of `exponent` generators (with repetition)."""
+    """All products of `exponent` generators (with repetition), C(g + r - 1, r)
+    of them for g generators at exponent r; above `_POWER_PRODUCTS` of them
+    raises InputError before the first product."""
     (r,) = integers((exponent,), "ideal power exponent", low=1)
     expect(ideal, _IDEALS, "ideal")
+    if _multinomial((len(ideal.generators) - 1, r), _POWER_PRODUCTS) > _POWER_PRODUCTS:
+        raise InputError(f"ideal power: more than {_POWER_PRODUCTS} products")
     if isinstance(ideal, MonomialIdeal):
         gens = [
             tuple(sum(es) for es in zip(*combo))

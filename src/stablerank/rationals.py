@@ -34,7 +34,8 @@ coerces a value or words an error:
 It is also the one home of denominator clearing: `cleared` scales exact
 rationals by the lcm of their denominators, for a program entering the LP
 solver, the rows of a linear system, the witness of a slope program, a
-polynomial product and a linear change's matrix alike.
+polynomial product and a linear change's matrix alike. `_multinomial`
+counts, with a cap, what a budget bounds before any work is done.
 
 `Record` is the base of the package's immutable value types (a support, a
 polynomial, an ideal, a linear change, a program, an outcome, a slope
@@ -213,6 +214,25 @@ def cleared(values) -> tuple[int, tuple[int, ...]]:
     denominator among the ints and Fractions `values`, a collection."""
     den = math.lcm(*(v.denominator for v in values))
     return den, tuple([v.numerator * (den // v.denominator) for v in values])
+
+
+def _multinomial(parts: tuple[int, ...], cap: int) -> int:
+    """The multinomial coefficient sum(parts)! / prod(part!) when it is at
+    most `cap`, else some number above `cap`, for the budgets that count
+    before any work. Each binomial C(t, k) of the product, t the running sum
+    and k the smaller of the part and t minus it, is multiplied in one
+    factor (t - k + i) / i at a time. Each factor at least doubles the
+    count, so the count passes `cap` within about log2(cap) of them, however
+    large the parts."""
+    count, total = 1, 0
+    for part in parts:
+        total += part
+        k = min(part, total - part)
+        for i in range(1, k + 1):
+            count = count * (total - k + i) // i
+            if count > cap:
+                return count
+    return count
 
 
 def parse_integer(token: str, what: str = "integer") -> int:

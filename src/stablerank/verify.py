@@ -158,7 +158,9 @@ def _symm_equals_multi(seed: int, cases: int) -> list[CheckReport]:
 
 
 def _semistable_iff_rank(seed: int, cases: int) -> list[CheckReport]:
-    """Torus semistability must hold exactly when the rank equals the dimension."""
+    """Torus semistability must hold exactly when the rank equals the
+    dimension, and a form must be semistable exactly when its expanded
+    tensor support is (the Comon analog for semistability)."""
     # one tensor, then one form, per case: (name, draw, rank, semistability,
     # dimension); built per call, so it reads the module's current bindings
     kinds = (
@@ -183,6 +185,12 @@ def _semistable_iff_rank(seed: int, cases: int) -> list[CheckReport]:
                     witness=rank.witness,
                 )
             )
+        # the last kind drawn is the form, `support`, with its verdict `stable`
+        expanded = is_torus_semistable(expand_symmetric(support))
+        reports.append(CheckReport(
+            "semistable/symm-expanded", _doc_text(support, f"case {case}"),
+            stable == expanded, f"semistable:{int(stable)}", f"expanded-semistable:{int(expanded)}",
+        ))
     return reports
 
 

@@ -137,7 +137,7 @@ def test_criterion_6_check_suites_two_seeds():
     problems = []
     expected_counts = {
         "symm-multi": 200,
-        "semistable": 400,
+        "semistable": 600,
         "monomial-lct": 205,
         "ideal-props": 800,
     }

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -9,7 +10,7 @@ import pytest
 
 import oracle
 import stablerank.exactlp
-from stablerank.cli import _CHUNK, _UPPER_BOUND_TENSOR, main, run
+from stablerank.cli import _CHUNK, _UPPER_BOUND_TENSOR, _emit, main, run
 from stablerank.tensors import TensorSupport, torus_rank, torus_valuation
 
 W_TEXT = "tensor 3 2\n2 1 1\n1 2 1\n1 1 2\n"
@@ -101,18 +102,19 @@ class TestRankTensor:
         assert value == "value: 1" and [len(g.split()) for g in groups] == lengths
 
     def test_factors_are_written_from_the_flat_witness(self, tmp_path):
-        # The text form writes each factor's entries straight from the flat
+        # Both forms write each factor's entries straight from the flat
         # witness, so a child answering on two factors of 1,500,000 entries
-        # peaks within 5% of one answering on one factor of 3,000,000.
-        # Copying each factor out first costs about 21 MB more, half again
-        # the one-factor peak of about 42 MB.
+        # peaks within 5% of one answering on one factor of 3,000,000, and
+        # the --json child within 5% of the text child. Copying each factor
+        # out first costs about 21 MB more, half again the one-factor peak
+        # of about 40 MB; handing json.dumps nested lists cost about 40 MB.
         env = dict(os.environ, PYTHONPATH=str(Path(stablerank.__file__).parents[1]))
         out = tmp_path / "out.txt"
 
-        def peak(header, support):
+        def peak(header, support, *flags):
             path = tmp_path / "support.txt"
             path.write_text(f"{header}\n{support}\n")
-            argv = [sys.executable, "-m", "stablerank", "rank", "tensor", str(path)]
+            argv = [sys.executable, "-m", "stablerank", "rank", "tensor", str(path), *flags]
             pid = os.posix_spawn(sys.executable, argv, env, file_actions=[
                 (os.POSIX_SPAWN_OPEN, 1, str(out), os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o600)])
             _, status, usage = os.wait4(pid, 0)
@@ -125,6 +127,28 @@ class TestRankTensor:
         groups = witness.removeprefix("witness: ").split(" / ")
         assert value == "value: 1" and [len(g.split()) for g in groups] == [1_500_000] * 2
         assert two <= 1.05 * one
+        nested = peak("tensor 2 1500000", "1 1", "--json")
+        assert [len(g) for g in json.loads(out.read_text())["witness"]] == [1_500_000] * 2
+        assert nested <= 1.05 * two
+
+    @pytest.mark.parametrize("value, witness, width", [
+        ("3/2", (1, 0, 2), 0),
+        ("3/2", (1, 0, 2, 0, 1, 1), 2),
+        ("7", tuple(range(-3, 2 * _CHUNK + 5)), 0),
+        ("7", tuple(range(-3, 2 * _CHUNK + 5)), _CHUNK + 4),
+        ("0", None, 0),
+        ("1", (), 0),
+        (math.inf, None, 0),
+    ], ids=["flat", "nested", "flat-chunks", "nested-chunks", "empty", "empty-tuple", "inf"])
+    def test_json_form_is_the_bytes_of_json_dumps(self, capsys, value, witness, width):
+        # the streamed JSON object is byte for byte json.dumps of the whole
+        # object, factors nested as lists when a width is given
+        notes = [_UPPER_BOUND_TENSOR, "a \"quoted\" note, \u2265 one"]
+        assert _emit(True, value, witness, notes, width) == 0
+        flat = list(witness or ())
+        nested = [flat[i:i + width] for i in range(0, len(flat), width)] if width else flat
+        assert capsys.readouterr().out == json.dumps(
+            {"value": str(value), "witness": nested, "notes": notes}) + "\n"
 
     def test_alpha_scaling(self, files, capsys):
         assert run(["rank", "tensor", files["w.txt"], "--alpha", "2,2,2"]) == 0
@@ -205,6 +229,29 @@ class TestRankIdeal:
                     "--change", str(tmp_path / "matrix.txt")]) == 2
         assert capsys.readouterr() == ("", "error: linear change: expansion bound of "
                                            "57289155 multiply-adds exceeds 10000000\n")
+
+    def test_changes_share_one_expansion_budget(self, tmp_path, capsys, monkeypatch):
+        # each generator alone is admitted under the change (8,181,303 and
+        # 8,282,807 multiply-adds), but the command expands both: one line
+        # and exit 2, before any expansion or solve
+        seen = oracle.calls(monkeypatch, (stablerank.cli, "apply_linear_change"),
+                            (stablerank.cli, "t_stable_rank"))
+        (tmp_path / "ideal.txt").write_text("pideal 3\n1 : 200 200 200\n--\n1 : 199 200 201\n")
+        (tmp_path / "matrix.txt").write_text("matrix 3\n1 2 3\n0 1 5\n0 0 1\n")
+        assert run(["rank", "ideal", str(tmp_path / "ideal.txt"),
+                    "--change", str(tmp_path / "matrix.txt")]) == 2
+        assert capsys.readouterr() == ("", "error: linear change: expansion bound of "
+                                           "16464110 multiply-adds exceeds 10000000\n")
+        assert seen == []
+
+    def test_every_change_file_is_read_before_any_work(self, files, tmp_path, capsys,
+                                                       monkeypatch):
+        seen = oracle.calls(monkeypatch, (stablerank.cli, "apply_linear_change"),
+                            (stablerank.cli, "t_stable_rank"))
+        assert run(["rank", "ideal", files["square.txt"], "--change", files["half.txt"],
+                    "--change", str(tmp_path / "missing.txt")]) == 2
+        assert "missing.txt" in capsys.readouterr().err
+        assert seen == []
 
     # a linear change of a deep power: both routes reach the recursive
     # `form_power`, which ends in RecursionError (exit 3) until ROADMAP

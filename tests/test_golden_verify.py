@@ -26,10 +26,10 @@ from stablerank.verify import run_suite
 GOLDEN = "golden_verify.json"
 SEEDS = (0, 1)
 CASES = 40
-# seed -> sha256 of `digest`'s text of run_suite("all", seed, 200), 1,606 reports
+# seed -> sha256 of `digest`'s text of run_suite("all", seed, 200), 1,806 reports
 FULL_SIZE_DIGESTS = {
-    0: "eba188f8388c2c609652a7aa6c6fed9fbfe80279b0f86b6cd60e7ac12d1f3fd5",
-    1: "4dddcad338958689758ad5b45e03fd1f14cd8a3a17b821495077954227f5e91c",
+    0: "7d2c9ec960e52a5a8779b5758d37419bb655a82f22f5a808bdabed694cb02dd4",
+    1: "b9f870f1329f0510bd8481dc392bd38587c6bf8aef10b52eaf2613e814e1a025",
 }
 
 
@@ -75,7 +75,7 @@ def digest(seed: int, cases: int) -> tuple[int, str]:
 
 def test_full_size_reports_digest():
     for seed, expected in FULL_SIZE_DIGESTS.items():
-        assert digest(seed, 200) == (1606, expected)
+        assert digest(seed, 200) == (1806, expected)
 
 
 if __name__ == "__main__":

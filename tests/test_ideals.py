@@ -353,6 +353,27 @@ class TestLinearChange:
         with pytest.raises(InputError, match=message):
             apply_linear_change(poly(3, {(384, 384, 384): 1}), m)
 
+    def test_one_budget_for_every_polynomial_under_every_change(self, monkeypatch):
+        # x^200 y^200 z^200 and x^199 y^200 z^201 are each admitted under the
+        # unit-triangular change, but not together: each expansion builds its
+        # own powers, so their bounds add, and `_change_budget` refuses the
+        # pair before any product
+        seen = oracle.calls(monkeypatch, (ideals, "_int_product"))
+        m = LinearChange([[1, 2, 3], [0, 1, 5], [0, 0, 1]])
+        f, g = poly(3, {(200, 200, 200): 1}), poly(3, {(199, 200, 201): 1})
+        assert ideals._change_work(f.terms, [1, 2, 3]) == 8_181_303
+        assert ideals._change_work(g.terms, [1, 2, 3]) == 8_282_807
+        ideals._change_budget([f], [m])
+        ideals._change_budget([g], [m])
+        message = "^linear change: expansion bound of 16464110 multiply-adds exceeds 10000000$"
+        with pytest.raises(InputError, match=message):
+            ideals._change_budget([f, g], [m])
+        with pytest.raises(InputError, match=message.replace("16464110", "16362606")):
+            ideals._change_budget([f], [m, m])
+        assert seen == []
+        with pytest.raises(InputError, match="^linear change acts on 3 variables, polynomial has 2$"):
+            ideals._change_budget([poly(2, {(1, 1): 1})], [m])
+
     def test_singular_rejected(self):
         with pytest.raises(InputError, match="^linear change matrix is singular$"):
             LinearChange([[1, 1], [2, 2]])
@@ -478,6 +499,20 @@ class TestIdealAlgebra:
     def test_power_validation(self):
         with pytest.raises(InputError):
             ideal_power(CYCLIC, 0)
+
+    def test_power_budget(self, monkeypatch):
+        # 10 minimal generators at exponent 50 would need C(59, 50), about
+        # 1.26 * 10^10 products: refused before the first one, for a
+        # monomial and a polynomial ideal alike; C(19, 10) = 92,378 of them
+        # at exponent 10 are admitted
+        seen = oracle.calls(monkeypatch, (itertools, "combinations_with_replacement"))
+        ten = mono(3, *((i, 9 - i, 3) for i in range(10)))
+        assert len(ten.generators) == 10
+        for ideal in (ten, ten.to_poly_ideal()):
+            with pytest.raises(InputError, match="^ideal power: more than 100000 products$"):
+                ideal_power(ideal, 50)
+        assert seen == []
+        assert len(ideal_power(ten, 10).generators) == 91
 
     def test_normalization_drops_divisible_generators(self):
         assert mono(2, (1, 0), (2, 0), (1, 1)) == mono(2, (1, 0))

@@ -1,7 +1,9 @@
 """The boundary helpers every layer shares: a caller's collection, cleared
-denominators, and the integer and rational tokens of files and flags."""
+denominators, the integer and rational tokens of files and flags, and the
+capped multinomial the budgets count with."""
 
 import copy
+import math
 import pickle
 import re
 from collections import namedtuple
@@ -31,6 +33,7 @@ from stablerank.ideals import (
 )
 from stablerank.rationals import (
     Record,
+    _multinomial,
     _record,
     cleared,
     collection,
@@ -535,6 +538,20 @@ class TestCleared:
         den, values = cleared([F(-3, 4), 0, F(5, 6), -2, F(0)])
         assert (den, values) == (12, (-9, 0, 10, -24, 0))
         assert all(type(v) is int for v in values)
+
+
+class TestMultinomial:
+    def test_exact_at_or_below_the_cap(self):
+        for parts in [(), (0,), (5,), (2, 3), (3, 0, 4), (1, 1, 1, 1), (10, 10, 10, 10), (7, 0)]:
+            exact = math.factorial(sum(parts)) // math.prod(map(math.factorial, parts))
+            assert _multinomial(parts, exact) == exact
+
+    def test_above_the_cap_at_once(self):
+        # C(2 * 10^6, 10^6) has some 600,000 digits; the count stops just
+        # past the cap instead
+        assert 10 ** 6 < _multinomial((10 ** 6, 10 ** 6), 10 ** 6) <= 2 * 10 ** 12
+        assert _multinomial((10, 10, 10, 10), 10 ** 6) > 10 ** 6
+        assert _multinomial((10 ** 9, 0), 1) == 1
 
 
 class TestTokens:

@@ -226,6 +226,20 @@ class TestExpandSymmetric:
         single = SymmetricSupport(degree=1200, nvars=1, exponents=[(1200,)])
         assert expand_symmetric(single).tuples == {(1,) * 1200}
 
+    def test_expansion_budget(self, monkeypatch):
+        # every exponent of degree 10 in 3 variables expands to all 3^10
+        # tuples; (10, 10, 10, 10) alone has 40! / (10!)^4, about 4.7 * 10^21,
+        # and a degree of 10^6 in two variables a count of some 300,000
+        # digits: both are refused before any tuple is built
+        seen = oracle.calls(monkeypatch, (tensors, "_arrangements"))
+        for form in (SymmetricSupport(40, 4, [(10, 10, 10, 10)]),
+                     SymmetricSupport(10 ** 6, 2, [(5 * 10 ** 5, 5 * 10 ** 5)])):
+            with pytest.raises(InputError, match="^expanded support: more than 1000000 tuples$"):
+                expand_symmetric(form)
+        assert seen == []
+        v = SymmetricSupport(degree=10, nvars=3, exponents=compositions(10, 3))
+        assert len(expand_symmetric(v).tuples) == 3 ** 10
+
     def test_unchecked_result_equals_validated(self):
         # expand_symmetric builds its support with `_record`, unchecked; it
         # must be the one the public constructor builds from the same tuples

@@ -67,12 +67,19 @@ class TestSuitesPass:
 
     def test_semistable_iff_rank(self):
         reports = run_suite("semistable", SEED, CASES)
-        assert len(reports) == 2 * CASES
+        assert len(reports) == 3 * CASES
         assert all(r.passed for r in reports)
         kinds = {r.check_name for r in reports}
-        assert kinds == {"semistable/tensor", "semistable/symm"}
+        assert kinds == {"semistable/tensor", "semistable/symm", "semistable/symm-expanded"}
         for r in reports:
             _assert_instance_parses(r)
+        # each case's form is checked twice: against its rank, then against
+        # its expanded tensor support, whose verdict must be the form's
+        forms = [r for r in reports if r.check_name == "semistable/symm"]
+        expanded = [r for r in reports if r.check_name == "semistable/symm-expanded"]
+        assert [r.lhs for r in forms] == [r.lhs for r in expanded]
+        assert [r.rhs.replace("expanded-", "") for r in expanded] == [r.lhs for r in expanded]
+        assert {r.lhs for r in expanded} == {"semistable:0", "semistable:1"}
 
     def test_semistable_draws_reach_the_matching_search(self, monkeypatch):
         # The suite's tensors are small (n <= 3, at most 5 tuples), and the
@@ -138,6 +145,18 @@ class TestFailureReporting:
         assert random_cases and all(not r.passed for r in random_cases)
         for r in random_cases:
             _assert_instance_parses(r)  # reproducer survives the failure
+
+    def test_an_expansion_that_disagrees_fails_its_report(self, monkeypatch):
+        # one tuple on the diagonal leaves every other index unused, so each
+        # expansion of a form in two or more variables reads unstable: every
+        # semistable form of them fails its symm-expanded report, and only
+        # those reports fail
+        monkeypatch.setattr(verify, "expand_symmetric", lambda form: tensors.TensorSupport(
+            form.degree, form.nvars, [(1,) * form.degree]))
+        reports = run_suite("semistable", SEED, CASES)
+        failed = [r for r in reports if not r.passed]
+        assert failed and all(r.check_name == "semistable/symm-expanded" for r in failed)
+        assert {(r.lhs, r.rhs) for r in failed} == {("semistable:1", "expanded-semistable:0")}
 
 
 class TestRegistry:
