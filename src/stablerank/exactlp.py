@@ -1,7 +1,7 @@
 """Exact linear programming over the rationals.
 
-Programs are given in integers and `fractions.Fraction`s, and the simplex
-tableau holds Python integers only: every entry is stored as D * t over one
+Programs are given in integers, and the simplex tableau holds Python
+integers only: every entry is stored as D * t over one
 positive integer D shared by the tableau (Edmonds' fraction-free pivoting,
 `_pivot`). No floating point value enters a tableau, so results are exact
 and bit-for-bit reproducible. Variables are implicitly constrained to
@@ -12,10 +12,12 @@ as Hadamard's bound on the initial tableau (`_hadamard_bits`) needs, pivoted
 whole (`_pivot`) by Bland's rule (`_simplex`).
 
 Every solve enters through `lp_minimize`, the one door to both routes
-below, and leaves as its one `LpOutcome`. It clears denominators once, by
-`_integral`, and hands every caller the route's answer, a status or
-(value, x, D) in integers, as it is, with the value over D * L as one
-Fraction, L being `_integral`'s cost scale.
+below, and leaves as its one `LpOutcome`: the route's answer, a status or
+(value, x, D) in integers, as it is, with the value over D as one Fraction.
+The door takes integers alone. A program with rational entries is cleared
+by its caller: its objective by the lcm L of the objective's denominators,
+and its rows and right sides by one positive integer, which leaves every
+vertex where it was; the optimum is then the value over L.
 
 Programs with no equality rows and a componentwise-nonnegative objective are
 solved through the LP dual: the slack basis of the dual is immediately
@@ -46,13 +48,14 @@ the value. A caller with a slope program of its own gets the same from
 `lp_minimize(LinearProgram(cost, rows, (1,) * len(rows)))`.
 
 Inputs are checked once, at the public entry points: `LinearProgram(...)`
-checks and coerces every entry. `_slope`, `_feasible` and
+checks that every entry is an integer. `_slope`, `_feasible` and
 `newton_threshold` build their programs with `rationals._record`, unchecked,
-from objects whose constructors have checked them. Every such program has
-rows and right sides of ints alone, so `_integral` scales no row: a
-fractional right side is cleared by the caller, as a positive scaling of the
-variables (the semistability checks solve for a multiple of theta), which
-keeps every pivot, vertex and verdict.
+from objects whose constructors have checked them, and every such program
+is all-integer: a fractional right side is cleared by the caller, as a
+positive scaling of the variables (the semistability checks solve for a
+multiple of theta), and `torus_rank` clears its costs alpha by the lcm L of
+their denominators and divides the slope by L. Both keep every pivot,
+vertex and verdict.
 
 `_singular` runs the same pivot kernel as fraction-free Gauss-Jordan
 elimination; `LinearChange` uses it to check that its matrix is invertible.
@@ -67,7 +70,7 @@ from itertools import chain
 from operator import mul, neg
 
 from .errors import InputError
-from .rationals import Record, _record, cleared, collection, expect, rationals
+from .rationals import Record, _record, cleared, collection, expect, integers
 
 __all__ = [
     "LinearProgram",
@@ -80,24 +83,26 @@ __all__ = [
 class LinearProgram(Record):
     """min objective . x  s.t.  constraint_rows . x >= rhs, equality_rows . x = equality_rhs, x >= 0.
 
-    Entries are kept as given when they are ints or Fractions; other exact
-    values (bools, "p/q" strings) are stored as Fractions.
+    Every entry is an integer: an integral Fraction is stored as an int,
+    and any other value (a Fraction, a bool, a "p/q" string, a float)
+    raises InputError. A rational program is cleared by its caller (module
+    docstring).
     """
 
     __slots__ = __match_args__ = ("objective", "constraint_rows", "rhs", "equality_rows",
                                   "equality_rhs")
 
     def __init__(self, objective, constraint_rows, rhs, equality_rows=(), equality_rhs=()):
-        obj = rationals(objective, "objective")
+        obj = integers(objective, "objective")
         if not obj:
             raise InputError("objective: at least one variable is required")
         n = len(obj)
-        rows = tuple(rationals(row, "constraint row", n)
+        rows = tuple(integers(row, "constraint row", n)
                      for row in collection(constraint_rows, "constraint rows"))
-        rhs = rationals(rhs, "rhs", len(rows))
-        eq_rows = tuple(rationals(row, "equality row", n)
+        rhs = integers(rhs, "rhs", len(rows))
+        eq_rows = tuple(integers(row, "equality row", n)
                         for row in collection(equality_rows, "equality rows"))
-        eq_rhs = rationals(equality_rhs, "equality rhs", len(eq_rows))
+        eq_rhs = integers(equality_rhs, "equality rhs", len(eq_rows))
         self._store(obj, rows, rhs, eq_rows, eq_rhs)
 
     @property
@@ -108,9 +113,10 @@ class LinearProgram(Record):
 class LpOutcome(Record):
     """Solver verdict: status is "optimal", "infeasible" or "unbounded".
 
-    For an optimal outcome, `value` is the Fraction objective . x at the
-    basic feasible solution x = numerators / denominator, ints over one
-    positive int, that satisfies every constraint exactly; else all None.
+    For an optimal outcome, `value` is the Fraction objective . x, the
+    route's integer value over the denominator, at the basic feasible
+    solution x = numerators / denominator, ints over one positive int, that
+    satisfies every constraint exactly; else all None.
     """
 
     __slots__ = __match_args__ = ("status", "value", "numerators", "denominator")
@@ -132,39 +138,6 @@ class SlopeResult(Record):
 
     def __init__(self, value: Fraction | float, witness: tuple[int, ...] | None):
         self._store(value, witness)
-
-
-def _integral(program: LinearProgram) -> tuple:
-    """(L * objective, R * rows, R * rhs, R * equality rows, R * equality rhs,
-    L, norms): the program's all-integer twin, for the least positive
-    integers L and R that clear the denominators of its objective and of all
-    its rows and right sides together, with `norms` the squared norms of the
-    twin's rows, inequality rows first, for both routes' field widths. The
-    norms of the given rows also stand for a scan of their types: a single
-    Fraction entry makes a norm a Fraction. Only the parts that hold a
-    Fraction are cleared, so fractional costs alone leave every row as it is
-    (R = 1), and a program of ints alone passes unchanged.
-
-    One R serves every row, inequality and equality rows alike: each row's
-    slack or artificial column keeps its unit entry and so stands for R
-    times that variable. Positive scalings of rows and variables change no
-    reduced-cost sign and no order among ratios, and the common R changes
-    the phase-one objective, the sum of the artificials, only by that
-    factor, so the integer tableau takes exactly the pivots the rational one
-    would. `lp_minimize` divides only the value by L."""
-    objective, rows, rhs = program.objective, program.constraint_rows, program.rhs
-    eq_rows, eq_rhs = program.equality_rows, program.equality_rhs
-    norms = [sum(map(mul, row, row)) for row in chain(rows, eq_rows)]
-    scale = 1
-    if not set(map(type, objective)) <= {int}:
-        scale, objective = cleared(objective)
-    if set(map(type, chain(rhs, eq_rhs, norms))) <= {int}:
-        return objective, rows, rhs, eq_rows, eq_rhs, scale, norms
-    n, m, sides = len(objective), len(rows), len(rhs) + len(eq_rhs)
-    _, flat = cleared((*rhs, *eq_rhs, *chain(*rows, *eq_rows)))
-    lines = [flat[i:i + n] for i in range(sides, len(flat), n)]
-    norms = [sum(map(mul, line, line)) for line in lines]
-    return objective, tuple(lines[:m]), flat[:m], tuple(lines[m:]), flat[m:sides], scale, norms
 
 
 def _hadamard_bits(squares: Iterable[int], count: int | None = None) -> int:
@@ -495,9 +468,13 @@ def _via_dual(
 
 def lp_minimize(program: LinearProgram) -> LpOutcome:
     """Exact minimum of a linear program; deterministic for identical input.
-    The outcome holds the route's ints as they are, the value over D * L."""
+    The outcome holds the route's ints as they are, the value over D. Both
+    routes take the squared norms of the rows, inequality rows first, for
+    their field widths."""
     expect(program, LinearProgram, "linear program")
-    objective, rows, rhs, eq_rows, eq_rhs, scale, norms = _integral(program)
+    objective, rows, rhs = program.objective, program.constraint_rows, program.rhs
+    eq_rows, eq_rhs = program.equality_rows, program.equality_rhs
+    norms = [sum(map(mul, row, row)) for row in chain(rows, eq_rows)]
     if not eq_rows and all(c >= 0 for c in objective):
         answer = _via_dual(objective, rows, rhs, norms)
     else:
@@ -505,7 +482,7 @@ def lp_minimize(program: LinearProgram) -> LpOutcome:
     if isinstance(answer, str):
         return LpOutcome(answer)
     value, x, d = answer
-    return LpOutcome("optimal", Fraction(value, d * scale), tuple(x), d)
+    return LpOutcome("optimal", Fraction(value, d), tuple(x), d)
 
 
 def _feasible(equality_rows: tuple[tuple[int, ...], ...], equality_rhs: tuple[int, ...]) -> bool:
@@ -521,7 +498,7 @@ def _feasible(equality_rows: tuple[tuple[int, ...], ...], equality_rhs: tuple[in
     return lp_minimize(program).status == "optimal"
 
 
-def _slope(cost: tuple[int | Fraction, ...], rows: tuple[tuple[int, ...], ...]) -> SlopeResult:
+def _slope(cost: tuple[int, ...], rows: tuple[tuple[int, ...], ...]) -> SlopeResult:
     """Infimum of (cost . lam) / min_k (row_k . lam) over integer lam >= 0
     with positive denominator, as one exact solve of
     min{cost . x : row_k . x >= 1, x >= 0}: the slope is invariant under
@@ -530,10 +507,10 @@ def _slope(cost: tuple[int | Fraction, ...], rows: tuple[tuple[int, ...], ...]) 
     with no witness, exactly when some row is the zero vector, whose pairing
     vanishes for every lam. The caller has built the program from
     checked objects and so passes it unchecked: `cost` a nonempty tuple of
-    positive ints and Fractions, `rows` a nonempty tuple of tuples of
-    nonnegative ints, each as long as `cost`. `torus_rank`, `symm_torus_rank`
-    and `t_stable_rank` call it, with int costs alone but for `torus_rank`'s
-    alpha."""
+    positive ints, `rows` a nonempty tuple of tuples of nonnegative ints,
+    each as long as `cost`. `torus_rank`, `symm_torus_rank` and
+    `t_stable_rank` call it; `torus_rank` hands it L * alpha, its costs
+    cleared, and divides the value by L."""
     if not all(map(any, rows)):
         return SlopeResult(value=math.inf, witness=None)
     program = _record(LinearProgram, (cost, rows, (1,) * len(rows), (), ()))

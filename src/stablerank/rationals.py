@@ -32,8 +32,8 @@ coerces a value or words an error:
     <what>: expected a value >= <low>, got <value>   (or: in <low>..<high>)
 
 It is also the one home of denominator clearing: `cleared` scales exact
-rationals by the lcm of their denominators, for a program entering the LP
-solver, the rows of a linear system, the witness of a slope program, a
+rationals by the lcm of their denominators, for the costs of a weighted
+torus rank, the rows of a linear system, the witness of a slope program, a
 polynomial product and a linear change's matrix alike. `_multinomial`
 counts, with a cap, what a budget bounds before any work is done.
 

@@ -12,8 +12,8 @@ those two solves unchecked, and every row entry and right side is an int: a
 feasibility program with fractional right sides is handed over as its
 all-integer twin over a multiple of theta (below), a positive scaling of its
 variables that takes the pivots the fractional program would. `torus_rank`
-passes its costs alpha as they are, and the solver clears their
-denominators. Because only diagonal one-parameter subgroups are searched,
+clears its costs alpha once, by the lcm L of their denominators, and
+divides the slope by L. Because only diagonal one-parameter subgroups are searched,
 the returned ranks are upper bounds on the full group-stable rank; they are
 exact whenever some optimal subgroup is diagonal in the given basis
 (torus-optimal tensors).
@@ -86,6 +86,7 @@ from .rationals import (
     Record,
     _multinomial,
     _record,
+    cleared,
     collection,
     expect,
     integer_vectors,
@@ -201,6 +202,9 @@ def torus_rank(support: TensorSupport, alpha: Sequence | None = None) -> SlopeRe
     the other columns in their order, so Bland's rule takes the same
     pivots to the same D, value and witness. The program's size is set by
     the support, not by n; the witness has n * d <= `_WITNESS_ENTRIES` entries.
+    The costs are cleared once: `_slope` takes L * alpha_i, L the lcm of
+    alpha's denominators, in ints, a positive scaling of the objective that
+    moves no pivot, and the slope is its value over L.
     """
     expect(support, TensorSupport, "tensor support")
     n, d = support.dims, support.order
@@ -209,10 +213,11 @@ def torus_rank(support: TensorSupport, alpha: Sequence | None = None) -> SlopeRe
         raise InputError("alpha entries must be positive")
     if n * d > _WITNESS_ENTRIES:
         raise InputError(f"torus rank witness: dims * order = {n * d} exceeds {_WITNESS_ENTRIES}")
+    scale, avec = cleared(avec)
     columns, rows = _support_rows(support)
     result = _slope(tuple([avec[c // n] for c in columns]), rows)
     get = dict(zip(columns, result.witness)).get
-    return SlopeResult(result.value, tuple(map(get, range(n * d), repeat(0))))
+    return SlopeResult(result.value / scale, tuple(map(get, range(n * d), repeat(0))))
 
 
 def symm_torus_rank(support: SymmetricSupport) -> SlopeResult:

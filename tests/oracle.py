@@ -6,9 +6,13 @@ enumerates candidate bases and solves each square system with `solve`, its
 own Gauss-Jordan elimination in plain Fractions, and writes its best vertex
 as the least common denominator and the numerators over it. It shares no
 code with `lp_minimize`, which other helpers here call: no packed rows, no
-pivot kernel, no ratio test, no pivot rule and no route choice. `vertex`
-rebuilds the Fraction vertex of either solver's outcome, for the tests that
-read one. `inverse` is the exact inverse of a matrix,
+pivot kernel, no ratio test, no pivot rule and no route choice. `minimize`
+is the rational front end to `lp_minimize`, which takes integers alone: it
+clears the objective by the lcm L of its denominators and the rows and
+right sides by one R, solves, and divides the value by L. Both take a
+program as its five parts: objective, rows, right sides, equality rows and
+equality right sides, ints or Fractions. `vertex` rebuilds the Fraction
+vertex of either solver's outcome, for the tests that read one. `inverse` is the exact inverse of a matrix,
 which the tests of linear changes take from here, since the library only
 checks that a matrix is invertible. `minimal_generators` is the quadratic
 divisibility filter that `MonomialIdeal`'s one-pass minimalisation is
@@ -20,7 +24,7 @@ library's builders: `full_tensor_program` is the slope program of
 semistability program over tuples in a given order, and
 `difference_class_order` the order `is_torus_semistable` gives its
 columns. The right sides stay with the callers. `feasible` and `slope`
-ask the public route, `lp_minimize`, for a feasibility verdict and a
+ask the public route, through `minimize`, for a feasibility verdict and a
 slope; `slope` clears the Fraction vertex with `rationals.cleared`, not by
 the gcd `exactlp._slope` takes. `compositions` lists the exponent vectors
 of a form.
@@ -45,7 +49,7 @@ The golden-file harness: `golden` reads a golden file of this directory,
 `write_golden` writes that text, and `assert_golden` compares it with the
 committed file byte for byte. `q` writes a rational as the p/q text the
 files hold, and `golden_call` decodes an input of `golden_lp.json` into its
-call and arguments. The tests import this module as `oracle`, from this
+call, `torus_rank` or `minimize`, and arguments. The tests import this module as `oracle`, from this
 directory.
 """
 
@@ -114,7 +118,7 @@ def minimal_generators(vectors) -> list[tuple[int, ...]]:
 
 
 def oracle_minimum_over_vertices(
-    program: LinearProgram, max_candidates: int = 100_000
+    objective, rows, rhs, eq_rows=(), eq_rhs=(), max_candidates: int = 100_000
 ) -> LpOutcome:
     """Brute-force reference solver: enumerate every candidate basis.
 
@@ -130,17 +134,15 @@ def oracle_minimum_over_vertices(
     bounded program attains its minimum at some enumerated vertex).
     Refuses instances whose candidate count exceeds `max_candidates`.
     """
-    n = program.num_variables
-    m = len(program.constraint_rows)
-    p = len(program.equality_rows)
+    n, m, p = len(objective), len(rows), len(eq_rows)
     total = math.comb(p + m + n, n)
     if total > max_candidates:
         raise InputError(
             f"vertex oracle: {total} basis candidates exceed the bound {max_candidates}"
         )
 
-    all_rows = list(program.equality_rows) + list(program.constraint_rows)
-    all_rhs = list(program.equality_rhs) + list(program.rhs)
+    all_rows = [*eq_rows, *rows]
+    all_rhs = [*eq_rhs, *rhs]
     for j in range(n):
         row = [Fraction(0)] * n
         row[j] = Fraction(1)
@@ -150,19 +152,17 @@ def oracle_minimum_over_vertices(
     best_value: Fraction | None = None
     best_vertex: tuple[Fraction, ...] | None = None
     for combo in combinations(range(p + m + n), n):
-        mat = [all_rows[idx] for idx in combo]
-        rhs = [all_rhs[idx] for idx in combo]
-        solution = solve(mat, [[b] for b in rhs])
+        solution = solve([all_rows[idx] for idx in combo], [[all_rhs[idx]] for idx in combo])
         if solution is None:
             continue
         x = [row[0] for row in solution]
         if any(xj < 0 for xj in x):
             continue
-        if any(dot(row, x) < b for row, b in zip(program.constraint_rows, program.rhs)):
+        if any(dot(row, x) < b for row, b in zip(rows, rhs)):
             continue
-        if any(dot(row, x) != b for row, b in zip(program.equality_rows, program.equality_rhs)):
+        if any(dot(row, x) != b for row, b in zip(eq_rows, eq_rhs)):
             continue
-        value = dot(program.objective, x)
+        value = dot(objective, x)
         if best_value is None or value < best_value:
             best_value = value
             best_vertex = tuple(x)
@@ -170,6 +170,27 @@ def oracle_minimum_over_vertices(
         return LpOutcome(status="infeasible")
     denominator, numerators = cleared(best_vertex)
     return LpOutcome("optimal", best_value, numerators, denominator)
+
+
+def minimize(objective, rows, rhs, eq_rows=(), eq_rhs=()) -> LpOutcome:
+    """`lp_minimize` of a program of ints and Fractions: the objective
+    cleared by the least L, and the rows and right sides, equality rows
+    included, by one least R, the lcm of all their denominators. Scaling
+    every row by R leaves each slack or artificial column its unit entry,
+    so it stands for R times that variable: positive scalings of rows and
+    variables change no reduced-cost sign and no order among ratios, and
+    the phase-one objective, the sum of the artificials, only by the
+    factor R. So the integer tableau takes the pivots the rational one
+    would, to the same vertex, and the value is the integer program's over
+    L."""
+    scale, objective = cleared(objective)
+    n, m, sides = len(objective), len(rows), len(rhs) + len(eq_rhs)
+    _, flat = cleared((*rhs, *eq_rhs, *(v for row in (*rows, *eq_rows) for v in row)))
+    lines = [flat[i:i + n] for i in range(sides, len(flat), n)]
+    out = lp_minimize(LinearProgram(objective, lines[:m], flat[:m], lines[m:], flat[m:sides]))
+    if out.value is None:
+        return out
+    return LpOutcome(out.status, out.value / scale, out.numerators, out.denominator)
 
 
 def vertex(out: LpOutcome) -> tuple[Fraction, ...] | None:
@@ -182,17 +203,17 @@ def vertex(out: LpOutcome) -> tuple[Fraction, ...] | None:
 
 def feasible(rows, rhs, eq_rows=(), eq_rhs=()) -> bool:
     """Is {rows . x >= rhs, eq_rows . x = eq_rhs, x >= 0} feasible? The
-    checked public route: `lp_minimize` of the program with a zero objective."""
-    program = LinearProgram((0,) * len([*rows, *eq_rows][0]), rows, rhs, eq_rows, eq_rhs)
-    return lp_minimize(program).status == "optimal"
+    checked public route: `minimize` of the program with a zero objective."""
+    zero = (0,) * len([*rows, *eq_rows][0])
+    return minimize(zero, rows, rhs, eq_rows, eq_rhs).status == "optimal"
 
 
 def slope(cost, rows):
-    """The checked public route to the slope program: `lp_minimize` of
+    """The checked public route to the slope program: `minimize` of
     min{cost . x : row . x >= 1, x >= 0}, its vertex cleared to an integer
     witness. A zero row makes the program infeasible and the slope
     +infinity."""
-    out = lp_minimize(LinearProgram(cost, rows, (1,) * len(rows)))
+    out = minimize(cost, rows, (1,) * len(rows))
     if out.status == "infeasible":
         return SlopeResult(value=math.inf, witness=None)
     return SlopeResult(value=out.value, witness=cleared(vertex(out))[1])
@@ -380,7 +401,7 @@ def assert_golden(name, entries) -> None:
 
 
 def golden_call(given) -> tuple:
-    """(torus_rank or lp_minimize, its arguments) for one input of
+    """(torus_rank or minimize, its arguments) for one input of
     `golden_lp.json`, every p/q text read as a Fraction."""
     def fractions(values):
         return [Fraction(v) for v in values]
@@ -388,7 +409,6 @@ def golden_call(given) -> tuple:
     if given["call"] == "torus_rank":
         support = TensorSupport(given["order"], given["dims"], [tuple(t) for t in given["tuples"]])
         return torus_rank, (support, fractions(given["alpha"]))
-    return lp_minimize, (LinearProgram(
-        fractions(given["objective"]), [fractions(row) for row in given["rows"]],
-        fractions(given["rhs"]), [fractions(row) for row in given["eq_rows"]],
-        fractions(given["eq_rhs"])),)
+    return minimize, (fractions(given["objective"]), [fractions(row) for row in given["rows"]],
+                      fractions(given["rhs"]), [fractions(row) for row in given["eq_rows"]],
+                      fractions(given["eq_rhs"]))

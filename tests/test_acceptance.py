@@ -168,9 +168,8 @@ def test_criterion_7_lp_oracle_agreement():
         if case % 3 == 0:
             eq_rows = ([F(rng.randint(-2, 2)) for _ in range(n)],)
             eq_rhs = (F(rng.randint(0, 2)),)
-        program = LinearProgram(objective, rows, rhs, eq_rows, eq_rhs)
-        fast = lp_minimize(program)
-        slow = oracle_minimum_over_vertices(program)
+        fast = lp_minimize(LinearProgram(objective, rows, rhs, eq_rows, eq_rhs))
+        slow = oracle_minimum_over_vertices(objective, rows, rhs, eq_rows, eq_rhs)
         if fast.status != slow.status or fast.value != slow.value:
             problems.append(
                 f"case {case}: simplex {fast.status}/{fast.value} "

@@ -142,11 +142,26 @@ class TestLpMinimize:
         with pytest.raises(InputError):
             program([0.5], [[1]], [1])
 
-    def test_entries_kept_as_given_answers_in_fractions(self):
-        p = program([1, F(1, 2)], [[True, "2"]], [1])
-        assert [type(c) for c in p.objective] == [int, F]
-        assert [type(a) for a in p.constraint_rows[0]] == [F, F]
-        out = lp_minimize(p)
+    @pytest.mark.parametrize("value", [F(1, 2), True, "1/2"])
+    @pytest.mark.parametrize("field, what", [
+        (0, "objective"), (1, "constraint row"), (2, "rhs"), (3, "equality row"),
+        (4, "equality rhs")])
+    def test_the_door_takes_integers_alone(self, field, what, value):
+        # a Fraction, a bool and a "p/q" string in each of the five fields
+        parts = [[1, 1], [[1, 1]], [1], [[1, 1]], [1]]
+        if field in (1, 3):
+            parts[field] = [[1, value]]
+        else:
+            parts[field] = [1, value] if field == 0 else [value]
+        with pytest.raises(InputError, match=f"^{what}: expected an integer, got {re.escape(repr(value))}$"):
+            program(*parts)
+
+    def test_integral_entries_stored_as_ints_answers_in_fractions(self):
+        p = program([1, F(2)], [[F(4, 2), 2]], [F(1)])
+        assert p == program([1, 2], [[2, 2]], [1])
+        assert all(type(v) is int for v in (*p.objective, *p.constraint_rows[0], *p.rhs))
+        # a rational program through the test's front end, cleared to ints
+        out = oracle.minimize([1, F(1, 2)], [[1, 2]], [1])
         assert (out.value, vertex(out)) == (F(1, 4), (F(0), F(1, 2)))
         # one Fraction value, and the vertex as ints over one int denominator
         assert type(out.value) is F
@@ -225,8 +240,8 @@ class TestPhaseOneStop:
 
     def test_nonzero_cost_runs_phase_one_to_the_end(self):
         for cost in ([1, 1], [0, -1], [F(1, 2), 0]):
-            costly = program(cost, [], [], self.EQ_ROWS, self.EQ_RHS)
-            outcome, passes = pass_pivots(lambda: lp_minimize(costly))
+            outcome, passes = pass_pivots(
+                lambda: oracle.minimize(cost, [], [], self.EQ_ROWS, self.EQ_RHS))
             # the first pass is the zero-cost system's full phase one
             assert passes[0] == 2
             assert vertex(outcome) == (F(2), F(0))
@@ -258,9 +273,9 @@ class TestPhaseOneStop:
                  if case["input"]["family"] == "feasible" and case["input"]["eq_rows"]]
         fewer = 0
         for given in cases:
-            _, (system,) = oracle.golden_call(given)
-            stopped, short = pass_pivots(lambda: lp_minimize(system))
-            answer, full = pass_pivots(lambda: lp_minimize(system), full=True)
+            _, system = oracle.golden_call(given)
+            stopped, short = pass_pivots(lambda: oracle.minimize(*system))
+            answer, full = pass_pivots(lambda: oracle.minimize(*system), full=True)
             assert solution(stopped) == solution(answer)
             assert sum(short) <= sum(full)
             fewer += sum(short) < sum(full)
@@ -328,10 +343,14 @@ class TestMinimizeSlope:
             with pytest.raises(InputError, match="^alpha entries must be positive$"):
                 torus_rank(W, alpha)
 
-    def test_fractional_cost(self):
-        # alpha = (1/2, 1/2): min (x1+x2)/2 s.t. both coordinates appear
-        res = _slope((F(1, 2), F(1, 2)), ((1, 0), (0, 1)))
-        assert res.value == F(1)
+    def test_fractional_cost(self, monkeypatch):
+        # alpha = (1/2,) on both indices of one factor: min (x1+x2)/2 s.t.
+        # both coordinates appear; `_slope` takes the costs cleared by L = 2
+        seen = oracle.calls(monkeypatch, (tensors, "_slope"))
+        res = torus_rank(TensorSupport(1, 2, [(1,), (2,)]), [F(1, 2)])
+        assert res.value == F(1) and type(res.value) is F
+        [(_, (cost, rows), _, inner)] = seen
+        assert (cost, rows, inner.value) == ((1, 1), ((1, 0), (0, 1)), 2)
 
     def test_witness_scale_invariance(self):
         res = _slope((1,) * 6, W_ROWS)
@@ -389,10 +408,12 @@ class TestTrustedPath:
 
     def test_program_equals_validated_program(self, monkeypatch):
         seen = oracle.calls(monkeypatch, (exactlp, "lp_minimize"))
-        cost = (1, F(3, 2), 2)
+        cost = (2, 3, 4)
         rows = ((1, 0, 2), (0, 4, 1), (3, 1, 0))
-        assert _slope(cost, rows).value == F(31, 25)
+        assert _slope(cost, rows).value == F(62, 25)
         assert [args for _, args, _, _ in seen] == [(LinearProgram(cost, rows, [1] * len(rows)),)]
+        # the same program with its costs halved, through the rational front end
+        assert oracle.minimize((1, F(3, 2), 2), rows, [1] * len(rows)).value == F(31, 25)
 
     def test_integers_rejects_bools(self):
         assert integers([3, F(4), -1], "x") == (3, 4, -1)
@@ -658,16 +679,16 @@ def test_fields_no_wider_and_every_pivot_decodes(monkeypatch):
         if route == 0:
             obj = [value(kind, 0, 4) for _ in range(n)]
             rows = [[value(kind, -3, 4) for _ in range(n)] for _ in range(m)]
-            lp_minimize(program(obj, rows, [value(kind, -2, 3) for _ in range(m)]))
+            oracle.minimize(obj, rows, [value(kind, -2, 3) for _ in range(m)])
         elif route == 1:
             obj = [value(kind, -3, 4) for _ in range(n)]
             rows = [[value(kind, -3, 4) for _ in range(n)] for _ in range(m)]
             eq_rows = [[value(kind, -2, 3) for _ in range(n)] for _ in range(rng.randint(0, 2))]
-            lp_minimize(program(obj, rows, [value(kind, -2, 3) for _ in range(m)],
-                                eq_rows, [value(kind, 0, 3) for _ in eq_rows]))
+            oracle.minimize(obj, rows, [value(kind, -2, 3) for _ in range(m)],
+                            eq_rows, [value(kind, 0, 3) for _ in eq_rows])
         elif route == 2:
             eq_rows = [[value(kind, -2, 3) for _ in range(n)] for _ in range(m)]
-            lp_minimize(feasibility([], [], eq_rows, [value(kind, 0, 3) for _ in eq_rows]))
+            oracle.minimize((0,) * n, [], [], eq_rows, [value(kind, 0, 3) for _ in eq_rows])
         else:
             _singular([[value(kind, -3, 3) for _ in range(n)] for _ in range(n)])
         pivots[route] = pivots.get(route, 0) + checker.pivots - start
@@ -716,9 +737,8 @@ def test_large_denominators_against_oracle():
         eq_rows, eq_rhs = (), ()
         if rng.random() < 0.5:
             eq_rows, eq_rhs = ([value(-2, 2) for _ in range(n)],), (value(0, 2),)
-        p = program(obj, rows, rhs, eq_rows, eq_rhs)
-        fast = lp_minimize(p)
-        slow = oracle_minimum_over_vertices(p)
+        fast = oracle.minimize(obj, rows, rhs, eq_rows, eq_rhs)
+        slow = oracle_minimum_over_vertices(obj, rows, rhs, eq_rows, eq_rhs)
         assert fast.status == slow.status
         assert fast.value == slow.value
         if fast.status == "optimal":
@@ -776,39 +796,37 @@ def test_oracle_elimination_against_the_matrix_product():
 
 class TestOracle:
     def test_oracle_three_row_program(self):
-        out = oracle_minimum_over_vertices(
-            program([1, 1], [[2, 0], [1, 1], [0, 2]], [1, 1, 1])
-        )
+        out = oracle_minimum_over_vertices([1, 1], [[2, 0], [1, 1], [0, 2]], [1, 1, 1])
         assert out.status == "optimal"
         assert out.value == F(1)
 
     def test_oracle_two_row_program(self):
-        out = oracle_minimum_over_vertices(program([1, 1], [[1, 0], [0, 2]], [1, 1]))
+        out = oracle_minimum_over_vertices([1, 1], [[1, 0], [0, 2]], [1, 1])
         assert out.value == F(3, 2)
 
     def test_oracle_w_tensor_program(self):
-        out = oracle_minimum_over_vertices(program([1] * 6, W_ROWS, [1, 1, 1]))
+        out = oracle_minimum_over_vertices([1] * 6, W_ROWS, [1, 1, 1])
         assert out.value == F(3, 2)
 
     def test_oracle_infeasible(self):
-        out = oracle_minimum_over_vertices(program([1], [[1]], [1], [[1]], [0]))
+        out = oracle_minimum_over_vertices([1], [[1]], [1], [[1]], [0])
         assert out.status == "infeasible"
 
     def test_oracle_size_guard(self):
-        p = program([1] * 8, [[1] * 8 for _ in range(12)], [1] * 12)
         with pytest.raises(InputError):
-            oracle_minimum_over_vertices(p, max_candidates=10)
+            oracle_minimum_over_vertices([1] * 8, [[1] * 8 for _ in range(12)], [1] * 12,
+                                         max_candidates=10)
 
     def test_oracle_agreement_fixed(self):
         cases = [
-            program([1, 1], [[2, 0], [1, 1], [0, 2]], [1, 1, 1]),
-            program([1, 1], [[1, 0], [0, 2]], [1, 1]),
-            program([-1], [[-1]], [-2]),
-            program([0, 1], [[1, -1]], [-1], [[1, 1]], [2]),
+            ([1, 1], [[2, 0], [1, 1], [0, 2]], [1, 1, 1]),
+            ([1, 1], [[1, 0], [0, 2]], [1, 1]),
+            ([-1], [[-1]], [-2]),
+            ([0, 1], [[1, -1]], [-1], [[1, 1]], [2]),
         ]
         for p in cases:
-            a = lp_minimize(p)
-            b = oracle_minimum_over_vertices(p)
+            a = lp_minimize(program(*p))
+            b = oracle_minimum_over_vertices(*p)
             assert a.status == b.status
             assert a.value == b.value
 
@@ -827,9 +845,8 @@ class TestOracle:
         if use_eq:
             eq_rows = ([F(data.draw(st.integers(-2, 2))) for _ in range(n)],)
             eq_rhs = (F(data.draw(st.integers(0, 2))),)
-        p = program(obj, rows, rhs, eq_rows, eq_rhs)
-        fast = lp_minimize(p)
-        slow = oracle_minimum_over_vertices(p)
+        fast = lp_minimize(program(obj, rows, rhs, eq_rows, eq_rhs))
+        slow = oracle_minimum_over_vertices(obj, rows, rhs, eq_rows, eq_rhs)
         assert fast.status == slow.status
         if fast.status == "optimal":
             assert fast.value == slow.value
@@ -847,9 +864,8 @@ def test_seeded_random_agreement_bulk():
         rows = [[F(rng.randint(-3, 4)) for _ in range(n)] for _ in range(m)]
         rhs = [F(rng.randint(-2, 3)) for _ in range(m)]
         obj = [F(rng.randint(0, 4)) for _ in range(n)]
-        p = program(obj, rows, rhs)
-        fast = lp_minimize(p)
-        slow = oracle_minimum_over_vertices(p)
+        fast = lp_minimize(program(obj, rows, rhs))
+        slow = oracle_minimum_over_vertices(obj, rows, rhs)
         assert fast.status == slow.status
         assert fast.value == slow.value
 
@@ -903,9 +919,9 @@ def test_every_solve_enters_through_lp_minimize(monkeypatch):
 
 
 def golden_programs():
-    """Every `lp_minimize` program of `golden_lp.json`: 320 of its 345 cases,
-    the other 25 calling `torus_rank`."""
-    programs = [oracle.golden_call(case["input"])[1][0] for case in oracle.golden("golden_lp.json")
+    """The five parts of every `lp_minimize` program of `golden_lp.json`, in
+    Fractions: 320 of its 345 cases, the other 25 calling `torus_rank`."""
+    programs = [oracle.golden_call(case["input"])[1] for case in oracle.golden("golden_lp.json")
                 if case["input"]["call"] == "lp_minimize"]
     assert len(programs) == 320
     return programs
@@ -914,10 +930,11 @@ def golden_programs():
 def test_lp_minimize_hands_on_the_routes_integers(monkeypatch):
     # Each route answers a status string or (value, x, D) in ints alone, and
     # `lp_minimize`'s one outcome carries that answer as it is: the status,
-    # x as the numerators and D as the denominator, with the value over
-    # D * L, L the cost scale `_integral` cleared.
-    seen = oracle.calls(monkeypatch, *((exactlp, name)
-                                       for name in ("_integral", "_via_dual", "_primal_two_phase")))
+    # x as the numerators and D as the denominator, with the value over D.
+    # The rational programs reach it through `oracle.minimize`, which hands
+    # on ints alone and divides the value by the cost scale L it cleared.
+    seen = oracle.calls(monkeypatch, (exactlp, "_via_dual"), (exactlp, "_primal_two_phase"),
+                        (oracle, "lp_minimize"))
     programs = golden_programs()
     rng = random.Random(2027)
 
@@ -926,30 +943,34 @@ def test_lp_minimize_hands_on_the_routes_integers(monkeypatch):
 
     for _ in range(200):
         n, m, e = rng.randint(1, 4), rng.randint(0, 4), rng.randint(0, 2)
-        programs.append(program(draw(n), [draw(n) for _ in range(m)], draw(m),
-                                [draw(n) for _ in range(e)], draw(e)))
+        programs.append((draw(n), [draw(n) for _ in range(m)], draw(m),
+                         [draw(n) for _ in range(e)], draw(e)))
 
     kinds, scales = set(), set()
     for p in programs:
         seen.clear()
-        out = lp_minimize(p)
-        (_, _, _, integral), (route, _, _, answer) = seen
-        scale = integral[5]
+        rational = oracle.minimize(*p)
+        (route, _, _, answer), (_, (integral,), _, out) = seen
+        parts = integral._values()
+        assert all(type(v) is int for v in (*parts[0], *parts[2], *parts[4]))
+        assert all(type(v) is int for row in (*parts[1], *parts[3]) for v in row)
+        scale = cleared(p[0])[0]
         if isinstance(answer, str):
             kinds.add((route, answer))
-            assert out == exactlp.LpOutcome(answer, None, None, None)
+            assert out == rational == exactlp.LpOutcome(answer, None, None, None)
             continue
         kinds.add((route, "optimal"))
         scales.add(scale > 1)
         assert type(answer) is tuple and len(answer) == 3
         value, x, d = answer
         assert type(value) is int and type(d) is int and d > 0
-        assert type(x) is list and len(x) == p.num_variables
+        assert type(x) is list and len(x) == integral.num_variables
         assert all(type(v) is int for v in x)
         assert out.status == "optimal"
         assert type(out.numerators) is tuple and out.numerators == tuple(x)
         assert out.denominator == d
-        assert type(out.value) is F and out.value == F(value, d * scale)
+        assert type(out.value) is F and out.value == F(value, d)
+        assert rational == exactlp.LpOutcome("optimal", F(value, d * scale), tuple(x), d)
     assert kinds == {("_via_dual", "optimal"), ("_via_dual", "infeasible"),
                      ("_primal_two_phase", "optimal"), ("_primal_two_phase", "infeasible"),
                      ("_primal_two_phase", "unbounded")}
@@ -966,9 +987,9 @@ def test_trusted_callers_read_what_the_checked_route_gives(monkeypatch):
     slopes = oracle.calls(monkeypatch, (tensors, "_slope"), (ideals, "_slope"))
     verdicts = oracle.calls(monkeypatch, (tensors, "_feasible"))
 
-    for p in golden_programs():
-        if p.equality_rows:
-            lines = [cleared((*row, b))[1] for row, b in zip(p.equality_rows, p.equality_rhs)]
+    for _, _, _, eq_rows, eq_rhs in golden_programs():
+        if eq_rows:
+            lines = [cleared((*row, b))[1] for row, b in zip(eq_rows, eq_rhs)]
             system = (tuple(line[:-1] for line in lines), tuple(line[-1] for line in lines))
             verdicts.append(("_feasible", system, {}, exactlp._feasible(*system)))
 
@@ -1017,7 +1038,8 @@ def test_zero_cost_phase_one_packs_no_artificial_column():
         system = feasibility(rows, rhs, eq_rows, eq_rhs)
         out, passes = oracle.simplex_passes(lp_minimize, system)
         assert [(s["ncols"], len(s["start"]), s["stop"]) for s in passes] == [(n + m, m + p, True)]
-        assert out.status == oracle_minimum_over_vertices(system).status
+        assert out.status == oracle_minimum_over_vertices(
+            (0,) * n, rows, rhs, eq_rows, eq_rhs).status
         if out.status == "optimal":
             x = vertex(out)
             assert out.value == 0 and all(v >= 0 for v in x)

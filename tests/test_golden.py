@@ -33,7 +33,6 @@ from fractions import Fraction
 
 import oracle
 from oracle import q
-from stablerank import exactlp
 from stablerank.tensors import TensorSupport, torus_rank
 
 GOLDEN = "golden_lp.json"
@@ -228,7 +227,7 @@ def test_unused_indices_leave_the_full_programs_pivots():
         n, d = support.dims, support.order
         alpha = alpha[:d]
         reference, full = oracle.simplex_passes(
-            exactlp._slope, *oracle.full_tensor_program(support, alpha))
+            oracle.slope, *oracle.full_tensor_program(support, alpha))
         result, passes = oracle.simplex_passes(torus_rank, support, alpha)
         assert oracle.path(passes) == oracle.path(oracle.used_index_passes(support, full))
         assert (result.value, result.witness) == (reference.value, reference.witness)

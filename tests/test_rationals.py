@@ -404,8 +404,8 @@ def _unless_singular(make):
 
 
 RECORDS = [
-    (LinearProgram((1, F(1, 2)), [[1, 0]], [1], equality_rows=[[1, 1]], equality_rhs=[2]),
-     "LinearProgram(objective=(1, Fraction(1, 2)), constraint_rows=((1, 0),), rhs=(1,), "
+    (LinearProgram((1, 3), [[1, 0]], [1], equality_rows=[[1, 1]], equality_rhs=[2]),
+     "LinearProgram(objective=(1, 3), constraint_rows=((1, 0),), rhs=(1,), "
      "equality_rows=((1, 1),), equality_rhs=(2,))"),
     (LpOutcome("optimal", F(3, 2), (3, 0), 2),
      "LpOutcome(status='optimal', value=Fraction(3, 2), numerators=(3, 0), denominator=2)"),
@@ -431,9 +431,10 @@ class TestRecord:
 
     def test_keyword_construction_and_defaults(self):
         program = LinearProgram(objective=[1, 2], constraint_rows=[[1, 1]], rhs=[1],
-                                equality_rows=[[1, 0]], equality_rhs=[F(1, 2)])
-        assert program == LinearProgram((1, 2), ((1, 1),), (1,), ((1, 0),), (F(1, 2),))
-        assert (program.equality_rows, program.equality_rhs) == (((1, 0),), (F(1, 2),))
+                                equality_rows=[[1, 0]], equality_rhs=[F(4, 2)])
+        assert program == LinearProgram((1, 2), ((1, 1),), (1,), ((1, 0),), (2,))
+        assert (program.equality_rows, program.equality_rhs) == (((1, 0),), (2,))
+        assert type(program.equality_rhs[0]) is int
         bare = LinearProgram(objective=[1], constraint_rows=[], rhs=[])
         assert (bare.equality_rows, bare.equality_rhs) == ((), ())
         outcome = LpOutcome("infeasible")

@@ -26,7 +26,6 @@ from oracle import (
 )
 from stablerank import exactlp, tensors, verify
 from stablerank.errors import InputError
-from stablerank.exactlp import LinearProgram
 from stablerank.tensors import (
     SymmetricSupport,
     TensorSupport,
@@ -74,9 +73,7 @@ class TestTorusRank:
         assert torus_rank(v).value == F(2)
         # independent route: the same program through the vertex oracle
         rows = [(1, 0, 1, 0, 1, 0), (0, 1, 0, 1, 0, 1)]
-        oracle = oracle_minimum_over_vertices(
-            LinearProgram(objective=[1] * 6, constraint_rows=rows, rhs=[1, 1])
-        )
+        oracle = oracle_minimum_over_vertices([1] * 6, rows, [1, 1])
         assert oracle.value == torus_rank(v).value
 
     def test_alpha_scaling(self):
@@ -88,9 +85,7 @@ class TestTorusRank:
         res = torus_rank(W, alpha=alpha)
         rows = [(0, 1, 1, 0, 1, 0), (1, 0, 0, 1, 1, 0), (1, 0, 1, 0, 0, 1)]
         cost = [F(1), F(1), F(2), F(2), F(3), F(3)]
-        oracle = oracle_minimum_over_vertices(
-            LinearProgram(objective=cost, constraint_rows=rows, rhs=[1, 1, 1])
-        )
+        oracle = oracle_minimum_over_vertices(cost, rows, [1, 1, 1])
         assert res.value == oracle.value
 
     def test_unused_indices_are_no_variables(self, monkeypatch):

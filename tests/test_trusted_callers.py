@@ -5,23 +5,24 @@
 semistability checks hand theirs to `exactlp._feasible`, unchecked, because
 they build them from objects their own constructors have checked.
 Over seeded random inputs, every such program must pass the public checks
-unchanged, hold int rows and right sides (and positive int or Fraction
-costs, `_slope`'s contract), and give the public route's answer exactly.
+unchanged, hold int rows and right sides (and positive int costs,
+`_slope`'s contract), and give the public route's answer exactly.
 
 The feasibility callers hand over the all-integer twin of a program with
-fractional right sides (a multiple of theta); `torus_rank` hands over its
-costs alpha as they are, which `lp_minimize` clears by the lcm of their
-denominators. Each is a positive scaling of rows and variables, so the
-simplex must take the same pivots as the fractional formulation through the
-public `lp_minimize`, in fields never wider: the equality system with a zero
-objective, and the slope program min{cost . x : row . x >= 1, x >= 0}.
+fractional right sides (a multiple of theta); `torus_rank` clears its costs
+alpha by the lcm L of their denominators and divides the slope by L. Each
+is a positive scaling of rows and variables, so the simplex must take the
+same pivots as the fractional formulation through the public `lp_minimize`,
+which `oracle.minimize` clears, in fields never wider: the equality system
+with a zero objective, and the slope program
+min{cost . x : row . x >= 1, x >= 0}.
 
 A support decided before any program is built (a form with a variable no
 exponent uses; a tensor whose forced zeros, `tensors._forced_zeros`, settle
 its verdict, among them every tensor with an index no tuple uses in some
 factor) is decided with no solve at all. For those the tests check that no
 program is handed over and that the verdict is the one the full fractional
-program gives through `lp_minimize`.
+program gives through `oracle.minimize`.
 """
 
 import itertools
@@ -33,7 +34,7 @@ import pytest
 
 import oracle
 from oracle import feasible, random_form, random_tensor, simplex_passes, slope
-from stablerank import exactlp, ideals, tensors
+from stablerank import ideals, tensors
 from stablerank.exactlp import SlopeResult
 from stablerank.ideals import (
     LinearChange,
@@ -45,7 +46,7 @@ from stablerank.ideals import (
     newton_threshold,
     t_stable_rank,
 )
-from stablerank.rationals import integers, rational
+from stablerank.rationals import cleared, integers
 from stablerank.tensors import (
     TensorSupport,
     expand_symmetric,
@@ -101,8 +102,7 @@ def has_unused_variable(form):
 
 def assert_checked_slope(cost, rows, result):
     assert type(cost) is tuple and cost
-    for c in cost:
-        assert type(c) in (int, F) and rational(c, "cost") is c and c > 0
+    assert all(type(c) is int and c > 0 for c in cost)
     assert type(rows) is tuple and rows
     for row in rows:
         assert type(row) is tuple and integers(row, "support row") == row
@@ -119,8 +119,8 @@ def assert_checked_feasible(rows, rhs, verdict):
     assert width
     for row in rows:
         assert type(row) is tuple and len(row) == width
-        assert all(type(v) is int and rational(v, "equality row") is v for v in row)
-    assert all(type(v) is int and rational(v, "equality rhs") is v for v in rhs)
+        assert all(type(v) is int for v in row)
+    assert all(type(v) is int for v in rhs)
     assert feasible((), (), rows, rhs) is verdict
 
 
@@ -159,22 +159,26 @@ def test_tensor_ranks_and_semistability(calls):
 
 
 def test_alpha_programs_clear_only_their_costs(monkeypatch):
-    """A fractional alpha makes the costs alone fractional: `lp_minimize`
-    clears the objective by L and hands the int rows and right sides on as
-    they are. So no call of `cleared` sees more than the n * d costs (the
-    witness `_slope` clears has as many values), where clearing the rows
-    would pass all m + m * n * d right sides and entries."""
-    clearings = oracle.calls(monkeypatch, (exactlp, "cleared"))
+    """A fractional alpha makes the costs alone fractional: `torus_rank`
+    clears alpha once, by the lcm L of its denominators, hands `_slope` the
+    int costs L * alpha_i of the variables it uses with the int rows as they
+    are, and returns that slope over L, with the slope's witness."""
+    slopes = oracle.calls(monkeypatch, (tensors, "_slope"))
     rng = random.Random(20261107)
     for _ in range(60):
         support = random_tensor(rng, 4, 4, 12)
         alpha = [rng.choice((1, F(1, 2), F(3, 2), F(5, 3))) for _ in range(support.order)]
         alpha[rng.randrange(support.order)] = F(2, 3)
-        clearings.clear()
+        slopes.clear()
         result = torus_rank(support, alpha)
         assert result == slope(*oracle.full_tensor_program(support, alpha))
-        assert clearings
-        assert max(len(values) for _, (values,), _, _ in clearings) <= support.dims * support.order
+        [(_, (cost, rows), _, inner)] = slopes
+        scale, scaled = cleared(alpha)
+        assert scale > 1 and all(type(c) is int for c in cost)
+        n = support.dims
+        used = sorted({i * n + j - 1 for t in support.tuples for i, j in enumerate(t)})
+        assert cost == tuple(scaled[c // n] for c in used)
+        assert result.value == inner.value / scale
 
 
 def test_form_ranks_and_semistability(calls):
@@ -314,9 +318,9 @@ def test_integer_programs_take_the_fractional_pivots():
     assert all(0 < decided[caller] < 120 for caller in ("form", "unit ideal")), decided
     assert pivots > 1000
     assert all(new <= old for caller, new, old in widths)
-    # `lp_minimize` clears a fractional cost vector by the lcm L of its
-    # denominators, as `torus_rank` did for its twin, so the rank programs'
-    # widths are equal by construction; only the feasibility twins, whose
-    # right sides `lp_minimize` clears with the rows, can come out narrower.
+    # `oracle.minimize` clears a fractional cost vector by the lcm L of its
+    # denominators, as `torus_rank` does, so the rank programs' widths are
+    # equal by construction; only the feasibility twins, whose right sides
+    # `oracle.minimize` clears with the rows, can come out narrower.
     for caller in ("tensor", "form"):
         assert any(new < old for c, new, old in widths if c == caller), caller
