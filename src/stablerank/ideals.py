@@ -90,6 +90,13 @@ _CHANGE_WORK = 10 ** 7
 # 10 monomial generators at r = 10 need 92,378 (about 0.2 s); at r = 50
 # they would need 12,565,671,261.
 _POWER_PRODUCTS = 10 ** 5
+# The most multiply-adds `ideal_power` may spend on the products of a
+# polynomial ideal's generators, as bounded before the first product
+# (`_power_work`); a power above it raises InputError. (x_1 + ... + x_10)^r,
+# one product, is bounded by 1,679,580 at r = 10 (92,378 terms, about 1 s)
+# and by 7,054,300 at r = 12; at r = 50 it would have about 1.26 * 10^10
+# terms.
+_POWER_WORK = 10 ** 7
 
 __all__ = [
     "SparsePolynomial",
@@ -468,13 +475,40 @@ def newton_threshold(ideal: MonomialIdeal) -> Fraction:
     return 1 / out.value
 
 
+def _power_work(gens: Sequence[SparsePolynomial], r: int, products: int) -> int:
+    """A bound on the multiply-adds of `products` products of r of the
+    polynomials `gens`, each built as a running product, one polynomial at
+    a time, or some number above `_POWER_WORK` once the bound passes it.
+    With s the most terms of a polynomial and e the highest degree, the
+    k-th running product has at most min(s^k, C(k * e + n, n)) terms, the
+    second being the number of monomials of degree at most k * e in n
+    variables, and multiplying it by the next polynomial costs its terms
+    times s. Polynomials of one term cost one multiply-add a step; with
+    two terms or more, e >= 1 and the step's bound grows at least linearly
+    in k, so the sum passes `_POWER_WORK` within a few thousand steps."""
+    size = max(len(g.terms) for g in gens)
+    if size < 2:
+        return products * (r - 1) * size
+    degree = max(sum(e) for g in gens for e in g.terms)
+    n = gens[0].nvars
+    work, part = 0, 1
+    for k in range(1, r):
+        part = min(part * size, math.comb(k * degree + n, n))
+        work += products * part * size
+        if work > _POWER_WORK:
+            break
+    return work
+
+
 def ideal_power(ideal, exponent: int):
     """All products of `exponent` generators (with repetition), C(g + r - 1, r)
-    of them for g generators at exponent r; above `_POWER_PRODUCTS` of them
-    raises InputError before the first product."""
+    of them for g generators at exponent r; above `_POWER_PRODUCTS` of them,
+    or, for a polynomial ideal, above `_POWER_WORK` multiply-adds as
+    `_power_work` bounds them, raises InputError before the first product."""
     (r,) = integers((exponent,), "ideal power exponent", low=1)
     expect(ideal, _IDEALS, "ideal")
-    if _multinomial((len(ideal.generators) - 1, r), _POWER_PRODUCTS) > _POWER_PRODUCTS:
+    products = _multinomial((len(ideal.generators) - 1, r), _POWER_PRODUCTS)
+    if products > _POWER_PRODUCTS:
         raise InputError(f"ideal power: more than {_POWER_PRODUCTS} products")
     if isinstance(ideal, MonomialIdeal):
         gens = [
@@ -482,6 +516,8 @@ def ideal_power(ideal, exponent: int):
             for combo in itertools.combinations_with_replacement(ideal.generators, r)
         ]
         return MonomialIdeal(ideal.nvars, gens)
+    if _power_work(ideal.generators, r, products) > _POWER_WORK:
+        raise InputError(f"ideal power: more than {_POWER_WORK} multiply-adds")
     gens = [
         functools.reduce(mul, combo)
         for combo in itertools.combinations_with_replacement(ideal.generators, r)

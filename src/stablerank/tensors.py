@@ -299,7 +299,7 @@ def _forced_zeros(tuples: tuple[tuple[int, ...], ...], n: int) -> bool | list[tu
         classes += masks
     if not all(classes):
         return False
-    if _matching(classes, len(tuples)) is not None:
+    if _matching(classes, tuples, n) is not None:
         return True
     alive = (1 << len(tuples)) - 1
     while True:
@@ -315,41 +315,54 @@ def _forced_zeros(tuples: tuple[tuple[int, ...], ...], n: int) -> bool | list[tu
             return [t for c, t in enumerate(tuples) if alive >> c & 1]
 
 
-def _matching(live: list[int], nodes: int) -> int | None:
-    """The mask of live tuples that meet every class once, or None.
+def _matching(classes: list[int], tuples: tuple[tuple[int, ...], ...], n: int) -> int | None:
+    """The mask of tuples that meet every class once, or None.
 
-    `live` holds the live mask of every class. Depth first, the open class
-    with the fewest live tuples is covered by each of its live tuples in
-    turn, lowest first (`_choose`); the search ends when no class is open,
-    at a dead end when an open class has no live tuple left, and gives up
-    after `nodes` choices. Every tuple lies in one class of each factor,
-    so the tuples found are n, and they use each index of each factor once.
+    `classes` holds the mask of every class of the `tuples` over dims n.
+    Depth first, the open class with the fewest live tuples is covered by
+    each of its live tuples in turn, lowest first (`_choose`); the search
+    ends when no class is open, at a dead end when an open class has no
+    live tuple left, and gives up after one choice per tuple. Every tuple
+    lies in one class of each factor, so the tuples found are n, and they
+    use each index of each factor once.
+
+    A frame holds the mask of the tuples still alive, the number of classes
+    still open, the tuples chosen and the live tuples of its class not yet
+    tried, a few masks whatever the number of classes. A class is open
+    while it holds no chosen tuple, and its live mask is its mask under the
+    alive one. Each choice closes d classes and kills all their tuples, so
+    the nonzero live masks are those of the open classes that are no dead
+    end, in class order: fewer of them than open classes is a dead end.
     """
-    frames = [(live, 0, min(live, key=int.bit_count))]
+    nodes = len(tuples)
+    frames = [((1 << nodes) - 1, len(classes), 0, min(classes, key=int.bit_count))]
     while frames:
-        classes, chosen, rest = frames.pop()
+        alive, count, chosen, rest = frames.pop()
         if not rest:
             continue
         if not nodes:
             return None
         nodes -= 1
         bit = rest & -rest
-        frames.append((classes, chosen, rest ^ bit))
-        left = _choose(classes, bit)
-        if not left:
+        frames.append((alive, count, chosen, rest ^ bit))
+        t = tuples[bit.bit_length() - 1]
+        alive, live = _choose(classes, t, n, alive)
+        count -= len(t)
+        if not count:
             return chosen | bit
-        frames.append((left, chosen | bit, min(left, key=int.bit_count)))
+        if len(live) == count:
+            frames.append((alive, count, chosen | bit, min(live, key=int.bit_count)))
     return None
 
 
-def _choose(classes: list[int], bit: int) -> list[int]:
-    """The live masks of the classes left open once the tuple `bit` is
-    chosen: every class that contains it closes, and its tuples die."""
-    closed = 0
-    for c in classes:
-        if c & bit:
-            closed |= c
-    return [c & ~closed for c in classes if not c & bit]
+def _choose(classes: list[int], t: tuple[int, ...], n: int,
+            alive: int) -> tuple[int, list[int]]:
+    """(the tuples left alive, the nonzero live masks of the classes in
+    order) once the live tuple t is chosen: its class in each factor, open
+    since t is alive, closes, and every tuple of those classes dies."""
+    for i, j in enumerate(t):
+        alive &= ~classes[i * n + j - 1]
+    return alive, [live for c in classes if (live := c & alive)]
 
 
 def is_torus_semistable(support: TensorSupport) -> bool:

@@ -514,6 +514,44 @@ class TestIdealAlgebra:
         assert seen == []
         assert len(ideal_power(ten, 10).generators) == 91
 
+    def test_power_work_budget(self, monkeypatch):
+        # (x1 + ... + x10)^50 is one product of about 1.26 * 10^10 terms:
+        # refused before the first product by its multiply-adds; at exponent
+        # 10 (92,378 terms) the bound is 1,679,580, admitted
+        seen = oracle.calls(monkeypatch, (itertools, "combinations_with_replacement"))
+        linear = PolyIdeal(10, [SparsePolynomial(10, {tuple(int(i == j) for j in range(10)): 1
+                                                      for i in range(10)})])
+        with pytest.raises(InputError, match="^ideal power: more than 10000000 multiply-adds$"):
+            ideal_power(linear, 50)
+        assert seen == []
+        assert ideals._power_work(linear.generators, 10, 1) == 1_679_580 <= ideals._POWER_WORK
+
+    def test_power_work_bounds_the_products(self, monkeypatch):
+        # the bound against the multiply-adds the products spend, counted
+        # at the one product routine, over seeded polynomial ideals
+        spent = [0]
+        product = ideals._int_product
+
+        def counted(a, b):
+            spent[0] += len(a) * len(b)
+            return product(a, b)
+
+        monkeypatch.setattr(ideals, "_int_product", counted)
+        rng = random.Random(42)
+        multiplied = 0
+        for _ in range(60):
+            n = rng.randint(1, 3)
+            gens = [SparsePolynomial(n, {tuple(rng.randint(0, 3) for _ in range(n)): 1
+                                         for _ in range(rng.randint(1, 4))})
+                    for _ in range(rng.randint(1, 3))]
+            ideal, r = PolyIdeal(n, gens), rng.randint(1, 4)
+            spent[0] = 0
+            ideal_power(ideal, r)
+            products = math.comb(len(ideal.generators) + r - 1, r)
+            assert spent[0] <= ideals._power_work(ideal.generators, r, products)
+            multiplied += spent[0] > 0
+        assert multiplied > 30
+
     def test_normalization_drops_divisible_generators(self):
         assert mono(2, (1, 0), (2, 0), (1, 1)) == mono(2, (1, 0))
 

@@ -709,6 +709,30 @@ class TestForcedZeros:
             assert 0 < len(nodes) <= 30
             nodes.clear()
 
+    def test_the_search_holds_a_few_masks_per_frame(self, monkeypatch):
+        # the diagonal (j, j, j) over dims 2000: the search goes 2,000
+        # choices deep, one per tuple, over 6,000 classes; frames that held
+        # every open class's live mask peaked at 957 MiB, and frames of a
+        # few masks peak at about 3 MiB; the nodes are counted, not
+        # recorded, since a record would hold every call's result
+        nodes, choose = [0], tensors._choose
+
+        def counted(*args):
+            nodes[0] += 1
+            return choose(*args)
+
+        monkeypatch.setattr(tensors, "_choose", counted)
+        n = 2000
+        v = TensorSupport(3, n, [(j, j, j) for j in range(1, n + 1)])
+        tracemalloc.start()
+        try:
+            assert is_torus_semistable(v) is True
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert nodes == [n]
+        assert peak < 150 * 2 ** 20, peak
+
     def test_large_supports_are_left_to_the_program(self, matchings, monkeypatch):
         nodes = oracle.calls(monkeypatch, (tensors, "_choose"))
         for v in large_undecided():
