@@ -1,11 +1,11 @@
 """Exact linear programming over the rationals.
 
 Programs are given in integers, and the simplex tableau holds Python
-integers only: every entry is stored as D * t over one
-positive integer D shared by the tableau (Edmonds' fraction-free pivoting,
-`_pivot`). No floating point value enters a tableau, so results are exact
-and bit-for-bit reproducible. Variables are implicitly constrained to
-x >= 0, inequality rows have sense a_k . x >= b_k, and equality rows hold.
+integers only: every entry is stored as D * t over one positive integer D
+shared by the tableau (Edmonds' fraction-free pivoting, `_pivot`). No
+floating point value enters a tableau, so results are exact and
+bit-for-bit reproducible. Variables are implicitly constrained to x >= 0,
+inequality rows have sense a_k . x >= b_k, and equality rows hold.
 
 Each tableau row is one Python integer of signed fields (`_Fields`), as wide
 as Hadamard's bound on the initial tableau (`_hadamard_bits`) needs, pivoted
@@ -14,10 +14,8 @@ whole (`_pivot`) by Bland's rule (`_simplex`).
 Every solve enters through `lp_minimize`, the one door to both routes
 below, and leaves as its one `LpOutcome`: the route's answer, a status or
 (value, x, D) in integers, as it is, with the value over D as one Fraction.
-The door takes integers alone. A program with rational entries is cleared
-by its caller: its objective by the lcm L of the objective's denominators,
-and its rows and right sides by one positive integer, which leaves every
-vertex where it was; the optimum is then the value over L.
+The door takes integers alone; a rational program's caller scales it to
+integers (which moves no vertex) and divides the value by the cost scale.
 
 Programs with no equality rows and a componentwise-nonnegative objective are
 solved through the LP dual: the slack basis of the dual is immediately
@@ -50,12 +48,9 @@ the value. A caller with a slope program of its own gets the same from
 Inputs are checked once, at the public entry points: `LinearProgram(...)`
 checks that every entry is an integer. `_slope`, `_feasible` and
 `newton_threshold` build their programs with `rationals._record`, unchecked,
-from objects whose constructors have checked them, and every such program
-is all-integer: a fractional right side is cleared by the caller, as a
-positive scaling of the variables (the semistability checks solve for a
-multiple of theta), and `torus_rank` clears its costs alpha by the lcm L of
-their denominators and divides the slope by L. Both keep every pivot,
-vertex and verdict.
+from objects whose constructors have checked them, all in integers: the
+semistability checks solve for a multiple of theta, and `torus_rank`
+clears its costs alpha (`_slope`).
 
 `_singular` runs the same pivot kernel as fraction-free Gauss-Jordan
 elimination; `LinearChange` uses it to check that its matrix is invertible.
@@ -83,10 +78,7 @@ __all__ = [
 class LinearProgram(Record):
     """min objective . x  s.t.  constraint_rows . x >= rhs, equality_rows . x = equality_rhs, x >= 0.
 
-    Every entry is an integer: an integral Fraction is stored as an int,
-    and any other value (a Fraction, a bool, a "p/q" string, a float)
-    raises InputError. A rational program is cleared by its caller (module
-    docstring).
+    Every entry is an integer, and an integral Fraction is stored as an int.
     """
 
     __slots__ = __match_args__ = ("objective", "constraint_rows", "rhs", "equality_rows",
@@ -113,10 +105,9 @@ class LinearProgram(Record):
 class LpOutcome(Record):
     """Solver verdict: status is "optimal", "infeasible" or "unbounded".
 
-    For an optimal outcome, `value` is the Fraction objective . x, the
-    route's integer value over the denominator, at the basic feasible
-    solution x = numerators / denominator, ints over one positive int, that
-    satisfies every constraint exactly; else all None.
+    For an optimal outcome, `value` is the Fraction objective . x at the
+    basic feasible solution x = numerators / denominator, ints over one
+    positive int, that satisfies every constraint exactly; else all None.
     """
 
     __slots__ = __match_args__ = ("status", "value", "numerators", "denominator")
@@ -312,11 +303,9 @@ def _primal_two_phase(
     rhs: Sequence[int],
     eq_rows: Sequence[Sequence[int]],
     eq_rhs: Sequence[int],
-    norms: Sequence[int],
 ) -> str | tuple[int, list[int], int]:
     """The two-phase primal simplex on an all-integer program: "infeasible",
-    "unbounded" or (value, x, D), value and vertex x over the denominator D;
-    `norms` holds the squared norms of `rows` and then of `eq_rows`."""
+    "unbounded" or (value, x, D), value and vertex x over the denominator D."""
     n = len(objective)
     nsurplus = len(rows)
     width = n + nsurplus
@@ -330,7 +319,7 @@ def _primal_two_phase(
     # and artificial columns keep the entries -1 (sign-adjusted) and 1; the
     # field width counts the artificial column only when it is packed.
     lines, levels, signs, squares = [], [], [], []
-    for i, (line, level, norm) in enumerate(zip(chain(rows, eq_rows), chain(rhs, eq_rhs), norms)):
+    for i, (line, level) in enumerate(zip(chain(rows, eq_rows), chain(rhs, eq_rhs))):
         if level < 0:
             line, level = list(map(neg, line)), -level
             signs.append(-1)
@@ -338,7 +327,7 @@ def _primal_two_phase(
             signs.append(1)
         lines.append(line)
         levels.append(level)
-        squares.append(norm + level * level + (i < nsurplus) + (not zero_cost))
+        squares.append(sum(map(mul, line, line)) + level * level + (i < nsurplus) + (not zero_cost))
 
     # phase one: minimize the sum of the artificials, priced out against the
     # artificial basis: the row minus the sum of the rows, artificials left
@@ -431,14 +420,13 @@ def _via_dual(
     objective: Sequence[int],
     rows: Sequence[Sequence[int]],
     rhs: Sequence[int],
-    norms: Sequence[int],
 ) -> str | tuple[int, list[int], int]:
     """Solve min{c.x : A x >= b, x >= 0}, an all-integer program with c >= 0,
     through its dual max{b.y : A^T y <= c, y >= 0}, to "infeasible" or
-    (value, x, D) as `_primal_two_phase` does; `norms` holds the squared
-    norms of the rows. The dual slack basis is feasible at once, and the
-    optimal tableau's reduced costs under the slack columns are the
-    complementary primal vertex: the reduced cost of slack j reads D * x_j."""
+    (value, x, D) as `_primal_two_phase` does. The dual slack basis is
+    feasible at once, and the optimal tableau's reduced costs under the slack
+    columns are the complementary primal vertex: the reduced cost of slack j
+    reads D * x_j."""
     m = len(rows)
     n = len(objective)
     lines = list(zip(*rows)) if rows else [()] * n
@@ -447,7 +435,7 @@ def _via_dual(
     # Every minor meets at most n + 1 columns: one column per primal row (its
     # entries and right side), the cost column and the unit slack columns,
     # which change no product.
-    columns = [norm + b * b for norm, b in zip(norms, rhs)]
+    columns = [sum(map(mul, row, row)) + b * b for row, b in zip(rows, rhs)]
     columns.append(sum(map(mul, objective, objective)))
     fields = _Fields(min(_hadamard_bits(squares), _hadamard_bits(columns, n + 1)))
     offset = fields.offset(m + n + 1)
@@ -468,17 +456,13 @@ def _via_dual(
 
 def lp_minimize(program: LinearProgram) -> LpOutcome:
     """Exact minimum of a linear program; deterministic for identical input.
-    The outcome holds the route's ints as they are, the value over D. Both
-    routes take the squared norms of the rows, inequality rows first, for
-    their field widths."""
+    The outcome holds the route's ints as they are, the value over D."""
     expect(program, LinearProgram, "linear program")
-    objective, rows, rhs = program.objective, program.constraint_rows, program.rhs
-    eq_rows, eq_rhs = program.equality_rows, program.equality_rhs
-    norms = [sum(map(mul, row, row)) for row in chain(rows, eq_rows)]
+    objective, rows, rhs, eq_rows, eq_rhs = program._values()
     if not eq_rows and all(c >= 0 for c in objective):
-        answer = _via_dual(objective, rows, rhs, norms)
+        answer = _via_dual(objective, rows, rhs)
     else:
-        answer = _primal_two_phase(objective, rows, rhs, eq_rows, eq_rhs, norms)
+        answer = _primal_two_phase(objective, rows, rhs, eq_rows, eq_rhs)
     if isinstance(answer, str):
         return LpOutcome(answer)
     value, x, d = answer
@@ -509,8 +493,7 @@ def _slope(cost: tuple[int, ...], rows: tuple[tuple[int, ...], ...]) -> SlopeRes
     checked objects and so passes it unchecked: `cost` a nonempty tuple of
     positive ints, `rows` a nonempty tuple of tuples of nonnegative ints,
     each as long as `cost`. `torus_rank`, `symm_torus_rank` and
-    `t_stable_rank` call it; `torus_rank` hands it L * alpha, its costs
-    cleared, and divides the value by L."""
+    `t_stable_rank` call it."""
     if not all(map(any, rows)):
         return SlopeResult(value=math.inf, witness=None)
     program = _record(LinearProgram, (cost, rows, (1,) * len(rows), (), ()))

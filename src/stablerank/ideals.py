@@ -90,12 +90,9 @@ _CHANGE_WORK = 10 ** 7
 # 10 monomial generators at r = 10 need 92,378 (about 0.2 s); at r = 50
 # they would need 12,565,671,261.
 _POWER_PRODUCTS = 10 ** 5
-# The most multiply-adds `ideal_power` may spend on the products of a
-# polynomial ideal's generators, as bounded before the first product
-# (`_power_work`); a power above it raises InputError. (x_1 + ... + x_10)^r,
-# one product, is bounded by 1,679,580 at r = 10 (92,378 terms, about 1 s)
-# and by 7,054,300 at r = 12; at r = 50 it would have about 1.26 * 10^10
-# terms.
+# The most multiply-adds `ideal_power` may spend on a polynomial ideal's
+# products, as `_power_work` bounds them before the first one: 1,679,580 for
+# (x_1 + ... + x_10)^10, 92,378 terms in about 1 s.
 _POWER_WORK = 10 ** 7
 
 __all__ = [
@@ -476,16 +473,11 @@ def newton_threshold(ideal: MonomialIdeal) -> Fraction:
 
 
 def _power_work(gens: Sequence[SparsePolynomial], r: int, products: int) -> int:
-    """A bound on the multiply-adds of `products` products of r of the
-    polynomials `gens`, each built as a running product, one polynomial at
-    a time, or some number above `_POWER_WORK` once the bound passes it.
-    With s the most terms of a polynomial and e the highest degree, the
-    k-th running product has at most min(s^k, C(k * e + n, n)) terms, the
-    second being the number of monomials of degree at most k * e in n
-    variables, and multiplying it by the next polynomial costs its terms
-    times s. Polynomials of one term cost one multiply-add a step; with
-    two terms or more, e >= 1 and the step's bound grows at least linearly
-    in k, so the sum passes `_POWER_WORK` within a few thousand steps."""
+    """A bound on the multiply-adds of `products` running products of r of
+    the `gens`, or some number above `_POWER_WORK`. With s the most terms and
+    e the highest degree of a generator, the k-th running product has at
+    most min(s^k, C(k * e + n, n)) terms, the monomials of degree at most
+    k * e, and the next factor costs s times that."""
     size = max(len(g.terms) for g in gens)
     if size < 2:
         return products * (r - 1) * size

@@ -8,15 +8,14 @@ an exact fractional linear program over the support, so every function below
 reduces to the slope program `stablerank.exactlp._slope` solves or to a
 feasibility program, a zero objective under `lp_minimize` (`_feasible`).
 Their rows come from supports the constructors have checked, so they go to
-those two solves unchecked, and every row entry and right side is an int: a
-feasibility program with fractional right sides is handed over as its
-all-integer twin over a multiple of theta (below), a positive scaling of its
-variables that takes the pivots the fractional program would. `torus_rank`
-clears its costs alpha once, by the lcm L of their denominators, and
-divides the slope by L. Because only diagonal one-parameter subgroups are searched,
-the returned ranks are upper bounds on the full group-stable rank; they are
-exact whenever some optimal subgroup is diagonal in the given basis
-(torus-optimal tensors).
+those two solves unchecked, in ints alone: a feasibility program with
+fractional right sides is handed over as its all-integer twin over a
+multiple of theta (below), a positive scaling of its variables that takes
+the pivots the fractional program would, and `torus_rank` clears alpha.
+Because only diagonal one-parameter subgroups are searched, the returned
+ranks are upper bounds on the full group-stable rank; they are exact
+whenever some optimal subgroup is diagonal in the given basis (torus-optimal
+tensors).
 
 Why semistability is equivalent to the rank hitting its ceiling: the rank
 with unit weights never exceeds n (the assignment lam_1 = (1,...,1), other
@@ -202,9 +201,8 @@ def torus_rank(support: TensorSupport, alpha: Sequence | None = None) -> SlopeRe
     the other columns in their order, so Bland's rule takes the same
     pivots to the same D, value and witness. The program's size is set by
     the support, not by n; the witness has n * d <= `_WITNESS_ENTRIES` entries.
-    The costs are cleared once: `_slope` takes L * alpha_i, L the lcm of
-    alpha's denominators, in ints, a positive scaling of the objective that
-    moves no pivot, and the slope is its value over L.
+    `_slope` takes the int costs L * alpha_i, L the lcm of alpha's
+    denominators, and the slope is its value over L.
     """
     expect(support, TensorSupport, "tensor support")
     n, d = support.dims, support.order
@@ -326,25 +324,21 @@ def _matching(classes: list[int], tuples: tuple[tuple[int, ...], ...], n: int) -
     lies in one class of each factor, so the tuples found are n, and they
     use each index of each factor once.
 
-    A frame holds the mask of the tuples still alive, the number of classes
-    still open, the tuples chosen and the live tuples of its class not yet
-    tried, a few masks whatever the number of classes. A class is open
-    while it holds no chosen tuple, and its live mask is its mask under the
-    alive one. Each choice closes d classes and kills all their tuples, so
-    the nonzero live masks are those of the open classes that are no dead
-    end, in class order: fewer of them than open classes is a dead end.
+    A frame holds the alive tuples, the number of open classes, the chosen
+    tuples and its class's live tuples not yet tried, never a mask per
+    class. A choice closes d classes and kills their tuples, so fewer
+    nonzero live masks than open classes is a dead end, not pushed.
     """
     nodes = len(tuples)
     frames = [((1 << nodes) - 1, len(classes), 0, min(classes, key=int.bit_count))]
     while frames:
         alive, count, chosen, rest = frames.pop()
-        if not rest:
-            continue
         if not nodes:
             return None
         nodes -= 1
         bit = rest & -rest
-        frames.append((alive, count, chosen, rest ^ bit))
+        if rest ^ bit:
+            frames.append((alive, count, chosen, rest ^ bit))
         t = tuples[bit.bit_length() - 1]
         alive, live = _choose(classes, t, n, alive)
         count -= len(t)
@@ -355,8 +349,7 @@ def _matching(classes: list[int], tuples: tuple[tuple[int, ...], ...], n: int) -
     return None
 
 
-def _choose(classes: list[int], t: tuple[int, ...], n: int,
-            alive: int) -> tuple[int, list[int]]:
+def _choose(classes: list[int], t: tuple[int, ...], n: int, alive: int) -> tuple[int, list[int]]:
     """(the tuples left alive, the nonzero live masks of the classes in
     order) once the live tuple t is chosen: its class in each factor, open
     since t is alive, closes, and every tuple of those classes dies."""
