@@ -12,11 +12,11 @@ clears the objective by the lcm L of its denominators and the rows and
 right sides by one R, solves, and divides the value by L. Both take a
 program as its five parts: objective, rows, right sides, equality rows and
 equality right sides, ints or Fractions. `vertex` rebuilds the Fraction
-vertex of either solver's outcome, for the tests that read one. `inverse` is the exact inverse of a matrix,
-which the tests of linear changes take from here, since the library only
-checks that a matrix is invertible. `minimal_generators` is the quadratic
-divisibility filter that `MonomialIdeal`'s one-pass minimalisation is
-checked against.
+vertex of either solver's outcome, for the tests that read one. `inverse`
+is the exact inverse of a matrix, which the tests of linear changes take
+from here, since the library only checks that a matrix is invertible.
+`minimal_generators` is the quadratic divisibility filter that
+`MonomialIdeal`'s one-pass minimalisation is checked against.
 
 The tensor programs are built from the supports alone, not from the
 library's builders: `full_tensor_program` is the slope program of
@@ -49,8 +49,8 @@ The golden-file harness: `golden` reads a golden file of this directory,
 `write_golden` writes that text, and `assert_golden` compares it with the
 committed file byte for byte. `q` writes a rational as the p/q text the
 files hold, and `golden_call` decodes an input of `golden_lp.json` into its
-call, `torus_rank` or `minimize`, and arguments. The tests import this module as `oracle`, from this
-directory.
+call, `torus_rank` or `minimize`, and arguments. The tests import this
+module as `oracle`, from this directory.
 """
 
 import json

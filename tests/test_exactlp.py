@@ -153,7 +153,8 @@ class TestLpMinimize:
             parts[field] = [[1, value]]
         else:
             parts[field] = [1, value] if field == 0 else [value]
-        with pytest.raises(InputError, match=f"^{what}: expected an integer, got {re.escape(repr(value))}$"):
+        message = f"{what}: expected an integer, got {value!r}"
+        with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             program(*parts)
 
     def test_integral_entries_stored_as_ints_answers_in_fractions(self):
