@@ -149,10 +149,7 @@ class TestLpMinimize:
     def test_the_door_takes_integers_alone(self, field, what, value):
         # a Fraction, a bool and a "p/q" string in each of the five fields
         parts = [[1, 1], [[1, 1]], [1], [[1, 1]], [1]]
-        if field in (1, 3):
-            parts[field] = [[1, value]]
-        else:
-            parts[field] = [1, value] if field == 0 else [value]
+        parts[field] = [[1, value]] if field in (1, 3) else [value] * len(parts[field])
         message = f"{what}: expected an integer, got {value!r}"
         with pytest.raises(InputError, match=f"^{re.escape(message)}$"):
             program(*parts)
